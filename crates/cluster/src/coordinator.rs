@@ -37,6 +37,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsFd;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,8 +48,8 @@ use punct_durable::{CheckpointStore, PendingPunct, ShardRecords, Snapshot, Snaps
 use punct_exec::{route_punctuation, AlignOutcome, Aligner, Route};
 use punct_trace::{wall_now_ns, TelemetryMsg};
 use punct_net::{
-    ClientOptions, FaultConfig, FaultProxy, Frame, ProxyStats, SinkSubscriber, StreamSender,
-    WIRE_VERSION,
+    wait_readable, ClientOptions, FaultConfig, FaultProxy, Frame, ProxyStats, SinkSubscriber,
+    StreamSender, WIRE_VERSION,
 };
 use punct_types::{
     partition, PunctSeq, Punctuation, ShardMap, StreamElement, Timestamp, Timestamped, Tuple,
@@ -67,6 +68,18 @@ use crate::telemetry::ClusterTelemetry;
 /// so a short burst over a hot loopback connection bounds the offset
 /// error to a few tens of microseconds.
 const CLOCK_PROBES: u32 = 5;
+
+/// How long [`Cluster::poll_outputs`] waits — on every link socket at
+/// once, so data ends the wait early — when a pass over the links found
+/// no output.
+const IDLE_WAIT: Duration = Duration::from_millis(1);
+
+/// [`Cluster::push`] holds the caller back once a sender has this many
+/// credit windows of elements pushed but not yet written: enough queued
+/// to keep a worker's window full across a drain pass, little enough
+/// that a caller outrunning the workers cannot grow the buffers without
+/// limit.
+const BACKLOG_WINDOWS: u64 = 4;
 
 /// Nonce namespaces keep checkpoint and rollback barriers unmistakable
 /// for migration barriers in worker logs and protocol errors.
@@ -375,7 +388,8 @@ impl Cluster {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    std::thread::sleep(Duration::from_millis(5));
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    wait_readable(&[self.listener.as_fd()], wait)?;
                     continue;
                 }
                 Err(e) => return Err(ClusterError::Io(e)),
@@ -465,8 +479,8 @@ impl Cluster {
 
     /// Estimates each worker's clock offset with a burst of
     /// request-response probes over the control plane (min-RTT sample
-    /// wins). Runs after the workers enter their serve loops, so acks
-    /// return within one poll interval.
+    /// wins). Runs after the workers enter their serve loops, where a
+    /// control frame wakes the worker at once.
     fn sync_clocks(&mut self) -> Result<(), ClusterError> {
         if !self.opts.telemetry.enabled {
             return Ok(());
@@ -512,10 +526,31 @@ impl Cluster {
             d.input_log.push((side, element.clone()));
         }
         self.pushed += 1;
-        match self.route_element(side, element) {
+        match self.route_element(side, element).and_then(|()| self.relieve_backlog()) {
             Err(ClusterError::WorkerLost(w)) => self.recover(w),
             other => other,
         }
+    }
+
+    /// Backpressure for [`push`](Cluster::push): while any sender holds
+    /// more than [`BACKLOG_WINDOWS`] credit windows of unwritten
+    /// elements, run the drain pass [`poll_outputs`](Cluster::poll_outputs)
+    /// runs — credits come back, senders write, and the outputs drained
+    /// meanwhile wait in `ready` for the caller's next poll.
+    fn relieve_backlog(&mut self) -> Result<(), ClusterError> {
+        let over = |s: &StreamSender| s.backlog() > BACKLOG_WINDOWS * u64::from(s.window());
+        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        while self.links.iter().any(|l| over(&l.left) || over(&l.right)) {
+            let absorbed = self.pass()?;
+            self.check_liveness()?;
+            if absorbed == 0 {
+                self.wait_for_links(IDLE_WAIT)?;
+            }
+            if Instant::now() >= deadline {
+                return Err(ClusterError::Timeout("sender backlog to drain".into()));
+            }
+        }
+        Ok(())
     }
 
     /// The routing body shared by [`push`](Cluster::push) and
@@ -631,8 +666,18 @@ impl Cluster {
     /// Drains whatever the worker sinks have published so far, in
     /// arrival order per worker. Tuples pass through; punctuation
     /// propagations are merged by the aligner (exactly one copy emitted
-    /// once every target worker propagated). Call this periodically
-    /// while pushing to keep sink buffers small.
+    /// once every target worker propagated).
+    ///
+    /// The call never blocks while there is output to hand over: it
+    /// makes one pass over every link — sink, control socket and both
+    /// senders (acks and credits picked up, everything they allow
+    /// written, coalesced tuples included) — and returns what the pass
+    /// absorbed. Only a pass that found no output waits, about
+    /// [`IDLE_WAIT`] and on all link sockets at once, so arriving data
+    /// ends the wait; an empty return therefore always cost about that
+    /// long. Call it periodically while pushing, and in a loop while
+    /// waiting for results: senders make progress only inside `push`,
+    /// here, and in `finish`.
     ///
     /// With durability enabled this is also the supervision tick: missed
     /// heartbeats and dead control links trigger crash recovery here,
@@ -644,9 +689,6 @@ impl Cluster {
         // A recovery can itself trip over another dead worker's link at
         // most once per worker; anything beyond that is a real failure.
         for _ in 0..=self.opts.workers {
-            if let Some(dead) = self.liveness_expired() {
-                self.recover(dead)?;
-            }
             match self.poll_once() {
                 Ok(()) => {
                     self.maybe_checkpoint()?;
@@ -659,33 +701,75 @@ impl Cluster {
         Err(ClusterError::Protocol("workers kept dying faster than recovery".into()))
     }
 
-    /// One non-blocking drain pass over control links and sinks.
+    /// Passes over the links until one absorbs output or [`IDLE_WAIT`]
+    /// has gone by, sleeping on the link sockets in between.
     fn poll_once(&mut self) -> Result<(), ClusterError> {
+        let idle_until = Instant::now() + IDLE_WAIT;
+        loop {
+            let absorbed = self.pass()?;
+            self.check_liveness()?;
+            let remaining = idle_until.saturating_duration_since(Instant::now());
+            if absorbed > 0 || remaining.is_zero() {
+                return Ok(());
+            }
+            self.wait_for_links(remaining)?;
+        }
+    }
+
+    /// One non-blocking pass over every link: control frames folded in,
+    /// senders serviced, sinks drained. Returns the sink elements
+    /// absorbed.
+    fn pass(&mut self) -> Result<usize, ClusterError> {
         self.drain_ctrl()?;
+        let mut absorbed = 0;
         for w in 0..self.links.len() {
-            loop {
-                if self.links[w].sink_done {
-                    break;
-                }
-                match self.links[w].sink.next(Duration::from_millis(1)) {
+            for side in [Side::Left, Side::Right] {
+                let r = self.links[w].sender(side).service();
+                r.map_err(|e| self.lost(w, e.into()))?;
+            }
+            while !self.links[w].sink_done {
+                match self.links[w].sink.next(Duration::ZERO) {
                     Ok(Some(element)) => {
                         self.absorb(w, element, false)?;
+                        absorbed += 1;
                     }
                     Ok(None) => break,
                     Err(e) => return Err(self.lost(w, e.into())),
                 }
             }
         }
+        Ok(absorbed)
+    }
+
+    /// Sleeps until any link socket — control, sink subscription, either
+    /// sender — turns readable, or `timeout` passes.
+    fn wait_for_links(&self, timeout: Duration) -> Result<(), ClusterError> {
+        let mut fds = Vec::with_capacity(4 * self.links.len());
+        for link in &self.links {
+            fds.push(link.ctrl.socket().as_fd());
+            let data =
+                [link.sink.socket(), link.left.awaited_socket(), link.right.awaited_socket()];
+            fds.extend(data.into_iter().flatten().map(AsFd::as_fd));
+        }
+        wait_readable(&fds, timeout)?;
         Ok(())
     }
 
-    /// The worker whose heartbeat deadline has expired, if any.
-    fn liveness_expired(&self) -> Option<usize> {
-        let d = self.durable.as_ref()?;
-        d.respawn.as_ref()?;
-        let deadline = d.heartbeat.deadline()?;
+    /// Reports a worker whose heartbeat deadline has expired as lost.
+    /// Call right after a [`pass`](Cluster::pass): a heartbeat that sat
+    /// unread while this thread was busy is not a missed one.
+    fn check_liveness(&self) -> Result<(), ClusterError> {
+        let Some(d) = self.durable.as_ref().filter(|d| d.respawn.is_some()) else {
+            return Ok(());
+        };
+        let Some(deadline) = d.heartbeat.deadline() else {
+            return Ok(());
+        };
         let now = Instant::now();
-        d.last_heard.iter().position(|&heard| now.duration_since(heard) > deadline)
+        match d.last_heard.iter().position(|&heard| now.duration_since(heard) > deadline) {
+            Some(dead) => Err(ClusterError::WorkerLost(dead)),
+            None => Ok(()),
+        }
     }
 
     /// Refreshes `worker`'s liveness stamp.
@@ -780,12 +864,9 @@ impl Cluster {
     /// pushes and heartbeats) on every control link. Outside a
     /// migration those are the only frames workers originate, so
     /// anything else is a protocol error. Every frame — whatever its
-    /// payload — refreshes the sender's liveness stamp.
+    /// payload — refreshes the sender's liveness stamp, and a link at
+    /// end of stream reports its worker gone.
     fn drain_ctrl(&mut self) -> Result<(), ClusterError> {
-        let heartbeats = self.durable.as_ref().is_some_and(|d| d.heartbeat.enabled());
-        if !self.opts.telemetry.enabled && !heartbeats {
-            return Ok(());
-        }
         for w in 0..self.links.len() {
             loop {
                 match self.links[w].ctrl.poll_recv() {
@@ -1332,7 +1413,8 @@ impl Cluster {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    std::thread::sleep(Duration::from_millis(5));
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    wait_readable(&[self.listener.as_fd()], wait)?;
                 }
                 Err(e) => return Err(ClusterError::Io(e)),
             }
@@ -1508,55 +1590,26 @@ impl Cluster {
     /// Every ingested punctuation has been emitted exactly once when
     /// this returns.
     pub fn finish(mut self) -> Result<ClusterReport, ClusterError> {
-        let mut sender_reconnects = 0;
         let deadline = Instant::now() + self.opts.ctrl_timeout;
+        let mut sender_reconnects = 0;
         for link in &mut self.links {
-            // `StreamSender::finish` consumes the sender; swap in husks.
-            let left = std::mem::replace(
-                &mut link.left,
-                StreamSender::new(
-                    "127.0.0.1:1".parse().expect("literal addr"),
-                    0,
-                    Side::Left,
-                    self.opts.spec.side_schema(Side::Left),
-                    ClientOptions::default(),
-                ),
-            );
-            let right = std::mem::replace(
-                &mut link.right,
-                StreamSender::new(
-                    "127.0.0.1:1".parse().expect("literal addr"),
-                    1,
-                    Side::Right,
-                    self.opts.spec.side_schema(Side::Right),
-                    ClientOptions::default(),
-                ),
-            );
-            sender_reconnects += left.reconnects() + right.reconnects();
-            left.finish()?;
-            right.finish()?;
+            link.left.finish()?;
+            link.right.finish()?;
+            sender_reconnects += link.left.reconnects() + link.right.reconnects();
         }
         loop {
-            let mut all_done = true;
-            for w in 0..self.links.len() {
-                if self.links[w].sink_done {
-                    continue;
-                }
-                while let Some(element) = self.links[w].sink.next(Duration::from_millis(20))? {
-                    self.absorb(w, element, false)?;
-                }
-                if self.links[w].sink.finished() {
-                    self.links[w].sink_done = true;
-                } else {
-                    all_done = false;
-                }
+            self.pass()?;
+            for link in &mut self.links {
+                link.sink_done = link.sink.finished();
             }
-            if all_done {
+            if self.links.iter().all(|l| l.sink_done) {
                 break;
             }
-            if Instant::now() >= deadline {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
                 return Err(ClusterError::Timeout("worker sinks to finish".into()));
             }
+            self.wait_for_links(remaining)?;
         }
         if self.aligner.pending_len() != 0 || !self.pending_log.is_empty() {
             return Err(ClusterError::Protocol(format!(
@@ -1574,30 +1627,16 @@ impl Cluster {
         // streams end and before its sink closes; wait for the stragglers
         // so the merged telemetry covers the whole run.
         if self.opts.telemetry.enabled {
-            loop {
-                let pending = self.telem.finals_pending();
-                if pending.is_empty() {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    return Err(ClusterError::Timeout(format!(
-                        "final telemetry flush from workers {pending:?}"
-                    )));
-                }
-                for w in pending {
-                    while let Some(frame) = self.links[w].ctrl.poll_recv()? {
-                        match frame {
-                            Frame::Telemetry { payload } => self.ingest_telemetry(w, &payload)?,
-                            Frame::Heartbeat { .. } => {}
-                            other => {
-                                return Err(ClusterError::Protocol(format!(
-                                    "unexpected control frame from worker {w}: {other:?}"
-                                )))
-                            }
-                        }
+            while let Some(&w) = self.telem.finals_pending().first() {
+                match self.links[w].ctrl.recv_deadline(deadline, "final telemetry flush")? {
+                    Frame::Telemetry { payload } => self.ingest_telemetry(w, &payload)?,
+                    Frame::Heartbeat { .. } => {}
+                    other => {
+                        return Err(ClusterError::Protocol(format!(
+                            "unexpected control frame from worker {w}: {other:?}"
+                        )))
                     }
                 }
-                std::thread::sleep(Duration::from_millis(2));
             }
         }
         let proxy_stats = self

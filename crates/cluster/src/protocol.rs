@@ -15,12 +15,13 @@
 //! it to their joins; the cluster layer reserves Empty-at-join-attr
 //! punctuations for itself.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsFd;
 use std::time::{Duration, Instant};
 
 use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
-use punct_net::{encode_frame, Frame, FrameBuffer};
+use punct_net::{encode_frame, read_available, wait_readable, Frame, FrameBuffer};
 use punct_types::{Pattern, Punctuation, Schema, ValueType, WireReader};
 use stream_sim::Side;
 
@@ -295,11 +296,14 @@ pub fn sink_marker(spec: &JoinSpec) -> Punctuation {
     Punctuation::on_attr(spec.output_width(), spec.join_attr_a, Pattern::Empty)
 }
 
-/// A blocking control-plane connection: length-delimited [`Frame`]s over
-/// plain TCP. The control plane carries only low-rate cluster frames
-/// (handshakes, shard maps, migration state), so simplicity beats
-/// throughput here — writes are synchronous, reads poll with a short
-/// socket timeout.
+/// A control-plane connection: length-delimited [`Frame`]s over plain
+/// TCP. The control plane carries only low-rate cluster frames
+/// (handshakes, shard maps, migration state, telemetry), so simplicity
+/// beats throughput here — writes are synchronous, and reads either only
+/// ask what is queued ([`poll_recv`](CtrlConn::poll_recv)) or block on
+/// the socket until a frame or a deadline
+/// ([`recv_deadline`](CtrlConn::recv_deadline)); no socket read timeout
+/// is involved in either.
 #[derive(Debug)]
 pub struct CtrlConn {
     sock: TcpStream,
@@ -317,7 +321,6 @@ impl CtrlConn {
     /// Wraps an accepted control socket.
     pub fn from_stream(sock: TcpStream) -> Result<CtrlConn, ClusterError> {
         sock.set_nodelay(true)?;
-        sock.set_read_timeout(Some(Duration::from_millis(20)))?;
         let peer =
             sock.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "<unknown>".into());
         Ok(CtrlConn { sock, fb: FrameBuffer::new(), peer })
@@ -328,62 +331,57 @@ impl CtrlConn {
         &self.peer
     }
 
+    /// The underlying socket, for a caller that waits on several links
+    /// at once or reads this one from a thread of its own.
+    pub fn socket(&self) -> &TcpStream {
+        &self.sock
+    }
+
     /// Writes one frame synchronously.
     pub fn send(&mut self, frame: &Frame) -> Result<(), ClusterError> {
         self.sock.write_all(&encode_frame(frame))?;
         Ok(())
     }
 
-    /// Returns a buffered frame, or polls the socket once (bounded by
-    /// the socket read timeout). `Ok(None)` means no complete frame yet.
-    pub fn try_recv(&mut self) -> Result<Option<Frame>, ClusterError> {
-        if let Some(frame) = self.fb.next_frame()? {
-            return Ok(Some(frame));
-        }
-        let mut buf = [0u8; 16 * 1024];
-        match self.sock.read(&mut buf) {
-            Ok(0) => return Err(ClusterError::Disconnected(self.peer.clone())),
-            Ok(n) => self.fb.extend(&buf[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(ClusterError::Io(e)),
-        }
-        Ok(self.fb.next_frame()?)
-    }
-
-    /// Returns a buffered frame, or polls the socket **without
-    /// blocking**. Unlike [`try_recv`](CtrlConn::try_recv) — which can
-    /// wait up to the 20 ms socket read timeout — this flips the socket
-    /// into non-blocking mode for a single read and restores it, so the
-    /// coordinator can drain telemetry pushes between sink polls without
-    /// stalling the data path.
+    /// Returns a buffered frame, or picks up whatever the socket has
+    /// queued — **without blocking**. `Ok(None)` means no complete frame
+    /// yet.
     pub fn poll_recv(&mut self) -> Result<Option<Frame>, ClusterError> {
         if let Some(frame) = self.fb.next_frame()? {
             return Ok(Some(frame));
         }
-        self.sock.set_nonblocking(true)?;
-        let mut buf = [0u8; 16 * 1024];
-        let read = self.sock.read(&mut buf);
-        self.sock.set_nonblocking(false)?;
-        match read {
-            Ok(0) => return Err(ClusterError::Disconnected(self.peer.clone())),
-            Ok(n) => self.fb.extend(&buf[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(ClusterError::Io(e)),
+        match read_available(&mut self.sock, &mut self.fb) {
+            Ok(_) => Ok(self.fb.next_frame()?),
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                Err(ClusterError::Disconnected(self.peer.clone()))
+            }
+            Err(e) => Err(ClusterError::Io(e)),
         }
-        Ok(self.fb.next_frame()?)
     }
 
-    /// Blocks until a frame arrives or `deadline` passes.
-    pub fn recv_deadline(&mut self, deadline: Instant, what: &str) -> Result<Frame, ClusterError> {
+    /// Blocks (woken by the socket) until a frame arrives: for a thread
+    /// that does nothing but read this link.
+    pub fn recv(&mut self) -> Result<Frame, ClusterError> {
         loop {
-            if let Some(frame) = self.try_recv()? {
+            if let Some(frame) = self.poll_recv()? {
                 return Ok(frame);
             }
-            if Instant::now() >= deadline {
+            wait_readable(&[self.sock.as_fd()], Duration::MAX)?;
+        }
+    }
+
+    /// Blocks (woken by the socket) until a frame arrives or `deadline`
+    /// passes.
+    pub fn recv_deadline(&mut self, deadline: Instant, what: &str) -> Result<Frame, ClusterError> {
+        loop {
+            if let Some(frame) = self.poll_recv()? {
+                return Ok(frame);
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
                 return Err(ClusterError::Timeout(format!("{what} from {}", self.peer)));
             }
+            wait_readable(&[self.sock.as_fd()], remaining)?;
         }
     }
 }

@@ -34,15 +34,15 @@
 //!   downstream exactly once.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::net::{Shutdown, SocketAddr};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::RecvTimeoutError;
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use pjoin::components::propagation::translate_punctuation;
 use pjoin::{PJoin, PJoinConfig};
 use punct_exec::{route_punctuation, AlignOutcome, Aligner};
 use punct_net::{
-    Frame, IngestMsg, IngestOptions, IngestReceiver, IngestServer, SinkOptions, SinkServer,
+    Frame, IngestEvent, IngestMsg, IngestOptions, IngestServer, SinkOptions, SinkServer,
     WIRE_VERSION,
 };
 use punct_trace::{
@@ -107,6 +107,54 @@ pub struct WorkerReport {
     pub final_epoch: u64,
 }
 
+/// Events one turn of the serve loop handles before it looks at its
+/// barriers and beacons again.
+const BURST: usize = 64;
+
+/// Everything a worker waits for, on one channel: the ingest handlers
+/// and the control-reader thread both feed it, so the worker blocks in
+/// exactly one place and neither plane delays the other.
+enum Event {
+    Data(IngestMsg),
+    /// `Side`'s input stream delivered its `Fin`; everything it carried
+    /// is ahead of this event in the channel.
+    End(Side),
+    Ctrl(Frame),
+    /// The control reader stopped: the coordinator hung up
+    /// ([`ClusterError::Disconnected`]) or the link failed.
+    CtrlDown(ClusterError),
+}
+
+impl From<IngestMsg> for Event {
+    fn from(msg: IngestMsg) -> Event {
+        Event::Data(msg)
+    }
+}
+
+impl IngestEvent for Event {
+    fn end(side: Side) -> Option<Event> {
+        Some(Event::End(side))
+    }
+}
+
+/// Body of the control-reader thread: blocks on its own handle to the
+/// control socket and forwards each frame as an [`Event::Ctrl`], ending
+/// with one [`Event::CtrlDown`]. Exits when the socket closes (the
+/// coordinator hung up, or `run_worker` shut it down) or the worker
+/// stopped listening.
+fn read_ctrl(mut link: CtrlConn, events: Sender<Event>) {
+    loop {
+        let event = match link.recv() {
+            Ok(frame) => Event::Ctrl(frame),
+            Err(e) => Event::CtrlDown(e),
+        };
+        let down = matches!(event, Event::CtrlDown(_));
+        if events.send(event).is_err() || down {
+            return;
+        }
+    }
+}
+
 /// A staged-but-not-active shard map: fresh joins awaiting state
 /// imports and the activating `MigrateCommit`.
 struct Staged {
@@ -145,6 +193,10 @@ struct Worker {
     /// aborted (checkpoint superseded by a rollback) inert until the
     /// next commit clears it.
     barriers: HashMap<u64, [bool; 2]>,
+    /// Which of [left, right] input streams have ended.
+    ended: [bool; 2],
+    /// Outputs of the ingest message in hand, published as one batch.
+    outbox: Vec<Timestamped<StreamElement>>,
     /// Heartbeat policy from the config blob (disabled until it
     /// arrives).
     heartbeat: HeartbeatSettings,
@@ -183,7 +235,9 @@ struct Worker {
 /// remaining output (including end-of-stream punctuation flushes) is
 /// published to the sink.
 pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
-    let (server, rx) = IngestServer::bind(&[Side::Left, Side::Right], opts.ingest)?;
+    let (events_tx, events) = bounded(opts.ingest.channel_capacity.max(1));
+    let server =
+        IngestServer::bind_into(&[Side::Left, Side::Right], opts.ingest, events_tx.clone())?;
     let sink = SinkServer::bind(opts.sink)?;
     let mut ctrl = CtrlConn::connect(opts.coordinator)?;
     ctrl.send(&Frame::JoinCluster {
@@ -192,6 +246,14 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         ingest_addr: server.addr().to_string(),
         sink_addr: sink.addr().to_string(),
     })?;
+    // From here on the control link is read by a thread of its own; this
+    // thread only writes to it.
+    let reader = {
+        let link = CtrlConn::from_stream(ctrl.socket().try_clone()?)?;
+        std::thread::Builder::new()
+            .name("cluster-worker-ctrl".into())
+            .spawn(move || read_ctrl(link, events_tx))?
+    };
 
     let worker_idx = opts.worker;
     let mut w = Worker {
@@ -209,6 +271,8 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         checkpoint: None,
         rollback: None,
         barriers: HashMap::new(),
+        ended: [false, false],
+        outbox: Vec::new(),
         heartbeat: HeartbeatSettings::disabled(),
         beat_seq: 0,
         last_beat: Instant::now(),
@@ -222,7 +286,13 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         kind_totals: vec![(0, 0); TraceKind::ALL.len()],
         shard_counts: Vec::new(),
     };
-    w.serve(&server, &rx, &mut ctrl)?;
+    let served = w.serve(&server, &events, &mut ctrl);
+    // Release the reader whatever it is blocked on — a full channel or
+    // the socket — before joining it.
+    drop(events);
+    let _ = ctrl.socket().shutdown(Shutdown::Both);
+    reader.join().map_err(|_| ClusterError::Protocol("control reader panicked".into()))?;
+    served?;
     Ok(w.report)
 }
 
@@ -230,35 +300,34 @@ impl Worker {
     fn serve(
         &mut self,
         server: &IngestServer,
-        rx: &IngestReceiver,
+        events: &Receiver<Event>,
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
-        loop {
-            while let Some(frame) = ctrl.try_recv()? {
-                self.handle_ctrl(frame, ctrl)?;
-            }
-            match rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(msg) => {
-                    self.handle_msg(msg)?;
-                    while let Ok(next) = rx.try_recv() {
-                        self.handle_msg(next)?;
+        // Until both streams ended with no protocol step in flight.
+        while !(self.ended == [true, true] && self.unarmed()) {
+            // The one wait: woken by an element, a control frame or a
+            // stream end; the timeout is the next beacon falling due.
+            let event = match self.next_beacon() {
+                None => Some(events.recv().map_err(|_| event_channel_closed())?),
+                Some(due) => {
+                    match events.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                        Ok(event) => Some(event),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(event_channel_closed())
+                        }
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ClusterError::Disconnected("ingest channel".into()));
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if server.all_finished()
-                        && self.migrate.is_none()
-                        && self.checkpoint.is_none()
-                        && self.rollback.is_none()
-                    {
-                        // One final drain: handlers forward a stream's
-                        // elements before marking it finished.
-                        while let Ok(next) = rx.try_recv() {
-                            self.handle_msg(next)?;
-                        }
-                        break;
+            };
+            if let Some(event) = event {
+                self.handle_event(event, ctrl)?;
+                // Take what else is queued without going back to sleep —
+                // but only so much, so that a stream that never lets up
+                // cannot keep the beacons below from going out.
+                for _ in 0..BURST {
+                    match events.try_recv() {
+                        Ok(next) => self.handle_event(next, ctrl)?,
+                        Err(_) => break,
                     }
                 }
             }
@@ -267,32 +336,86 @@ impl Worker {
             };
             if let Some(nonce) = crossed(&self.barriers, self.migrate) {
                 self.barriers.remove(&nonce);
-                self.run_migration(nonce, ctrl)?;
+                self.run_migration(nonce, events, ctrl)?;
             } else if let Some(nonce) = crossed(&self.barriers, self.checkpoint) {
                 self.barriers.remove(&nonce);
                 self.run_checkpoint(nonce, ctrl)?;
             } else if let Some(nonce) = crossed(&self.barriers, self.rollback) {
                 self.barriers.remove(&nonce);
-                self.run_rollback(nonce, ctrl)?;
+                self.run_rollback(nonce, events, ctrl)?;
             }
-            if self.heartbeat.enabled()
-                && self.last_beat.elapsed()
-                    >= Duration::from_millis(self.heartbeat.interval_ms as u64)
-            {
+            if self.heartbeat_due().is_some_and(|due| Instant::now() >= due) {
                 ctrl.send(&Frame::Heartbeat { seq: self.beat_seq })?;
                 self.beat_seq += 1;
                 self.last_beat = Instant::now();
             }
-            if self.telemetry.enabled
-                && self.telemetry.interval_ms > 0
-                && self.last_report.elapsed()
-                    >= Duration::from_millis(self.telemetry.interval_ms as u64)
-            {
+            if self.report_due().is_some_and(|due| Instant::now() >= due) {
                 self.send_report(server, ctrl, false)?;
                 self.last_report = Instant::now();
             }
         }
-        self.finish(server, ctrl)
+        self.finish(server, events, ctrl)
+    }
+
+    /// No migration, checkpoint or rollback is armed.
+    fn unarmed(&self) -> bool {
+        self.migrate.is_none() && self.checkpoint.is_none() && self.rollback.is_none()
+    }
+
+    /// When the next heartbeat is due, if the beacon runs.
+    fn heartbeat_due(&self) -> Option<Instant> {
+        self.heartbeat
+            .enabled()
+            .then(|| self.last_beat + Duration::from_millis(self.heartbeat.interval_ms as u64))
+    }
+
+    /// When the next periodic telemetry report is due, if any are sent.
+    fn report_due(&self) -> Option<Instant> {
+        (self.telemetry.enabled && self.telemetry.interval_ms > 0)
+            .then(|| self.last_report + Duration::from_millis(self.telemetry.interval_ms as u64))
+    }
+
+    /// The earlier of the two beacons: the only deadline the serve
+    /// loop's wait carries.
+    fn next_beacon(&self) -> Option<Instant> {
+        match (self.heartbeat_due(), self.report_due()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    fn handle_event(&mut self, event: Event, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
+        match event {
+            Event::Data(msg) => self.handle_msg(msg),
+            Event::End(side) => {
+                self.ended[side_index(side)] = true;
+                Ok(())
+            }
+            Event::Ctrl(frame) => self.handle_ctrl(frame, ctrl),
+            Event::CtrlDown(e) => Err(e),
+        }
+    }
+
+    /// The next control frame, for the install waits: the data plane is
+    /// quiescent between a barrier and its commit (the coordinator
+    /// pushes nothing until every worker acknowledged the new epoch), so
+    /// anything else arriving is a protocol violation.
+    fn next_ctrl(
+        &self,
+        events: &Receiver<Event>,
+        deadline: Instant,
+        what: &str,
+    ) -> Result<Frame, ClusterError> {
+        match events.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(Event::Ctrl(frame)) => Ok(frame),
+            Ok(Event::CtrlDown(e)) => Err(e),
+            Ok(Event::Data(_) | Event::End(_)) => Err(ClusterError::Protocol(format!(
+                "worker {}: data arrived during the {what}",
+                self.report.worker
+            ))),
+            Err(RecvTimeoutError::Timeout) => Err(ClusterError::Timeout(what.into())),
+            Err(RecvTimeoutError::Disconnected) => Err(event_channel_closed()),
+        }
     }
 
     /// Both streams finished: flush every shard's end-of-stream work
@@ -303,6 +426,7 @@ impl Worker {
     fn finish(
         &mut self,
         server: &IngestServer,
+        events: &Receiver<Event>,
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
         for i in 0..self.joins.len() {
@@ -311,6 +435,7 @@ impl Worker {
             while self.joins[i].1.on_end(now, &mut out) {}
             self.emit(i, now, out)?;
         }
+        self.publish_outbox();
         if self.aligner.pending_len() != 0 {
             return Err(ClusterError::Protocol(format!(
                 "worker {}: {} punctuations still pending at end of stream",
@@ -330,37 +455,35 @@ impl Worker {
         // under a subscriber that is still draining — or has yet to
         // connect at all.
         let deadline = Instant::now() + self.opts.ctrl_timeout;
-        loop {
-            match ctrl.try_recv() {
-                Ok(Some(frame)) => {
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {}: unexpected control frame after close: {frame:?}",
-                        self.report.worker
-                    )));
-                }
-                Ok(None) => {
-                    if Instant::now() >= deadline {
-                        return Err(ClusterError::Timeout(
-                            "coordinator hang-up after stream end".into(),
-                        ));
-                    }
-                }
-                Err(ClusterError::Disconnected(_)) => return Ok(()),
-                Err(e) => return Err(e),
-            }
+        match self.next_ctrl(events, deadline, "coordinator hang-up after stream end") {
+            Ok(frame) => Err(ClusterError::Protocol(format!(
+                "worker {}: unexpected control frame after close: {frame:?}",
+                self.report.worker
+            ))),
+            Err(ClusterError::Disconnected(_)) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Hands the outputs gathered since the last call to the sink as one
+    /// batch: one lock, one subscriber wake-up.
+    fn publish_outbox(&mut self) {
+        if !self.outbox.is_empty() {
+            self.sink.publish_batch(std::mem::take(&mut self.outbox));
         }
     }
 
     fn handle_msg(&mut self, msg: IngestMsg) -> Result<(), ClusterError> {
         match msg {
-            IngestMsg::One(side, element) => self.handle_element(side, element),
+            IngestMsg::One(side, element) => self.handle_element(side, element)?,
             IngestMsg::Batch(side, batch) => {
                 for element in batch {
                     self.handle_element(side, element)?;
                 }
-                Ok(())
             }
         }
+        self.publish_outbox();
+        Ok(())
     }
 
     fn handle_element(
@@ -471,14 +594,16 @@ impl Worker {
         }
     }
 
-    /// Publishes one shard's output burst: tuples directly, punctuation
-    /// propagations through the worker-local aligner so the sink carries
-    /// each punctuation once no matter how many local shards it reached.
+    /// Queues one shard's output burst for the sink: tuples directly,
+    /// punctuation propagations through the worker-local aligner so the
+    /// sink carries each punctuation once no matter how many local
+    /// shards it reached. [`publish_outbox`](Worker::publish_outbox)
+    /// hands the queue over.
     fn emit(&mut self, idx: usize, ts: Timestamp, mut out: OpOutput) -> Result<(), ClusterError> {
         for element in out.drain() {
             match element {
                 StreamElement::Tuple(_) => {
-                    self.sink.publish(Timestamped::new(ts, element));
+                    self.outbox.push(Timestamped::new(ts, element));
                     self.report.outputs += 1;
                     if let Some(c) = self.shard_counts.get_mut(idx) {
                         c.1 += 1;
@@ -495,7 +620,7 @@ impl Worker {
                     }
                     match outcome {
                         AlignOutcome::Emit => {
-                            self.sink.publish(Timestamped::new(ts, element));
+                            self.outbox.push(Timestamped::new(ts, element));
                             self.report.outputs += 1;
                             if let Some(c) = self.shard_counts.get_mut(idx) {
                                 c.1 += 1;
@@ -532,7 +657,12 @@ impl Worker {
     /// Every pre-barrier output is already in the sink (single-threaded,
     /// in-order), so the marker published here cleanly separates the
     /// epochs for the coordinator's drain.
-    fn run_migration(&mut self, nonce: u64, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
+    fn run_migration(
+        &mut self,
+        nonce: u64,
+        events: &Receiver<Event>,
+        ctrl: &mut CtrlConn,
+    ) -> Result<(), ClusterError> {
         let Some(spec) = self.spec.clone() else {
             return Err(ClusterError::Protocol("migration before initial shard map".into()));
         };
@@ -556,12 +686,10 @@ impl Worker {
         ctrl.send(&Frame::MigrateStateDone { records: exported })?;
         self.report.records_exported += exported;
 
-        // Block for the install: the data plane is quiescent between the
-        // barrier and the commit (the coordinator pushes nothing until
-        // every worker acknowledged the new epoch).
+        // Block for the install.
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         while self.migrate.is_some() {
-            let frame = ctrl.recv_deadline(deadline, "migration install")?;
+            let frame = self.next_ctrl(events, deadline, "migration install")?;
             self.handle_ctrl(frame, ctrl)?;
         }
         self.report.migrations += 1;
@@ -605,7 +733,12 @@ impl Worker {
     /// sink to a known cut), acknowledge, and block for the staged
     /// re-install — exporting nothing, since recovery restores every
     /// worker from the durable store.
-    fn run_rollback(&mut self, nonce: u64, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
+    fn run_rollback(
+        &mut self,
+        nonce: u64,
+        events: &Receiver<Event>,
+        ctrl: &mut CtrlConn,
+    ) -> Result<(), ClusterError> {
         let Some(spec) = self.spec.clone() else {
             return Err(ClusterError::Protocol("rollback before initial shard map".into()));
         };
@@ -613,7 +746,7 @@ impl Worker {
         ctrl.send(&Frame::BarrierReached { nonce })?;
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         while self.rollback.is_some() {
-            let frame = ctrl.recv_deadline(deadline, "rollback install")?;
+            let frame = self.next_ctrl(events, deadline, "rollback install")?;
             self.handle_ctrl(frame, ctrl)?;
         }
         Ok(())
@@ -858,6 +991,10 @@ impl Worker {
             ))),
         }
     }
+}
+
+fn event_channel_closed() -> ClusterError {
+    ClusterError::Disconnected("worker event channel".into())
 }
 
 fn side_index(side: Side) -> usize {

@@ -2,8 +2,9 @@
 //! surviving disconnects by reconnecting with deterministic backoff and
 //! resuming from the sequence the server acknowledged in its handshake.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,6 +17,7 @@ use stream_sim::Side;
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::error::NetError;
 use crate::frame::{encode_data_batch_into, encode_frame_into, Frame, FrameBuffer, WIRE_VERSION};
+use crate::wait::{read_available, wait_readable};
 
 /// How a source client connects and paces itself.
 #[derive(Debug, Clone)]
@@ -367,7 +369,6 @@ impl Conn<'_> {
     /// Blocks until one frame arrives, bounded by `deadline`.
     fn read_frame_deadline(&mut self, deadline: Duration) -> Result<Frame, NetError> {
         let end = Instant::now() + deadline;
-        let mut buf = [0u8; 4096];
         loop {
             if let Some(f) = self.fb.next_frame()? {
                 return Ok(f);
@@ -379,62 +380,25 @@ impl Conn<'_> {
                     "timed out waiting for a frame",
                 )));
             }
-            self.sock.set_read_timeout(Some((end - now).min(Duration::from_millis(50))))?;
-            match self.sock.read(&mut buf) {
-                Ok(0) => {
-                    return Err(NetError::Io(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "peer closed during handshake",
-                    )))
-                }
-                Ok(n) => self.fb.extend(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) => return Err(NetError::Io(e)),
-            }
+            wait_readable(&[self.sock.as_fd()], end - now)?;
+            read_available(self.sock, self.fb)?;
         }
     }
 
     /// Reads whatever the server has sent and folds it into the session
-    /// state. `wait: None` polls without blocking; `Some(d)` blocks up
-    /// to `d` for the first byte.
+    /// state. `wait: None` only picks up what is already queued;
+    /// `Some(d)` first blocks up to `d` for the socket to become
+    /// readable.
     fn drain(
         &mut self,
         wait: Option<Duration>,
         credits: &mut u32,
         progress: &mut SessionProgress,
     ) -> Result<(), NetError> {
-        let mut buf = [0u8; 4096];
-        match wait {
-            None => {
-                self.sock.set_nonblocking(true)?;
-                let res = read_available(self.sock, self.fb, &mut buf);
-                self.sock.set_nonblocking(false)?;
-                res?;
-            }
-            Some(d) => {
-                self.sock.set_read_timeout(Some(d))?;
-                match self.sock.read(&mut buf) {
-                    Ok(0) => {
-                        return Err(NetError::Io(std::io::Error::new(
-                            ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        )))
-                    }
-                    Ok(n) => {
-                        self.fb.extend(&buf[..n]);
-                        // Anything else already queued comes for free.
-                        self.sock.set_nonblocking(true)?;
-                        let res = read_available(self.sock, self.fb, &mut buf);
-                        self.sock.set_nonblocking(false)?;
-                        res?;
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock
-                            || e.kind() == ErrorKind::TimedOut => {}
-                    Err(e) => return Err(NetError::Io(e)),
-                }
-            }
+        if let Some(d) = wait {
+            wait_readable(&[self.sock.as_fd()], d)?;
         }
+        read_available(self.sock, self.fb)?;
         while let Some(frame) = self.fb.next_frame()? {
             match frame {
                 Frame::Credit { n } => *credits += n,
@@ -455,32 +419,18 @@ impl Conn<'_> {
     }
 }
 
-/// Reads until `WouldBlock` on a non-blocking socket.
-fn read_available(
-    sock: &mut TcpStream,
-    fb: &mut FrameBuffer,
-    buf: &mut [u8],
-) -> Result<(), NetError> {
-    loop {
-        match sock.read(buf) {
-            Ok(0) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )))
-            }
-            Ok(n) => fb.extend(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-}
-
 /// A *persistent incremental* source client: unlike [`send_stream`]
 /// (which delivers a complete, known-up-front stream), a `StreamSender`
 /// accepts elements one at a time over its whole lifetime — the shape
 /// the cluster coordinator needs to feed workers while routing decisions
 /// happen element by element.
+///
+/// Pushed tuples are **coalesced**: the sender writes when a full
+/// [`ClientOptions::batch`] is unsent, when a punctuation is pushed
+/// (punctuations are what downstream progress waits on), and whenever
+/// the owner calls [`service`](StreamSender::service) or
+/// [`flush`](StreamSender::flush) — never per element. Nothing in
+/// `push` or `service` blocks on the peer.
 ///
 /// Delivery keeps the transport's exactly-once discipline: elements are
 /// numbered densely from 0, unacknowledged elements stay buffered, and
@@ -507,15 +457,19 @@ pub struct StreamSender {
     /// Total elements pushed over the sender's lifetime.
     pushed: u64,
     credits: u32,
+    /// The credit window the latest handshake granted.
+    window: u32,
     conn: Option<(TcpStream, FrameBuffer)>,
     connected_once: bool,
     reconnects: u32,
     finished: bool,
+    /// Encode buffer, reused across writes.
+    out: Vec<u8>,
 }
 
 impl StreamSender {
     /// A sender for stream `stream` on the ingest server at `addr`. No
-    /// I/O happens until the first push or flush.
+    /// I/O happens until the first write falls due.
     pub fn new(
         addr: SocketAddr,
         stream: u32,
@@ -534,10 +488,12 @@ impl StreamSender {
             sent: 0,
             pushed: 0,
             credits: 0,
+            window: 0,
             conn: None,
             connected_once: false,
             reconnects: 0,
             finished: false,
+            out: Vec::with_capacity(4 * 1024),
         }
     }
 
@@ -551,19 +507,60 @@ impl StreamSender {
         self.base
     }
 
+    /// Elements pushed but not yet written on the current connection:
+    /// what the credit window (or coalescing) is holding back.
+    pub fn backlog(&self) -> u64 {
+        self.pushed - self.sent
+    }
+
+    /// The credit window the server granted in the latest handshake
+    /// (0 before the first connection).
+    pub fn window(&self) -> u32 {
+        self.window
+    }
+
     /// Successful reconnects after the initial connection.
     pub fn reconnects(&self) -> u32 {
         self.reconnects
     }
 
-    /// Appends one element to the stream and opportunistically writes
-    /// whatever the credit window allows. Transient connection failures
-    /// are absorbed (the element stays buffered for the next flush);
-    /// only non-retryable protocol errors surface.
+    /// The socket the sender is waiting on, for an owner that sleeps on
+    /// several links at once: it turns readable when acks or credits
+    /// arrive. `None` while nothing is unacknowledged (or while
+    /// disconnected) — nothing is coming, and [`service`] would not
+    /// read it.
+    ///
+    /// [`service`]: StreamSender::service
+    pub fn awaited_socket(&self) -> Option<&TcpStream> {
+        let (sock, _) = self.conn.as_ref()?;
+        (self.base < self.pushed).then_some(sock)
+    }
+
+    /// Appends one element to the stream. Tuples coalesce until a full
+    /// batch is unsent; a punctuation is written at once, with every
+    /// tuple ahead of it.
     pub fn push(&mut self, element: Timestamped<StreamElement>) -> Result<(), NetError> {
         assert!(!self.finished, "push after finish");
+        let due = element.item.is_punctuation();
         self.buffer.push_back(element);
         self.pushed += 1;
+        // While credits are short the backlog passes many multiples of a
+        // batch; asking the socket once per batch keeps that cheap.
+        if due || self.backlog() % self.opts.batch.max(1) as u64 == 0 {
+            self.service()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Picks up acks and credits and writes everything the credit window
+    /// allows, without blocking. Transient connection failures are
+    /// absorbed (unacknowledged elements stay buffered and the next call
+    /// reconnects); only non-retryable protocol errors surface.
+    pub fn service(&mut self) -> Result<(), NetError> {
+        if self.base == self.pushed {
+            return Ok(()); // nothing to write, nothing to hear back
+        }
         match self.pump(false) {
             Ok(()) => Ok(()),
             Err(e) if e.is_retryable() => {
@@ -619,9 +616,9 @@ impl StreamSender {
     }
 
     /// Flushes, then completes the stream with the `Fin`/`FinAck`
-    /// exchange. Consumes the sender; afterwards the server marks the
-    /// stream finished.
-    pub fn finish(mut self) -> Result<(), NetError> {
+    /// exchange; afterwards the server marks the stream finished and the
+    /// sender accepts no more pushes.
+    pub fn finish(&mut self) -> Result<(), NetError> {
         self.flush()?;
         let mut backoff = Backoff::new(self.opts.policy.clone(), self.opts.seed);
         loop {
@@ -659,13 +656,7 @@ impl StreamSender {
             let mut conn = Conn { sock, fb };
             match conn.read_frame_deadline(deadline.saturating_duration_since(Instant::now()))? {
                 Frame::FinAck => return Ok(()),
-                Frame::Ack { up_to } => {
-                    if up_to > self.base {
-                        let drop_count = (up_to - self.base).min(self.buffer.len() as u64);
-                        self.buffer.drain(..drop_count as usize);
-                        self.base = up_to;
-                    }
-                }
+                Frame::Ack { up_to } => self.note_acked(up_to),
                 Frame::Credit { n } => self.credits += n,
                 Frame::Error { code, message } => {
                     return Err(NetError::Protocol { code, message })
@@ -679,9 +670,22 @@ impl StreamSender {
         }
     }
 
+    /// Drops the acknowledged prefix of the buffer.
+    fn note_acked(&mut self, up_to: u64) {
+        if up_to > self.base {
+            let drop_count = (up_to - self.base).min(self.buffer.len() as u64) as usize;
+            self.buffer.drain(..drop_count);
+            self.base = up_to;
+            self.sent = self.sent.max(up_to);
+        }
+    }
+
     fn drop_conn(&mut self) {
         self.conn = None;
         self.credits = 0;
+        // Whatever was written on the dead connection may be lost; the
+        // next handshake says where to resume.
+        self.sent = self.base;
     }
 
     /// (Re)establishes the connection, resuming from the server's
@@ -734,13 +738,10 @@ impl StreamSender {
             )));
         }
         // Everything below resume_from is implicitly acknowledged.
-        if resume_from > self.base {
-            let drop_count = (resume_from - self.base) as usize;
-            self.buffer.drain(..drop_count);
-            self.base = resume_from;
-        }
+        self.note_acked(resume_from);
         self.sent = resume_from;
         self.credits = credits;
+        self.window = credits;
         if self.connected_once {
             self.reconnects += 1;
         }
@@ -749,71 +750,62 @@ impl StreamSender {
         Ok(())
     }
 
-    /// Writes what the credit window allows and folds in server frames.
-    /// With `wait`, blocks briefly for acks/credits when there is
-    /// nothing writable; without it, only picks up what is already
-    /// readable.
+    /// Writes the unsent suffix as far as credits allow — `batch`
+    /// elements per `DataBatch` frame, all frames in one socket write.
+    fn write_allowed(&mut self) -> Result<(), NetError> {
+        let unsent_start = (self.sent - self.base) as usize;
+        let n = (self.buffer.len() - unsent_start).min(self.credits as usize);
+        if n == 0 {
+            return Ok(());
+        }
+        self.out.clear();
+        let elements = &self.buffer.make_contiguous()[unsent_start..unsent_start + n];
+        if self.opts.batch <= 1 {
+            for (i, el) in elements.iter().enumerate() {
+                encode_frame_into(
+                    &Frame::Data { seq: self.sent + i as u64, element: el.clone() },
+                    &mut self.out,
+                );
+            }
+        } else {
+            let mut off = 0usize;
+            while off < n {
+                let frame_end = n.min(off + self.opts.batch);
+                off += encode_data_batch_into(
+                    self.sent + off as u64,
+                    &elements[off..frame_end],
+                    self.opts.max_batch_bytes,
+                    &mut self.out,
+                );
+            }
+        }
+        let (sock, _) = self.conn.as_mut().expect("live connection");
+        sock.write_all(&self.out)?;
+        self.credits -= n as u32;
+        self.sent += n as u64;
+        Ok(())
+    }
+
+    /// Writes what the credit window allows and folds in server frames,
+    /// until neither side has anything more for the other. With `wait`,
+    /// blocks (woken by the socket, at most 20 ms) for acks/credits when
+    /// there is nothing writable; without it, only picks up what is
+    /// already readable.
     fn pump(&mut self, wait: bool) -> Result<(), NetError> {
         self.ensure_conn()?;
         let mut progress = SessionProgress::default();
         loop {
-            // Write as much of the unsent suffix as credits allow.
-            let unsent_start = (self.sent - self.base) as usize;
-            let available = self.buffer.len() - unsent_start;
-            let n = available.min(self.opts.batch.max(1)).min(self.credits as usize);
-            if n > 0 {
-                let mut buf = Vec::with_capacity(4 * 1024);
-                let elements: Vec<Timestamped<StreamElement>> = self
-                    .buffer
-                    .iter()
-                    .skip(unsent_start)
-                    .take(n)
-                    .cloned()
-                    .collect();
-                if self.opts.batch <= 1 {
-                    for (i, el) in elements.iter().enumerate() {
-                        encode_frame_into(
-                            &Frame::Data { seq: self.sent + i as u64, element: el.clone() },
-                            &mut buf,
-                        );
-                    }
-                } else {
-                    let mut off = 0usize;
-                    while off < elements.len() {
-                        let taken = encode_data_batch_into(
-                            self.sent + off as u64,
-                            &elements[off..],
-                            self.opts.max_batch_bytes,
-                            &mut buf,
-                        );
-                        off += taken;
-                    }
-                }
-                let (sock, _) = self.conn.as_mut().expect("live connection");
-                sock.write_all(&buf)?;
-                self.credits -= n as u32;
-                self.sent += n as u64;
-            }
-            // Fold in acks and credit grants.
-            let more_to_write =
-                (self.sent - self.base) < self.buffer.len() as u64 && self.credits > 0;
+            self.write_allowed()?;
             let (sock, fb) = self.conn.as_mut().expect("live connection");
             let mut conn = Conn { sock, fb };
-            let block = wait && !more_to_write;
             conn.drain(
-                if block { Some(Duration::from_millis(20)) } else { None },
+                wait.then_some(Duration::from_millis(20)),
                 &mut self.credits,
                 &mut progress,
             )?;
             progress.check()?;
-            if progress.acked > self.base {
-                let drop_count =
-                    (progress.acked - self.base).min(self.buffer.len() as u64) as usize;
-                self.buffer.drain(..drop_count);
-                self.base = progress.acked.max(self.base);
-                self.sent = self.sent.max(self.base);
-            }
-            if !more_to_write {
+            self.note_acked(progress.acked);
+            if self.backlog() == 0 || self.credits == 0 {
                 return Ok(());
             }
         }

@@ -31,6 +31,8 @@
 //! * [`pipeline`] — glue feeding the sharded executor from an ingest
 //!   channel and streaming its output into a sink.
 //! * [`backoff`] — the deterministic backoff schedule.
+//! * [`wait`] — the one way the crate waits on sockets: `poll(2)`, so
+//!   every wait is woken by data and a timeout is only a deadline.
 //!
 //! # Exactly-once resume, in one paragraph
 //!
@@ -52,6 +54,7 @@ pub mod pipeline;
 pub mod proxy;
 pub mod server;
 pub mod sink;
+pub mod wait;
 
 pub use backoff::{Backoff, BackoffPolicy};
 pub use client::{
@@ -65,7 +68,10 @@ pub use frame::{
 };
 pub use pipeline::{run_networked_join, NetJoinReport};
 pub use proxy::{FaultConfig, FaultProxy, ProxyStats};
-pub use server::{IngestMsg, IngestOptions, IngestReceiver, IngestServer, IngestStats};
+pub use server::{
+    IngestEvent, IngestMsg, IngestOptions, IngestReceiver, IngestServer, IngestStats,
+};
+pub use wait::{read_available, wait_readable};
 pub use sink::{collect_all, SinkOptions, SinkReport, SinkServer, SinkSubscriber};
 
 #[cfg(test)]
@@ -230,8 +236,16 @@ mod tests {
         b.write_all(&encode_frame(&Frame::Data { seq: 0, element: tup(0, 1) }))
             .expect("data b");
         b.write_all(&encode_frame(&Frame::Fin { count: 1 })).expect("fin b");
-        assert!(matches!(read_one(&mut b, &mut fb_b), Frame::Ack { up_to: 1 }));
-        assert!(matches!(read_one(&mut b, &mut fb_b), Frame::FinAck));
+        // The element is acknowledged — once if it and the Fin were
+        // read together, twice (with its credit) if the socket ran dry
+        // in between — and then the Fin.
+        loop {
+            match read_one(&mut b, &mut fb_b) {
+                Frame::Ack { up_to: 1 } | Frame::Credit { n: 1 } => {}
+                Frame::FinAck => break,
+                other => panic!("expected Ack(1)/Credit(1)/FinAck, got {other:?}"),
+            }
+        }
         assert!(server.all_finished());
 
         let mut got = Vec::new();
@@ -495,6 +509,33 @@ mod tests {
         assert_eq!(sender.acked(), 101, "flush means acknowledged, not just written");
         sender.finish().expect("finish");
         assert!(server.all_finished());
+        let mut got = Vec::new();
+        while let Ok(msg) = rx.try_recv() {
+            got.extend(msg_elements(msg).1);
+        }
+        assert_eq!(got, expected);
+    }
+
+    /// A burst of tuples crosses the wire coalesced: whole `DataBatch`
+    /// frames, not one frame (and one write) per element.
+    #[test]
+    fn stream_sender_coalesces_a_burst() {
+        let (server, rx) =
+            IngestServer::bind(&[Side::Left], IngestOptions::default()).expect("bind");
+        let mut sender =
+            StreamSender::new(server.addr(), 0, Side::Left, schema(), ClientOptions::default());
+        let expected: Vec<_> = (0..1000).map(|i| tup(i, i as i64)).collect();
+        for e in &expected {
+            sender.push(e.clone()).expect("push");
+        }
+        sender.finish().expect("finish");
+        let stats = server.stats();
+        assert_eq!(stats.frames_received, 1000);
+        assert!(
+            stats.data_frames <= 1000 / 8,
+            "1000 tuples arrived in {} data frames",
+            stats.data_frames
+        );
         let mut got = Vec::new();
         while let Ok(msg) = rx.try_recv() {
             got.extend(msg_elements(msg).1);

@@ -35,6 +35,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
@@ -49,6 +50,7 @@ use stream_sim::Side;
 
 use crate::error::NetError;
 use crate::frame::{encode_frame, error_code, Frame, FrameBuffer, WIRE_VERSION};
+use crate::wait::wait_readable;
 
 /// How the ingest server paces its clients.
 #[derive(Debug, Clone, Copy)]
@@ -57,7 +59,8 @@ pub struct IngestOptions {
     /// in `Data` frames).
     pub initial_credits: u32,
     /// The server acknowledges and re-grants credit after this many
-    /// received frames.
+    /// received elements — or sooner, whenever a connection's socket
+    /// runs dry with anything unacknowledged.
     pub ack_every: u32,
     /// Capacity of the bounded channel feeding the executor.
     pub channel_capacity: usize,
@@ -83,6 +86,9 @@ pub struct IngestStats {
     pub connections: u64,
     /// Stream elements received (each `DataBatch` element counts once).
     pub frames_received: u64,
+    /// `Data` and `DataBatch` frames received: `frames_received` over
+    /// this is the mean wire batch.
+    pub data_frames: u64,
     /// Payload bytes received off sockets.
     pub bytes_received: u64,
     /// Duplicate `Data` frames suppressed by sequence dedup.
@@ -95,6 +101,7 @@ pub struct IngestStats {
 struct Counters {
     connections: AtomicU64,
     frames_received: AtomicU64,
+    data_frames: AtomicU64,
     bytes_received: AtomicU64,
     duplicates_suppressed: AtomicU64,
     stalls: AtomicU64,
@@ -130,7 +137,6 @@ struct StreamState {
 struct Shared {
     streams: Vec<StreamSlot>,
     opts: IngestOptions,
-    data_tx: Sender<IngestMsg>,
     counters: Counters,
     shutdown: AtomicBool,
     trace: Mutex<TraceLog>,
@@ -177,6 +183,21 @@ impl IngestMsg {
 /// wire-frame granularity, tagged with their join side.
 pub type IngestReceiver = Receiver<IngestMsg>;
 
+/// What an ingest server's channel carries. A consumer with other things
+/// to wait for (the cluster worker: control frames) makes those variants
+/// of one event type and has the server feed that channel
+/// ([`IngestServer::bind_into`]), so it blocks in exactly one place.
+pub trait IngestEvent: From<IngestMsg> + Send + 'static {
+    /// The in-band end-of-stream event for a stream of `side`, sent once,
+    /// behind that stream's last element. `None` (the default) sends
+    /// nothing; such a consumer asks [`IngestServer::all_finished`].
+    fn end(_side: Side) -> Option<Self> {
+        None
+    }
+}
+
+impl IngestEvent for IngestMsg {}
+
 /// A TCP server receiving punctuated streams from source clients.
 ///
 /// Streams are identified by dense ids `0..sides.len()`; each carries
@@ -201,10 +222,21 @@ impl IngestServer {
         sides: &[Side],
         opts: IngestOptions,
     ) -> std::io::Result<(IngestServer, IngestReceiver)> {
+        let (data_tx, data_rx) = bounded(opts.channel_capacity.max(1));
+        Ok((IngestServer::bind_into(sides, opts, data_tx)?, data_rx))
+    }
+
+    /// [`bind`](IngestServer::bind) feeding a channel the caller owns
+    /// (and may feed from elsewhere too). `opts.channel_capacity` is then
+    /// the caller's to apply.
+    pub fn bind_into<T: IngestEvent>(
+        sides: &[Side],
+        opts: IngestOptions,
+        data_tx: Sender<T>,
+    ) -> std::io::Result<IngestServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (data_tx, data_rx) = bounded(opts.channel_capacity.max(1));
         let shared = Arc::new(Shared {
             streams: sides
                 .iter()
@@ -215,7 +247,6 @@ impl IngestServer {
                 })
                 .collect(),
             opts,
-            data_tx,
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             trace: Mutex::new(TraceLog::default()),
@@ -223,9 +254,9 @@ impl IngestServer {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("net-ingest-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
+            .spawn(move || accept_loop(listener, accept_shared, data_tx))
             .expect("spawn ingest accept thread");
-        Ok((IngestServer { addr, shared, accept: Some(accept) }, data_rx))
+        Ok(IngestServer { addr, shared, accept: Some(accept) })
     }
 
     /// The address clients connect to.
@@ -259,6 +290,7 @@ impl IngestServer {
         IngestStats {
             connections: c.connections.load(Ordering::Relaxed),
             frames_received: c.frames_received.load(Ordering::Relaxed),
+            data_frames: c.data_frames.load(Ordering::Relaxed),
             bytes_received: c.bytes_received.load(Ordering::Relaxed),
             duplicates_suppressed: c.duplicates_suppressed.load(Ordering::Relaxed),
             stalls: c.stalls.load(Ordering::Relaxed),
@@ -286,13 +318,14 @@ impl Drop for IngestServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+fn accept_loop<T: IngestEvent>(listener: TcpListener, shared: Arc<Shared>, data_tx: Sender<T>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((sock, _peer)) => {
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
                 let conn_shared = Arc::clone(&shared);
+                let conn_tx = data_tx.clone();
                 handlers.push(
                     std::thread::Builder::new()
                         .name("net-ingest-conn".into())
@@ -302,7 +335,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                             // Protocol and socket errors end the
                             // connection; the client recovers by
                             // reconnecting, so they are not fatal here.
-                            let _ = handle_conn(sock, &conn_shared, &mut tracer);
+                            let _ = handle_conn(sock, &conn_shared, &conn_tx, &mut tracer);
                             conn_shared
                                 .trace
                                 .lock()
@@ -324,39 +357,39 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Reads socket bytes into `fb` until at least one frame is decodable,
-/// honouring the shutdown flag. Returns `None` on clean EOF.
-fn read_frame(
-    sock: &mut TcpStream,
-    fb: &mut FrameBuffer,
-    shared: &Shared,
-    tracer: &mut Tracer,
-) -> Result<Option<Frame>, NetError> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let span = tracer.span_start();
-        let buffered = fb.buffered();
-        if let Some(frame) = fb.next_frame()? {
-            let consumed = (buffered - fb.buffered()) as u64;
-            tracer.span_end(span, TraceKind::NetDecode, 0, consumed, 1);
-            return Ok(Some(frame));
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Err(NetError::Io(std::io::Error::new(
-                ErrorKind::Interrupted,
-                "server shutting down",
-            )));
-        }
-        match sock.read(&mut buf) {
-            Ok(0) => return Ok(None),
-            Ok(n) => {
-                shared.counters.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
-                fb.extend(&buf[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) => return Err(NetError::Io(e)),
-        }
+/// Decodes the next frame already in `fb`, if a whole one is there.
+fn decode_buffered(fb: &mut FrameBuffer, tracer: &mut Tracer) -> Result<Option<Frame>, NetError> {
+    let span = tracer.span_start();
+    let buffered = fb.buffered();
+    let frame = fb.next_frame()?;
+    if frame.is_some() {
+        let consumed = (buffered - fb.buffered()) as u64;
+        tracer.span_end(span, TraceKind::NetDecode, 0, consumed, 1);
     }
+    Ok(frame)
+}
+
+/// One blocking socket read into `fb` (woken by data; the read timeout
+/// only bounds how long a shutdown request goes unnoticed). Returns
+/// `false` on clean EOF.
+fn fill(sock: &mut TcpStream, fb: &mut FrameBuffer, shared: &Shared) -> Result<bool, NetError> {
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(NetError::Io(std::io::Error::new(
+            ErrorKind::Interrupted,
+            "server shutting down",
+        )));
+    }
+    let mut buf = [0u8; 16 * 1024];
+    match sock.read(&mut buf) {
+        Ok(0) => return Ok(false),
+        Ok(n) => {
+            shared.counters.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
+            fb.extend(&buf[..n]);
+        }
+        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+        Err(e) => return Err(NetError::Io(e)),
+    }
+    Ok(true)
 }
 
 fn send_frames(sock: &mut TcpStream, frames: &[Frame]) -> Result<(), NetError> {
@@ -373,9 +406,10 @@ fn reject(sock: &mut TcpStream, code: u16, message: String) -> Result<(), NetErr
     Err(NetError::Protocol { code, message })
 }
 
-fn handle_conn(
+fn handle_conn<T: IngestEvent>(
     mut sock: TcpStream,
     shared: &Shared,
+    data_tx: &Sender<T>,
     tracer: &mut Tracer,
 ) -> Result<(), NetError> {
     sock.set_nodelay(true)?;
@@ -383,9 +417,13 @@ fn handle_conn(
     let mut fb = FrameBuffer::new();
 
     // --- Handshake -----------------------------------------------------
-    let hello = match read_frame(&mut sock, &mut fb, shared, tracer)? {
-        Some(f) => f,
-        None => return Ok(()), // probed and closed (port scan, health check)
+    let hello = loop {
+        if let Some(frame) = decode_buffered(&mut fb, tracer)? {
+            break frame;
+        }
+        if !fill(&mut sock, &mut fb, shared)? {
+            return Ok(()); // probed and closed (port scan, health check)
+        }
     };
     let (stream, side) = match hello {
         Frame::Hello { stream, side, wire_version, schema: _ } => {
@@ -447,110 +485,73 @@ fn handle_conn(
     )?;
 
     // --- Data loop -----------------------------------------------------
-    // Frames received (fresh + duplicate) since the last ack/credit
+    // Elements received (fresh + duplicate) since the last ack/credit
     // grant. Duplicates earn credit too: a resuming client spent real
     // window on them, and starving it would wedge the resume.
     let mut since_ack: u32 = 0;
     loop {
-        let frame = match read_frame(&mut sock, &mut fb, shared, tracer)? {
-            Some(f) => f,
-            None => return Ok(()), // client closed (after FinAck, or mid-stream crash)
-        };
-        match frame {
-            Frame::Data { seq, element } => {
-                let punct = matches!(element.item, StreamElement::Punctuation(_));
-                match forward_one(slot, shared, tracer, my_epoch, stream, side, seq, element)? {
-                    ForwardOutcome::Forwarded => {}
-                    ForwardOutcome::Superseded => {
-                        return reject(
-                            &mut sock,
-                            error_code::SUPERSEDED,
-                            format!("stream {stream}: a newer connection took over"),
-                        );
-                    }
-                    ForwardOutcome::Gap { got, expected } => {
-                        return reject(
-                            &mut sock,
-                            error_code::SEQUENCE_GAP,
-                            format!("stream {stream}: got seq {got}, expected {expected}"),
-                        );
-                    }
-                }
-                since_ack += 1;
-                if since_ack >= shared.opts.ack_every {
-                    let up_to = slot.state.lock().expect("stream state lock").next_seq;
-                    send_frames(&mut sock, &[Frame::Ack { up_to }, Frame::Credit { n: since_ack }])?;
-                    since_ack = 0;
-                } else if punct {
-                    // Punctuations are progress barriers: senders that
-                    // flush to one (e.g. the cluster's repartition
-                    // barrier) wait for its acknowledgement, so ack it
-                    // immediately instead of batching — credits still
-                    // re-grant on the usual schedule.
-                    let up_to = slot.state.lock().expect("stream state lock").next_seq;
-                    send_frames(&mut sock, &[Frame::Ack { up_to }])?;
-                }
+        let frame = loop {
+            if let Some(frame) = decode_buffered(&mut fb, tracer)? {
+                break frame;
             }
+            // The socket ran dry with elements unacknowledged: grant now
+            // instead of at the next `ack_every` boundary. A sender that
+            // flushes to a barrier, or simply stops, is waiting for
+            // exactly this acknowledgement — and under sustained load
+            // the socket is never dry, so grants still batch.
+            if since_ack > 0 && !wait_readable(&[sock.as_fd()], Duration::ZERO)? {
+                grant(&mut sock, slot, &mut since_ack)?;
+            }
+            if !fill(&mut sock, &mut fb, shared)? {
+                return Ok(()); // client closed (after FinAck, or mid-stream crash)
+            }
+        };
+        let (outcome, n) = match frame {
+            Frame::Data { seq, element } => (
+                forward_one(slot, shared, data_tx, tracer, my_epoch, stream, side, seq, element)?,
+                1,
+            ),
             Frame::DataBatch { first_seq, elements } => {
                 let n = elements.len() as u32;
-                let punct = elements
-                    .iter()
-                    .any(|e| matches!(e.item, StreamElement::Punctuation(_)));
                 tracer.instant(TraceKind::NetBatch, 0, stream as u64, n as u64);
-                match forward_batch(
-                    slot, shared, tracer, my_epoch, stream, side, first_seq, elements,
-                )? {
-                    ForwardOutcome::Forwarded => {}
-                    ForwardOutcome::Superseded => {
-                        return reject(
-                            &mut sock,
-                            error_code::SUPERSEDED,
-                            format!("stream {stream}: a newer connection took over"),
-                        );
-                    }
-                    ForwardOutcome::Gap { got, expected } => {
-                        return reject(
-                            &mut sock,
-                            error_code::SEQUENCE_GAP,
-                            format!("stream {stream}: got seq {got}, expected {expected}"),
-                        );
-                    }
-                }
-                since_ack += n;
-                if since_ack >= shared.opts.ack_every {
-                    let up_to = slot.state.lock().expect("stream state lock").next_seq;
-                    send_frames(&mut sock, &[Frame::Ack { up_to }, Frame::Credit { n: since_ack }])?;
-                    since_ack = 0;
-                } else if punct {
-                    let up_to = slot.state.lock().expect("stream state lock").next_seq;
-                    send_frames(&mut sock, &[Frame::Ack { up_to }])?;
-                }
+                let outcome = forward_batch(
+                    slot, shared, data_tx, tracer, my_epoch, stream, side, first_seq, elements,
+                )?;
+                (outcome, n)
             }
             Frame::Fin { count } => {
                 let mut st = slot.state.lock().expect("stream state lock");
                 if st.next_seq == count {
+                    let first = !st.finished;
                     st.finished = true;
                     drop(st);
+                    // In-band behind the stream's last element, and ahead
+                    // of the FinAck: once the client's finish returns,
+                    // the consumer has (or is about to read) the event.
+                    if let (true, Some(end)) = (first, T::end(side)) {
+                        data_tx.send(end).map_err(|_| disconnected("executor channel closed"))?;
+                    }
                     send_frames(&mut sock, &[Frame::Ack { up_to: count }, Frame::FinAck])?;
-                } else if st.next_seq < count {
+                    since_ack = 0;
+                    continue;
+                }
+                let have = st.next_seq;
+                drop(st);
+                return if have < count {
                     // Frames were lost before the Fin (e.g. dropped by a
                     // fault); make the client reconnect and resend.
-                    let have = st.next_seq;
-                    drop(st);
-                    return reject(
+                    reject(
                         &mut sock,
                         error_code::SEQUENCE_GAP,
                         format!("stream {stream}: Fin at {count} but only {have} received"),
-                    );
+                    )
                 } else {
-                    let have = st.next_seq;
-                    drop(st);
-                    return reject(
+                    reject(
                         &mut sock,
                         error_code::BAD_HELLO,
                         format!("stream {stream}: Fin at {count} below received {have}"),
-                    );
-                }
+                    )
+                };
             }
             other => {
                 return reject(
@@ -559,8 +560,39 @@ fn handle_conn(
                     format!("unexpected frame on ingest connection: {other:?}"),
                 )
             }
+        };
+        shared.counters.data_frames.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            ForwardOutcome::Forwarded => {}
+            ForwardOutcome::Superseded => {
+                return reject(
+                    &mut sock,
+                    error_code::SUPERSEDED,
+                    format!("stream {stream}: a newer connection took over"),
+                );
+            }
+            ForwardOutcome::Gap { got, expected } => {
+                return reject(
+                    &mut sock,
+                    error_code::SEQUENCE_GAP,
+                    format!("stream {stream}: got seq {got}, expected {expected}"),
+                );
+            }
+        }
+        since_ack += n;
+        if since_ack >= shared.opts.ack_every {
+            grant(&mut sock, slot, &mut since_ack)?;
         }
     }
+}
+
+/// Acknowledges everything forwarded so far and returns the credit the
+/// `since_ack` elements behind it spent.
+fn grant(sock: &mut TcpStream, slot: &StreamSlot, since_ack: &mut u32) -> Result<(), NetError> {
+    let up_to = slot.state.lock().expect("stream state lock").next_seq;
+    send_frames(sock, &[Frame::Ack { up_to }, Frame::Credit { n: *since_ack }])?;
+    *since_ack = 0;
+    Ok(())
 }
 
 fn disconnected(what: &str) -> NetError {
@@ -580,23 +612,21 @@ enum ForwardOutcome {
 
 /// Sends one ingest message downstream, blocking (with a stall span)
 /// when the executor is behind.
-fn send_downstream(
+fn send_downstream<T: IngestEvent>(
     shared: &Shared,
+    data_tx: &Sender<T>,
     tracer: &mut Tracer,
     stream: usize,
     vt: u64,
     count: u64,
     msg: IngestMsg,
 ) -> Result<(), NetError> {
-    match shared.data_tx.try_send(msg) {
+    match data_tx.try_send(msg.into()) {
         Ok(()) => Ok(()),
-        Err(TrySendError::Full(msg)) => {
+        Err(TrySendError::Full(event)) => {
             shared.counters.stalls.fetch_add(1, Ordering::Relaxed);
             let span = tracer.span_start();
-            shared
-                .data_tx
-                .send(msg)
-                .map_err(|_| disconnected("executor channel closed"))?;
+            data_tx.send(event).map_err(|_| disconnected("executor channel closed"))?;
             tracer.span_end(span, TraceKind::NetStall, vt, stream as u64, count);
             Ok(())
         }
@@ -611,9 +641,10 @@ fn send_downstream(
 /// accepts the element, so a failure in between can at worst re-forward
 /// nothing, never skip.
 #[allow(clippy::too_many_arguments)]
-fn forward_one(
+fn forward_one<T: IngestEvent>(
     slot: &StreamSlot,
     shared: &Shared,
+    data_tx: &Sender<T>,
     tracer: &mut Tracer,
     my_epoch: u64,
     stream: usize,
@@ -638,7 +669,7 @@ fn forward_one(
         return Ok(ForwardOutcome::Gap { got: seq, expected: next_seq });
     }
     let vt = element.ts.as_micros();
-    send_downstream(shared, tracer, stream, vt, 1, IngestMsg::One(side, element))?;
+    send_downstream(shared, data_tx, tracer, stream, vt, 1, IngestMsg::One(side, element))?;
     {
         let mut st = slot.state.lock().expect("stream state lock");
         if st.next_seq == seq {
@@ -667,9 +698,10 @@ fn forward_one(
 /// single-writer invariant at batch granularity. The lock is released
 /// before any socket write.
 #[allow(clippy::too_many_arguments)]
-fn forward_batch(
+fn forward_batch<T: IngestEvent>(
     slot: &StreamSlot,
     shared: &Shared,
+    data_tx: &Sender<T>,
     tracer: &mut Tracer,
     my_epoch: u64,
     stream: usize,
@@ -703,7 +735,7 @@ fn forward_batch(
     }
     let fresh = elements.len() as u64;
     let vt = elements.last().expect("non-empty fresh suffix").ts.as_micros();
-    send_downstream(shared, tracer, stream, vt, fresh, IngestMsg::Batch(side, elements))?;
+    send_downstream(shared, data_tx, tracer, stream, vt, fresh, IngestMsg::Batch(side, elements))?;
     {
         let mut st = slot.state.lock().expect("stream state lock");
         if st.next_seq == next_seq {

@@ -19,8 +19,9 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,6 +35,7 @@ use crate::frame::{
     encode_data_batch_into, encode_frame, encode_frame_into, error_code, Frame, FrameBuffer,
     WIRE_VERSION,
 };
+use crate::wait::{read_available, wait_readable};
 
 /// Sink server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -86,6 +88,10 @@ impl History {
 
 struct SinkShared {
     history: Mutex<History>,
+    /// Signalled (with `history` held, so a subscriber between its check
+    /// and its wait cannot miss it) on every publish, close and
+    /// shutdown: what an idle subscriber handler sleeps on.
+    wake: Condvar,
     closed: AtomicBool,
     shutdown: AtomicBool,
     opts: SinkOptions,
@@ -110,6 +116,7 @@ impl SinkServer {
         let addr = listener.local_addr()?;
         let shared = Arc::new(SinkShared {
             history: Mutex::new(History::default()),
+            wake: Condvar::new(),
             closed: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             opts,
@@ -133,11 +140,13 @@ impl SinkServer {
     /// Publishes one output element (sequence = publish order).
     pub fn publish(&self, element: Timestamped<StreamElement>) {
         self.shared.history.lock().expect("sink history lock").items.push(element);
+        self.shared.wake.notify_all();
     }
 
-    /// Publishes a batch.
+    /// Publishes a batch (one wake-up for all of it).
     pub fn publish_batch(&self, batch: Vec<Timestamped<StreamElement>>) {
         self.shared.history.lock().expect("sink history lock").items.extend(batch);
+        self.shared.wake.notify_all();
     }
 
     /// Elements published so far (truncation does not shrink this —
@@ -175,7 +184,7 @@ impl SinkServer {
     /// Marks the stream complete: subscribers that drain the history get
     /// a `Fin` and their connection closes.
     pub fn close(&self) {
-        self.shared.closed.store(true, Ordering::SeqCst);
+        self.shared.raise(&self.shared.closed);
     }
 
     /// Bytes written to subscribers so far.
@@ -195,10 +204,23 @@ impl SinkServer {
 
     /// Stops the server and joins its threads.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.raise(&self.shared.shutdown);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+    }
+}
+
+impl SinkShared {
+    /// Sets `flag` and wakes every idle subscriber handler. The store
+    /// happens under the history lock: a handler checks the flags and
+    /// starts waiting under that same lock, so it sees either the flag
+    /// or the wake-up.
+    fn raise(&self, flag: &AtomicBool) {
+        let guard = self.history.lock().expect("sink history lock");
+        flag.store(true, Ordering::SeqCst);
+        drop(guard);
+        self.wake.notify_all();
     }
 }
 
@@ -295,83 +317,71 @@ fn serve_subscriber(
     // Stream the history from the cursor, following the live tail.
     let mut out = Vec::with_capacity(32 * 1024);
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        // `None` means the cursor fell below the retained window — the
-        // caller truncated past this subscriber's resume point, so an
-        // exact replay is impossible and the subscription must fail
-        // loudly rather than skip elements.
-        let batch: Option<Vec<(u64, Timestamped<StreamElement>)>> = {
-            let history = shared.history.lock().expect("sink history lock");
-            if cursor < history.base {
-                None
-            } else {
-                let start = ((cursor - history.base) as usize).min(history.items.len());
-                Some(
-                    history.items[start..]
-                        .iter()
-                        .take(shared.opts.batch)
-                        .enumerate()
-                        .map(|(i, e)| (cursor + i as u64, e.clone()))
-                        .collect(),
-                )
-            }
-        };
-        let Some(batch) = batch else {
-            let base = shared.history.lock().expect("sink history lock").base;
-            let message =
-                format!("history truncated to {base}, cannot replay from {cursor}");
-            let err = encode_frame(&Frame::Error {
-                code: error_code::TRUNCATED,
-                message: message.clone(),
-            });
-            let _ = sock.write_all(&err);
-            return Err(NetError::Protocol { code: error_code::TRUNCATED, message });
-        };
-        if batch.is_empty() {
-            if shared.closed.load(Ordering::SeqCst) {
-                let total = shared.history.lock().expect("sink history lock").total();
-                // Re-check: close() may race a final publish; only Fin
-                // when the cursor truly reached the end.
-                if cursor >= total {
-                    let fin = encode_frame(&Frame::Fin { count: total });
+        // Copy the next burst out under the lock, sleeping on the
+        // condvar while there is none.
+        let burst: Vec<Timestamped<StreamElement>> = {
+            let mut history = shared.history.lock().expect("sink history lock");
+            loop {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                if cursor < history.base {
+                    // The caller truncated past this subscriber's resume
+                    // point: an exact replay is impossible, so fail
+                    // loudly rather than skip elements.
+                    let message = format!(
+                        "history truncated to {}, cannot replay from {cursor}",
+                        history.base
+                    );
+                    drop(history);
+                    let err = encode_frame(&Frame::Error {
+                        code: error_code::TRUNCATED,
+                        message: message.clone(),
+                    });
+                    let _ = sock.write_all(&err);
+                    return Err(NetError::Protocol { code: error_code::TRUNCATED, message });
+                }
+                let start = (cursor - history.base) as usize;
+                if start < history.items.len() {
+                    let end = history.items.len().min(start + shared.opts.batch.max(1));
+                    break history.items[start..end].to_vec();
+                }
+                if shared.closed.load(Ordering::SeqCst) {
+                    // Checked under the lock, after the tail: everything
+                    // published before the close has been streamed.
+                    let fin = encode_frame(&Frame::Fin { count: history.total() });
+                    drop(history);
                     sock.write_all(&fin)?;
                     shared.bytes_sent.fetch_add(fin.len() as u64, Ordering::Relaxed);
                     return Ok(());
                 }
-                continue;
+                history = shared.wake.wait(history).expect("sink history lock");
             }
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        }
+        };
         out.clear();
         let span = tracer.span_start();
-        let frames = batch.len() as u64;
-        let vt = batch[0].1.ts.as_micros();
+        let frames = burst.len() as u64;
+        let vt = burst[0].ts.as_micros();
         if shared.opts.batch <= 1 {
-            for (seq, element) in batch {
-                encode_frame_into(&Frame::Data { seq, element }, &mut out);
-                cursor = seq + 1;
+            for element in burst {
+                encode_frame_into(&Frame::Data { seq: cursor, element }, &mut out);
+                cursor += 1;
             }
         } else {
             // The burst is consecutive from the cursor, so it maps onto
             // `DataBatch` frames directly (split only by the byte cap).
-            let first_seq = batch[0].0;
-            let elements: Vec<Timestamped<StreamElement>> =
-                batch.into_iter().map(|(_, e)| e).collect();
             let mut off = 0usize;
-            while off < elements.len() {
+            while off < burst.len() {
                 let taken = encode_data_batch_into(
-                    first_seq + off as u64,
-                    &elements[off..],
+                    cursor,
+                    &burst[off..],
                     shared.opts.max_batch_bytes,
                     &mut out,
                 );
                 tracer.instant(TraceKind::NetBatch, vt, 0, taken as u64);
                 off += taken;
+                cursor += taken as u64;
             }
-            cursor = first_seq + elements.len() as u64;
         }
         tracer.span_end(span, TraceKind::NetEncode, vt, out.len() as u64, frames);
         sock.write_all(&out)?;
@@ -556,14 +566,21 @@ impl SinkSubscriber {
         }
     }
 
+    /// The live subscription's socket, for an owner that waits on
+    /// several subscribers at once: it turns readable when the sink has
+    /// published more.
+    pub fn socket(&self) -> Option<&TcpStream> {
+        self.conn.as_ref().map(|(sock, _)| sock)
+    }
+
     /// Ensures a live subscription and folds whatever the server sent
-    /// into `pending`, waiting at most until `deadline` for the first
-    /// byte.
+    /// into `pending`, blocking (woken by the socket) at most until
+    /// `deadline` for the first byte. A deadline already past only picks
+    /// up what is queued.
     fn poll(&mut self, deadline: Instant) -> Result<(), NetError> {
         if self.conn.is_none() {
             let mut sock = TcpStream::connect(self.addr)?;
             sock.set_nodelay(true)?;
-            sock.set_read_timeout(Some(Duration::from_millis(20)))?;
             // Resume from past the elements already queued for the
             // caller, not just the delivered ones.
             let resume_from = self.received + self.pending.len() as u64;
@@ -578,41 +595,12 @@ impl SinkSubscriber {
             self.conn = Some((sock, FrameBuffer::new()));
         }
         let (sock, fb) = self.conn.as_mut().expect("connection just ensured");
-        let mut buf = [0u8; 16 * 1024];
-        let mut made_progress = false;
         loop {
+            let read = read_available(sock, fb)?;
             while let Some(frame) = fb.next_frame()? {
-                made_progress = true;
-                let queued = self.received + self.pending.len() as u64;
-                match frame {
-                    Frame::Data { seq, element } => {
-                        if seq < queued {
-                            self.duplicates_suppressed += 1;
-                        } else if seq > queued {
-                            return Err(NetError::Io(std::io::Error::new(
-                                ErrorKind::InvalidData,
-                                format!("sink gap: got seq {seq}, expected {queued}"),
-                            )));
-                        } else {
-                            self.pending.push_back(element);
-                        }
-                    }
-                    Frame::DataBatch { first_seq, elements } => {
-                        for (i, element) in elements.into_iter().enumerate() {
-                            let seq = first_seq + i as u64;
-                            let queued = self.received + self.pending.len() as u64;
-                            if seq < queued {
-                                self.duplicates_suppressed += 1;
-                            } else if seq > queued {
-                                return Err(NetError::Io(std::io::Error::new(
-                                    ErrorKind::InvalidData,
-                                    format!("sink gap: got seq {seq}, expected {queued}"),
-                                )));
-                            } else {
-                                self.pending.push_back(element);
-                            }
-                        }
-                    }
+                let (first_seq, elements) = match frame {
+                    Frame::Data { seq, element } => (seq, vec![element]),
+                    Frame::DataBatch { first_seq, elements } => (first_seq, elements),
                     Frame::Fin { count } => {
                         let have = self.received + self.pending.len() as u64;
                         if have == count {
@@ -633,31 +621,27 @@ impl SinkSubscriber {
                             "unexpected sink frame: {other:?}"
                         )))
                     }
+                };
+                for (i, element) in elements.into_iter().enumerate() {
+                    let seq = first_seq + i as u64;
+                    let queued = self.received + self.pending.len() as u64;
+                    if seq < queued {
+                        self.duplicates_suppressed += 1;
+                    } else if seq > queued {
+                        return Err(NetError::Io(std::io::Error::new(
+                            ErrorKind::InvalidData,
+                            format!("sink gap: got seq {seq}, expected {queued}"),
+                        )));
+                    } else {
+                        self.pending.push_back(element);
+                    }
                 }
             }
-            if made_progress || Instant::now() >= deadline {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if read > 0 || remaining.is_zero() {
                 return Ok(());
             }
-            // Block no longer than the caller's deadline: a short
-            // `next(timeout)` must not pay the full 20ms default read
-            // timeout when the server has nothing to send.
-            let remaining = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(20))
-                .max(Duration::from_millis(1));
-            sock.set_read_timeout(Some(remaining))?;
-            match sock.read(&mut buf) {
-                Ok(0) => {
-                    return Err(NetError::Io(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "sink server closed mid-stream",
-                    )))
-                }
-                Ok(n) => fb.extend(&buf[..n]),
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) => return Err(NetError::Io(e)),
-            }
+            wait_readable(&[sock.as_fd()], remaining)?;
         }
     }
 }
