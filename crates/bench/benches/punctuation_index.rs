@@ -1,5 +1,8 @@
 //! Ablation of punctuation-index building (DESIGN.md §7): eager
-//! (per-punctuation) vs lazy (batched) builds over the same load.
+//! (per-punctuation) vs lazy (batched) builds over the same load. The
+//! load is constant punctuations, which a build answers from the tuples
+//! stored under each closed value: the two cadences visit the same
+//! candidates, and the scan the lazy build used to share is gone.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pjoin::record::PRecord;
@@ -15,7 +18,7 @@ fn state_with(tuples: usize) -> JoinState {
     s
 }
 
-/// Eager: one build per punctuation (N scans, 1 new punctuation each).
+/// Eager: one build per punctuation (N builds, 1 new punctuation each).
 fn bench_eager_builds(c: &mut Criterion) {
     c.bench_function("index_build_eager_16_puncts", |b| {
         b.iter_batched(
@@ -33,7 +36,7 @@ fn bench_eager_builds(c: &mut Criterion) {
     });
 }
 
-/// Lazy: one build covering all punctuations (1 scan, N new).
+/// Lazy: one build covering all punctuations (1 build, N new).
 fn bench_lazy_build(c: &mut Criterion) {
     c.bench_function("index_build_lazy_16_puncts", |b| {
         b.iter_batched(
@@ -67,8 +70,8 @@ fn bench_incremental_rebuild(c: &mut Criterion) {
                 s
             },
             |mut s| {
-                // One more punctuation: the rebuild re-scans but evaluates
-                // only the still-unindexed tuples against one pattern.
+                // One more punctuation: the rebuild visits the tuples under
+                // its value and evaluates only the still-unindexed ones.
                 let mut w = Work::ZERO;
                 s.index.insert(Punctuation::close_value(2, 0, 50));
                 s.index_build(&mut w);

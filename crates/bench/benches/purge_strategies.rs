@@ -31,7 +31,7 @@ fn bench_purge_scan(c: &mut Criterion) {
                 || state_with(n),
                 |mut s| {
                     let mut w = Work::ZERO;
-                    let r = purge_state(&mut s, &patterns, &[false; BUCKETS], 1_000_000, &mut w);
+                    let r = purge_state(&mut s, &patterns, |_| false, 1_000_000, &mut w);
                     black_box(r)
                 },
                 criterion::BatchSize::SmallInput,
@@ -58,7 +58,7 @@ fn bench_eager_vs_batched_total(c: &mut Criterion) {
                     purge_state(
                         &mut s,
                         std::slice::from_ref(p),
-                        &[false; BUCKETS],
+                        |_| false,
                         1_000_000,
                         &mut w,
                     );
@@ -73,7 +73,7 @@ fn bench_eager_vs_batched_total(c: &mut Criterion) {
             || state_with(5_000),
             |mut s| {
                 let mut w = Work::ZERO;
-                purge_state(&mut s, &patterns, &[false; BUCKETS], 1_000_000, &mut w);
+                purge_state(&mut s, &patterns, |_| false, 1_000_000, &mut w);
                 black_box(w.purge_scanned)
             },
             criterion::BatchSize::SmallInput,

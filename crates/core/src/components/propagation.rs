@@ -38,17 +38,20 @@ pub fn propagate_side(
     out: &mut OpOutput,
     work: &mut Work,
 ) -> Vec<PunctId> {
-    let mut propagated = Vec::new();
-    for id in state.index.zero_count_ids() {
-        if state.disk_blocks(id) {
-            continue;
-        }
+    // Candidates ascend by id and the disk guard blocks every id from a
+    // watermark up, so the propagable ones are a prefix.
+    let blocked_from = state.disk_blocks_from();
+    let propagated: Vec<PunctId> = state
+        .index
+        .zero_count_ids()
+        .take_while(|id| id.0 < blocked_from)
+        .collect();
+    for &id in &propagated {
         let p = state.index.get(id).expect("zero-count ids are live");
         out.push(translate_punctuation(p, offset, out_width));
         state.index.retire(id);
-        work.puncts_propagated += 1;
-        propagated.push(id);
     }
+    work.puncts_propagated += propagated.len() as u64;
     propagated
 }
 

@@ -40,28 +40,23 @@ pub struct PurgeReport {
 
 /// Purges `target` using `new_patterns` — the join-attribute patterns of
 /// the opposite stream's punctuations that arrived since the last purge.
-/// `opposite_disk[bucket]` tells whether the opposite state has a
+/// `opposite_disk(bucket)` tells whether the opposite state has a
 /// disk-resident portion for that bucket.
 /// `departure` is the logical instant to stamp on extracted records —
 /// callers pass the next unallocated instant, so already-performed probes
 /// count as overlapping and future ones do not.
-pub fn purge_state(
+pub fn purge_state<'p>(
     target: &mut JoinState,
-    new_patterns: &[Pattern],
-    opposite_disk: &[bool],
+    new_patterns: impl IntoIterator<Item = &'p Pattern>,
+    opposite_disk: impl Fn(usize) -> bool,
     departure: Instant,
     work: &mut Work,
 ) -> PurgeReport {
     let mut report = PurgeReport::default();
-    if new_patterns.is_empty() {
-        return report;
-    }
     let join_attr = target.join_attr;
     let buckets = target.store.bucket_count();
     let mut evals = 0u64;
     let mut key_lookups = 0u64;
-
-    debug_assert_eq!(opposite_disk.len(), buckets, "per-bucket disk flags");
 
     // Split the new patterns by how they can be matched against the
     // state: closed point values go through the key index, anything
@@ -91,7 +86,7 @@ pub fn purge_state(
         evals += candidates as u64;
         for mut rec in extracted {
             rec.dts = departure;
-            if opposite_disk[bucket] {
+            if opposite_disk(bucket) {
                 target.buffer_record(bucket, rec, work);
                 report.buffered += 1;
             } else {
@@ -118,7 +113,7 @@ pub fn purge_state(
             });
             for mut rec in extracted {
                 rec.dts = departure;
-                if opposite_disk[bucket] {
+                if opposite_disk(bucket) {
                     target.buffer_record(bucket, rec, work);
                     report.buffered += 1;
                 } else {
@@ -160,7 +155,7 @@ mod tests {
     fn purges_matching_tuples() {
         let mut s = state_with_keys(&[1, 2, 3, 2]);
         let mut w = Work::ZERO;
-        let report = purge_state(&mut s, &[constant(2)], &[false; 4], 100, &mut w);
+        let report = purge_state(&mut s, &[constant(2)], |_| false, 100, &mut w);
         // Keyed purge examines only the records indexed under the closed
         // value, not the whole state.
         assert_eq!(report.scanned, 2);
@@ -179,7 +174,7 @@ mod tests {
         let keys: Vec<i64> = (0..100).collect();
         let mut s = state_with_keys(&keys);
         let mut w = Work::ZERO;
-        let report = purge_state(&mut s, &[constant(42)], &[false; 4], 100, &mut w);
+        let report = purge_state(&mut s, &[constant(42)], |_| false, 100, &mut w);
         assert_eq!(report.scanned, 1);
         assert_eq!(report.removed, 1);
         assert_eq!(s.total_tuples(), 99);
@@ -194,7 +189,7 @@ mod tests {
         let mut s = state_with_keys(&[1, 5, 9, 15]);
         let mut w = Work::ZERO;
         let patterns = [constant(15), Pattern::int_range(0, 6)];
-        let report = purge_state(&mut s, &patterns, &[false; 4], 100, &mut w);
+        let report = purge_state(&mut s, &patterns, |_| false, 100, &mut w);
         assert_eq!(report.removed, 3); // 15 (keyed) + 1, 5 (range scan)
         assert_eq!(s.total_tuples(), 1); // 9 survives
         // 1 keyed candidate + the 3 tuples left for the scan.
@@ -213,7 +208,7 @@ mod tests {
         s.store
             .insert(PRecord::arriving(Tuple::of((Value::Float(2.0), Value::Int(1))), 1));
         let mut w = Work::ZERO;
-        let report = purge_state(&mut s, &[constant(2)], &[false; 4], 100, &mut w);
+        let report = purge_state(&mut s, &[constant(2)], |_| false, 100, &mut w);
         assert_eq!(report.removed, 1);
         assert_eq!(s.total_tuples(), 1);
         assert_eq!(s.store.probe_memory_keyed_len(&Value::Float(2.0)), 1);
@@ -224,7 +219,7 @@ mod tests {
         let mut s = state_with_keys(&[1, 2, 3, 4, 5]);
         let mut w = Work::ZERO;
         let pat = Pattern::enumeration(vec![Value::Int(2), Value::Int(4)]);
-        let report = purge_state(&mut s, &[pat], &[false; 4], 100, &mut w);
+        let report = purge_state(&mut s, &[pat], |_| false, 100, &mut w);
         assert_eq!(report.removed, 2);
         assert_eq!(report.scanned, 2);
         assert_eq!(s.total_tuples(), 3);
@@ -235,7 +230,7 @@ mod tests {
     fn empty_patterns_is_noop() {
         let mut s = state_with_keys(&[1, 2]);
         let mut w = Work::ZERO;
-        let report = purge_state(&mut s, &[], &[false; 4], 100, &mut w);
+        let report = purge_state(&mut s, &[] as &[Pattern], |_| false, 100, &mut w);
         assert_eq!(report, PurgeReport::default());
         assert_eq!(s.total_tuples(), 2);
         assert!(w.is_zero());
@@ -246,7 +241,7 @@ mod tests {
         let mut s = state_with_keys(&[1, 5, 9, 15]);
         let mut w = Work::ZERO;
         let report =
-            purge_state(&mut s, &[Pattern::int_range(0, 9)], &[false; 4], 100, &mut w);
+            purge_state(&mut s, &[Pattern::int_range(0, 9)], |_| false, 100, &mut w);
         assert_eq!(report.removed, 3);
         assert_eq!(s.total_tuples(), 1);
     }
@@ -255,10 +250,8 @@ mod tests {
     fn buffers_when_opposite_disk_exists() {
         let mut s = state_with_keys(&[7, 8]);
         let bucket7 = s.store.bucket_index(&Value::Int(7));
-        let mut opposite_disk = vec![false; 4];
-        opposite_disk[bucket7] = true;
         let mut w = Work::ZERO;
-        let report = purge_state(&mut s, &[constant(7)], &opposite_disk, 100, &mut w);
+        let report = purge_state(&mut s, &[constant(7)], |b| b == bucket7, 100, &mut w);
         assert_eq!(report.buffered, 1);
         assert_eq!(report.removed, 0);
         // Still part of the state (purge buffer), no longer probe-able.
@@ -278,7 +271,7 @@ mod tests {
         assert_eq!(s.index.count(id), 1);
         // Opposite punctuation closes key 3: the tuple is purged and the
         // own-side count drops to zero (propagable).
-        purge_state(&mut s, &[constant(3)], &[false; 4], 100, &mut w);
+        purge_state(&mut s, &[constant(3)], |_| false, 100, &mut w);
         assert_eq!(s.index.count(id), 0);
     }
 
@@ -287,7 +280,7 @@ mod tests {
         let mut s = state_with_keys(&[1, 2, 3]);
         let mut w = Work::ZERO;
         let report =
-            purge_state(&mut s, &[constant(1), constant(3)], &[false; 4], 100, &mut w);
+            purge_state(&mut s, &[constant(1), constant(3)], |_| false, 100, &mut w);
         assert_eq!(report.removed, 2);
         assert_eq!(s.total_tuples(), 1);
     }

@@ -159,6 +159,18 @@ impl OpTrace {
         ledger[slot] = now_us;
         self.pending_purge.push(now_us);
     }
+
+    /// Records one punctuation's downstream release: its
+    /// arrival→propagation latency and a `PunctEmit` instant.
+    fn note_punct_emitted(&mut self, side_idx: usize, id: PunctId, now_us: u64) {
+        let arrival = self.punct_arrivals[side_idx]
+            .get(id.0 as usize)
+            .copied()
+            .unwrap_or(now_us);
+        let lat = now_us.saturating_sub(arrival);
+        self.latencies.punct_propagate.record(lat);
+        self.tracer.instant(TraceKind::PunctEmit, now_us, id.0, lat);
+    }
 }
 
 /// Reusable scratch for the batched memory join ([`PJoin::on_tuple_batch`]):
@@ -371,20 +383,6 @@ impl PJoin {
                 .tracer
                 .span_end(start, kind, self.now.as_micros(), a, b);
         }
-    }
-
-    /// Records one punctuation's downstream release: its
-    /// arrival→propagation latency and a `PunctEmit` instant.
-    fn note_punct_emitted(&mut self, side_idx: usize, id: PunctId, now_us: u64) {
-        let arrival = self.obs.punct_arrivals[side_idx]
-            .get(id.0 as usize)
-            .copied()
-            .unwrap_or(now_us);
-        let lat = now_us.saturating_sub(arrival);
-        self.obs.latencies.punct_propagate.record(lat);
-        self.obs
-            .tracer
-            .instant(TraceKind::PunctEmit, now_us, id.0, lat);
     }
 
     fn next_instant(&mut self) -> Instant {
@@ -606,33 +604,32 @@ impl PJoin {
         let mut removed = 0u64;
         self.stats.purge_runs += 1;
         let departure = self.instant;
-        let buckets = self.config.buckets;
 
         // A's new punctuations purge B.
-        let patterns_a = self.a.index.join_patterns_since(self.a.applied_up_to);
+        let report = purge_state(
+            &mut self.b,
+            self.a.index.join_patterns_since(self.a.applied_up_to),
+            |bucket| self.a.store.bucket(bucket).has_disk_portion(),
+            departure,
+            &mut self.work,
+        );
         self.a.applied_up_to = self.a.index.next_id();
-        if !patterns_a.is_empty() {
-            let disk_a: Vec<bool> = (0..buckets)
-                .map(|i| self.a.store.bucket(i).has_disk_portion())
-                .collect();
-            let report = purge_state(&mut self.b, &patterns_a, &disk_a, departure, &mut self.work);
-            self.stats.tuples_purged += report.removed as u64;
-            self.stats.tuples_buffered += report.buffered as u64;
-            removed += report.removed as u64;
-        }
+        self.stats.tuples_purged += report.removed as u64;
+        self.stats.tuples_buffered += report.buffered as u64;
+        removed += report.removed as u64;
 
         // B's new punctuations purge A.
-        let patterns_b = self.b.index.join_patterns_since(self.b.applied_up_to);
+        let report = purge_state(
+            &mut self.a,
+            self.b.index.join_patterns_since(self.b.applied_up_to),
+            |bucket| self.b.store.bucket(bucket).has_disk_portion(),
+            departure,
+            &mut self.work,
+        );
         self.b.applied_up_to = self.b.index.next_id();
-        if !patterns_b.is_empty() {
-            let disk_b: Vec<bool> = (0..buckets)
-                .map(|i| self.b.store.bucket(i).has_disk_portion())
-                .collect();
-            let report = purge_state(&mut self.a, &patterns_b, &disk_b, departure, &mut self.work);
-            self.stats.tuples_purged += report.removed as u64;
-            self.stats.tuples_buffered += report.buffered as u64;
-            removed += report.removed as u64;
-        }
+        self.stats.tuples_purged += report.removed as u64;
+        self.stats.tuples_buffered += report.buffered as u64;
+        removed += report.removed as u64;
 
         // Every punctuation that arrived since the last purge run is now
         // applied: settle its arrival→purge-complete latency.
@@ -720,10 +717,10 @@ impl PJoin {
         if self.obs.tracer.enabled() {
             let now_us = self.now.as_micros();
             for id in ids_a {
-                self.note_punct_emitted(0, id, now_us);
+                self.obs.note_punct_emitted(0, id, now_us);
             }
             for id in ids_b {
-                self.note_punct_emitted(1, id, now_us);
+                self.obs.note_punct_emitted(1, id, now_us);
             }
             self.prof_end(
                 Component::Propagation,
@@ -1053,8 +1050,11 @@ impl PJoin {
             (&mut self.a, 0usize, 0usize),
             (&mut self.b, self.config.width_a, 1usize),
         ] {
-            for id in state.index.live_ids() {
-                let p = state.index.get(id).expect("live ids resolve");
+            for id in (0..state.index.next_id()).map(PunctId) {
+                if state.index.is_retired(id) {
+                    continue;
+                }
+                let p = state.index.get(id).expect("unretired ids resolve");
                 out.push(crate::components::propagation::translate_punctuation(
                     p, offset, out_width,
                 ));
@@ -1062,15 +1062,7 @@ impl PJoin {
                 self.work.puncts_propagated += 1;
                 self.stats.puncts_propagated += 1;
                 if trace_on {
-                    let arrival = self.obs.punct_arrivals[side_idx]
-                        .get(id.0 as usize)
-                        .copied()
-                        .unwrap_or(now_us);
-                    let lat = now_us.saturating_sub(arrival);
-                    self.obs.latencies.punct_propagate.record(lat);
-                    self.obs
-                        .tracer
-                        .instant(TraceKind::PunctEmit, now_us, id.0, lat);
+                    self.obs.note_punct_emitted(side_idx, id, now_us);
                 }
             }
         }

@@ -12,6 +12,8 @@
 //! tuples covered by an already-propagated punctuation can still be
 //! dropped rather than lingering unpurgeably.
 
+use std::collections::BTreeSet;
+
 use punct_types::{Pattern, PunctId, Punctuation, PunctuationSet, Tuple, Value};
 
 /// The punctuation index of one input stream.
@@ -25,6 +27,11 @@ pub struct PunctuationIndex {
     /// Number of unretired punctuations, maintained incrementally so
     /// [`live`](Self::live) is O(1) rather than a scan of `retired`.
     live: usize,
+    /// The unretired punctuations whose count is zero — the propagable
+    /// candidates — ordered by id, i.e. by arrival. Kept in step by
+    /// `insert`, the 0→1 and 1→0 count transitions and `retire`, so a
+    /// propagation run never looks at a punctuation it cannot release.
+    zero_count: BTreeSet<PunctId>,
     /// Ids `< indexed_next` have been index-built against the state.
     indexed_next: u64,
 }
@@ -38,6 +45,7 @@ impl PunctuationIndex {
             counts: Vec::new(),
             retired: Vec::new(),
             live: 0,
+            zero_count: BTreeSet::new(),
             indexed_next: 0,
         }
     }
@@ -49,6 +57,7 @@ impl PunctuationIndex {
         self.counts.push(0);
         self.retired.push(false);
         self.live += 1;
+        self.zero_count.insert(id);
         id
     }
 
@@ -81,7 +90,11 @@ impl PunctuationIndex {
 
     /// Records that a tuple carrying `pid` entered the state.
     pub fn increment(&mut self, id: PunctId) {
-        self.counts[id.0 as usize] += 1;
+        let c = &mut self.counts[id.0 as usize];
+        if *c == 0 {
+            self.zero_count.remove(&id);
+        }
+        *c += 1;
     }
 
     /// Records that a tuple carrying `pid` left the state (purged,
@@ -90,6 +103,9 @@ impl PunctuationIndex {
         let c = &mut self.counts[id.0 as usize];
         debug_assert!(*c > 0, "count underflow for {id}");
         *c = c.saturating_sub(1);
+        if *c == 0 && !self.retired[id.0 as usize] {
+            self.zero_count.insert(id);
+        }
     }
 
     /// pid assignment against the **full** set: the first-arrived
@@ -126,12 +142,14 @@ impl PunctuationIndex {
 
     /// Live (unretired) punctuations with `count == 0`, in arrival order
     /// — the propagable candidates of the Propagate algorithm (Fig. 3).
-    pub fn zero_count_ids(&self) -> Vec<PunctId> {
-        self.set
-            .iter()
-            .filter(|(id, _)| !self.retired[id.0 as usize] && self.counts[id.0 as usize] == 0)
-            .map(|(id, _)| id)
-            .collect()
+    pub fn zero_count_ids(&self) -> impl Iterator<Item = PunctId> + '_ {
+        debug_assert!(
+            self.zero_count.iter().copied().eq((0..self.next_id())
+                .map(PunctId)
+                .filter(|id| !self.retired[id.0 as usize] && self.counts[id.0 as usize] == 0)),
+            "zero-count set out of step with counts / retired"
+        );
+        self.zero_count.iter().copied()
     }
 
     /// Live (unretired) punctuations in arrival order.
@@ -153,6 +171,7 @@ impl PunctuationIndex {
         if !self.retired[id.0 as usize] {
             self.retired[id.0 as usize] = true;
             self.live -= 1;
+            self.zero_count.remove(&id);
         }
     }
 
@@ -169,22 +188,32 @@ impl PunctuationIndex {
     }
 
     /// True if a live punctuation has exactly this join-attribute pattern
-    /// (the matched-pair propagation trigger of §4.4).
+    /// (the matched-pair propagation trigger of §4.4). Called on every
+    /// punctuation arrival, so a constant is answered from the set's
+    /// constant index: the first punctuation closing the value. Only
+    /// when that one is retired may a later duplicate be the live one,
+    /// and only then (or for a non-constant pattern) are punctuations
+    /// compared one by one.
     pub fn contains_join_pattern(&self, pattern: &Pattern) -> bool {
+        let since = match pattern {
+            Pattern::Constant(v) => match self.set.constant_id(v) {
+                None => return false,
+                Some(first) if !self.retired[first.0 as usize] => return true,
+                Some(first) => first.0 + 1,
+            },
+            _ => 0,
+        };
         let attr = self.set.join_attr();
         self.set
-            .iter()
+            .iter_from(since)
             .any(|(id, p)| !self.retired[id.0 as usize] && p.pattern(attr) == Some(pattern))
     }
 
     /// Join-attribute patterns of punctuations with `id >= since`, in
     /// arrival order — the "new punctuations" a lazy purge applies.
-    pub fn join_patterns_since(&self, since: u64) -> Vec<Pattern> {
-        self.set
-            .iter()
-            .filter(|(id, _)| id.0 >= since)
-            .filter_map(|(_, p)| p.pattern(self.set.join_attr()).cloned())
-            .collect()
+    pub fn join_patterns_since(&self, since: u64) -> impl Iterator<Item = &Pattern> + '_ {
+        let attr = self.set.join_attr();
+        self.set.iter_from(since).filter_map(move |(_, p)| p.pattern(attr))
     }
 }
 
@@ -218,9 +247,9 @@ mod tests {
         assert_eq!(ix.count(id), 2);
         ix.decrement(id);
         assert_eq!(ix.count(id), 1);
-        assert!(ix.zero_count_ids().is_empty());
+        assert_eq!(ix.zero_count_ids().count(), 0);
         ix.decrement(id);
-        assert_eq!(ix.zero_count_ids(), vec![id]);
+        assert!(ix.zero_count_ids().eq([id]));
     }
 
     #[test]
@@ -244,10 +273,10 @@ mod tests {
     fn retirement_hides_from_propagation_not_from_cover() {
         let mut ix = PunctuationIndex::new(0);
         let id = ix.insert(close(9));
-        assert_eq!(ix.zero_count_ids(), vec![id]);
+        assert!(ix.zero_count_ids().eq([id]));
         ix.retire(id);
         assert!(ix.is_retired(id));
-        assert!(ix.zero_count_ids().is_empty());
+        assert_eq!(ix.zero_count_ids().count(), 0);
         assert!(ix.live_ids().is_empty());
         assert_eq!(ix.live(), 0);
         // Retired punctuations still cover arriving opposite tuples.
@@ -278,11 +307,9 @@ mod tests {
         ix.insert(close(1));
         ix.insert(close(2));
         ix.insert(close(3));
-        let all = ix.join_patterns_since(0);
-        assert_eq!(all.len(), 3);
-        let late = ix.join_patterns_since(2);
-        assert_eq!(late, vec![Pattern::Constant(Value::Int(3))]);
-        assert!(ix.join_patterns_since(3).is_empty());
+        assert_eq!(ix.join_patterns_since(0).count(), 3);
+        assert!(ix.join_patterns_since(2).eq([&Pattern::Constant(Value::Int(3))]));
+        assert_eq!(ix.join_patterns_since(3).count(), 0);
     }
 
     #[test]
@@ -292,6 +319,44 @@ mod tests {
         let b = ix.insert(close(2));
         let c = ix.insert(close(3));
         ix.increment(b);
-        assert_eq!(ix.zero_count_ids(), vec![a, c]);
+        assert!(ix.zero_count_ids().eq([a, c]));
+        // Back to zero: `b` re-enters between its neighbours, not at the end.
+        ix.decrement(b);
+        assert!(ix.zero_count_ids().eq([a, b, c]));
+    }
+
+    #[test]
+    fn retired_punctuation_never_becomes_a_candidate_again() {
+        // The index build assigns pids of retired punctuations too (they
+        // stay in the set); their counts moving must not resurrect them.
+        let mut ix = PunctuationIndex::new(0);
+        let id = ix.insert(close(4));
+        ix.retire(id);
+        ix.increment(id);
+        ix.decrement(id);
+        assert_eq!(ix.zero_count_ids().count(), 0);
+    }
+
+    #[test]
+    fn contains_join_pattern_sees_a_live_duplicate_behind_a_retired_one() {
+        let mut ix = PunctuationIndex::new(0);
+        let nine = Pattern::Constant(Value::Int(9));
+        assert!(!ix.contains_join_pattern(&nine));
+        let first = ix.insert(close(9));
+        assert!(ix.contains_join_pattern(&nine));
+        assert!(!ix.contains_join_pattern(&Pattern::Constant(Value::Float(9.0))), "exact, not join_eq");
+        ix.retire(first);
+        assert!(!ix.contains_join_pattern(&nine), "only a retired one left");
+        let second = ix.insert(close(9));
+        assert!(ix.contains_join_pattern(&nine), "the live duplicate counts");
+        ix.retire(second);
+        assert!(!ix.contains_join_pattern(&nine));
+        // Non-constant patterns compare punctuation by punctuation.
+        let range = Pattern::int_range(0, 5);
+        assert!(!ix.contains_join_pattern(&range));
+        let r = ix.insert(Punctuation::on_attr(2, 0, range.clone()));
+        assert!(ix.contains_join_pattern(&range));
+        ix.retire(r);
+        assert!(!ix.contains_join_pattern(&range));
     }
 }

@@ -2,7 +2,7 @@
 //! store (memory + disk portions), the purge buffer, and the punctuation
 //! index, plus the bookkeeping that keeps them mutually consistent.
 
-use punct_types::Value;
+use punct_types::{PunctId, Value};
 use spillstore::{PartitionedStore, SimDisk, SpillPolicy, StoreConfig};
 use stream_sim::Work;
 
@@ -126,7 +126,7 @@ impl JoinState {
     /// so disk-resident records always carry a pid that is correct as of
     /// their spill watermark.
     pub fn force_index_bucket(&mut self, bucket: usize, work: &mut Work) -> usize {
-        let mut assignments: Vec<punct_types::PunctId> = Vec::new();
+        let mut assignments: Vec<PunctId> = Vec::new();
         let mut examined = 0usize;
         // Two-phase to satisfy the borrow checker: collect assignments,
         // then apply counts.
@@ -196,42 +196,80 @@ impl JoinState {
     }
 
     /// The incremental punctuation-index build of the paper's Fig. 3:
-    /// scans the memory-resident state, assigns pids to unindexed tuples
-    /// by evaluating them against punctuations that arrived since the
-    /// last build, and updates counts. Returns the number of tuples
-    /// scanned.
+    /// assigns pids to unindexed tuples by evaluating them against the
+    /// punctuations that arrived since the last build, and updates
+    /// counts. Returns the number of tuples examined.
+    ///
+    /// Which tuples are examined depends on the new punctuations' shape,
+    /// as in [`purge_state`](crate::components::purge::purge_state):
+    /// when every one is found through the punctuation set's point
+    /// indexes (constant, enumeration, empty), only the tuples stored
+    /// under the closed values are; one range, wildcard or
+    /// non-join-attribute punctuation among them needs the scan of the
+    /// memory-resident state.
     pub fn index_build(&mut self, work: &mut Work) -> usize {
         let new_puncts = self.index.unindexed_punctuations();
         if new_puncts == 0 {
             return 0;
         }
-        let mut assignments: Vec<punct_types::PunctId> = Vec::new();
+        let first_new = self.index.indexed_next();
+        let mut assignments: Vec<PunctId> = Vec::new();
         let mut scanned = 0usize;
         let mut evals = 0u64;
-        {
-            let index = &self.index;
-            let mut visit = |r: &mut PRecord| {
-                scanned += 1;
-                if r.pid.is_none() {
-                    // Nested-loop cost of the paper's algorithm: each
-                    // unindexed tuple is evaluated against every new
-                    // punctuation (until a match).
-                    evals += new_puncts;
-                    if let Some(pid) = index.assign_pid_new(&r.tuple) {
-                        r.pid = Some(pid);
-                        assignments.push(pid);
-                    }
+        let index = &self.index;
+        let set = index.set();
+        // The new punctuations with the join values that find them, if
+        // every one of them is found by value.
+        let closed: Option<Vec<_>> = set
+            .iter_from(first_new)
+            .map(|(id, p)| Some((id, p, set.point_values(id)?)))
+            .collect();
+        if let Some(closed) = &closed {
+            // Ascending ids and "first pid stays" give every tuple the
+            // first-arrived of the new punctuations matching it.
+            let join_attr = self.join_attr;
+            for &(id, p, values) in closed {
+                for value in values {
+                    work.key_lookups += 1;
+                    // The tag scan is join_eq-coarse (Int/Float coercion);
+                    // the set's point indexes are exact, and the other
+                    // attributes' patterns still have to hold.
+                    self.store.for_each_memory_keyed_mut(value, |r| {
+                        scanned += 1;
+                        if r.pid.is_none()
+                            && r.tuple.get(join_attr) == Some(value)
+                            && p.matches(&r.tuple)
+                        {
+                            r.pid = Some(id);
+                            assignments.push(id);
+                        }
+                    });
                 }
-            };
+            }
+        }
+        let mut visit = |r: &mut PRecord| {
+            scanned += 1;
+            if r.pid.is_none() {
+                // Nested-loop cost of the paper's algorithm: each
+                // unindexed tuple is evaluated against every new
+                // punctuation (until a match).
+                evals += new_puncts;
+                if let Some(pid) = index.assign_pid_new(&r.tuple) {
+                    r.pid = Some(pid);
+                    assignments.push(pid);
+                }
+            }
+        };
+        if closed.is_none() {
             self.store.for_each_memory_mut(&mut visit);
-            // Purge-buffer tuples are still part of the state: a
-            // punctuation arriving after they were buffered may match
-            // them, and missing that match would let it propagate while
-            // results involving the buffered tuple are still pending.
-            for bucket in &mut self.purge_buffer {
-                for r in bucket.iter_mut() {
-                    visit(r);
-                }
+        }
+        // Purge-buffer tuples are still part of the state: a
+        // punctuation arriving after they were buffered may match
+        // them, and missing that match would let it propagate while
+        // results involving the buffered tuple are still pending.
+        for bucket in &mut self.purge_buffer {
+            for r in bucket.iter_mut() {
+                visit(r);
             }
         }
         work.index_evals += scanned as u64 + evals;
@@ -277,19 +315,26 @@ impl JoinState {
         n
     }
 
-    /// True if propagating punctuation `id` must wait on an unresolved
-    /// disk portion (see `disk_watermark`).
-    pub fn disk_blocks(&self, id: punct_types::PunctId) -> bool {
-        (0..self.disk_watermark.len()).any(|b| {
-            self.store.bucket(b).has_disk_portion() && self.disk_watermark[b] <= id.0
-        })
+    /// The lowest punctuation id whose propagation must wait on an
+    /// unresolved disk portion (see `disk_watermark`): every id at or
+    /// above it is blocked, every id below it is free. `u64::MAX` when
+    /// nothing is on disk.
+    pub fn disk_blocks_from(&self) -> u64 {
+        if self.store.disk_tuples() == 0 {
+            return u64::MAX;
+        }
+        (0..self.disk_watermark.len())
+            .filter(|&b| self.store.bucket(b).has_disk_portion())
+            .map(|b| self.disk_watermark[b])
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punct_types::{PunctId, Punctuation, Tuple};
+    use punct_types::{Pattern, Punctuation, Tuple};
 
     fn state() -> JoinState {
         JoinState::new(2, 0, 4, 4)
@@ -317,6 +362,13 @@ mod tests {
         assert_eq!(s.total_tuples(), 2);
     }
 
+    fn pids(s: &JoinState) -> Vec<(i64, Option<PunctId>)> {
+        let mut pids = Vec::new();
+        s.store.for_each_memory(|r| pids.push((r.tuple.get(0).unwrap().as_int().unwrap(), r.pid)));
+        pids.sort();
+        pids
+    }
+
     #[test]
     fn index_build_assigns_and_counts() {
         let mut s = state();
@@ -325,14 +377,70 @@ mod tests {
         let id5 = s.index.insert(Punctuation::close_value(2, 0, 5i64));
         let mut w = Work::ZERO;
         let scanned = s.index_build(&mut w);
-        assert_eq!(scanned, 2);
+        // A constant punctuation examines the records stored under its
+        // value, not the state.
+        assert_eq!(scanned, 1);
         assert_eq!(s.index.count(id5), 1);
-        assert!(w.index_evals > 0);
+        assert_eq!((w.key_lookups, w.index_evals), (1, 1));
         // The matching tuple now carries the pid.
-        let mut pids = Vec::new();
-        s.store.for_each_memory(|r| pids.push((r.tuple.get(0).unwrap().as_int().unwrap(), r.pid)));
-        pids.sort();
-        assert_eq!(pids, vec![(5, Some(id5)), (6, None)]);
+        assert_eq!(pids(&s), vec![(5, Some(id5)), (6, None)]);
+    }
+
+    #[test]
+    fn index_build_range_forces_the_scan_and_the_older_id_wins() {
+        let mut s = state();
+        for (i, k) in [5, 6, 7].into_iter().enumerate() {
+            s.store.insert(rec(k, i as u64));
+        }
+        let id5 = s.index.insert(Punctuation::close_value(2, 0, 5i64));
+        let range = s.index.insert(Punctuation::on_attr(2, 0, Pattern::int_range(5, 6)));
+        let mut w = Work::ZERO;
+        // One range among the new punctuations: every record is visited,
+        // each unindexed one charged against both punctuations.
+        assert_eq!(s.index_build(&mut w), 3);
+        assert_eq!((w.key_lookups, w.index_evals), (0, 3 + 3 * 2));
+        assert_eq!(pids(&s), vec![(5, Some(id5)), (6, Some(range)), (7, None)]);
+        assert_eq!((s.index.count(id5), s.index.count(range)), (1, 1));
+        // A later constant is keyed again and leaves the older pid alone.
+        let late6 = s.index.insert(Punctuation::close_value(2, 0, 6i64));
+        let mut w = Work::ZERO;
+        assert_eq!(s.index_build(&mut w), 1);
+        assert_eq!(pids(&s)[1], (6, Some(range)));
+        assert_eq!(s.index.count(late6), 0);
+    }
+
+    #[test]
+    fn index_build_keyed_is_exact_and_indexes_the_purge_buffer() {
+        let mut s = state();
+        s.store.insert(PRecord::arriving(Tuple::of((Value::Float(2.0), Value::Int(0))), 0));
+        s.store.insert(PRecord::arriving(Tuple::of((2i64, 1i64)), 1));
+        s.store.insert(PRecord::arriving(Tuple::of((2i64, 9i64)), 2));
+        let mut parked = rec(3, 3);
+        parked.dts = 4;
+        let bucket = s.store.bucket_index(&Value::Int(3));
+        let mut w = Work::ZERO;
+        s.buffer_record(bucket, parked, &mut w);
+        // Closes key 2 only where the payload is 1; then keys {2, 3}.
+        let narrow = s.index.insert(Punctuation::new(vec![
+            Pattern::Constant(Value::Int(2)),
+            Pattern::Constant(Value::Int(1)),
+        ]));
+        let list = s.index.insert(Punctuation::on_attr(
+            2,
+            0,
+            Pattern::enumeration(vec![Value::Int(2), Value::Int(3)]),
+        ));
+        let mut w = Work::ZERO;
+        s.index_build(&mut w);
+        assert_eq!(w.key_lookups, 3);
+        // Float(2.0) shares the tag but is closed by neither; (2, 1)
+        // keeps the first-arrived pid; the parked tuple is counted.
+        assert_eq!((s.index.count(narrow), s.index.count(list)), (1, 2));
+        assert_eq!(s.purge_buffer[bucket][0].pid, Some(list));
+        let mut by_payload = Vec::new();
+        s.store.for_each_memory(|r| by_payload.push((r.tuple.get(1).unwrap().as_int().unwrap(), r.pid)));
+        by_payload.sort();
+        assert_eq!(by_payload, vec![(0, None), (1, Some(narrow)), (9, Some(list))]);
     }
 
     #[test]
@@ -373,9 +481,8 @@ mod tests {
         assert_eq!(s.disk_watermark[bucket], 1);
         // Propagation of id 0 is allowed (watermark 1 > 0); a later
         // punctuation would be blocked.
-        assert!(!s.disk_blocks(id));
-        assert!(s.disk_blocks(PunctId(1)));
-        assert!(s.disk_blocks(PunctId(5)));
+        assert_eq!(id.0, 0);
+        assert_eq!(s.disk_blocks_from(), 1);
     }
 
     #[test]
@@ -384,9 +491,9 @@ mod tests {
         let bucket = s.store.insert(rec(7, 0));
         let mut w = Work::ZERO;
         s.spill_bucket(bucket, 5, &mut w);
-        assert!(s.disk_blocks(PunctId(3)));
+        assert_eq!(s.disk_blocks_from(), 0);
         s.store.clear_disk(bucket);
         s.disk_watermark[bucket] = u64::MAX;
-        assert!(!s.disk_blocks(PunctId(3)));
+        assert_eq!(s.disk_blocks_from(), u64::MAX);
     }
 }

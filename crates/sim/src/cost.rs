@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 pub struct Work {
     /// Hash computations over join keys.
     pub hashes: u64,
-    /// Key-index lookups (one per keyed probe or keyed purge step).
+    /// Key-index lookups (one per keyed probe, and one per closed value
+    /// of a keyed purge or keyed index build).
     pub key_lookups: u64,
     /// Stored tuples examined while probing a bucket.
     pub probe_cmps: u64,
@@ -29,7 +30,9 @@ pub struct Work {
     pub purge_scanned: u64,
     /// Tuples actually removed by purge.
     pub purged: u64,
-    /// Pattern evaluations performed by punctuation-index building.
+    /// Pattern evaluations performed by punctuation-index building: per
+    /// candidate of a keyed build, per tuple and new punctuation of a
+    /// scanning one.
     pub index_evals: u64,
     /// Punctuations ingested (bookkeeping overhead per punctuation).
     pub puncts_processed: u64,

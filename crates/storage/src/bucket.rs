@@ -180,6 +180,20 @@ impl<R> Bucket<R> {
         extracted
     }
 
+    /// Mutably visits the records matching `tag` — the in-place
+    /// counterpart of [`extract_tag`](Bucket::extract_tag): the same
+    /// [`scan_tags`](ProbeKernel::scan_tags) hits in ascending slot
+    /// order, record data touched only on a tag hit. Sentinel tags match
+    /// nothing. Mutations must not change a record's join key (see
+    /// [`iter_mut`](Bucket::iter_mut)).
+    pub fn for_each_tag_mut(&mut self, tag: u64, mut f: impl FnMut(&mut R)) {
+        let mut hits = Vec::new();
+        ProbeKernel::selected().scan_tags(&self.tags, tag, &mut hits);
+        for i in hits {
+            f(self.slots[i as usize].as_mut().expect("tagged slot holds a record"));
+        }
+    }
+
     /// Removes and returns every record satisfying `pred`, freeing
     /// slots. Occupied slots are found by kernel occupancy masks, so
     /// hole-heavy slabs skip whole windows of free slots.
@@ -548,6 +562,30 @@ mod tests {
         assert_eq!(got, vec![1, 3]);
         assert_eq!(examined, 2, "non-matching tags must not be examined");
         assert_eq!(b.memory_len(), 1);
+    }
+
+    #[test]
+    fn for_each_tag_mut_visits_only_matching_records() {
+        let mut b = Bucket::new();
+        // More than one scan window, with a hole in the first.
+        for v in 0..150u32 {
+            b.push_tagged(v, tag((v % 3) as i64));
+        }
+        b.extract_tag(tag(1), |v| *v == 4);
+        let mut visited = Vec::new();
+        b.for_each_tag_mut(tag(1), |v| {
+            visited.push(*v);
+            *v += 1000;
+        });
+        let expected: Vec<u32> = (0..150).filter(|v| v % 3 == 1 && *v != 4).collect();
+        assert_eq!(visited, expected);
+        assert_eq!(b.probe_tag(tag(1)).filter(|v| **v >= 1000).count(), expected.len());
+        assert!(b.probe_tag(tag(0)).all(|v| *v < 1000));
+        let mut sentinel_hits = 0;
+        b.push(7); // unkeyed
+        b.for_each_tag_mut(TAG_UNKEYED, |_| sentinel_hits += 1);
+        b.for_each_tag_mut(TAG_FREE, |_| sentinel_hits += 1);
+        assert_eq!(sentinel_hits, 0);
     }
 
     #[test]

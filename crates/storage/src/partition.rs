@@ -347,6 +347,25 @@ impl<R: Record> PartitionedStore<R> {
         extracted
     }
 
+    /// Mutably visits the memory-resident records whose join key
+    /// `join_eq`s `key`, located like
+    /// [`extract_memory_keyed`](Self::extract_memory_keyed): one bucket,
+    /// record data examined only on a tag hit, `f` called only for the
+    /// true `join_eq` candidates. Mutations must not change a record's
+    /// join key.
+    pub fn for_each_memory_keyed_mut(&mut self, key: &Value, mut f: impl FnMut(&mut R)) {
+        let Some(hash) = key.join_hash() else {
+            return;
+        };
+        let idx = self.bucket_of_hash(Some(hash));
+        let attr = self.config.join_attr;
+        self.buckets[idx].for_each_tag_mut(tag_of_hash(Some(hash)), |r| {
+            if r.tuple().get(attr).is_some_and(|v| v.join_eq(key)) {
+                f(r);
+            }
+        });
+    }
+
     /// Purge scan over one bucket's memory portion: keeps records
     /// satisfying `keep`. Returns `(scanned, removed)`.
     pub fn retain_memory_bucket(
@@ -758,6 +777,28 @@ mod tests {
         // intact.
         assert!(s.extract_memory_keyed(&Value::Int(3), |_| false).is_empty());
         assert_eq!(s.probe_memory_keyed_len(&Value::Int(3)), 5);
+    }
+
+    #[test]
+    fn for_each_memory_keyed_mut_visits_the_join_eq_class() {
+        let mut s: PartitionedStore<Tuple> = store(4);
+        for k in 0..30i64 {
+            s.insert(Tuple::of((k % 6, 0i64)));
+        }
+        s.insert(Tuple::of((Value::Float(2.0), Value::Int(0))));
+        let mut seen = 0;
+        s.for_each_memory_keyed_mut(&Value::Int(2), |r| {
+            seen += 1;
+            // Payload mutation only: the join key must stay put.
+            *r = Tuple::of((r.get(0).unwrap().clone(), Value::Int(1)));
+        });
+        assert_eq!(seen, 6, "five Int(2) and the join-equal Float(2.0)");
+        let mut marked = 0;
+        s.for_each_memory(|r| marked += usize::from(r.get(1) == Some(&Value::Int(1))));
+        assert_eq!(marked, 6);
+        assert_eq!(s.memory_tuples(), 31);
+        s.for_each_memory_keyed_mut(&Value::Int(77), |_| panic!("absent key"));
+        s.for_each_memory_keyed_mut(&Value::Null, |_| panic!("null never joins"));
     }
 
     #[test]

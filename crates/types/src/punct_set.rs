@@ -366,12 +366,49 @@ impl PunctuationSet {
             .map(|e| (e.id, &e.punctuation))
     }
 
-    /// Iterates over live punctuations with `id > after`, in arrival order.
-    pub fn iter_after(&self, after: PunctId) -> impl Iterator<Item = (PunctId, &Punctuation)> {
-        self.entries
+    /// Iterates over live punctuations with `id >= since`, in arrival
+    /// order, touching only those entries: ids are dense, so `since` is
+    /// the slice offset.
+    pub fn iter_from(&self, since: u64) -> impl Iterator<Item = (PunctId, &Punctuation)> {
+        let len = self.entries.len();
+        let start = usize::try_from(since).map_or(len, |s| s.min(len));
+        debug_assert!(
+            start == len || self.entries[start].id.0 as usize == start,
+            "ids are dense: entries[i].id == i"
+        );
+        self.entries[start..]
             .iter()
-            .filter(move |e| !e.removed && e.id > after)
+            .filter(|e| !e.removed)
             .map(|e| (e.id, &e.punctuation))
+    }
+
+    /// The id the constant index holds for join value `v`: the first
+    /// punctuation closing exactly `v`, unless a removal interleaved
+    /// with duplicates dropped it (see `duplicate_constants_keep_first_id`).
+    pub fn constant_id(&self, v: &Value) -> Option<PunctId> {
+        self.constants.get(v).copied()
+    }
+
+    /// The join values under which [`set_match`](Self::set_match)'s point
+    /// indexes find punctuation `id`: the closed value of a constant that
+    /// owns its slot in the constant index, the members of an
+    /// enumeration, nothing for `Empty` or a constant shadowed by an
+    /// earlier duplicate. `None` when the punctuation is found by a range
+    /// stab or the linear scan instead (or `id` is unknown or removed).
+    ///
+    /// A tuple can have `id` as a `set_match` candidate only if its join
+    /// value *equals* one of these, which lets an index build visit the
+    /// tuples stored under each value instead of every tuple.
+    pub fn point_values(&self, id: PunctId) -> Option<&[Value]> {
+        let entry = self.entries.get(id.0 as usize).filter(|e| !e.removed)?;
+        match entry.punctuation.pattern(self.attr)? {
+            Pattern::Constant(v) if self.constants.get(v) == Some(&id) => {
+                Some(std::slice::from_ref(v))
+            }
+            Pattern::Constant(_) | Pattern::Empty => Some(&[]),
+            Pattern::In(vs) => Some(vs),
+            Pattern::Range { .. } | Pattern::Wildcard => None,
+        }
     }
 
     fn entry_matches(&self, id: PunctId, t: &Tuple) -> bool {
@@ -546,8 +583,36 @@ mod tests {
         ps.remove(b);
         let ids: Vec<PunctId> = ps.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![a, c]);
-        let ids: Vec<PunctId> = ps.iter_after(a).map(|(id, _)| id).collect();
+        let ids: Vec<PunctId> = ps.iter_from(b.0).map(|(id, _)| id).collect();
         assert_eq!(ids, vec![c]);
+        assert_eq!(ps.iter_from(0).count(), 2);
+        assert_eq!(ps.iter_from(3).count(), 0);
+        assert_eq!(ps.iter_from(u64::MAX).count(), 0);
+    }
+
+    #[test]
+    fn point_values_mirror_the_point_indexes() {
+        let mut ps = PunctuationSet::new(0);
+        let first = ps.insert(close(9));
+        let dup = ps.insert(close(9));
+        let list = ps.insert(Punctuation::on_attr(
+            2,
+            0,
+            Pattern::enumeration(vec![Value::Int(1), Value::Int(3)]),
+        ));
+        let empty = ps.insert(Punctuation::on_attr(2, 0, Pattern::Empty));
+        let range = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
+        let other_attr = ps.insert(Punctuation::close_value(2, 1, 5i64));
+        assert_eq!(ps.constant_id(&Value::Int(9)), Some(first));
+        assert_eq!(ps.point_values(first), Some(&[Value::Int(9)][..]));
+        // The duplicate is not reachable through the constant index.
+        assert_eq!(ps.point_values(dup), Some(&[][..]));
+        assert_eq!(ps.point_values(list), Some(&[Value::Int(1), Value::Int(3)][..]));
+        assert_eq!(ps.point_values(empty), Some(&[][..]));
+        assert_eq!(ps.point_values(range), None);
+        assert_eq!(ps.point_values(other_attr), None, "wildcard on the join attribute");
+        assert_eq!(ps.point_values(PunctId(99)), None);
+        assert_eq!(ps.constant_id(&Value::Int(8)), None);
     }
 
     #[test]
