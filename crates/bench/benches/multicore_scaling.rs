@@ -28,16 +28,13 @@
 //!   aligner mutex, the only lock on the data path, bounded by the
 //!   punctuation count (never the tuple count).
 //!
-//! Two further axes ride along since the probe-kernel rework:
-//!
-//! * a **probe-threads sweep** (`PJOIN_PROBE_THREADS`-equivalent, 1/2/4
-//!   threads per shard at 2 shards) over the batched-probe fast path;
-//! * one recorded **tag-scan kernel sweep** (kernel x occupancy, from
-//!   `pjoin_bench::kernel_sweep` — shared with the `probe_kernel`
-//!   bench so this file stays the summary's single writer).
+//! One further axis rides along since the probe-kernel rework: one
+//! recorded **tag-scan kernel sweep** (kernel x occupancy, from
+//! `pjoin_bench::kernel_sweep` — shared with the `probe_kernel` bench so
+//! this file stays the summary's single writer).
 //!
 //! Results land in `BENCH_multicore.json`. On a single-core host the
-//! summary carries a `cores_warning`: the thread sweeps then price
+//! summary carries a `cores_warning`: the shard sweep then prices
 //! coordination overhead, not speedup.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -118,11 +115,6 @@ fn feed() -> Vec<(Side, Timestamped<StreamElement>)> {
     interleave_sides(&left.elements, &right.elements)
 }
 
-/// Probe-thread counts swept at [`PROBE_SWEEP_SHARDS`] shards over the
-/// batched-probe fast path.
-const PROBE_THREADS: [usize; 3] = [1, 2, 4];
-const PROBE_SWEEP_SHARDS: usize = 2;
-
 struct RunStats {
     outputs: usize,
     /// Result tuples among `outputs` — each one is exactly one heap
@@ -135,26 +127,10 @@ struct RunStats {
     acquisitions: u64,
 }
 
-/// The sharded config for one run. The probe-threads sweep disables
-/// on-the-fly dropping: that path falls back to per-element probing,
-/// which would bypass the probe pool entirely.
-fn run_config(shards: usize, probe_threads: usize) -> ExecConfig {
-    let join = PJoinConfig {
-        on_the_fly_drop: probe_threads == 1,
-        ..PJoinConfig::new(2, 2)
-    };
-    ExecConfig::new(shards, join)
-        .with_batch(BatchConfig::with_elems(BATCH))
-        .with_probe_threads(probe_threads)
-}
-
-fn run_once(
-    shards: usize,
-    probe_threads: usize,
-    feed: &[(Side, Timestamped<StreamElement>)],
-    count: bool,
-) -> RunStats {
-    let exec = ShardedPJoin::spawn(run_config(shards, probe_threads));
+fn run_once(shards: usize, feed: &[(Side, Timestamped<StreamElement>)], count: bool) -> RunStats {
+    let config = ExecConfig::new(shards, PJoinConfig::new(2, 2))
+        .with_batch(BatchConfig::with_elems(BATCH));
+    let exec = ShardedPJoin::spawn(config);
     if count {
         ALLOCS.store(0, Ordering::SeqCst);
         COUNTING.store(true, Ordering::SeqCst);
@@ -190,12 +166,7 @@ fn bench_multicore(c: &mut Criterion) {
     g.throughput(Throughput::Elements(feed.len() as u64));
     for shards in shard_counts() {
         g.bench_with_input(BenchmarkId::new("wall", shards), &shards, |b, &n| {
-            b.iter(|| black_box(run_once(n, 1, &feed, false)).outputs)
-        });
-    }
-    for threads in PROBE_THREADS {
-        g.bench_with_input(BenchmarkId::new("probe", threads), &threads, |b, &t| {
-            b.iter(|| black_box(run_once(PROBE_SWEEP_SHARDS, t, &feed, false)).outputs)
+            b.iter(|| black_box(run_once(n, &feed, false)).outputs)
         });
     }
     g.finish();
@@ -248,7 +219,7 @@ fn write_summary(c: &Criterion) {
     let mut rows = String::new();
     let mut baseline_row = String::new();
     for shards in shard_counts() {
-        let r = run_once(shards, 1, &feed, true);
+        let r = run_once(shards, &feed, true);
         let e = eps(format!("wall/{shards}"));
         if !rows.is_empty() {
             rows.push_str(",\n");
@@ -275,23 +246,6 @@ fn write_summary(c: &Criterion) {
         );
     }
 
-    let mut probe_rows = String::new();
-    for threads in PROBE_THREADS {
-        let r = run_once(PROBE_SWEEP_SHARDS, threads, &feed, true);
-        let e = eps(format!("probe/{threads}"));
-        if !probe_rows.is_empty() {
-            probe_rows.push_str(",\n");
-        }
-        let _ = write!(
-            probe_rows,
-            "    {{\"shards\": {PROBE_SWEEP_SHARDS}, \"probe_threads\": {}, \"batch\": {}, \"speedup_vs_1_thread\": {:.2}, {}}}",
-            threads,
-            BATCH,
-            if eps("probe/1".into()) > 0.0 { e / eps("probe/1".into()) } else { 0.0 },
-            row_fields(&r, elements, e),
-        );
-    }
-
     println!("recording tag-scan kernel sweep…");
     let kernel_rows = sweep_json_rows(&probe_kernel_sweep(20_000_000));
 
@@ -299,11 +253,10 @@ fn write_summary(c: &Criterion) {
         baseline_row = "BENCH_batch.json baseline unavailable".into();
     }
     let json = format!(
-        "{{\n  \"bench\": \"multicore_scaling\",\n  {}\n  \"batch\": {BATCH},\n  \"note\": \"wall-clock elements/s of the in-process pipeline vs shard count, same workload as BENCH_batch.json's in_process lane. Before/after at equal shards and batch, PR-5 batch bench vs this run: {}. allocs_per_element counts every heap allocation push->finish, split by the single-allocation-concat invariant: output_path is one allocation per result tuple (~8.7 per input here, irreducible), probe_path is everything else (routing, staging, probe, state and punctuation machinery) — the share whose no-match steady state the hotpath_allocs gate holds under 0.25 at any shard count; here it also carries purge and punctuation-alignment work, so ~1 per element on this match- and punctuation-heavy workload. mutex_acquisitions_per_element counts the shared aligner mutex, the data path's only lock, acquired at punctuation granularity only. probe_thread_measurements sweep the per-shard parallel probe over the batched fast path (on_the_fly_drop off, hence the different output count); outputs are bit-compatible across thread counts. probe_kernels is one recorded tag-scan sweep (see crates/bench/src/kernel_sweep.rs), shared with the probe_kernel bench; the acceptance bar is >= 1.5x over scalar at 10k+ occupancy for the best supported kernel. With cores=1 the thread sweeps cannot show wall-clock speedup; the scaling shape is meaningful on multicore hosts\",\n  \"measurements\": [\n{}\n  ],\n  \"probe_thread_measurements\": [\n{}\n  ],\n  \"probe_kernels\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"multicore_scaling\",\n  {}\n  \"batch\": {BATCH},\n  \"note\": \"wall-clock elements/s of the in-process pipeline vs shard count, same workload as BENCH_batch.json's in_process lane. Before/after at equal shards and batch, PR-5 batch bench vs this run: {}. allocs_per_element counts every heap allocation push->finish, split by the single-allocation-concat invariant: output_path is one allocation per result tuple (~8.7 per input here, irreducible), probe_path is everything else (routing, staging, probe, state and punctuation machinery) — the share whose no-match steady state the hotpath_allocs gate holds under 0.25 at any shard count; here it also carries purge and punctuation-alignment work, so ~1 per element on this match- and punctuation-heavy workload. mutex_acquisitions_per_element counts the shared aligner mutex, the data path's only lock, acquired at punctuation granularity only. probe_kernels is one recorded tag-scan sweep (see crates/bench/src/kernel_sweep.rs), shared with the probe_kernel bench; the acceptance bar is >= 1.5x over scalar at 10k+ occupancy for the best supported kernel. With cores=1 the shard sweep cannot show wall-clock speedup; the scaling shape is meaningful on multicore hosts\",\n  \"measurements\": [\n{}\n  ],\n  \"probe_kernels\": [\n{}\n  ]\n}}\n",
         cores_json_fields(true),
         baseline_row,
         rows,
-        probe_rows,
         kernel_rows,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_multicore.json");

@@ -6,8 +6,8 @@
 //! packed tag array. The data-parallel kernels reduce 64-tag windows to
 //! a `u64` match bitmask and pop hits with `trailing_zeros`, so their
 //! advantage grows with occupancy; the acceptance bar for the rework is
-//! >= 1.5x over the scalar reference at 10k+ occupancy for the best
-//! kernel the host supports.
+//! at least 1.5x over the scalar reference at 10k+ occupancy for the
+//! best kernel the host supports.
 //!
 //! The criterion sweep below is for interactive display. The recorded
 //! numbers live in `BENCH_multicore.json`, written by the

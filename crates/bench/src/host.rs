@@ -2,9 +2,9 @@
 //!
 //! Every `BENCH_*.json` header records the core count the numbers were
 //! taken on, because several benches sweep a parallelism axis (shards,
-//! probe threads, cluster workers) whose wall-clock shape is
-//! meaningless on a single-core host: the sweep then prices
-//! coordination overhead, not speedup. Scaling benches additionally
+//! cluster workers) whose wall-clock shape is meaningless on a
+//! single-core host: the sweep then prices coordination overhead, not
+//! speedup. Scaling benches additionally
 //! stamp a `"cores_warning"` field and print a loud warning so a
 //! single-core recording can never masquerade as a scaling result.
 

@@ -60,11 +60,12 @@ pub fn build_tags(occupancy: usize, seed: u64) -> (Vec<u64>, u64) {
     let tags = (0..occupancy)
         .map(|_| {
             let r = next(&mut state);
-            if r % MATCH_ONE_IN == 0 {
+            let (matched, hole, unkeyed) = (r % MATCH_ONE_IN, r % HOLE_ONE_IN, r % UNKEYED_ONE_IN);
+            if matched == 0 {
                 probe
-            } else if r % HOLE_ONE_IN == 1 {
+            } else if hole == 1 {
                 TAG_FREE
-            } else if r % UNKEYED_ONE_IN == 2 {
+            } else if unkeyed == 2 {
                 TAG_UNKEYED
             } else {
                 tag_of_hash(Some(r))
@@ -150,8 +151,8 @@ mod tests {
         let matches = tags.iter().filter(|&&t| t == probe).count();
         assert!(matches > 0, "probe tag must appear");
         assert!(matches < tags.len() / 64, "matches stay sparse");
-        assert!(tags.iter().any(|&t| t == TAG_FREE));
-        assert!(tags.iter().any(|&t| t == TAG_UNKEYED));
+        assert!(tags.contains(&TAG_FREE));
+        assert!(tags.contains(&TAG_UNKEYED));
         // Deterministic across calls.
         assert_eq!(tags, build_tags(10_000, 1).0);
     }

@@ -112,15 +112,6 @@ pub struct PJoinConfig {
     /// Tracing and latency-histogram recording. Off by default: every
     /// hook is then a single-branch no-op and nothing is allocated.
     pub trace: TraceSettings,
-    /// Threads the read-only probe phase of the batched memory join runs
-    /// on, *including* the operator's own thread. `1` (the default) is
-    /// the serial path; `n > 1` spawns `n - 1` long-lived probe workers
-    /// at construction that split each batch's phase-1 probe across
-    /// contiguous slices of the bucket-sorted probe order. Output
-    /// sequences are bit-compatible with the serial path at any setting
-    /// (the per-worker scratch is merged back in probe order). In the
-    /// sharded executor this is a *per-shard* thread count.
-    pub probe_threads: usize,
 }
 
 impl PJoinConfig {
@@ -144,7 +135,6 @@ impl PJoinConfig {
             on_the_fly_drop: true,
             window_us: None,
             trace: TraceSettings::default(),
-            probe_threads: 1,
         }
     }
 
@@ -157,13 +147,6 @@ impl PJoinConfig {
     /// capacity).
     pub fn with_tracing(mut self) -> PJoinConfig {
         self.trace = TraceSettings::enabled();
-        self
-    }
-
-    /// The same configuration with the probe phase split across
-    /// `threads` threads (min 1; 1 = serial).
-    pub fn with_probe_threads(mut self, threads: usize) -> PJoinConfig {
-        self.probe_threads = threads.max(1);
         self
     }
 }

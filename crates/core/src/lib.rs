@@ -55,6 +55,8 @@
 //! assert_eq!(join.state_tuples(), 1); // only the right tuple remains
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod components;
 pub mod config;
@@ -62,7 +64,6 @@ pub mod dedup;
 pub mod framework;
 pub mod nary;
 pub mod operator;
-pub(crate) mod probe_pool;
 pub mod punctuation_index;
 pub mod record;
 pub mod runtime;

@@ -14,7 +14,6 @@ use crate::dedup::DiskDiskMark;
 use crate::framework::{
     Component, EventKind, FrameworkProfile, Monitor, MonitorSnapshot, Registry,
 };
-use crate::probe_pool::{probe_slice, ProbePool, ProbeScratch};
 use crate::record::{Instant, PRecord};
 use crate::state::JoinState;
 
@@ -42,6 +41,9 @@ pub struct PJoinStats {
     pub disk_join_runs: u64,
     /// State relocations (bucket spills).
     pub relocations: u64,
+    /// Malformed elements dropped at ingest: tuples too short to carry
+    /// the join attribute and punctuations of the wrong width.
+    pub malformed_dropped: u64,
 }
 
 impl std::ops::Add for PJoinStats {
@@ -58,6 +60,7 @@ impl std::ops::Add for PJoinStats {
             puncts_propagated: self.puncts_propagated + rhs.puncts_propagated,
             disk_join_runs: self.disk_join_runs + rhs.disk_join_runs,
             relocations: self.relocations + rhs.relocations,
+            malformed_dropped: self.malformed_dropped + rhs.malformed_dropped,
         }
     }
 }
@@ -173,22 +176,6 @@ impl OpTrace {
     }
 }
 
-/// Reusable scratch for the batched memory join ([`PJoin::on_tuple_batch`]):
-/// the two-phase probe collects matches here so no per-batch allocation
-/// survives past warm-up.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Probe order: batch indices sorted by destination bucket, so the
-    /// phase-1 probe walks each bucket's records while they are hot.
-    order: Vec<u32>,
-    /// Phase-1 probe results (flat matches + per-index triples into
-    /// them), shared with the probe pool's workers.
-    probe: ProbeScratch,
-    /// Per-batch-index `(start, end)` range into `probe.matches`,
-    /// rebuilt from the triples after phase 1.
-    ranges: Vec<(u32, u32)>,
-}
-
 /// The PJoin operator. See the crate docs for the high-level design and
 /// [`PJoinBuilder`](crate::PJoinBuilder) for ergonomic construction.
 pub struct PJoin {
@@ -210,11 +197,6 @@ pub struct PJoin {
     end_phase: EndPhase,
     /// Tracing, latency histograms and framework profiling.
     obs: OpTrace,
-    /// Batched-probe scratch (empty unless `on_tuple_batch` is used).
-    scratch: BatchScratch,
-    /// Long-lived phase-1 probe workers (`config.probe_threads - 1`
-    /// threads; `None` when the configuration is serial).
-    probe_pool: Option<ProbePool>,
 }
 
 impl PJoin {
@@ -277,9 +259,6 @@ impl PJoin {
             now: Timestamp::ZERO,
             end_phase: EndPhase::NotStarted,
             obs: OpTrace::new(&config),
-            scratch: BatchScratch::default(),
-            probe_pool: (config.probe_threads > 1)
-                .then(|| ProbePool::new(config.probe_threads - 1)),
             config,
         }
     }
@@ -405,28 +384,12 @@ impl PJoin {
     /// the sliding-window extension (§6), tuple invalidation by window is
     /// "performed in combination with the state probing": the expired
     /// prefix of the probed (and insertion) bucket is dropped first.
-    fn handle_tuple(&mut self, side: Side, tuple: Tuple, out: &mut OpOutput) {
-        let attr = match side {
-            Side::Left => self.a.join_attr,
-            Side::Right => self.b.join_attr,
-        };
-        // The single hashing site of the unbatched path: every bucket
-        // decision below reuses this hash via `bucket_of_hash`.
-        let hash = tuple.get(attr).and_then(punct_types::Value::join_hash);
-        self.handle_tuple_hashed(side, tuple, hash, out);
-    }
-
-    /// [`handle_tuple`](Self::handle_tuple) with the join hash already
-    /// computed ([`punct_types::Value::join_hash`] of the join attribute;
-    /// `None` for unjoinable keys). The sharded router computes it once
-    /// per tuple and carries it here — no hashing happens downstream.
-    fn handle_tuple_hashed(
-        &mut self,
-        side: Side,
-        tuple: Tuple,
-        hash: Option<u64>,
-        out: &mut OpOutput,
-    ) {
+    ///
+    /// `hash` is the join hash ([`punct_types::Value::join_hash`] of the
+    /// join attribute; `None` for unjoinable keys), computed once by the
+    /// caller — every bucket decision below reuses it via
+    /// `bucket_of_hash`, so no hashing happens here.
+    fn handle_tuple(&mut self, side: Side, tuple: Tuple, hash: Option<u64>, out: &mut OpOutput) {
         let t = self.next_instant();
         let now_us = self.now.as_micros();
         let on_the_fly = self.config.on_the_fly_drop;
@@ -440,11 +403,11 @@ impl PJoin {
             Side::Left => (&mut self.a, &mut self.b),
             Side::Right => (&mut self.b, &mut self.a),
         };
-        own.newest_ats = t;
-        if tuple.get(own.join_attr).is_none() {
-            debug_assert!(false, "tuple without join attribute");
+        let Some(key) = tuple.get(own.join_attr) else {
+            stats.malformed_dropped += 1;
             return;
-        }
+        };
+        own.newest_ats = t;
         work.hashes += 1;
         // Both stores share the bucket count, so the carried hash maps to
         // the same bucket on either side.
@@ -462,7 +425,6 @@ impl PJoin {
         // hash is a superset filter (collisions, and e.g. `-0.0` and
         // `0.0` share a hash but are not join-equal under `total_cmp`).
         let opp_attr = opp.join_attr;
-        let key = tuple.get(own.join_attr).expect("checked above");
         work.key_lookups += 1;
         for rec in opp.store.probe_bucket_hashed(bucket, hash) {
             work.probe_cmps += 1;
@@ -523,12 +485,7 @@ impl PJoin {
         let matched_pair_mode = self.config.propagation == PropagationTrigger::MatchedPair;
         let (own, opp) = self.split(side);
         if p.width() != own.width {
-            debug_assert!(
-                false,
-                "punctuation width {} != stream width {}",
-                p.width(),
-                own.width
-            );
+            self.stats.malformed_dropped += 1;
             return;
         }
         let matched = matched_pair_mode
@@ -785,6 +742,16 @@ impl PJoin {
         );
     }
 
+    /// The join hash of `tuple`'s join attribute on `side` — the one
+    /// hashing site for callers that did not route by it.
+    fn join_hash(&self, side: Side, tuple: &Tuple) -> Option<u64> {
+        let attr = match side {
+            Side::Left => self.a.join_attr,
+            Side::Right => self.b.join_attr,
+        };
+        tuple.get(attr).and_then(punct_types::Value::join_hash)
+    }
+
     /// [`BinaryStreamOp::on_element`] with the join hash already computed
     /// upstream (`None` for punctuations and unjoinable keys). This is
     /// the carried-hash entry point of the sharded executor: the router
@@ -800,156 +767,15 @@ impl PJoin {
     ) {
         self.now = self.now.max(ts);
         match element {
-            StreamElement::Tuple(t) => self.handle_tuple_hashed(side, t, hash, out),
+            StreamElement::Tuple(t) => {
+                debug_assert_eq!(hash, self.join_hash(side, &t), "carried hash is stale");
+                self.handle_tuple(side, t, hash, out);
+            }
             StreamElement::Punctuation(p) => self.handle_punctuation(side, p, out),
         }
+        // Disk joins are not scheduled inline with arrivals — they run in
+        // idle slots (§3.2) or at stream end.
         self.dispatch(false, out);
-    }
-
-    /// Batched memory join over a *same-side, punctuation-free run* of
-    /// tuples: phase 1 probes every tuple against the opposite store in
-    /// bucket-sorted order (cache locality, reusable scratch), phase 2
-    /// applies them in arrival order — emit matches, insert, dispatch —
-    /// so component scheduling cadence and output order match per-element
-    /// execution.
-    ///
-    /// Each entry carries the tuple, its timestamp, and its precomputed
-    /// join hash ([`punct_types::Value::join_hash`]; `None` = unjoinable).
-    ///
-    /// Why the two-phase split is safe: within a same-side run, inserts
-    /// go to the *own* store and probes read the *opposite* store, so
-    /// in-run inserts cannot affect in-run probes. Instants for the whole
-    /// run are assigned up front, so state relocated by a mid-run
-    /// component run departs after every tuple's arrival instant and the
-    /// disk-join dedup treats the phase-1 probes as already performed.
-    /// Sliding-window expiry and on-the-fly drops *do* read state mutated
-    /// between elements, so those configurations (and trivial batches)
-    /// fall back to per-element execution.
-    pub fn on_tuple_batch(
-        &mut self,
-        side: Side,
-        batch: &mut Vec<(Tuple, Timestamp, Option<u64>)>,
-        out: &mut OpOutput,
-    ) {
-        if batch.len() <= 1 || self.config.window_us.is_some() || self.config.on_the_fly_drop {
-            for (tuple, ts, hash) in batch.drain(..) {
-                self.now = self.now.max(ts);
-                self.handle_tuple_hashed(side, tuple, hash, out);
-                self.dispatch(false, out);
-            }
-            return;
-        }
-
-        let n = batch.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.order.clear();
-        scratch.probe.clear();
-        scratch.ranges.clear();
-        scratch.ranges.resize(n, (0, 0));
-
-        // Instants for the whole run, assigned up front (see above).
-        let base: Instant = self.instant;
-        self.instant += n as Instant;
-        let trace_on = self.obs.tracer.enabled();
-
-        // Phase 1: probe in bucket order — serially, or split across the
-        // probe pool (bit-compatible either way; see `probe_pool`).
-        let probe_span = trace_on.then(|| self.obs.tracer.span_start());
-        let probe_threads = {
-            let (own, opp) = match side {
-                Side::Left => (&self.a, &self.b),
-                Side::Right => (&self.b, &self.a),
-            };
-            let own_attr = own.join_attr;
-            let opp_attr = opp.join_attr;
-            scratch.order.extend(0..n as u32);
-            let store = &opp.store;
-            scratch
-                .order
-                .sort_unstable_by_key(|&i| store.bucket_of_hash(batch[i as usize].2));
-            let threads = match &mut self.probe_pool {
-                Some(pool) => pool.probe(
-                    store,
-                    batch,
-                    &scratch.order,
-                    own_attr,
-                    opp_attr,
-                    &mut scratch.probe,
-                ),
-                None => {
-                    probe_slice(
-                        store,
-                        batch,
-                        &scratch.order,
-                        own_attr,
-                        opp_attr,
-                        &mut scratch.probe,
-                    );
-                    1
-                }
-            };
-            let c = &scratch.probe.counters;
-            self.work.hashes += c.keyed;
-            self.work.key_lookups += c.keyed;
-            self.work.probe_cmps += c.probe_cmps;
-            self.work.outputs += c.outputs;
-            for &(i, lo, hi) in &scratch.probe.triples {
-                scratch.ranges[i as usize] = (lo, hi);
-            }
-            threads
-        };
-        if let Some(start) = probe_span {
-            self.obs.tracer.span_end(
-                start,
-                TraceKind::ProbePhase,
-                self.now.as_micros(),
-                n as u64,
-                probe_threads as u64,
-            );
-        }
-
-        // Phase 2: apply in arrival order, *moving* each tuple into the
-        // store (the router handed the batch over by value — no clone
-        // anywhere on the router→shard→store path).
-        for (i, (tuple, ts, hash)) in batch.drain(..).enumerate() {
-            self.now = self.now.max(ts);
-            let now_us = self.now.as_micros();
-            let t = base + i as Instant;
-            {
-                let work = &mut self.work;
-                let obs = &mut self.obs;
-                let own = match side {
-                    Side::Left => &mut self.a,
-                    Side::Right => &mut self.b,
-                };
-                own.newest_ats = t;
-                if tuple.get(own.join_attr).is_none() {
-                    debug_assert!(false, "tuple without join attribute");
-                } else {
-                    let (lo, hi) = scratch.ranges[i];
-                    let mut matches = 0u64;
-                    for (partner, arrival_us) in &scratch.probe.matches[lo as usize..hi as usize] {
-                        if trace_on {
-                            matches += 1;
-                            obs.latencies
-                                .tuple_emit
-                                .record(now_us.saturating_sub(*arrival_us));
-                        }
-                        match side {
-                            Side::Left => out.push(tuple.concat(partner)),
-                            Side::Right => out.push(partner.concat(&tuple)),
-                        }
-                    }
-                    own.insert_hashed(PRecord::arriving_at(tuple, t, now_us), hash);
-                    work.inserts += 1;
-                    if trace_on {
-                        obs.note_memory_join(matches);
-                    }
-                }
-            }
-            self.dispatch(false, out);
-        }
-        self.scratch = scratch;
     }
 }
 
@@ -961,14 +787,11 @@ impl BinaryStreamOp for PJoin {
         ts: Timestamp,
         out: &mut OpOutput,
     ) {
-        self.now = self.now.max(ts);
-        match element {
-            StreamElement::Tuple(t) => self.handle_tuple(side, t, out),
-            StreamElement::Punctuation(p) => self.handle_punctuation(side, p, out),
-        }
-        // Disk joins are not scheduled inline with arrivals — they run in
-        // idle slots (§3.2) or at stream end.
-        self.dispatch(false, out);
+        let hash = match &element {
+            StreamElement::Tuple(t) => self.join_hash(side, t),
+            StreamElement::Punctuation(_) => None,
+        };
+        self.on_element_prehashed(side, element, ts, hash, out);
     }
 
     fn on_idle(&mut self, now: Timestamp, out: &mut OpOutput) -> bool {
@@ -1122,10 +945,8 @@ impl PJoin {
     /// duplicate those results.
     pub fn import_record(&mut self, side: Side, tuple: Tuple, arrival_us: u64) {
         let t = self.next_instant();
+        let hash = self.join_hash(side, &tuple);
         let (own, _) = self.split(side);
-        let hash = tuple
-            .get(own.join_attr)
-            .and_then(punct_types::Value::join_hash);
         own.newest_ats = t;
         own.insert_hashed(PRecord::arriving_at(tuple, t, arrival_us), hash);
         self.work.inserts += 1;

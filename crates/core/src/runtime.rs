@@ -129,11 +129,8 @@ impl PJoinRuntime {
             .expect("worker alive while runtime handle exists");
     }
 
-    /// Feeds many elements with one channel send: the worker groups
-    /// same-side punctuation-free runs and joins them through the batched
-    /// probe ([`PJoin::on_tuple_batch`]), so both the channel cost and
-    /// the per-element probe overhead are amortized. Semantics are
-    /// identical to pushing the elements one by one.
+    /// Feeds many elements with one channel send, amortizing the channel
+    /// cost. Semantics are identical to pushing the elements one by one.
     pub fn push_batch(&self, items: Vec<(Side, Timestamped<StreamElement>)>) {
         if items.is_empty() {
             return;
@@ -220,10 +217,8 @@ fn worker(
     output_tx: Sender<Timestamped<StreamElement>>,
     metrics: Arc<Mutex<RuntimeMetrics>>,
 ) -> PJoinStats {
-    let join_attrs = [config.join_attr_a, config.join_attr_b];
     let mut join = PJoin::new(config);
     let mut out = OpOutput::new();
-    let mut run: Vec<(punct_types::Tuple, Timestamp, Option<u64>)> = Vec::new();
     let mut last_ts = Timestamp::ZERO;
     let mut emitted = 0u64;
     let mut consumed = 0u64;
@@ -237,34 +232,13 @@ fn worker(
                 consumed += 1;
             }
             Ok(Input::Batch(items)) => {
-                consumed += items.len() as u64;
-                // Group same-side punctuation-free runs for the batched
-                // probe; punctuations flush the open run so ordering is
-                // element-for-element identical to per-element pushes.
-                let mut run_side = Side::Left;
+                // One channel receive, then exactly the `Element` arm per
+                // item, so outputs carry the same timestamps either way.
                 for (side, e) in items {
                     last_ts = last_ts.max(e.ts);
-                    match e.item {
-                        StreamElement::Tuple(t) => {
-                            if side != run_side && !run.is_empty() {
-                                join.on_tuple_batch(run_side, &mut run, &mut out);
-                            }
-                            run_side = side;
-                            let attr = join_attrs[usize::from(side == Side::Right)];
-                            let hash =
-                                t.get(attr).and_then(punct_types::Value::join_hash);
-                            run.push((t, e.ts, hash));
-                        }
-                        punct => {
-                            if !run.is_empty() {
-                                join.on_tuple_batch(run_side, &mut run, &mut out);
-                            }
-                            join.on_element_prehashed(side, punct, e.ts, None, &mut out);
-                        }
-                    }
-                }
-                if !run.is_empty() {
-                    join.on_tuple_batch(run_side, &mut run, &mut out);
+                    join.on_element(side, e.item, e.ts, &mut out);
+                    consumed += 1;
+                    flush(&mut out, last_ts, &output_tx, &mut emitted);
                 }
             }
             Ok(Input::RequestPropagation) => {

@@ -317,3 +317,31 @@ fn deterministic_across_runs() {
     assert_eq!(s1.total_work, s2.total_work);
     assert_eq!(op1.stats(), op2.stats());
 }
+
+/// A tuple too short to carry the join attribute and a punctuation of
+/// the wrong width are counted drops — no panic in a debug build, no
+/// effect on the result — identically in debug and release.
+#[test]
+fn malformed_elements_are_counted_drops() {
+    let (left, right) = workload(300, 8.0, 21);
+    let build = || PJoinBuilder::new(2, 2).eager_purge().propagate_every(3).build();
+    let mut clean = build();
+    let expected = run(&mut clean, &left, &right);
+
+    let mut dirty_left = left.clone();
+    let mid = dirty_left.len() / 2;
+    let ts = dirty_left[mid].ts;
+    let short = Tuple::new(Vec::new());
+    let wide = punct_types::Punctuation::close_value(3, 0, 1i64);
+    dirty_left.insert(mid, Timestamped::new(ts, wide.into()));
+    dirty_left.insert(mid, Timestamped::new(ts, short.into()));
+    let mut dirty = build();
+    let got = run(&mut dirty, &dirty_left, &right);
+
+    assert_eq!(got.outputs, expected.outputs);
+    assert_eq!(dirty.stats().malformed_dropped, 2, "one count per malformed element");
+    assert_eq!(clean.stats().malformed_dropped, 0);
+    let mut rest = *dirty.stats();
+    rest.malformed_dropped = 0;
+    assert_eq!(&rest, clean.stats(), "a drop must leave no other trace");
+}

@@ -202,7 +202,6 @@ proptest! {
         );
         // The free list survived as *behavior*: the next insert lands in
         // the same slot on both sides.
-        let mut original = original;
         for b in [&mut original, &mut decoded] {
             b.push(PRecord::arriving(Tuple::of((99i64, seq)), seq as u64));
         }
@@ -393,7 +392,6 @@ proptest! {
         prop_assert_eq!(decoded.pending_len(), aligner.pending_len());
         // Behavioral equivalence: drive both through the same exhaustive
         // observation schedule and require identical answers.
-        let mut aligner = aligner;
         for round in 0..2 {
             let _ = round;
             for i in 0..5 {

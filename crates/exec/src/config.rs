@@ -7,11 +7,6 @@ use punct_types::BatchConfig;
 /// shards that have propagated a punctuation in a `u64` bitmask.
 pub const MAX_SHARDS: usize = 64;
 
-/// Upper bound on per-shard probe threads — a sanity rail (64 threads
-/// *per shard* already oversubscribes any machine this runs on), not a
-/// structural limit like [`MAX_SHARDS`].
-pub const MAX_PROBE_THREADS: usize = 64;
-
 /// Default capacity (in messages) of the caller → router channel.
 pub const DEFAULT_INPUT_CAPACITY: usize = 1024;
 
@@ -96,23 +91,13 @@ pub struct ExecConfig {
     /// Merger → caller channel capacity, in output batches.
     pub output_capacity: usize,
     /// Elements accumulated per shard before the router flushes a batch.
+    /// Defaults to [`BatchConfig::from_env`]'s `max_elems`, so
+    /// `PJOIN_BATCH` tunes it without recompiling; `1` flushes every
+    /// element on its own.
     pub router_batch: usize,
     /// Bound (in elements) on the caller-side pending output buffer;
     /// see [`DEFAULT_PENDING_CAPACITY`].
     pub pending_capacity: usize,
-    /// Batching of the whole data path (router staging, shard-side run
-    /// grouping). Defaults to [`BatchConfig::from_env`], so `PJOIN_BATCH`
-    /// tunes it without recompiling; `PJOIN_BATCH=1` reproduces
-    /// per-element execution exactly.
-    pub batch: BatchConfig,
-    /// Threads the batched probe phase runs on **per shard** (the shard
-    /// thread plus `probe_threads - 1` long-lived workers). Default 1 =
-    /// today's serial behavior; `PJOIN_PROBE_THREADS` overrides it at
-    /// construction, and [`with_probe_threads`](Self::with_probe_threads)
-    /// overrides both. Applied to each shard's
-    /// [`PJoinConfig::probe_threads`] at spawn; outputs are
-    /// bit-compatible with the serial path at any setting.
-    pub probe_threads: usize,
 }
 
 impl ExecConfig {
@@ -129,10 +114,6 @@ impl ExecConfig {
                 max: MAX_SHARDS,
             });
         }
-        let batch = BatchConfig::from_env();
-        // Priority: PJOIN_PROBE_THREADS > the join config's own setting
-        // (default 1 = serial).
-        let probe_threads = probe_threads_from_env().unwrap_or_else(|| join.probe_threads.max(1));
         Ok(ExecConfig {
             shards,
             join,
@@ -141,10 +122,8 @@ impl ExecConfig {
             shard_capacity: DEFAULT_SHARD_CAPACITY,
             event_capacity: DEFAULT_EVENT_CAPACITY,
             output_capacity: DEFAULT_OUTPUT_CAPACITY,
-            router_batch: batch.max_elems,
+            router_batch: BatchConfig::from_env().max_elems,
             pending_capacity: DEFAULT_PENDING_CAPACITY,
-            batch,
-            probe_threads,
         })
     }
 
@@ -174,23 +153,15 @@ impl ExecConfig {
         self
     }
 
-    /// Overrides the batch config (and the router's flush threshold).
+    /// Overrides the router's flush threshold with `batch.max_elems`.
     pub fn with_batch(mut self, batch: BatchConfig) -> ExecConfig {
         self.router_batch = batch.max_elems;
-        self.batch = batch;
         self
     }
 
     /// Overrides the caller-side pending buffer bound (min 1 element).
     pub fn with_pending_capacity(mut self, capacity: usize) -> ExecConfig {
         self.pending_capacity = capacity.max(1);
-        self
-    }
-
-    /// Overrides the per-shard probe thread count (clamped to
-    /// `1..=MAX_PROBE_THREADS`), beating `PJOIN_PROBE_THREADS`.
-    pub fn with_probe_threads(mut self, threads: usize) -> ExecConfig {
-        self.probe_threads = threads.clamp(1, MAX_PROBE_THREADS);
         self
     }
 }
@@ -219,19 +190,6 @@ pub fn shards_from_env() -> Option<usize> {
         .parse::<usize>()
         .ok()
         .filter(|s| (1..=MAX_SHARDS).contains(s))
-}
-
-/// Reads the per-shard probe thread count from `PJOIN_PROBE_THREADS`,
-/// if set to a valid value in `1..=MAX_PROBE_THREADS`. Used by tests,
-/// benches and the CI probe matrix to parameterize runs without
-/// recompiling; `1` (and unset) is the serial probe path.
-pub fn probe_threads_from_env() -> Option<usize> {
-    std::env::var("PJOIN_PROBE_THREADS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|t| (1..=MAX_PROBE_THREADS).contains(t))
 }
 
 #[cfg(test)]
@@ -315,43 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_threads_env_and_builder_precedence() {
-        // No other test in this binary touches PJOIN_PROBE_THREADS, so
-        // the process-global environment mutation is safe here.
-        std::env::remove_var("PJOIN_PROBE_THREADS");
-        let c = ExecConfig::new(2, PJoinConfig::new(2, 2));
-        assert_eq!(c.probe_threads, 1, "serial probe is the default");
-
-        // The join config's own setting seeds the executor-level knob.
-        let seeded = ExecConfig::new(2, PJoinConfig::new(2, 2).with_probe_threads(3));
-        assert_eq!(seeded.probe_threads, 3);
-
-        std::env::set_var("PJOIN_PROBE_THREADS", "4");
-        assert_eq!(probe_threads_from_env(), Some(4));
-        let from_env = ExecConfig::new(2, PJoinConfig::new(2, 2).with_probe_threads(3));
-        assert_eq!(from_env.probe_threads, 4, "env beats the join config");
-        assert_eq!(
-            from_env.with_probe_threads(2).probe_threads,
-            2,
-            "the builder beats the env"
-        );
-
-        // Invalid values are ignored (fall back to the join config).
-        std::env::set_var("PJOIN_PROBE_THREADS", "0");
-        assert_eq!(probe_threads_from_env(), None);
-        std::env::set_var("PJOIN_PROBE_THREADS", "not-a-number");
-        assert_eq!(probe_threads_from_env(), None);
-        assert_eq!(ExecConfig::new(2, PJoinConfig::new(2, 2)).probe_threads, 1);
-        std::env::remove_var("PJOIN_PROBE_THREADS");
-
-        // The builder clamps to the sanity rail.
-        let c = ExecConfig::new(2, PJoinConfig::new(2, 2)).with_probe_threads(0);
-        assert_eq!(c.probe_threads, 1);
-        let c = ExecConfig::new(2, PJoinConfig::new(2, 2)).with_probe_threads(1000);
-        assert_eq!(c.probe_threads, MAX_PROBE_THREADS);
-    }
-
-    #[test]
     fn pending_capacity_is_bounded_and_overridable() {
         let c = ExecConfig::new(2, PJoinConfig::new(2, 2));
         assert_eq!(c.pending_capacity, DEFAULT_PENDING_CAPACITY);
@@ -365,10 +286,8 @@ mod tests {
         let c = ExecConfig::new(2, PJoinConfig::new(2, 2))
             .with_batch(punct_types::BatchConfig::with_elems(7));
         assert_eq!(c.router_batch, 7);
-        assert_eq!(c.batch.max_elems, 7);
         let per_elem = ExecConfig::new(2, PJoinConfig::new(2, 2))
             .with_batch(punct_types::BatchConfig::per_element());
         assert_eq!(per_elem.router_batch, 1);
-        assert!(per_elem.batch.is_per_element());
     }
 }

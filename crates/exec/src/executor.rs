@@ -241,10 +241,7 @@ impl ShardedPJoin {
             shard_txs.push(tx);
             let metrics = Arc::new(ShardMetrics::new());
             shard_metrics.push(Arc::clone(&metrics));
-            // Each shard builds its own probe pool from the executor-level
-            // setting; the router's clone below keeps the default (it never
-            // probes).
-            let join_config = config.join.clone().with_probe_threads(config.probe_threads);
+            let join_config = config.join.clone();
             let events = event_tx.clone();
             let recycle = recycle_tx.clone();
             let slot = Arc::clone(&failure);

@@ -59,6 +59,8 @@
 //! assert_eq!(stats.total_stats().tuples_purged, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod config;
 pub mod error;
@@ -69,10 +71,7 @@ pub mod router;
 pub mod shard;
 
 pub use align::{AlignOutcome, Aligner, SharedAligner};
-pub use config::{
-    default_shards, probe_threads_from_env, shards_from_env, ExecConfig, ExecConfigError,
-    MAX_PROBE_THREADS, MAX_SHARDS,
-};
+pub use config::{default_shards, shards_from_env, ExecConfig, ExecConfigError, MAX_SHARDS};
 pub use error::ExecError;
 pub use executor::{ExecStats, ShardedPJoin};
 pub use merge::MergeReport;

@@ -166,7 +166,8 @@ pub struct RouterCounters {
     /// Punctuations broadcast to every shard.
     pub puncts_broadcast: AtomicU64,
     /// Punctuations dropped because their width does not match the side
-    /// schema (the single-threaded operator ignores these too).
+    /// schema (the single-threaded operator drops these too, counted in
+    /// `PJoinStats::malformed_dropped`).
     pub puncts_malformed: AtomicU64,
     /// Batches flushed to shard channels.
     pub batches: AtomicU64,
@@ -291,8 +292,8 @@ impl RouterState {
             }
             StreamElement::Punctuation(p) => {
                 if p.width() != self.side_width(side) {
-                    // The operator would debug-assert and ignore it; the
-                    // router drops it up front so no shard can propagate
+                    // The operator would count and drop it too; the
+                    // router does so up front so no shard can propagate
                     // a punctuation the aligner never registered.
                     self.counters.puncts_malformed.fetch_add(1, Ordering::Relaxed);
                     return;

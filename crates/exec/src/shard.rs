@@ -1,8 +1,10 @@
 //! The shard worker: one thread running an independent [`PJoin`] over a
 //! key subspace, mirroring the single-threaded runtime loop
-//! (`pjoin::runtime`): batches are joined as they arrive, idle slots run
-//! background work (disk joins, time-based propagation), and finish
-//! drains the operator's end-of-stream protocol.
+//! (`pjoin::runtime`): each batch is fed to the operator element by
+//! element in arrival order (a batch amortizes the channel send and the
+//! metrics publish, nothing else), idle slots run background work (disk
+//! joins, time-based propagation), and finish drains the operator's
+//! end-of-stream protocol.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +14,7 @@ use pjoin::framework::FrameworkProfile;
 use pjoin::runtime::RuntimeMetrics;
 use pjoin::{PJoin, PJoinConfig, PJoinStats};
 use punct_trace::{JoinLatencies, TraceLog};
-use punct_types::{StreamElement, Timestamp, Timestamped, Tuple};
+use punct_types::{StreamElement, Timestamp, Timestamped};
 use stream_sim::{BinaryStreamOp, OpOutput, Side, Work};
 
 use crate::metrics::ShardMetrics;
@@ -114,7 +116,6 @@ pub(crate) fn shard_loop(
     let mut join = PJoin::new(config);
     join.tracer_mut().set_lane(shard as u32);
     let mut out = OpOutput::new();
-    let mut run: Vec<(Tuple, Timestamp, Option<u64>)> = Vec::new();
     let mut last_ts = Timestamp::ZERO;
     let mut consumed = 0u64;
     let mut emitted = 0u64;
@@ -131,37 +132,13 @@ pub(crate) fn shard_loop(
             Ok(ShardMsg::Batch { mut elements, watermark }) => {
                 let mut outputs = Vec::new();
                 consumed += elements.len() as u64;
-                // Group same-side punctuation-free runs for the batched
-                // probe; punctuations flush the open run, so per-shard
-                // processing order is exactly the arrival order.
-                let mut run_side = Side::Left;
-                for routed in elements.drain(..) {
-                    let RoutedElement { side, element: e, hash } = routed;
-                    match e.item {
-                        StreamElement::Tuple(t) => {
-                            if side != run_side && !run.is_empty() {
-                                last_ts = flush_run(
-                                    &mut join, run_side, &mut run, last_ts, &mut out, &mut outputs,
-                                );
-                            }
-                            run_side = side;
-                            run.push((t, e.ts, hash));
-                        }
-                        punct => {
-                            if !run.is_empty() {
-                                last_ts = flush_run(
-                                    &mut join, run_side, &mut run, last_ts, &mut out, &mut outputs,
-                                );
-                            }
-                            last_ts = last_ts.max(e.ts);
-                            join.on_element_prehashed(side, punct, e.ts, None, &mut out);
-                            stamp_into(&mut out, last_ts, &mut outputs);
-                        }
-                    }
-                }
-                if !run.is_empty() {
-                    last_ts =
-                        flush_run(&mut join, run_side, &mut run, last_ts, &mut out, &mut outputs);
+                // Each element's outputs carry that element's shard
+                // clock, so an output's timestamp names the newest input
+                // that produced it.
+                for RoutedElement { side, element: e, hash } in elements.drain(..) {
+                    last_ts = last_ts.max(e.ts);
+                    join.on_element_prehashed(side, e.item, e.ts, hash, &mut out);
+                    stamp_into(&mut out, last_ts, &mut outputs);
                 }
                 // Hand the drained batch buffer back to the router for
                 // reuse (best effort: a full recycle channel just drops
@@ -238,30 +215,6 @@ pub(crate) fn shard_loop(
     };
     let _ = events.send(ShardEvent::Done(shard));
     report
-}
-
-/// Joins a buffered same-side run through the batched probe
-/// ([`PJoin::on_tuple_batch`]), stamps its outputs with the run's latest
-/// timestamp (monotone, coarser than per-element stamping but never past
-/// the router watermark), and returns the advanced shard clock.
-fn flush_run(
-    join: &mut PJoin,
-    side: Side,
-    run: &mut Vec<(Tuple, Timestamp, Option<u64>)>,
-    mut last_ts: Timestamp,
-    out: &mut OpOutput,
-    outputs: &mut Vec<Timestamped<StreamElement>>,
-) -> Timestamp {
-    for (_, ts, _) in run.iter() {
-        last_ts = last_ts.max(*ts);
-    }
-    // The batched probe drains `run` (tuples move into the join state),
-    // leaving the buffer empty but with its capacity intact for the next
-    // run — the shard never reallocates it in steady state.
-    join.on_tuple_batch(side, run, out);
-    debug_assert!(run.is_empty(), "on_tuple_batch must drain the run");
-    stamp_into(out, last_ts, outputs);
-    last_ts
 }
 
 /// Moves the operator's pending outputs into `outputs`, stamped with the

@@ -273,3 +273,58 @@ fn killed_shard_surfaces_promptly_and_finish_reports_it() {
     assert_eq!(stats.shards.len(), 3);
     assert!(stats.shards.iter().all(|r| r.shard != 2));
 }
+
+/// An output's timestamp names the newest input that produced it: at one
+/// shard with an ordered merge, every joined tuple is stamped with the
+/// later of its two inputs' timestamps — per element, not per batch.
+#[test]
+fn output_timestamp_is_the_later_input_timestamp() {
+    let exec = ShardedPJoin::spawn(ExecConfig::new(1, PJoinConfig::new(2, 2)).ordered());
+    // Same-side runs of 7 over 5 keys; each payload is the tuple's own
+    // timestamp, so a result carries both input timestamps.
+    let feed: Vec<_> = (1..=300u64)
+        .map(|ts| {
+            let side = if (ts / 7) % 2 == 0 { Side::Left } else { Side::Right };
+            (side, tup(ts, (ts % 5) as i64, ts as i64))
+        })
+        .collect();
+    exec.push_batch(feed);
+    let (outputs, _) = exec.finish();
+    assert!(outputs.len() > 1_000, "workload must join: {} outputs", outputs.len());
+    for out in &outputs {
+        let t = out.item.as_tuple().expect("tuple-only feed");
+        let payload_ts = |i| t.get(i).and_then(punct_types::Value::as_int).expect("int payload");
+        let newer = payload_ts(1).max(payload_ts(3)) as u64;
+        assert_eq!(out.ts, Timestamp(newer), "result {t:?} stamped {:?}", out.ts);
+    }
+}
+
+/// A short tuple and a wrong-width punctuation through two shards: no
+/// shard thread dies, the output multiset is untouched, and each is
+/// counted exactly once — the tuple by the operator that received it,
+/// the punctuation by the router.
+#[test]
+fn malformed_elements_are_counted_drops_across_shards() {
+    let run = |malformed: bool| {
+        let exec = ShardedPJoin::spawn(ExecConfig::new(2, PJoinConfig::new(2, 2)));
+        let mut feed = keyed_workload(100);
+        if malformed {
+            let short = Tuple::new(Vec::new());
+            let wide = Punctuation::close_value(3, 0, 1i64);
+            feed.insert(150, (Side::Left, Timestamped::new(Timestamp(150), short.into())));
+            feed.insert(250, (Side::Right, Timestamped::new(Timestamp(250), wide.into())));
+        }
+        exec.push_batch(feed);
+        let (outputs, stats) = exec.finish();
+        let mut items: Vec<String> = outputs.iter().map(|e| format!("{:?}", e.item)).collect();
+        items.sort();
+        (items, stats)
+    };
+    let (expected, clean) = run(false);
+    let (got, dirty) = run(true);
+    assert_eq!(got, expected);
+    assert_eq!(dirty.total_stats().malformed_dropped, 1);
+    assert_eq!(dirty.router.puncts_malformed, 1);
+    assert_eq!(clean.total_stats().malformed_dropped, 0);
+    assert_eq!(clean.router.puncts_malformed, 0);
+}

@@ -93,39 +93,10 @@ fn wait_consumed(exec: &ShardedPJoin, target: u64) {
     }
 }
 
-/// Serializes the two gate tests: they share the process-global
-/// counting allocator, so running them concurrently would attribute
-/// one run's allocations to the other.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn steady_state_hot_path_is_allocation_free_per_element() {
-    run_gate(1);
-}
-
-/// The probe pool must not reintroduce per-element allocations: jobs
-/// ship borrowed slices over pre-sized rendezvous channels and the
-/// per-worker scratch is recycled batch to batch, so the steady state
-/// costs a constant handful of channel operations per *batch*. The
-/// pool only engages on the two-phase batched probe, so this variant
-/// disables on-the-fly dropping (whose per-element fallback would
-/// bypass the pool entirely).
-#[test]
-fn steady_state_hot_path_is_allocation_free_with_probe_pool() {
-    run_gate(3);
-}
-
-fn run_gate(probe_threads: usize) {
-    let _gate = GATE.lock().unwrap();
-    let join = PJoinConfig {
-        // `on_the_fly_drop` routes batches through the per-element
-        // fallback; the pool variant must exercise the batched probe.
-        on_the_fly_drop: probe_threads == 1,
-        ..PJoinConfig::new(2, 2)
-    };
-    let config = ExecConfig::new(SHARDS, join)
-        .with_batch(BatchConfig::with_elems(BATCH))
-        .with_probe_threads(probe_threads);
+    let config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2))
+        .with_batch(BatchConfig::with_elems(BATCH));
     let exec = ShardedPJoin::spawn(config);
 
     // Warm up: grow channel blocks, router staging buffers, the recycle
@@ -164,8 +135,7 @@ fn run_gate(probe_threads: usize) {
 
     let per_element = allocs as f64 / elements as f64;
     eprintln!(
-        "hot path ({probe_threads} probe threads): {allocs} allocs / {elements} elements \
-         = {per_element:.4} per element"
+        "hot path: {allocs} allocs / {elements} elements = {per_element:.4} per element"
     );
     assert!(
         allocs <= elements / 4,

@@ -8,8 +8,8 @@
 //! corners of the batched data path:
 //!
 //! * at one shard the *sequence* (not just the multiset) must be
-//!   identical across batch sizes — single shard, FIFO channels, and
-//!   the two-phase batched probe preserves arrival order;
+//!   identical across batch sizes, and identical to the plain operator's
+//!   — single shard, FIFO channels, elements applied in arrival order;
 //! * punctuations are flush barriers: a punctuation staged behind a
 //!   partial batch must come out promptly, without `finish()`, ordered
 //!   after the results of the tuples it flushed;
@@ -21,9 +21,7 @@ use std::time::Duration;
 
 use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
-use punct_exec::{
-    probe_threads_from_env, shard_of_hash, shards_from_env, ExecConfig, ShardedPJoin,
-};
+use punct_exec::{shard_of_hash, shards_from_env, ExecConfig, ShardedPJoin};
 use punct_types::{
     batch_from_env, BatchConfig, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value,
 };
@@ -94,20 +92,14 @@ fn canonical(elements: &[StreamElement]) -> (Vec<String>, Vec<String>) {
     (tuples, puncts)
 }
 
-/// One full executor run at the given shard count, batch size and
-/// per-shard probe thread count.
+/// One full executor run at the given shard count and batch size.
 fn exec_run(
     shards: usize,
     batch: BatchConfig,
-    probe_threads: usize,
     join_config: &PJoinConfig,
     feed: &[(Side, Timestamped<StreamElement>)],
 ) -> (Vec<StreamElement>, punct_exec::ExecStats) {
-    let exec = ShardedPJoin::spawn(
-        ExecConfig::new(shards, join_config.clone())
-            .with_batch(batch)
-            .with_probe_threads(probe_threads),
-    );
+    let exec = ShardedPJoin::spawn(ExecConfig::new(shards, join_config.clone()).with_batch(batch));
     exec.push_batch(feed.to_vec());
     let (outputs, stats) = exec.finish();
     (outputs.into_iter().map(|e| e.item).collect(), stats)
@@ -135,21 +127,8 @@ fn shard_counts() -> Vec<usize> {
     counts
 }
 
-/// The per-shard probe thread counts under test; `PJOIN_PROBE_THREADS`
-/// (the CI probe matrix) adds one.
-fn probe_thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4];
-    if let Some(t) = probe_threads_from_env() {
-        if !counts.contains(&t) {
-            counts.push(t);
-        }
-    }
-    counts
-}
-
-/// Join configs crossing the batched-probe fast path (`on_the_fly_drop:
-/// false`, no window) with the per-element fallback, plus purge and
-/// propagation variation — batching must be invisible on both paths.
+/// Join configs with and without on-the-fly dropping, plus purge and
+/// propagation variation — batching must be invisible under all of them.
 fn join_config_strategy() -> impl Strategy<Value = PJoinConfig> {
     (
         prop_oneof![
@@ -220,7 +199,7 @@ proptest! {
             // batched run must reproduce — and it must itself agree with
             // the single-threaded operator.
             let (base_items, _) =
-                exec_run(shards, BatchConfig::per_element(), 1, &join_config, &feed);
+                exec_run(shards, BatchConfig::per_element(), &join_config, &feed);
             let expected = canonical(&base_items);
             prop_assert_eq!(
                 &expected.0, &anchor.0,
@@ -233,7 +212,7 @@ proptest! {
                     continue;
                 }
                 let (items, stats) =
-                    exec_run(shards, BatchConfig::with_elems(batch), 1, &join_config, &feed);
+                    exec_run(shards, BatchConfig::with_elems(batch), &join_config, &feed);
                 let got = canonical(&items);
                 prop_assert_eq!(
                     &got.0, &expected.0,
@@ -242,29 +221,6 @@ proptest! {
                 prop_assert_eq!(
                     &got.1, &expected.1,
                     "punctuation multiset diverged at {} shards, batch {}", shards, batch
-                );
-                prop_assert_eq!(stats.merge.puncts_unexpected, 0);
-            }
-
-            // The intra-shard parallel probe must be just as invisible:
-            // at a batch size large enough to exercise the probe pool,
-            // every probe thread count reproduces the anchor multiset.
-            for probe_threads in probe_thread_counts() {
-                if probe_threads == 1 {
-                    continue; // covered by the batch loop above
-                }
-                let (items, stats) = exec_run(
-                    shards, BatchConfig::with_elems(64), probe_threads, &join_config, &feed,
-                );
-                let got = canonical(&items);
-                prop_assert_eq!(
-                    &got.0, &expected.0,
-                    "tuple multiset diverged at {} shards, {} probe threads", shards, probe_threads
-                );
-                prop_assert_eq!(
-                    &got.1, &expected.1,
-                    "punctuation multiset diverged at {} shards, {} probe threads",
-                    shards, probe_threads
                 );
                 prop_assert_eq!(stats.merge.puncts_unexpected, 0);
             }
@@ -281,8 +237,7 @@ fn punct(ts: u64, key: i64) -> Timestamped<StreamElement> {
 }
 
 /// A feed with long same-side runs (all left tuples, then all right,
-/// then paired punctuations), so batches of two or more enter the
-/// two-phase batched probe rather than the singleton fallback.
+/// then paired punctuations), so every batch larger than one is full.
 fn run_heavy_feed(keys: i64) -> Vec<(Side, Timestamped<StreamElement>)> {
     let mut feed = Vec::new();
     let mut ts = 0u64;
@@ -303,11 +258,9 @@ fn run_heavy_feed(keys: i64) -> Vec<(Side, Timestamped<StreamElement>)> {
     feed
 }
 
-/// A config that takes the batched-probe fast path (no window, no
-/// on-the-fly drop) with prompt propagation and purge.
-fn fast_path_config() -> PJoinConfig {
+/// A config with prompt propagation and purge.
+fn prompt_config() -> PJoinConfig {
     PJoinConfig {
-        on_the_fly_drop: false,
         purge: PurgeStrategy::Eager,
         propagation: PropagationTrigger::PushCount { count: 1 },
         ..PJoinConfig::new(2, 2)
@@ -315,39 +268,31 @@ fn fast_path_config() -> PJoinConfig {
 }
 
 /// One shard, FIFO channels: batching must preserve the exact output
-/// *sequence*, not merely the multiset — the two-phase probe emits
-/// results in arrival order and punctuation barriers keep ordering.
-/// The parallel probe merges per-worker scratch back in probe order, so
-/// the guarantee holds bit-for-bit at every probe thread count too.
+/// *sequence*, not merely the multiset — the shard applies elements in
+/// arrival order whatever the batch size, so the sequence is also the
+/// plain single-threaded operator's.
 #[test]
 fn single_shard_sequence_is_identical_across_batch_sizes() {
     let feed = run_heavy_feed(150);
-    let config = fast_path_config();
-    let (baseline, base_stats) = exec_run(1, BatchConfig::per_element(), 1, &config, &feed);
+    let config = prompt_config();
+    let (baseline, base_stats) = exec_run(1, BatchConfig::per_element(), &config, &feed);
     assert!(baseline.iter().any(|e| e.is_tuple()) && baseline.iter().any(|e| e.is_punctuation()));
+    assert_eq!(
+        baseline,
+        reference_run(&config, &feed),
+        "one shard at batch 1 diverged from the plain PJoin::on_element run"
+    );
     for batch in [7usize, 64, 256] {
-        for probe_threads in [1usize, 2, 4] {
-            let (items, stats) = exec_run(
-                1,
-                BatchConfig::with_elems(batch),
-                probe_threads,
-                &config,
-                &feed,
-            );
-            assert_eq!(
-                items, baseline,
-                "output sequence diverged at one shard with batch {batch}, \
-                 {probe_threads} probe threads"
-            );
-            // The whole point of batching: far fewer channel sends than
-            // the per-element run for the same answer.
-            assert!(
-                stats.router.batches < base_stats.router.batches,
-                "batch {batch} sent {} batches, per-element sent {}",
-                stats.router.batches,
-                base_stats.router.batches
-            );
-        }
+        let (items, stats) = exec_run(1, BatchConfig::with_elems(batch), &config, &feed);
+        assert_eq!(items, baseline, "output sequence diverged at one shard with batch {batch}");
+        // The whole point of batching: far fewer channel sends than
+        // the per-element run for the same answer.
+        assert!(
+            stats.router.batches < base_stats.router.batches,
+            "batch {batch} sent {} batches, per-element sent {}",
+            stats.router.batches,
+            base_stats.router.batches
+        );
     }
 }
 
@@ -357,7 +302,7 @@ fn single_shard_sequence_is_identical_across_batch_sizes() {
 #[test]
 fn punctuation_flushes_partial_batches_promptly() {
     let exec = ShardedPJoin::spawn(
-        ExecConfig::new(4, fast_path_config()).with_batch(BatchConfig::with_elems(1 << 20)),
+        ExecConfig::new(4, prompt_config()).with_batch(BatchConfig::with_elems(1 << 20)),
     );
     let mut feed = Vec::new();
     for k in 0..8i64 {

@@ -12,7 +12,7 @@
 
 use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
-use punct_exec::{probe_threads_from_env, shards_from_env, ExecConfig, ShardedPJoin};
+use punct_exec::{shards_from_env, ExecConfig, ShardedPJoin};
 use punct_types::{StreamElement, Timestamp, Timestamped};
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, PunctScheme, StreamConfig};
@@ -91,19 +91,6 @@ fn shard_counts() -> Vec<usize> {
     counts
 }
 
-/// The per-shard probe thread counts under test; `PJOIN_PROBE_THREADS`
-/// (the CI probe matrix) adds one. 1 is the serial probe path; the
-/// parallel probe must be invisible at every setting.
-fn probe_thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4];
-    if let Some(t) = probe_threads_from_env() {
-        if !counts.contains(&t) {
-            counts.push(t);
-        }
-    }
-    counts
-}
-
 fn join_config_strategy() -> impl Strategy<Value = PJoinConfig> {
     (
         prop_oneof![
@@ -173,10 +160,7 @@ proptest! {
         let ingested_puncts = feed.iter().filter(|(_, e)| e.item.is_punctuation()).count();
 
         for shards in shard_counts() {
-            for probe_threads in probe_thread_counts() {
-            let exec = ShardedPJoin::spawn(
-                ExecConfig::new(shards, join_config.clone()).with_probe_threads(probe_threads),
-            );
+            let exec = ShardedPJoin::spawn(ExecConfig::new(shards, join_config.clone()));
             exec.push_batch(feed.clone());
             let (outputs, stats) = exec.finish();
             let items: Vec<StreamElement> = outputs.into_iter().map(|e| e.item).collect();
@@ -184,12 +168,11 @@ proptest! {
 
             prop_assert_eq!(
                 &got.0, &expected.0,
-                "tuple multiset diverged at {} shards, {} probe threads", shards, probe_threads
+                "tuple multiset diverged at {} shards", shards
             );
             prop_assert_eq!(
                 &got.1, &expected.1,
-                "punctuation multiset diverged at {} shards, {} probe threads",
-                shards, probe_threads
+                "punctuation multiset diverged at {} shards", shards
             );
             prop_assert_eq!(stats.merge.puncts_unexpected, 0);
             // Every registered expectation either completed or (with
@@ -203,7 +186,6 @@ proptest! {
             );
             prop_assert!(emitted <= registered);
             prop_assert!(registered as usize <= ingested_puncts);
-            }
         }
     }
 }

@@ -546,7 +546,8 @@ impl StreamSender {
         self.pushed += 1;
         // While credits are short the backlog passes many multiples of a
         // batch; asking the socket once per batch keeps that cheap.
-        if due || self.backlog() % self.opts.batch.max(1) as u64 == 0 {
+        let into_batch = self.backlog() % self.opts.batch.max(1) as u64;
+        if due || into_batch == 0 {
             self.service()
         } else {
             Ok(())

@@ -116,7 +116,6 @@ proptest! {
         // Future behavior matches: the same operation suffix applied to
         // both buckets keeps them byte-identical (slot recycling reuses
         // the same holes in the same order).
-        let mut original = original;
         let mut seq2 = seq;
         for op in &post {
             apply(&mut original, op, &mut seq);

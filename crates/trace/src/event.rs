@@ -104,17 +104,12 @@ pub enum TraceKind {
     /// One wire data batch moved as a single frame/syscall (`a` = stream
     /// id, `b` = elements in the batch).
     NetBatch,
-    /// The read-only probe phase of one batched memory join (`a` =
-    /// tuples probed, `b` = probe workers incl. the shard thread; 1 =
-    /// serial). Spans phase 1 of the two-phase batched probe, so probe
-    /// time and apply time are separable in the trace.
-    ProbePhase,
 }
 
 impl TraceKind {
     /// Every kind, for schema enumeration. Append-only: the telemetry
     /// wire codec encodes kinds by their position here.
-    pub const ALL: [TraceKind; 20] = [
+    pub const ALL: [TraceKind; 19] = [
         TraceKind::MemoryJoin,
         TraceKind::DiskJoin,
         TraceKind::Relocation,
@@ -134,7 +129,6 @@ impl TraceKind {
         TraceKind::NetReconnect,
         TraceKind::RouterBatch,
         TraceKind::NetBatch,
-        TraceKind::ProbePhase,
     ];
 
     /// The stable wire name (JSONL `kind` field, Chrome trace `name`).
@@ -159,7 +153,6 @@ impl TraceKind {
             TraceKind::NetReconnect => "net_reconnect",
             TraceKind::RouterBatch => "router_batch",
             TraceKind::NetBatch => "net_batch",
-            TraceKind::ProbePhase => "probe_phase",
         }
     }
 
@@ -198,7 +191,6 @@ impl TraceKind {
                 | TraceKind::NetDecode
                 | TraceKind::NetStall
                 | TraceKind::RouterBatch
-                | TraceKind::ProbePhase
         )
     }
 }

@@ -550,7 +550,7 @@ mod tests {
             TelemetryMsg::ClockProbe { probe: 0, t0_ns: 123 },
             TelemetryMsg::ClockAck { probe: 7, t0_ns: 123, worker_ns: 456 },
             TelemetryMsg::Report(Box::new(sample_report())),
-            TelemetryMsg::Report(Box::new(WorkerTelemetry::default())),
+            TelemetryMsg::Report(Box::default()),
         ] {
             let bytes = msg.encode();
             assert_eq!(TelemetryMsg::decode(&bytes).expect("decode"), msg);

@@ -3,18 +3,17 @@
 //!
 //! PJoin's framework schedules components per element, and the first
 //! reproduction inherited that granularity everywhere: one channel send,
-//! one join-key hash (twice), one wire frame and one syscall per tuple.
-//! Batching amortizes all of those without changing observable
-//! semantics — punctuations act as flush barriers, so alignment and
-//! exactly-once ordering are untouched, and a batch size of `1`
-//! reproduces per-element behavior exactly.
+//! one wire frame and one syscall per tuple. Batching amortizes those
+//! transport costs — the join itself still runs element by element —
+//! without changing observable semantics: punctuations act as flush
+//! barriers, so alignment and exactly-once ordering are untouched, and a
+//! batch size of `1` reproduces per-element behavior exactly.
 //!
 //! One [`BatchConfig`] value is threaded through the sharded executor
-//! (`punct-exec`: router staging and shard-side run grouping), the
-//! single-operator runtime (`pjoin::runtime`), and the networked
-//! transport (`punct-net`: elements per `DataBatch` frame / socket
-//! write). The `PJOIN_BATCH` environment variable overrides the element
-//! cap everywhere, which is how the CI batch matrix and the
+//! (`punct-exec`: elements staged per router → shard channel send) and
+//! the networked transport (`punct-net`: elements per `DataBatch` frame
+//! / socket write). The `PJOIN_BATCH` environment variable overrides the
+//! element cap everywhere, which is how the CI batch matrix and the
 //! `batch_scaling` bench sweep it without recompiling.
 
 /// Default cap on elements per batch (matches the router's historical
@@ -29,8 +28,8 @@ pub const DEFAULT_BATCH_BYTES: usize = 64 * 1024;
 /// How aggressively the data path batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Maximum elements staged per batch (router flush threshold, shard
-    /// run-grouping cap, elements per wire frame). Clamped to at least 1.
+    /// Maximum elements staged per batch (router flush threshold,
+    /// elements per wire frame). Clamped to at least 1.
     pub max_elems: usize,
     /// Maximum encoded bytes per wire batch. Only the transport layer
     /// consults this (in-process batches move `Arc`ed tuples, not

@@ -120,7 +120,7 @@ mod tests {
         }
         assert_eq!(partition(None, 8), 0);
         // All shards reachable.
-        let mut seen = vec![false; 4];
+        let mut seen = [false; 4];
         for i in 0..64u64 {
             seen[partition(Some(i << 32), 4)] = true;
         }

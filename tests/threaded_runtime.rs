@@ -4,7 +4,7 @@
 
 use punctuated_streams::core::runtime::PJoinRuntime;
 use punctuated_streams::core::{PJoinBuilder, PJoinConfig, PropagationTrigger, PurgeStrategy, IndexBuildStrategy};
-use punctuated_streams::gen::{generate_pair, StreamConfig};
+use punctuated_streams::gen::{generate_pair, interleave_sides, StreamConfig};
 use punctuated_streams::prelude::*;
 
 fn config() -> PJoinConfig {
@@ -89,4 +89,32 @@ fn runtime_metrics_track_progress() {
     }
     assert_eq!(rt.metrics().state_tuples, 50);
     let (_, _) = rt.finish();
+}
+
+/// `push_batch` is one channel send and nothing else: a feed with
+/// interleaved sides and punctuations, pushed in uneven chunks, yields
+/// the same output sequence — items and timestamps — as per-element
+/// pushes.
+#[test]
+fn push_batch_matches_per_element_pushes() {
+    let cfg = StreamConfig { tuples: 600, key_window: 6, seed: 47, ..StreamConfig::default() };
+    let (a, b) = generate_pair(&cfg, 10.0, 10.0);
+    let feed = interleave_sides(&a.elements, &b.elements);
+    assert!(feed.iter().any(|(_, e)| e.item.is_punctuation()));
+
+    let per_element = PJoinRuntime::spawn(config());
+    for (side, e) in feed.iter().cloned() {
+        per_element.push(side, e);
+    }
+    let (want, want_stats) = per_element.finish();
+
+    let batched = PJoinRuntime::spawn(config());
+    for chunk in feed.chunks(97) {
+        batched.push_batch(chunk.to_vec());
+    }
+    let (got, got_stats) = batched.finish();
+
+    assert!(want.iter().any(|e| e.item.is_tuple()) && want.iter().any(|e| e.item.is_punctuation()));
+    assert_eq!(got, want);
+    assert_eq!(got_stats, want_stats);
 }
