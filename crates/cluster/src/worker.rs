@@ -195,6 +195,10 @@ struct Worker {
     barriers: HashMap<u64, [bool; 2]>,
     /// Which of [left, right] input streams have ended.
     ended: [bool; 2],
+    /// The joins' output collector: one for the worker's lifetime, so
+    /// the buffers behind it (slots, the joined-tuple value block) stay
+    /// warm from element to element.
+    out: OpOutput,
     /// Outputs of the ingest message in hand, published as one batch.
     outbox: Vec<Timestamped<StreamElement>>,
     /// Heartbeat policy from the config blob (disabled until it
@@ -272,6 +276,7 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         rollback: None,
         barriers: HashMap::new(),
         ended: [false, false],
+        out: OpOutput::new(),
         outbox: Vec::new(),
         heartbeat: HeartbeatSettings::disabled(),
         beat_seq: 0,
@@ -430,10 +435,9 @@ impl Worker {
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
         for i in 0..self.joins.len() {
-            let mut out = OpOutput::new();
             let now = self.clock;
-            while self.joins[i].1.on_end(now, &mut out) {}
-            self.emit(i, now, out)?;
+            while self.joins[i].1.on_end(now, &mut self.out) {}
+            self.emit(i, now)?;
         }
         self.publish_outbox();
         if self.aligner.pending_len() != 0 {
@@ -526,12 +530,11 @@ impl Worker {
                     )));
                 };
                 let ts = element.ts;
-                let mut out = OpOutput::new();
-                self.joins[idx].1.on_element(side, element.item, ts, &mut out);
+                self.joins[idx].1.on_element(side, element.item, ts, &mut self.out);
                 if let Some(c) = self.shard_counts.get_mut(idx) {
                     c.0 += 1;
                 }
-                self.emit(idx, ts, out)
+                self.emit(idx, ts)
             }
             StreamElement::Punctuation(ref p) => {
                 if p.width() != spec.side_width(side) {
@@ -575,8 +578,7 @@ impl Worker {
                 self.aligner.expect(translated, PunctSeq(seq), local_mask);
                 let ts = element.ts;
                 for idx in targets {
-                    let mut out = OpOutput::new();
-                    self.joins[idx].1.on_element(side, element.item.clone(), ts, &mut out);
+                    self.joins[idx].1.on_element(side, element.item.clone(), ts, &mut self.out);
                     if let Some(c) = self.shard_counts.get_mut(idx) {
                         c.0 += 1;
                     }
@@ -587,19 +589,33 @@ impl Worker {
                             self.lifecycle[ri].purge_ns = wall_now_ns();
                         }
                     }
-                    self.emit(idx, ts, out)?;
+                    self.emit(idx, ts)?;
                 }
                 Ok(())
             }
         }
     }
 
-    /// Queues one shard's output burst for the sink: tuples directly,
-    /// punctuation propagations through the worker-local aligner so the
-    /// sink carries each punctuation once no matter how many local
-    /// shards it reached. [`publish_outbox`](Worker::publish_outbox)
-    /// hands the queue over.
-    fn emit(&mut self, idx: usize, ts: Timestamp, mut out: OpOutput) -> Result<(), ClusterError> {
+    /// Queues the output burst shard `idx` left in `self.out` for the
+    /// sink: tuples directly, punctuation propagations through the
+    /// worker-local aligner so the sink carries each punctuation once no
+    /// matter how many local shards it reached.
+    /// [`publish_outbox`](Worker::publish_outbox) hands the queue over.
+    fn emit(&mut self, idx: usize, ts: Timestamp) -> Result<(), ClusterError> {
+        // Draining needs the rest of `self`, so the collector steps out
+        // for the duration and goes back with its buffers intact.
+        let mut out = std::mem::take(&mut self.out);
+        let queued = self.queue_outputs(idx, ts, &mut out);
+        self.out = out;
+        queued
+    }
+
+    fn queue_outputs(
+        &mut self,
+        idx: usize,
+        ts: Timestamp,
+        out: &mut OpOutput,
+    ) -> Result<(), ClusterError> {
         for element in out.drain() {
             match element {
                 StreamElement::Tuple(_) => {

@@ -108,7 +108,7 @@ pub fn resolve_bucket(
                     && !a.history.covers(bucket, x, y)
                 {
                     work.outputs += 1;
-                    out.push(x.tuple.concat(&y.tuple));
+                    out.push_joined(&x.tuple, &y.tuple);
                 }
             }
         }
@@ -133,7 +133,7 @@ pub fn resolve_bucket(
                     && !b.history.covers(bucket, y, x)
                 {
                     work.outputs += 1;
-                    out.push(x.tuple.concat(&y.tuple));
+                    out.push_joined(&x.tuple, &y.tuple);
                 }
             }
         }
@@ -156,7 +156,7 @@ pub fn resolve_bucket(
                     && !b.history.covers(bucket, y, x)
                 {
                     work.outputs += 1;
-                    out.push(x.tuple.concat(&y.tuple));
+                    out.push_joined(&x.tuple, &y.tuple);
                 }
             }
         }

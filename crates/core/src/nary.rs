@@ -103,7 +103,8 @@ struct NaryState {
 
 impl NaryState {
     fn insert(&mut self, key: Value, tuple: Tuple) {
-        self.groups.entry(key).or_default().push(tuple);
+        // Detached: a resident must not pin a block of join outputs.
+        self.groups.entry(key).or_default().push(tuple.detached());
         self.tuples += 1;
     }
 

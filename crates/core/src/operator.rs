@@ -440,8 +440,8 @@ impl PJoin {
                         .record(now_us.saturating_sub(rec.arrival_us));
                 }
                 match side {
-                    Side::Left => out.push(tuple.concat(&rec.tuple)),
-                    Side::Right => out.push(rec.tuple.concat(&tuple)),
+                    Side::Left => out.push_joined(&tuple, &rec.tuple),
+                    Side::Right => out.push_joined(&rec.tuple, &tuple),
                 }
             }
         }

@@ -96,7 +96,13 @@ impl JoinState {
     /// maintaining the per-bucket oldest-arrival bound that gates window
     /// expiry. All arriving-tuple inserts go through here; direct
     /// `store.insert*` calls are only safe for non-windowed state.
-    pub fn insert_hashed(&mut self, record: PRecord, hash: Option<u64>) -> usize {
+    ///
+    /// The stored tuple is [`detached`](punct_types::Tuple::detached): a
+    /// join output fed into this join (multi-join plans) must not keep
+    /// the block it shares with its neighbours alive for as long as it
+    /// is resident.
+    pub fn insert_hashed(&mut self, mut record: PRecord, hash: Option<u64>) -> usize {
+        record.tuple = record.tuple.detached();
         let bucket = self.store.bucket_of_hash(hash);
         if record.arrival_us < self.oldest_alive[bucket] {
             self.oldest_alive[bucket] = record.arrival_us;
@@ -167,9 +173,11 @@ impl JoinState {
 
     /// Moves a record into the purge buffer of `bucket`, ensuring it
     /// carries a pid (so propagation counts remain exact). The record must
-    /// already have its departure instant set.
+    /// already have its departure instant set. Like
+    /// [`insert_hashed`](Self::insert_hashed), stores the tuple detached.
     pub fn buffer_record(&mut self, bucket: usize, mut rec: PRecord, work: &mut Work) {
         debug_assert!(rec.dts != crate::record::DTS_RESIDENT, "buffered records have departed");
+        rec.tuple = rec.tuple.detached();
         if rec.pid.is_none() {
             work.index_evals += 1;
             if let Some(pid) = self.index.assign_pid(&rec.tuple) {

@@ -1,10 +1,11 @@
 //! The shard worker: one thread running an independent [`PJoin`] over a
 //! key subspace, mirroring the single-threaded runtime loop
 //! (`pjoin::runtime`): each batch is fed to the operator element by
-//! element in arrival order (a batch amortizes the channel send and the
-//! metrics publish, nothing else), idle slots run background work (disk
-//! joins, time-based propagation), and finish drains the operator's
-//! end-of-stream protocol.
+//! element in arrival order and its outputs are drained once at the end
+//! (a batch amortizes the channel send, the metrics publish and the
+//! blocks joined tuples share — [`OpOutput::push_joined`] — nothing
+//! else), idle slots run background work (disk joins, time-based
+//! propagation), and finish drains the operator's end-of-stream protocol.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -116,6 +117,9 @@ pub(crate) fn shard_loop(
     let mut join = PJoin::new(config);
     join.tracer_mut().set_lane(shard as u32);
     let mut out = OpOutput::new();
+    // Per batch: `(out.len(), clock)` after each element that produced
+    // outputs — which stretch of the batch's one drain gets which stamp.
+    let mut marks: Vec<(usize, Timestamp)> = Vec::new();
     let mut last_ts = Timestamp::ZERO;
     let mut consumed = 0u64;
     let mut emitted = 0u64;
@@ -130,15 +134,26 @@ pub(crate) fn shard_loop(
     loop {
         match rx.recv_timeout(IDLE_POLL) {
             Ok(ShardMsg::Batch { mut elements, watermark }) => {
-                let mut outputs = Vec::new();
                 consumed += elements.len() as u64;
                 // Each element's outputs carry that element's shard
                 // clock, so an output's timestamp names the newest input
-                // that produced it.
+                // that produced it. The outputs stay in `out` until the
+                // batch ends, so joined tuples of neighbouring elements
+                // share blocks and the merger's thread frees one
+                // allocation per block, not per element.
+                marks.clear();
                 for RoutedElement { side, element: e, hash } in elements.drain(..) {
                     last_ts = last_ts.max(e.ts);
                     join.on_element_prehashed(side, e.item, e.ts, hash, &mut out);
-                    stamp_into(&mut out, last_ts, &mut outputs);
+                    if out.len() > marks.last().map_or(0, |m| m.0) {
+                        marks.push((out.len(), last_ts));
+                    }
+                }
+                let mut outputs = Vec::with_capacity(out.len());
+                let mut drained = out.drain();
+                for &(end, ts) in &marks {
+                    let n = end - outputs.len();
+                    outputs.extend(drained.by_ref().take(n).map(|e| Timestamped::new(ts, e)));
                 }
                 // Hand the drained batch buffer back to the router for
                 // reuse (best effort: a full recycle channel just drops

@@ -276,27 +276,54 @@ fn killed_shard_surfaces_promptly_and_finish_reports_it() {
 
 /// An output's timestamp names the newest input that produced it: at one
 /// shard with an ordered merge, every joined tuple is stamped with the
-/// later of its two inputs' timestamps — per element, not per batch.
+/// later of its two inputs' timestamps — per element, not per batch,
+/// although the shard drains its collector once per batch. The workload
+/// is sized so that late elements each produce more joined tuples than
+/// one shared block holds (256 of width 4) and every batch spans many
+/// blocks: neither a mid-element seal nor the per-batch drain may move a
+/// stamp or lose a result.
 #[test]
 fn output_timestamp_is_the_later_input_timestamp() {
+    use stream_sim::{BinaryStreamOp, OpOutput};
+
     let exec = ShardedPJoin::spawn(ExecConfig::new(1, PJoinConfig::new(2, 2)).ordered());
-    // Same-side runs of 7 over 5 keys; each payload is the tuple's own
+    // Same-side runs of 7 over 2 keys; each payload is the tuple's own
     // timestamp, so a result carries both input timestamps.
-    let feed: Vec<_> = (1..=300u64)
+    let feed: Vec<_> = (1..=1_400u64)
         .map(|ts| {
             let side = if (ts / 7) % 2 == 0 { Side::Left } else { Side::Right };
-            (side, tup(ts, (ts % 5) as i64, ts as i64))
+            (side, tup(ts, (ts % 2) as i64, ts as i64))
         })
         .collect();
-    exec.push_batch(feed);
+    exec.push_batch(feed.clone());
     let (outputs, _) = exec.finish();
-    assert!(outputs.len() > 1_000, "workload must join: {} outputs", outputs.len());
-    for out in &outputs {
-        let t = out.item.as_tuple().expect("tuple-only feed");
-        let payload_ts = |i| t.get(i).and_then(punct_types::Value::as_int).expect("int payload");
-        let newer = payload_ts(1).max(payload_ts(3)) as u64;
+
+    let payload_ts = |t: &Tuple, i| t.get(i).and_then(punct_types::Value::as_int).expect("int");
+    let mut per_element = std::collections::HashMap::new();
+    let mut got = Vec::with_capacity(outputs.len());
+    for out in outputs {
+        let StreamElement::Tuple(t) = out.item else { panic!("tuple-only feed") };
+        let newer = payload_ts(&t, 1).max(payload_ts(&t, 3)) as u64;
         assert_eq!(out.ts, Timestamp(newer), "result {t:?} stamped {:?}", out.ts);
+        *per_element.entry(newer).or_insert(0usize) += 1;
+        got.push(t);
     }
+    assert!(
+        per_element.values().any(|&n| n > 256),
+        "some element must overflow a block on its own"
+    );
+
+    let mut reference = pjoin::PJoin::new(PJoinConfig::new(2, 2));
+    let mut out = OpOutput::new();
+    let mut expected = Vec::with_capacity(got.len());
+    for (side, e) in feed {
+        reference.on_element(side, e.item, e.ts, &mut out);
+        expected.extend(out.drain().filter_map(|e| e.as_tuple().cloned()));
+    }
+    got.sort();
+    expected.sort();
+    assert_eq!(got.len(), expected.len());
+    assert!(got == expected, "joined tuple multiset diverged from the plain operator's");
 }
 
 /// A short tuple and a wrong-width punctuation through two shards: no

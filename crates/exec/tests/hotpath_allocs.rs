@@ -1,8 +1,10 @@
-//! Counting-allocator gate for the tuple hot path.
+//! Counting-allocator gates for the tuple hot path.
 //!
 //! This test binary runs under a counting wrapper around the system
 //! allocator (which is why it lives alone in its own integration-test
-//! binary). The single test drives a steady-state, tuple-only workload
+//! binary; its two tests share the counter and take turns on `SERIAL`).
+//!
+//! The first test drives a steady-state, tuple-only workload
 //! through the sharded executor with inputs built *before* counting
 //! starts, and asserts that the measured region performs far less than
 //! one heap allocation per element: tuples move — caller → router
@@ -20,9 +22,16 @@
 //! catch — a per-element clone, a per-element channel send, a
 //! per-element lock that allocates — each cost one or more allocations
 //! *per element* and overshoot the budget several times over.
+//!
+//! The second test is its match-heavy twin: every probe matches ten
+//! residents and the test thread polls and drops the outputs. Joined
+//! tuples share blocks (`OpOutput::push_joined`) and a shard drains once
+//! per batch, so the budget is one allocation per ten *joined tuples*; a
+//! private allocation per match reads 1.0.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pjoin::PJoinConfig;
@@ -58,28 +67,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// One counter, one test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const SHARDS: usize = 2;
 const BATCH: usize = 256;
 const WARMUP_BATCHES: usize = 32;
 const MEASURED_BATCHES: usize = 64;
 
-/// `n` batches of `BATCH` distinct-key left-side tuples: every tuple is
-/// stored (state grows) and probes an empty right partition (no
-/// matches, no outputs), so the measured region exercises exactly the
-/// route → stage → probe → insert path and nothing downstream.
-fn build_batches(n: usize, first_key: i64) -> Vec<Vec<(Side, Timestamped<StreamElement>)>> {
-    let mut key = first_key;
+/// `n` batches of `BATCH` left-side tuples `row(i)`, timestamped `i`,
+/// for `i` counting up from `first + 1`.
+fn build_batches(
+    n: usize,
+    first: i64,
+    row: impl Fn(i64) -> Tuple,
+) -> Vec<Vec<(Side, Timestamped<StreamElement>)>> {
+    let mut i = first;
     (0..n)
         .map(|_| {
             (0..BATCH)
                 .map(|_| {
-                    key += 1;
-                    let e = Timestamped::new(Timestamp(key as u64), Tuple::of((key, key)).into());
-                    (Side::Left, e)
+                    i += 1;
+                    (Side::Left, Timestamped::new(Timestamp(i as u64), row(i).into()))
                 })
                 .collect()
         })
         .collect()
+}
+
+/// Distinct keys: every tuple is stored (state grows) and probes an
+/// empty right partition (no matches, no outputs), so the measured
+/// region exercises exactly the route → stage → probe → insert path and
+/// nothing downstream.
+fn distinct_key(i: i64) -> Tuple {
+    Tuple::of((i, i))
 }
 
 fn wait_consumed(exec: &ShardedPJoin, target: u64) {
@@ -95,13 +116,14 @@ fn wait_consumed(exec: &ShardedPJoin, target: u64) {
 
 #[test]
 fn steady_state_hot_path_is_allocation_free_per_element() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2))
         .with_batch(BatchConfig::with_elems(BATCH));
     let exec = ShardedPJoin::spawn(config);
 
     // Warm up: grow channel blocks, router staging buffers, the recycle
     // pool and the first slab doublings outside the measured region.
-    let warmup = build_batches(WARMUP_BATCHES, 0);
+    let warmup = build_batches(WARMUP_BATCHES, 0, distinct_key);
     let warmed = (WARMUP_BATCHES * BATCH) as u64;
     for batch in warmup {
         exec.push_batch(batch);
@@ -113,7 +135,7 @@ fn steady_state_hot_path_is_allocation_free_per_element() {
     );
 
     // Build the measured inputs *before* counting starts.
-    let measured = build_batches(MEASURED_BATCHES, (warmed + 1) as i64);
+    let measured = build_batches(MEASURED_BATCHES, (warmed + 1) as i64, distinct_key);
     let elements = (MEASURED_BATCHES * BATCH) as u64;
 
     ALLOCS.store(0, Ordering::SeqCst);
@@ -149,4 +171,72 @@ fn steady_state_hot_path_is_allocation_free_per_element() {
         "no-match workload must emit no tuples"
     );
     assert_eq!(stats.total_metrics().consumed, warmed + elements);
+}
+
+const MATCH_KEYS: i64 = 64;
+const MATCHES_PER_PROBE: u64 = 10;
+
+/// Keys cycle over `MATCH_KEYS`, each of which has `MATCHES_PER_PROBE`
+/// right-side residents.
+fn matching_key(i: i64) -> Tuple {
+    Tuple::of((i % MATCH_KEYS, i))
+}
+
+/// Polls and drops outputs until `target` joined tuples have come out.
+fn drain_joined(exec: &ShardedPJoin, seen: &mut u64, target: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while *seen < target {
+        assert!(Instant::now() < deadline, "only {seen} of {target} joined tuples came out");
+        *seen += exec.recv_outputs(Duration::from_millis(1)).len() as u64;
+    }
+}
+
+#[test]
+fn match_heavy_outputs_cost_a_block_not_a_malloc_each() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2))
+        .with_batch(BatchConfig::with_elems(BATCH));
+    let exec = ShardedPJoin::spawn(config);
+
+    let residents: Vec<_> = (0..MATCH_KEYS * MATCHES_PER_PROBE as i64)
+        .map(|i| {
+            let t = Tuple::of((i % MATCH_KEYS, -i));
+            (Side::Right, Timestamped::new(Timestamp(0), t.into()))
+        })
+        .collect();
+    let resident_count = residents.len() as u64;
+    exec.push_batch(residents);
+
+    let mut joined = 0u64;
+    let warmed = (WARMUP_BATCHES * BATCH) as u64;
+    for batch in build_batches(WARMUP_BATCHES, 0, matching_key) {
+        exec.push_batch(batch);
+    }
+    drain_joined(&exec, &mut joined, warmed * MATCHES_PER_PROBE);
+
+    let measured = build_batches(MEASURED_BATCHES, warmed as i64, matching_key);
+    let elements = (MEASURED_BATCHES * BATCH) as u64;
+    let outputs = elements * MATCHES_PER_PROBE;
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    for batch in measured {
+        exec.push_batch(batch);
+        joined += exec.poll_outputs().len() as u64;
+    }
+    drain_joined(&exec, &mut joined, (warmed + elements) * MATCHES_PER_PROBE);
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+
+    let per_output = allocs as f64 / outputs as f64;
+    eprintln!("match heavy: {allocs} allocs / {outputs} joined tuples = {per_output:.4} each");
+    assert!(
+        allocs <= outputs / 10,
+        "{allocs} allocations for {outputs} joined tuples \
+         ({per_output:.3} each; budget is 0.1)"
+    );
+
+    let (rest, stats) = exec.finish();
+    assert!(rest.is_empty(), "every joined tuple was already polled");
+    assert_eq!(stats.total_metrics().consumed, resident_count + warmed + elements);
 }

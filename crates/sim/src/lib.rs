@@ -22,6 +22,8 @@
 //! * [`cost`] — [`Work`] counters and the [`CostModel`].
 //! * [`driver`] — the [`BinaryStreamOp`] trait and the simulation [`Driver`].
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod cost;
 pub mod driver;

@@ -28,6 +28,8 @@
 //! * a wire-stable binary encoding ([`wire`]) of all of the above, used
 //!   by the networked transport (`punct-net`).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod error;
 pub mod parse;

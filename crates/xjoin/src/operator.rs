@@ -125,11 +125,10 @@ impl XJoin {
 
     fn emit(out: &mut OpOutput, side: Side, arriving: &Tuple, stored: &Tuple) {
         // Result schema is always A ⧺ B.
-        let result = match side {
-            Side::Left => arriving.concat(stored),
-            Side::Right => stored.concat(arriving),
-        };
-        out.push(result);
+        match side {
+            Side::Left => out.push_joined(arriving, stored),
+            Side::Right => out.push_joined(stored, arriving),
+        }
     }
 
     /// Stage 1: memory-to-memory probe + insert.
@@ -164,7 +163,8 @@ impl XJoin {
                 &mut self.store_b
             }
         };
-        own.insert(XRecord::arriving(tuple, now));
+        // Detached: a resident must not pin a block of join outputs.
+        own.insert(XRecord::arriving(tuple.detached(), now));
         self.work.inserts += 1;
 
         self.enforce_memory_threshold(now);
@@ -270,8 +270,8 @@ impl XJoin {
                 }
                 self.work.outputs += 1;
                 match side {
-                    Side::Left => out.push(a.tuple.concat(&b.tuple)),
-                    Side::Right => out.push(b.tuple.concat(&a.tuple)),
+                    Side::Left => out.push_joined(&a.tuple, &b.tuple),
+                    Side::Right => out.push_joined(&b.tuple, &a.tuple),
                 }
             }
         }
@@ -325,7 +325,7 @@ impl XJoin {
                     continue; // stage 2
                 }
                 self.work.outputs += 1;
-                out.push(a.tuple.concat(&b.tuple));
+                out.push_joined(&a.tuple, &b.tuple);
             }
         }
     }
@@ -453,7 +453,7 @@ mod tests {
                     .zip(r.get(attr_b))
                     .is_some_and(|(a, b)| a.join_eq(b))
                 {
-                    out.push(l.concat(r));
+                    out.push(Tuple::concat(l, r));
                 }
             }
         }
