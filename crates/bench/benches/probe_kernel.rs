@@ -9,12 +9,10 @@
 //! at least 1.5x over the scalar reference at 10k+ occupancy for the
 //! best kernel the host supports.
 //!
-//! The criterion sweep below is for interactive display. The recorded
-//! numbers live in `BENCH_multicore.json`, written by the
-//! `multicore_scaling` bench from the same shared sweep
-//! (`pjoin_bench::kernel_sweep`) — one owner per summary file, so the
-//! two binaries never race on it. A final stdout table here reports the
-//! shared sweep's speedups for quick eyeballing.
+//! The criterion sweep below is for interactive display; a final stdout
+//! table reports the `pjoin_bench::kernel_sweep` speedups for quick
+//! eyeballing. What the kernels buy end to end is `storage.probe_ns` in
+//! the repository benchmark (`BENCHMARK.json`).
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use pjoin_bench::kernel_sweep::{build_tags, probe_kernel_sweep, OCCUPANCIES};
@@ -53,7 +51,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    println!("\nrecorded sweep (shared with BENCH_multicore.json):");
+    println!("\nkernel sweep:");
     println!(
         "{:<8} {:>10} {:>16} {:>10}",
         "kernel", "occupancy", "tags/s", "vs scalar"

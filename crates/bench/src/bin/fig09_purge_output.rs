@@ -12,8 +12,7 @@
 //! produces the same output at the same rate. This binary asserts the
 //! flattened shape (identical results, rates within 2%); the paper's
 //! original crossover survives only for scan-bound pattern shapes
-//! (ranges/wildcards, see `purge_state`) and in the linear baselines
-//! of the `probe_scaling` microbenchmark.
+//! (ranges/wildcards, see `purge_state`).
 
 use pjoin_bench::*;
 use stream_metrics::Recorder;

@@ -1,10 +1,8 @@
 //! Tag-scan kernel sweep: throughput of `ProbeKernel::scan_tags` per
 //! kernel and bucket occupancy.
 //!
-//! Shared between the `probe_kernel` criterion bench (interactive
-//! display and smoke testing) and `multicore_scaling`'s summary writer,
-//! which embeds one recorded sweep in `BENCH_multicore.json` — a single
-//! owner for the file, so two bench binaries never race on it.
+//! Driven by the `probe_kernel` criterion bench (interactive display
+//! and smoke testing), which prints the sweep as a table.
 //!
 //! The measured operation is the storage hot loop: scanning a bucket's
 //! packed tag array for slots whose tag equals the probe tag. Arrays
@@ -125,21 +123,6 @@ pub fn probe_kernel_sweep(target_tags: usize) -> Vec<KernelRow> {
     rows
 }
 
-/// The sweep's rows as a JSON array body (no surrounding brackets),
-/// indented for embedding in a bench summary file.
-pub fn sweep_json_rows(rows: &[KernelRow]) -> String {
-    rows.iter()
-        .map(|r| {
-            format!(
-                "    {{\"kernel\": \"{}\", \"occupancy\": {}, \"tags_per_sec\": {:.0}, \
-                 \"speedup_vs_scalar\": {:.3}}}",
-                r.kernel, r.occupancy, r.tags_per_sec, r.speedup_vs_scalar
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +147,6 @@ mod tests {
         let kernels = ProbeKernel::supported().len();
         assert_eq!(rows.len(), kernels * OCCUPANCIES.len());
         assert!(rows.iter().all(|r| r.tags_per_sec > 0.0));
-        let json = sweep_json_rows(&rows);
-        assert!(json.contains("\"kernel\": \"scalar\""));
+        assert!(rows.iter().any(|r| r.kernel == "scalar"));
     }
 }

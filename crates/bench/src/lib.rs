@@ -28,9 +28,6 @@
 //! 40000), `PJOIN_BENCH_SEED` (default 42).
 
 pub mod harness;
-pub mod host;
 pub mod kernel_sweep;
 
 pub use harness::*;
-pub use host::{cores_json_fields, host_cores, warn_if_single_core, SINGLE_CORE_WARNING};
-pub use kernel_sweep::{probe_kernel_sweep, sweep_json_rows, KernelRow, OCCUPANCIES};

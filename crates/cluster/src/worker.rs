@@ -684,7 +684,21 @@ impl Worker {
         };
         self.sink.publish(Timestamped::new(self.clock, sink_marker(&spec).into()));
         ctrl.send(&Frame::BarrierReached { nonce })?;
+        self.export_state(ctrl)?;
 
+        // Block for the install.
+        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        while self.migrate.is_some() {
+            let frame = self.next_ctrl(events, deadline, "migration install")?;
+            self.handle_ctrl(frame, ctrl)?;
+        }
+        self.report.migrations += 1;
+        Ok(())
+    }
+
+    /// Ships every shard's state to the coordinator as `MigrateState`
+    /// chunks closed by `MigrateStateDone`; returns the record count.
+    fn export_state(&mut self, ctrl: &mut CtrlConn) -> Result<u64, ClusterError> {
         let mut exported: u64 = 0;
         for (shard, join) in &self.joins {
             for side in [Side::Left, Side::Right] {
@@ -701,15 +715,7 @@ impl Worker {
         }
         ctrl.send(&Frame::MigrateStateDone { records: exported })?;
         self.report.records_exported += exported;
-
-        // Block for the install.
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
-        while self.migrate.is_some() {
-            let frame = self.next_ctrl(events, deadline, "migration install")?;
-            self.handle_ctrl(frame, ctrl)?;
-        }
-        self.report.migrations += 1;
-        Ok(())
+        Ok(exported)
     }
 
     /// Both barriers are in and a checkpoint is armed: publish the sink
@@ -724,22 +730,7 @@ impl Worker {
         };
         self.sink.publish(Timestamped::new(self.clock, sink_marker(&spec).into()));
         ctrl.send(&Frame::BarrierReached { nonce })?;
-        let mut exported: u64 = 0;
-        for (shard, join) in &self.joins {
-            for side in [Side::Left, Side::Right] {
-                let records = join.export_records(side)?;
-                exported += records.len() as u64;
-                for chunk in records.chunks(MIGRATE_CHUNK) {
-                    ctrl.send(&Frame::MigrateState {
-                        shard: *shard as u32,
-                        side: side_index(side) as u8,
-                        records: chunk.to_vec(),
-                    })?;
-                }
-            }
-        }
-        ctrl.send(&Frame::MigrateStateDone { records: exported })?;
-        self.report.records_exported += exported;
+        self.export_state(ctrl)?;
         self.checkpoint = None;
         Ok(())
     }

@@ -66,7 +66,6 @@ pub mod nary;
 pub mod operator;
 pub mod punctuation_index;
 pub mod record;
-pub mod runtime;
 pub mod state;
 
 pub use builder::PJoinBuilder;

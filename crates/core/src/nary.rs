@@ -92,6 +92,9 @@ pub struct NaryStats {
     pub dropped_on_fly: u64,
     /// Punctuations propagated.
     pub puncts_propagated: u64,
+    /// Malformed elements dropped at ingest: tuples too short to carry
+    /// the join attribute and punctuations of the wrong width.
+    pub malformed_dropped: u64,
 }
 
 /// One input stream's memory state: join value → tuples.
@@ -240,7 +243,7 @@ impl NaryPJoin {
     fn handle_tuple(&mut self, stream: usize, tuple: Tuple, out: &mut OpOutput) {
         let attr = self.config.join_attrs[stream];
         let Some(key) = tuple.get(attr).cloned() else {
-            debug_assert!(false, "tuple without join attribute");
+            self.stats.malformed_dropped += 1;
             return;
         };
         self.work.hashes += 1;
@@ -319,7 +322,7 @@ impl NaryPJoin {
     fn handle_punctuation(&mut self, stream: usize, p: Punctuation, out: &mut OpOutput) {
         self.work.puncts_processed += 1;
         if p.width() != self.config.widths[stream] {
-            debug_assert!(false, "punctuation width mismatch");
+            self.stats.malformed_dropped += 1;
             return;
         }
         self.indexes[stream].insert(p);
@@ -625,6 +628,24 @@ mod tests {
         op.on_element(2, Tuple::of((5i64, 200i64, 201i64)).into(), &mut out);
         let results: Vec<_> = out.drain().filter_map(|e| e.as_tuple().cloned()).collect();
         assert_eq!(results, vec![Tuple::of((99i64, 5i64, 5i64, 100i64, 5i64, 200i64, 201i64))]);
+    }
+
+    /// A tuple too short to carry the join attribute and a punctuation of
+    /// the wrong width are counted drops — no panic in a debug build, no
+    /// other trace in state, stats or output.
+    #[test]
+    fn malformed_elements_are_counted_drops() {
+        let mut op = NaryPJoin::new(NaryConfig::symmetric(3, 2));
+        let mut out = OpOutput::new();
+        op.on_element(0, Tuple::of((1i64, 0i64)).into(), &mut out);
+        let before = *op.stats();
+        op.on_element(1, Tuple::new(Vec::new()).into(), &mut out);
+        op.on_element(1, Punctuation::close_value(3, 0, 1i64).into(), &mut out);
+        assert_eq!(op.stats().malformed_dropped, 2, "one count per malformed element");
+        assert_eq!(op.state_tuples(), 1);
+        assert_eq!(out.drain().count(), 0);
+        let rest = NaryStats { malformed_dropped: 0, ..*op.stats() };
+        assert_eq!(rest, before, "a drop must leave no other trace");
     }
 
     #[test]

@@ -234,6 +234,11 @@ proptest! {
             let short_bytes = encode_slab(&short);
             prop_assert_ne!(short_bytes.as_ref(), bytes.as_ref());
         }
+        // A header claiming u32::MAX slots is rejected against the bytes
+        // present, before anything is sized from it.
+        let mut huge = bytes.to_vec();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        prop_assert!(Bucket::<PRecord>::decode_memory(&mut huge.into()).is_err());
     }
 }
 

@@ -1,7 +1,7 @@
 //! Configuration of the sharded executor.
 
 use pjoin::PJoinConfig;
-use punct_types::BatchConfig;
+use punct_types::{batch::DEFAULT_BATCH_ELEMS, BatchConfig};
 
 /// Upper bound on the shard count: the punctuation aligner tracks the
 /// shards that have propagated a punctuation in a `u64` bitmask.
@@ -18,11 +18,6 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 /// Default capacity (in batches) of the merger → caller channel.
 pub const DEFAULT_OUTPUT_CAPACITY: usize = 4096;
-
-/// Default number of elements the router accumulates per shard before
-/// flushing a batch downstream (batches also flush whenever the router
-/// input runs dry, so idle latency stays at one scheduling quantum).
-pub const DEFAULT_ROUTER_BATCH: usize = 128;
 
 /// Default bound (in elements) on the caller-side pending buffer that
 /// [`push`](crate::ShardedPJoin::push) drains merged outputs into while
@@ -90,10 +85,10 @@ pub struct ExecConfig {
     pub event_capacity: usize,
     /// Merger → caller channel capacity, in output batches.
     pub output_capacity: usize,
-    /// Elements accumulated per shard before the router flushes a batch.
-    /// Defaults to [`BatchConfig::from_env`]'s `max_elems`, so
-    /// `PJOIN_BATCH` tunes it without recompiling; `1` flushes every
-    /// element on its own.
+    /// Elements accumulated per shard before the router flushes a batch
+    /// (batches also flush whenever the router input runs dry, so idle
+    /// latency stays at one scheduling quantum). Defaults to
+    /// [`DEFAULT_BATCH_ELEMS`]; `1` flushes every element on its own.
     pub router_batch: usize,
     /// Bound (in elements) on the caller-side pending output buffer;
     /// see [`DEFAULT_PENDING_CAPACITY`].
@@ -122,17 +117,9 @@ impl ExecConfig {
             shard_capacity: DEFAULT_SHARD_CAPACITY,
             event_capacity: DEFAULT_EVENT_CAPACITY,
             output_capacity: DEFAULT_OUTPUT_CAPACITY,
-            router_batch: BatchConfig::from_env().max_elems,
+            router_batch: DEFAULT_BATCH_ELEMS,
             pending_capacity: DEFAULT_PENDING_CAPACITY,
         })
-    }
-
-    /// A configuration with the shard count chosen automatically: the
-    /// `PJOIN_SHARDS` environment variable when set to a valid value,
-    /// otherwise the machine's available parallelism (clamped to
-    /// [`MAX_SHARDS`]). See [`default_shards`].
-    pub fn auto(join: PJoinConfig) -> ExecConfig {
-        ExecConfig::new(default_shards(), join)
     }
 
     /// A configuration with default channel sizing.
@@ -164,32 +151,6 @@ impl ExecConfig {
         self.pending_capacity = capacity.max(1);
         self
     }
-}
-
-/// The shard count a configuration-less caller gets: `PJOIN_SHARDS`
-/// when set to a valid value in `1..=MAX_SHARDS` (explicit operator
-/// intent always wins), otherwise the machine's available parallelism
-/// clamped to `MAX_SHARDS` — so sharded runs scale with the hardware by
-/// default instead of defaulting to a fixed, usually-wrong constant.
-pub fn default_shards() -> usize {
-    shards_from_env().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(MAX_SHARDS)
-    })
-}
-
-/// Reads the shard count from the `PJOIN_SHARDS` environment variable,
-/// if set to a valid value in `1..=MAX_SHARDS`. Used by tests, benches
-/// and the CI shard matrix to parameterize runs without recompiling.
-pub fn shards_from_env() -> Option<usize> {
-    std::env::var("PJOIN_SHARDS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|s| (1..=MAX_SHARDS).contains(s))
 }
 
 #[cfg(test)]
@@ -242,34 +203,6 @@ mod tests {
             msg.contains("shard count"),
             "panic-compatible message: {msg}"
         );
-    }
-
-    #[test]
-    fn default_shards_env_beats_parallelism() {
-        // No other test in this binary touches PJOIN_SHARDS, so the
-        // process-global environment mutation is safe here.
-        std::env::remove_var("PJOIN_SHARDS");
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(MAX_SHARDS);
-        assert_eq!(
-            default_shards(),
-            hw,
-            "without the env var, hardware parallelism wins"
-        );
-        assert_eq!(ExecConfig::auto(PJoinConfig::new(2, 2)).shards, hw);
-
-        std::env::set_var("PJOIN_SHARDS", "3");
-        assert_eq!(default_shards(), 3, "a valid PJOIN_SHARDS takes precedence");
-        assert_eq!(ExecConfig::auto(PJoinConfig::new(2, 2)).shards, 3);
-
-        // Invalid values fall back to hardware parallelism.
-        std::env::set_var("PJOIN_SHARDS", "0");
-        assert_eq!(default_shards(), hw);
-        std::env::set_var("PJOIN_SHARDS", "not-a-number");
-        assert_eq!(default_shards(), hw);
-        std::env::remove_var("PJOIN_SHARDS");
     }
 
     #[test]

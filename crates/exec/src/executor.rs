@@ -27,7 +27,6 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use pjoin::framework::FrameworkProfile;
-use pjoin::runtime::RuntimeMetrics;
 use pjoin::PJoinStats;
 use punct_trace::{JoinLatencies, TraceLog};
 use punct_types::{StreamElement, Timestamped};
@@ -37,7 +36,7 @@ use crate::align::SharedAligner;
 use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::merge::{merge_loop, MergeReport};
-use crate::metrics::ShardMetrics;
+use crate::metrics::{RuntimeMetrics, ShardMetrics};
 use crate::router::{router_loop, RouterCounters, RouterMsg, RouterReport};
 use crate::shard::{shard_loop, RoutedElement, ShardEvent, ShardMsg, ShardReport};
 

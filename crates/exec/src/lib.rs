@@ -71,11 +71,11 @@ pub mod router;
 pub mod shard;
 
 pub use align::{AlignOutcome, Aligner, SharedAligner};
-pub use config::{default_shards, shards_from_env, ExecConfig, ExecConfigError, MAX_SHARDS};
+pub use config::{ExecConfig, ExecConfigError, MAX_SHARDS};
 pub use error::ExecError;
 pub use executor::{ExecStats, ShardedPJoin};
 pub use merge::MergeReport;
-pub use metrics::ShardMetrics;
+pub use metrics::{RuntimeMetrics, ShardMetrics};
 pub use router::{
     route_punctuation, route_tuple, route_tuple_hashed, shard_of, shard_of_hash, Route,
     RouterReport,

@@ -1,31 +1,58 @@
-//! Per-shard metrics published without locking.
+//! Executor metrics: the [`RuntimeMetrics`] snapshot shape and the
+//! per-shard cell that publishes it without locking.
 //!
-//! The single-threaded runtime guards its [`RuntimeMetrics`] with a
-//! mutex because one worker owns them end to end. The sharded executor
-//! used to do the same — one `Arc<Mutex<RuntimeMetrics>>` per shard,
-//! locked by the shard after every batch and by the caller on every
-//! [`shard_metrics`](crate::ShardedPJoin::shard_metrics) snapshot. That
-//! put a lock acquisition on the data path for something that is pure
-//! monitoring. [`ShardMetrics`] replaces it with relaxed atomic counters:
-//! the shard stores, the caller loads, and nobody waits. The one
-//! remaining lock — the latency histograms, which are too wide for an
-//! atomic — is taken only when tracing is enabled, so the default hot
-//! path never touches a mutex to publish metrics.
+//! Each shard owns a [`ShardMetrics`] of relaxed atomic counters: the
+//! shard stores after every batch, the caller loads on every
+//! [`shard_metrics`](crate::ShardedPJoin::shard_metrics) snapshot, and
+//! nobody waits — monitoring puts no lock on the data path. The one
+//! lock — the latency histograms, which are too wide for an atomic — is
+//! taken only when tracing is enabled, so the default hot path never
+//! touches a mutex to publish metrics.
 //!
 //! Consistency: each counter is individually exact (it is the shard's
 //! own monotone tally), but a snapshot may observe counters from
 //! *different* publish points — e.g. `consumed` from a newer batch than
-//! `emitted`. The pre-existing mutex gave whole-struct snapshots, but
-//! nothing consumed that guarantee: every reader either displays the
-//! numbers (live progress meters) or reads them after `finish()`, when
-//! the shard threads have been joined and the values are final and
-//! mutually consistent.
+//! `emitted`. Every reader either displays the numbers (live progress
+//! meters) or reads them after `finish()`, when the shard threads have
+//! been joined and the values are final and mutually consistent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use pjoin::runtime::RuntimeMetrics;
 use punct_trace::JoinLatencies;
+
+/// Live metrics of one shard (or, summed, of the whole executor) — the
+/// externally visible face of the paper's monitor.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RuntimeMetrics {
+    /// Elements consumed so far.
+    pub consumed: u64,
+    /// Tuples currently in the join state.
+    pub state_tuples: usize,
+    /// Results emitted so far.
+    pub emitted: u64,
+    /// End-to-end latency histograms (empty unless the operator was
+    /// configured with tracing; merged exactly by `+`).
+    pub latencies: JoinLatencies,
+}
+
+impl std::ops::Add for RuntimeMetrics {
+    type Output = RuntimeMetrics;
+    fn add(self, rhs: RuntimeMetrics) -> RuntimeMetrics {
+        RuntimeMetrics {
+            consumed: self.consumed + rhs.consumed,
+            state_tuples: self.state_tuples + rhs.state_tuples,
+            emitted: self.emitted + rhs.emitted,
+            latencies: self.latencies + rhs.latencies,
+        }
+    }
+}
+
+impl std::iter::Sum for RuntimeMetrics {
+    fn sum<I: Iterator<Item = RuntimeMetrics>>(iter: I) -> RuntimeMetrics {
+        iter.fold(RuntimeMetrics::default(), |acc, m| acc + m)
+    }
+}
 
 /// Lock-free live metrics for one shard. The shard thread stores after
 /// each batch; readers snapshot at will.
@@ -86,6 +113,18 @@ impl ShardMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metrics_aggregate_by_sum() {
+        let a = RuntimeMetrics { consumed: 1, state_tuples: 2, emitted: 3, ..Default::default() };
+        let b =
+            RuntimeMetrics { consumed: 10, state_tuples: 20, emitted: 30, ..Default::default() };
+        let total: RuntimeMetrics = [a, b].into_iter().sum();
+        assert_eq!(
+            total,
+            RuntimeMetrics { consumed: 11, state_tuples: 22, emitted: 33, ..Default::default() }
+        );
+    }
 
     #[test]
     fn publish_then_snapshot_round_trips() {

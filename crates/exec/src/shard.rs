@@ -1,10 +1,10 @@
 //! The shard worker: one thread running an independent [`PJoin`] over a
-//! key subspace, mirroring the single-threaded runtime loop
-//! (`pjoin::runtime`): each batch is fed to the operator element by
-//! element in arrival order and its outputs are drained once at the end
-//! (a batch amortizes the channel send, the metrics publish and the
-//! blocks joined tuples share — [`OpOutput::push_joined`] — nothing
-//! else), idle slots run background work (disk joins, time-based
+//! key subspace — the paper's §3.6 execution model, the memory join as
+//! the main thread of its shard: each batch is fed to the operator
+//! element by element in arrival order and its outputs are drained once
+//! at the end (a batch amortizes the channel send, the metrics publish
+//! and the blocks joined tuples share — [`OpOutput::push_joined`] —
+//! nothing else), idle slots run background work (disk joins, time-based
 //! propagation), and finish drains the operator's end-of-stream protocol.
 
 use std::sync::Arc;
@@ -12,13 +12,12 @@ use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pjoin::framework::FrameworkProfile;
-use pjoin::runtime::RuntimeMetrics;
 use pjoin::{PJoin, PJoinConfig, PJoinStats};
 use punct_trace::{JoinLatencies, TraceLog};
 use punct_types::{StreamElement, Timestamp, Timestamped};
 use stream_sim::{BinaryStreamOp, OpOutput, Side, Work};
 
-use crate::metrics::ShardMetrics;
+use crate::metrics::{RuntimeMetrics, ShardMetrics};
 
 /// One element routed to a shard, with the routing decision's byproducts
 /// carried along so downstream layers never recompute them.

@@ -37,32 +37,36 @@ fn keyed_workload(keys: i64) -> Vec<(Side, Timestamped<StreamElement>)> {
 fn tiny_channels_finish_without_deadlock() {
     // Capacities far smaller than the workload: every channel must back-
     // pressure and the drain-while-feeding paths must keep it moving.
-    let mut config = ExecConfig::new(4, PJoinConfig::new(2, 2));
-    config.input_capacity = 2;
-    config.shard_capacity = 1;
-    config.event_capacity = 2;
-    config.output_capacity = 1;
-    config.router_batch = 4;
+    // One shard is the single-worker runtime: its only worker blocks on
+    // the capacity-1 output path and `finish` alone must drain it.
+    for shards in [1, 4] {
+        let mut config = ExecConfig::new(shards, PJoinConfig::new(2, 2));
+        config.input_capacity = 2;
+        config.shard_capacity = 1;
+        config.event_capacity = 2;
+        config.output_capacity = 1;
+        config.router_batch = 4;
 
-    let exec = ShardedPJoin::spawn(config);
-    let keys = 500i64;
-    for (side, e) in keyed_workload(keys) {
-        exec.push(side, e);
+        let exec = ShardedPJoin::spawn(config);
+        let keys = 500i64;
+        for (side, e) in keyed_workload(keys) {
+            exec.push(side, e);
+        }
+        let (outputs, stats) = exec.finish();
+
+        let tuples = outputs.iter().filter(|e| e.item.is_tuple()).count();
+        let puncts = outputs.iter().filter(|e| e.item.is_punctuation()).count();
+        assert_eq!(tuples as i64, keys);
+        // Every ingested punctuation aligned and emitted exactly once.
+        assert_eq!(puncts as i64, 2 * keys);
+        assert_eq!(stats.merge.puncts_unexpected, 0);
+        assert_eq!(stats.merge.puncts_unaligned, 0);
+        // Constant-key punctuations are targeted, never broadcast.
+        assert_eq!(stats.router.puncts_targeted, 2 * keys as u64);
+        assert_eq!(stats.router.puncts_broadcast, 0);
+        // Both sides fully purged by the paired punctuations.
+        assert_eq!(stats.total_stats().tuples_purged + stats.total_stats().dropped_on_fly, 2 * keys as u64);
     }
-    let (outputs, stats) = exec.finish();
-
-    let tuples = outputs.iter().filter(|e| e.item.is_tuple()).count();
-    let puncts = outputs.iter().filter(|e| e.item.is_punctuation()).count();
-    assert_eq!(tuples as i64, keys);
-    // Every ingested punctuation aligned and emitted exactly once.
-    assert_eq!(puncts as i64, 2 * keys);
-    assert_eq!(stats.merge.puncts_unexpected, 0);
-    assert_eq!(stats.merge.puncts_unaligned, 0);
-    // Constant-key punctuations are targeted, never broadcast.
-    assert_eq!(stats.router.puncts_targeted, 2 * keys as u64);
-    assert_eq!(stats.router.puncts_broadcast, 0);
-    // Both sides fully purged by the paired punctuations.
-    assert_eq!(stats.total_stats().tuples_purged + stats.total_stats().dropped_on_fly, 2 * keys as u64);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Batching must be invisible: for any well-formed punctuated workload,
 //! any shard count, and any batch size, the sharded executor's output is
 //! the same multiset of joined tuples and the same multiset of aligned
-//! punctuations as the per-element (`PJOIN_BATCH=1`) run — which is
+//! punctuations as the per-element (batch size 1) run — which is
 //! itself anchored against the single-threaded operator.
 //!
 //! Beyond the property test this file pins down the deterministic
@@ -21,9 +21,9 @@ use std::time::Duration;
 
 use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
-use punct_exec::{shard_of_hash, shards_from_env, ExecConfig, ShardedPJoin};
+use punct_exec::{shard_of_hash, ExecConfig, ShardedPJoin};
 use punct_types::{
-    batch_from_env, BatchConfig, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value,
+    BatchConfig, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value,
 };
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, PunctScheme, StreamConfig};
@@ -105,27 +105,11 @@ fn exec_run(
     (outputs.into_iter().map(|e| e.item).collect(), stats)
 }
 
-/// The batch sizes under test; `PJOIN_BATCH` (the CI matrix) adds one.
-fn batch_sizes() -> Vec<usize> {
-    let mut sizes = vec![1, 7, 64, 256];
-    if let Some(env) = batch_from_env() {
-        if !sizes.contains(&env) {
-            sizes.push(env);
-        }
-    }
-    sizes
-}
+/// The batch sizes under test.
+const BATCH_SIZES: [usize; 4] = [1, 7, 64, 256];
 
-/// The shard counts under test; `PJOIN_SHARDS` (the CI matrix) adds one.
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1, 4];
-    if let Some(s) = shards_from_env() {
-        if !counts.contains(&s) {
-            counts.push(s);
-        }
-    }
-    counts
-}
+/// The shard counts under test.
+const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 /// Join configs with and without on-the-fly dropping, plus purge and
 /// propagation variation — batching must be invisible under all of them.
@@ -194,8 +178,8 @@ proptest! {
         let feed = interleave(&left.elements, &right.elements);
         let anchor = canonical(&reference_run(&join_config, &feed));
 
-        for shards in shard_counts() {
-            // The per-element run (`PJOIN_BATCH=1`) is the baseline each
+        for shards in SHARD_COUNTS {
+            // The per-element run (batch size 1) is the baseline each
             // batched run must reproduce — and it must itself agree with
             // the single-threaded operator.
             let (base_items, _) =
@@ -207,7 +191,7 @@ proptest! {
             );
             prop_assert_eq!(&expected.1, &anchor.1);
 
-            for batch in batch_sizes() {
+            for batch in BATCH_SIZES {
                 if batch == 1 {
                     continue;
                 }

@@ -12,7 +12,7 @@
 
 use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
-use punct_exec::{shards_from_env, ExecConfig, ShardedPJoin};
+use punct_exec::{ExecConfig, ShardedPJoin};
 use punct_types::{StreamElement, Timestamp, Timestamped};
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, PunctScheme, StreamConfig};
@@ -80,16 +80,8 @@ fn canonical(elements: &[StreamElement]) -> (Vec<String>, Vec<String>) {
     (tuples, puncts)
 }
 
-/// The shard counts under test; `PJOIN_SHARDS` (the CI matrix) adds one.
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4, 8];
-    if let Some(s) = shards_from_env() {
-        if !counts.contains(&s) {
-            counts.push(s);
-        }
-    }
-    counts
-}
+/// The shard counts under test.
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn join_config_strategy() -> impl Strategy<Value = PJoinConfig> {
     (
@@ -159,7 +151,7 @@ proptest! {
         let expected = canonical(&reference_run(&join_config, &feed));
         let ingested_puncts = feed.iter().filter(|(_, e)| e.item.is_punctuation()).count();
 
-        for shards in shard_counts() {
+        for shards in SHARD_COUNTS {
             let exec = ShardedPJoin::spawn(ExecConfig::new(shards, join_config.clone()));
             exec.push_batch(feed.clone());
             let (outputs, stats) = exec.finish();

@@ -67,10 +67,10 @@ impl Default for ClientOptions {
 }
 
 impl ClientOptions {
-    /// Applies a [`punct_types::BatchConfig`] (e.g. from `PJOIN_BATCH`)
-    /// to the wire batching knobs: `max_elems` elements per write,
-    /// `max_bytes` per `DataBatch` frame. `PJOIN_BATCH=1` therefore
-    /// yields per-element `Data` frames.
+    /// Applies a [`punct_types::BatchConfig`] to the wire batching
+    /// knobs: `max_elems` elements per write, `max_bytes` per `DataBatch`
+    /// frame. `BatchConfig::per_element()` therefore yields per-element
+    /// `Data` frames.
     pub fn with_batch(mut self, batch: punct_types::BatchConfig) -> ClientOptions {
         self.batch = batch.max_elems.max(1);
         self.max_batch_bytes = batch.max_bytes;

@@ -62,8 +62,7 @@ impl Default for SinkOptions {
 }
 
 impl SinkOptions {
-    /// Applies a [`punct_types::BatchConfig`] (e.g. from `PJOIN_BATCH`)
-    /// to the wire batching knobs.
+    /// Applies a [`punct_types::BatchConfig`] to the wire batching knobs.
     pub fn with_batch(mut self, batch: punct_types::BatchConfig) -> SinkOptions {
         self.batch = batch.max_elems.max(1);
         self.max_batch_bytes = batch.max_bytes;

@@ -9,8 +9,9 @@
 //!   does) and once over real sockets through fault proxies injecting
 //!   frame drops plus one forced disconnect per stream. The joined
 //!   tuple multiset and the propagated punctuation multiset must be
-//!   identical. The two runs consume *different* interleavings of the
-//!   two sides — the test also certifies that the join's answer is
+//!   identical — with the executor behind the sockets flushing per
+//!   element, at the default batch and at 256. The two runs consume
+//!   *different* interleavings of the two sides — the test also certifies that the join's answer is
 //!   interleaving-independent for well-formed punctuated streams, which
 //!   is precisely why a network (which cannot promise cross-stream
 //!   ordering) is safe to add.
@@ -31,7 +32,7 @@ use punct_net::{
     IngestMsg, IngestOptions, IngestServer,
 };
 use punct_trace::{TraceKind, TraceSettings};
-use punct_types::{StreamElement, Timestamped};
+use punct_types::{BatchConfig, StreamElement, Timestamped};
 use stream_sim::Side;
 use streamgen::{generate_pair, interleave_sides, PunctScheme, StreamConfig};
 
@@ -94,7 +95,28 @@ fn networked_run_matches_in_process_run() {
     let seed = 23;
     let (left, right) = workload(seed);
     let reference = in_process_run(&left, &right);
+    let (ref_tuples, ref_puncts) = canonical(&reference);
+    assert!(!ref_tuples.is_empty() && !ref_puncts.is_empty(), "workload must join and punctuate");
 
+    // The executor behind the sockets flushes per element, at the
+    // default router batch and at full 256-element batches.
+    for batch in [BatchConfig::per_element(), BatchConfig::default(), BatchConfig::with_elems(256)] {
+        // The acceptance criterion: identical joined-tuple multiset and
+        // identical punctuation multiset, network or no network.
+        let (net_tuples, net_puncts) = canonical(&networked_run(&left, &right, seed, batch));
+        assert_eq!(net_tuples, ref_tuples, "joined-tuple multiset diverged across the network at {batch:?}");
+        assert_eq!(net_puncts, ref_puncts, "punctuation multiset diverged across the network at {batch:?}");
+    }
+}
+
+/// One run over real sockets through the fault proxies, with the
+/// executor's router batch set to `batch`; returns the join's outputs.
+fn networked_run(
+    left: &[Timestamped<StreamElement>],
+    right: &[Timestamped<StreamElement>],
+    seed: u64,
+    batch: BatchConfig,
+) -> Vec<Timestamped<StreamElement>> {
     // The networked run: each client dials its own fault proxy so each
     // stream is guaranteed exactly one forced disconnect (the proxy
     // kills its first connection only), on top of random data-frame
@@ -119,11 +141,11 @@ fn networked_run_matches_in_process_run() {
         seed,
         ..ClientOptions::default()
     };
-    let ls = spawn_source(proxy_l.addr(), 0, Side::Left, schema(seed), left.clone(), opts(1));
-    let rs = spawn_source(proxy_r.addr(), 1, Side::Right, schema(seed), right.clone(), opts(2));
+    let ls = spawn_source(proxy_l.addr(), 0, Side::Left, schema(seed), left.to_vec(), opts(1));
+    let rs = spawn_source(proxy_r.addr(), 1, Side::Right, schema(seed), right.to_vec(), opts(2));
 
     let report = run_networked_join(
-        ExecConfig::new(SHARDS, PJoinConfig::new(2, 2)),
+        ExecConfig::new(SHARDS, PJoinConfig::new(2, 2)).with_batch(batch),
         &server,
         &rx,
         None,
@@ -144,14 +166,7 @@ fn networked_run_matches_in_process_run() {
 
     // Exactly-once ingest despite the replays.
     assert_eq!(report.fed, (left.len() + right.len()) as u64);
-
-    // The acceptance criterion: identical joined-tuple multiset and
-    // identical punctuation multiset, network or no network.
-    let (ref_tuples, ref_puncts) = canonical(&reference);
-    let (net_tuples, net_puncts) = canonical(&report.outputs);
-    assert!(!ref_tuples.is_empty() && !ref_puncts.is_empty(), "workload must join and punctuate");
-    assert_eq!(net_tuples, ref_tuples, "joined-tuple multiset diverged across the network");
-    assert_eq!(net_puncts, ref_puncts, "punctuation multiset diverged across the network");
+    report.outputs
 }
 
 #[test]

@@ -371,6 +371,12 @@ impl<R: Record> Bucket<R> {
             }
             free.push(hole);
         }
+        // Every slot carries at least its 8-byte tag, so an arena beyond
+        // the bytes present is a corrupt header — reject it before
+        // sizing anything from it.
+        if arena > buf.remaining() / 8 {
+            return Err(CodecError::UnexpectedEof);
+        }
         let mut slots = Vec::with_capacity(arena);
         let mut tags = Vec::with_capacity(arena);
         let mut live = 0;

@@ -21,10 +21,9 @@
 //!   elsewhere). No new dependencies.
 //!
 //! The kernel is selected **once** per process ([`ProbeKernel::selected`])
-//! — AVX2 when the host supports it, SWAR otherwise — and can be pinned
-//! with `PJOIN_PROBE_KERNEL={auto,scalar,swar,avx2}` (an unsupported
-//! `avx2` request falls back to `auto` with a warning rather than
-//! crashing). Sentinel handling is centralized here: probe masks are raw
+//! from what the host supports — AVX2 when detected, SWAR otherwise;
+//! `Scalar` is the reference the property tests compare against.
+//! Sentinel handling is centralized here: probe masks are raw
 //! tag equality, and [`ProbeKernel::scan_tags`] refuses sentinel probe
 //! tags ([`TAG_FREE`], [`TAG_UNKEYED`]) up front, exactly like the old
 //! scalar loop's `live_tag` guard.
@@ -53,7 +52,7 @@ impl ProbeKernel {
     /// Every kernel variant, for enumeration by benches and tests.
     pub const ALL: [ProbeKernel; 3] = [ProbeKernel::Scalar, ProbeKernel::Swar, ProbeKernel::Avx2];
 
-    /// The kernel's stable name (env-var value, bench JSON key).
+    /// The kernel's stable name (bench and report key).
     pub fn name(self) -> &'static str {
         match self {
             ProbeKernel::Scalar => "scalar",
@@ -82,42 +81,17 @@ impl ProbeKernel {
             .collect()
     }
 
-    /// The process-wide kernel: chosen once from `PJOIN_PROBE_KERNEL`
-    /// (or `auto` when unset/invalid) and cached.
+    /// The process-wide kernel, detected once and cached: the fastest
+    /// the host supports — AVX2 when available, else SWAR.
     pub fn selected() -> ProbeKernel {
         static SELECTED: OnceLock<ProbeKernel> = OnceLock::new();
         *SELECTED.get_or_init(|| {
-            ProbeKernel::choose(std::env::var("PJOIN_PROBE_KERNEL").ok().as_deref())
-        })
-    }
-
-    /// The selection rule, exposed for tests: `scalar` / `swar` are
-    /// honored verbatim, `avx2` is honored when supported and otherwise
-    /// falls back to `auto`, and `auto` (or anything unrecognized) picks
-    /// the fastest supported kernel — AVX2 when available, else SWAR.
-    pub fn choose(request: Option<&str>) -> ProbeKernel {
-        let auto = if ProbeKernel::Avx2.is_supported() {
-            ProbeKernel::Avx2
-        } else {
-            ProbeKernel::Swar
-        };
-        match request.map(|s| s.trim().to_ascii_lowercase()).as_deref() {
-            Some("scalar") => ProbeKernel::Scalar,
-            Some("swar") => ProbeKernel::Swar,
-            Some("avx2") => {
-                if ProbeKernel::Avx2.is_supported() {
-                    ProbeKernel::Avx2
-                } else {
-                    eprintln!(
-                        "PJOIN_PROBE_KERNEL=avx2 requested but the host lacks AVX2; \
-                         falling back to auto ({})",
-                        auto.name()
-                    );
-                    auto
-                }
+            if ProbeKernel::Avx2.is_supported() {
+                ProbeKernel::Avx2
+            } else {
+                ProbeKernel::Swar
             }
-            _ => auto,
-        }
+        })
     }
 
     /// Raw equality bitmask over a window of at most [`WINDOW`] tags:
@@ -287,16 +261,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_and_parsing() {
-        assert_eq!(ProbeKernel::choose(Some("scalar")), ProbeKernel::Scalar);
-        assert_eq!(ProbeKernel::choose(Some(" SWAR ")), ProbeKernel::Swar);
-        // auto / unset / garbage agree, and always pick a supported kernel.
-        let auto = ProbeKernel::choose(None);
-        assert_eq!(ProbeKernel::choose(Some("auto")), auto);
-        assert_eq!(ProbeKernel::choose(Some("nonsense")), auto);
-        assert!(auto.is_supported());
-        // avx2 request never yields an unsupported kernel.
-        assert!(ProbeKernel::choose(Some("avx2")).is_supported());
+    fn names_and_selection() {
+        // The platform rule always picks a supported data-parallel kernel.
+        let selected = ProbeKernel::selected();
+        assert!(selected.is_supported());
+        assert_ne!(selected, ProbeKernel::Scalar);
+        assert_eq!(selected == ProbeKernel::Avx2, ProbeKernel::Avx2.is_supported());
         for k in ProbeKernel::ALL {
             assert!(!k.name().is_empty());
         }

@@ -53,6 +53,11 @@ impl<R: Record> Page<R> {
             return Err(CodecError::UnexpectedEof);
         }
         let n = bytes.get_u32_le() as usize;
+        // A record is at least one byte, so a count beyond the bytes
+        // present is a corrupt header — reject it before sizing from it.
+        if n > bytes.remaining() {
+            return Err(CodecError::UnexpectedEof);
+        }
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
             records.push(R::decode(&mut bytes)?);
@@ -114,6 +119,14 @@ mod tests {
         let cut = bytes.slice(0..bytes.len() - 1);
         assert!(Page::<Tuple>::decode(cut).is_err());
         assert!(Page::<Tuple>::decode(Bytes::from_static(&[0, 0])).is_err());
+        // A header claiming u32::MAX records is an error, not an
+        // allocation of that size.
+        let mut huge = bytes.to_vec();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            Page::<Tuple>::decode(Bytes::from(huge)).err(),
+            Some(CodecError::UnexpectedEof)
+        );
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! ## Compiling the instrumentation out
 //!
 //! Set `PJOIN_TRACE_DISABLE=1` in the environment **at build time** to
-//! compile every hook out (used by the overhead benchmark's baseline):
+//! compile every hook out:
 //!
 //! ```sh
-//! PJOIN_TRACE_DISABLE=1 cargo bench -p pjoin-bench --bench trace_overhead
+//! PJOIN_TRACE_DISABLE=1 cargo test -q -p punct-trace
 //! ```
 //!
 //! An environment-variable constant is used instead of a cargo feature

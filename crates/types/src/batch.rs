@@ -12,9 +12,8 @@
 //! One [`BatchConfig`] value is threaded through the sharded executor
 //! (`punct-exec`: elements staged per router → shard channel send) and
 //! the networked transport (`punct-net`: elements per `DataBatch` frame
-//! / socket write). The `PJOIN_BATCH` environment variable overrides the
-//! element cap everywhere, which is how the CI batch matrix and the
-//! `batch_scaling` bench sweep it without recompiling.
+//! / socket write); the equivalence suites sweep the element cap through
+//! it.
 
 /// Default cap on elements per batch (matches the router's historical
 /// flush threshold, so default behavior stays familiar).
@@ -55,30 +54,10 @@ impl BatchConfig {
         BatchConfig { max_elems: max_elems.max(1), ..BatchConfig::default() }
     }
 
-    /// The default config with any `PJOIN_BATCH` override applied.
-    pub fn from_env() -> BatchConfig {
-        match batch_from_env() {
-            Some(n) => BatchConfig::with_elems(n),
-            None => BatchConfig::default(),
-        }
-    }
-
     /// True when batching is effectively off (per-element execution).
     pub fn is_per_element(&self) -> bool {
         self.max_elems <= 1
     }
-}
-
-/// Reads the batch element cap from the `PJOIN_BATCH` environment
-/// variable, if set to a positive integer. Used by tests, benches and
-/// the CI batch matrix to parameterize runs without recompiling.
-pub fn batch_from_env() -> Option<usize> {
-    std::env::var("PJOIN_BATCH")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
 }
 
 #[cfg(test)]

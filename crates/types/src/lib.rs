@@ -44,7 +44,7 @@ pub mod tuple;
 pub mod value;
 pub mod wire;
 
-pub use batch::{batch_from_env, BatchConfig};
+pub use batch::BatchConfig;
 pub use error::TypeError;
 pub use pattern::{Bound, Pattern};
 pub use punct_seq::{PunctSeq, PunctSeqAssigner};

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! cargo run --release --example networked
-//! PJOIN_SHARDS=8 cargo run --release --example networked
 //! PJOIN_NET_FAULTS=1 cargo run --release --example networked   # lossy path
 //! ```
 //!
@@ -20,7 +19,7 @@
 
 use std::time::Duration;
 
-use punctuated_streams::exec::{shards_from_env, ExecConfig, ShardedPJoin};
+use punctuated_streams::exec::{ExecConfig, ShardedPJoin};
 use punctuated_streams::gen::{generate_pair, PunctScheme, StreamConfig};
 use punctuated_streams::net::{
     collect_all, spawn_source, BackoffPolicy, ClientOptions, FaultConfig, FaultProxy,
@@ -30,7 +29,7 @@ use punctuated_streams::prelude::*;
 use punctuated_streams::trace::{Dashboard, TraceSettings};
 
 fn main() {
-    let shards = shards_from_env().unwrap_or(4);
+    let shards = 4;
     let faults = std::env::var_os("PJOIN_NET_FAULTS").is_some();
     let cfg = StreamConfig {
         tuples: 5_000,

@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! cargo run --release --example observability
-//! PJOIN_SHARDS=8 cargo run --release --example observability
 //! ```
 //!
 //! The example doubles as the CI observability gate: after the run it
@@ -18,13 +17,13 @@
 
 use std::collections::HashMap;
 
-use punctuated_streams::exec::{shards_from_env, ExecConfig, ShardedPJoin};
+use punctuated_streams::exec::{ExecConfig, ShardedPJoin};
 use punctuated_streams::gen::{generate_pair, PunctScheme, StreamConfig};
 use punctuated_streams::prelude::*;
 use punctuated_streams::trace::{validate_jsonl, Dashboard, TraceKind, TraceLog};
 
 fn main() {
-    let shards = shards_from_env().unwrap_or(4);
+    let shards = 4;
     let cfg = StreamConfig {
         tuples: 6_000,
         key_window: 12,

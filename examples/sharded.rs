@@ -5,16 +5,15 @@
 //!
 //! ```text
 //! cargo run --release --example sharded
-//! PJOIN_SHARDS=8 cargo run --release --example sharded
 //! ```
 
-use punctuated_streams::exec::{shards_from_env, ExecConfig, ShardedPJoin};
+use punctuated_streams::exec::{ExecConfig, ShardedPJoin};
 use punctuated_streams::gen::{generate_pair, StreamConfig};
 use punctuated_streams::metrics::{ChartOptions, Recorder};
 use punctuated_streams::prelude::*;
 
 fn main() {
-    let shards = shards_from_env().unwrap_or(4);
+    let shards = 4;
     let cfg = StreamConfig { tuples: 8_000, key_window: 12, seed: 3, ..StreamConfig::default() };
     let (a, b) = generate_pair(&cfg, 20.0, 20.0);
     println!(

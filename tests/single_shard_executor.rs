@@ -1,19 +1,22 @@
-//! Cross-crate integration of the multi-threaded runtime: feeding a
-//! generated workload through `PJoinRuntime` (worker thread + channels)
-//! must produce the same result multiset as the single-threaded driver.
+//! Cross-crate integration of the threaded executor at its smallest
+//! size: feeding a generated workload through a 1-shard `ShardedPJoin`
+//! (router, one shard worker and merger behind channels) must produce
+//! the same result multiset as the single-threaded driver.
 
-use punctuated_streams::core::runtime::PJoinRuntime;
 use punctuated_streams::core::{PJoinBuilder, PJoinConfig, PropagationTrigger, PurgeStrategy, IndexBuildStrategy};
 use punctuated_streams::gen::{generate_pair, interleave_sides, StreamConfig};
 use punctuated_streams::prelude::*;
 
-fn config() -> PJoinConfig {
-    PJoinConfig {
-        purge: PurgeStrategy::Eager,
-        index_build: IndexBuildStrategy::Eager,
-        propagation: PropagationTrigger::PushCount { count: 5 },
-        ..PJoinConfig::new(2, 2)
-    }
+fn spawn() -> ShardedPJoin {
+    ShardedPJoin::spawn(ExecConfig::new(
+        1,
+        PJoinConfig {
+            purge: PurgeStrategy::Eager,
+            index_build: IndexBuildStrategy::Eager,
+            propagation: PropagationTrigger::PushCount { count: 5 },
+            ..PJoinConfig::new(2, 2)
+        },
+    ))
 }
 
 #[test]
@@ -38,57 +41,37 @@ fn threaded_matches_single_threaded() {
         reference.outputs.iter().filter_map(|o| o.item.as_tuple().cloned()).collect();
     want.sort();
 
-    // Threaded run: interleave pushes in timestamp order.
-    let rt = PJoinRuntime::spawn(config());
-    let (mut li, mut ri) = (0usize, 0usize);
-    loop {
-        match (a.elements.get(li), b.elements.get(ri)) {
-            (Some(l), Some(r)) => {
-                if l.ts <= r.ts {
-                    rt.push(Side::Left, l.clone());
-                    li += 1;
-                } else {
-                    rt.push(Side::Right, r.clone());
-                    ri += 1;
-                }
-            }
-            (Some(l), None) => {
-                rt.push(Side::Left, l.clone());
-                li += 1;
-            }
-            (None, Some(r)) => {
-                rt.push(Side::Right, r.clone());
-                ri += 1;
-            }
-            (None, None) => break,
-        }
+    // Threaded run: pushes interleaved in timestamp order.
+    let exec = spawn();
+    for (side, e) in interleave_sides(&a.elements, &b.elements) {
+        exec.push(side, e);
     }
-    let (outputs, stats) = rt.finish();
+    let (outputs, stats) = exec.finish();
     let mut got: Vec<Tuple> =
         outputs.iter().filter_map(|o| o.item.as_tuple().cloned()).collect();
     got.sort();
 
     assert_eq!(got, want);
-    assert!(stats.tuples_purged > 0);
-    assert!(stats.puncts_propagated > 0);
+    assert!(stats.total_stats().tuples_purged > 0);
+    assert!(stats.total_stats().puncts_propagated > 0);
 }
 
 #[test]
 fn runtime_metrics_track_progress() {
-    let rt = PJoinRuntime::spawn(config());
+    let exec = spawn();
     for i in 0..50i64 {
-        rt.push(
+        exec.push(
             Side::Left,
             Timestamped::new(Timestamp(i as u64 * 10), StreamElement::Tuple(Tuple::of((i, 0i64)))),
         );
     }
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while rt.metrics().consumed < 50 {
+    while exec.metrics().consumed < 50 {
         assert!(std::time::Instant::now() < deadline, "worker stalled");
         std::thread::yield_now();
     }
-    assert_eq!(rt.metrics().state_tuples, 50);
-    let (_, _) = rt.finish();
+    assert_eq!(exec.metrics().state_tuples, 50);
+    let (_, _) = exec.finish();
 }
 
 /// `push_batch` is one channel send and nothing else: a feed with
@@ -102,13 +85,13 @@ fn push_batch_matches_per_element_pushes() {
     let feed = interleave_sides(&a.elements, &b.elements);
     assert!(feed.iter().any(|(_, e)| e.item.is_punctuation()));
 
-    let per_element = PJoinRuntime::spawn(config());
+    let per_element = spawn();
     for (side, e) in feed.iter().cloned() {
         per_element.push(side, e);
     }
     let (want, want_stats) = per_element.finish();
 
-    let batched = PJoinRuntime::spawn(config());
+    let batched = spawn();
     for chunk in feed.chunks(97) {
         batched.push_batch(chunk.to_vec());
     }
@@ -116,5 +99,5 @@ fn push_batch_matches_per_element_pushes() {
 
     assert!(want.iter().any(|e| e.item.is_tuple()) && want.iter().any(|e| e.item.is_punctuation()));
     assert_eq!(got, want);
-    assert_eq!(got_stats, want_stats);
+    assert_eq!(got_stats.total_stats(), want_stats.total_stats());
 }
