@@ -22,7 +22,7 @@
 //! [`poll_outputs`]: ShardedPJoin::poll_outputs
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
@@ -417,23 +417,24 @@ impl ShardedPJoin {
                 Ok(()) => {}
                 Err(TrySendError::Full(m)) => {
                     msg = Some(m);
-                    if self.pending.lock().expect("pending lock").len() < self.pending_capacity {
+                    let room =
+                        self.pending.lock().expect("pending lock").len() < self.pending_capacity;
+                    let output = if room { self.try_output() } else { None };
+                    match output {
                         // Make room by consuming pipeline output: block
                         // briefly for one merged batch.
-                        let batch = self
-                            .output
-                            .lock()
-                            .expect("output lock")
-                            .recv_timeout(std::time::Duration::from_millis(1));
-                        if let Ok(batch) = batch {
-                            self.pending.lock().expect("pending lock").extend(batch);
+                        Some(output) => {
+                            if let Ok(batch) =
+                                output.recv_timeout(std::time::Duration::from_millis(1))
+                            {
+                                adopt(&mut self.pending.lock().expect("pending lock"), batch);
+                            }
                         }
-                    } else {
-                        // Pending buffer at capacity: stop absorbing
-                        // output and apply backpressure to the caller
-                        // instead, waiting for a concurrent consumer
-                        // (`poll_outputs` / `recv_outputs`) to drain.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
+                        // Pending buffer at capacity, or a consumer is
+                        // inside `recv_outputs`: stop absorbing output
+                        // and apply backpressure to the caller instead,
+                        // while the concurrent consumer drains.
+                        None => std::thread::sleep(std::time::Duration::from_micros(200)),
                     }
                 }
                 Err(TrySendError::Disconnected(_)) => {
@@ -442,6 +443,18 @@ impl ShardedPJoin {
             }
         }
         Ok(())
+    }
+
+    /// The merged output stream, unless another thread holds it: that
+    /// thread is a consumer inside `recv_outputs` (or a producer taking
+    /// one batch in `feed`), so the queue is being drained either way and
+    /// a non-blocking caller has nothing to wait for.
+    fn try_output(&self) -> Option<MutexGuard<'_, Receiver<Vec<Timestamped<StreamElement>>>>> {
+        match self.output.try_lock() {
+            Ok(output) => Some(output),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("output lock poisoned"),
+        }
     }
 
     /// Elements currently parked in the caller-side pending buffer
@@ -469,12 +482,17 @@ impl ShardedPJoin {
     }
 
     /// Drains everything the executor has produced so far, in merge
-    /// order (non-blocking).
+    /// order (non-blocking): the pending buffer, then whatever the merger
+    /// has queued — unless another thread is inside
+    /// [`recv_outputs`](ShardedPJoin::recv_outputs), which then is the
+    /// one draining the queue. The first batch becomes the returned
+    /// `Vec`; later ones are appended to it.
     pub fn poll_outputs(&self) -> Vec<Timestamped<StreamElement>> {
         let mut drained = std::mem::take(&mut *self.pending.lock().expect("pending lock"));
-        let output = self.output.lock().expect("output lock");
-        while let Ok(batch) = output.try_recv() {
-            drained.extend(batch);
+        if let Some(output) = self.try_output() {
+            while let Ok(batch) = output.try_recv() {
+                adopt(&mut drained, batch);
+            }
         }
         drained
     }
@@ -488,7 +506,7 @@ impl ShardedPJoin {
         if drained.is_empty() {
             let output = self.output.lock().expect("output lock");
             if let Ok(batch) = output.recv_timeout(timeout) {
-                drained.extend(batch);
+                drained = batch;
                 // Whatever else is already queued comes along for free.
                 while let Ok(batch) = output.try_recv() {
                     drained.extend(batch);
@@ -537,7 +555,7 @@ impl ShardedPJoin {
         {
             let output = self.output.lock().expect("output lock");
             while let Ok(batch) = output.recv() {
-                outputs.extend(batch);
+                adopt(&mut outputs, batch);
             }
         }
 
@@ -583,6 +601,16 @@ impl ShardedPJoin {
             );
         }
         (outputs, stats)
+    }
+}
+
+/// Appends `batch` to `buffer` — by taking the allocation over when the
+/// buffer holds nothing, so a batch that is drained alone is never copied.
+fn adopt(buffer: &mut Vec<Timestamped<StreamElement>>, batch: Vec<Timestamped<StreamElement>>) {
+    if buffer.is_empty() {
+        *buffer = batch;
+    } else {
+        buffer.extend(batch);
     }
 }
 

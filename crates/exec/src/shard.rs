@@ -63,12 +63,17 @@ pub enum ShardEvent {
     /// A batch of join outputs (tuples and shard-propagated
     /// punctuations), stamped with the shard's element clock, plus the
     /// shard's progress after the batch — carried together so each
-    /// processed batch costs the shard exactly one channel send.
+    /// processed batch costs the shard exactly one channel send. The
+    /// shard is the only writer of these handles: the merger moves or
+    /// filters the `Vec` and the caller adopts it.
     Outputs {
         /// Shard index.
         shard: usize,
         /// The batch of outputs, in shard order.
         outputs: Vec<Timestamped<StreamElement>>,
+        /// How many of `outputs` are punctuations, counted while
+        /// stamping: zero lets the merger forward the batch untouched.
+        puncts: usize,
         /// The shard has processed everything up to this timestamp.
         progress: Timestamp,
     },
@@ -149,10 +154,14 @@ pub(crate) fn shard_loop(
                     }
                 }
                 let mut outputs = Vec::with_capacity(out.len());
+                let mut puncts = 0;
                 let mut drained = out.drain();
                 for &(end, ts) in &marks {
                     let n = end - outputs.len();
-                    outputs.extend(drained.by_ref().take(n).map(|e| Timestamped::new(ts, e)));
+                    outputs.extend(drained.by_ref().take(n).map(|e| {
+                        puncts += usize::from(e.is_punctuation());
+                        Timestamped::new(ts, e)
+                    }));
                 }
                 // Hand the drained batch buffer back to the router for
                 // reuse (best effort: a full recycle channel just drops
@@ -164,43 +173,34 @@ pub(crate) fn shard_loop(
                 emitted += outputs.len() as u64;
                 publish(&join, consumed, emitted);
                 // One send per batch: outputs and progress travel
-                // together (an output-less batch still reports progress
-                // so the ordered merge keeps advancing).
-                let event = if outputs.is_empty() {
-                    ShardEvent::Progress(shard, last_ts)
-                } else {
-                    ShardEvent::Outputs { shard, outputs, progress: last_ts }
-                };
+                // together.
+                let event = outputs_event(shard, outputs, puncts, last_ts);
                 if events.send(event).is_err() {
                     break; // merger gone: executor torn down
                 }
             }
             Ok(ShardMsg::Finish) => {
                 let mut outputs = Vec::new();
+                let mut puncts = 0;
                 while join.on_end(last_ts, &mut out) {
-                    stamp_into(&mut out, last_ts, &mut outputs);
+                    puncts += stamp_into(&mut out, last_ts, &mut outputs);
                 }
-                stamp_into(&mut out, last_ts, &mut outputs);
+                puncts += stamp_into(&mut out, last_ts, &mut outputs);
                 emitted += outputs.len() as u64;
                 publish(&join, consumed, emitted);
-                let event = if outputs.is_empty() {
-                    ShardEvent::Progress(shard, last_ts)
-                } else {
-                    ShardEvent::Outputs { shard, outputs, progress: last_ts }
-                };
-                let _ = events.send(event);
+                let _ = events.send(outputs_event(shard, outputs, puncts, last_ts));
                 break;
             }
             Ok(ShardMsg::Die) => panic!("shard {shard} killed by test hook"),
             Err(RecvTimeoutError::Timeout) => {
                 if join.on_idle(last_ts, &mut out) {
                     let mut outputs = Vec::new();
-                    stamp_into(&mut out, last_ts, &mut outputs);
+                    let puncts = stamp_into(&mut out, last_ts, &mut outputs);
                     emitted += outputs.len() as u64;
                     publish(&join, consumed, emitted);
                     if !outputs.is_empty()
                         && events
-                            .send(ShardEvent::Outputs { shard, outputs, progress: last_ts })
+                            .send(ShardEvent::Outputs { shard, outputs, puncts, progress: last_ts })
                             .is_err()
                     {
                         break;
@@ -231,14 +231,34 @@ pub(crate) fn shard_loop(
     report
 }
 
+/// The one event a processed batch sends: its outputs with the progress,
+/// or the progress alone when it produced none (the ordered merge keeps
+/// advancing either way).
+fn outputs_event(
+    shard: usize,
+    outputs: Vec<Timestamped<StreamElement>>,
+    puncts: usize,
+    progress: Timestamp,
+) -> ShardEvent {
+    if outputs.is_empty() {
+        ShardEvent::Progress(shard, progress)
+    } else {
+        ShardEvent::Outputs { shard, outputs, puncts, progress }
+    }
+}
+
 /// Moves the operator's pending outputs into `outputs`, stamped with the
-/// shard's element clock (monotone per shard).
+/// shard's element clock (monotone per shard). Returns how many of them
+/// are punctuations.
 fn stamp_into(
     out: &mut OpOutput,
     ts: Timestamp,
     outputs: &mut Vec<Timestamped<StreamElement>>,
-) {
+) -> usize {
+    let mut puncts = 0;
     for e in out.drain() {
+        puncts += usize::from(e.is_punctuation());
         outputs.push(Timestamped::new(ts, e));
     }
+    puncts
 }

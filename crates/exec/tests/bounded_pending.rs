@@ -15,9 +15,14 @@
 //! and (b) the pending buffer never grows past the configured bound
 //! plus one merged batch, even though the drainer lags far behind the
 //! pipeline's output rate.
+//!
+//! The second test is the other half of "one thread pushes while another
+//! drains": a consumer blocked in `recv_outputs` must not make the
+//! non-blocking `poll_outputs` of another thread wait out its timeout.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 use pjoin::PJoinConfig;
 use punct_exec::{ExecConfig, ShardedPJoin};
@@ -83,4 +88,44 @@ fn pending_buffer_stays_bounded_under_slow_drain() {
         drained_tuples.load(Ordering::Relaxed) + rest.iter().filter(|e| e.item.is_tuple()).count() as u64;
     assert_eq!(total, PAIRS as u64, "every matched pair must be delivered exactly once");
     assert_eq!(stats.total_metrics().consumed, 2 * PAIRS as u64);
+}
+
+/// `recv_outputs` waits for its first batch holding the output receiver;
+/// a `poll_outputs` beside it returns at once (the waiting consumer is
+/// the one draining) instead of queueing behind the whole timeout.
+#[test]
+fn poll_outputs_does_not_wait_behind_a_blocked_recv_outputs() {
+    const TIMEOUT: Duration = Duration::from_millis(500);
+    let exec = ShardedPJoin::spawn(ExecConfig::new(1, PJoinConfig::new(2, 2)));
+    let entering = Barrier::new(2);
+    let returned = AtomicBool::new(false);
+
+    let (polls, slowest) = std::thread::scope(|s| {
+        s.spawn(|| {
+            entering.wait();
+            let got = exec.recv_outputs(TIMEOUT);
+            returned.store(true, Ordering::Release);
+            assert!(got.is_empty(), "an idle executor produces nothing");
+        });
+        // Poll back to back for as long as the consumer is inside its
+        // call, so some poll is certain to find it holding the receiver.
+        entering.wait();
+        let (mut polls, mut slowest) = (0u32, Duration::ZERO);
+        while !returned.load(Ordering::Acquire) {
+            let start = Instant::now();
+            assert!(exec.poll_outputs().is_empty());
+            slowest = slowest.max(start.elapsed());
+            polls += 1;
+        }
+        (polls, slowest)
+    });
+
+    assert!(polls > 1, "the consumer's {TIMEOUT:?} wait overlapped only {polls} poll");
+    // Queued behind the consumer a poll takes the rest of its timeout;
+    // half of it leaves room for a descheduled test thread.
+    assert!(
+        slowest < TIMEOUT / 2,
+        "a poll_outputs() took {slowest:?} beside a consumer blocked for {TIMEOUT:?}"
+    );
+    exec.finish();
 }

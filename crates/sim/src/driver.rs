@@ -41,8 +41,9 @@ impl Side {
 /// single output alive can pin.
 const BLOCK_VALUES: usize = 1024;
 
-/// One collected output: an element, or a joined tuple whose values still
-/// sit in [`OpOutput::pending`] at `start..start + len`.
+/// One collected output: an element, or a joined tuple whose values sit
+/// at `start..start + len` of [`OpOutput::pending`] or, once that was
+/// sealed, of the block in [`OpOutput::sealed`] that covers this slot.
 #[derive(Debug)]
 enum Slot {
     Ready(StreamElement),
@@ -57,14 +58,21 @@ enum Slot {
 /// Join results go through [`push_joined`](OpOutput::push_joined), which
 /// gives consecutive results one shared allocation instead of one each:
 /// the longer a caller lets outputs accumulate before it
-/// [`drain`](OpOutput::drain)s, the fuller the blocks.
+/// [`drain`](OpOutput::drain)s, the fuller the blocks. A result's values
+/// are written once, into the pending buffer, and moved once, by the bulk
+/// copy that seals the buffer into a block; its slot is written by
+/// `push_joined` and read by `drain`, which makes the [`Tuple::view`] as
+/// it yields the slot.
 #[derive(Debug, Default)]
 pub struct OpOutput {
     slots: Vec<Slot>,
-    /// Values of the `Joined` slots, in push order: the next block.
+    /// Values of the `Joined` slots pushed since the last seal, in push
+    /// order: the next block.
     pending: Vec<Value>,
-    /// Index of the first `Joined` slot, if there is one.
-    first_joined: Option<usize>,
+    /// Sealed blocks in push order, each with the slot index it ends
+    /// before: the `Joined` slots from the previous block's end up to
+    /// there index into it.
+    sealed: Vec<(usize, Arc<[Value]>)>,
 }
 
 impl OpOutput {
@@ -83,33 +91,32 @@ impl OpOutput {
     /// [`Tuple::detached`] for consumers that retain outputs).
     pub fn push_joined(&mut self, left: &Tuple, right: &Tuple) {
         let len = left.width() + right.width();
+        if len == 0 {
+            // No values to put in a block.
+            return self.push(left.concat(right));
+        }
         if !self.pending.is_empty() && self.pending.len() + len > BLOCK_VALUES {
             self.seal();
         }
         let start = self.pending.len();
         self.pending.extend_from_slice(left.values());
         self.pending.extend_from_slice(right.values());
-        self.first_joined.get_or_insert(self.slots.len());
         self.slots.push(Slot::Joined { start, len });
     }
 
-    /// Freezes the pending values into one block — a single allocation
-    /// the values move into; `pending` keeps its capacity — and turns
-    /// the slots that refer to them into views of it.
+    /// Freezes the pending values into one block that ends at the current
+    /// slot: `Arc::from(Vec)` is one allocation and one `memcpy` (an
+    /// iterator `collect` moves the values one by one). The conversion
+    /// frees the buffer, so `pending` gets a fresh one of the same
+    /// capacity, up to one block: a result wider than a block regrows it
+    /// once rather than sizing every later seal.
     fn seal(&mut self) {
-        let Some(from) = self.first_joined.take() else { return };
-        let block: Arc<[Value]> = self.pending.drain(..).collect();
-        let view = |block, start, len| Slot::Ready(Tuple::view(block, start..start + len).into());
-        for slot in &mut self.slots[from + 1..] {
-            if let Slot::Joined { start, len } = *slot {
-                *slot = view(Arc::clone(&block), start, len);
-            }
+        if self.pending.is_empty() {
+            return;
         }
-        // The first view takes the block itself, so a result alone in its
-        // block (one match, drained per element) costs no refcount traffic.
-        if let Slot::Joined { start, len } = self.slots[from] {
-            self.slots[from] = view(block, start, len);
-        }
+        let next = Vec::with_capacity(self.pending.capacity().min(BLOCK_VALUES));
+        let block = Arc::from(std::mem::replace(&mut self.pending, next));
+        self.sealed.push((self.slots.len(), block));
     }
 
     /// Number of pending elements.
@@ -122,12 +129,21 @@ impl OpOutput {
         self.slots.is_empty()
     }
 
-    /// Drains pending elements.
+    /// Drains pending elements. The collector is empty once the iterator
+    /// is dropped, however far it was advanced.
     pub fn drain(&mut self) -> impl Iterator<Item = StreamElement> + '_ {
         self.seal();
-        self.slots.drain(..).map(|slot| match slot {
+        let mut blocks = self.sealed.drain(..);
+        let mut current = blocks.next();
+        self.slots.drain(..).enumerate().map(move |(i, slot)| match slot {
             Slot::Ready(e) => e,
-            Slot::Joined { .. } => unreachable!("drain seals every slot first"),
+            Slot::Joined { start, len } => {
+                while current.as_ref().is_some_and(|(end, _)| i >= *end) {
+                    current = blocks.next();
+                }
+                let (_, block) = current.as_ref().expect("a sealed block covers every joined slot");
+                Tuple::view(Arc::clone(block), start..start + len).into()
+            }
         })
     }
 }
@@ -667,6 +683,90 @@ mod tests {
             assert_eq!(got, expected);
             assert!(out.is_empty());
             assert!(got.iter().all(|t| t.is_detached() == (t.width() == 1)));
+        }
+    }
+
+    fn ints(from: i64, width: usize) -> Tuple {
+        Tuple::new((from..from + width as i64).map(Value::Int).collect())
+    }
+
+    fn drained_tuples(out: &mut OpOutput) -> Vec<Tuple> {
+        out.drain().filter_map(|e| e.as_tuple().cloned()).collect()
+    }
+
+    /// The states a drain walks through: a block that fills to exactly
+    /// `BLOCK_VALUES` with a plain push sitting on the boundary, a result
+    /// wider than a block (a block of its own), a zero-width result, and
+    /// five blocks in one drain.
+    #[test]
+    fn drain_follows_block_boundaries() {
+        let mut out = OpOutput::new();
+        let mut expected = Vec::new();
+        let mut joined = |out: &mut OpOutput, l: Tuple, r: Tuple| {
+            out.push_joined(&l, &r);
+            expected.push(l.concat(&r));
+        };
+        for i in 0..(BLOCK_VALUES / 4) as i64 {
+            joined(&mut out, ints(i, 2), ints(-i, 2));
+        }
+        assert_eq!(out.pending.len(), BLOCK_VALUES, "the first block is exactly full");
+        out.push(Tuple::of((7i64,)));
+        joined(&mut out, ints(1, 1), ints(2, 2));
+        assert_eq!(out.sealed.len(), 1, "the next result sealed it");
+        joined(&mut out, ints(0, BLOCK_VALUES), ints(5, 3));
+        joined(&mut out, Tuple::new(Vec::new()), Tuple::new(Vec::new()));
+        for i in 0..(BLOCK_VALUES / 2) as i64 {
+            joined(&mut out, ints(i, 3), ints(i, 1));
+        }
+        expected.insert(BLOCK_VALUES / 4, Tuple::of((7i64,)));
+        assert_eq!(out.sealed.len() + 1, 5, "four sealed blocks and a pending one");
+        let got = drained_tuples(&mut out);
+        assert_eq!(got, expected);
+        let wide = &got[BLOCK_VALUES / 4 + 2];
+        assert!(wide.width() > BLOCK_VALUES && wide.is_detached(), "alone in its block");
+    }
+
+    /// Drained after every push, each result is alone in its block and
+    /// still reads as `concat`.
+    #[test]
+    fn per_element_drains_give_one_result_per_block() {
+        let mut out = OpOutput::new();
+        for i in 0..50i64 {
+            let (l, r) = (Tuple::of((i, "l")), ints(i, 1 + i as usize % 3));
+            out.push_joined(&l, &r);
+            let got = drained_tuples(&mut out);
+            assert_eq!(got, vec![l.concat(&r)]);
+            assert!(got[0].is_detached() && out.is_empty());
+        }
+    }
+
+    /// A drain dropped after `k` items leaves nothing behind: no slot, no
+    /// block (the payload's only other owners are the items taken), and
+    /// the next round is unaffected.
+    #[test]
+    fn a_dropped_drain_leaves_the_collector_empty() {
+        let payload: Arc<str> = Arc::from("payload");
+        let mut out = OpOutput::new();
+        for k in [0, 1, 300, 699] {
+            let l = Tuple::new(vec![Value::Int(0), Value::Str(Arc::clone(&payload))]);
+            for i in 0..700i64 {
+                out.push_joined(&l, &ints(i, 3));
+            }
+            drop(l);
+            assert_eq!(Arc::strong_count(&payload), 1 + 700);
+            let taken: Vec<StreamElement> = out.drain().take(k).collect();
+            assert!(out.is_empty() && out.pending.is_empty() && out.sealed.is_empty());
+            // The taken views keep their blocks (700 × 5 values span
+            // four); every other block died with the iterator.
+            let blocks_alive = if k == 0 { 0 } else { (k - 1) / 204 + 1 };
+            let values_alive = (blocks_alive * 204).min(700);
+            assert_eq!(Arc::strong_count(&payload), 1 + values_alive, "after taking {k}");
+            drop(taken);
+            assert_eq!(Arc::strong_count(&payload), 1, "after taking {k}");
+
+            let (l, r) = (ints(k as i64, 2), ints(9, 2));
+            out.push_joined(&l, &r);
+            assert_eq!(drained_tuples(&mut out), vec![l.concat(&r)]);
         }
     }
 }
