@@ -22,7 +22,8 @@ use std::time::{Duration, Instant};
 
 use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use punct_net::{encode_frame, read_available, wait_readable, Frame, FrameBuffer};
-use punct_types::{Pattern, Punctuation, Schema, ValueType, WireReader};
+use punct_types::wire::{put_u32, WireReader};
+use punct_types::{Pattern, Punctuation, Schema, ValueType};
 use stream_sim::Side;
 
 use crate::error::ClusterError;
@@ -124,7 +125,7 @@ impl JoinSpec {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(20);
         for v in [self.width_a, self.width_b, self.join_attr_a, self.join_attr_b, self.buckets] {
-            buf.extend_from_slice(&(v as u32).to_le_bytes());
+            put_u32(&mut buf, v as u32);
         }
         buf
     }
@@ -239,10 +240,10 @@ pub fn encode_config(
     heartbeat: &HeartbeatSettings,
 ) -> Vec<u8> {
     let mut buf = spec.encode();
-    buf.extend_from_slice(&telemetry.interval_ms.to_le_bytes());
+    put_u32(&mut buf, telemetry.interval_ms);
     buf.push((telemetry.enabled as u8) | ((telemetry.trace as u8) << 1));
-    buf.extend_from_slice(&heartbeat.interval_ms.to_le_bytes());
-    buf.extend_from_slice(&heartbeat.miss_limit.to_le_bytes());
+    put_u32(&mut buf, heartbeat.interval_ms);
+    put_u32(&mut buf, heartbeat.miss_limit);
     buf
 }
 

@@ -2,9 +2,9 @@
 //! memory-residency interval for disk-join duplicate prevention, and the
 //! `pid` linking it to the punctuation index.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use punct_types::wire::{get_tuple, put_tuple, put_u64, WireError, WireReader};
 use punct_types::{PunctId, Tuple};
-use spillstore::{codec, CodecError, Record};
+use spillstore::Record;
 
 /// A logical instant of the operator's event clock (see `crate::dedup`).
 pub type Instant = u64;
@@ -63,26 +63,23 @@ impl Record for PRecord {
         &self.tuple
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.ats);
-        buf.put_u64_le(self.dts);
-        buf.put_u64_le(self.pid.map_or(PID_NULL, |p| p.0));
-        buf.put_u64_le(self.arrival_us);
-        codec::encode_tuple(&self.tuple, buf);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.ats);
+        put_u64(buf, self.dts);
+        put_u64(buf, self.pid.map_or(PID_NULL, |p| p.0));
+        put_u64(buf, self.arrival_us);
+        put_tuple(buf, &self.tuple);
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        if buf.remaining() < 32 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let ats = buf.get_u64_le();
-        let dts = buf.get_u64_le();
-        let pid = match buf.get_u64_le() {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let ats = r.u64("record ats")?;
+        let dts = r.u64("record dts")?;
+        let pid = match r.u64("record pid")? {
             PID_NULL => None,
             id => Some(PunctId(id)),
         };
-        let arrival_us = buf.get_u64_le();
-        let tuple = codec::decode_tuple(buf)?;
+        let arrival_us = r.u64("record arrival")?;
+        let tuple = get_tuple(r)?;
         Ok(PRecord { tuple, ats, dts, pid, arrival_us })
     }
 }
@@ -119,19 +116,17 @@ mod tests {
                 pid,
                 arrival_us: 777,
             };
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             r.encode(&mut buf);
-            assert_eq!(PRecord::decode(&mut buf.freeze()).unwrap(), r);
+            assert_eq!(PRecord::decode(&mut WireReader::new(&buf)).unwrap(), r);
         }
     }
 
     #[test]
     fn truncated_decode_errors() {
         let r = PRecord::arriving(Tuple::of((1i64,)), 1);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode(&mut buf);
-        let full = buf.freeze();
-        let mut cut = full.slice(0..10);
-        assert!(PRecord::decode(&mut cut).is_err());
+        assert!(PRecord::decode(&mut WireReader::new(&buf[..10])).is_err());
     }
 }

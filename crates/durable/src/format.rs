@@ -27,8 +27,8 @@
 use std::fmt;
 use std::io;
 
-use punct_types::WireError;
-use spillstore::CodecError;
+use punct_types::wire::{put_u32, put_u64};
+use punct_types::{WireError, WireReader};
 
 /// File magic for epoch snapshot files.
 pub const MAGIC: [u8; 8] = *b"PJSNAP01";
@@ -66,8 +66,6 @@ pub enum SnapshotError {
     MissingBase { epoch: u64, kind: u8, key: u64 },
     /// A section payload failed wire-level decoding.
     Wire(WireError),
-    /// A section payload failed record-level decoding.
-    Codec(CodecError),
     /// The decoded structure violates a snapshot invariant.
     Corrupt(&'static str),
 }
@@ -90,7 +88,6 @@ impl fmt::Display for SnapshotError {
                 "snapshot ref to epoch {epoch} (kind {kind:#x}, key {key:#x}) cannot be resolved"
             ),
             SnapshotError::Wire(e) => write!(f, "snapshot payload: {e}"),
-            SnapshotError::Codec(e) => write!(f, "snapshot payload: {e}"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
     }
@@ -104,15 +101,15 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
+/// Running out of bytes is [`SnapshotError::Truncated`], whether in the
+/// file framing or inside a payload; every other decode failure is
+/// [`SnapshotError::Wire`].
 impl From<WireError> for SnapshotError {
     fn from(e: WireError) -> SnapshotError {
-        SnapshotError::Wire(e)
-    }
-}
-
-impl From<CodecError> for SnapshotError {
-    fn from(e: CodecError) -> SnapshotError {
-        SnapshotError::Codec(e)
+        match e {
+            WireError::Truncated { what, .. } => SnapshotError::Truncated(what),
+            other => SnapshotError::Wire(other),
+        }
     }
 }
 
@@ -158,63 +155,35 @@ pub enum SectionPayload {
 pub fn write_epoch_file(epoch: u64, sections: &[RawSection]) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u64(&mut out, epoch);
     for s in sections {
         out.push(s.kind);
-        out.extend_from_slice(&s.key.to_le_bytes());
+        put_u64(&mut out, s.key);
         match &s.payload {
             SectionPayload::Inline(bytes) => {
                 out.push(FLAG_INLINE);
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(&crc32(bytes).to_le_bytes());
+                put_u32(&mut out, bytes.len() as u32);
+                put_u32(&mut out, crc32(bytes));
                 out.extend_from_slice(bytes);
             }
             SectionPayload::Ref { home_epoch, crc } => {
                 out.push(FLAG_REF);
-                out.extend_from_slice(&home_epoch.to_le_bytes());
-                out.extend_from_slice(&crc.to_le_bytes());
+                put_u64(&mut out, *home_epoch);
+                put_u32(&mut out, *crc);
             }
         }
     }
     out.push(KIND_END);
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    put_u32(&mut out, sections.len() as u32);
     out
-}
-
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() - self.pos < n {
-            return Err(SnapshotError::Truncated(what));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
 }
 
 /// Parses an epoch file: validates magic, version, per-section CRCs, and
 /// the end marker. Returns the declared epoch and the sections.
 pub fn read_epoch_file(bytes: &[u8]) -> Result<(u64, Vec<RawSection>), SnapshotError> {
-    let mut r = ByteReader { buf: bytes, pos: 0 };
-    if r.take(8, "magic").map_err(|_| SnapshotError::BadMagic)? != MAGIC {
+    let mut r = WireReader::new(bytes);
+    if r.bytes("magic", MAGIC.len()).map_err(|_| SnapshotError::BadMagic)? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32("format version")?;
@@ -230,7 +199,7 @@ pub fn read_epoch_file(bytes: &[u8]) -> Result<(u64, Vec<RawSection>), SnapshotE
             if count != sections.len() {
                 return Err(SnapshotError::Corrupt("section count mismatch at end marker"));
             }
-            if r.pos != bytes.len() {
+            if r.remaining() != 0 {
                 return Err(SnapshotError::Corrupt("trailing bytes after end marker"));
             }
             return Ok((epoch, sections));
@@ -243,7 +212,7 @@ pub fn read_epoch_file(bytes: &[u8]) -> Result<(u64, Vec<RawSection>), SnapshotE
                     return Err(SnapshotError::Corrupt("section length exceeds cap"));
                 }
                 let crc = r.u32("section crc")?;
-                let body = r.take(len, "section payload")?;
+                let body = r.bytes("section payload", len)?;
                 if crc32(body) != crc {
                     return Err(SnapshotError::Crc { kind, key });
                 }
@@ -263,6 +232,7 @@ pub fn read_epoch_file(bytes: &[u8]) -> Result<(u64, Vec<RawSection>), SnapshotE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use punct_types::wire::put_u32_at;
 
     fn sections() -> Vec<RawSection> {
         vec![
@@ -319,7 +289,7 @@ mod tests {
     #[test]
     fn future_version_rejected() {
         let mut bytes = write_epoch_file(7, &sections());
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        put_u32_at(&mut bytes, 8, FORMAT_VERSION + 1);
         assert!(matches!(
             read_epoch_file(&bytes).unwrap_err(),
             SnapshotError::UnsupportedVersion(_)

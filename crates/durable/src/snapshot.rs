@@ -17,7 +17,8 @@
 
 use punct_exec::Aligner;
 use punct_types::wire::{
-    get_punctuation, get_tuple, get_value, put_punctuation, put_tuple, put_value,
+    get_punctuation, get_records, get_value, put_bytes, put_punctuation, put_records, put_u32,
+    put_u64, put_value,
 };
 use punct_types::{PunctId, PunctSeq, Pattern, Punctuation, PunctuationSet, Tuple, WireReader};
 
@@ -64,21 +65,18 @@ pub struct SnapshotMeta {
 impl SnapshotMeta {
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32 + self.config_blob.len());
-        buf.extend_from_slice(&(self.config_blob.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&self.config_blob);
-        buf.extend_from_slice(&self.workers.to_le_bytes());
-        buf.extend_from_slice(&self.shards.to_le_bytes());
-        buf.extend_from_slice(&self.input_cursor.to_le_bytes());
-        buf.extend_from_slice(&self.pushed.to_le_bytes());
+        put_bytes(&mut buf, &self.config_blob);
+        put_u32(&mut buf, self.workers);
+        put_u32(&mut buf, self.shards);
+        put_u64(&mut buf, self.input_cursor);
+        put_u64(&mut buf, self.pushed);
         buf
     }
 
     fn decode(bytes: &[u8]) -> Result<SnapshotMeta, SnapshotError> {
         let mut r = WireReader::new(bytes);
-        let blob_len = r.u32("meta config blob length")? as usize;
-        let config_blob = r.bytes("meta config blob", blob_len)?.to_vec();
         let meta = SnapshotMeta {
-            config_blob,
+            config_blob: r.blob("meta config blob")?.to_vec(),
             workers: r.u32("meta workers")?,
             shards: r.u32("meta shards")?,
             input_cursor: r.u64("meta input cursor")?,
@@ -93,7 +91,9 @@ impl SnapshotMeta {
 }
 
 /// Stored join records of one `(shard, side)`: `(arrival_us, tuple)`
-/// pairs, exactly the migration export shape.
+/// pairs, exactly the migration export shape — and the same bytes: a
+/// RECORDS section is the `wire::put_records` run a `MigrateState`
+/// frame carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRecords {
     /// Shard index.
@@ -106,25 +106,13 @@ pub struct ShardRecords {
 
 fn encode_records(records: &[(u64, Tuple)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + records.len() * 16);
-    buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for (arrival_us, tuple) in records {
-        buf.extend_from_slice(&arrival_us.to_le_bytes());
-        put_tuple(&mut buf, tuple);
-    }
+    put_records(&mut buf, records);
     buf
 }
 
 fn decode_records(bytes: &[u8]) -> Result<Vec<(u64, Tuple)>, SnapshotError> {
     let mut r = WireReader::new(bytes);
-    let count = r.u32("record count")? as usize;
-    if count > bytes.len() {
-        return Err(SnapshotError::Corrupt("record count exceeds payload"));
-    }
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let arrival_us = r.u64("record arrival")?;
-        records.push((arrival_us, get_tuple(&mut r)?));
-    }
+    let records = get_records(&mut r)?;
     r.finish()?;
     Ok(records)
 }
@@ -134,17 +122,17 @@ fn decode_records(bytes: &[u8]) -> Result<Vec<(u64, Tuple)>, SnapshotError> {
 /// image (timing-dependent, so carried rather than derived).
 pub fn encode_punct_set(set: &PunctuationSet) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16);
-    buf.extend_from_slice(&(set.join_attr() as u32).to_le_bytes());
-    buf.extend_from_slice(&(set.total_inserted() as u32).to_le_bytes());
+    put_u32(&mut buf, set.join_attr() as u32);
+    put_u32(&mut buf, set.total_inserted() as u32);
     for (punctuation, removed) in set.snapshot_entries() {
         buf.push(removed as u8);
         put_punctuation(&mut buf, punctuation);
     }
     let constants = set.snapshot_constants();
-    buf.extend_from_slice(&(constants.len() as u32).to_le_bytes());
+    put_u32(&mut buf, constants.len() as u32);
     for (value, id) in &constants {
         put_value(&mut buf, value);
-        buf.extend_from_slice(&id.0.to_le_bytes());
+        put_u64(&mut buf, id.0);
     }
     buf
 }
@@ -156,10 +144,8 @@ pub fn encode_punct_set(set: &PunctuationSet) -> Vec<u8> {
 pub fn decode_punct_set(bytes: &[u8]) -> Result<PunctuationSet, SnapshotError> {
     let mut r = WireReader::new(bytes);
     let attr = r.u32("punct set attr")? as usize;
-    let count = r.u32("punct set entry count")? as usize;
-    if count > bytes.len() {
-        return Err(SnapshotError::Corrupt("punct set entry count exceeds payload"));
-    }
+    // An entry is at least a tombstone flag and a punctuation width.
+    let count = r.count("punct set entry count", 5)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let removed = match r.u8("punct set tombstone flag")? {
@@ -169,10 +155,8 @@ pub fn decode_punct_set(bytes: &[u8]) -> Result<PunctuationSet, SnapshotError> {
         };
         entries.push((get_punctuation(&mut r)?, removed));
     }
-    let constant_count = r.u32("punct set constant count")? as usize;
-    if constant_count > bytes.len() {
-        return Err(SnapshotError::Corrupt("punct set constant count exceeds payload"));
-    }
+    // A constant is at least a one-byte value and its id.
+    let constant_count = r.count("punct set constant count", 9)?;
     let mut constants = Vec::with_capacity(constant_count);
     for _ in 0..constant_count {
         let value = get_value(&mut r)?;
@@ -198,14 +182,14 @@ pub fn encode_aligner(aligner: &Aligner) -> Vec<u8> {
     let (registered, emitted, unexpected) = aligner.counters();
     let pending = aligner.snapshot_pending();
     let mut buf = Vec::with_capacity(32 + pending.len() * 24);
-    buf.extend_from_slice(&registered.to_le_bytes());
-    buf.extend_from_slice(&emitted.to_le_bytes());
-    buf.extend_from_slice(&unexpected.to_le_bytes());
-    buf.extend_from_slice(&(pending.len() as u32).to_le_bytes());
+    put_u64(&mut buf, registered);
+    put_u64(&mut buf, emitted);
+    put_u64(&mut buf, unexpected);
+    put_u32(&mut buf, pending.len() as u32);
     for (punct, seq, waiting) in &pending {
         put_punctuation(&mut buf, punct);
-        buf.extend_from_slice(&seq.0.to_le_bytes());
-        buf.extend_from_slice(&waiting.to_le_bytes());
+        put_u64(&mut buf, seq.0);
+        put_u64(&mut buf, *waiting);
     }
     buf
 }
@@ -219,10 +203,8 @@ pub fn decode_aligner(bytes: &[u8]) -> Result<Aligner, SnapshotError> {
         r.u64("aligner emitted")?,
         r.u64("aligner unexpected")?,
     );
-    let count = r.u32("aligner pending count")? as usize;
-    if count > bytes.len() {
-        return Err(SnapshotError::Corrupt("aligner pending count exceeds payload"));
-    }
+    // An expectation is at least a punctuation width, a seq and a mask.
+    let count = r.count("aligner pending count", 20)?;
     let mut pending = Vec::with_capacity(count);
     for _ in 0..count {
         let punct = get_punctuation(&mut r)?;
@@ -259,9 +241,9 @@ pub fn encode_pending(pending: &[PendingPunct]) -> Vec<u8> {
     let mut sorted: Vec<&PendingPunct> = pending.iter().collect();
     sorted.sort_by_key(|p| p.seq);
     let mut buf = Vec::with_capacity(8 + sorted.len() * 24);
-    buf.extend_from_slice(&(sorted.len() as u32).to_le_bytes());
+    put_u32(&mut buf, sorted.len() as u32);
     for p in sorted {
-        buf.extend_from_slice(&p.seq.to_le_bytes());
+        put_u64(&mut buf, p.seq);
         buf.push(p.side);
         put_punctuation(&mut buf, &p.punct);
     }
@@ -271,10 +253,8 @@ pub fn encode_pending(pending: &[PendingPunct]) -> Vec<u8> {
 /// Restores the in-flight input punctuations.
 pub fn decode_pending(bytes: &[u8]) -> Result<Vec<PendingPunct>, SnapshotError> {
     let mut r = WireReader::new(bytes);
-    let count = r.u32("pending punct count")? as usize;
-    if count > bytes.len() {
-        return Err(SnapshotError::Corrupt("pending punct count exceeds payload"));
-    }
+    // A pending entry is at least a seq, a side and a punctuation width.
+    let count = r.count("pending punct count", 13)?;
     let mut pending = Vec::with_capacity(count);
     for _ in 0..count {
         let seq = r.u64("pending punct seq")?;
@@ -479,8 +459,8 @@ mod tests {
         set.insert(Punctuation::close_value(2, 0, 7i64));
         let mut bytes = encode_punct_set(&set);
         // The constant id is the final u64; point it out of range.
-        let at = bytes.len() - 8;
-        bytes[at..].copy_from_slice(&99u64.to_le_bytes());
+        bytes.truncate(bytes.len() - 8);
+        put_u64(&mut bytes, 99);
         assert!(matches!(
             decode_punct_set(&bytes).unwrap_err(),
             SnapshotError::Corrupt(_)

@@ -31,6 +31,9 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use punct_types::wire::{put_u32, put_u64};
+use punct_types::WireReader;
+
 use crate::format::{
     crc32, read_epoch_file, write_epoch_file, RawSection, SectionPayload, SnapshotError,
     FORMAT_VERSION, MAGIC,
@@ -319,9 +322,10 @@ fn parse_epoch_name(name: &str) -> Option<u64> {
 fn manifest_bytes(epoch: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(24);
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&crc32(&epoch.to_le_bytes()).to_le_bytes());
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u64(&mut out, epoch);
+    let crc = crc32(&out[12..20]);
+    put_u32(&mut out, crc);
     out
 }
 
@@ -332,16 +336,16 @@ fn parse_manifest(bytes: &[u8]) -> Result<u64, SnapshotError> {
     if bytes[..8] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let mut r = WireReader::new(&bytes[8..]);
+    let version = r.u32("manifest version")?;
     if version > FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let epoch_bytes: [u8; 8] = bytes[12..20].try_into().unwrap();
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-    if crc32(&epoch_bytes) != crc {
+    let epoch = r.u64("manifest epoch")?;
+    if crc32(&bytes[12..20]) != r.u32("manifest crc")? {
         return Err(SnapshotError::Crc { kind: 0, key: 0 });
     }
-    Ok(u64::from_le_bytes(epoch_bytes))
+    Ok(epoch)
 }
 
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {

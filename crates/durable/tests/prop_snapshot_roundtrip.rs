@@ -3,15 +3,10 @@
 //! snapshot may ever panic a reader — corruption surfaces as a typed
 //! [`SnapshotError`], nothing else.
 //!
-//! Four round-trip families, each driven by arbitrary operation
-//! histories (not arbitrary final states — the slab free-list and the
-//! punctuation-set constant index are *timing*-dependent):
+//! Three round-trip families, driven by arbitrary operation histories
+//! where the encoded state depends on them (not arbitrary final states
+//! — the punctuation-set constant index is *timing*-dependent):
 //!
-//! * `Bucket<PRecord>` memory slabs through `encode_memory` /
-//!   `decode_memory`: keyed and unkeyed (`TAG_UNKEYED`) slots, holes
-//!   from extraction, NaN float payloads, `DTS_RESIDENT` sentinels —
-//!   re-encoding must be byte-identical and *future* inserts must land
-//!   in the same slots (free-list order survived, not just content).
 //! * [`PunctuationSet`] through `encode_punct_set` / `decode_punct_set`:
 //!   all five pattern kinds of the paper, interleaved removals, and the
 //!   first-arrived-id rule for duplicate constants (the case that makes
@@ -28,9 +23,6 @@
 //! only touches CRC-unprotected framing metadata, re-read with payload
 //! bytes provably intact) — and never, under any input, panic.
 
-use bytes::BytesMut;
-use pjoin::record::DTS_RESIDENT;
-use pjoin::PRecord;
 use proptest::prelude::*;
 use punct_durable::format::{read_epoch_file, write_epoch_file, RawSection, SectionPayload};
 use punct_durable::snapshot::kind;
@@ -42,7 +34,6 @@ use punct_exec::Aligner;
 use punct_types::{
     Bound, Pattern, PunctId, PunctSeq, Punctuation, PunctuationSet, Tuple, Value,
 };
-use spillstore::{tag_of_key, Bucket};
 
 // ---------------------------------------------------------------------
 // Value / pattern / punctuation strategies
@@ -86,160 +77,6 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
 /// index of a `PunctuationSet::new(0)` engages with.
 fn arb_punct() -> impl Strategy<Value = Punctuation> {
     arb_pattern().prop_map(|p| Punctuation::on_attr(2, 0, p))
-}
-
-// ---------------------------------------------------------------------
-// Bucket<PRecord> slab round-trip
-// ---------------------------------------------------------------------
-
-/// Operations that shape the slab: keyed and unkeyed inserts grow or
-/// refill it; the removal flavors punch holes in history-dependent
-/// order, so the free list (and therefore future slot assignment) is a
-/// function of the whole history.
-#[derive(Debug, Clone)]
-enum SlabOp {
-    /// Insert under this join key (`None` = unkeyed ⇒ `TAG_UNKEYED`),
-    /// with these float payload bits (NaNs included) and this pid.
-    Insert(Option<i64>, u64, Option<u64>),
-    /// Keyed extraction of everything under the key.
-    ExtractKey(i64),
-    /// Extract records with even sequence numbers (any tag).
-    ExtractEvenSeq,
-    /// Retain only records with sequence number below the bound.
-    RetainBelow(i64),
-}
-
-fn slab_insert() -> impl Strategy<Value = SlabOp> {
-    (
-        prop_oneof![Just(None), (0i64..6).prop_map(Some)],
-        any::<u64>(),
-        prop_oneof![Just(None), (0u64..8).prop_map(Some)],
-    )
-        .prop_map(|(k, bits, pid)| SlabOp::Insert(k, bits, pid))
-}
-
-fn slab_op() -> impl Strategy<Value = SlabOp> {
-    prop_oneof![
-        slab_insert(),
-        slab_insert(),
-        slab_insert(),
-        (0i64..6).prop_map(SlabOp::ExtractKey),
-        Just(SlabOp::ExtractEvenSeq),
-        (0i64..64).prop_map(SlabOp::RetainBelow),
-    ]
-}
-
-fn seq_of(r: &PRecord) -> i64 {
-    r.tuple.get(2).and_then(Value::as_int).expect("seq attr")
-}
-
-fn apply_slab(b: &mut Bucket<PRecord>, op: &SlabOp, seq: &mut i64) {
-    match op {
-        SlabOp::Insert(key, bits, pid) => {
-            let k = key.map(Value::Int).unwrap_or(Value::Null);
-            let tuple = Tuple::new(vec![
-                k.clone(),
-                Value::Float(f64::from_bits(*bits)),
-                Value::Int(*seq),
-            ]);
-            let rec = PRecord {
-                tuple,
-                ats: *seq as u64,
-                // Alternate the resident sentinel with finite instants.
-                dts: if *seq % 2 == 0 { DTS_RESIDENT } else { *seq as u64 + 10 },
-                pid: pid.map(PunctId),
-                arrival_us: (*seq as u64) * 7,
-            };
-            match key {
-                Some(k) => b.push_tagged(rec, tag_of_key(&Value::Int(*k))),
-                None => b.push(rec),
-            }
-            *seq += 1;
-        }
-        SlabOp::ExtractKey(k) => {
-            b.extract_tag(tag_of_key(&Value::Int(*k)), |_| true);
-        }
-        SlabOp::ExtractEvenSeq => {
-            b.extract(|r| seq_of(r) % 2 == 0);
-        }
-        SlabOp::RetainBelow(bound) => {
-            b.retain(|r| seq_of(r) < *bound);
-        }
-    }
-}
-
-fn encode_slab(b: &Bucket<PRecord>) -> BytesMut {
-    let mut buf = BytesMut::new();
-    b.encode_memory(&mut buf);
-    buf
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// The slab survives bit-for-bit: identical re-encoding, identical
-    /// iteration, and identical *future* slot assignment.
-    #[test]
-    fn bucket_precord_slab_roundtrip(ops in proptest::collection::vec(slab_op(), 0..40)) {
-        let mut original: Bucket<PRecord> = Bucket::new();
-        let mut seq = 0i64;
-        for op in &ops {
-            apply_slab(&mut original, op, &mut seq);
-        }
-        let bytes = encode_slab(&original);
-        let mut decoded = Bucket::<PRecord>::decode_memory(&mut bytes.clone().freeze())
-            .expect("a freshly encoded slab must decode");
-        prop_assert_eq!(decoded.len(), original.len());
-        prop_assert_eq!(decoded.arena_len(), original.arena_len(), "holes must survive");
-        let got: Vec<&PRecord> = decoded.iter().collect();
-        let want: Vec<&PRecord> = original.iter().collect();
-        prop_assert_eq!(got, want, "iteration (order included) must survive");
-        let reencoded = encode_slab(&decoded);
-        prop_assert_eq!(
-            reencoded.as_ref(),
-            bytes.as_ref(),
-            "re-encoding must be byte-identical (tags, holes, free-list order)"
-        );
-        // The free list survived as *behavior*: the next insert lands in
-        // the same slot on both sides.
-        for b in [&mut original, &mut decoded] {
-            b.push(PRecord::arriving(Tuple::of((99i64, seq)), seq as u64));
-        }
-        let (after_orig, after_dec) = (encode_slab(&original), encode_slab(&decoded));
-        prop_assert_eq!(
-            after_orig.as_ref(),
-            after_dec.as_ref(),
-            "future inserts must land in the same recycled slots"
-        );
-    }
-
-    /// Truncating an encoded slab never panics and (being a strict
-    /// prefix) never decodes successfully into the same record count.
-    #[test]
-    fn bucket_precord_truncation_rejected(
-        ops in proptest::collection::vec(slab_op(), 1..24),
-        cut_seed in any::<u64>(),
-    ) {
-        let mut b: Bucket<PRecord> = Bucket::new();
-        let mut seq = 0i64;
-        for op in &ops {
-            apply_slab(&mut b, op, &mut seq);
-        }
-        let bytes = encode_slab(&b);
-        prop_assume!(!bytes.is_empty());
-        let cut = (cut_seed as usize) % bytes.len();
-        // Must return, not panic; a strict prefix can never round-trip.
-        if let Ok(short) = Bucket::<PRecord>::decode_memory(&mut bytes.clone().freeze().slice(..cut)) {
-            // A strict prefix must not reproduce the full slab.
-            let short_bytes = encode_slab(&short);
-            prop_assert_ne!(short_bytes.as_ref(), bytes.as_ref());
-        }
-        // A header claiming u32::MAX slots is rejected against the bytes
-        // present, before anything is sized from it.
-        let mut huge = bytes.to_vec();
-        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        prop_assert!(Bucket::<PRecord>::decode_memory(&mut huge.into()).is_err());
-    }
 }
 
 // ---------------------------------------------------------------------

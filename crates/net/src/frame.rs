@@ -17,8 +17,8 @@
 //! tuples of one frame are views into one shared value block.
 
 use punct_types::wire::{
-    get_schema, get_timestamped_run, get_tuple, put_element, put_schema, put_tuple, WireError,
-    WireReader,
+    get_records, get_schema, get_timestamped_run, put_bytes, put_records, put_schema, put_str,
+    put_timestamped, put_u16, put_u32, put_u32_at, put_u64, WireError, WireReader,
 };
 use punct_types::{Schema, ShardMap, StreamElement, Timestamped, Tuple};
 
@@ -357,92 +357,77 @@ impl Frame {
 /// Appends the full length-prefixed encoding of `frame` to `buf`.
 pub fn encode_frame_into(frame: &Frame, buf: &mut Vec<u8>) {
     let len_pos = buf.len();
-    buf.extend_from_slice(&0u32.to_le_bytes()); // patched below
+    put_u32(buf, 0); // patched below
     buf.push(frame.tag());
     match frame {
         Frame::Hello { stream, side, wire_version, schema } => {
-            buf.extend_from_slice(&stream.to_le_bytes());
+            put_u32(buf, *stream);
             buf.push(*side);
-            buf.extend_from_slice(&wire_version.to_le_bytes());
+            put_u32(buf, *wire_version);
             put_schema(buf, schema);
         }
         Frame::HelloAck { resume_from, credits, wire_version } => {
-            buf.extend_from_slice(&resume_from.to_le_bytes());
-            buf.extend_from_slice(&credits.to_le_bytes());
-            buf.extend_from_slice(&wire_version.to_le_bytes());
+            put_u64(buf, *resume_from);
+            put_u32(buf, *credits);
+            put_u32(buf, *wire_version);
         }
         Frame::Data { seq, element } => {
-            buf.extend_from_slice(&seq.to_le_bytes());
-            buf.extend_from_slice(&element.ts.as_micros().to_le_bytes());
-            put_element(buf, &element.item);
+            put_u64(buf, *seq);
+            put_timestamped(buf, element);
         }
-        Frame::Ack { up_to } => buf.extend_from_slice(&up_to.to_le_bytes()),
-        Frame::Credit { n } => buf.extend_from_slice(&n.to_le_bytes()),
-        Frame::Fin { count } => buf.extend_from_slice(&count.to_le_bytes()),
+        Frame::Ack { up_to: v }
+        | Frame::Fin { count: v }
+        | Frame::MigrateStateDone { records: v }
+        | Frame::MigrateCommit { epoch: v }
+        | Frame::BarrierReached { nonce: v }
+        | Frame::Heartbeat { seq: v } => put_u64(buf, *v),
+        Frame::Credit { n } => put_u32(buf, *n),
         Frame::FinAck => {}
         Frame::Error { code, message } => {
-            buf.extend_from_slice(&code.to_le_bytes());
-            // Reuse the Value string encoding for the message.
-            put_string(buf, message);
+            put_u16(buf, *code);
+            put_str(buf, message);
         }
         Frame::Subscribe { resume_from, wire_version } => {
-            buf.extend_from_slice(&resume_from.to_le_bytes());
-            buf.extend_from_slice(&wire_version.to_le_bytes());
+            put_u64(buf, *resume_from);
+            put_u32(buf, *wire_version);
         }
         Frame::DataBatch { first_seq, elements } => {
-            buf.extend_from_slice(&first_seq.to_le_bytes());
-            buf.extend_from_slice(&(elements.len() as u32).to_le_bytes());
+            put_u64(buf, *first_seq);
+            put_u32(buf, elements.len() as u32);
             for element in elements {
-                buf.extend_from_slice(&element.ts.as_micros().to_le_bytes());
-                put_element(buf, &element.item);
+                put_timestamped(buf, element);
             }
         }
         Frame::JoinCluster { wire_version, worker, ingest_addr, sink_addr } => {
-            buf.extend_from_slice(&wire_version.to_le_bytes());
-            buf.extend_from_slice(&worker.to_le_bytes());
-            put_string(buf, ingest_addr);
-            put_string(buf, sink_addr);
+            put_u32(buf, *wire_version);
+            put_u32(buf, *worker);
+            put_str(buf, ingest_addr);
+            put_str(buf, sink_addr);
         }
         Frame::ShardMapUpdate { worker, map, config } => {
-            buf.extend_from_slice(&worker.to_le_bytes());
+            put_u32(buf, *worker);
             map.encode_into(buf);
-            buf.extend_from_slice(&(config.len() as u32).to_le_bytes());
-            buf.extend_from_slice(config);
-        }
-        Frame::MigrateBegin { epoch, nonce } => {
-            buf.extend_from_slice(&epoch.to_le_bytes());
-            buf.extend_from_slice(&nonce.to_le_bytes());
+            put_bytes(buf, config);
         }
         Frame::MigrateState { shard, side, records } => {
-            buf.extend_from_slice(&shard.to_le_bytes());
+            put_u32(buf, *shard);
             buf.push(*side);
-            buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for (arrival_us, tuple) in records {
-                buf.extend_from_slice(&arrival_us.to_le_bytes());
-                put_tuple(buf, tuple);
-            }
+            put_records(buf, records);
         }
-        Frame::MigrateStateDone { records } => {
-            buf.extend_from_slice(&records.to_le_bytes())
+        Frame::Telemetry { payload } => put_bytes(buf, payload),
+        Frame::MigrateBegin { epoch, nonce }
+        | Frame::Checkpoint { epoch, nonce }
+        | Frame::Rollback { epoch, nonce } => {
+            put_u64(buf, *epoch);
+            put_u64(buf, *nonce);
         }
-        Frame::MigrateCommit { epoch } => buf.extend_from_slice(&epoch.to_le_bytes()),
-        Frame::BarrierReached { nonce } => buf.extend_from_slice(&nonce.to_le_bytes()),
-        Frame::Telemetry { payload } => {
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(payload);
-        }
-        Frame::Checkpoint { epoch, nonce } | Frame::Rollback { epoch, nonce } => {
-            buf.extend_from_slice(&epoch.to_le_bytes());
-            buf.extend_from_slice(&nonce.to_le_bytes());
-        }
-        Frame::Heartbeat { seq } => buf.extend_from_slice(&seq.to_le_bytes()),
         Frame::CheckpointDone { epoch, sink_watermark } => {
-            buf.extend_from_slice(&epoch.to_le_bytes());
-            buf.extend_from_slice(&sink_watermark.to_le_bytes());
+            put_u64(buf, *epoch);
+            put_u64(buf, *sink_watermark);
         }
     }
     let frame_len = (buf.len() - len_pos - 4) as u32;
-    buf[len_pos..len_pos + 4].copy_from_slice(&frame_len.to_le_bytes());
+    put_u32_at(buf, len_pos, frame_len);
 }
 
 /// The full length-prefixed encoding of `frame`.
@@ -465,16 +450,15 @@ pub fn encode_data_batch_into(
     buf: &mut Vec<u8>,
 ) -> usize {
     let len_pos = buf.len();
-    buf.extend_from_slice(&0u32.to_le_bytes()); // patched below
+    put_u32(buf, 0); // patched below
     buf.push(TAG_DATA_BATCH);
-    buf.extend_from_slice(&first_seq.to_le_bytes());
+    put_u64(buf, first_seq);
     let count_pos = buf.len();
-    buf.extend_from_slice(&0u32.to_le_bytes()); // patched below
+    put_u32(buf, 0); // patched below
     let mut taken = 0usize;
     for element in elements {
         let rollback = buf.len();
-        buf.extend_from_slice(&element.ts.as_micros().to_le_bytes());
-        put_element(buf, &element.item);
+        put_timestamped(buf, element);
         if taken > 0 && buf.len() - len_pos - 4 > max_bytes {
             buf.truncate(rollback);
             break;
@@ -484,15 +468,10 @@ pub fn encode_data_batch_into(
             break;
         }
     }
-    buf[count_pos..count_pos + 4].copy_from_slice(&(taken as u32).to_le_bytes());
+    put_u32_at(buf, count_pos, taken as u32);
     let frame_len = (buf.len() - len_pos - 4) as u32;
-    buf[len_pos..len_pos + 4].copy_from_slice(&frame_len.to_le_bytes());
+    put_u32_at(buf, len_pos, frame_len);
     taken
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Decodes one frame *payload* (tag + body, without the length prefix).
@@ -524,7 +503,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
         TAG_FIN => Frame::Fin { count: r.u64("fin count")? },
         TAG_FIN_ACK => Frame::FinAck,
         TAG_ERROR => {
-            let code = u16::from_le_bytes([r.u8("error code")?, r.u8("error code")?]);
+            let code = r.u16("error code")?;
             let message = r.str("error message")?.to_string();
             Frame::Error { code, message }
         }
@@ -535,9 +514,8 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
         TAG_DATA_BATCH => {
             let first_seq = r.u64("batch first_seq")?;
             let count = r.u32("batch count")? as usize;
-            // One value block for the whole frame; the run caps its
-            // preallocation by the bytes present, so a corrupted count
-            // cannot trigger a huge allocation.
+            // One value block for the whole frame; the run holds the
+            // count to the count rule before sizing anything from it.
             let elements = get_timestamped_run(&mut r, count)?;
             Frame::DataBatch { first_seq, elements }
         }
@@ -551,8 +529,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
         TAG_SHARD_MAP_UPDATE => {
             let worker = r.u32("map worker")?;
             let map = ShardMap::decode(&mut r)?;
-            let len = r.u32("map config len")? as usize;
-            let config = r.bytes("map config", len)?.to_vec();
+            let config = r.blob("map config")?.to_vec();
             Frame::ShardMapUpdate { worker, map, config }
         }
         TAG_MIGRATE_BEGIN => Frame::MigrateBegin {
@@ -565,28 +542,14 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
             if side > 1 {
                 return Err(WireError::BadTag { what: "state side", tag: side });
             }
-            let count = r.u32("state count")? as usize;
-            // Same allocation-capping discipline as DataBatch: a record
-            // needs at least 9 payload bytes, so a corrupted count can
-            // never request a huge upfront allocation.
-            let mut records = Vec::with_capacity(count.min(r.remaining() / 9 + 1));
-            for _ in 0..count {
-                let arrival_us = r.u64("state arrival")?;
-                let tuple = get_tuple(&mut r)?;
-                records.push((arrival_us, tuple));
-            }
-            Frame::MigrateState { shard, side, records }
+            Frame::MigrateState { shard, side, records: get_records(&mut r)? }
         }
         TAG_MIGRATE_STATE_DONE => {
             Frame::MigrateStateDone { records: r.u64("state done count")? }
         }
         TAG_MIGRATE_COMMIT => Frame::MigrateCommit { epoch: r.u64("commit epoch")? },
         TAG_BARRIER_REACHED => Frame::BarrierReached { nonce: r.u64("barrier nonce")? },
-        TAG_TELEMETRY => {
-            let len = r.u32("telemetry len")? as usize;
-            let payload = r.bytes("telemetry payload", len)?.to_vec();
-            Frame::Telemetry { payload }
-        }
+        TAG_TELEMETRY => Frame::Telemetry { payload: r.blob("telemetry payload")?.to_vec() },
         TAG_CHECKPOINT => Frame::Checkpoint {
             epoch: r.u64("checkpoint epoch")?,
             nonce: r.u64("checkpoint nonce")?,
@@ -648,7 +611,7 @@ impl FrameBuffer {
         if avail.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
+        let len = WireReader::new(avail).u32("frame length")? as usize;
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(WireError::TooLarge { what: "frame", len, max: MAX_FRAME_LEN });
         }
@@ -876,10 +839,10 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected() {
         let mut fb = FrameBuffer::new();
-        fb.extend(&(u32::MAX).to_le_bytes());
+        fb.extend(&[0xFF; 4]);
         assert!(matches!(fb.next_frame(), Err(WireError::TooLarge { .. })));
         let mut fb = FrameBuffer::new();
-        fb.extend(&0u32.to_le_bytes());
+        fb.extend(&[0; 4]);
         assert!(matches!(fb.next_frame(), Err(WireError::TooLarge { .. })));
     }
 

@@ -1,7 +1,5 @@
 //! The disk backend abstraction.
 
-use bytes::Bytes;
-
 /// Identifier of a stored page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
@@ -39,12 +37,12 @@ impl IoStats {
 /// (real files).
 pub trait DiskBackend {
     /// Persists a page, returning its id.
-    fn write_page(&mut self, data: Bytes) -> PageId;
+    fn write_page(&mut self, data: Vec<u8>) -> PageId;
 
     /// Reads a page back. Panics if the id was never written or was freed
     /// — operator logic owns page lifetimes, so a miss is a bug, not a
     /// recoverable condition.
-    fn read_page(&mut self, id: PageId) -> Bytes;
+    fn read_page(&mut self, id: PageId) -> Vec<u8>;
 
     /// Releases a page.
     fn free_page(&mut self, id: PageId);

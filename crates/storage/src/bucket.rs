@@ -7,11 +7,9 @@
 //! recycled through a free list instead of compacting or reallocating —
 //! the steady-state insert/remove cycle performs no heap allocation.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use punct_types::Value;
 
 use crate::backend::PageId;
-use crate::codec::{CodecError, Record};
 use crate::kernel::{ProbeKernel, WINDOW};
 
 /// Tag of a free (hole) slot. Never matches a probe.
@@ -308,113 +306,6 @@ impl<R> Bucket<R> {
     pub fn take_disk_pages(&mut self) -> Vec<PageId> {
         self.disk_tuples = 0;
         std::mem::take(&mut self.disk_pages)
-    }
-
-    /// Length of the slot arena, holes included. Exposed so state
-    /// serialization tests can assert exact slab reconstruction.
-    pub fn arena_len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-impl<R: Record> Bucket<R> {
-    /// Serializes the memory slab *exactly*: arena length, the packed
-    /// tag array, the free list in stack order, and every occupied
-    /// record. Decoding the result with
-    /// [`decode_memory`](Bucket::decode_memory) reproduces a bucket
-    /// whose future behavior (probe results, slot-recycling order,
-    /// iteration order) is indistinguishable from the original.
-    ///
-    /// The disk portion is **not** serialized — page ids are only
-    /// meaningful to the backend that allocated them. Callers shipping
-    /// bucket state across processes must keep buckets memory-resident
-    /// (or page the disk portion in first); this is checked, not
-    /// assumed, by migration code.
-    pub fn encode_memory(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.slots.len() as u32);
-        buf.put_u32_le(self.free.len() as u32);
-        for &hole in &self.free {
-            buf.put_u32_le(hole);
-        }
-        for (i, tag) in self.tags.iter().enumerate() {
-            buf.put_u64_le(*tag);
-            if *tag != TAG_FREE {
-                self.slots[i]
-                    .as_ref()
-                    .expect("tagged slot holds a record")
-                    .encode(buf);
-            }
-        }
-    }
-
-    /// Reconstructs a bucket from [`encode_memory`](Bucket::encode_memory)
-    /// output, restoring the slab layout bit-for-bit: same arena length,
-    /// same holes, same free-list order. Rejects encodings whose free
-    /// list disagrees with the tag array.
-    pub fn decode_memory(buf: &mut Bytes) -> Result<Bucket<R>, CodecError> {
-        if buf.remaining() < 8 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let arena = buf.get_u32_le() as usize;
-        let holes = buf.get_u32_le() as usize;
-        if holes > arena {
-            return Err(CodecError::Corrupt("more holes than slots"));
-        }
-        if buf.remaining() < holes * 4 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let mut free = Vec::with_capacity(holes);
-        for _ in 0..holes {
-            let hole = buf.get_u32_le();
-            if hole as usize >= arena {
-                return Err(CodecError::Corrupt("free-list index out of range"));
-            }
-            free.push(hole);
-        }
-        // Every slot carries at least its 8-byte tag, so an arena beyond
-        // the bytes present is a corrupt header — reject it before
-        // sizing anything from it.
-        if arena > buf.remaining() / 8 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let mut slots = Vec::with_capacity(arena);
-        let mut tags = Vec::with_capacity(arena);
-        let mut live = 0;
-        for _ in 0..arena {
-            if buf.remaining() < 8 {
-                return Err(CodecError::UnexpectedEof);
-            }
-            let tag = buf.get_u64_le();
-            if tag == TAG_FREE {
-                slots.push(None);
-            } else {
-                slots.push(Some(R::decode(buf)?));
-                live += 1;
-            }
-            tags.push(tag);
-        }
-        if live + free.len() != arena {
-            return Err(CodecError::Corrupt("free list disagrees with tag array"));
-        }
-        for &hole in &free {
-            if tags[hole as usize] != TAG_FREE {
-                return Err(CodecError::Corrupt("free list names an occupied slot"));
-            }
-        }
-        let mut seen = vec![false; arena];
-        for &hole in &free {
-            if std::mem::replace(&mut seen[hole as usize], true) {
-                return Err(CodecError::Corrupt("duplicate free-list index"));
-            }
-        }
-        Ok(Bucket {
-            slots,
-            tags,
-            free,
-            live,
-            disk_pages: Vec::new(),
-            disk_tuples: 0,
-        })
     }
 }
 

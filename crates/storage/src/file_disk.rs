@@ -9,8 +9,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
-
 use crate::backend::{DiskBackend, IoStats, PageId};
 
 /// A file-backed page store.
@@ -78,7 +76,7 @@ impl FileDisk {
 static NEXT_TEMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl DiskBackend for FileDisk {
-    fn write_page(&mut self, data: Bytes) -> PageId {
+    fn write_page(&mut self, data: Vec<u8>) -> PageId {
         let id = PageId(self.next_id);
         self.next_id += 1;
         self.file.seek(SeekFrom::Start(self.end_offset)).expect("seek spill file");
@@ -90,7 +88,7 @@ impl DiskBackend for FileDisk {
         id
     }
 
-    fn read_page(&mut self, id: PageId) -> Bytes {
+    fn read_page(&mut self, id: PageId) -> Vec<u8> {
         let &(offset, len) =
             self.index.get(&id).unwrap_or_else(|| panic!("read of unknown page {id:?}"));
         let mut buf = vec![0u8; len as usize];
@@ -98,7 +96,7 @@ impl DiskBackend for FileDisk {
         self.file.read_exact(&mut buf).expect("read spill page");
         self.stats.pages_read += 1;
         self.stats.bytes_read += len;
-        Bytes::from(buf)
+        buf
     }
 
     fn free_page(&mut self, id: PageId) {
@@ -132,8 +130,8 @@ mod tests {
     #[test]
     fn write_read_round_trip() {
         let mut d = FileDisk::temp("rt").unwrap();
-        let a = d.write_page(Bytes::from_static(b"first page"));
-        let b = d.write_page(Bytes::from_static(b"second"));
+        let a = d.write_page(b"first page".to_vec());
+        let b = d.write_page(b"second".to_vec());
         assert_eq!(&d.read_page(a)[..], b"first page");
         assert_eq!(&d.read_page(b)[..], b"second");
         // Interleaved re-reads work (seek correctness).
@@ -146,7 +144,7 @@ mod tests {
         let path;
         {
             let mut d = FileDisk::temp("drop").unwrap();
-            d.write_page(Bytes::from_static(b"x"));
+            d.write_page(b"x".to_vec());
             path = d.path().to_path_buf();
             assert!(path.exists());
         }
@@ -156,7 +154,7 @@ mod tests {
     #[test]
     fn stats_track_io() {
         let mut d = FileDisk::temp("stats").unwrap();
-        let id = d.write_page(Bytes::from_static(b"abcd"));
+        let id = d.write_page(b"abcd".to_vec());
         d.read_page(id);
         assert_eq!(d.stats().pages_written, 1);
         assert_eq!(d.stats().pages_read, 1);
@@ -166,7 +164,7 @@ mod tests {
     #[test]
     fn free_forgets_page() {
         let mut d = FileDisk::temp("free").unwrap();
-        let id = d.write_page(Bytes::from_static(b"x"));
+        let id = d.write_page(b"x".to_vec());
         d.free_page(id);
         assert_eq!(d.live_pages(), 0);
     }
@@ -174,8 +172,8 @@ mod tests {
     #[test]
     fn freed_bytes_and_high_water_mark() {
         let mut d = FileDisk::temp("hwm").unwrap();
-        let a = d.write_page(Bytes::from_static(b"aaaa")); // 4 bytes
-        let b = d.write_page(Bytes::from_static(b"bbbbbb")); // 6 bytes
+        let a = d.write_page(b"aaaa".to_vec()); // 4 bytes
+        let b = d.write_page(b"bbbbbb".to_vec()); // 6 bytes
         assert_eq!(d.high_water_bytes(), 10);
         assert_eq!(d.stats().live_bytes(), 10);
 
@@ -194,7 +192,7 @@ mod tests {
 
         // New writes append beyond the mark even when earlier pages are
         // free: the file only ever grows.
-        let c = d.write_page(Bytes::from_static(b"cc"));
+        let c = d.write_page(b"cc".to_vec());
         assert_eq!(d.high_water_bytes(), 12);
         d.free_page(b);
         d.free_page(c);
@@ -207,7 +205,7 @@ mod tests {
     fn large_pages_round_trip() {
         let mut d = FileDisk::temp("large").unwrap();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let id = d.write_page(Bytes::from(data.clone()));
+        let id = d.write_page(data.clone());
         assert_eq!(&d.read_page(id)[..], &data[..]);
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! Modules:
 //!
-//! * [`codec`] — compact binary encoding of values/tuples ([`Record`] trait).
-//! * [`page`] — the on-disk page format.
+//! * [`page`] — the on-disk page format and the [`Record`] trait, both
+//!   in the `punct_types::wire` codec.
 //! * [`backend`] — the [`DiskBackend`] trait with two implementations:
 //!   [`sim_disk::SimDisk`] (in-memory pages, used by the
 //!   deterministic simulations) and [`file_disk::FileDisk`]
@@ -25,7 +25,6 @@
 
 pub mod backend;
 pub mod bucket;
-pub mod codec;
 pub mod file_disk;
 pub mod kernel;
 pub mod page;
@@ -35,10 +34,9 @@ pub mod spill;
 
 pub use backend::{DiskBackend, IoStats, PageId};
 pub use bucket::{tag_of_hash, tag_of_key, Bucket, TAG_FREE, TAG_UNKEYED};
-pub use codec::{CodecError, Record};
 pub use file_disk::FileDisk;
 pub use kernel::ProbeKernel;
-pub use page::Page;
+pub use page::{Page, Record};
 pub use partition::{PartitionedStore, SpillCounters, SpillReport, StoreConfig};
 pub use sim_disk::SimDisk;
 pub use spill::SpillPolicy;

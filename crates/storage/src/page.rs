@@ -1,9 +1,38 @@
-//! The on-disk page format: a record-count header followed by encoded
-//! records.
+//! The on-disk page format — a record count followed by encoded
+//! records, all in the `punct_types::wire` codec — and the [`Record`]
+//! trait join operators implement for their stored-tuple wrappers.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use punct_types::wire::{get_tuple, put_tuple, put_u32, WireError, WireReader};
+use punct_types::Tuple;
 
-use crate::codec::{CodecError, Record};
+/// A stored-tuple wrapper that can live in a [`PartitionedStore`]
+/// (join operators attach metadata such as arrival timestamps or
+/// punctuation-index ids).
+///
+/// [`PartitionedStore`]: crate::partition::PartitionedStore
+pub trait Record: Clone {
+    /// The wrapped data tuple.
+    fn tuple(&self) -> &Tuple;
+    /// Appends the record (tuple + metadata).
+    fn encode(&self, buf: &mut Vec<u8>);
+    /// Reads a record written by [`encode`](Record::encode).
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+}
+
+/// The trivial record: a bare tuple with no metadata (used by tests).
+impl Record for Tuple {
+    fn tuple(&self) -> &Tuple {
+        self
+    }
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_tuple(buf, self);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        get_tuple(r)
+    }
+}
 
 /// A decoded page of records.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,30 +67,24 @@ impl<R: Record> Page<R> {
     }
 
     /// Serializes the page.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.records.len() * 32);
-        buf.put_u32_le(self.records.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(16 + self.records.len() * 32);
+        put_u32(&mut buf, self.records.len() as u32);
         for r in &self.records {
             r.encode(&mut buf);
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a page written by [`encode`](Page::encode).
-    pub fn decode(mut bytes: Bytes) -> Result<Page<R>, CodecError> {
-        if bytes.remaining() < 4 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let n = bytes.get_u32_le() as usize;
-        // A record is at least one byte, so a count beyond the bytes
-        // present is a corrupt header — reject it before sizing from it.
-        if n > bytes.remaining() {
-            return Err(CodecError::UnexpectedEof);
-        }
+    pub fn decode(bytes: &[u8]) -> Result<Page<R>, WireError> {
+        let mut r = WireReader::new(bytes);
+        let n = r.count("page record count", 1)?;
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
-            records.push(R::decode(&mut bytes)?);
+            records.push(R::decode(&mut r)?);
         }
+        r.finish()?;
         Ok(Page { records })
     }
 }
@@ -89,17 +112,29 @@ pub fn paginate<R: Record>(records: Vec<R>, page_tuples: usize) -> Vec<Page<R>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punct_types::Tuple;
+    use punct_types::wire::put_u32_at;
 
     fn tuples(n: usize) -> Vec<Tuple> {
         (0..n).map(|i| Tuple::of((i as i64, "payload"))).collect()
     }
 
     #[test]
+    fn multiple_records_stream() {
+        let a = Tuple::of((1i64, "x"));
+        let b = Tuple::of((2i64, "y"));
+        let mut buf = Vec::new();
+        Record::encode(&a, &mut buf);
+        Record::encode(&b, &mut buf);
+        let mut r = WireReader::new(&buf);
+        assert_eq!(<Tuple as Record>::decode(&mut r).unwrap(), a);
+        assert_eq!(<Tuple as Record>::decode(&mut r).unwrap(), b);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
     fn encode_decode_round_trip() {
         let page = Page::new(tuples(7));
-        let bytes = page.encode();
-        let back: Page<Tuple> = Page::decode(bytes).unwrap();
+        let back: Page<Tuple> = Page::decode(&page.encode()).unwrap();
         assert_eq!(back, page);
         assert_eq!(back.len(), 7);
     }
@@ -108,7 +143,7 @@ mod tests {
     fn empty_page_round_trips() {
         let page: Page<Tuple> = Page::new(vec![]);
         assert!(page.is_empty());
-        let back: Page<Tuple> = Page::decode(page.encode()).unwrap();
+        let back: Page<Tuple> = Page::decode(&page.encode()).unwrap();
         assert!(back.is_empty());
     }
 
@@ -116,17 +151,16 @@ mod tests {
     fn truncated_page_errors() {
         let page = Page::new(tuples(3));
         let bytes = page.encode();
-        let cut = bytes.slice(0..bytes.len() - 1);
-        assert!(Page::<Tuple>::decode(cut).is_err());
-        assert!(Page::<Tuple>::decode(Bytes::from_static(&[0, 0])).is_err());
+        assert!(Page::<Tuple>::decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(Page::<Tuple>::decode(&[0, 0]).is_err());
         // A header claiming u32::MAX records is an error, not an
         // allocation of that size.
-        let mut huge = bytes.to_vec();
-        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            Page::<Tuple>::decode(Bytes::from(huge)).err(),
-            Some(CodecError::UnexpectedEof)
-        );
+        let mut huge = bytes.clone();
+        put_u32_at(&mut huge, 0, u32::MAX);
+        assert!(matches!(
+            Page::<Tuple>::decode(&huge),
+            Err(WireError::TooLarge { what: "page record count", .. })
+        ));
     }
 
     #[test]

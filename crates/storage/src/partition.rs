@@ -5,8 +5,7 @@ use punct_types::Value;
 
 use crate::backend::{DiskBackend, IoStats, PageId};
 use crate::bucket::{tag_of_hash, Bucket};
-use crate::codec::Record;
-use crate::page::{paginate, Page};
+use crate::page::{paginate, Page, Record};
 use crate::spill::{SpillPolicy, SpillState};
 
 /// Configuration of a [`PartitionedStore`].
@@ -276,7 +275,7 @@ impl<R: Record> PartitionedStore<R> {
         let mut records = Vec::with_capacity(self.buckets[idx].disk_len());
         for id in &page_ids {
             let bytes = self.backend.read_page(*id);
-            let page: Page<R> = Page::decode(bytes).expect("pages we wrote must decode");
+            let page: Page<R> = Page::decode(&bytes).expect("pages we wrote must decode");
             records.extend(page.into_records());
         }
         (records, page_ids.len() as u64)

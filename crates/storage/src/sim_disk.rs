@@ -6,14 +6,12 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
-
 use crate::backend::{DiskBackend, IoStats, PageId};
 
 /// An in-memory page store with I/O accounting.
 #[derive(Debug, Clone, Default)]
 pub struct SimDisk {
-    pages: HashMap<PageId, Bytes>,
+    pages: HashMap<PageId, Vec<u8>>,
     next_id: u64,
     stats: IoStats,
 }
@@ -26,7 +24,7 @@ impl SimDisk {
 }
 
 impl DiskBackend for SimDisk {
-    fn write_page(&mut self, data: Bytes) -> PageId {
+    fn write_page(&mut self, data: Vec<u8>) -> PageId {
         let id = PageId(self.next_id);
         self.next_id += 1;
         self.stats.pages_written += 1;
@@ -35,7 +33,7 @@ impl DiskBackend for SimDisk {
         id
     }
 
-    fn read_page(&mut self, id: PageId) -> Bytes {
+    fn read_page(&mut self, id: PageId) -> Vec<u8> {
         let data = self.pages.get(&id).unwrap_or_else(|| panic!("read of unknown page {id:?}"));
         self.stats.pages_read += 1;
         self.stats.bytes_read += data.len() as u64;
@@ -65,8 +63,8 @@ mod tests {
     #[test]
     fn write_read_free_cycle() {
         let mut d = SimDisk::new();
-        let a = d.write_page(Bytes::from_static(b"alpha"));
-        let b = d.write_page(Bytes::from_static(b"beta"));
+        let a = d.write_page(b"alpha".to_vec());
+        let b = d.write_page(b"beta".to_vec());
         assert_ne!(a, b);
         assert_eq!(d.live_pages(), 2);
         assert_eq!(&d.read_page(a)[..], b"alpha");
@@ -78,7 +76,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut d = SimDisk::new();
-        let id = d.write_page(Bytes::from_static(b"12345"));
+        let id = d.write_page(b"12345".to_vec());
         d.read_page(id);
         d.read_page(id);
         let s = d.stats();
@@ -91,8 +89,8 @@ mod tests {
     #[test]
     fn free_accounting_matches_file_disk() {
         let mut d = SimDisk::new();
-        let a = d.write_page(Bytes::from_static(b"12345"));
-        let _b = d.write_page(Bytes::from_static(b"678"));
+        let a = d.write_page(b"12345".to_vec());
+        let _b = d.write_page(b"678".to_vec());
         d.free_page(a);
         d.free_page(a); // double-free: no effect on the accounting
         let s = d.stats();
@@ -105,7 +103,7 @@ mod tests {
     #[should_panic(expected = "unknown page")]
     fn reading_freed_page_panics() {
         let mut d = SimDisk::new();
-        let id = d.write_page(Bytes::from_static(b"x"));
+        let id = d.write_page(b"x".to_vec());
         d.free_page(id);
         d.read_page(id);
     }

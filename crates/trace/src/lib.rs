@@ -57,8 +57,8 @@ pub use hist::{LatencyHistogram, BUCKETS};
 pub use latency::JoinLatencies;
 pub use ring::RingBuffer;
 pub use telemetry::{
-    ClockSync, IngestCounters, KindSummary, PunctRecord, ShardSnapshot, TelemetryCodecError,
-    TelemetryMsg, WorkerTelemetry,
+    ClockSync, IngestCounters, KindSummary, PunctRecord, ShardSnapshot, TelemetryMsg,
+    WorkerTelemetry,
 };
 pub use tracer::{
     wall_epoch, wall_now_ns, SpanStart, TraceLog, TraceSettings, Tracer, DEFAULT_RING_CAPACITY,

@@ -7,10 +7,8 @@
 //! The histograms and trace-kind taxonomy being shipped are defined
 //! here, and the transport crate treats the payload as an opaque blob
 //! (exactly like the cluster's operator-configuration blob), so the
-//! codec sits next to the types it serializes. The encoding is
-//! deliberately self-contained — little-endian fixed-width integers with
-//! an internal bounds-checked reader — so this crate gains no new
-//! dependencies.
+//! codec sits next to the types it serializes. The bytes are written and
+//! read with the workspace's one codec, `punct_types::wire`.
 //!
 //! ## Exactness
 //!
@@ -33,87 +31,33 @@
 //! monotone even when the offset estimate is off by a network round
 //! trip.
 
+use punct_types::wire::{put_u32, put_u64, WireError, WireReader};
+
 use crate::event::TraceKind;
 use crate::hist::{LatencyHistogram, BUCKETS};
 use crate::latency::JoinLatencies;
-
-/// A decode failure: what was being read when the bytes ran out or made
-/// no sense.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryCodecError {
-    /// The field being decoded.
-    pub what: &'static str,
-}
-
-impl std::fmt::Display for TelemetryCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "telemetry payload truncated or malformed at {}", self.what)
-    }
-}
-
-impl std::error::Error for TelemetryCodecError {}
-
-/// A bounds-checked little-endian reader over a telemetry payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TelemetryCodecError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(TelemetryCodecError { what });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, TelemetryCodecError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, TelemetryCodecError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, TelemetryCodecError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn finish(&self) -> Result<(), TelemetryCodecError> {
-        if self.pos != self.bytes.len() {
-            return Err(TelemetryCodecError { what: "trailing bytes" });
-        }
-        Ok(())
-    }
-}
 
 fn put_hist(buf: &mut Vec<u8>, h: &LatencyHistogram) {
     let nonzero = h.nonzero_buckets();
     buf.push(nonzero.len() as u8);
     for (i, c) in nonzero {
         buf.push(i as u8);
-        buf.extend_from_slice(&c.to_le_bytes());
+        put_u64(buf, c);
     }
-    buf.extend_from_slice(&h.sum().to_le_bytes());
-    buf.extend_from_slice(&h.max().to_le_bytes());
+    put_u64(buf, h.sum());
+    put_u64(buf, h.max());
 }
 
-fn get_hist(r: &mut Reader<'_>) -> Result<LatencyHistogram, TelemetryCodecError> {
+fn get_hist(r: &mut WireReader<'_>) -> Result<LatencyHistogram, WireError> {
     let n = r.u8("hist bucket count")? as usize;
     if n > BUCKETS {
-        return Err(TelemetryCodecError { what: "hist bucket count" });
+        return Err(WireError::TooLarge { what: "hist bucket count", len: n, max: BUCKETS });
     }
     let mut buckets = [0u64; BUCKETS];
     for _ in 0..n {
         let i = r.u8("hist bucket index")? as usize;
         if i >= BUCKETS {
-            return Err(TelemetryCodecError { what: "hist bucket index" });
+            return Err(WireError::TooLarge { what: "hist bucket index", len: i, max: BUCKETS - 1 });
         }
         buckets[i] = r.u64("hist bucket value")?;
     }
@@ -130,8 +74,8 @@ pub fn encode_histogram_into(h: &LatencyHistogram, buf: &mut Vec<u8>) {
 
 /// Decodes a histogram written by [`encode_histogram_into`]. The whole
 /// input must be consumed.
-pub fn decode_histogram(bytes: &[u8]) -> Result<LatencyHistogram, TelemetryCodecError> {
-    let mut r = Reader::new(bytes);
+pub fn decode_histogram(bytes: &[u8]) -> Result<LatencyHistogram, WireError> {
+    let mut r = WireReader::new(bytes);
     let h = get_hist(&mut r)?;
     r.finish()?;
     Ok(h)
@@ -143,7 +87,7 @@ fn put_latencies(buf: &mut Vec<u8>, l: &JoinLatencies) {
     put_hist(buf, &l.punct_propagate);
 }
 
-fn get_latencies(r: &mut Reader<'_>) -> Result<JoinLatencies, TelemetryCodecError> {
+fn get_latencies(r: &mut WireReader<'_>) -> Result<JoinLatencies, WireError> {
     Ok(JoinLatencies {
         tuple_emit: get_hist(r)?,
         punct_purge: get_hist(r)?,
@@ -293,46 +237,44 @@ impl TelemetryMsg {
         match self {
             TelemetryMsg::ClockProbe { probe, t0_ns } => {
                 buf.push(MSG_CLOCK_PROBE);
-                buf.extend_from_slice(&probe.to_le_bytes());
-                buf.extend_from_slice(&t0_ns.to_le_bytes());
+                put_u32(&mut buf, *probe);
+                put_u64(&mut buf, *t0_ns);
             }
             TelemetryMsg::ClockAck { probe, t0_ns, worker_ns } => {
                 buf.push(MSG_CLOCK_ACK);
-                buf.extend_from_slice(&probe.to_le_bytes());
-                buf.extend_from_slice(&t0_ns.to_le_bytes());
-                buf.extend_from_slice(&worker_ns.to_le_bytes());
+                put_u32(&mut buf, *probe);
+                put_u64(&mut buf, *t0_ns);
+                put_u64(&mut buf, *worker_ns);
             }
             TelemetryMsg::Report(t) => {
                 buf.push(MSG_REPORT);
-                buf.extend_from_slice(&t.worker.to_le_bytes());
-                buf.extend_from_slice(&t.seq.to_le_bytes());
+                put_u32(&mut buf, t.worker);
+                put_u64(&mut buf, t.seq);
                 let flags =
                     (t.final_flush as u8) | ((t.trace_compiled as u8) << 1);
                 buf.push(flags);
-                buf.extend_from_slice(&t.elements.to_le_bytes());
-                buf.extend_from_slice(&t.outputs.to_le_bytes());
+                put_u64(&mut buf, t.elements);
+                put_u64(&mut buf, t.outputs);
                 put_latencies(&mut buf, &t.latencies);
-                buf.extend_from_slice(&(t.shards.len() as u32).to_le_bytes());
+                put_u32(&mut buf, t.shards.len() as u32);
                 for s in &t.shards {
-                    buf.extend_from_slice(&s.shard.to_le_bytes());
-                    buf.extend_from_slice(&s.consumed.to_le_bytes());
-                    buf.extend_from_slice(&s.state_tuples.to_le_bytes());
-                    buf.extend_from_slice(&s.emitted.to_le_bytes());
+                    put_u32(&mut buf, s.shard);
+                    for v in [s.consumed, s.state_tuples, s.emitted] {
+                        put_u64(&mut buf, v);
+                    }
                 }
                 buf.push(t.summaries.len() as u8);
                 for s in &t.summaries {
                     buf.push(s.kind);
-                    buf.extend_from_slice(&s.count.to_le_bytes());
-                    buf.extend_from_slice(&s.total_dur_ns.to_le_bytes());
+                    put_u64(&mut buf, s.count);
+                    put_u64(&mut buf, s.total_dur_ns);
                 }
-                buf.extend_from_slice(&(t.lifecycle.len() as u32).to_le_bytes());
+                put_u32(&mut buf, t.lifecycle.len() as u32);
                 for p in &t.lifecycle {
                     buf.push(p.side);
-                    buf.extend_from_slice(&p.key.to_le_bytes());
-                    buf.extend_from_slice(&p.ingest_ns.to_le_bytes());
-                    buf.extend_from_slice(&p.purge_ns.to_le_bytes());
-                    buf.extend_from_slice(&p.align_ns.to_le_bytes());
-                    buf.extend_from_slice(&p.sink_ns.to_le_bytes());
+                    for v in [p.key, p.ingest_ns, p.purge_ns, p.align_ns, p.sink_ns] {
+                        put_u64(&mut buf, v);
+                    }
                 }
                 for v in [
                     t.ingest.connections,
@@ -341,7 +283,7 @@ impl TelemetryMsg {
                     t.ingest.duplicates_suppressed,
                     t.ingest.stalls,
                 ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
+                    put_u64(&mut buf, v);
                 }
             }
         }
@@ -349,8 +291,8 @@ impl TelemetryMsg {
     }
 
     /// Decodes a payload written by [`encode`](TelemetryMsg::encode).
-    pub fn decode(bytes: &[u8]) -> Result<TelemetryMsg, TelemetryCodecError> {
-        let mut r = Reader::new(bytes);
+    pub fn decode(bytes: &[u8]) -> Result<TelemetryMsg, WireError> {
+        let mut r = WireReader::new(bytes);
         let msg = match r.u8("telemetry tag")? {
             MSG_CLOCK_PROBE => TelemetryMsg::ClockProbe {
                 probe: r.u32("probe number")?,
@@ -368,10 +310,8 @@ impl TelemetryMsg {
                 let elements = r.u64("report elements")?;
                 let outputs = r.u64("report outputs")?;
                 let latencies = get_latencies(&mut r)?;
-                let n = r.u32("shard count")? as usize;
-                if n > 64 {
-                    return Err(TelemetryCodecError { what: "shard count" });
-                }
+                // A shard is 28 bytes: its index and three counters.
+                let n = r.count("shard count", 28)?;
                 let mut shards = Vec::with_capacity(n);
                 for _ in 0..n {
                     shards.push(ShardSnapshot {
@@ -382,6 +322,7 @@ impl TelemetryMsg {
                     });
                 }
                 let n = r.u8("summary count")? as usize;
+                r.check_count("summary count", n, 17)?;
                 let mut summaries = Vec::with_capacity(n);
                 for _ in 0..n {
                     summaries.push(KindSummary {
@@ -390,11 +331,9 @@ impl TelemetryMsg {
                         total_dur_ns: r.u64("summary duration")?,
                     });
                 }
-                let n = r.u32("lifecycle count")? as usize;
-                // ≥ 41 bytes per record; a corrupted count cannot force a
-                // huge allocation.
-                let mut lifecycle =
-                    Vec::with_capacity(n.min((bytes.len() - r.pos) / 41 + 1));
+                // A lifecycle record is 41 bytes: its side and five u64s.
+                let n = r.count("lifecycle count", 41)?;
+                let mut lifecycle = Vec::with_capacity(n);
                 for _ in 0..n {
                     lifecycle.push(PunctRecord {
                         side: r.u8("lifecycle side")?,
@@ -426,7 +365,7 @@ impl TelemetryMsg {
                     ingest,
                 }))
             }
-            _ => return Err(TelemetryCodecError { what: "telemetry tag" }),
+            tag => return Err(WireError::BadTag { what: "telemetry message", tag }),
         };
         r.finish()?;
         Ok(msg)

@@ -15,7 +15,7 @@
 //! modulus (which consumes the low bits), so shard and bucket selection
 //! stay independent.
 
-use crate::wire::{WireError, WireReader};
+use crate::wire::{put_u32, put_u64, WireError, WireReader};
 
 /// Which shard (of `shards`) owns join hash `hash`.
 ///
@@ -88,18 +88,18 @@ impl ShardMap {
     /// Appends the wire encoding: epoch, shard count, then one u32 per
     /// shard.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.epoch.to_le_bytes());
-        buf.extend_from_slice(&(self.assignment.len() as u32).to_le_bytes());
+        put_u64(buf, self.epoch);
+        put_u32(buf, self.assignment.len() as u32);
         for &w in &self.assignment {
-            buf.extend_from_slice(&w.to_le_bytes());
+            put_u32(buf, w);
         }
     }
 
     /// Decodes a map written by [`encode_into`](ShardMap::encode_into).
     pub fn decode(r: &mut WireReader) -> Result<ShardMap, WireError> {
         let epoch = r.u64("shardmap epoch")?;
-        let count = r.u32("shardmap count")? as usize;
-        let mut assignment = Vec::with_capacity(count.min(r.remaining() / 4 + 1));
+        let count = r.count("shardmap count", 4)?;
+        let mut assignment = Vec::with_capacity(count);
         for _ in 0..count {
             assignment.push(r.u32("shardmap worker")?);
         }

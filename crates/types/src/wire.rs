@@ -1,23 +1,28 @@
-//! Wire-stable binary encoding of the stream element model.
+//! The workspace's one byte codec.
 //!
-//! This is the byte-level representation the networked transport
-//! (`punct-net`) frames on the wire: values, tuples, every one of the
-//! five punctuation pattern kinds, punctuations, schemas and stream
-//! elements. The encoding lives here, next to the types themselves, so
-//! that adding a `Value` or `Pattern` variant forces the wire format to
-//! be revisited in the same change.
+//! Every byte the system writes goes through here: values, tuples,
+//! every one of the five punctuation pattern kinds, punctuations,
+//! schemas, stream elements and state-transfer record runs, and the
+//! integers around them — net frames, the cluster config blob, telemetry
+//! payloads, durable epoch files and spill pages alike. This module is
+//! the only place that knows byte order, integer widths, value tags and
+//! the count rule. It lives next to the types so that adding a `Value`
+//! or `Pattern` variant forces the format to be revisited in the same
+//! change.
 //!
 //! Design rules:
 //!
 //! * **Little-endian, length-prefixed, tag-discriminated.** Every
 //!   variable-length field carries a `u32` length; every enum carries a
 //!   leading tag byte. There is no padding and no alignment, so the
-//!   encoding is identical across platforms.
+//!   encoding is identical across platforms. Writers append to a
+//!   caller's `Vec<u8>`; [`WireReader`] is the one cursor that reads.
 //! * **Decode never panics.** Malformed input — truncation, unknown
 //!   tags, invalid UTF-8, lengths exceeding the remaining buffer —
-//!   surfaces as a typed [`WireError`]. Length fields are validated
-//!   against the bytes actually present *before* any allocation, so a
-//!   corrupt length cannot trigger a huge allocation.
+//!   surfaces as a typed [`WireError`]. Every collection count passes
+//!   the count rule ([`WireReader::check_count`]: its entries must fit
+//!   in the bytes actually present) *before* any allocation, so a
+//!   corrupt count cannot trigger a huge allocation.
 //! * **Bit-exact round trips.** Floats are encoded as their IEEE bit
 //!   pattern (`f64::to_bits`), so `NaN` payloads and `-0.0` survive
 //!   unchanged — the same totality guarantee `Value`'s `Eq` provides.
@@ -103,17 +108,45 @@ pub const MAX_WIRE_LEN: usize = 1 << 24;
 // Writer side
 // ---------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian `u16`.
+#[inline]
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+/// Appends a little-endian `u32`.
+#[inline]
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+/// Appends a little-endian `u64`.
+#[inline]
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Overwrites the little-endian `u32` at `pos`: a length or count whose
+/// room was reserved (with a placeholder [`put_u32`]) before its value
+/// was known.
+#[inline]
+pub fn put_u32_at(buf: &mut [u8], pos: usize, v: u32) {
+    buf[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` length and then `bytes` (read back by
+/// [`WireReader::blob`]).
+#[inline]
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
+}
+
+/// Appends a length-prefixed UTF-8 string (read back by
+/// [`WireReader::str`]).
+#[inline]
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_bytes(buf, s.as_bytes());
 }
 
 /// Appends the encoding of a [`Value`].
@@ -126,7 +159,7 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
         }
         Value::Int(i) => {
             buf.push(2);
-            buf.extend_from_slice(&i.to_le_bytes());
+            put_u64(buf, *i as u64);
         }
         Value::Float(x) => {
             buf.push(3);
@@ -228,9 +261,21 @@ pub fn put_element(buf: &mut Vec<u8>, e: &StreamElement) {
 }
 
 /// Appends the encoding of a [`Timestamped<StreamElement>`].
+#[inline]
 pub fn put_timestamped(buf: &mut Vec<u8>, e: &Timestamped<StreamElement>) {
     put_u64(buf, e.ts.as_micros());
     put_element(buf, &e.item);
+}
+
+/// Appends a state-transfer record run, `count u32 | (arrival_us u64,
+/// tuple)*`: the body of a `MigrateState` frame and of a snapshot
+/// RECORDS section.
+pub fn put_records(buf: &mut Vec<u8>, records: &[(u64, Tuple)]) {
+    put_u32(buf, records.len() as u32);
+    for (arrival_us, tuple) in records {
+        put_u64(buf, *arrival_us);
+        put_tuple(buf, tuple);
+    }
 }
 
 /// Appends the encoding of a [`Schema`].
@@ -283,71 +328,101 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
-            return Err(WireError::Truncated {
-                what,
-                needed: n - self.remaining(),
-                available: self.remaining(),
-            });
+            return Err(self.truncated(what, n));
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
+    /// The error for `n` bytes that are not there, kept off the inlined
+    /// read path.
+    #[cold]
+    fn truncated(&self, what: &'static str, n: usize) -> WireError {
+        WireError::Truncated { what, needed: n - self.remaining(), available: self.remaining() }
+    }
+
+    #[inline(always)]
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
+        Ok(self.take(N, what)?.try_into().expect("take returns N bytes"))
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
         Ok(self.take(1, what)?[0])
     }
 
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.array(what)?))
+    }
+
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     /// Reads a little-endian `i64`.
+    #[inline]
     pub fn i64(&mut self, what: &'static str) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(self.array(what)?))
     }
 
-    /// Reads a `u32` collection length, validated against both the
-    /// protocol limit and the bytes actually remaining (each entry of
-    /// any collection occupies at least `min_entry_bytes`).
-    fn len(
-        &mut self,
+    /// The count rule: errors unless `count` entries of at least
+    /// `min_entry_bytes` each fit in the bytes not yet consumed, and
+    /// `count` is within [`MAX_WIRE_LEN`]. Every decoder checks a
+    /// collection count this way before sizing anything from it, so a
+    /// corrupt count fails instead of reserving room for entries that
+    /// are not there.
+    pub fn check_count(
+        &self,
         what: &'static str,
+        count: usize,
         min_entry_bytes: usize,
-    ) -> Result<usize, WireError> {
-        let len = self.u32(what)? as usize;
-        if len > MAX_WIRE_LEN {
-            return Err(WireError::TooLarge { what, len, max: MAX_WIRE_LEN });
+    ) -> Result<(), WireError> {
+        if count > MAX_WIRE_LEN {
+            return Err(WireError::TooLarge { what, len: count, max: MAX_WIRE_LEN });
         }
-        let floor = len.saturating_mul(min_entry_bytes.max(1));
+        let floor = count.saturating_mul(min_entry_bytes.max(1));
         if floor > self.remaining() {
-            return Err(WireError::Truncated {
-                what,
-                needed: floor - self.remaining(),
-                available: self.remaining(),
-            });
+            return Err(self.truncated(what, floor));
         }
-        Ok(len)
+        Ok(())
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a `u32` collection count and holds it to the
+    /// [count rule](WireReader::check_count).
+    #[inline]
+    pub fn count(&mut self, what: &'static str, min_entry_bytes: usize) -> Result<usize, WireError> {
+        let count = self.u32(what)? as usize;
+        self.check_count(what, count, min_entry_bytes)?;
+        Ok(count)
+    }
+
+    /// Reads a length-prefixed byte string (written by [`put_bytes`]).
+    pub fn blob(&mut self, what: &'static str) -> Result<&'a [u8], WireError> {
+        let len = self.count(what, 1)?;
+        self.take(len, what)
+    }
+
+    /// Reads a length-prefixed UTF-8 string (written by [`put_str`]).
     pub fn str(&mut self, what: &'static str) -> Result<&'a str, WireError> {
-        let len = self.len(what, 1)?;
-        let bytes = self.take(len, what)?;
-        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8 { what })
+        std::str::from_utf8(self.blob(what)?).map_err(|_| WireError::BadUtf8 { what })
     }
 
-    /// Reads exactly `n` raw bytes (for opaque embedded blobs whose
-    /// length the caller already decoded).
+    /// Reads exactly `n` raw bytes.
     pub fn bytes(&mut self, what: &'static str, n: usize) -> Result<&'a [u8], WireError> {
         self.take(n, what)
     }
@@ -393,7 +468,7 @@ pub fn get_pattern(r: &mut WireReader<'_>) -> Result<Pattern, WireError> {
             Ok(Pattern::Range { lo, hi })
         }
         3 => {
-            let len = r.len("enumeration list", 1)?;
+            let len = r.count("enumeration list", 1)?;
             let mut vs = Vec::with_capacity(len);
             for _ in 0..len {
                 vs.push(get_value(r)?);
@@ -407,7 +482,7 @@ pub fn get_pattern(r: &mut WireReader<'_>) -> Result<Pattern, WireError> {
 
 /// Appends the values of one encoded [`Tuple`] to `values`.
 fn get_tuple_values(r: &mut WireReader<'_>, values: &mut Vec<Value>) -> Result<(), WireError> {
-    let width = r.len("tuple width", 1)?;
+    let width = r.count("tuple width", 1)?;
     values.reserve(width);
     for _ in 0..width {
         values.push(get_value(r)?);
@@ -424,7 +499,7 @@ pub fn get_tuple(r: &mut WireReader<'_>) -> Result<Tuple, WireError> {
 
 /// Decodes a [`Punctuation`].
 pub fn get_punctuation(r: &mut WireReader<'_>) -> Result<Punctuation, WireError> {
-    let width = r.len("punctuation width", 1)?;
+    let width = r.count("punctuation width", 1)?;
     let mut patterns = Vec::with_capacity(width);
     for _ in 0..width {
         patterns.push(get_pattern(r)?);
@@ -461,9 +536,9 @@ enum RunSlot {
 /// block: every tuple is a [`Tuple::view`] into it, so a run costs at
 /// most four allocations however many tuples it holds (plus one per
 /// string value, as everywhere), where [`get_timestamped`] costs two per
-/// tuple. The bytes and the checks are those of `count` calls to
-/// [`get_timestamped`], and so are the elements, under every reader
-/// `Tuple` has.
+/// tuple. The bytes are those of `count` calls to [`get_timestamped`],
+/// and so are the elements, under every reader `Tuple` has; `count` is
+/// held to the [count rule](WireReader::check_count) first.
 ///
 /// The block lives as long as any of its tuples. A receiver that keeps a
 /// tuple for long stores it [`detached`](Tuple::detached), as join state
@@ -472,11 +547,10 @@ pub fn get_timestamped_run(
     r: &mut WireReader<'_>,
     count: usize,
 ) -> Result<Vec<Timestamped<StreamElement>>, WireError> {
-    // Preallocate by `count`, capped at what the remaining bytes could
-    // hold (an element is at least 9 bytes), so a corrupt count cannot
-    // request a huge allocation; it fails on the first missing element.
+    // An element is at least 13 bytes: timestamp, tag and a width.
     // Values are sized for 9-byte `Int`s: narrower ones only regrow.
-    let mut slots = Vec::with_capacity(count.min(r.remaining() / 9 + 1));
+    r.check_count("run length", count, 13)?;
+    let mut slots = Vec::with_capacity(count);
     let mut values = Vec::with_capacity(r.remaining() / 9);
     for _ in 0..count {
         let ts = Timestamp::from_micros(r.u64("timestamp")?);
@@ -499,9 +573,23 @@ pub fn get_timestamped_run(
     Ok(slots.into_iter().map(|e| e.map(element)).collect())
 }
 
+/// Decodes a record run written by [`put_records`]. Each tuple is
+/// detached (its own allocation), as state that outlives the frame or
+/// section it came in.
+pub fn get_records(r: &mut WireReader<'_>) -> Result<Vec<(u64, Tuple)>, WireError> {
+    // A record is at least 12 bytes: arrival and a tuple width.
+    let count = r.count("record count", 12)?;
+    let mut records = Vec::with_capacity(count);
+    for _ in 0..count {
+        let arrival_us = r.u64("record arrival")?;
+        records.push((arrival_us, get_tuple(r)?));
+    }
+    Ok(records)
+}
+
 /// Decodes a [`Schema`].
 pub fn get_schema(r: &mut WireReader<'_>) -> Result<Schema, WireError> {
-    let width = r.len("schema width", 5)?;
+    let width = r.count("schema width", 5)?;
     let mut fields = Vec::with_capacity(width);
     for _ in 0..width {
         let name = r.str("field name")?.to_string();
@@ -630,6 +718,23 @@ mod tests {
             let mut r = WireReader::new(&buf[..cut]);
             assert!(get_timestamped_run(&mut r, run.len()).is_err(), "prefix of {cut} bytes");
         }
+    }
+
+    #[test]
+    fn record_runs_round_trip_and_hold_the_count_rule() {
+        let records = vec![(7, Tuple::of((1i64, "a"))), (u64::MAX, Tuple::new(Vec::new()))];
+        let mut buf = Vec::new();
+        put_records(&mut buf, &records);
+        let mut r = WireReader::new(&buf);
+        assert_eq!(get_records(&mut r).expect("decode"), records);
+        r.finish().expect("consumed");
+        // A count that 12-byte records could not fill is rejected up front.
+        put_u32_at(&mut buf, 0, 4);
+        let mut r = WireReader::new(&buf);
+        assert!(matches!(
+            get_records(&mut r),
+            Err(WireError::Truncated { what: "record count", .. })
+        ));
     }
 
     #[test]

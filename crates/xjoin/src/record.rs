@@ -8,9 +8,9 @@
 //! makes interval overlap ambiguous, producing duplicate or lost results;
 //! a per-event logical clock makes every interval comparison strict.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use punct_types::wire::{get_tuple, put_tuple, put_u64, WireError, WireReader};
 use punct_types::Tuple;
-use spillstore::{codec, CodecError, Record};
+use spillstore::Record;
 
 /// A logical instant of the operator's event clock.
 pub type Instant = u64;
@@ -53,19 +53,16 @@ impl Record for XRecord {
         &self.tuple
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.ats);
-        buf.put_u64_le(self.dts);
-        codec::encode_tuple(&self.tuple, buf);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u64(buf, self.ats);
+        put_u64(buf, self.dts);
+        put_tuple(buf, &self.tuple);
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        if buf.remaining() < 16 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let ats = buf.get_u64_le();
-        let dts = buf.get_u64_le();
-        let tuple = codec::decode_tuple(buf)?;
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let ats = r.u64("record ats")?;
+        let dts = r.u64("record dts")?;
+        let tuple = get_tuple(r)?;
         Ok(XRecord { tuple, ats, dts })
     }
 }
@@ -106,18 +103,18 @@ mod tests {
     fn codec_round_trip() {
         let mut r = XRecord::arriving(Tuple::of((7i64, "x", 2.5)), 123);
         r.dts = 456;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode(&mut buf);
-        let back = XRecord::decode(&mut buf.freeze()).unwrap();
+        let back = XRecord::decode(&mut WireReader::new(&buf)).unwrap();
         assert_eq!(back, r);
     }
 
     #[test]
     fn resident_dts_round_trips() {
         let r = XRecord::arriving(Tuple::of((1i64,)), 1);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode(&mut buf);
-        let back = XRecord::decode(&mut buf.freeze()).unwrap();
+        let back = XRecord::decode(&mut WireReader::new(&buf)).unwrap();
         assert!(back.is_resident());
     }
 }
