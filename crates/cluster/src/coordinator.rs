@@ -1,5 +1,6 @@
 //! The cluster coordinator: owner of the shard map, router of the data
-//! plane, and conductor of punctuation-coordinated repartitioning.
+//! plane, and conductor of the barrier protocol that repartitions,
+//! checkpoints and rolls back the cluster.
 //!
 //! One [`Cluster`] value is the whole control surface: it accepts worker
 //! handshakes, routes every pushed element to the worker owning its
@@ -10,30 +11,43 @@
 //! cluster is indistinguishable from one single-threaded PJoin to a
 //! downstream consumer, modulo output order.
 //!
-//! ## The migration state machine
+//! ## The barrier state machine
 //!
-//! [`Cluster::repartition`] runs one synchronous epoch change:
+//! Migration, checkpoint and rollback are built from three protocol
+//! steps, each implemented once:
 //!
-//! 1. **Arm**: `MigrateBegin { epoch, nonce }` to every worker on the
-//!    control plane.
-//! 2. **Barrier**: an Empty-pattern punctuation down *both* data streams
-//!    of *every* worker, then flush — the barrier is ordered behind all
-//!    earlier elements and delivered exactly once even through a faulty
-//!    link, because it is an ordinary sequenced element.
-//! 3. **Drain**: each worker publishes its sink marker, reports
-//!    `BarrierReached`, and exports its state; the coordinator consumes
-//!    each sink up to the marker so every pre-barrier output (and
-//!    propagation observation) lands before the new epoch exists.
-//! 4. **Rehash + install**: exported records are re-partitioned under
-//!    the new map and shipped to their new owners, followed by
-//!    `MigrateCommit`; workers echo the commit.
-//! 5. **Re-inject**: punctuations ingested before the barrier but not
-//!    yet fully propagated are re-sent through the new topology, with
-//!    fresh aligner expectations — never-dropped, never-duplicated.
+//! 1. **Barrier** (`Cluster::barrier`): an arm frame
+//!    (`MigrateBegin`, `Checkpoint` or `Rollback`, carrying the
+//!    operation's nonce) on a worker's control plane, then an
+//!    Empty-pattern punctuation down *both* of its data streams, flushed
+//!    — the barrier is ordered behind all earlier elements and delivered
+//!    exactly once even through a faulty link, because it is an ordinary
+//!    sequenced element.
+//! 2. **Cut** (`Cluster::cut`): each worker publishes its sink
+//!    marker, reports `BarrierReached`, and exports its state; the
+//!    coordinator consumes each sink up to the marker, so every
+//!    pre-barrier output (and propagation observation) lands before the
+//!    cut, and collects the exported records.
+//! 3. **Install** (`Cluster::install`): records are rehashed
+//!    under a shard count and shipped to their new owners
+//!    (`ShardMapUpdate`, `MigrateState` chunks, `MigrateStateDone`,
+//!    `MigrateCommit`); workers echo the commit and the map is adopted.
+//!    Assembly's epoch 1 is an install of no records.
 //!
-//! Pushes are rejected while a migration is in flight (single migration
-//! at a time is a cluster-v1 constraint, enforced by construction: this
-//! method is synchronous).
+//! [`Cluster::repartition`] is barrier, cut and install under the new
+//! shard count, then re-injects the punctuations not yet fully
+//! propagated under their original sequence numbers.
+//! [`Cluster::checkpoint`] is barrier and cut, committed to disk as one
+//! epoch while the workers resume. Crash recovery is a barrier on the
+//! survivors (whose condemned state is discarded, not cut), a
+//! replacement handshake, an install of the latest epoch and a replay of
+//! the input log; [`Cluster::restore_latest`] is that install alone. Both
+//! re-inject the epoch's pending punctuations under fresh sequence
+//! numbers.
+//!
+//! Every operation is synchronous, so no push can interleave with one:
+//! one operation in flight at a time is a cluster-v1 constraint,
+//! enforced by construction.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -48,8 +62,8 @@ use punct_durable::{CheckpointStore, PendingPunct, ShardRecords, Snapshot, Snaps
 use punct_exec::{route_punctuation, AlignOutcome, Aligner, Route};
 use punct_trace::{wall_now_ns, TelemetryMsg};
 use punct_net::{
-    wait_readable, ClientOptions, FaultConfig, FaultProxy, Frame, ProxyStats, SinkSubscriber,
-    StreamSender, WIRE_VERSION,
+    error_code, wait_readable, ClientOptions, FaultConfig, FaultProxy, Frame, ProxyStats,
+    SinkSubscriber, StreamSender, WIRE_VERSION,
 };
 use punct_types::{
     partition, PunctSeq, Punctuation, ShardMap, StreamElement, Timestamp, Timestamped, Tuple,
@@ -59,8 +73,8 @@ use stream_sim::Side;
 
 use crate::error::ClusterError;
 use crate::protocol::{
-    barrier_punct, encode_config, is_barrier, CtrlConn, HeartbeatSettings, JoinSpec,
-    TelemetrySettings, CTRL_TIMEOUT, MIGRATE_CHUNK,
+    barrier_punct, encode_config, is_barrier, side_from_index, side_index, CtrlConn,
+    HeartbeatSettings, JoinSpec, TelemetrySettings, CTRL_TIMEOUT, MIGRATE_CHUNK,
 };
 use crate::telemetry::ClusterTelemetry;
 
@@ -85,6 +99,9 @@ const BACKLOG_WINDOWS: u64 = 4;
 /// for migration barriers in worker logs and protocol errors.
 const CHECKPOINT_NONCE: u64 = 0x4B00_0000_0000_0000;
 const ROLLBACK_NONCE: u64 = 0x4C00_0000_0000_0000;
+
+/// Join records grouped by `(global shard, side index)`.
+type ShardGroups = HashMap<(u32, u8), Vec<(u64, Tuple)>>;
 
 /// Relaunches the worker with the given index against the coordinator's
 /// control address. Crash recovery calls this to replace a dead worker;
@@ -157,8 +174,6 @@ struct DurableState {
     /// Every input pushed since the last committed cut, in push order —
     /// replayed through the routing path after a rollback.
     input_log: Vec<(Side, Timestamped<StreamElement>)>,
-    /// Inputs fully covered by the last committed epoch.
-    input_cursor: u64,
     /// Outputs absorbed since the last committed cut, withheld from the
     /// caller until a checkpoint (or finish) commits them — a crash
     /// discards them and the replay regenerates them, so the caller
@@ -310,6 +325,7 @@ impl Cluster {
         assert!(opts.shards >= opts.workers, "fewer shards than workers leaves workers idle");
         assert!(opts.shards <= 64, "shard routing masks at most 64 global shards");
         let listener = TcpListener::bind("127.0.0.1:0")?;
+        listener.set_nonblocking(true)?;
         let ctrl_addr = listener.local_addr()?;
         let cfg = opts.spec.pjoin_config();
         let durable = match &opts.durability.dir {
@@ -323,7 +339,6 @@ impl Cluster {
                     respawn: opts.durability.respawn.clone(),
                     next_epoch,
                     input_log: Vec::new(),
-                    input_cursor: 0,
                     uncommitted: Vec::new(),
                     last_cut: Instant::now(),
                     last_heard: vec![Instant::now(); opts.workers],
@@ -375,13 +390,28 @@ impl Cluster {
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         let mut joined: Vec<Option<WorkerLink>> = Vec::new();
         joined.resize_with(self.opts.workers, || None);
-        self.listener.set_nonblocking(true)?;
         while joined.iter().any(Option::is_none) {
-            if Instant::now() >= deadline {
-                return Err(ClusterError::Timeout("worker handshakes".into()));
+            let (worker, link) = self.handshake(deadline)?;
+            if joined[worker].replace(link).is_some() {
+                return Err(ClusterError::Protocol(format!("duplicate worker index {worker}")));
             }
-            let sock = match self.listener.accept() {
-                Ok((sock, _)) => sock,
+        }
+        self.links = joined.into_iter().map(|l| l.expect("all slots filled")).collect();
+        self.install(self.opts.shards, Vec::new())?;
+        self.sync_clocks()
+    }
+
+    /// Accepts one worker's control connection before `deadline`, checks
+    /// its `JoinCluster` handshake (a wire-version mismatch is answered
+    /// with a `VERSION_MISMATCH` error frame), and builds its link: a
+    /// fault proxy when configured — seeded per worker index and salted
+    /// by the recovery count, so a replacement does not replay its
+    /// predecessor's fault schedule — fresh zero-sequence senders and a
+    /// sink subscription. Returns the worker's index and link.
+    fn handshake(&mut self, deadline: Instant) -> Result<(usize, WorkerLink), ClusterError> {
+        let sock = loop {
+            match self.listener.accept() {
+                Ok((sock, _)) => break sock,
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -389,92 +419,59 @@ impl Cluster {
                     ) =>
                 {
                     let wait = deadline.saturating_duration_since(Instant::now());
+                    if wait.is_zero() {
+                        return Err(ClusterError::Timeout("worker handshake".into()));
+                    }
                     wait_readable(&[self.listener.as_fd()], wait)?;
-                    continue;
                 }
                 Err(e) => return Err(ClusterError::Io(e)),
-            };
-            let mut ctrl = CtrlConn::from_stream(sock)?;
-            let frame = ctrl.recv_deadline(deadline, "JoinCluster")?;
-            let Frame::JoinCluster { wire_version, worker, ingest_addr, sink_addr } = frame
-            else {
-                return Err(ClusterError::Protocol(format!(
-                    "expected JoinCluster, got {frame:?}"
-                )));
-            };
-            if wire_version != WIRE_VERSION {
-                ctrl.send(&Frame::Error {
-                    code: punct_net::error_code::VERSION_MISMATCH,
-                    message: format!(
-                        "coordinator speaks wire v{WIRE_VERSION}, worker spoke v{wire_version}"
-                    ),
-                })?;
-                return Err(ClusterError::Protocol(format!(
-                    "worker {worker} speaks wire v{wire_version}, expected v{WIRE_VERSION}"
-                )));
             }
-            let idx = worker as usize;
-            if idx >= joined.len() || joined[idx].is_some() {
-                return Err(ClusterError::Protocol(format!(
-                    "unexpected or duplicate worker index {worker}"
-                )));
-            }
-            let ingest: SocketAddr = ingest_addr
-                .parse()
-                .map_err(|_| ClusterError::Protocol(format!("bad ingest addr {ingest_addr}")))?;
-            let sink: SocketAddr = sink_addr
-                .parse()
-                .map_err(|_| ClusterError::Protocol(format!("bad sink addr {sink_addr}")))?;
-            let proxy = match &self.opts.fault {
-                Some(cfg) => {
-                    // Give each link an independent fault schedule.
-                    let mut cfg = *cfg;
-                    cfg.seed = cfg.seed.wrapping_add(0x9E37_79B9 * (idx as u64 + 1));
-                    Some(FaultProxy::spawn(ingest, cfg)?)
-                }
-                None => None,
-            };
-            let data_addr = proxy.as_ref().map_or(ingest, FaultProxy::addr);
-            let left = StreamSender::new(
-                data_addr,
-                0,
-                Side::Left,
-                self.opts.spec.side_schema(Side::Left),
-                self.opts.client.clone(),
-            );
-            let right = StreamSender::new(
-                data_addr,
-                1,
-                Side::Right,
-                self.opts.spec.side_schema(Side::Right),
-                self.opts.client.clone(),
-            );
-            joined[idx] = Some(WorkerLink {
-                ctrl,
-                proxy,
-                left,
-                right,
-                sink: SinkSubscriber::new(sink),
-                sink_done: false,
-            });
-        }
-        self.links = joined.into_iter().map(|l| l.expect("all slots filled")).collect();
-
-        // Activate epoch 1 through the unified staged-install path:
-        // ShardMapUpdate stages, MigrateCommit activates and is echoed.
-        self.map = ShardMap::round_robin(1, self.opts.shards, self.opts.workers);
-        let blob = self.config_blob();
-        for (idx, link) in self.links.iter_mut().enumerate() {
-            link.ctrl.send(&Frame::ShardMapUpdate {
-                worker: idx as u32,
-                map: self.map.clone(),
-                config: blob.clone(),
+        };
+        let mut ctrl = CtrlConn::from_stream(sock)?;
+        let frame = ctrl.recv_deadline(deadline, "JoinCluster")?;
+        let Frame::JoinCluster { wire_version, worker, ingest_addr, sink_addr } = frame else {
+            return Err(ClusterError::Protocol(format!("expected JoinCluster, got {frame:?}")));
+        };
+        if wire_version != WIRE_VERSION {
+            ctrl.send(&Frame::Error {
+                code: error_code::VERSION_MISMATCH,
+                message: format!(
+                    "coordinator speaks wire v{WIRE_VERSION}, worker spoke v{wire_version}"
+                ),
             })?;
-            link.ctrl.send(&Frame::MigrateCommit { epoch: 1 })?;
+            return Err(ClusterError::Protocol(format!(
+                "worker {worker} speaks wire v{wire_version}, expected v{WIRE_VERSION}"
+            )));
         }
-        self.await_commits(1)?;
-        self.sync_clocks()?;
-        Ok(())
+        let idx = worker as usize;
+        if idx >= self.opts.workers {
+            return Err(ClusterError::Protocol(format!("unexpected worker index {worker}")));
+        }
+        let parse = |addr: &str| {
+            addr.parse::<SocketAddr>()
+                .map_err(|_| ClusterError::Protocol(format!("bad worker address {addr}")))
+        };
+        let (ingest, sink) = (parse(&ingest_addr)?, parse(&sink_addr)?);
+        let recoveries = self.durable.as_ref().map_or(0, |d| d.recoveries);
+        let proxy = match &self.opts.fault {
+            Some(cfg) => {
+                let mut cfg = *cfg;
+                cfg.seed = cfg
+                    .seed
+                    .wrapping_add(0x9E37_79B9 * (idx as u64 + 1))
+                    .wrapping_add(0xD1CE_0000 * recoveries);
+                Some(FaultProxy::spawn(ingest, cfg)?)
+            }
+            None => None,
+        };
+        let data_addr = proxy.as_ref().map_or(ingest, FaultProxy::addr);
+        let sender = |stream, side| {
+            let schema = self.opts.spec.side_schema(side);
+            StreamSender::new(data_addr, stream, side, schema, self.opts.client.clone())
+        };
+        let (left, right) = (sender(0, Side::Left), sender(1, Side::Right));
+        let sink = SinkSubscriber::new(sink);
+        Ok((idx, WorkerLink { ctrl, proxy, left, right, sink, sink_done: false }))
     }
 
     /// Estimates each worker's clock offset with a burst of
@@ -633,7 +630,7 @@ impl Cluster {
         let workers = self.target_workers(&route);
         debug_assert!(!workers.is_empty(), "every shard has an owner");
         if self.opts.telemetry.enabled {
-            let side_idx = if side == Side::Left { 0u8 } else { 1u8 };
+            let side_idx = side_index(side);
             self.telem.note_route(seq, side_idx, p.content_hash(), wall_now_ns(), &workers);
         }
         let mask = workers.iter().fold(0u64, |m, &w| m | (1 << w));
@@ -790,7 +787,7 @@ impl Cluster {
     }
 
     /// Folds one sink element into the merged output. `marker_ok` admits
-    /// the migration sink marker (only the repartition drain sets it).
+    /// the sink marker (only the [`cut`](Cluster::cut) drain sets it).
     /// Returns whether the element was that marker.
     fn absorb(
         &mut self,
@@ -809,7 +806,7 @@ impl Cluster {
                         return Ok(true);
                     }
                     return Err(ClusterError::Protocol(format!(
-                        "worker {worker} published a sink marker outside a migration"
+                        "worker {worker} published a sink marker outside a cut"
                     )));
                 }
                 let (outcome, seq) = self.aligner.observe_seq(worker, p);
@@ -916,43 +913,45 @@ impl Cluster {
         Ok(())
     }
 
-    /// Elastically repartitions the cluster to `new_shards` global
-    /// shards: barrier, drain, migrate, commit, re-inject. Synchronous —
-    /// when this returns the new epoch is active everywhere and pushes
-    /// may resume. No join output is lost or duplicated across the
-    /// resize, and no punctuation is propagated twice.
-    pub fn repartition(&mut self, new_shards: usize) -> Result<MigrationStats, ClusterError> {
-        assert!(new_shards >= self.opts.workers, "fewer shards than workers");
-        assert!(new_shards <= 64, "shard routing masks at most 64 global shards");
-        let t0 = Instant::now();
-        let epoch = self.map.epoch + 1;
-        let nonce = epoch;
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
+    /// Arms each of `workers` with `arm` and sends the barrier down both
+    /// of its data streams, flushed: once flushed, the barrier (and
+    /// everything before it) is in the worker's ingest channel exactly
+    /// once. The barrier's timestamp carries `nonce`: the arm frame
+    /// (control plane) and the barrier (data plane) race on separate
+    /// connections, and the tag lets the worker pair each crossing with
+    /// the right protocol step no matter the arrival order.
+    fn barrier(
+        &mut self,
+        workers: impl IntoIterator<Item = usize>,
+        arm: &Frame,
+        nonce: u64,
+    ) -> Result<(), ClusterError> {
+        for w in workers {
+            let spec = &self.opts.spec;
+            let link = &mut self.links[w];
+            let sent = link.ctrl.send(arm).and_then(|()| {
+                for side in [Side::Left, Side::Right] {
+                    let b = StreamElement::Punctuation(barrier_punct(spec, side));
+                    link.sender(side).push(Timestamped::new(Timestamp(nonce), b))?;
+                }
+                link.left.flush()?;
+                Ok(link.right.flush()?)
+            });
+            sent.map_err(|e| self.lost(w, e))?;
+        }
+        Ok(())
+    }
 
-        // 1. Arm every worker.
-        for link in &mut self.links {
-            link.ctrl.send(&Frame::MigrateBegin { epoch, nonce })?;
-        }
-        // 2. Barrier both streams of every worker, then flush: once
-        // flushed, the barrier (and everything before it) is in each
-        // worker's ingest channel exactly once. The barrier's timestamp
-        // carries the nonce: the arm frame (ctrl plane) and the barrier
-        // (data plane) race on separate connections, and the tag lets
-        // the worker pair each crossing with the right protocol step no
-        // matter the arrival order.
-        let ts = Timestamp(nonce);
-        for link in &mut self.links {
-            for side in [Side::Left, Side::Right] {
-                let b = barrier_punct(&self.opts.spec, side);
-                link.sender(side).push(Timestamped::new(ts, StreamElement::Punctuation(b)))?;
-            }
-            link.left.flush()?;
-            link.right.flush()?;
-        }
-        // 3a. Workers confirm the barrier crossed both their streams.
+    /// The cut behind a barrier carrying `nonce`: every worker confirms
+    /// `BarrierReached`, each sink is drained to its marker (so every
+    /// pre-barrier output and propagation observation is absorbed), and
+    /// every worker's exported records are collected, grouped by the
+    /// global shard and side the worker reports. Returns the records and
+    /// the instant the drain ended.
+    fn cut(&mut self, nonce: u64) -> Result<(Vec<ShardRecords>, Instant), ClusterError> {
+        let deadline = Instant::now() + self.opts.ctrl_timeout;
         for w in 0..self.links.len() {
-            let frame = self.recv_ctrl(w, deadline, "BarrierReached")?;
-            match frame {
+            match self.recv_ctrl(w, deadline, "BarrierReached").map_err(|e| self.lost(w, e))? {
                 Frame::BarrierReached { nonce: got } if got == nonce => {}
                 other => {
                     return Err(ClusterError::Protocol(format!(
@@ -961,116 +960,135 @@ impl Cluster {
                 }
             }
         }
-        // 3b. Drain each sink to its marker: every pre-barrier output
-        // and propagation observation lands before the new epoch.
         for w in 0..self.links.len() {
-            loop {
-                match self.links[w].sink.next(Duration::from_millis(200))? {
-                    Some(element) => {
-                        if self.absorb(w, element, true)? {
-                            break;
-                        }
+            let mut marker = false;
+            while !marker {
+                let next = self.links[w].sink.next(Duration::from_millis(200));
+                match next.map_err(|e| self.lost(w, e.into()))? {
+                    Some(element) => marker = self.absorb(w, element, true)?,
+                    None if Instant::now() >= deadline => {
+                        return Err(ClusterError::Timeout(format!("sink marker from worker {w}")))
                     }
-                    None => {
-                        if Instant::now() >= deadline {
-                            return Err(ClusterError::Timeout(format!(
-                                "sink marker from worker {w}"
-                            )));
-                        }
-                    }
+                    None => {}
                 }
             }
         }
-        let t_drained = Instant::now();
-        // 3c. Collect every worker's exported state.
-        let mut moved: Vec<(Side, u64, Tuple)> = Vec::new();
+        let drained = Instant::now();
+        let mut groups = ShardGroups::new();
         for w in 0..self.links.len() {
-            let mut announced: Option<u64> = None;
             let mut got: u64 = 0;
-            while announced != Some(got) {
-                let frame = self.recv_ctrl(w, deadline, "migration state")?;
-                match frame {
-                    Frame::MigrateState { side, records, .. } => {
-                        let side = if side == 0 { Side::Left } else { Side::Right };
+            loop {
+                match self.recv_ctrl(w, deadline, "exported state").map_err(|e| self.lost(w, e))? {
+                    Frame::MigrateState { shard, side, records } => {
                         got += records.len() as u64;
-                        moved.extend(
-                            records.into_iter().map(|(us, t)| (side, us, t)),
-                        );
+                        groups.entry((shard, side)).or_default().extend(records);
                     }
-                    Frame::MigrateStateDone { records } => {
-                        if records < got {
-                            return Err(ClusterError::Protocol(format!(
-                                "worker {w} announced {records} records after sending {got}"
-                            )));
-                        }
-                        announced = Some(records);
-                        if records == got {
-                            break;
-                        }
-                    }
+                    Frame::MigrateStateDone { records } if records == got => break,
                     other => {
                         return Err(ClusterError::Protocol(format!(
-                            "expected migration state from worker {w}, got {other:?}"
+                            "expected exported state from worker {w} ({got} records so far), \
+                             got {other:?}"
                         )))
                     }
                 }
             }
         }
-        let records_moved = moved.len() as u64;
-        let t_exported = Instant::now();
+        let records = groups
+            .into_iter()
+            .map(|((shard, side), records)| ShardRecords { shard, side, records })
+            .collect();
+        Ok((records, drained))
+    }
 
-        // 4. Rehash under the new map and install.
-        let new_map = ShardMap::round_robin(epoch, new_shards, self.opts.workers);
-        // Keyed by (new global shard, side index).
-        type ShardRecords = HashMap<(u32, u8), Vec<(u64, Tuple)>>;
-        let mut per_worker: Vec<ShardRecords> = vec![HashMap::new(); self.links.len()];
-        for (side, arrival_us, tuple) in moved {
-            let hash = tuple.get(self.opts.spec.join_attr(side)).and_then(Value::join_hash);
-            let shard = partition(hash, new_shards);
-            let worker = new_map.worker_of(shard) as usize;
-            let side_idx = if side == Side::Left { 0u8 } else { 1u8 };
-            per_worker[worker]
-                .entry((shard as u32, side_idx))
-                .or_default()
-                .push((arrival_us, tuple));
+    /// Installs `records` as the next map epoch over `shards` global
+    /// shards: rehashes every `(side, arrival, tuple)` to its owner under
+    /// the new map, sends each worker `ShardMapUpdate`, its records as
+    /// `MigrateState` chunks, `MigrateStateDone` with their count and
+    /// `MigrateCommit`, and adopts the map once every worker echoed the
+    /// commit. Re-injecting pending punctuations is the caller's job.
+    fn install(&mut self, shards: usize, records: Vec<ShardRecords>) -> Result<(), ClusterError> {
+        let epoch = self.map.epoch + 1;
+        let map = ShardMap::round_robin(epoch, shards, self.opts.workers);
+        let mut per_worker: Vec<ShardGroups> = vec![ShardGroups::new(); self.links.len()];
+        for section in records {
+            let attr = self.opts.spec.join_attr(side_from_index(section.side)?);
+            for (arrival_us, tuple) in section.records {
+                let shard = partition(tuple.get(attr).and_then(Value::join_hash), shards);
+                per_worker[map.worker_of(shard) as usize]
+                    .entry((shard as u32, section.side))
+                    .or_default()
+                    .push((arrival_us, tuple));
+            }
         }
-        let blob = self.config_blob();
+        let config = self.config_blob();
         for (w, groups) in per_worker.into_iter().enumerate() {
-            let link = &mut self.links[w];
-            link.ctrl.send(&Frame::ShardMapUpdate {
+            let ctrl = &mut self.links[w].ctrl;
+            ctrl.send(&Frame::ShardMapUpdate {
                 worker: w as u32,
-                map: new_map.clone(),
-                config: blob.clone(),
+                map: map.clone(),
+                config: config.clone(),
             })?;
             let mut installed: u64 = 0;
             for ((shard, side), records) in groups {
                 installed += records.len() as u64;
                 for chunk in records.chunks(MIGRATE_CHUNK) {
-                    link.ctrl.send(&Frame::MigrateState {
-                        shard,
-                        side,
-                        records: chunk.to_vec(),
-                    })?;
+                    ctrl.send(&Frame::MigrateState { shard, side, records: chunk.to_vec() })?;
                 }
             }
-            link.ctrl.send(&Frame::MigrateStateDone { records: installed })?;
-            link.ctrl.send(&Frame::MigrateCommit { epoch })?;
+            ctrl.send(&Frame::MigrateStateDone { records: installed })?;
+            ctrl.send(&Frame::MigrateCommit { epoch })?;
         }
-        self.await_commits(epoch)?;
-        self.map = new_map;
+        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        for w in 0..self.links.len() {
+            match self.recv_ctrl(w, deadline, "MigrateCommit echo")? {
+                Frame::MigrateCommit { epoch: got } if got == epoch => {}
+                other => {
+                    return Err(ClusterError::Protocol(format!(
+                        "expected MigrateCommit({epoch}) echo from worker {w}, got {other:?}"
+                    )))
+                }
+            }
+        }
+        self.map = map;
+        Ok(())
+    }
+
+    /// Elastically repartitions the cluster to `new_shards` global
+    /// shards: barrier, cut, install, re-inject. Synchronous — when this
+    /// returns the new epoch is active everywhere and pushes may resume.
+    /// No join output is lost or duplicated across the resize, and no
+    /// punctuation is propagated twice. A shard count below the worker
+    /// count or above 64 is refused before anything is armed.
+    pub fn repartition(&mut self, new_shards: usize) -> Result<MigrationStats, ClusterError> {
+        if !(self.opts.workers..=64).contains(&new_shards) {
+            return Err(ClusterError::Protocol(format!(
+                "cannot spread {new_shards} shards over {} workers: shard routing needs at \
+                 least one shard per worker and at most 64",
+                self.opts.workers
+            )));
+        }
+        let t0 = Instant::now();
+        // A migration's nonce is its epoch.
+        let epoch = self.map.epoch + 1;
+        self.barrier(0..self.links.len(), &Frame::MigrateBegin { epoch, nonce: epoch }, epoch)?;
+        let (records, t_drained) = self.cut(epoch)?;
+        let records_moved = records.iter().map(|r| r.records.len() as u64).sum();
+        let t_exported = Instant::now();
+        self.install(new_shards, records)?;
         let t_installed = Instant::now();
 
-        // 5. Re-inject not-yet-emitted punctuations through the new
-        // topology, oldest first. Their partial pre-barrier propagation
-        // observations were dropped with the old expectations, so each
-        // still emits exactly once.
+        // Re-inject not-yet-emitted punctuations through the new
+        // topology, oldest first, under their original sequence numbers:
+        // telemetry correlates a punctuation by its last occurrence.
+        // Their partial pre-barrier propagation observations were dropped
+        // with the old expectations, so each still emits exactly once.
         let pending = self.aligner.drain_pending();
         let puncts_reinjected = pending.len() as u64;
         for (_, seq) in pending {
             let (side, p) = self.pending_log.get(&seq.0).cloned().ok_or_else(|| {
                 ClusterError::Protocol(format!("pending punctuation {} not in log", seq.0))
             })?;
-            self.route_punct(side, &p, seq.0, ts)?;
+            self.route_punct(side, &p, seq.0, Timestamp(epoch))?;
         }
 
         let stats = MigrationStats {
@@ -1094,14 +1112,15 @@ impl Cluster {
     /// exactly-once mechanism migration uses — so the snapshot is a
     /// consistent prefix of the run:
     ///
-    /// 1. **Arm**: `Checkpoint { epoch, nonce }` to every worker.
-    /// 2. **Barrier + drain**: barrier both streams, flush, await
-    ///    `BarrierReached`, and drain each sink to its marker so every
-    ///    pre-cut output is absorbed (into the uncommitted buffer).
-    /// 3. **Export**: workers export their post-purge records exactly as
-    ///    migration does, then resume immediately — no install wait, so
-    ///    the pause is export-bound, not round-trip-bound.
-    /// 4. **Commit**: records + pending punctuations + input cursor are
+    /// 1. **Barrier**: `Checkpoint { epoch, nonce }` arms every worker,
+    ///    and the barrier follows down both streams.
+    /// 2. **Cut**: the coordinator confirms `BarrierReached` and drains
+    ///    each sink to its marker, so every pre-cut output is absorbed
+    ///    (into the uncommitted buffer); workers export their post-purge
+    ///    records exactly as migration does, then resume immediately —
+    ///    no install wait, so the pause is export-bound, not
+    ///    round-trip-bound.
+    /// 3. **Commit**: records + pending punctuations + input cursor are
     ///    written as one epoch (delta-encoded, CRC-guarded, atomically
     ///    published). Only then are withheld outputs released, the input
     ///    replay log truncated, and `CheckpointDone` (with each worker's
@@ -1130,111 +1149,9 @@ impl Cluster {
         };
         let epoch = d.next_epoch;
         let nonce = CHECKPOINT_NONCE | epoch;
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
-        // 1. Arm.
-        for w in 0..self.links.len() {
-            let r = self.links[w].ctrl.send(&Frame::Checkpoint { epoch, nonce });
-            r.map_err(|e| self.lost(w, e))?;
-        }
-        // 2. Barrier both streams of every worker, flush, confirm. The
-        // barrier's timestamp carries the nonce (see `repartition`).
-        let ts = Timestamp(nonce);
-        for w in 0..self.links.len() {
-            for side in [Side::Left, Side::Right] {
-                let b = barrier_punct(&self.opts.spec, side);
-                let r = self.links[w]
-                    .sender(side)
-                    .push(Timestamped::new(ts, StreamElement::Punctuation(b)));
-                r.map_err(|e| self.lost(w, e.into()))?;
-            }
-            let r = self.links[w].left.flush();
-            r.map_err(|e| self.lost(w, e.into()))?;
-            let r = self.links[w].right.flush();
-            r.map_err(|e| self.lost(w, e.into()))?;
-        }
-        for w in 0..self.links.len() {
-            let frame = match self.recv_ctrl(w, deadline, "checkpoint BarrierReached") {
-                Ok(frame) => frame,
-                Err(e) => return Err(self.lost(w, e)),
-            };
-            match frame {
-                Frame::BarrierReached { nonce: got } if got == nonce => {}
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "expected BarrierReached({nonce}) from worker {w}, got {other:?}"
-                    )))
-                }
-            }
-        }
-        // 2b. Drain each sink to its marker.
-        for w in 0..self.links.len() {
-            loop {
-                match self.links[w].sink.next(Duration::from_millis(200)) {
-                    Ok(Some(element)) => {
-                        if self.absorb(w, element, true)? {
-                            break;
-                        }
-                    }
-                    Ok(None) => {
-                        if Instant::now() >= deadline {
-                            return Err(ClusterError::Timeout(format!(
-                                "checkpoint sink marker from worker {w}"
-                            )));
-                        }
-                    }
-                    Err(e) => return Err(self.lost(w, e.into())),
-                }
-            }
-        }
-        // 3. Collect exports, keyed by the worker-reported global shard.
-        let mut groups: HashMap<(u32, u8), Vec<(u64, Tuple)>> = HashMap::new();
-        for w in 0..self.links.len() {
-            let mut announced: Option<u64> = None;
-            let mut got: u64 = 0;
-            while announced != Some(got) {
-                let frame = match self.recv_ctrl(w, deadline, "checkpoint state") {
-                    Ok(frame) => frame,
-                    Err(e) => return Err(self.lost(w, e)),
-                };
-                match frame {
-                    Frame::MigrateState { shard, side, records } => {
-                        got += records.len() as u64;
-                        groups.entry((shard, side)).or_default().extend(records);
-                    }
-                    Frame::MigrateStateDone { records } => {
-                        if records < got {
-                            return Err(ClusterError::Protocol(format!(
-                                "worker {w} announced {records} records after sending {got}"
-                            )));
-                        }
-                        announced = Some(records);
-                        if records == got {
-                            break;
-                        }
-                    }
-                    other => {
-                        return Err(ClusterError::Protocol(format!(
-                            "expected checkpoint state from worker {w}, got {other:?}"
-                        )))
-                    }
-                }
-            }
-        }
-        // 4. Write the epoch, then commit its side effects.
-        let records: Vec<ShardRecords> = groups
-            .into_iter()
-            .map(|((shard, side), records)| ShardRecords { shard, side, records })
-            .collect();
-        let mut pending: Vec<PendingPunct> = self
-            .pending_log
-            .iter()
-            .map(|(&seq, (side, punct))| PendingPunct {
-                seq,
-                side: if *side == Side::Left { 0 } else { 1 },
-                punct: punct.clone(),
-            })
-            .collect();
-        pending.sort_by_key(|p| p.seq);
+        self.barrier(0..self.links.len(), &Frame::Checkpoint { epoch, nonce }, nonce)?;
+        let (records, _) = self.cut(nonce)?;
+        // Write the epoch, then commit its side effects.
         let meta = SnapshotMeta {
             config_blob: self.config_blob(),
             workers: self.opts.workers as u32,
@@ -1243,12 +1160,19 @@ impl Cluster {
             pushed: self.pushed,
         };
         let mut snap = Snapshot::of_records(epoch, meta, records);
-        snap.pending = pending;
+        snap.pending = self
+            .pending_log
+            .iter()
+            .map(|(&seq, (side, punct))| PendingPunct {
+                seq,
+                side: side_index(*side),
+                punct: punct.clone(),
+            })
+            .collect();
         let d = self.durable.as_mut().expect("checked on entry");
         d.store.commit(&snap)?;
         d.next_epoch = epoch + 1;
         d.input_log.clear();
-        d.input_cursor = self.pushed;
         d.checkpoints += 1;
         d.last_cut = Instant::now();
         let released: Vec<Timestamped<StreamElement>> = d.uncommitted.drain(..).collect();
@@ -1295,29 +1219,14 @@ impl Cluster {
         let snap = d.store.latest_complete()?;
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         let epoch = self.map.epoch + 1;
+        let survivors: Vec<usize> = (0..self.links.len()).filter(|&w| w != dead).collect();
 
-        // 1. Roll back the survivors: arm, barrier, and discard
-        // everything still in flight — outputs, propagations, and any
-        // stale traffic from a checkpoint the crash aborted. A second
-        // worker dying during recovery is fatal (cluster v1).
-        for w in 0..self.links.len() {
-            if w == dead {
-                continue;
-            }
-            self.links[w].ctrl.send(&Frame::Rollback { epoch, nonce })?;
-            for side in [Side::Left, Side::Right] {
-                let b = barrier_punct(&self.opts.spec, side);
-                self.links[w]
-                    .sender(side)
-                    .push(Timestamped::new(Timestamp(nonce), StreamElement::Punctuation(b)))?;
-            }
-            self.links[w].left.flush()?;
-            self.links[w].right.flush()?;
-        }
-        for w in 0..self.links.len() {
-            if w == dead {
-                continue;
-            }
+        // 1. Roll back the survivors: barrier, then discard everything
+        // still in flight — outputs, propagations, and any stale traffic
+        // from a checkpoint the crash aborted. A second worker dying
+        // during recovery is fatal (cluster v1).
+        self.barrier(survivors.iter().copied(), &Frame::Rollback { epoch, nonce }, nonce)?;
+        for &w in &survivors {
             // Tolerate frames from an aborted checkpoint (its barrier
             // sits ahead of the rollback barrier in stream order, so its
             // frames arrive first and are all superseded).
@@ -1366,17 +1275,18 @@ impl Cluster {
         // 2. Replace the dead worker and adopt its successor.
         self.telem.reset_worker(dead);
         respawn(dead, self.ctrl_addr).map_err(ClusterError::Io)?;
-        self.accept_replacement(dead, deadline)?;
+        let (worker, link) = self.handshake(deadline)?;
+        if worker != dead {
+            return Err(ClusterError::Protocol(format!(
+                "replacement joined as worker {worker}, expected {dead}"
+            )));
+        }
+        self.links[dead] = link;
 
-        // 3. Reset the merge state and install the checkpoint into
-        // every worker (fresh map epoch; survivors unblock on commit).
-        self.aligner = Aligner::new();
-        self.pending_log.clear();
-        let (moved, pending) = match snap {
-            Some(snap) => (flatten_records(snap.records), snap.pending),
-            None => (Vec::new(), Vec::new()),
-        };
-        self.install_state(moved, pending)?;
+        // 3. Install the checkpoint into every worker (fresh map epoch;
+        // survivors unblock on commit).
+        let (records, pending) = snap.map_or_else(Default::default, |s| (s.records, s.pending));
+        self.install_state(records, pending)?;
 
         // 4. Replay every input since the checkpoint, in push order.
         // The log stays intact: until the next commit, a second crash
@@ -1394,140 +1304,21 @@ impl Cluster {
         Ok(())
     }
 
-    /// Accepts the replacement worker's `JoinCluster` handshake and
-    /// rebuilds the dead worker's link (fresh fault proxy under a new
-    /// seed, fresh zero-sequence senders, fresh sink subscription).
-    fn accept_replacement(&mut self, dead: usize, deadline: Instant) -> Result<(), ClusterError> {
-        self.listener.set_nonblocking(true)?;
-        let sock = loop {
-            if Instant::now() >= deadline {
-                return Err(ClusterError::Timeout(format!(
-                    "replacement handshake for worker {dead}"
-                )));
-            }
-            match self.listener.accept() {
-                Ok((sock, _)) => break sock,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    let wait = deadline.saturating_duration_since(Instant::now());
-                    wait_readable(&[self.listener.as_fd()], wait)?;
-                }
-                Err(e) => return Err(ClusterError::Io(e)),
-            }
-        };
-        let mut ctrl = CtrlConn::from_stream(sock)?;
-        let frame = ctrl.recv_deadline(deadline, "replacement JoinCluster")?;
-        let Frame::JoinCluster { wire_version, worker, ingest_addr, sink_addr } = frame else {
-            return Err(ClusterError::Protocol(format!("expected JoinCluster, got {frame:?}")));
-        };
-        if wire_version != WIRE_VERSION {
-            return Err(ClusterError::Protocol(format!(
-                "replacement worker speaks wire v{wire_version}, expected v{WIRE_VERSION}"
-            )));
-        }
-        if worker as usize != dead {
-            return Err(ClusterError::Protocol(format!(
-                "replacement joined as worker {worker}, expected {dead}"
-            )));
-        }
-        let ingest: SocketAddr = ingest_addr
-            .parse()
-            .map_err(|_| ClusterError::Protocol(format!("bad ingest addr {ingest_addr}")))?;
-        let sink: SocketAddr = sink_addr
-            .parse()
-            .map_err(|_| ClusterError::Protocol(format!("bad sink addr {sink_addr}")))?;
-        let recoveries = self.durable.as_ref().map_or(0, |d| d.recoveries);
-        let proxy = match &self.opts.fault {
-            Some(cfg) => {
-                let mut cfg = *cfg;
-                cfg.seed = cfg
-                    .seed
-                    .wrapping_add(0x9E37_79B9 * (dead as u64 + 1))
-                    .wrapping_add(0xD1CE_0000 * recoveries);
-                Some(FaultProxy::spawn(ingest, cfg)?)
-            }
-            None => None,
-        };
-        let data_addr = proxy.as_ref().map_or(ingest, FaultProxy::addr);
-        let left = StreamSender::new(
-            data_addr,
-            0,
-            Side::Left,
-            self.opts.spec.side_schema(Side::Left),
-            self.opts.client.clone(),
-        );
-        let right = StreamSender::new(
-            data_addr,
-            1,
-            Side::Right,
-            self.opts.spec.side_schema(Side::Right),
-            self.opts.client.clone(),
-        );
-        self.links[dead] = WorkerLink {
-            ctrl,
-            proxy,
-            left,
-            right,
-            sink: SinkSubscriber::new(sink),
-            sink_done: false,
-        };
-        Ok(())
-    }
-
-    /// Stages `moved` (rehashed under the current shard count) into
-    /// every worker and activates a fresh map epoch, then re-injects
-    /// `pending` punctuations with brand-new routes. Both the rollback
-    /// path and [`restore_latest`](Cluster::restore_latest) end here.
+    /// Installs a checkpoint's `records` under the current shard count
+    /// into a cluster whose merge state starts over, then re-injects its
+    /// `pending` punctuations with brand-new routes and sequence numbers.
+    /// Crash recovery and [`restore_latest`](Cluster::restore_latest)
+    /// end here.
     fn install_state(
         &mut self,
-        moved: Vec<(Side, u64, Tuple)>,
+        records: Vec<ShardRecords>,
         pending: Vec<PendingPunct>,
     ) -> Result<(), ClusterError> {
-        let epoch = self.map.epoch + 1;
-        let shards = self.map.shards();
-        let new_map = ShardMap::round_robin(epoch, shards, self.opts.workers);
-        type ShardRecords = HashMap<(u32, u8), Vec<(u64, Tuple)>>;
-        let mut per_worker: Vec<ShardRecords> = vec![HashMap::new(); self.links.len()];
-        for (side, arrival_us, tuple) in moved {
-            let hash = tuple.get(self.opts.spec.join_attr(side)).and_then(Value::join_hash);
-            let shard = partition(hash, shards);
-            let worker = new_map.worker_of(shard) as usize;
-            let side_idx = if side == Side::Left { 0u8 } else { 1u8 };
-            per_worker[worker]
-                .entry((shard as u32, side_idx))
-                .or_default()
-                .push((arrival_us, tuple));
-        }
-        let blob = self.config_blob();
-        for (w, groups) in per_worker.into_iter().enumerate() {
-            let link = &mut self.links[w];
-            link.ctrl.send(&Frame::ShardMapUpdate {
-                worker: w as u32,
-                map: new_map.clone(),
-                config: blob.clone(),
-            })?;
-            let mut installed: u64 = 0;
-            for ((shard, side), records) in groups {
-                installed += records.len() as u64;
-                for chunk in records.chunks(MIGRATE_CHUNK) {
-                    link.ctrl.send(&Frame::MigrateState {
-                        shard,
-                        side,
-                        records: chunk.to_vec(),
-                    })?;
-                }
-            }
-            link.ctrl.send(&Frame::MigrateStateDone { records: installed })?;
-            link.ctrl.send(&Frame::MigrateCommit { epoch })?;
-        }
-        self.await_commits(epoch)?;
-        self.map = new_map;
+        self.aligner = Aligner::new();
+        self.pending_log.clear();
+        self.install(self.map.shards(), records)?;
         for p in pending {
-            let side = if p.side == 0 { Side::Left } else { Side::Right };
+            let side = side_from_index(p.side)?;
             let seq = self.next_seq;
             self.next_seq += 1;
             self.route_punct(side, &p.punct, seq, self.clock)?;
@@ -1559,30 +1350,10 @@ impl Cluster {
             )));
         }
         d.next_epoch = snap.epoch + 1;
-        d.input_cursor = snap.meta.input_cursor;
         let cursor = snap.meta.input_cursor;
         self.pushed = snap.meta.pushed;
-        self.aligner = Aligner::new();
-        self.pending_log.clear();
-        self.install_state(flatten_records(snap.records), snap.pending)?;
+        self.install_state(snap.records, snap.pending)?;
         Ok(Some(cursor))
-    }
-
-    /// Waits for every worker to echo `MigrateCommit { epoch }`.
-    fn await_commits(&mut self, epoch: u64) -> Result<(), ClusterError> {
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
-        for w in 0..self.links.len() {
-            let frame = self.recv_ctrl(w, deadline, "MigrateCommit echo")?;
-            match frame {
-                Frame::MigrateCommit { epoch: got } if got == epoch => {}
-                other => {
-                    return Err(ClusterError::Protocol(format!(
-                        "expected MigrateCommit({epoch}) echo from worker {w}, got {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Finishes both streams of every worker, drains every sink to
@@ -1677,17 +1448,4 @@ impl Cluster {
     pub fn dashboard_text(&self, width: usize) -> String {
         self.telem.dashboard_text(width)
     }
-}
-
-/// Flattens snapshot record sections into the `(side, arrival, tuple)`
-/// shape the install path rehashes.
-fn flatten_records(records: Vec<ShardRecords>) -> Vec<(Side, u64, Tuple)> {
-    let mut moved = Vec::with_capacity(records.iter().map(|r| r.records.len()).sum());
-    for section in records {
-        let side = if section.side == 0 { Side::Left } else { Side::Right };
-        for (arrival_us, tuple) in section.records {
-            moved.push((side, arrival_us, tuple));
-        }
-    }
-    moved
 }

@@ -247,18 +247,13 @@ pub fn encode_config(
     buf
 }
 
-/// Decodes a config blob written by [`encode_config`]. A bare join-spec
-/// blob (no telemetry section) decodes with telemetry disabled, so the
-/// two encodings cannot be confused; a blob ending at the telemetry
-/// flags (the pre-durability encoding) decodes with heartbeats disabled.
+/// Decodes a config blob written by [`encode_config`]; a blob of any
+/// other length is an error.
 pub fn decode_config(
     bytes: &[u8],
 ) -> Result<(JoinSpec, TelemetrySettings, HeartbeatSettings), ClusterError> {
     let mut r = WireReader::new(bytes);
     let spec = JoinSpec::decode_from(&mut r)?;
-    if r.remaining() == 0 {
-        return Ok((spec, TelemetrySettings::disabled(), HeartbeatSettings::disabled()));
-    }
     let interval_ms = r.u32("telemetry interval")?;
     let flags = r.u8("telemetry flags")?;
     let telemetry = TelemetrySettings {
@@ -266,15 +261,29 @@ pub fn decode_config(
         interval_ms,
         trace: flags & 2 != 0,
     };
-    if r.remaining() == 0 {
-        return Ok((spec, telemetry, HeartbeatSettings::disabled()));
-    }
     let heartbeat = HeartbeatSettings {
         interval_ms: r.u32("heartbeat interval")?,
         miss_limit: r.u32("heartbeat miss limit")?,
     };
     r.finish()?;
     Ok((spec, telemetry, heartbeat))
+}
+
+/// The index a side travels as on the wire and in snapshots.
+pub(crate) fn side_index(side: Side) -> u8 {
+    match side {
+        Side::Left => 0,
+        Side::Right => 1,
+    }
+}
+
+/// The side a wire or snapshot index names.
+pub(crate) fn side_from_index(idx: u8) -> Result<Side, ClusterError> {
+    match idx {
+        0 => Ok(Side::Left),
+        1 => Ok(Side::Right),
+        other => Err(ClusterError::Protocol(format!("invalid side index {other}"))),
+    }
 }
 
 /// The barrier punctuation for `side`'s input stream: Empty on the join
@@ -416,17 +425,10 @@ mod tests {
         assert_eq!(spec2, spec);
         assert_eq!(telemetry2, telemetry);
         assert_eq!(heartbeat2, heartbeat);
-        // A bare spec blob decodes with telemetry and heartbeats off.
-        let (spec3, telemetry3, heartbeat3) = decode_config(&spec.encode()).expect("bare");
-        assert_eq!(spec3, spec);
-        assert_eq!(telemetry3, TelemetrySettings::disabled());
-        assert_eq!(heartbeat3, HeartbeatSettings::disabled());
-        // The pre-durability encoding (spec + telemetry, no heartbeat
-        // section) still decodes, with heartbeats off.
-        let (_, telemetry4, heartbeat4) =
-            decode_config(&blob[..blob.len() - 8]).expect("pre-durability blob");
-        assert_eq!(telemetry4, telemetry);
-        assert_eq!(heartbeat4, HeartbeatSettings::disabled());
+        // Only the full blob decodes: a bare spec blob and a blob that
+        // ends at the telemetry flags are both short.
+        assert!(decode_config(&spec.encode()).is_err());
+        assert!(decode_config(&blob[..blob.len() - 8]).is_err());
         // Truncated sections are rejected.
         assert!(decode_config(&blob[..blob.len() - 1]).is_err());
         assert!(decode_config(&blob[..blob.len() - 9]).is_err());

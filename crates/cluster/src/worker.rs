@@ -12,16 +12,21 @@
 //! each punctuation **at most once per worker** — the coordinator's
 //! aligner then merges across workers.
 //!
-//! ## Migration, from the worker's side
+//! ## Barriers, from the worker's side
 //!
-//! * [`Frame::MigrateBegin`] arms a migration; the barrier itself rides
-//!   the data streams as an Empty-pattern punctuation (exactly-once,
-//!   ordered behind all earlier elements, even through a faulty link).
+//! * [`Frame::MigrateBegin`], [`Frame::Checkpoint`] and
+//!   [`Frame::Rollback`] arm one operation; its barrier rides the data
+//!   streams as an Empty-pattern punctuation (exactly-once, ordered
+//!   behind all earlier elements, even through a faulty link). A
+//!   rollback supersedes whatever is armed; arming anything else while
+//!   an operation is armed is a protocol error.
 //! * When **both** input streams have delivered the barrier, every
 //!   pre-barrier output is already published (the worker is
-//!   single-threaded and in-order). It publishes the sink marker, sends
-//!   [`Frame::BarrierReached`], and exports every shard's state as
-//!   [`Frame::MigrateState`] chunks.
+//!   single-threaded and in-order). It publishes the sink marker and
+//!   sends [`Frame::BarrierReached`]. A migration or checkpoint then
+//!   exports every shard's state as [`Frame::MigrateState`] chunks; a
+//!   checkpoint resumes at once, a migration or rollback blocks until
+//!   its install commits.
 //! * The install path is the same for the initial epoch and for every
 //!   repartition: [`Frame::ShardMapUpdate`] stages fresh joins,
 //!   [`Frame::MigrateState`] imports records (without probing — the
@@ -56,8 +61,8 @@ use stream_sim::{BinaryStreamOp, OpOutput, Side};
 
 use crate::error::ClusterError;
 use crate::protocol::{
-    decode_config, is_barrier, sink_marker, CtrlConn, HeartbeatSettings, JoinSpec,
-    TelemetrySettings, MIGRATE_CHUNK,
+    decode_config, is_barrier, side_from_index, side_index, sink_marker, CtrlConn,
+    HeartbeatSettings, JoinSpec, TelemetrySettings, MIGRATE_CHUNK,
 };
 
 /// How a worker process is wired into the cluster.
@@ -155,6 +160,15 @@ fn read_ctrl(mut link: CtrlConn, events: Sender<Event>) {
     }
 }
 
+/// The protocol step an arm frame announces, fired when its barrier has
+/// crossed both input streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Migrate,
+    Checkpoint,
+    Rollback,
+}
+
 /// A staged-but-not-active shard map: fresh joins awaiting state
 /// imports and the activating `MigrateCommit`.
 struct Staged {
@@ -176,15 +190,8 @@ struct Worker {
     next_seq: u64,
     clock: Timestamp,
     staged: Option<Staged>,
-    /// An armed migration: `(epoch, nonce)` from `MigrateBegin`.
-    migrate: Option<(u64, u64)>,
-    /// An armed checkpoint: `(epoch, nonce)` from `Checkpoint`. At the
-    /// barrier the worker exports and resumes — no install wait.
-    checkpoint: Option<(u64, u64)>,
-    /// An armed rollback: `(epoch, nonce)` from `Rollback`. At the
-    /// barrier the worker discards its live state's claim to the run
-    /// and blocks for a staged install, exporting nothing.
-    rollback: Option<(u64, u64)>,
+    /// The armed operation and the nonce its barrier carries.
+    armed: Option<(Op, u64)>,
     /// Barrier crossings seen on [left, right], keyed by the nonce the
     /// barrier's timestamp carries. The arm frame (ctrl plane) and the
     /// barrier (data plane) travel on separate connections, so either
@@ -271,9 +278,7 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         next_seq: 0,
         clock: Timestamp(0),
         staged: None,
-        migrate: None,
-        checkpoint: None,
-        rollback: None,
+        armed: None,
         barriers: HashMap::new(),
         ended: [false, false],
         out: OpOutput::new(),
@@ -309,7 +314,7 @@ impl Worker {
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
         // Until both streams ended with no protocol step in flight.
-        while !(self.ended == [true, true] && self.unarmed()) {
+        while !(self.ended == [true, true] && self.armed.is_none()) {
             // The one wait: woken by an element, a control frame or a
             // stream end; the timeout is the next beacon falling due.
             let event = match self.next_beacon() {
@@ -336,18 +341,10 @@ impl Worker {
                     }
                 }
             }
-            let crossed = |b: &HashMap<u64, [bool; 2]>, armed: Option<(u64, u64)>| {
-                armed.filter(|(_, n)| b.get(n) == Some(&[true, true])).map(|(_, n)| n)
-            };
-            if let Some(nonce) = crossed(&self.barriers, self.migrate) {
+            let crossed = self.armed.filter(|(_, n)| self.barriers.get(n) == Some(&[true, true]));
+            if let Some((op, nonce)) = crossed {
                 self.barriers.remove(&nonce);
-                self.run_migration(nonce, events, ctrl)?;
-            } else if let Some(nonce) = crossed(&self.barriers, self.checkpoint) {
-                self.barriers.remove(&nonce);
-                self.run_checkpoint(nonce, ctrl)?;
-            } else if let Some(nonce) = crossed(&self.barriers, self.rollback) {
-                self.barriers.remove(&nonce);
-                self.run_rollback(nonce, events, ctrl)?;
+                self.on_barrier(op, nonce, events, ctrl)?;
             }
             if self.heartbeat_due().is_some_and(|due| Instant::now() >= due) {
                 ctrl.send(&Frame::Heartbeat { seq: self.beat_seq })?;
@@ -360,11 +357,6 @@ impl Worker {
             }
         }
         self.finish(server, events, ctrl)
-    }
-
-    /// No migration, checkpoint or rollback is armed.
-    fn unarmed(&self) -> bool {
-        self.migrate.is_none() && self.checkpoint.is_none() && self.rollback.is_none()
     }
 
     /// When the next heartbeat is due, if the beacon runs.
@@ -393,7 +385,7 @@ impl Worker {
         match event {
             Event::Data(msg) => self.handle_msg(msg),
             Event::End(side) => {
-                self.ended[side_index(side)] = true;
+                self.ended[usize::from(side_index(side))] = true;
                 Ok(())
             }
             Event::Ctrl(frame) => self.handle_ctrl(frame, ctrl),
@@ -508,7 +500,8 @@ impl Worker {
         };
         if let Some(nonce) = barrier_nonce {
             self.report.elements += 1;
-            self.barriers.entry(nonce).or_insert([false, false])[side_index(side)] = true;
+            let crossed = self.barriers.entry(nonce).or_insert([false, false]);
+            crossed[usize::from(side_index(side))] = true;
             return Ok(());
         }
         self.clock = self.clock.max(element.ts);
@@ -567,7 +560,7 @@ impl Worker {
                     // the key matches the coordinator's send log.
                     self.life_by_seq.insert(seq, self.lifecycle.len());
                     self.lifecycle.push(PunctRecord {
-                        side: side_index(side) as u8,
+                        side: side_index(side),
                         key: p.content_hash(),
                         ingest_ns: wall_now_ns(),
                         purge_ns: 0,
@@ -669,36 +662,49 @@ impl Worker {
         punct_trace::COMPILED && self.telemetry.enabled && self.telemetry.trace
     }
 
-    /// Both barriers are in and a migration is armed: drain-and-export.
-    /// Every pre-barrier output is already in the sink (single-threaded,
-    /// in-order), so the marker published here cleanly separates the
-    /// epochs for the coordinator's drain.
-    fn run_migration(
+    /// The armed operation's barrier crossed both input streams. Every
+    /// pre-barrier output is already in the sink (single-threaded,
+    /// in-order), so the marker published here cleanly separates the cut
+    /// for the coordinator's drain. A migration or checkpoint exports
+    /// every shard's post-purge state; a checkpoint then resumes at once
+    /// (the snapshot is a passive copy, so local aligner expectations
+    /// survive — the coordinator stores its own pending log instead),
+    /// while a migration or rollback blocks until its install commits. A
+    /// rollback exports nothing: its live state is condemned, and the
+    /// coordinator restores every worker from the durable store.
+    fn on_barrier(
         &mut self,
+        op: Op,
         nonce: u64,
         events: &Receiver<Event>,
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
-        let Some(spec) = self.spec.clone() else {
-            return Err(ClusterError::Protocol("migration before initial shard map".into()));
+        let Some(spec) = &self.spec else {
+            return Err(ClusterError::Protocol("barrier before the initial shard map".into()));
         };
-        self.sink.publish(Timestamped::new(self.clock, sink_marker(&spec).into()));
+        self.sink.publish(Timestamped::new(self.clock, sink_marker(spec).into()));
         ctrl.send(&Frame::BarrierReached { nonce })?;
-        self.export_state(ctrl)?;
-
-        // Block for the install.
+        if op != Op::Rollback {
+            self.export_state(ctrl)?;
+        }
+        if op == Op::Checkpoint {
+            self.armed = None;
+            return Ok(());
+        }
         let deadline = Instant::now() + self.opts.ctrl_timeout;
-        while self.migrate.is_some() {
-            let frame = self.next_ctrl(events, deadline, "migration install")?;
+        while self.armed.is_some() {
+            let frame = self.next_ctrl(events, deadline, "install")?;
             self.handle_ctrl(frame, ctrl)?;
         }
-        self.report.migrations += 1;
+        if op == Op::Migrate {
+            self.report.migrations += 1;
+        }
         Ok(())
     }
 
     /// Ships every shard's state to the coordinator as `MigrateState`
-    /// chunks closed by `MigrateStateDone`; returns the record count.
-    fn export_state(&mut self, ctrl: &mut CtrlConn) -> Result<u64, ClusterError> {
+    /// chunks closed by `MigrateStateDone`.
+    fn export_state(&mut self, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
         let mut exported: u64 = 0;
         for (shard, join) in &self.joins {
             for side in [Side::Left, Side::Right] {
@@ -707,7 +713,7 @@ impl Worker {
                 for chunk in records.chunks(MIGRATE_CHUNK) {
                     ctrl.send(&Frame::MigrateState {
                         shard: *shard as u32,
-                        side: side_index(side) as u8,
+                        side: side_index(side),
                         records: chunk.to_vec(),
                     })?;
                 }
@@ -715,47 +721,6 @@ impl Worker {
         }
         ctrl.send(&Frame::MigrateStateDone { records: exported })?;
         self.report.records_exported += exported;
-        Ok(exported)
-    }
-
-    /// Both barriers are in and a checkpoint is armed: publish the sink
-    /// marker, acknowledge the cut, export every shard's post-purge
-    /// state — and resume immediately. Unlike a migration the live
-    /// joins keep running; the snapshot is a passive copy, so local
-    /// aligner expectations pending at the cut survive untouched (the
-    /// coordinator stores its own pending log in the snapshot instead).
-    fn run_checkpoint(&mut self, nonce: u64, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
-        let Some(spec) = self.spec.clone() else {
-            return Err(ClusterError::Protocol("checkpoint before initial shard map".into()));
-        };
-        self.sink.publish(Timestamped::new(self.clock, sink_marker(&spec).into()));
-        ctrl.send(&Frame::BarrierReached { nonce })?;
-        self.export_state(ctrl)?;
-        self.checkpoint = None;
-        Ok(())
-    }
-
-    /// Both barriers are in and a rollback is armed: the live state is
-    /// condemned. Publish the marker (so the coordinator can drain the
-    /// sink to a known cut), acknowledge, and block for the staged
-    /// re-install — exporting nothing, since recovery restores every
-    /// worker from the durable store.
-    fn run_rollback(
-        &mut self,
-        nonce: u64,
-        events: &Receiver<Event>,
-        ctrl: &mut CtrlConn,
-    ) -> Result<(), ClusterError> {
-        let Some(spec) = self.spec.clone() else {
-            return Err(ClusterError::Protocol("rollback before initial shard map".into()));
-        };
-        self.sink.publish(Timestamped::new(self.clock, sink_marker(&spec).into()));
-        ctrl.send(&Frame::BarrierReached { nonce })?;
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
-        while self.rollback.is_some() {
-            let frame = self.next_ctrl(events, deadline, "rollback install")?;
-            self.handle_ctrl(frame, ctrl)?;
-        }
         Ok(())
     }
 
@@ -835,6 +800,20 @@ impl Worker {
             },
         };
         ctrl.send(&Frame::Telemetry { payload: TelemetryMsg::Report(Box::new(report)).encode() })
+    }
+
+    /// Arms `op`. A rollback condemns the live state, so it supersedes
+    /// whatever is armed (an aborted checkpoint's barrier, if already in
+    /// flight, stays inert in `barriers` until the commit clears it);
+    /// anything else armed over a pending operation is a protocol error.
+    fn arm(&mut self, op: Op, nonce: u64) -> Result<(), ClusterError> {
+        if let Some((pending, _)) = self.armed.filter(|_| op != Op::Rollback) {
+            return Err(ClusterError::Protocol(format!(
+                "{op:?} armed while a {pending:?} is in flight"
+            )));
+        }
+        self.armed = Some((op, nonce));
+        Ok(())
     }
 
     fn handle_ctrl(&mut self, frame: Frame, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
@@ -933,40 +912,13 @@ impl Worker {
                 // checkpoint aborted by the rollback this commit
                 // completes) are pre-commit history: clear them.
                 self.barriers.clear();
-                self.migrate = None;
-                // A commit also completes a rollback install, and any
-                // checkpoint armed when the worker was condemned is moot.
-                self.rollback = None;
-                self.checkpoint = None;
+                self.armed = None;
                 ctrl.send(&Frame::MigrateCommit { epoch })?;
                 Ok(())
             }
-            Frame::MigrateBegin { epoch, nonce } => {
-                if self.migrate.is_some() {
-                    return Err(ClusterError::Protocol(
-                        "overlapping migrations are not supported".into(),
-                    ));
-                }
-                self.migrate = Some((epoch, nonce));
-                Ok(())
-            }
-            Frame::Checkpoint { epoch, nonce } => {
-                if self.migrate.is_some() {
-                    return Err(ClusterError::Protocol(
-                        "checkpoint during a migration is not supported".into(),
-                    ));
-                }
-                self.checkpoint = Some((epoch, nonce));
-                Ok(())
-            }
-            Frame::Rollback { epoch, nonce } => {
-                // A rollback condemns the live state: any checkpoint
-                // still armed ahead of it is aborted (its barrier, if
-                // already in flight, is swallowed unarmed).
-                self.checkpoint = None;
-                self.rollback = Some((epoch, nonce));
-                Ok(())
-            }
+            Frame::MigrateBegin { nonce, .. } => self.arm(Op::Migrate, nonce),
+            Frame::Checkpoint { nonce, .. } => self.arm(Op::Checkpoint, nonce),
+            Frame::Rollback { nonce, .. } => self.arm(Op::Rollback, nonce),
             Frame::CheckpointDone { epoch: _, sink_watermark } => {
                 // The epoch is durable: outputs below the coordinator's
                 // acknowledged watermark can never be re-requested.
@@ -1002,19 +954,4 @@ impl Worker {
 
 fn event_channel_closed() -> ClusterError {
     ClusterError::Disconnected("worker event channel".into())
-}
-
-fn side_index(side: Side) -> usize {
-    match side {
-        Side::Left => 0,
-        Side::Right => 1,
-    }
-}
-
-fn side_from_index(idx: u8) -> Result<Side, ClusterError> {
-    match idx {
-        0 => Ok(Side::Left),
-        1 => Ok(Side::Right),
-        other => Err(ClusterError::Protocol(format!("invalid side index {other}"))),
-    }
 }

@@ -5,11 +5,14 @@
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use pjoin::PJoin;
 use punct_cluster::{
-    run_worker, Cluster, ClusterOptions, JoinSpec, WorkerOptions, WorkerReport,
+    run_worker, Cluster, ClusterOptions, DurabilityOptions, JoinSpec, WorkerOptions,
+    WorkerReport,
 };
-use punct_types::{Punctuation, StreamElement, Tuple};
-use stream_sim::Side;
+use punct_durable::CheckpointStore;
+use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
+use stream_sim::{BinaryStreamOp, OpOutput, Side};
 
 fn start(
     opts: ClusterOptions,
@@ -84,4 +87,134 @@ fn single_resize_preserves_state() {
         assert_eq!(wr.migrations, 1);
     }
     assert_eq!(imported, 12);
+}
+
+#[test]
+fn out_of_range_repartition_is_refused_and_the_cluster_stays_usable() {
+    let (mut cluster, handles) = start(ClusterOptions::new(JoinSpec::new(2, 2), 2, 2));
+    for k in 0..8i64 {
+        cluster.push_tuple(Side::Left, k as u64, Tuple::of((k, 10 * k))).expect("push");
+    }
+    assert!(cluster.repartition(1).is_err(), "fewer shards than workers");
+    assert!(cluster.repartition(65).is_err(), "more shards than routing masks");
+    for k in 0..8i64 {
+        cluster
+            .push_tuple(Side::Right, 100 + k as u64, Tuple::of((k, -k)))
+            .expect("push");
+    }
+    let report = cluster.finish().expect("finish");
+    assert_eq!(report.outputs.iter().filter(|e| e.item.is_tuple()).count(), 8);
+    assert!(report.migrations.is_empty(), "a refused resize arms nothing");
+    for h in handles {
+        let wr = h.join().expect("worker thread").expect("worker ok");
+        assert_eq!(wr.final_epoch, 1);
+    }
+}
+
+/// The recovery example's workload: keyed pairs trailed by closing
+/// punctuations, with stream-end wildcards.
+fn keyed_workload(keys: i64) -> Vec<(Side, StreamElement)> {
+    let mut work: Vec<(Side, StreamElement)> = Vec::new();
+    for k in 0..keys {
+        work.push((Side::Left, Tuple::of((k, 10 * k)).into()));
+        work.push((Side::Right, Tuple::of((k, -k)).into()));
+        if k >= 4 {
+            let c = k - 4;
+            work.push((Side::Left, Punctuation::close_value(2, 0, c).into()));
+            work.push((Side::Right, Punctuation::close_value(2, 0, c).into()));
+        }
+    }
+    let wild = Punctuation::on_attr(2, 0, Pattern::Wildcard);
+    work.push((Side::Left, wild.clone().into()));
+    work.push((Side::Right, wild.into()));
+    work
+}
+
+fn multiset(els: impl IntoIterator<Item = StreamElement>) -> Vec<String> {
+    let mut v: Vec<String> = els.into_iter().map(|e| format!("{e:?}")).collect();
+    v.sort();
+    v
+}
+
+#[test]
+fn a_cut_after_a_resize_restores_into_the_original_shard_count() {
+    let spec = JoinSpec::new(2, 2);
+    let work = keyed_workload(96);
+    let mut reference: Vec<StreamElement> = Vec::new();
+    {
+        let mut join = PJoin::new(spec.pjoin_config());
+        let mut out = OpOutput::new();
+        for (i, (side, el)) in work.iter().enumerate() {
+            join.on_element(*side, el.clone(), Timestamp(i as u64), &mut out);
+            reference.extend(out.drain());
+        }
+        while join.on_end(Timestamp(work.len() as u64), &mut out) {}
+        reference.extend(out.drain());
+    }
+    let dir = std::env::temp_dir().join(format!("pjoin_smoke_cut_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let element = |i: usize, el: &StreamElement| Timestamped::new(Timestamp(i as u64), el.clone());
+
+    // Phase 1 at 2 shards: checkpoint, resize to 3, push, checkpoint at
+    // 3 shards, push, then drop the coordinator without finishing.
+    let (first_cut, resize_at, second_cut) = (work.len() / 5, work.len() / 4, work.len() / 2);
+    let crash_at = 3 * work.len() / 4;
+    let mut committed: Vec<StreamElement> = Vec::new();
+    {
+        let mut opts = ClusterOptions::new(spec.clone(), 2, 2);
+        opts.durability = DurabilityOptions::at(&dir);
+        let (mut cluster, handles) = start(opts);
+        for (i, (side, el)) in work.iter().enumerate().take(crash_at) {
+            if i == first_cut || i == second_cut {
+                cluster.checkpoint().expect("checkpoint");
+            }
+            if i == resize_at {
+                let stats = cluster.repartition(3).expect("repartition");
+                assert_eq!(stats.shards, 3);
+            }
+            cluster.push(*side, element(i, el)).expect("push");
+            if i % 16 == 0 {
+                committed.extend(cluster.poll_outputs().expect("poll").into_iter().map(|e| e.item));
+            }
+        }
+        committed.extend(cluster.poll_outputs().expect("poll").into_iter().map(|e| e.item));
+        drop(cluster);
+        for h in handles {
+            let _ = h.join().expect("worker thread");
+        }
+    }
+    let latest = CheckpointStore::open(&dir, 2)
+        .and_then(|store| store.latest_complete())
+        .expect("read the store")
+        .expect("a complete epoch");
+    assert_eq!(latest.meta.shards, 3, "the latest epoch was cut after the resize");
+
+    // Phase 2: a fresh 2-shard cluster restores the 3-shard cut and
+    // re-feeds from its cursor.
+    let mut opts = ClusterOptions::new(spec, 2, 2);
+    opts.durability = DurabilityOptions::at(&dir);
+    let (mut cluster, handles) = start(opts);
+    let cursor = cluster.restore_latest().expect("restore").expect("an epoch") as usize;
+    assert_eq!(cursor, second_cut, "the cursor is where the last cut was taken");
+    let mut outputs: Vec<StreamElement> = Vec::new();
+    for (i, (side, el)) in work.iter().enumerate().skip(cursor) {
+        cluster.push(*side, element(i, el)).expect("push");
+        if i % 16 == 0 {
+            outputs.extend(cluster.poll_outputs().expect("poll").into_iter().map(|e| e.item));
+        }
+    }
+    let report = cluster.finish().expect("finish");
+    outputs.extend(report.outputs.into_iter().map(|e| e.item));
+    for h in handles {
+        h.join().expect("worker thread").expect("worker ok");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(committed.len() < reference.len(), "the drop must lose withheld outputs");
+    committed.extend(outputs);
+    assert_eq!(
+        multiset(committed),
+        multiset(reference),
+        "committed phase-1 outputs plus phase-2 outputs must equal one uninterrupted PJoin"
+    );
 }

@@ -11,11 +11,10 @@
 //!
 //! The crate is deliberately mechanism-only. It knows how to
 //!
-//! * serialize every stateful component — stored join records,
-//!   [`PunctuationSet`](punct_types::PunctuationSet)s (all five pattern
-//!   kinds, tombstones and first-arrived ids preserved), aligner pending
-//!   FIFOs with their [`PunctSeq`](punct_types::PunctSeq)s — via
-//!   [`snapshot`];
+//! * serialize what a cut produces — the stored join records per
+//!   `(shard, side)` and the input punctuations not yet fully emitted —
+//!   via [`snapshot`]; punctuation sets and aligners are rebuilt by
+//!   re-injecting those punctuations, never serialized;
 //! * frame those blobs into an epoch file with magic, format version,
 //!   and a CRC32 per section via [`format`], rejecting corruption and
 //!   truncation with a typed [`SnapshotError`] instead of a panic or a
@@ -25,10 +24,10 @@
 //!   sections become references, so steady-state checkpoints write only
 //!   changed shards), and bounded retention via [`CheckpointStore`].
 //!
-//! *Policy* — when to cut a barrier, who replays which inputs — lives in
-//! the drivers: `punct-cluster` wires this store into its coordinator
-//! for crash recovery of worker processes, and the in-process sharded
-//! executor snapshots through the same codecs.
+//! *Policy* — when to cut a barrier, who replays which inputs — lives
+//! with the caller: `punct-cluster` wires this store into its coordinator
+//! for crash recovery of worker processes and restart from disk. The
+//! in-process sharded executor does not checkpoint.
 //!
 //! ## Format versioning rule
 //!
@@ -44,7 +43,6 @@ pub mod store;
 
 pub use format::{crc32, SnapshotError, FORMAT_VERSION, MAGIC};
 pub use snapshot::{
-    decode_aligner, decode_pending, decode_punct_set, encode_aligner, encode_pending,
-    encode_punct_set, PendingPunct, ShardRecords, Snapshot, SnapshotMeta,
+    decode_pending, encode_pending, PendingPunct, ShardRecords, Snapshot, SnapshotMeta,
 };
 pub use store::{CheckpointStore, StoreStats};

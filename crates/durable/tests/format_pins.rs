@@ -7,17 +7,14 @@
 //! own format, so an intended format change is re-pinned by pasting.
 
 use punct_durable::format::{read_epoch_file, write_epoch_file};
-use punct_durable::{
-    encode_aligner, encode_punct_set, PendingPunct, ShardRecords, Snapshot, SnapshotMeta,
-};
-use punct_exec::Aligner;
-use punct_types::{Pattern, PunctSeq, Punctuation, PunctuationSet, Tuple, Value};
+use punct_durable::{PendingPunct, ShardRecords, Snapshot, SnapshotMeta};
+use punct_types::{Pattern, Punctuation, Tuple, Value};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// META, two RECORDS, PUNCTSET, ALIGNER and PENDING sections.
+/// META, two RECORDS and PENDING sections.
 fn snapshot() -> Snapshot {
     let meta = SnapshotMeta {
         config_blob: vec![9, 8, 7],
@@ -42,24 +39,6 @@ fn snapshot() -> Snapshot {
         },
     ];
     let mut snap = Snapshot::of_records(4, meta, records);
-
-    let mut set = PunctuationSet::new(0);
-    set.insert(Punctuation::close_value(2, 0, 7i64));
-    set.insert(Punctuation::on_attr(2, 0, Pattern::int_range(10, 19)));
-    let dead = set.insert(Punctuation::on_attr(
-        2,
-        0,
-        Pattern::enumeration(vec![Value::Int(1), Value::str("z")]),
-    ));
-    set.remove(dead);
-    snap.punct_sets = vec![(0x0100, encode_punct_set(&set))];
-
-    let mut aligner = Aligner::new();
-    aligner.expect(Punctuation::close_value(4, 0, 7i64), PunctSeq(0), 0b11);
-    aligner.expect(Punctuation::close_value(4, 0, 9i64), PunctSeq(1), 0b100);
-    aligner.observe(0, &Punctuation::close_value(4, 0, 7i64));
-    snap.aligner = Some(encode_aligner(&aligner));
-
     snap.pending = vec![
         PendingPunct { seq: 9, side: 1, punct: Punctuation::close_value(2, 0, 4i64) },
         PendingPunct { seq: 2, side: 0, punct: Punctuation::on_attr(2, 1, Pattern::Empty) },
@@ -73,14 +52,8 @@ const EPOCH_FILE_PIN: &str = "\
     0000008a82fcae0200000005000000000000000300000002010000000000000003000000000000f8\
     7f030000000000000080060000000000000003000000040600000068c3a96c6c6f00010002010300\
     0000000000001e000000519d97e401000000ffffffffffffffff0200000004000000000200000000\
-    000000800300010000000000000062000000ea8e4f54000000000300000000020000000102070000\
-    00000000000000020000000201020a00000000000000010213000000000000000001020000000302\
-    00000002010000000000000004010000007a00010000000207000000000000000000000000000000\
-    040000000000000000005e000000d2f3786602000000000000000000000000000000000000000000\
-    00000200000004000000010207000000000000000000000000000000000000020000000000000004\
-    00000001020900000000000000000000010000000000000004000000000000000500000000000000\
-    00002b00000016fa91a5020000000200000000000000000200000000040900000000000000010200\
-    00000102040000000000000000ff06000000";
+    00000080050000000000000000002b00000016fa91a5020000000200000000000000000200000000\
+    04090000000000000001020000000102040000000000000000ff04000000";
 
 #[test]
 fn epoch_file_bytes_are_pinned() {

@@ -1,39 +1,20 @@
-//! Property tests: every structure a durable checkpoint carries must
-//! survive its snapshot codec *exactly*, and no corrupted or truncated
-//! snapshot may ever panic a reader — corruption surfaces as a typed
+//! Property tests: the pending punctuation log must survive its
+//! snapshot codec *exactly*, and no corrupted or truncated snapshot may
+//! ever panic a reader — corruption surfaces as a typed
 //! [`SnapshotError`], nothing else.
 //!
-//! Three round-trip families, driven by arbitrary operation histories
-//! where the encoded state depends on them (not arbitrary final states
-//! — the punctuation-set constant index is *timing*-dependent):
-//!
-//! * [`PunctuationSet`] through `encode_punct_set` / `decode_punct_set`:
-//!   all five pattern kinds of the paper, interleaved removals, and the
-//!   first-arrived-id rule for duplicate constants (the case that makes
-//!   the constant index non-derivable from the final entries).
-//! * [`Aligner`] through `encode_aligner` / `decode_aligner`: the
-//!   per-punctuation FIFO queues, `PunctSeq`s, waiting masks, and
-//!   counters — verified both structurally and behaviourally (the
-//!   restored aligner answers every future observation identically).
 //! * Pending input punctuations through `encode_pending` /
-//!   `decode_pending`.
-//!
-//! Plus the corruption gates: epoch files and section payloads with a
-//! flipped byte or a truncated tail are rejected (or, where the flip
-//! only touches CRC-unprotected framing metadata, re-read with payload
-//! bytes provably intact) — and never, under any input, panic.
+//!   `decode_pending`, over all five pattern kinds of the paper.
+//! * The corruption gates: epoch files and section payloads with a
+//!   flipped byte or a truncated tail are rejected (or, where the flip
+//!   only touches CRC-unprotected framing metadata, re-read with payload
+//!   bytes provably intact) — and never, under any input, panic.
 
 use proptest::prelude::*;
 use punct_durable::format::{read_epoch_file, write_epoch_file, RawSection, SectionPayload};
 use punct_durable::snapshot::kind;
-use punct_durable::{
-    decode_aligner, decode_pending, decode_punct_set, encode_aligner, encode_pending,
-    encode_punct_set, PendingPunct,
-};
-use punct_exec::Aligner;
-use punct_types::{
-    Bound, Pattern, PunctId, PunctSeq, Punctuation, PunctuationSet, Tuple, Value,
-};
+use punct_durable::{decode_pending, encode_pending, PendingPunct, Snapshot};
+use punct_types::{Bound, Pattern, Punctuation, Value};
 
 // ---------------------------------------------------------------------
 // Value / pattern / punctuation strategies
@@ -73,217 +54,9 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
     ]
 }
 
-/// Width-2 punctuations patterned on attribute 0 — the shape every
-/// index of a `PunctuationSet::new(0)` engages with.
+/// Width-2 punctuations patterned on attribute 0.
 fn arb_punct() -> impl Strategy<Value = Punctuation> {
     arb_pattern().prop_map(|p| Punctuation::on_attr(2, 0, p))
-}
-
-// ---------------------------------------------------------------------
-// PunctuationSet round-trip
-// ---------------------------------------------------------------------
-
-/// Insert/remove histories. Removals interleaved between duplicate
-/// constants are the reason the constant index is carried explicitly:
-/// the final entries alone cannot reproduce it.
-#[derive(Debug, Clone)]
-enum SetOp {
-    Insert(Punctuation),
-    /// Remove the `k % live`-th id ever handed out (idempotent).
-    Remove(usize),
-}
-
-fn set_op() -> impl Strategy<Value = SetOp> {
-    prop_oneof![
-        arb_punct().prop_map(SetOp::Insert),
-        arb_punct().prop_map(SetOp::Insert),
-        (0usize..16).prop_map(SetOp::Remove),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
-
-    /// The decoded set compares equal, re-encodes identically, and
-    /// answers `set_match` (the paper's first-arrived-id rule) the same
-    /// for every probe value.
-    #[test]
-    fn punct_set_roundtrip(ops in proptest::collection::vec(set_op(), 0..32)) {
-        let mut set = PunctuationSet::new(0);
-        let mut ids: Vec<PunctId> = Vec::new();
-        for op in &ops {
-            match op {
-                SetOp::Insert(p) => ids.push(set.insert(p.clone())),
-                SetOp::Remove(k) if !ids.is_empty() => {
-                    set.remove(ids[k % ids.len()]);
-                }
-                SetOp::Remove(_) => {}
-            }
-        }
-        let bytes = encode_punct_set(&set);
-        let decoded = decode_punct_set(&bytes).expect("a fresh encoding must decode");
-        prop_assert_eq!(&decoded, &set);
-        prop_assert_eq!(encode_punct_set(&decoded), bytes, "canonical re-encoding");
-        for v in -5i64..5 {
-            let probe = Tuple::of((v, 0i64));
-            prop_assert_eq!(
-                decoded.set_match(&probe),
-                set.set_match(&probe),
-                "first-arrived-id must survive for probe {}", v
-            );
-        }
-    }
-
-    /// Corrupted or truncated punct-set payloads yield a typed error or
-    /// (for flips the codec cannot distinguish) a decodable set — never
-    /// a panic.
-    #[test]
-    fn punct_set_corruption_never_panics(
-        ops in proptest::collection::vec(set_op(), 1..16),
-        cut_seed in any::<u64>(),
-        flip_seed in any::<u64>(),
-        mask in 1u8..=255,
-    ) {
-        let mut set = PunctuationSet::new(0);
-        let mut ids: Vec<PunctId> = Vec::new();
-        for op in &ops {
-            match op {
-                SetOp::Insert(p) => ids.push(set.insert(p.clone())),
-                SetOp::Remove(k) if !ids.is_empty() => {
-                    set.remove(ids[k % ids.len()]);
-                }
-                SetOp::Remove(_) => {}
-            }
-        }
-        let bytes = encode_punct_set(&set);
-        prop_assume!(!bytes.is_empty());
-        // Every strict prefix is rejected: the codec demands exact
-        // consumption, so missing tail bytes always surface.
-        let cut = (cut_seed as usize) % bytes.len();
-        prop_assert!(
-            decode_punct_set(&bytes[..cut]).is_err(),
-            "a truncated punct-set payload must be rejected"
-        );
-        // A flipped byte must return *something* — Err or a different
-        // but valid set — without panicking.
-        let mut flipped = bytes.clone();
-        let pos = (flip_seed as usize) % flipped.len();
-        flipped[pos] ^= mask;
-        let _ = decode_punct_set(&flipped);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Aligner round-trip
-// ---------------------------------------------------------------------
-
-/// A small punctuation pool so observations actually resolve against
-/// registered expectations (and FIFO queues grow past length one).
-fn pool_punct(i: usize) -> Punctuation {
-    match i % 5 {
-        0 => Punctuation::close_value(2, 0, 1i64),
-        1 => Punctuation::close_value(2, 0, 2i64),
-        2 => Punctuation::on_attr(2, 0, Pattern::In(vec![Value::Int(1), Value::Int(2)])),
-        3 => Punctuation::on_attr(2, 0, Pattern::Wildcard),
-        _ => Punctuation::on_attr(2, 0, Pattern::int_range(0, 3)),
-    }
-}
-
-#[derive(Debug, Clone)]
-enum AlignOp {
-    /// Register expectation `pool[i]` against this nonzero target mask.
-    Expect(usize, u64),
-    /// Observe `pool[i]` propagated by this shard.
-    Observe(usize, usize),
-}
-
-fn align_op() -> impl Strategy<Value = AlignOp> {
-    prop_oneof![
-        ((0usize..5), (1u64..16)).prop_map(|(i, m)| AlignOp::Expect(i, m)),
-        ((0usize..5), (0usize..4)).prop_map(|(i, s)| AlignOp::Observe(i, s)),
-        ((0usize..5), (0usize..4)).prop_map(|(i, s)| AlignOp::Observe(i, s)),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
-
-    /// The restored aligner is structurally equal, re-encodes
-    /// identically, and — the contract recovery actually leans on —
-    /// resolves every future observation exactly like the original:
-    /// same outcomes, same sequence attribution, same FIFO order.
-    #[test]
-    fn aligner_roundtrip(ops in proptest::collection::vec(align_op(), 0..48)) {
-        let mut aligner = Aligner::new();
-        let mut seq = 0u64;
-        for op in &ops {
-            match *op {
-                AlignOp::Expect(i, mask) => {
-                    aligner.expect(pool_punct(i), PunctSeq(seq), mask);
-                    seq += 1;
-                }
-                AlignOp::Observe(i, shard) => {
-                    let _ = aligner.observe(shard, &pool_punct(i));
-                }
-            }
-        }
-        let bytes = encode_aligner(&aligner);
-        let mut decoded = decode_aligner(&bytes).expect("a fresh encoding must decode");
-        prop_assert_eq!(&decoded, &aligner);
-        prop_assert_eq!(encode_aligner(&decoded), bytes, "canonical re-encoding");
-        prop_assert_eq!(decoded.pending_len(), aligner.pending_len());
-        // Behavioral equivalence: drive both through the same exhaustive
-        // observation schedule and require identical answers.
-        for round in 0..2 {
-            let _ = round;
-            for i in 0..5 {
-                for shard in 0..4 {
-                    let p = pool_punct(i);
-                    prop_assert_eq!(
-                        decoded.observe_seq(shard, &p),
-                        aligner.observe_seq(shard, &p),
-                        "post-restore observation diverged"
-                    );
-                }
-            }
-        }
-        prop_assert_eq!(decoded.counters(), aligner.counters());
-    }
-
-    /// Truncated aligner payloads are rejected with a typed error;
-    /// flipped ones never panic. The zero-waiting-mask invariant is
-    /// enforced on decode.
-    #[test]
-    fn aligner_corruption_never_panics(
-        ops in proptest::collection::vec(align_op(), 1..24),
-        cut_seed in any::<u64>(),
-        flip_seed in any::<u64>(),
-        mask in 1u8..=255,
-    ) {
-        let mut aligner = Aligner::new();
-        let mut seq = 0u64;
-        for op in &ops {
-            match *op {
-                AlignOp::Expect(i, m) => {
-                    aligner.expect(pool_punct(i), PunctSeq(seq), m);
-                    seq += 1;
-                }
-                AlignOp::Observe(i, shard) => {
-                    let _ = aligner.observe(shard, &pool_punct(i));
-                }
-            }
-        }
-        let bytes = encode_aligner(&aligner);
-        let cut = (cut_seed as usize) % bytes.len();
-        prop_assert!(
-            decode_aligner(&bytes[..cut]).is_err(),
-            "a truncated aligner payload must be rejected"
-        );
-        let mut flipped = bytes.clone();
-        let pos = (flip_seed as usize) % flipped.len();
-        flipped[pos] ^= mask;
-        let _ = decode_aligner(&flipped);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -399,10 +172,11 @@ proptest! {
 fn corruption_errors_are_typed() {
     use punct_durable::SnapshotError;
 
+    let pending = [PendingPunct { seq: 4, side: 1, punct: Punctuation::close_value(2, 0, 1i64) }];
     let raw = vec![RawSection {
-        kind: kind::PUNCTSET,
-        key: 7,
-        payload: SectionPayload::Inline(encode_punct_set(&PunctuationSet::new(0))),
+        kind: kind::PENDING,
+        key: 0,
+        payload: SectionPayload::Inline(encode_pending(&pending)),
     }];
     let file = write_epoch_file(3, &raw);
 
@@ -422,7 +196,7 @@ fn corruption_errors_are_typed() {
     bad[n - 7] ^= 0x01; // inside the (non-empty) payload of the last section
     assert!(matches!(
         read_epoch_file(&bad),
-        Err(SnapshotError::Crc { kind: kind::PUNCTSET, key: 7 })
+        Err(SnapshotError::Crc { kind: kind::PENDING, key: 0 })
     ));
 
     // A lost tail.
@@ -431,11 +205,14 @@ fn corruption_errors_are_typed() {
         Err(SnapshotError::Truncated(_))
     ));
 
-    // An aligner expectation waiting on no shard is structurally corrupt.
-    let mut aligner = Aligner::new();
-    aligner.expect(pool_punct(0), PunctSeq(0), 0b1);
-    let mut bytes = encode_aligner(&aligner);
-    let n = bytes.len();
-    bytes[n - 8..].copy_from_slice(&0u64.to_le_bytes()); // zero the waiting mask
-    assert!(matches!(decode_aligner(&bytes), Err(SnapshotError::Corrupt(_))));
+    // The retired section kinds (serialized punctuation sets and
+    // aligners) no longer read back.
+    for retired in [3, 4] {
+        let sections =
+            [RawSection { kind: retired, key: 0, payload: SectionPayload::Inline(Vec::new()) }];
+        assert!(matches!(
+            Snapshot::from_sections(3, &sections),
+            Err(SnapshotError::BadSection(k)) if k == retired
+        ));
+    }
 }

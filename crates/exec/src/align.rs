@@ -18,7 +18,8 @@
 //! Registration happens-before observation because both run under the
 //! same mutex and the router registers before sending, so the merger can
 //! never see a propagation for an unregistered punctuation (such an
-//! observation is counted as `unexpected` — an invariant violation).
+//! observation reports [`AlignOutcome::Unexpected`] — an invariant
+//! violation).
 //!
 //! Identical punctuations may be in flight concurrently (a stream is a
 //! multiset of elements); expectations therefore form FIFO queues per
@@ -56,9 +57,6 @@ struct Expectation {
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Aligner {
     pending: HashMap<Punctuation, VecDeque<Expectation>>,
-    registered: u64,
-    emitted: u64,
-    unexpected: u64,
 }
 
 impl Aligner {
@@ -73,7 +71,6 @@ impl Aligner {
     /// punctuation to any shard.
     pub fn expect(&mut self, translated: Punctuation, seq: PunctSeq, targets: u64) {
         debug_assert!(targets != 0, "a punctuation must target at least one shard");
-        self.registered += 1;
         self.pending
             .entry(translated)
             .or_default()
@@ -99,13 +96,11 @@ impl Aligner {
     ) -> (AlignOutcome, Option<PunctSeq>) {
         let bit = 1u64 << shard;
         let Some(queue) = self.pending.get_mut(punct) else {
-            self.unexpected += 1;
             return (AlignOutcome::Unexpected, None);
         };
         // Oldest entry still waiting on this shard (an entry the shard
         // already answered belongs to an *earlier* instance, so skip it).
         let Some(pos) = queue.iter().position(|e| e.waiting & bit != 0) else {
-            self.unexpected += 1;
             return (AlignOutcome::Unexpected, None);
         };
         queue[pos].waiting &= !bit;
@@ -115,7 +110,6 @@ impl Aligner {
             if queue.is_empty() {
                 self.pending.remove(punct);
             }
-            self.emitted += 1;
             (AlignOutcome::Emit, Some(seq))
         } else {
             (AlignOutcome::Pending, Some(seq))
@@ -143,49 +137,10 @@ impl Aligner {
         self.pending.values().map(VecDeque::len).sum()
     }
 
-    /// Summary counters `(registered, emitted, unexpected)`.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.registered, self.emitted, self.unexpected)
-    }
-
     /// Ingest sequence numbers of incomplete expectations (diagnostics
     /// for shutdown reports), in no particular order.
     pub fn pending_seqs(&self) -> Vec<PunctSeq> {
         self.pending.values().flat_map(|q| q.iter().map(|e| e.seq)).collect()
-    }
-
-    /// Non-draining snapshot for durable checkpointing: every incomplete
-    /// expectation as `(translated punctuation, ingest seq, waiting
-    /// mask)`, ordered by ingest sequence — the deterministic encoding
-    /// order; FIFO order per punctuation is seq order, so
-    /// [`restore`](Aligner::restore) rebuilds identical queues.
-    pub fn snapshot_pending(&self) -> Vec<(Punctuation, PunctSeq, u64)> {
-        let mut out: Vec<(Punctuation, PunctSeq, u64)> = self
-            .pending
-            .iter()
-            .flat_map(|(p, queue)| queue.iter().map(move |e| (p.clone(), e.seq, e.waiting)))
-            .collect();
-        out.sort_by_key(|(_, seq, _)| seq.0);
-        out
-    }
-
-    /// Rebuilds an aligner from a snapshot: pending expectations in
-    /// sequence order plus the summary counters. Inverse of
-    /// [`snapshot_pending`](Aligner::snapshot_pending) /
-    /// [`counters`](Aligner::counters); the result compares equal to the
-    /// snapshotted aligner.
-    pub fn restore(
-        pending: Vec<(Punctuation, PunctSeq, u64)>,
-        (registered, emitted, unexpected): (u64, u64, u64),
-    ) -> Aligner {
-        let mut aligner = Aligner::new();
-        for (punct, seq, waiting) in pending {
-            aligner.pending.entry(punct).or_default().push_back(Expectation { seq, waiting });
-        }
-        aligner.registered = registered;
-        aligner.emitted = emitted;
-        aligner.unexpected = unexpected;
-        aligner
     }
 }
 
@@ -249,7 +204,6 @@ mod tests {
         assert_eq!(a.observe(0, &p(7)), AlignOutcome::Pending);
         assert_eq!(a.observe(2, &p(7)), AlignOutcome::Emit);
         assert_eq!(a.pending_len(), 0);
-        assert_eq!(a.counters(), (1, 1, 0));
     }
 
     #[test]
@@ -279,7 +233,6 @@ mod tests {
         a.expect(p(7), PunctSeq(0), mask(&[1]));
         // Wrong shard for the only registered instance.
         assert_eq!(a.observe(0, &p(7)), AlignOutcome::Unexpected);
-        assert_eq!(a.counters(), (1, 0, 2));
         assert_eq!(a.pending_seqs(), vec![PunctSeq(0)]);
     }
 

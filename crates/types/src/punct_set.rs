@@ -206,11 +206,6 @@ impl PunctuationSet {
         self.live == 0
     }
 
-    /// Total punctuations ever inserted (live + removed).
-    pub fn total_inserted(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Inserts a punctuation, returning its id.
     pub fn insert(&mut self, punctuation: Punctuation) -> PunctId {
         let id = PunctId(self.next_id);
@@ -415,53 +410,6 @@ impl PunctuationSet {
         let entry = &self.entries[id.0 as usize];
         !entry.removed && entry.punctuation.matches(t)
     }
-
-    /// Snapshot view for durable checkpointing: every entry ever
-    /// inserted — tombstones included — in id order. Replaying
-    /// [`insert`](Self::insert) in this order and then
-    /// [`remove`](Self::remove) for the flagged ids reproduces the
-    /// members, range, and unindexed indexes exactly (ids are dense and
-    /// arrival-ordered; removals only delete).
-    pub fn snapshot_entries(&self) -> impl Iterator<Item = (&Punctuation, bool)> {
-        self.entries.iter().map(|e| (&e.punctuation, e.removed))
-    }
-
-    /// Snapshot view of the constant-pattern index, sorted by value for
-    /// deterministic encoding. Carried explicitly because the index is
-    /// *timing*-dependent, not derivable from the final entries: a
-    /// remove interleaved between duplicate constants decides which id
-    /// (if any) the map keeps (see `duplicate_constants_keep_first_id`).
-    pub fn snapshot_constants(&self) -> Vec<(Value, PunctId)> {
-        let mut out: Vec<(Value, PunctId)> =
-            self.constants.iter().map(|(v, id)| (v.clone(), *id)).collect();
-        out.sort();
-        out
-    }
-
-    /// Rebuilds a set from its snapshot: entries (with tombstone flags)
-    /// in id order plus the constant-index image. Inverse of
-    /// [`snapshot_entries`](Self::snapshot_entries) /
-    /// [`snapshot_constants`](Self::snapshot_constants); the result
-    /// compares equal to the snapshotted set.
-    pub fn restore(
-        attr: usize,
-        entries: Vec<(Punctuation, bool)>,
-        constants: Vec<(Value, PunctId)>,
-    ) -> PunctuationSet {
-        let mut set = PunctuationSet::new(attr);
-        let mut dead = Vec::new();
-        for (punctuation, removed) in entries {
-            let id = set.insert(punctuation);
-            if removed {
-                dead.push(id);
-            }
-        }
-        for id in dead {
-            set.remove(id);
-        }
-        set.constants = constants.into_iter().collect();
-        set
-    }
 }
 
 #[cfg(test)]
@@ -484,7 +432,6 @@ mod tests {
         let b = ps.insert(close(2));
         assert_eq!(ps.len(), 2);
         assert!(a < b);
-        assert_eq!(ps.total_inserted(), 2);
     }
 
     #[test]
