@@ -48,6 +48,18 @@
 //! Every operation is synchronous, so no push can interleave with one:
 //! one operation in flight at a time is a cluster-v1 constraint,
 //! enforced by construction.
+//!
+//! ## Output acknowledgements
+//!
+//! The coordinator is the only subscriber of every worker's sink, and a
+//! [`SinkSubscriber`] only ever resumes from what it has received. So
+//! once it has absorbed [`ACK_EVERY`] elements from a worker since the
+//! last acknowledgement, a pass sends that worker
+//! [`Frame::Ack`]`{ up_to }` on its control link with the subscriber's
+//! received count, and the worker frees its sink frames below it. A
+//! worker's sink therefore holds what is in flight, not the whole run,
+//! with durability off as well as on. `CheckpointDone`'s watermark is
+//! the same received count, taken at a cut, and truncates the same way.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -87,6 +99,10 @@ const CLOCK_PROBES: u32 = 5;
 /// once, so data ends the wait early — when a pass over the links found
 /// no output.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
+
+/// Sink elements absorbed from a worker between two [`Frame::Ack`]s to
+/// it: each ack lets the worker free the sink frames below it.
+const ACK_EVERY: u64 = 4096;
 
 /// [`Cluster::push`] holds the caller back once a sender has this many
 /// credit windows of elements pushed but not yet written: enough queued
@@ -281,6 +297,8 @@ struct WorkerLink {
     right: StreamSender,
     sink: SinkSubscriber,
     sink_done: bool,
+    /// Sink elements absorbed since the last ack to this worker.
+    unacked: u64,
 }
 
 impl WorkerLink {
@@ -471,7 +489,7 @@ impl Cluster {
         };
         let (left, right) = (sender(0, Side::Left), sender(1, Side::Right));
         let sink = SinkSubscriber::new(sink);
-        Ok((idx, WorkerLink { ctrl, proxy, left, right, sink, sink_done: false }))
+        Ok((idx, WorkerLink { ctrl, proxy, left, right, sink, sink_done: false, unacked: 0 }))
     }
 
     /// Estimates each worker's clock offset with a burst of
@@ -714,7 +732,9 @@ impl Cluster {
     }
 
     /// One non-blocking pass over every link: control frames folded in,
-    /// senders serviced, sinks drained. Returns the sink elements
+    /// senders serviced, sinks drained, and each worker that has had
+    /// [`ACK_EVERY`] elements absorbed since its last ack acknowledged up
+    /// to what its subscriber received. Returns the sink elements
     /// absorbed.
     fn pass(&mut self) -> Result<usize, ClusterError> {
         self.drain_ctrl()?;
@@ -729,6 +749,7 @@ impl Cluster {
                     Ok(Some(element)) => {
                         self.absorb(w, element, false)?;
                         absorbed += 1;
+                        self.note_absorbed(w)?;
                     }
                     Ok(None) => break,
                     Err(e) => return Err(self.lost(w, e.into())),
@@ -736,6 +757,19 @@ impl Cluster {
             }
         }
         Ok(absorbed)
+    }
+
+    /// Counts one element absorbed from `worker`'s sink, acknowledging
+    /// what its subscriber has received every [`ACK_EVERY`] elements.
+    fn note_absorbed(&mut self, worker: usize) -> Result<(), ClusterError> {
+        let link = &mut self.links[worker];
+        link.unacked += 1;
+        if link.unacked < ACK_EVERY {
+            return Ok(());
+        }
+        link.unacked = 0;
+        let sent = link.ctrl.send(&Frame::Ack { up_to: link.sink.received() });
+        sent.map_err(|e| self.lost(worker, e))
     }
 
     /// Sleeps until any link socket — control, sink subscription, either

@@ -12,6 +12,24 @@
 //! each punctuation **at most once per worker** — the coordinator's
 //! aligner then merges across workers.
 //!
+//! ## The output path
+//!
+//! A join result is written once, by the operator into its output
+//! buffer, and encoded once, from there into the sink's frames
+//! ([`OpOutput::drain_with`] into a [`SinkEncoder`]): no `Tuple` view,
+//! no block seal and no element copy on the way. One ingest message's
+//! outputs reach the sink as one append. The sink keeps those frames
+//! only until the coordinator has them: it sends
+//! [`Frame::Ack`]`{ up_to }` with the count it has received from this
+//! worker every few thousand elements, and the control reader answers
+//! at once with [`SinkServer::truncate_below`] — not behind the data
+//! queued for the serve loop. That is safe because the coordinator is
+//! the sink's only subscriber and only ever resumes from what it has
+//! received, and a replacement worker after a crash starts with a fresh
+//! sink. So a worker's sink memory is bounded by what is in flight, not
+//! by the length of the run, with or without durability
+//! ([`WorkerReport::sink_peak_retained`] records the peak).
+//!
 //! ## Barriers, from the worker's side
 //!
 //! * [`Frame::MigrateBegin`], [`Frame::Checkpoint`] and
@@ -40,6 +58,7 @@
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
@@ -47,8 +66,8 @@ use pjoin::components::propagation::translate_punctuation;
 use pjoin::{PJoin, PJoinConfig};
 use punct_exec::{route_punctuation, AlignOutcome, Aligner};
 use punct_net::{
-    Frame, IngestEvent, IngestMsg, IngestOptions, IngestServer, SinkOptions, SinkServer,
-    WIRE_VERSION,
+    Frame, IngestEvent, IngestMsg, IngestOptions, IngestServer, SinkEncoder, SinkOptions,
+    SinkServer, WIRE_VERSION,
 };
 use punct_trace::{
     wall_now_ns, IngestCounters, JoinLatencies, KindSummary, PunctRecord, ShardSnapshot,
@@ -57,7 +76,7 @@ use punct_trace::{
 use punct_types::{
     partition, PunctSeq, ShardMap, StreamElement, Timestamp, Timestamped, Value,
 };
-use stream_sim::{BinaryStreamOp, OpOutput, Side};
+use stream_sim::{BinaryStreamOp, Drained, OpOutput, Side};
 
 use crate::error::ClusterError;
 use crate::protocol::{
@@ -110,6 +129,9 @@ pub struct WorkerReport {
     pub migrations: u64,
     /// The shard-map epoch active at shutdown.
     pub final_epoch: u64,
+    /// The most sink elements retained for replay at once, sampled after
+    /// every publish (a trim only ever lowers the count).
+    pub sink_peak_retained: u64,
 }
 
 /// Events one turn of the serve loop handles before it looks at its
@@ -146,10 +168,18 @@ impl IngestEvent for Event {
 /// control socket and forwards each frame as an [`Event::Ctrl`], ending
 /// with one [`Event::CtrlDown`]. Exits when the socket closes (the
 /// coordinator hung up, or `run_worker` shut it down) or the worker
-/// stopped listening.
-fn read_ctrl(mut link: CtrlConn, events: Sender<Event>) {
+/// stopped listening. An [`Frame::Ack`] is applied here, to the sink,
+/// rather than forwarded: queued behind the data in the channel it would
+/// free nothing until the worker had caught up, publishing all the while.
+fn read_ctrl(mut link: CtrlConn, events: Sender<Event>, sink: Arc<SinkServer>) {
     loop {
         let event = match link.recv() {
+            Ok(Frame::Ack { up_to }) => {
+                // The coordinator has received everything below `up_to`
+                // and never resumes below what it has received.
+                sink.truncate_below(up_to);
+                continue;
+            }
             Ok(frame) => Event::Ctrl(frame),
             Err(e) => Event::CtrlDown(e),
         };
@@ -179,7 +209,8 @@ struct Staged {
 
 struct Worker {
     opts: WorkerOptions,
-    sink: SinkServer,
+    /// Shared with the control reader, which applies acks to it.
+    sink: Arc<SinkServer>,
     spec: Option<JoinSpec>,
     cfg: Option<PJoinConfig>,
     map: Option<ShardMap>,
@@ -203,11 +234,12 @@ struct Worker {
     /// Which of [left, right] input streams have ended.
     ended: [bool; 2],
     /// The joins' output collector: one for the worker's lifetime, so
-    /// the buffers behind it (slots, the joined-tuple value block) stay
-    /// warm from element to element.
+    /// the buffers behind it (slots, the joined-tuple values) stay warm
+    /// from element to element.
     out: OpOutput,
-    /// Outputs of the ingest message in hand, published as one batch.
-    outbox: Vec<Timestamped<StreamElement>>,
+    /// Outputs of the ingest message in hand, encoded, appended to the
+    /// sink as one batch.
+    frames: SinkEncoder,
     /// Heartbeat policy from the config blob (disabled until it
     /// arrives).
     heartbeat: HeartbeatSettings,
@@ -249,7 +281,7 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
     let (events_tx, events) = bounded(opts.ingest.channel_capacity.max(1));
     let server =
         IngestServer::bind_into(&[Side::Left, Side::Right], opts.ingest, events_tx.clone())?;
-    let sink = SinkServer::bind(opts.sink)?;
+    let sink = Arc::new(SinkServer::bind(opts.sink)?);
     let mut ctrl = CtrlConn::connect(opts.coordinator)?;
     ctrl.send(&Frame::JoinCluster {
         wire_version: WIRE_VERSION,
@@ -261,14 +293,16 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
     // thread only writes to it.
     let reader = {
         let link = CtrlConn::from_stream(ctrl.socket().try_clone()?)?;
+        let sink = Arc::clone(&sink);
         std::thread::Builder::new()
             .name("cluster-worker-ctrl".into())
-            .spawn(move || read_ctrl(link, events_tx))?
+            .spawn(move || read_ctrl(link, events_tx, sink))?
     };
 
     let worker_idx = opts.worker;
     let mut w = Worker {
         opts,
+        frames: sink.encoder(),
         sink,
         spec: None,
         cfg: None,
@@ -282,7 +316,6 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         barriers: HashMap::new(),
         ended: [false, false],
         out: OpOutput::new(),
-        outbox: Vec::new(),
         heartbeat: HeartbeatSettings::disabled(),
         beat_seq: 0,
         last_beat: Instant::now(),
@@ -431,7 +464,7 @@ impl Worker {
             while self.joins[i].1.on_end(now, &mut self.out) {}
             self.emit(i, now)?;
         }
-        self.publish_outbox();
+        self.publish_frames();
         if self.aligner.pending_len() != 0 {
             return Err(ClusterError::Protocol(format!(
                 "worker {}: {} punctuations still pending at end of stream",
@@ -461,12 +494,20 @@ impl Worker {
         }
     }
 
-    /// Hands the outputs gathered since the last call to the sink as one
+    /// Hands the outputs encoded since the last call to the sink as one
     /// batch: one lock, one subscriber wake-up.
-    fn publish_outbox(&mut self) {
-        if !self.outbox.is_empty() {
-            self.sink.publish_batch(std::mem::take(&mut self.outbox));
+    fn publish_frames(&mut self) {
+        if !self.frames.is_empty() {
+            self.sink.append(&mut self.frames);
+            self.note_retained();
         }
+    }
+
+    /// Samples the sink's retained history after a publish (a trim only
+    /// ever lowers it).
+    fn note_retained(&mut self) {
+        let retained = self.sink.retained() as u64;
+        self.report.sink_peak_retained = self.report.sink_peak_retained.max(retained);
     }
 
     fn handle_msg(&mut self, msg: IngestMsg) -> Result<(), ClusterError> {
@@ -478,7 +519,7 @@ impl Worker {
                 }
             }
         }
-        self.publish_outbox();
+        self.publish_frames();
         Ok(())
     }
 
@@ -589,11 +630,11 @@ impl Worker {
         }
     }
 
-    /// Queues the output burst shard `idx` left in `self.out` for the
-    /// sink: tuples directly, punctuation propagations through the
-    /// worker-local aligner so the sink carries each punctuation once no
-    /// matter how many local shards it reached.
-    /// [`publish_outbox`](Worker::publish_outbox) hands the queue over.
+    /// Encodes the output burst shard `idx` left in `self.out` for the
+    /// sink: tuples straight from the collector's values, punctuation
+    /// propagations through the worker-local aligner so the sink carries
+    /// each punctuation once no matter how many local shards it reached.
+    /// [`publish_frames`](Worker::publish_frames) hands the frames over.
     fn emit(&mut self, idx: usize, ts: Timestamp) -> Result<(), ClusterError> {
         // Draining needs the rest of `self`, so the collector steps out
         // for the duration and goes back with its buffers intact.
@@ -609,51 +650,50 @@ impl Worker {
         ts: Timestamp,
         out: &mut OpOutput,
     ) -> Result<(), ClusterError> {
-        for element in out.drain() {
-            match element {
-                StreamElement::Tuple(_) => {
-                    self.outbox.push(Timestamped::new(ts, element));
-                    self.report.outputs += 1;
-                    if let Some(c) = self.shard_counts.get_mut(idx) {
-                        c.1 += 1;
-                    }
+        out.drain_with(|item| {
+            let element = match item {
+                Drained::Joined(values) => {
+                    self.frames.push_tuple(ts, values);
+                    self.count_output(idx);
+                    return Ok(());
                 }
-                StreamElement::Punctuation(ref p) => {
-                    let (outcome, wseq) = self.aligner.observe_seq(idx, p);
-                    if self.track_lifecycle() {
-                        if let Some(&ri) =
-                            wseq.and_then(|s| self.life_by_seq.get(&s.0))
-                        {
-                            self.lifecycle[ri].align_ns = wall_now_ns();
-                        }
-                    }
-                    match outcome {
-                        AlignOutcome::Emit => {
-                            self.outbox.push(Timestamped::new(ts, element));
-                            self.report.outputs += 1;
-                            if let Some(c) = self.shard_counts.get_mut(idx) {
-                                c.1 += 1;
-                            }
-                            if self.track_lifecycle() {
-                                if let Some(&ri) =
-                                    wseq.and_then(|s| self.life_by_seq.get(&s.0))
-                                {
-                                    self.lifecycle[ri].sink_ns = wall_now_ns();
-                                }
-                            }
-                        }
-                        AlignOutcome::Pending => {}
-                        AlignOutcome::Unexpected => {
-                            return Err(ClusterError::Protocol(format!(
-                                "shard {} propagated an unregistered punctuation {p}",
-                                self.joins[idx].0
-                            )))
-                        }
-                    }
-                }
+                Drained::Element(element) => element,
+            };
+            let StreamElement::Punctuation(ref p) = element else {
+                self.frames.push(&Timestamped::new(ts, element));
+                self.count_output(idx);
+                return Ok(());
+            };
+            let (outcome, wseq) = self.aligner.observe_seq(idx, p);
+            let life = wseq.filter(|_| self.track_lifecycle());
+            let life = life.and_then(|s| self.life_by_seq.get(&s.0).copied());
+            if let Some(ri) = life {
+                self.lifecycle[ri].align_ns = wall_now_ns();
             }
+            match outcome {
+                AlignOutcome::Emit => {
+                    self.frames.push(&Timestamped::new(ts, element));
+                    self.count_output(idx);
+                    if let Some(ri) = life {
+                        self.lifecycle[ri].sink_ns = wall_now_ns();
+                    }
+                    Ok(())
+                }
+                AlignOutcome::Pending => Ok(()),
+                AlignOutcome::Unexpected => Err(ClusterError::Protocol(format!(
+                    "shard {} propagated an unregistered punctuation {p}",
+                    self.joins[idx].0
+                ))),
+            }
+        })
+    }
+
+    /// Counts one output of local shard `idx` as published.
+    fn count_output(&mut self, idx: usize) {
+        self.report.outputs += 1;
+        if let Some(c) = self.shard_counts.get_mut(idx) {
+            c.1 += 1;
         }
-        Ok(())
     }
 
     /// Whether per-punctuation lifecycle stamps are recorded: requires
@@ -683,6 +723,7 @@ impl Worker {
             return Err(ClusterError::Protocol("barrier before the initial shard map".into()));
         };
         self.sink.publish(Timestamped::new(self.clock, sink_marker(spec).into()));
+        self.note_retained();
         ctrl.send(&Frame::BarrierReached { nonce })?;
         if op != Op::Rollback {
             self.export_state(ctrl)?;

@@ -13,6 +13,7 @@ use punct_cluster::{
 use punct_durable::CheckpointStore;
 use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
+use streamgen::{generate_pair, interleave_sides, PunctScheme, StreamConfig};
 
 fn start(
     opts: ClusterOptions,
@@ -134,6 +135,95 @@ fn multiset(els: impl IntoIterator<Item = StreamElement>) -> Vec<String> {
     let mut v: Vec<String> = els.into_iter().map(|e| format!("{e:?}")).collect();
     v.sort();
     v
+}
+
+/// How many sink elements the coordinator absorbs from a worker between
+/// two acknowledgements to it (`ACK_EVERY` in `coordinator.rs`).
+const ACK_EVERY: u64 = 4096;
+
+/// Most outputs one ingest message can add to a worker's sink at once:
+/// a 64-element `DataBatch` (the default client batch) at the ≈ 10
+/// matches per tuple of a 16-key window, with room to spare.
+const MESSAGE_OUTPUTS: u64 = 64 * 32;
+
+/// Outputs the coordinator has not received yet are not its to
+/// acknowledge, so the bound below holds for a caller that keeps the
+/// workers close: unacknowledged received outputs stay under one ack
+/// interval, and what is still in flight under three more.
+const PEAK_BOUND: u64 = 4 * ACK_EVERY + MESSAGE_OUTPUTS;
+
+/// Without durability a worker's sink keeps only what the coordinator
+/// has not acknowledged yet: over a long match-heavy stream each worker
+/// publishes far more than it ever holds, and the merged output is
+/// still one single-threaded PJoin's.
+#[test]
+fn worker_sinks_stay_bounded_without_durability() {
+    let cfg = StreamConfig {
+        tuples: 25_000,
+        key_window: 16,
+        punct_scheme: PunctScheme::ConstantPerKey,
+        punct_mean_tuples: 20.0,
+        payload_attrs: 1,
+        seed: 28,
+        ..StreamConfig::default()
+    };
+    let (a, b) = generate_pair(&cfg, 20.0, 20.0);
+    let work = interleave_sides(&a.elements, &b.elements);
+    assert!(work.len() >= 50_000, "{} elements", work.len());
+    let spec = JoinSpec::new(cfg.width(), cfg.width());
+
+    let mut reference: Vec<StreamElement> = Vec::new();
+    let mut join = PJoin::new(spec.pjoin_config());
+    let mut out = OpOutput::new();
+    for (side, el) in &work {
+        join.on_element(*side, el.item.clone(), el.ts, &mut out);
+        reference.extend(out.drain());
+    }
+    while join.on_end(work.last().expect("a stream").1.ts, &mut out) {}
+    reference.extend(out.drain());
+
+    // Poll every 128 pushes, as the benchmark's cluster lane does, and drain to
+    // quiet every `CHUNK` pushes (and before `finish`, which finishes the
+    // senders before it reads a sink again), so that what a worker can
+    // publish ahead of the coordinator is the output of at most one
+    // chunk however the two cores are shared out.
+    const CHUNK: usize = 1024;
+    let (mut cluster, handles) = start(ClusterOptions::new(spec, 2, 2));
+    let mut outputs: Vec<StreamElement> = Vec::new();
+    let mut poll = |cluster: &mut Cluster| {
+        let polled = cluster.poll_outputs().expect("poll");
+        let any = !polled.is_empty();
+        outputs.extend(polled.into_iter().map(|e| e.item));
+        any
+    };
+    let total = work.len();
+    for (i, (side, el)) in work.into_iter().enumerate() {
+        cluster.push(side, el).expect("push");
+        if i % 128 == 127 {
+            poll(&mut cluster);
+        }
+        if i % CHUNK == CHUNK - 1 || i + 1 == total {
+            let mut quiet = 0;
+            while quiet < 3 {
+                quiet = if poll(&mut cluster) { 0 } else { quiet + 1 };
+            }
+        }
+    }
+    let report = cluster.finish().expect("finish");
+    outputs.extend(report.outputs.into_iter().map(|e| e.item));
+    for h in handles {
+        let wr = h.join().expect("worker thread").expect("worker ok");
+        let peak = wr.sink_peak_retained;
+        assert!(
+            wr.outputs >= 10 * peak,
+            "worker {} published {} outputs but held up to {peak}",
+            wr.worker,
+            wr.outputs
+        );
+        assert!(peak <= PEAK_BOUND, "worker {} held up to {peak} outputs", wr.worker);
+    }
+    assert!(reference.len() >= 5 * total, "{} outputs is not match-heavy", reference.len());
+    assert_eq!(multiset(outputs), multiset(reference), "the cluster must emit one PJoin's output");
 }
 
 #[test]

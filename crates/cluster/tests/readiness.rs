@@ -171,9 +171,9 @@ fn fresh_ingest_connection_is_acked_at_once() {
 fn fresh_subscription_gets_its_first_frame_at_once() {
     let sink = SinkServer::bind(SinkOptions::default()).expect("bind sink");
     sink.publish_batch(
-        (0..8i64)
+        &(0..8i64)
             .map(|k| Timestamped::new(Timestamp(k as u64), StreamElement::Tuple(Tuple::of((k, k)))))
-            .collect(),
+            .collect::<Vec<_>>(),
     );
     let subscribe = Frame::Subscribe { resume_from: 0, wire_version: WIRE_VERSION };
     let median = fresh_connection_median(sink.addr(), &subscribe, Frame::is_data);

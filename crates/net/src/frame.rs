@@ -18,7 +18,7 @@
 
 use punct_types::wire::{
     get_records, get_schema, get_timestamped_run, put_bytes, put_records, put_schema, put_str,
-    put_timestamped, put_u16, put_u32, put_u32_at, put_u64, WireError, WireReader,
+    put_timestamped, put_u16, put_u32, put_u32_at, put_u64, put_u64_at, WireError, WireReader,
 };
 use punct_types::{Schema, ShardMap, StreamElement, Timestamped, Tuple};
 
@@ -113,7 +113,9 @@ pub enum Frame {
         element: Timestamped<StreamElement>,
     },
     /// Cumulative acknowledgement: every `seq < up_to` was received and
-    /// handed downstream.
+    /// handed downstream. On the cluster control link the coordinator
+    /// sends it to a worker about that worker's sink, which may then
+    /// free its history below `up_to`.
     Ack {
         /// One past the highest contiguously received sequence.
         up_to: u64,
@@ -449,29 +451,52 @@ pub fn encode_data_batch_into(
     max_bytes: usize,
     buf: &mut Vec<u8>,
 ) -> usize {
-    let len_pos = buf.len();
-    put_u32(buf, 0); // patched below
-    buf.push(TAG_DATA_BATCH);
-    put_u64(buf, first_seq);
-    let count_pos = buf.len();
-    put_u32(buf, 0); // patched below
+    let start = open_data_frame(buf, true, first_seq);
     let mut taken = 0usize;
     for element in elements {
         let rollback = buf.len();
         put_timestamped(buf, element);
-        if taken > 0 && buf.len() - len_pos - 4 > max_bytes {
+        if taken > 0 && buf.len() - start - 4 > max_bytes {
             buf.truncate(rollback);
             break;
         }
         taken += 1;
-        if buf.len() - len_pos - 4 >= max_bytes {
+        if buf.len() - start - 4 >= max_bytes {
             break;
         }
     }
-    put_u32_at(buf, count_pos, taken as u32);
-    let frame_len = (buf.len() - len_pos - 4) as u32;
-    put_u32_at(buf, len_pos, frame_len);
+    close_data_frame(&mut buf[start..], taken as u32);
     taken
+}
+
+/// Opens a data frame at the end of `buf` — a `DataBatch` when
+/// `batched`, else a `Data` frame — numbered from `seq`, and returns
+/// where it starts. The caller appends the encoded elements and then
+/// calls [`close_data_frame`], which fills in the length prefix and a
+/// batch's element count.
+pub(crate) fn open_data_frame(buf: &mut Vec<u8>, batched: bool, seq: u64) -> usize {
+    let start = buf.len();
+    put_u32(buf, 0); // the length, filled in on close
+    buf.push(if batched { TAG_DATA_BATCH } else { TAG_DATA });
+    put_u64(buf, seq);
+    if batched {
+        put_u32(buf, 0); // the count, filled in on close
+    }
+    start
+}
+
+/// Completes the data frame that is all of `frame` (opened by
+/// [`open_data_frame`]) holding `count` elements.
+pub(crate) fn close_data_frame(frame: &mut [u8], count: u32) {
+    put_u32_at(frame, 0, (frame.len() - 4) as u32);
+    if frame[4] == TAG_DATA_BATCH {
+        put_u32_at(frame, 13, count);
+    }
+}
+
+/// Renumbers the data frame that is all of `frame` from `seq`.
+pub(crate) fn set_data_seq(frame: &mut [u8], seq: u64) {
+    put_u64_at(frame, 5, seq);
 }
 
 /// Decodes one frame *payload* (tag + body, without the length prefix).

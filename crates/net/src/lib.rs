@@ -23,8 +23,8 @@
 //! * [`client`] — the source client: credit-paced sending, reconnect
 //!   with deterministic exponential backoff + seeded jitter, resume from
 //!   the server's acknowledged sequence.
-//! * [`sink`] — a replayable output publisher and its fault-tolerant
-//!   consumer.
+//! * [`sink`] — a replayable output publisher (its history is encoded
+//!   frames) and its fault-tolerant consumer.
 //! * [`proxy`] — an in-process frame-aware fault injector (latency,
 //!   jitter, data-frame drops, forced disconnects, bandwidth caps) for
 //!   tests and benchmarks.
@@ -72,7 +72,7 @@ pub use server::{
     IngestEvent, IngestMsg, IngestOptions, IngestReceiver, IngestServer, IngestStats,
 };
 pub use wait::{read_available, wait_readable};
-pub use sink::{collect_all, SinkOptions, SinkReport, SinkServer, SinkSubscriber};
+pub use sink::{collect_all, SinkEncoder, SinkOptions, SinkReport, SinkServer, SinkSubscriber};
 
 #[cfg(test)]
 mod tests {
@@ -412,6 +412,87 @@ mod tests {
             err,
             NetError::Protocol { code: frame::error_code::TRUNCATED, .. }
         ));
+    }
+
+    /// Subscribes a raw socket from `resume_from` and reads `DataBatch`
+    /// frames until they reach sequence `to`, checking they follow each
+    /// other without a gap; returns the first frame's `first_seq` and
+    /// every element received.
+    fn replay(
+        sink: &SinkServer,
+        resume_from: u64,
+        to: u64,
+    ) -> (u64, Vec<Timestamped<StreamElement>>) {
+        let mut sock = TcpStream::connect(sink.addr()).expect("connect");
+        sock.write_all(&encode_frame(&Frame::Subscribe { resume_from, wire_version: WIRE_VERSION }))
+            .expect("subscribe");
+        let mut fb = FrameBuffer::new();
+        let (mut first, mut next, mut got) = (None, 0, Vec::new());
+        while first.is_none() || next < to {
+            match read_one(&mut sock, &mut fb) {
+                Frame::DataBatch { first_seq, elements } => {
+                    if first.is_some() {
+                        assert_eq!(first_seq, next, "frames follow each other without a gap");
+                    }
+                    first.get_or_insert(first_seq);
+                    next = first_seq + elements.len() as u64;
+                    got.extend(elements);
+                }
+                other => panic!("unexpected sink frame: {other:?}"),
+            }
+        }
+        (first.expect("a frame"), got)
+    }
+
+    /// Replay is per frame: a resume inside a frame is sent the whole
+    /// frame, truncation keeps the frame holding its watermark, and a
+    /// `SinkSubscriber` cut off mid-stream still delivers every element
+    /// exactly once.
+    #[test]
+    fn sink_replays_whole_frames_and_subscribers_stay_exact() {
+        let all: Vec<_> = (0..1000).map(|i| tup(i, i as i64)).collect();
+        let sink = SinkServer::bind(SinkOptions::default()).expect("bind sink");
+        for batch in all.chunks(100) {
+            sink.publish_batch(batch);
+        }
+        let (first_seq, got) = replay(&sink, 150, 1000);
+        assert_eq!(first_seq, 100, "the frame holding 150 is sent whole");
+        assert_eq!(got, all[100..]);
+
+        sink.truncate_below(150);
+        assert_eq!(sink.retained(), 900, "the frame [100, 200) holds the watermark");
+        assert_eq!(replay(&sink, 150, 1000).0, 100);
+        let mut sock = TcpStream::connect(sink.addr()).expect("connect");
+        sock.write_all(&encode_frame(&Frame::Subscribe { resume_from: 99, wire_version: WIRE_VERSION }))
+            .expect("subscribe");
+        match read_one(&mut sock, &mut FrameBuffer::new()) {
+            Frame::Error { code, .. } => assert_eq!(code, frame::error_code::TRUNCATED),
+            other => panic!("expected TRUNCATED, got {other:?}"),
+        }
+
+        // Half the stream, a subscriber that has queued more than it
+        // delivered when its socket goes down, then the other half.
+        let sink = SinkServer::bind(SinkOptions::default()).expect("bind sink");
+        for batch in all[..500].chunks(100) {
+            sink.publish_batch(batch);
+        }
+        let mut sub = SinkSubscriber::new(sink.addr());
+        let mut delivered = Vec::new();
+        let next = |sub: &mut SinkSubscriber| {
+            sub.next(Duration::from_secs(5)).expect("next").expect("an element in time")
+        };
+        while delivered.len() < 250 {
+            delivered.push(next(&mut sub));
+        }
+        sub.socket().expect("subscribed").shutdown(std::net::Shutdown::Both).expect("shutdown");
+        for batch in all[500..].chunks(100) {
+            sink.publish_batch(batch);
+        }
+        while delivered.len() < all.len() {
+            delivered.push(next(&mut sub));
+        }
+        assert_eq!(delivered, all);
+        assert_eq!(sub.reconnects(), 1);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub fn run_networked_join(
             return;
         }
         if let Some(s) = sink {
-            s.publish_batch(batch.clone());
+            s.publish_batch(&batch);
         }
         outputs.extend(batch);
     };

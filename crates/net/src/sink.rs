@@ -2,21 +2,47 @@
 //! subscribers, and a consumer client that collects it fault-tolerantly.
 //!
 //! The sink retains published history so a subscriber that reconnects
-//! asks for `Subscribe { resume_from: <next unseen seq> }` and gets an
-//! exact replay of what it missed — the same sequence-number discipline
-//! as the ingest side, pointed the other way.
+//! asks for `Subscribe { resume_from: <next unseen seq> }` and gets a
+//! replay of what it missed — the same sequence-number discipline as the
+//! ingest side, pointed the other way.
 //!
-//! By default the *entire* history is retained, which is the right
-//! trade for test harnesses, benchmarks, and bounded runs (replay is
-//! always possible, memory is bounded by the run). A long-running or
-//! continuous deployment must instead call
-//! [`SinkServer::truncate_below`] once it knows every consumer has
-//! passed a watermark (this protocol has no consumer acks, so the
-//! watermark is the caller's knowledge); sequence numbering is
-//! unaffected, and a subscriber asking to resume below the truncation
-//! point is refused with a `TRUNCATED` error rather than silently
-//! handed a gap.
+//! **The history is encoded frames.** Every element is encoded once,
+//! when it is published, into the `DataBatch` frames (`Data` frames when
+//! [`SinkOptions::batch`] is 1) subscribers are sent: a [`SinkEncoder`]
+//! fills frames up to `batch` elements or `max_batch_bytes` of payload,
+//! and [`SinkServer::append`] numbers them — sequence numbers are
+//! assigned there, so a sink has one sequence however many encoders feed
+//! it — and keeps each as one shared byte buffer. `publish` and
+//! `publish_batch` go through the sink's own encoder; a producer that
+//! holds its outputs as something other than elements (the cluster
+//! worker encodes join results straight from the operator's buffer)
+//! fills an encoder of its own. A subscriber handler takes handles to
+//! the frames it has not sent under the history lock and writes their
+//! bytes outside it, one write per wake-up; it never clones or encodes
+//! an element.
+//!
+//! **Replay is per frame.** A `Subscribe { resume_from }` that falls
+//! inside a retained frame is sent that whole frame, so the subscriber
+//! sees elements below `resume_from` again. Both consumers here,
+//! [`SinkSubscriber`] and [`collect_all`], number what they receive and
+//! drop anything below their next expected sequence, so the stream they
+//! deliver is still exact.
+//!
+//! **Who truncates.** Without truncation the entire history is
+//! retained, which is the right trade for test harnesses and bounded
+//! runs (replay is always possible, memory is bounded by the run).
+//! Anything long-running calls [`SinkServer::truncate_below`] once it
+//! knows every consumer has passed a watermark — this protocol has no
+//! consumer acks, so the watermark is the caller's knowledge. The
+//! cluster worker truncates whenever its coordinator, the sink's only
+//! subscriber, acknowledges what it has received. Truncation drops whole
+//! frames that end at or below the watermark; sequence numbering is
+//! unaffected, and a subscriber asking to resume below the first
+//! retained frame is refused with a `TRUNCATED` error rather than
+//! silently handed a gap.
 
+use std::borrow::Borrow;
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
@@ -27,13 +53,14 @@ use std::time::{Duration, Instant};
 
 use punct_trace::event::TraceKind;
 use punct_trace::{TraceLog, TraceSettings, Tracer, LANE_NET_CLIENT, LANE_NET_SINK};
-use punct_types::{StreamElement, Timestamped};
+use punct_types::wire::{put_timestamped, put_timestamped_tuple};
+use punct_types::{StreamElement, Timestamp, Timestamped, Value};
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::error::NetError;
 use crate::frame::{
-    encode_data_batch_into, encode_frame, encode_frame_into, error_code, Frame, FrameBuffer,
-    WIRE_VERSION,
+    close_data_frame, encode_frame, error_code, open_data_frame, set_data_seq, Frame,
+    FrameBuffer, WIRE_VERSION,
 };
 use crate::wait::{accept_ready, read_available, wait_readable};
 
@@ -70,18 +97,123 @@ impl SinkOptions {
     }
 }
 
-/// The retained replay window: `items[i]` holds publish sequence
-/// `base + i`. Truncation advances `base` and drops the prefix; total
-/// published count (`base + items.len()`) only ever grows.
+/// Most frame bytes a subscriber handler writes per wake-up (it always
+/// writes at least one frame).
+const WRITE_CAP: usize = 64 * 1024;
+
+/// One retained data frame: the encoded elements `first_seq..end()`.
+struct EncodedFrame {
+    first_seq: u64,
+    count: u32,
+    bytes: Arc<[u8]>,
+}
+
+impl EncodedFrame {
+    fn end(&self) -> u64 {
+        self.first_seq + u64::from(self.count)
+    }
+}
+
+/// The retained replay window: consecutive frames, oldest first.
+/// Truncation drops frames from the front; the published count only
+/// ever grows.
 #[derive(Default)]
 struct History {
-    base: u64,
-    items: Vec<Timestamped<StreamElement>>,
+    frames: VecDeque<EncodedFrame>,
+    /// Elements published so far: the sequence the next one gets.
+    total: u64,
 }
 
 impl History {
-    fn total(&self) -> u64 {
-        self.base + self.items.len() as u64
+    /// The first sequence still retained.
+    fn base(&self) -> u64 {
+        self.frames.front().map_or(self.total, |f| f.first_seq)
+    }
+}
+
+/// Encodes output elements into sink frames, to be numbered and
+/// retained by [`SinkServer::append`]. Frames hold up to
+/// [`SinkOptions::batch`] elements and close once their payload reaches
+/// [`SinkOptions::max_batch_bytes`] (an element that would take a
+/// non-empty frame past it starts the next one) — the split
+/// [`encode_data_batch_into`](crate::frame::encode_data_batch_into)
+/// makes. Get one from [`SinkServer::encoder`]; it keeps its buffers
+/// across appends.
+#[derive(Debug)]
+pub struct SinkEncoder {
+    batched: bool,
+    batch: u32,
+    max_bytes: usize,
+    buf: Vec<u8>,
+    /// Frames in `buf`, each `(start, elements)`; a frame ends where the
+    /// next starts, the last at the end of `buf`.
+    frames: Vec<(usize, u32)>,
+    /// Whether the last frame still takes elements.
+    open: bool,
+}
+
+impl SinkEncoder {
+    fn new(opts: &SinkOptions) -> SinkEncoder {
+        let batch = opts.batch.clamp(1, u32::MAX as usize) as u32;
+        SinkEncoder {
+            batched: batch > 1,
+            batch,
+            max_bytes: opts.max_batch_bytes,
+            buf: Vec::new(),
+            frames: Vec::new(),
+            open: false,
+        }
+    }
+
+    /// Encodes one element.
+    pub fn push(&mut self, element: &Timestamped<StreamElement>) {
+        self.encode(|buf| put_timestamped(buf, element));
+    }
+
+    /// Encodes the tuple of exactly `values` arriving at `ts`: the bytes
+    /// [`push`](SinkEncoder::push) writes for that tuple.
+    pub fn push_tuple(&mut self, ts: Timestamp, values: &[Value]) {
+        self.encode(|buf| put_timestamped_tuple(buf, ts, values));
+    }
+
+    /// True if nothing was encoded since the last append.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    fn encode(&mut self, put: impl Fn(&mut Vec<u8>)) {
+        if !self.open {
+            self.open_frame();
+        }
+        let (mut start, count) = *self.frames.last().expect("a frame is open");
+        let at = self.buf.len();
+        put(&mut self.buf);
+        if count > 0 && self.buf.len() - start - 4 > self.max_bytes {
+            // Over the byte cap: the element starts the next frame.
+            self.buf.truncate(at);
+            self.close_frame();
+            start = self.open_frame();
+            put(&mut self.buf);
+        }
+        let last = self.frames.last_mut().expect("a frame is open");
+        last.1 += 1;
+        if last.1 >= self.batch || self.buf.len() - start - 4 >= self.max_bytes {
+            self.close_frame();
+        }
+    }
+
+    fn open_frame(&mut self) -> usize {
+        let start = open_data_frame(&mut self.buf, self.batched, 0);
+        self.frames.push((start, 0));
+        self.open = true;
+        start
+    }
+
+    fn close_frame(&mut self) {
+        if let Some(&(start, count)) = self.frames.last().filter(|_| self.open) {
+            close_data_frame(&mut self.buf[start..], count);
+            self.open = false;
+        }
     }
 }
 
@@ -104,6 +236,8 @@ struct SinkShared {
 pub struct SinkServer {
     addr: SocketAddr,
     shared: Arc<SinkShared>,
+    /// The encoder behind `publish` and `publish_batch`.
+    encoder: Mutex<SinkEncoder>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -128,7 +262,8 @@ impl SinkServer {
             .name("net-sink-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .expect("spawn sink accept thread");
-        Ok(SinkServer { addr, shared, accept: Some(accept) })
+        let encoder = Mutex::new(SinkEncoder::new(&opts));
+        Ok(SinkServer { addr, shared, encoder, accept: Some(accept) })
     }
 
     /// The address subscribers connect to.
@@ -136,22 +271,54 @@ impl SinkServer {
         self.addr
     }
 
+    /// An encoder that frames elements the way this sink's options say,
+    /// for [`append`](SinkServer::append).
+    pub fn encoder(&self) -> SinkEncoder {
+        SinkEncoder::new(&self.shared.opts)
+    }
+
     /// Publishes one output element (sequence = publish order).
-    pub fn publish(&self, element: Timestamped<StreamElement>) {
-        self.shared.history.lock().expect("sink history lock").items.push(element);
-        self.shared.wake.notify_all();
+    pub fn publish(&self, element: impl Borrow<Timestamped<StreamElement>>) {
+        self.publish_batch(std::slice::from_ref(element.borrow()));
     }
 
     /// Publishes a batch (one wake-up for all of it).
-    pub fn publish_batch(&self, batch: Vec<Timestamped<StreamElement>>) {
-        self.shared.history.lock().expect("sink history lock").items.extend(batch);
+    pub fn publish_batch(&self, batch: &[Timestamped<StreamElement>]) {
+        let mut encoder = self.encoder.lock().expect("sink encoder lock");
+        for element in batch {
+            encoder.push(element);
+        }
+        self.append(&mut encoder);
+    }
+
+    /// Publishes everything `encoder` holds, in the order it was encoded
+    /// (one wake-up for all of it), and leaves the encoder empty: the
+    /// frames get the next sequence numbers and are retained as they
+    /// are, each in one shared buffer.
+    pub fn append(&self, encoder: &mut SinkEncoder) {
+        encoder.close_frame();
+        if encoder.frames.is_empty() {
+            return;
+        }
+        let mut history = self.shared.history.lock().expect("sink history lock");
+        for (i, &(start, count)) in encoder.frames.iter().enumerate() {
+            let end = encoder.frames.get(i + 1).map_or(encoder.buf.len(), |f| f.0);
+            let frame = &mut encoder.buf[start..end];
+            let first_seq = history.total;
+            set_data_seq(frame, first_seq);
+            history.frames.push_back(EncodedFrame { first_seq, count, bytes: Arc::from(&*frame) });
+            history.total += u64::from(count);
+        }
+        drop(history);
         self.shared.wake.notify_all();
+        encoder.buf.clear();
+        encoder.frames.clear();
     }
 
     /// Elements published so far (truncation does not shrink this —
     /// publish sequence numbers are permanent).
     pub fn len(&self) -> usize {
-        self.shared.history.lock().expect("sink history lock").total() as usize
+        self.shared.history.lock().expect("sink history lock").total as usize
     }
 
     /// True if nothing was published yet.
@@ -162,21 +329,20 @@ impl SinkServer {
     /// Elements currently retained for replay (published minus
     /// truncated).
     pub fn retained(&self) -> usize {
-        self.shared.history.lock().expect("sink history lock").items.len()
+        let h = self.shared.history.lock().expect("sink history lock");
+        (h.total - h.base()) as usize
     }
 
-    /// Frees replay history below `watermark` (clamped to what was
-    /// published). Call once every consumer is known to have received
-    /// everything below it; a later `Subscribe { resume_from }` below
-    /// the watermark is refused with a `TRUNCATED` error, because an
+    /// Frees the replay history's frames that end at or below
+    /// `watermark`; the frame holding the watermark, if any, stays whole.
+    /// Call once every consumer is known to have received everything
+    /// below it; a later `Subscribe { resume_from }` below the first
+    /// retained frame is refused with a `TRUNCATED` error, because an
     /// exact replay is no longer possible. Never moves backwards.
     pub fn truncate_below(&self, watermark: u64) {
         let mut h = self.shared.history.lock().expect("sink history lock");
-        let new_base = watermark.min(h.total());
-        if new_base > h.base {
-            let drop_count = (new_base - h.base) as usize;
-            h.items.drain(..drop_count);
-            h.base = new_base;
+        while h.frames.front().is_some_and(|f| f.end() <= watermark) {
+            h.frames.pop_front();
         }
     }
 
@@ -311,25 +477,25 @@ fn serve_subscriber(
         }
     };
 
-    // Stream the history from the cursor, following the live tail.
-    let mut out = Vec::with_capacity(32 * 1024);
+    // Stream the history from the frame holding the cursor on, following
+    // the live tail: handles to the next frames are taken under the
+    // lock, their bytes are written outside it.
+    let mut burst: Vec<Arc<[u8]>> = Vec::new();
+    let mut out = Vec::with_capacity(WRITE_CAP);
     loop {
-        // Copy the next burst out under the lock, sleeping on the
-        // condvar while there is none.
-        let burst: Vec<Timestamped<StreamElement>> = {
+        let elements = {
             let mut history = shared.history.lock().expect("sink history lock");
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
-                if cursor < history.base {
+                let base = history.base();
+                if cursor < base {
                     // The caller truncated past this subscriber's resume
                     // point: an exact replay is impossible, so fail
                     // loudly rather than skip elements.
-                    let message = format!(
-                        "history truncated to {}, cannot replay from {cursor}",
-                        history.base
-                    );
+                    let message =
+                        format!("history truncated to {base}, cannot replay from {cursor}");
                     drop(history);
                     let err = encode_frame(&Frame::Error {
                         code: error_code::TRUNCATED,
@@ -338,15 +504,23 @@ fn serve_subscriber(
                     let _ = sock.write_all(&err);
                     return Err(NetError::Protocol { code: error_code::TRUNCATED, message });
                 }
-                let start = (cursor - history.base) as usize;
-                if start < history.items.len() {
-                    let end = history.items.len().min(start + shared.opts.batch.max(1));
-                    break history.items[start..end].to_vec();
+                let from = history.frames.partition_point(|f| f.end() <= cursor);
+                if from < history.frames.len() {
+                    let (first, mut bytes) = (cursor, 0);
+                    for frame in history.frames.range(from..) {
+                        if bytes >= WRITE_CAP {
+                            break;
+                        }
+                        bytes += frame.bytes.len();
+                        cursor = frame.end();
+                        burst.push(Arc::clone(&frame.bytes));
+                    }
+                    break cursor - first;
                 }
                 if shared.closed.load(Ordering::SeqCst) {
                     // Checked under the lock, after the tail: everything
                     // published before the close has been streamed.
-                    let fin = encode_frame(&Frame::Fin { count: history.total() });
+                    let fin = encode_frame(&Frame::Fin { count: history.total });
                     drop(history);
                     sock.write_all(&fin)?;
                     shared.bytes_sent.fetch_add(fin.len() as u64, Ordering::Relaxed);
@@ -356,31 +530,10 @@ fn serve_subscriber(
             }
         };
         out.clear();
-        let span = tracer.span_start();
-        let frames = burst.len() as u64;
-        let vt = burst[0].ts.as_micros();
-        if shared.opts.batch <= 1 {
-            for element in burst {
-                encode_frame_into(&Frame::Data { seq: cursor, element }, &mut out);
-                cursor += 1;
-            }
-        } else {
-            // The burst is consecutive from the cursor, so it maps onto
-            // `DataBatch` frames directly (split only by the byte cap).
-            let mut off = 0usize;
-            while off < burst.len() {
-                let taken = encode_data_batch_into(
-                    cursor,
-                    &burst[off..],
-                    shared.opts.max_batch_bytes,
-                    &mut out,
-                );
-                tracer.instant(TraceKind::NetBatch, vt, 0, taken as u64);
-                off += taken;
-                cursor += taken as u64;
-            }
+        tracer.instant(TraceKind::NetBatch, 0, burst.len() as u64, elements);
+        for frame in burst.drain(..) {
+            out.extend_from_slice(&frame);
         }
-        tracer.span_end(span, TraceKind::NetEncode, vt, out.len() as u64, frames);
         sock.write_all(&out)?;
         shared.bytes_sent.fetch_add(out.len() as u64, Ordering::Relaxed);
     }

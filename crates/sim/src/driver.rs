@@ -146,6 +146,51 @@ impl OpOutput {
             }
         })
     }
+
+    /// Hands every pending output to `f` in push order, a join result as
+    /// its values where they lie — in the pending buffer or the sealed
+    /// block that holds them — so a consumer that only reads results
+    /// (the cluster worker encodes them for the wire) pays for no view
+    /// and no seal. The collector is empty afterwards, also when `f`
+    /// fails (which stops the walk), and keeps the pending buffer's
+    /// capacity.
+    pub fn drain_with<E>(
+        &mut self,
+        mut f: impl FnMut(Drained<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut blocks = self.sealed.iter();
+        let mut current = blocks.next();
+        let mut result = Ok(());
+        for (i, slot) in self.slots.drain(..).enumerate() {
+            let item = match slot {
+                Slot::Ready(e) => Drained::Element(e),
+                Slot::Joined { start, len } => {
+                    while current.is_some_and(|(end, _)| i >= *end) {
+                        current = blocks.next();
+                    }
+                    let values = current.map_or(&self.pending[..], |(_, block)| &block[..]);
+                    Drained::Joined(&values[start..start + len])
+                }
+            };
+            result = f(item);
+            if result.is_err() {
+                break;
+            }
+        }
+        self.sealed.clear();
+        self.pending.clear();
+        result
+    }
+}
+
+/// One output handed over by [`OpOutput::drain_with`].
+#[derive(Debug)]
+pub enum Drained<'a> {
+    /// An element pushed whole.
+    Element(StreamElement),
+    /// The values of a join result pushed by
+    /// [`push_joined`](OpOutput::push_joined).
+    Joined(&'a [Value]),
 }
 
 /// A binary stream operator drivable by the simulator.
@@ -738,6 +783,53 @@ mod tests {
             assert_eq!(got, vec![l.concat(&r)]);
             assert!(got[0].is_detached() && out.is_empty());
         }
+    }
+
+    /// `drain_with` hands over what `drain` yields, in the same order,
+    /// across a sealed-block boundary and with a plain push in between;
+    /// it leaves the collector empty with the pending buffer's capacity
+    /// intact, and a failing callback stops the walk but still empties it.
+    #[test]
+    fn drain_with_matches_drain() {
+        let fill = |out: &mut OpOutput| {
+            for i in 0..300i64 {
+                out.push_joined(&ints(i, 2), &Tuple::of((i, "r")));
+                if i == 250 {
+                    out.push(Tuple::of((7i64,)));
+                }
+            }
+        };
+        let (mut a, mut b) = (OpOutput::new(), OpOutput::new());
+        fill(&mut a);
+        fill(&mut b);
+        assert!(!b.sealed.is_empty(), "the results span a sealed block and the pending buffer");
+        let expected: Vec<StreamElement> = a.drain().collect();
+        let capacity = b.pending.capacity();
+        let mut got = Vec::new();
+        b.drain_with(|item| {
+            got.push(match item {
+                Drained::Element(e) => e,
+                Drained::Joined(values) => Tuple::new(values.to_vec()).into(),
+            });
+            Ok::<(), ()>(())
+        })
+        .expect("the callback never fails");
+        assert_eq!(got, expected);
+        assert!(b.is_empty() && b.pending.is_empty() && b.sealed.is_empty());
+        assert_eq!(b.pending.capacity(), capacity, "the pending buffer is kept");
+
+        fill(&mut b);
+        let mut seen = 0;
+        let stopped = b.drain_with(|_| {
+            seen += 1;
+            if seen == 3 {
+                Err("stop")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((stopped, seen), (Err("stop"), 3));
+        assert!(b.is_empty() && b.pending.is_empty() && b.sealed.is_empty());
     }
 
     /// A drain dropped after `k` items leaves nothing behind: no slot, no

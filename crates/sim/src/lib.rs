@@ -32,7 +32,7 @@ pub mod poisson;
 
 pub use clock::VirtualClock;
 pub use cost::{CostModel, Work};
-pub use driver::{BinaryStreamOp, Driver, DriverConfig, OpOutput, RunStats, Side};
+pub use driver::{BinaryStreamOp, Drained, Driver, DriverConfig, OpOutput, RunStats, Side};
 pub use event_queue::EventQueue;
 pub use poisson::ExpSampler;
 

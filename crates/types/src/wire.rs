@@ -134,6 +134,12 @@ pub fn put_u32_at(buf: &mut [u8], pos: usize, v: u32) {
     buf[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
 }
 
+/// Overwrites the little-endian `u64` at `pos` (see [`put_u32_at`]).
+#[inline]
+pub fn put_u64_at(buf: &mut [u8], pos: usize, v: u64) {
+    buf[pos..pos + 8].copy_from_slice(&v.to_le_bytes());
+}
+
 /// Appends a `u32` length and then `bytes` (read back by
 /// [`WireReader::blob`]).
 #[inline]
@@ -211,9 +217,16 @@ pub fn put_pattern(buf: &mut Vec<u8>, p: &Pattern) {
 }
 
 /// Appends the encoding of a [`Tuple`].
+#[inline]
 pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
-    put_u32(buf, t.width() as u32);
-    for v in t.values() {
+    put_tuple_values(buf, t.values());
+}
+
+/// Appends the encoding of a tuple of exactly `values`, without a
+/// [`Tuple`] to hold them.
+pub fn put_tuple_values(buf: &mut Vec<u8>, values: &[Value]) {
+    put_u32(buf, values.len() as u32);
+    for v in values {
         put_value(buf, v);
     }
 }
@@ -265,6 +278,15 @@ pub fn put_element(buf: &mut Vec<u8>, e: &StreamElement) {
 pub fn put_timestamped(buf: &mut Vec<u8>, e: &Timestamped<StreamElement>) {
     put_u64(buf, e.ts.as_micros());
     put_element(buf, &e.item);
+}
+
+/// Appends what [`put_timestamped`] writes for a tuple of exactly
+/// `values` arriving at `ts`, straight from the values.
+#[inline]
+pub fn put_timestamped_tuple(buf: &mut Vec<u8>, ts: Timestamp, values: &[Value]) {
+    put_u64(buf, ts.as_micros());
+    buf.push(0);
+    put_tuple_values(buf, values);
 }
 
 /// Appends a state-transfer record run, `count u32 | (arrival_us u64,
@@ -695,6 +717,15 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert_eq!(get_timestamped(&mut r).expect("decode"), e);
         r.finish().expect("consumed");
+
+        // Encoding a tuple from its values writes the same bytes.
+        let t = Tuple::of((1i64, "a", 2.5, true));
+        let e = Timestamped::new(Timestamp(9), StreamElement::Tuple(t.clone()));
+        let mut whole = Vec::new();
+        put_timestamped(&mut whole, &e);
+        let mut from_values = Vec::new();
+        put_timestamped_tuple(&mut from_values, Timestamp(9), t.values());
+        assert_eq!(from_values, whole);
     }
 
     #[test]

@@ -129,7 +129,7 @@ fn main() {
         }
         let batch = exec.poll_outputs();
         if !batch.is_empty() {
-            sink.publish_batch(batch.clone());
+            sink.publish_batch(&batch);
             outputs.extend(batch);
         }
         // Sample the dashboard roughly every 512 elements fed.
@@ -146,10 +146,10 @@ fn main() {
         }
     }
     let batch = exec.poll_outputs();
-    sink.publish_batch(batch.clone());
+    sink.publish_batch(&batch);
     outputs.extend(batch);
     let (rest, stats) = exec.finish();
-    sink.publish_batch(rest.clone());
+    sink.publish_batch(&rest);
     outputs.extend(rest);
     sink.close();
 
