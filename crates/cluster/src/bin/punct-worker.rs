@@ -1,5 +1,6 @@
-//! Cluster worker process: hosts the PJoin shards assigned to it by the
-//! coordinator's shard map, through any number of repartitions.
+//! Cluster worker process: hosts one PJoin over the shards the
+//! coordinator's shard map assigns to it, through any number of
+//! repartitions.
 //!
 //! ```text
 //! punct-worker <coordinator-addr> <worker-index>

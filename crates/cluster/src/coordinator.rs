@@ -79,7 +79,7 @@ use punct_net::{
 };
 use punct_types::{
     partition, PunctSeq, Punctuation, ShardMap, StreamElement, Timestamp, Timestamped, Tuple,
-    Value,
+    Value, MAX_SHARDS,
 };
 use stream_sim::Side;
 
@@ -341,7 +341,7 @@ impl Cluster {
         assert!(opts.workers > 0, "a cluster needs at least one worker");
         assert!(opts.workers <= 64, "the punctuation aligner masks at most 64 workers");
         assert!(opts.shards >= opts.workers, "fewer shards than workers leaves workers idle");
-        assert!(opts.shards <= 64, "shard routing masks at most 64 global shards");
+        assert!(opts.shards <= MAX_SHARDS, "shard routing masks at most {MAX_SHARDS} global shards");
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let ctrl_addr = listener.local_addr()?;
@@ -1092,12 +1092,12 @@ impl Cluster {
     /// returns the new epoch is active everywhere and pushes may resume.
     /// No join output is lost or duplicated across the resize, and no
     /// punctuation is propagated twice. A shard count below the worker
-    /// count or above 64 is refused before anything is armed.
+    /// count or above [`MAX_SHARDS`] is refused before anything is armed.
     pub fn repartition(&mut self, new_shards: usize) -> Result<MigrationStats, ClusterError> {
-        if !(self.opts.workers..=64).contains(&new_shards) {
+        if !(self.opts.workers..=MAX_SHARDS).contains(&new_shards) {
             return Err(ClusterError::Protocol(format!(
                 "cannot spread {new_shards} shards over {} workers: shard routing needs at \
-                 least one shard per worker and at most 64",
+                 least one shard per worker and at most {MAX_SHARDS}",
                 self.opts.workers
             )));
         }

@@ -12,8 +12,9 @@
 //!            ▼                   ▼                         ▼
 //!      ┌───────────┐      ┌───────────┐             ┌───────────┐
 //!      │ worker 0  │      │ worker 1  │      …      │ worker N  │
-//!      │ PJoin per │      │ PJoin per │             │ PJoin per │
-//!      │owned shard│      │owned shard│             │owned shard│
+//!      │ one PJoin │      │ one PJoin │             │ one PJoin │
+//!      │over owned │      │over owned │             │over owned │
+//!      │  shards   │      │  shards   │             │  shards   │
 //!      └─▲───────┬─┘      └─▲───────┬─┘             └─▲───────┬─┘
 //!  ingest│       │sink      │       │                 │       │
 //!        │       ▼          │       ▼                 │       ▼
@@ -29,11 +30,13 @@
 //!   (the partition function is shared with the in-process executor:
 //!   [`punct_types::partition`]), multicasts punctuations to the workers
 //!   owning the shards they can close, and merges worker sinks into one
-//!   stream that carries each punctuation **exactly once**.
+//!   stream that carries each punctuation **exactly once**; its aligner
+//!   is the cluster's only one.
 //! * Each **worker** ([`run_worker`]) hosts one single-threaded
-//!   [`PJoin`](pjoin::PJoin) per owned global shard behind the
-//!   fault-tolerant `punct-net` transport (sequence-numbered ingest with
-//!   credit backpressure and resume, sink with replay).
+//!   [`PJoin`](pjoin::PJoin) over every global shard it owns — the join
+//!   propagates each punctuation once, so the worker aligns nothing —
+//!   behind the fault-tolerant `punct-net` transport (sequence-numbered
+//!   ingest with credit backpressure and resume, sink with replay).
 //! * **Elastic repartitioning** ([`Cluster::repartition`]) changes the
 //!   global shard count mid-stream. The barrier is an in-band
 //!   Empty-pattern punctuation — ordered, exactly-once, even through a

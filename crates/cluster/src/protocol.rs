@@ -53,7 +53,8 @@ pub struct JoinSpec {
     pub join_attr_a: usize,
     /// Join attribute index in stream B tuples.
     pub join_attr_b: usize,
-    /// Hash buckets per input state, per shard.
+    /// Hash buckets per input state, per worker (a worker's one join
+    /// covers all the shards it owns).
     pub buckets: usize,
 }
 

@@ -60,9 +60,10 @@ pub struct WorkerSpan {
     pub worker: u32,
     /// Punctuation arrived at the worker's element handler.
     pub ingest_ns: u64,
-    /// Last target shard finished applying it.
+    /// The worker's join finished applying it.
     pub purge_ns: u64,
-    /// Worker-local aligner observed the final shard propagation.
+    /// The worker drained its join's propagation (no worker-side
+    /// alignment: the join emits each punctuation once).
     pub align_ns: u64,
     /// Published to the worker's sink.
     pub sink_ns: u64,
@@ -637,22 +638,22 @@ impl ClusterTelemetry {
             self.total_outputs(),
             self.spans.len(),
         );
-        let occupancy: Vec<(usize, u64, u64, usize)> = self
+        let occupancy: Vec<(usize, u64, u64)> = self
             .latest
             .iter()
             .enumerate()
             .filter_map(|(w, r)| r.as_ref().map(|r| (w, r)))
             .map(|(w, r)| {
                 let tuples: u64 = r.shards.iter().map(|s| s.state_tuples).sum();
-                (w, tuples, r.ingest.stalls, r.shards.len())
+                (w, tuples, r.ingest.stalls)
             })
             .collect();
-        let peak_tuples = occupancy.iter().map(|&(_, t, _, _)| t).max().unwrap_or(0);
-        let peak_stalls = occupancy.iter().map(|&(_, _, s, _)| s).max().unwrap_or(0);
-        for (w, tuples, stalls, shards) in occupancy {
+        let peak_tuples = occupancy.iter().map(|&(_, t, _)| t).max().unwrap_or(0);
+        let peak_stalls = occupancy.iter().map(|&(_, _, s)| s).max().unwrap_or(0);
+        for (w, tuples, stalls) in occupancy {
             let _ = writeln!(
                 out,
-                "worker {w}: {shards} shards  state {}  stalls {}",
+                "worker {w}: state {}  stalls {}",
                 meter(tuples, peak_tuples, width / 2),
                 meter(stalls, peak_stalls, width / 4),
             );

@@ -1,34 +1,30 @@
-//! The cluster worker: one process hosting the PJoin shards a
-//! [`ShardMap`] assigns to it.
+//! The cluster worker: one process hosting one [`PJoin`] over every
+//! global shard a [`ShardMap`] assigns to it.
 //!
-//! A worker is deliberately boring: it owns **no** routing policy. The
-//! coordinator routes every tuple to the worker owning its hash and
-//! every punctuation to the workers owning the shards it can close; the
-//! worker re-derives the same per-shard targets locally (the partition
-//! function is shared, [`punct_types::partition`]) and feeds its
-//! single-threaded [`PJoin`]s in arrival order. Join outputs stream out
-//! through a [`SinkServer`]; punctuation propagations from the shard
-//! joins pass through a worker-local [`Aligner`] so the sink carries
-//! each punctuation **at most once per worker** — the coordinator's
-//! aligner then merges across workers.
+//! A worker owns **no** routing policy. The coordinator routes every
+//! tuple to the worker owning its hash and every punctuation to the
+//! workers owning the shards it can close; the worker checks that it
+//! owns what it was sent ([`punct_types::partition`] is shared) and
+//! feeds its join in arrival order, a tuple with the hash that check
+//! computed. The join propagates each punctuation once, after its state
+//! holds no tuple the punctuation covers, so the worker aligns nothing:
+//! the coordinator's aligner is the only one. The shard stays the unit
+//! of routing, migration and checkpoint sections at the coordinator;
+//! here it only labels exported records.
 //!
 //! ## The output path
 //!
 //! A join result is written once, by the operator into its output
 //! buffer, and encoded once, from there into the sink's frames
-//! ([`OpOutput::drain_with`] into a [`SinkEncoder`]): no `Tuple` view,
-//! no block seal and no element copy on the way. One ingest message's
-//! outputs reach the sink as one append. The sink keeps those frames
-//! only until the coordinator has them: it sends
-//! [`Frame::Ack`]`{ up_to }` with the count it has received from this
-//! worker every few thousand elements, and the control reader answers
-//! at once with [`SinkServer::truncate_below`] — not behind the data
-//! queued for the serve loop. That is safe because the coordinator is
-//! the sink's only subscriber and only ever resumes from what it has
-//! received, and a replacement worker after a crash starts with a fresh
-//! sink. So a worker's sink memory is bounded by what is in flight, not
-//! by the length of the run, with or without durability
-//! ([`WorkerReport::sink_peak_retained`] records the peak).
+//! ([`OpOutput::drain_with`] into a [`SinkEncoder`]); one ingest
+//! message's outputs reach the sink as one append. The sink keeps those
+//! frames only until the coordinator has them: the coordinator, its only
+//! subscriber, sends [`Frame::Ack`]`{ up_to }` with its received count
+//! every few thousand elements, and the control reader answers at once
+//! with [`SinkServer::truncate_below`]. A subscriber only resumes from
+//! what it has received and a replacement worker starts with a fresh
+//! sink, so a worker's sink holds what is in flight, with or without
+//! durability ([`WorkerReport::sink_peak_retained`] records the peak).
 //!
 //! ## Barriers, from the worker's side
 //!
@@ -39,24 +35,22 @@
 //!   rollback supersedes whatever is armed; arming anything else while
 //!   an operation is armed is a protocol error.
 //! * When **both** input streams have delivered the barrier, every
-//!   pre-barrier output is already published (the worker is
-//!   single-threaded and in-order). It publishes the sink marker and
-//!   sends [`Frame::BarrierReached`]. A migration or checkpoint then
-//!   exports every shard's state as [`Frame::MigrateState`] chunks; a
-//!   checkpoint resumes at once, a migration or rollback blocks until
-//!   its install commits.
-//! * The install path is the same for the initial epoch and for every
-//!   repartition: [`Frame::ShardMapUpdate`] stages fresh joins,
-//!   [`Frame::MigrateState`] imports records (without probing — the
-//!   pre-migration operator already emitted those results), and
-//!   [`Frame::MigrateCommit`] activates the staged epoch; the worker
-//!   echoes the commit as its acknowledgement.
-//! * Local aligner expectations pending at the barrier are dropped, not
-//!   migrated: the coordinator re-injects every not-yet-emitted
-//!   punctuation through the new topology, so each still propagates
-//!   downstream exactly once.
+//!   pre-barrier output is already published. The worker publishes the
+//!   sink marker, sends [`Frame::BarrierReached`] and, for a migration
+//!   or checkpoint, exports the join's state as [`Frame::MigrateState`]
+//!   chunks, one section per owned global shard and side; a checkpoint
+//!   resumes at once, a migration or rollback blocks until its install
+//!   commits.
+//! * Every install, the initial epoch's included, is
+//!   [`Frame::ShardMapUpdate`] (stage a fresh join),
+//!   [`Frame::MigrateState`] (import records without probing — their
+//!   results were already emitted) and [`Frame::MigrateCommit`]
+//!   (activate; echoed as the acknowledgement). Punctuations the
+//!   outgoing join had not propagated die with it: the coordinator
+//!   re-injects them through the new topology.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::net::{Shutdown, SocketAddr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,17 +58,17 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use pjoin::components::propagation::translate_punctuation;
 use pjoin::{PJoin, PJoinConfig};
-use punct_exec::{route_punctuation, AlignOutcome, Aligner};
+use punct_exec::route_punctuation;
 use punct_net::{
     Frame, IngestEvent, IngestMsg, IngestOptions, IngestServer, SinkEncoder, SinkOptions,
     SinkServer, WIRE_VERSION,
 };
 use punct_trace::{
     wall_now_ns, IngestCounters, JoinLatencies, KindSummary, PunctRecord, ShardSnapshot,
-    TelemetryMsg, TraceKind, WorkerTelemetry,
+    TelemetryMsg, TraceKind, TraceLog, WorkerTelemetry,
 };
 use punct_types::{
-    partition, PunctSeq, ShardMap, StreamElement, Timestamp, Timestamped, Value,
+    partition, Punctuation, ShardMap, StreamElement, Timestamp, Timestamped, Tuple, Value,
 };
 use stream_sim::{BinaryStreamOp, Drained, OpOutput, Side};
 
@@ -199,11 +193,16 @@ enum Op {
     Rollback,
 }
 
-/// A staged-but-not-active shard map: fresh joins awaiting state
-/// imports and the activating `MigrateCommit`.
-struct Staged {
+/// A shard-map epoch as this worker hosts it: the map and one join over
+/// every global shard the map gives this worker. Staged by
+/// `ShardMapUpdate`, filled by `MigrateState`, activated by
+/// `MigrateCommit`.
+struct Epoch {
     map: ShardMap,
-    joins: Vec<(usize, PJoin)>,
+    /// Bitmask of the global shards `map` gives this worker; never zero.
+    owned: u64,
+    join: PJoin,
+    /// Records imported into `join` while it was staged.
     imported: u64,
 }
 
@@ -213,14 +212,12 @@ struct Worker {
     sink: Arc<SinkServer>,
     spec: Option<JoinSpec>,
     cfg: Option<PJoinConfig>,
-    map: Option<ShardMap>,
-    /// `(global shard, join)`, ascending by shard; the vector position
-    /// is the local aligner's "shard" index.
-    joins: Vec<(usize, PJoin)>,
-    aligner: Aligner,
-    next_seq: u64,
+    active: Option<Epoch>,
+    /// `(elements, outputs)` of the report when `active` was installed:
+    /// the join's own counts are the report's minus these.
+    epoch_start: (u64, u64),
     clock: Timestamp,
-    staged: Option<Staged>,
+    staged: Option<Epoch>,
     /// The armed operation and the nonce its barrier carries.
     armed: Option<(Op, u64)>,
     /// Barrier crossings seen on [left, right], keyed by the nonce the
@@ -233,7 +230,7 @@ struct Worker {
     barriers: HashMap<u64, [bool; 2]>,
     /// Which of [left, right] input streams have ended.
     ended: [bool; 2],
-    /// The joins' output collector: one for the worker's lifetime, so
+    /// The join's output collector: one for the worker's lifetime, so
     /// the buffers behind it (slots, the joined-tuple values) stay warm
     /// from element to element.
     out: OpOutput,
@@ -258,18 +255,16 @@ struct Worker {
     /// Per-punctuation lifecycle records, cumulative in creation order —
     /// the coordinator correlates them back by `(side, key)` occurrence.
     lifecycle: Vec<PunctRecord>,
-    /// Local aligner sequence → index into `lifecycle`, for stamping the
-    /// align/sink stages when the propagation completes.
-    life_by_seq: HashMap<u64, usize>,
+    /// Translated punctuation → indices into `lifecycle` of its copies
+    /// the active join has not propagated yet, oldest first. Filled only
+    /// while lifecycle tracking is on.
+    unpropagated: HashMap<Punctuation, VecDeque<usize>>,
     /// Latencies of joins retired by migrations (cumulative reports must
-    /// not lose samples when `self.joins` is replaced).
+    /// not lose samples when the active join is replaced).
     retired: JoinLatencies,
     /// Per-kind `(count, total span ns)` trace totals, drained from live
     /// tracers at each report and from retiring joins at each commit.
     kind_totals: Vec<(u64, u64)>,
-    /// Per-join `(consumed, emitted)` counters for shard snapshots,
-    /// parallel to `joins`; reset when a new epoch replaces them.
-    shard_counts: Vec<(u64, u64)>,
 }
 
 /// Runs a worker to completion: joins the cluster at
@@ -306,10 +301,8 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         sink,
         spec: None,
         cfg: None,
-        map: None,
-        joins: Vec::new(),
-        aligner: Aligner::new(),
-        next_seq: 0,
+        active: None,
+        epoch_start: (0, 0),
         clock: Timestamp(0),
         staged: None,
         armed: None,
@@ -324,10 +317,9 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         report_seq: 0,
         last_report: Instant::now(),
         lifecycle: Vec::new(),
-        life_by_seq: HashMap::new(),
+        unpropagated: HashMap::new(),
         retired: JoinLatencies::new(),
         kind_totals: vec![(0, 0); TraceKind::ALL.len()],
-        shard_counts: Vec::new(),
     };
     let served = w.serve(&server, &events, &mut ctrl);
     // Release the reader whatever it is blocked on — a full channel or
@@ -448,7 +440,7 @@ impl Worker {
         }
     }
 
-    /// Both streams finished: flush every shard's end-of-stream work
+    /// Both streams finished: flush the join's end-of-stream work
     /// (remaining punctuation propagations, exactly once each), close
     /// the sink, and linger until the coordinator hangs up — tearing the
     /// sink server down earlier would strand a subscriber that has not
@@ -459,20 +451,13 @@ impl Worker {
         events: &Receiver<Event>,
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
-        for i in 0..self.joins.len() {
-            let now = self.clock;
-            while self.joins[i].1.on_end(now, &mut self.out) {}
-            self.emit(i, now)?;
+        let now = self.clock;
+        if let Some(active) = &mut self.active {
+            while active.join.on_end(now, &mut self.out) {}
         }
+        self.drain(now);
         self.publish_frames();
-        if self.aligner.pending_len() != 0 {
-            return Err(ClusterError::Protocol(format!(
-                "worker {}: {} punctuations still pending at end of stream",
-                self.report.worker,
-                self.aligner.pending_len()
-            )));
-        }
-        self.report.final_epoch = self.map.as_ref().map_or(0, |m| m.epoch);
+        self.report.final_epoch = self.active.as_ref().map_or(0, |a| a.map.epoch);
         // The final cumulative flush covers the end-of-stream
         // propagations above; it must precede the sink close so the
         // coordinator can await it while the control link is still up.
@@ -528,172 +513,107 @@ impl Worker {
         side: Side,
         element: Timestamped<StreamElement>,
     ) -> Result<(), ClusterError> {
+        self.report.elements += 1;
         // Barriers first: their timestamp carries a protocol nonce, not
         // a stream time, so they must not advance the worker clock.
-        let barrier_nonce = match (&element.item, &self.spec) {
-            (StreamElement::Punctuation(p), Some(spec))
-                if p.width() == spec.side_width(side)
-                    && is_barrier(p, spec.join_attr(side)) =>
-            {
-                Some(element.ts.0)
+        if let (StreamElement::Punctuation(p), Some(spec)) = (&element.item, &self.spec) {
+            if p.width() == spec.side_width(side) && is_barrier(p, spec.join_attr(side)) {
+                let crossed = self.barriers.entry(element.ts.0).or_insert([false, false]);
+                crossed[usize::from(side_index(side))] = true;
+                return Ok(());
             }
-            _ => None,
-        };
-        if let Some(nonce) = barrier_nonce {
-            self.report.elements += 1;
-            let crossed = self.barriers.entry(nonce).or_insert([false, false]);
-            crossed[usize::from(side_index(side))] = true;
-            return Ok(());
         }
         self.clock = self.clock.max(element.ts);
-        self.report.elements += 1;
-        let (Some(spec), Some(cfg), Some(map)) = (&self.spec, &self.cfg, &self.map) else {
+        let track = self.track_lifecycle();
+        let (Some(spec), Some(cfg), Some(active)) = (&self.spec, &self.cfg, &mut self.active)
+        else {
             return Err(ClusterError::Protocol(
                 "data arrived before the initial shard map was activated".into(),
             ));
         };
+        let ts = element.ts;
         match element.item {
-            StreamElement::Tuple(ref t) => {
+            StreamElement::Tuple(t) => {
                 let hash = t.get(spec.join_attr(side)).and_then(Value::join_hash);
-                let shard = partition(hash, map.shards());
-                let Some(idx) = self.joins.iter().position(|(s, _)| *s == shard) else {
+                if active.map.worker_of_hash(hash) != self.report.worker {
                     return Err(ClusterError::Protocol(format!(
-                        "tuple for shard {shard} routed to worker {} (epoch {})",
+                        "tuple for shard {} routed to worker {} (epoch {})",
+                        partition(hash, active.map.shards()),
                         self.report.worker,
-                        map.epoch
+                        active.map.epoch
                     )));
-                };
-                let ts = element.ts;
-                self.joins[idx].1.on_element(side, element.item, ts, &mut self.out);
-                if let Some(c) = self.shard_counts.get_mut(idx) {
-                    c.0 += 1;
                 }
-                self.emit(idx, ts)
+                active.join.on_element_prehashed(side, t.into(), ts, hash, &mut self.out);
             }
-            StreamElement::Punctuation(ref p) => {
+            StreamElement::Punctuation(p) => {
                 if p.width() != spec.side_width(side) {
                     // The single-threaded operator ignores malformed
                     // punctuations; so does the cluster.
                     return Ok(());
                 }
-                let route = route_punctuation(p, side, cfg, map.shards());
-                let shard_mask = route.mask(map.shards());
-                let mut local_mask = 0u64;
-                let mut targets = Vec::new();
-                for (idx, (shard, _)) in self.joins.iter().enumerate() {
-                    if shard_mask & (1 << *shard) != 0 {
-                        local_mask |= 1 << idx;
-                        targets.push(idx);
-                    }
-                }
-                if targets.is_empty() {
+                let shards = active.map.shards();
+                if route_punctuation(&p, side, cfg, shards).mask(shards) & active.owned == 0 {
                     return Err(ClusterError::Protocol(format!(
                         "punctuation routed to worker {} owning none of its target shards",
                         self.report.worker
                     )));
                 }
-                let translated =
-                    translate_punctuation(p, spec.side_offset(side), spec.output_width());
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                if self.track_lifecycle() {
+                let record = track.then(|| {
+                    let ri = self.lifecycle.len();
+                    let translated =
+                        translate_punctuation(&p, spec.side_offset(side), spec.output_width());
+                    self.unpropagated.entry(translated).or_default().push_back(ri);
                     // Hash the punctuation as routed (pre-translation) so
                     // the key matches the coordinator's send log.
-                    self.life_by_seq.insert(seq, self.lifecycle.len());
                     self.lifecycle.push(PunctRecord {
                         side: side_index(side),
                         key: p.content_hash(),
                         ingest_ns: wall_now_ns(),
-                        purge_ns: 0,
-                        align_ns: 0,
-                        sink_ns: 0,
+                        ..PunctRecord::default()
                     });
+                    ri
+                });
+                active.join.on_element(side, p.into(), ts, &mut self.out);
+                if let Some(ri) = record {
+                    self.lifecycle[ri].purge_ns = wall_now_ns();
                 }
-                self.aligner.expect(translated, PunctSeq(seq), local_mask);
-                let ts = element.ts;
-                for idx in targets {
-                    self.joins[idx].1.on_element(side, element.item.clone(), ts, &mut self.out);
-                    if let Some(c) = self.shard_counts.get_mut(idx) {
-                        c.0 += 1;
-                    }
-                    if self.track_lifecycle() {
-                        // Last target wins: the purge stage ends when the
-                        // final shard finished applying the punctuation.
-                        if let Some(&ri) = self.life_by_seq.get(&seq) {
-                            self.lifecycle[ri].purge_ns = wall_now_ns();
-                        }
-                    }
-                    self.emit(idx, ts)?;
-                }
-                Ok(())
             }
         }
+        self.drain(ts);
+        Ok(())
     }
 
-    /// Encodes the output burst shard `idx` left in `self.out` for the
-    /// sink: tuples straight from the collector's values, punctuation
-    /// propagations through the worker-local aligner so the sink carries
-    /// each punctuation once no matter how many local shards it reached.
+    /// Encodes the output burst the join left in `self.out` for the
+    /// sink, straight from the collector's values, stamped `ts`; a
+    /// propagation stamps the oldest open lifecycle record of its
+    /// punctuation (the join emits each once: nothing to align).
     /// [`publish_frames`](Worker::publish_frames) hands the frames over.
-    fn emit(&mut self, idx: usize, ts: Timestamp) -> Result<(), ClusterError> {
-        // Draining needs the rest of `self`, so the collector steps out
-        // for the duration and goes back with its buffers intact.
-        let mut out = std::mem::take(&mut self.out);
-        let queued = self.queue_outputs(idx, ts, &mut out);
-        self.out = out;
-        queued
-    }
-
-    fn queue_outputs(
-        &mut self,
-        idx: usize,
-        ts: Timestamp,
-        out: &mut OpOutput,
-    ) -> Result<(), ClusterError> {
-        out.drain_with(|item| {
+    fn drain(&mut self, ts: Timestamp) {
+        let Worker { out, frames, report, lifecycle, unpropagated, .. } = self;
+        let Ok(()) = out.drain_with(|item| {
+            report.outputs += 1;
             let element = match item {
                 Drained::Joined(values) => {
-                    self.frames.push_tuple(ts, values);
-                    self.count_output(idx);
-                    return Ok(());
+                    frames.push_tuple(ts, values);
+                    return Ok::<(), Infallible>(());
                 }
                 Drained::Element(element) => element,
             };
-            let StreamElement::Punctuation(ref p) = element else {
-                self.frames.push(&Timestamped::new(ts, element));
-                self.count_output(idx);
-                return Ok(());
-            };
-            let (outcome, wseq) = self.aligner.observe_seq(idx, p);
-            let life = wseq.filter(|_| self.track_lifecycle());
-            let life = life.and_then(|s| self.life_by_seq.get(&s.0).copied());
-            if let Some(ri) = life {
-                self.lifecycle[ri].align_ns = wall_now_ns();
-            }
-            match outcome {
-                AlignOutcome::Emit => {
-                    self.frames.push(&Timestamped::new(ts, element));
-                    self.count_output(idx);
-                    if let Some(ri) = life {
-                        self.lifecycle[ri].sink_ns = wall_now_ns();
-                    }
-                    Ok(())
+            let record = match &element {
+                StreamElement::Punctuation(p) if !unpropagated.is_empty() => {
+                    unpropagated.get_mut(p).and_then(VecDeque::pop_front)
                 }
-                AlignOutcome::Pending => Ok(()),
-                AlignOutcome::Unexpected => Err(ClusterError::Protocol(format!(
-                    "shard {} propagated an unregistered punctuation {p}",
-                    self.joins[idx].0
-                ))),
+                _ => None,
+            };
+            if let Some(ri) = record {
+                lifecycle[ri].align_ns = wall_now_ns();
             }
-        })
-    }
-
-    /// Counts one output of local shard `idx` as published.
-    fn count_output(&mut self, idx: usize) {
-        self.report.outputs += 1;
-        if let Some(c) = self.shard_counts.get_mut(idx) {
-            c.1 += 1;
-        }
+            frames.push(&Timestamped::new(ts, element));
+            if let Some(ri) = record {
+                lifecycle[ri].sink_ns = wall_now_ns();
+            }
+            Ok(())
+        });
     }
 
     /// Whether per-punctuation lifecycle stamps are recorded: requires
@@ -706,10 +626,9 @@ impl Worker {
     /// pre-barrier output is already in the sink (single-threaded,
     /// in-order), so the marker published here cleanly separates the cut
     /// for the coordinator's drain. A migration or checkpoint exports
-    /// every shard's post-purge state; a checkpoint then resumes at once
-    /// (the snapshot is a passive copy, so local aligner expectations
-    /// survive — the coordinator stores its own pending log instead),
-    /// while a migration or rollback blocks until its install commits. A
+    /// the join's post-purge state; a checkpoint then resumes at once
+    /// (the snapshot is a passive copy: the join keeps running), while a
+    /// migration or rollback blocks until its install commits. A
     /// rollback exports nothing: its live state is condemned, and the
     /// coordinator restores every worker from the durable store.
     fn on_barrier(
@@ -743,20 +662,29 @@ impl Worker {
         Ok(())
     }
 
-    /// Ships every shard's state to the coordinator as `MigrateState`
-    /// chunks closed by `MigrateStateDone`.
+    /// Ships the join's state to the coordinator as `MigrateState`
+    /// chunks closed by `MigrateStateDone`: per side, one section per
+    /// owned global shard, holding the records that partition to it.
     fn export_state(&mut self, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
         let mut exported: u64 = 0;
-        for (shard, join) in &self.joins {
+        if let (Some(spec), Some(active)) = (&self.spec, &self.active) {
+            let shards = active.map.shards();
             for side in [Side::Left, Side::Right] {
-                let records = join.export_records(side)?;
-                exported += records.len() as u64;
-                for chunk in records.chunks(MIGRATE_CHUNK) {
-                    ctrl.send(&Frame::MigrateState {
-                        shard: *shard as u32,
-                        side: side_index(side),
-                        records: chunk.to_vec(),
-                    })?;
+                let attr = spec.join_attr(side);
+                let mut sections: Vec<Vec<(u64, Tuple)>> = vec![Vec::new(); shards];
+                for (arrival_us, tuple) in active.join.export_records(side)? {
+                    let shard = partition(tuple.get(attr).and_then(Value::join_hash), shards);
+                    sections[shard].push((arrival_us, tuple));
+                }
+                for (shard, records) in sections.iter().enumerate() {
+                    exported += records.len() as u64;
+                    for chunk in records.chunks(MIGRATE_CHUNK) {
+                        ctrl.send(&Frame::MigrateState {
+                            shard: shard as u32,
+                            side: side_index(side),
+                            records: chunk.to_vec(),
+                        })?;
+                    }
                 }
             }
         }
@@ -766,8 +694,8 @@ impl Worker {
     }
 
     /// Ships one cumulative telemetry snapshot to the coordinator:
-    /// lifetime counters, merged latency histograms (live joins plus
-    /// migration-retired ones), per-shard occupancy, per-kind trace
+    /// lifetime counters, merged latency histograms (the live join plus
+    /// migration-retired ones), the join's occupancy, per-kind trace
     /// totals, the full lifecycle log, and the ingest transport counters.
     fn send_report(
         &mut self,
@@ -782,43 +710,25 @@ impl Worker {
         self.report_seq += 1;
         let trace_on = punct_trace::COMPILED && self.telemetry.trace;
         let mut latencies = self.retired;
-        let mut shards = Vec::with_capacity(self.joins.len());
-        for (i, (shard, join)) in self.joins.iter().enumerate() {
-            latencies.merge(join.latencies());
-            let (consumed, emitted) = self.shard_counts.get(i).copied().unwrap_or((0, 0));
-            let state_tuples =
-                (join.state_a().total_tuples() + join.state_b().total_tuples()) as u64;
+        let mut shards = Vec::with_capacity(1);
+        if let Some(active) = &mut self.active {
+            latencies.merge(active.join.latencies());
             shards.push(ShardSnapshot {
-                shard: *shard as u32,
-                consumed,
-                state_tuples,
-                emitted,
+                shard: active.owned.trailing_zeros(),
+                consumed: self.report.elements - self.epoch_start.0,
+                state_tuples: active.join.state_tuples() as u64,
+                emitted: self.report.outputs - self.epoch_start.1,
             });
+            if trace_on {
+                add_trace(&mut self.kind_totals, active.join.take_trace());
+            }
         }
         if trace_on {
-            for (_, join) in &mut self.joins {
-                for e in join.take_trace().events {
-                    let t = &mut self.kind_totals[e.kind.index() as usize];
-                    t.0 += 1;
-                    t.1 += e.dur_ns;
-                }
-            }
-            for e in server.take_trace().events {
-                let t = &mut self.kind_totals[e.kind.index() as usize];
-                t.0 += 1;
-                t.1 += e.dur_ns;
-            }
+            add_trace(&mut self.kind_totals, server.take_trace());
         }
-        let summaries: Vec<KindSummary> = self
-            .kind_totals
-            .iter()
-            .enumerate()
-            .filter(|(_, (count, _))| *count > 0)
-            .map(|(kind, &(count, total_dur_ns))| KindSummary {
-                kind: kind as u8,
-                count,
-                total_dur_ns,
-            })
+        let summaries = (self.kind_totals.iter().enumerate())
+            .filter(|&(_, &(count, _))| count > 0)
+            .map(|(kind, &(count, dur))| KindSummary { kind: kind as u8, count, total_dur_ns: dur })
             .collect();
         let stats = server.stats();
         let report = WorkerTelemetry {
@@ -877,13 +787,15 @@ impl Worker {
                     self.cfg = Some(cfg);
                     self.spec = Some(spec);
                 }
-                let cfg = self.cfg.as_ref().expect("spec decoded above");
-                let joins = map
-                    .shards_of(self.report.worker)
-                    .into_iter()
-                    .map(|s| (s, PJoin::new(cfg.clone())))
-                    .collect();
-                self.staged = Some(Staged { map, joins, imported: 0 });
+                let owned = (map.assignment.iter().enumerate())
+                    .filter(|&(_, &w)| w == worker)
+                    .fold(0u64, |mask, (shard, _)| mask | 1 << shard);
+                if owned == 0 {
+                    let e = format!("shard map epoch {} gives worker {worker} no shard", map.epoch);
+                    return Err(ClusterError::Protocol(e));
+                }
+                let join = PJoin::new(self.cfg.clone().expect("spec decoded above"));
+                self.staged = Some(Epoch { map, owned, join, imported: 0 });
                 Ok(())
             }
             Frame::MigrateState { shard, side, records } => {
@@ -893,16 +805,17 @@ impl Worker {
                     ));
                 };
                 let side = side_from_index(side)?;
-                let Some((_, join)) =
-                    staged.joins.iter_mut().find(|(s, _)| *s == shard as usize)
-                else {
+                // Bounds-checked: the shard number comes off the wire.
+                if staged.map.assignment.get(shard as usize) != Some(&self.report.worker) {
                     return Err(ClusterError::Protocol(format!(
-                        "migration state for unowned shard {shard}"
+                        "migration state for shard {shard}, which staged epoch {} does not give \
+                         worker {}",
+                        staged.map.epoch, self.report.worker
                     )));
-                };
+                }
                 staged.imported += records.len() as u64;
                 for (arrival_us, tuple) in records {
-                    join.import_record(side, tuple, arrival_us);
+                    staged.join.import_record(side, tuple, arrival_us);
                 }
                 Ok(())
             }
@@ -931,24 +844,18 @@ impl Worker {
                     )));
                 }
                 self.report.records_imported += staged.imported;
-                // Retire the outgoing joins' telemetry before they drop:
-                // cumulative reports must keep their samples.
-                if self.telemetry.enabled {
-                    for (_, join) in &mut self.joins {
-                        self.retired.merge(join.latencies());
-                        for e in join.take_trace().events {
-                            let t = &mut self.kind_totals[e.kind.index() as usize];
-                            t.0 += 1;
-                            t.1 += e.dur_ns;
-                        }
-                    }
+                // Retire the outgoing join's telemetry before it drops:
+                // cumulative reports must keep its samples.
+                if let Some(active) = self.active.as_mut().filter(|_| self.telemetry.enabled) {
+                    self.retired.merge(active.join.latencies());
+                    add_trace(&mut self.kind_totals, active.join.take_trace());
                 }
-                self.map = Some(staged.map);
-                self.joins = staged.joins;
-                self.shard_counts = vec![(0, 0); self.joins.len()];
-                // Expectations pending at the barrier die with the old
-                // joins; the coordinator re-injects those punctuations.
-                self.aligner = Aligner::new();
+                self.active = Some(staged);
+                self.epoch_start = (self.report.elements, self.report.outputs);
+                // Punctuations the outgoing join had not propagated die
+                // with it; the coordinator re-injects them, and their new
+                // copies open new lifecycle records.
+                self.unpropagated.clear();
                 // Crossings recorded for superseded operations (e.g. a
                 // checkpoint aborted by the rollback this commit
                 // completes) are pre-commit history: clear them.
@@ -990,6 +897,16 @@ impl Worker {
                 "unexpected control frame: {other:?}"
             ))),
         }
+    }
+}
+
+/// Adds a drained trace log to the per-kind `(count, total span ns)`
+/// totals.
+fn add_trace(totals: &mut [(u64, u64)], log: TraceLog) {
+    for e in log.events {
+        let t = &mut totals[e.kind.index() as usize];
+        t.0 += 1;
+        t.1 += e.dur_ns;
     }
 }
 

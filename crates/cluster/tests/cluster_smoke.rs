@@ -7,11 +7,13 @@ use std::time::Duration;
 
 use pjoin::PJoin;
 use punct_cluster::{
-    run_worker, Cluster, ClusterOptions, DurabilityOptions, JoinSpec, WorkerOptions,
-    WorkerReport,
+    run_worker, Cluster, ClusterOptions, DurabilityOptions, JoinSpec, TelemetrySettings,
+    WorkerOptions, WorkerReport,
 };
 use punct_durable::CheckpointStore;
-use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
+use punct_types::{
+    partition, Bound, Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value,
+};
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, interleave_sides, PunctScheme, StreamConfig};
 
@@ -137,6 +139,114 @@ fn multiset(els: impl IntoIterator<Item = StreamElement>) -> Vec<String> {
     v
 }
 
+/// One single-threaded PJoin's output for `work`, element `i` at time `i`.
+fn single_pjoin(spec: &JoinSpec, work: &[(Side, StreamElement)]) -> Vec<StreamElement> {
+    let mut reference = Vec::new();
+    let mut join = PJoin::new(spec.pjoin_config());
+    let mut out = OpOutput::new();
+    for (i, (side, el)) in work.iter().enumerate() {
+        join.on_element(*side, el.clone(), Timestamp(i as u64), &mut out);
+        reference.extend(out.drain());
+    }
+    while join.on_end(Timestamp(work.len() as u64), &mut out) {}
+    reference.extend(out.drain());
+    reference
+}
+
+/// Keyed pairs (every third key with a second left tuple) closed four
+/// keys behind by constants — except four pairs of keys that land on
+/// global shards 0 and 2 of 4, both owned by worker 0 of two, each
+/// closed by one two-key `In`, and keys 40..48, closed by one `Range` —
+/// then the stream-end wildcards.
+fn multi_shard_workload() -> Vec<(Side, StreamElement)> {
+    let ranged = 40..48i64;
+    let shard_of = |k: i64| partition(Value::Int(k).join_hash(), 4);
+    let on_shard = |s| (0..ranged.start).filter(move |&k| shard_of(k) == s);
+    let pairs: Vec<(i64, i64)> = on_shard(0).zip(on_shard(2)).take(4).collect();
+    assert_eq!(pairs.len(), 4, "keys on both of worker 0's shards");
+    let mut work: Vec<(Side, StreamElement)> = Vec::new();
+    let both = |work: &mut Vec<(Side, StreamElement)>, p: Punctuation| {
+        work.push((Side::Left, p.clone().into()));
+        work.push((Side::Right, p.into()));
+    };
+    for k in 0..64i64 {
+        work.push((Side::Left, Tuple::of((k, 10 * k)).into()));
+        work.push((Side::Right, Tuple::of((k, -k)).into()));
+        if k % 3 == 0 {
+            work.push((Side::Left, Tuple::of((k, 10 * k + 1)).into()));
+        }
+        let c = k - 4;
+        if c < 0 {
+            continue;
+        }
+        if c == ranged.end - 1 {
+            let (lo, hi) = (Value::Int(ranged.start), Value::Int(c));
+            let range = Pattern::range(Bound::Inclusive(lo), Bound::Inclusive(hi)).expect("range");
+            both(&mut work, Punctuation::on_attr(2, 0, range));
+        } else if let Some(&(a, b)) = pairs.iter().find(|&&(a, b)| a.max(b) == c) {
+            let pair = Pattern::In(vec![Value::Int(a), Value::Int(b)]);
+            both(&mut work, Punctuation::on_attr(2, 0, pair));
+        } else if !ranged.contains(&c) && !pairs.iter().any(|&(a, b)| a == c || b == c) {
+            both(&mut work, Punctuation::close_value(2, 0, c));
+        }
+    }
+    both(&mut work, Punctuation::on_attr(2, 0, Pattern::Wildcard));
+    work
+}
+
+/// A worker that owns several global shards hosts one join over them:
+/// two workers on four shards, resized to three half-way, emit one
+/// single-threaded PJoin's tuples and punctuations — including `In`
+/// punctuations over both of worker 0's shards and a broadcast `Range` —
+/// and each reports exactly one state entry, labelled with the lowest
+/// global shard it owns.
+#[test]
+fn a_worker_owning_several_shards_is_one_join() {
+    let spec = JoinSpec::new(2, 2);
+    let work = multi_shard_workload();
+    let reference = single_pjoin(&spec, &work);
+
+    let mut opts = ClusterOptions::new(spec, 2, 4);
+    opts.telemetry = TelemetrySettings { enabled: true, interval_ms: 50, trace: true };
+    let (mut cluster, handles) = start(opts);
+    let mut outputs: Vec<StreamElement> = Vec::new();
+    for (i, (side, el)) in work.iter().enumerate() {
+        if i == work.len() / 2 {
+            assert_eq!(cluster.repartition(3).expect("repartition").shards, 3);
+        }
+        cluster.push(*side, Timestamped::new(Timestamp(i as u64), el.clone())).expect("push");
+        if i % 16 == 0 {
+            outputs.extend(cluster.poll_outputs().expect("poll").into_iter().map(|e| e.item));
+        }
+    }
+    let report = cluster.finish().expect("finish");
+    outputs.extend(report.outputs.into_iter().map(|e| e.item));
+    for h in handles {
+        h.join().expect("worker thread").expect("worker ok");
+    }
+    let (tuples, puncts): (Vec<_>, Vec<_>) = outputs.into_iter().partition(|e| e.is_tuple());
+    let (want_tuples, want_puncts): (Vec<_>, Vec<_>) =
+        reference.into_iter().partition(|e| e.is_tuple());
+    assert_eq!(multiset(tuples), multiset(want_tuples), "joined tuple multiset diverged");
+    assert_eq!(multiset(puncts), multiset(want_puncts), "punctuation multiset diverged");
+
+    let telem = &report.telemetry;
+    for w in 0..2u32 {
+        let last = telem.worker(w as usize).expect("a final report");
+        assert!(last.final_flush);
+        assert_eq!(last.shards.len(), 1, "worker {w} reports one join: {:?}", last.shards);
+        // Round robin over three shards: worker 0 owns 0 and 2, worker 1 owns 1.
+        assert_eq!(last.shards[0].shard, w, "the lowest global shard worker {w} owns");
+    }
+    if punct_trace::COMPILED {
+        for span in telem.spans() {
+            for lane in &span.workers {
+                assert!(lane.complete() && lane.monotone(), "span {}: {lane:?}", span.seq);
+            }
+        }
+    }
+}
+
 /// How many sink elements the coordinator absorbs from a worker between
 /// two acknowledgements to it (`ACK_EVERY` in `coordinator.rs`).
 const ACK_EVERY: u64 = 4096;
@@ -230,17 +340,7 @@ fn worker_sinks_stay_bounded_without_durability() {
 fn a_cut_after_a_resize_restores_into_the_original_shard_count() {
     let spec = JoinSpec::new(2, 2);
     let work = keyed_workload(96);
-    let mut reference: Vec<StreamElement> = Vec::new();
-    {
-        let mut join = PJoin::new(spec.pjoin_config());
-        let mut out = OpOutput::new();
-        for (i, (side, el)) in work.iter().enumerate() {
-            join.on_element(*side, el.clone(), Timestamp(i as u64), &mut out);
-            reference.extend(out.drain());
-        }
-        while join.on_end(Timestamp(work.len() as u64), &mut out) {}
-        reference.extend(out.drain());
-    }
+    let reference = single_pjoin(&spec, &work);
     let dir = std::env::temp_dir().join(format!("pjoin_smoke_cut_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let element = |i: usize, el: &StreamElement| Timestamped::new(Timestamp(i as u64), el.clone());

@@ -3,9 +3,7 @@
 use pjoin::PJoinConfig;
 use punct_types::{batch::DEFAULT_BATCH_ELEMS, BatchConfig};
 
-/// Upper bound on the shard count: the punctuation aligner tracks the
-/// shards that have propagated a punctuation in a `u64` bitmask.
-pub const MAX_SHARDS: usize = 64;
+pub use punct_types::MAX_SHARDS;
 
 /// Default capacity (in messages) of the caller → router channel.
 pub const DEFAULT_INPUT_CAPACITY: usize = 1024;

@@ -97,17 +97,6 @@ impl ShardMetrics {
             latencies: *self.latencies.lock().expect("latencies lock"),
         }
     }
-
-    /// A point-in-time copy in the telemetry plane's wire shape, tagged
-    /// with the shard's global index.
-    pub fn telemetry_snapshot(&self, shard: u32) -> punct_trace::ShardSnapshot {
-        punct_trace::ShardSnapshot {
-            shard,
-            consumed: self.consumed.load(Ordering::Relaxed),
-            state_tuples: self.state_tuples.load(Ordering::Relaxed),
-            emitted: self.emitted.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,17 +121,6 @@ mod tests {
         assert_eq!(m.snapshot().consumed, 0);
         m.publish(10, 7, 3);
         let snap = m.snapshot();
-        assert_eq!(snap.consumed, 10);
-        assert_eq!(snap.state_tuples, 7);
-        assert_eq!(snap.emitted, 3);
-    }
-
-    #[test]
-    fn telemetry_snapshot_mirrors_counters() {
-        let m = ShardMetrics::new();
-        m.publish(10, 7, 3);
-        let snap = m.telemetry_snapshot(5);
-        assert_eq!(snap.shard, 5);
         assert_eq!(snap.consumed, 10);
         assert_eq!(snap.state_tuples, 7);
         assert_eq!(snap.emitted, 3);

@@ -178,9 +178,10 @@ pub enum Frame {
         sink_addr: String,
     },
     /// Coordinator → worker: a new shard-map epoch. The worker named by
-    /// `worker` (re)builds its owned shards from the map and the opaque
-    /// operator configuration blob, then applies any `MigrateState`
-    /// that follows before `MigrateCommit` activates the epoch.
+    /// `worker` builds a join over its owned shards from the map and the
+    /// opaque operator configuration blob, then applies any
+    /// `MigrateState` that follows before `MigrateCommit` activates the
+    /// epoch. A map holds `1..=MAX_SHARDS` shards.
     ShardMapUpdate {
         /// Which worker this update addresses (workers validate it).
         worker: u32,
@@ -738,7 +739,7 @@ mod tests {
             },
             Frame::ShardMapUpdate {
                 worker: 0,
-                map: ShardMap { epoch: 0, assignment: Vec::new() },
+                map: ShardMap { epoch: 0, assignment: vec![0] },
                 config: Vec::new(),
             },
             Frame::MigrateBegin { epoch: 4, nonce: 0xDEAD_BEEF },

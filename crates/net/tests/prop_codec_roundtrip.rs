@@ -146,7 +146,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         (
             any::<u32>(),
             any::<u64>(),
-            proptest::collection::vec(any::<u32>(), 0..8),
+            proptest::collection::vec(any::<u32>(), 1..8),
             proptest::collection::vec(any::<u8>(), 0..32),
         )
             .prop_map(|(worker, epoch, assignment, config)| Frame::ShardMapUpdate {
@@ -563,6 +563,10 @@ fn malformed_corpus_errors_cleanly() {
             b.push(77); // unknown pattern tag
             b
         }),
+        // A worker would divide by zero routing its first tuple under a
+        // map of no shards, and shard bitmasks hold at most 64.
+        ("shard map of no shards", shard_map_update(0)),
+        ("shard map of 65 shards", shard_map_update(65)),
     ];
     for (what, payload) in corpus {
         assert!(
@@ -570,6 +574,12 @@ fn malformed_corpus_errors_cleanly() {
             "malformed case {what:?} must fail to decode"
         );
     }
+}
+
+/// A `ShardMapUpdate` payload assigning `shards` shards to worker 0.
+fn shard_map_update(shards: usize) -> Vec<u8> {
+    let map = punct_types::ShardMap { epoch: 1, assignment: vec![0; shards] };
+    encode_frame(&Frame::ShardMapUpdate { worker: 0, map, config: Vec::new() })[4..].to_vec()
 }
 
 /// The framing layer rejects hostile length prefixes before allocating.

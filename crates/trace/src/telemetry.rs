@@ -95,16 +95,19 @@ fn get_latencies(r: &mut WireReader<'_>) -> Result<JoinLatencies, WireError> {
     })
 }
 
-/// One shard's occupancy and progress counters at snapshot time.
+/// One join's occupancy and progress counters at snapshot time. A
+/// cluster worker hosts one join over every global shard it owns and
+/// reports one snapshot for it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
-    /// Global shard index.
+    /// The lowest global shard the join covers: for a cluster worker,
+    /// the lowest global shard it owns under the active shard map.
     pub shard: u32,
-    /// Elements consumed by the shard's operator.
+    /// Elements the join consumed since it was installed.
     pub consumed: u64,
-    /// Tuples resident in the shard's join state (both sides).
+    /// Tuples resident in the join state (both sides).
     pub state_tuples: u64,
-    /// Joined tuples emitted by the shard.
+    /// Outputs the join emitted since it was installed.
     pub emitted: u64,
 }
 
@@ -142,9 +145,11 @@ pub struct PunctRecord {
     pub key: u64,
     /// Arrival at the worker's element handler.
     pub ingest_ns: u64,
-    /// Last target shard finished applying it (purge complete).
+    /// The worker's join finished applying it (purge complete).
     pub purge_ns: u64,
-    /// The worker-local aligner observed the final shard propagation.
+    /// The worker drained the join's propagation of it. The join emits
+    /// each punctuation once, so nothing is aligned in the worker: the
+    /// stamp marks the propagation itself.
     pub align_ns: u64,
     /// Published to the worker's sink.
     pub sink_ns: u64,
@@ -185,10 +190,11 @@ pub struct WorkerTelemetry {
     pub elements: u64,
     /// Elements published to the sink (worker lifetime).
     pub outputs: u64,
-    /// Merged latency histograms over every shard the worker has hosted
+    /// Merged latency histograms over every join the worker has hosted
     /// (retired epochs included — cumulative, virtual-time µs).
     pub latencies: JoinLatencies,
-    /// Live shard occupancy under the active epoch.
+    /// Live occupancy under the active epoch: one entry, for the
+    /// worker's join, once an epoch is active.
     pub shards: Vec<ShardSnapshot>,
     /// Cumulative per-kind trace totals.
     pub summaries: Vec<KindSummary>,

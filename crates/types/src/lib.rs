@@ -51,7 +51,7 @@ pub use punct_seq::{PunctSeq, PunctSeqAssigner};
 pub use punct_set::{PunctId, PunctuationSet};
 pub use punctuation::Punctuation;
 pub use schema::{Field, Schema};
-pub use shard_map::{partition, ShardMap};
+pub use shard_map::{partition, ShardMap, MAX_SHARDS};
 pub use stream::{StreamElement, Timestamp, Timestamped};
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};

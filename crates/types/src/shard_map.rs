@@ -17,6 +17,11 @@
 
 use crate::wire::{put_u32, put_u64, WireError, WireReader};
 
+/// Upper bound on a shard count: a punctuation's target shards are a
+/// `u64` bitmask (`punct_exec::Route::mask`, the aligners, a cluster
+/// worker's owned set), so a 65th shard would shift out of the word.
+pub const MAX_SHARDS: usize = 64;
+
 /// Which shard (of `shards`) owns join hash `hash`.
 ///
 /// `None` (unjoinable keys: null join attributes) deterministically maps
@@ -70,16 +75,6 @@ impl ShardMap {
         self.assignment[partition(hash, self.shards())]
     }
 
-    /// The global shards owned by `worker`, ascending.
-    pub fn shards_of(&self, worker: u32) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w == worker)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
     /// Number of distinct workers referenced by the assignment.
     pub fn workers(&self) -> usize {
         self.assignment.iter().map(|&w| w as usize + 1).max().unwrap_or(0)
@@ -96,9 +91,20 @@ impl ShardMap {
     }
 
     /// Decodes a map written by [`encode_into`](ShardMap::encode_into).
+    /// A shard count outside `1..=MAX_SHARDS` is an error: zero shards
+    /// would divide by zero in [`partition`], and more than
+    /// [`MAX_SHARDS`] would not fit a shard bitmask.
     pub fn decode(r: &mut WireReader) -> Result<ShardMap, WireError> {
         let epoch = r.u64("shardmap epoch")?;
         let count = r.count("shardmap count", 4)?;
+        if !(1..=MAX_SHARDS).contains(&count) {
+            return Err(WireError::OutOfRange {
+                what: "shardmap count",
+                value: count as u64,
+                min: 1,
+                max: MAX_SHARDS as u64,
+            });
+        }
         let mut assignment = Vec::with_capacity(count);
         for _ in 0..count {
             assignment.push(r.u32("shardmap worker")?);
@@ -131,8 +137,6 @@ mod tests {
     fn round_robin_covers_all_workers() {
         let map = ShardMap::round_robin(1, 5, 2);
         assert_eq!(map.assignment, vec![0, 1, 0, 1, 0]);
-        assert_eq!(map.shards_of(0), vec![0, 2, 4]);
-        assert_eq!(map.shards_of(1), vec![1, 3]);
         assert_eq!(map.workers(), 2);
         assert_eq!(map.shards(), 5);
     }
@@ -146,5 +150,18 @@ mod tests {
         let back = ShardMap::decode(&mut r).expect("decode");
         r.finish().expect("no trailing bytes");
         assert_eq!(back, map);
+    }
+
+    #[test]
+    fn decode_rejects_shard_counts_outside_one_to_max() {
+        for shards in [0, MAX_SHARDS + 1] {
+            let mut buf = Vec::new();
+            ShardMap { epoch: 1, assignment: vec![0; shards] }.encode_into(&mut buf);
+            let err = ShardMap::decode(&mut WireReader::new(&buf)).expect_err("out of range");
+            assert!(matches!(err, WireError::OutOfRange { value, .. } if value == shards as u64));
+        }
+        let mut buf = Vec::new();
+        ShardMap::round_robin(1, MAX_SHARDS, 3).encode_into(&mut buf);
+        assert_eq!(ShardMap::decode(&mut WireReader::new(&buf)).expect("64 shards").shards(), 64);
     }
 }

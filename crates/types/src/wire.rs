@@ -76,6 +76,17 @@ pub enum WireError {
         /// How many bytes were left over.
         count: usize,
     },
+    /// A decoded quantity lies outside the range its structure allows.
+    OutOfRange {
+        /// What was being decoded.
+        what: &'static str,
+        /// The decoded value.
+        value: u64,
+        /// The smallest value allowed.
+        min: u64,
+        /// The largest value allowed.
+        max: u64,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -92,6 +103,9 @@ impl fmt::Display for WireError {
             }
             WireError::TrailingBytes { count } => {
                 write!(f, "{count} trailing byte(s) after decoded structure")
+            }
+            WireError::OutOfRange { what, value, min, max } => {
+                write!(f, "{what} {value} outside {min}..={max}")
             }
         }
     }
