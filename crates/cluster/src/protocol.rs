@@ -354,9 +354,9 @@ impl CtrlConn {
         Ok(())
     }
 
-    /// Returns a buffered frame, or picks up whatever the socket has
-    /// queued — **without blocking**. `Ok(None)` means no complete frame
-    /// yet.
+    /// Returns a buffered frame, or picks up one chunk of what the
+    /// socket has queued — **without blocking**. `Ok(None)` means no
+    /// complete frame yet.
     pub fn poll_recv(&mut self) -> Result<Option<Frame>, ClusterError> {
         if let Some(frame) = self.fb.next_frame()? {
             return Ok(Some(frame));

@@ -1,23 +1,31 @@
-//! The source client: pushes one punctuated stream to an ingest server,
-//! surviving disconnects by reconnecting with deterministic backoff and
-//! resuming from the sequence the server acknowledged in its handshake.
+//! The source client. [`StreamSender`] pushes one punctuated stream to
+//! an ingest server, surviving disconnects by reconnecting with
+//! deterministic backoff and resuming from the sequence the server
+//! acknowledged in its handshake. [`send_stream`] and [`spawn_source`]
+//! drive it over a whole stream known up front.
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use punct_trace::event::TraceKind;
-use punct_trace::{TraceLog, TraceSettings, Tracer, LANE_NET_CLIENT};
+use punct_trace::{SpanStart, TraceLog, TraceSettings, Tracer, LANE_NET_CLIENT};
 use punct_types::{Schema, StreamElement, Timestamped};
 use stream_sim::Side;
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::error::NetError;
-use crate::frame::{encode_data_batch_into, encode_frame_into, Frame, FrameBuffer, WIRE_VERSION};
+use crate::frame::{
+    encode_data_batch_into, encode_frame, encode_frame_into, Frame, FrameBuffer, WIRE_VERSION,
+};
 use crate::wait::{read_available, wait_readable};
+
+/// How long [`StreamSender::flush`] waits, holding credit with nothing
+/// left to write, for an ack before it suspects a dropped tail and
+/// re-handshakes.
+const LOST_TAIL_PROBE: Duration = Duration::from_millis(250);
 
 /// How a source client connects and paces itself.
 #[derive(Debug, Clone)]
@@ -39,15 +47,6 @@ pub struct ClientOptions {
     /// How long to wait for `HelloAck` / `FinAck` before treating the
     /// connection as dead.
     pub handshake_timeout: Duration,
-    /// How long to wait for a credit grant while stalled before treating
-    /// the connection as dead. `None` (the default) waits indefinitely:
-    /// a stall is backpressure — the server grants credit only as the
-    /// executor drains — and backpressure is supposed to propagate to
-    /// the source, not kill the connection. A genuinely dead peer still
-    /// surfaces as a socket error (close/reset) from the drain reads;
-    /// set a timeout only if half-open connections (no FIN, no RST)
-    /// must also be bounded.
-    pub credit_stall_timeout: Option<Duration>,
     /// Tracing for this client.
     pub trace: TraceSettings,
 }
@@ -60,7 +59,6 @@ impl Default for ClientOptions {
             batch: 64,
             max_batch_bytes: punct_types::BatchConfig::default().max_bytes,
             handshake_timeout: Duration::from_secs(5),
-            credit_stall_timeout: None,
             trace: TraceSettings::default(),
         }
     }
@@ -91,19 +89,16 @@ pub struct SendReport {
     pub frames_sent: u64,
     /// Bytes written to sockets.
     pub bytes_sent: u64,
-    /// Times the client stalled waiting for credit.
+    /// Times the credit window closed with elements still unsent.
     pub credit_stalls: u64,
     /// The client's trace events.
     pub trace: TraceLog,
 }
 
-/// Sends `elements` as stream `stream` to the ingest server at `addr`,
-/// reconnecting (and resuming from the server's acknowledged sequence)
-/// until the whole stream is delivered or the retry budget is spent.
-///
-/// Delivery is exactly-once from the receiver's point of view: the
-/// server's `HelloAck` names the first unreceived sequence, the client
-/// resumes precisely there, and the server suppresses anything below it.
+/// Sends `elements` as stream `stream` to the ingest server at `addr`:
+/// a [`StreamSender`] is pushed every element and then finished, so the
+/// stream is delivered exactly once (or the retry budget is spent) when
+/// this returns.
 pub fn send_stream(
     addr: SocketAddr,
     stream: u32,
@@ -112,318 +107,32 @@ pub fn send_stream(
     elements: &[Timestamped<StreamElement>],
     opts: &ClientOptions,
 ) -> Result<SendReport, NetError> {
-    send_stream_cancellable(addr, stream, side, schema, elements, opts, &AtomicBool::new(false))
+    let sender = StreamSender::new(addr, stream, side, schema.clone(), opts.clone());
+    sender.send_all(elements.iter().cloned())
 }
 
-/// [`send_stream`] with a cancellation flag (used by tests that kill a
-/// client mid-stream to exercise resume).
-pub fn send_stream_cancellable(
+/// Spawns a thread that sends `elements` the way [`send_stream`] does,
+/// moving them into the sender rather than cloning them; join the
+/// handle for the report. Used by examples and tests that drive several
+/// source clients concurrently.
+pub fn spawn_source(
     addr: SocketAddr,
     stream: u32,
     side: Side,
-    schema: &Schema,
-    elements: &[Timestamped<StreamElement>],
-    opts: &ClientOptions,
-    cancel: &AtomicBool,
-) -> Result<SendReport, NetError> {
-    let mut tracer = Tracer::new(opts.trace);
-    tracer.set_lane(LANE_NET_CLIENT);
-    let mut backoff = Backoff::new(opts.policy.clone(), opts.seed);
-    let mut report = SendReport {
-        acked: 0,
-        reconnects: 0,
-        frames_sent: 0,
-        bytes_sent: 0,
-        credit_stalls: 0,
-        trace: TraceLog::default(),
-    };
-    let mut attempt: u32 = 0;
-    loop {
-        if cancel.load(Ordering::SeqCst) {
-            report.trace = tracer.take();
-            return Err(NetError::Io(std::io::Error::new(
-                ErrorKind::Interrupted,
-                "cancelled",
-            )));
-        }
-        // The retry budget counts *consecutive non-progressing*
-        // failures, not lifetime disconnects: a session that advanced
-        // the ack mark (including via the resume point its handshake
-        // learned from the previous session's delivery) earns a fresh
-        // budget. A long lossy transfer that keeps moving therefore
-        // completes, while a peer that accepts connections without ever
-        // making progress still exhausts the budget.
-        let acked_before = report.acked;
-        match session(
-            addr, stream, side, schema, elements, opts, attempt, cancel, &mut tracer, &mut report,
-        ) {
-            Ok(()) => {
-                report.trace = tracer.take();
-                return Ok(report);
-            }
-            Err(e) if e.is_retryable() => {
-                if report.acked > acked_before {
-                    backoff.reset();
-                }
-                match backoff.next_delay() {
-                    Some(delay) => {
-                        attempt += 1;
-                        std::thread::sleep(delay);
-                    }
-                    None => {
-                        report.trace = tracer.take();
-                        return Err(NetError::RetriesExhausted {
-                            attempts: backoff.attempts(),
-                            last: e.to_string(),
-                        });
-                    }
-                }
-            }
-            Err(e) => {
-                report.trace = tracer.take();
-                return Err(e);
-            }
-        }
-    }
+    schema: Schema,
+    elements: Vec<Timestamped<StreamElement>>,
+    opts: ClientOptions,
+) -> std::thread::JoinHandle<Result<SendReport, NetError>> {
+    std::thread::Builder::new()
+        .name(format!("net-source-{stream}"))
+        .spawn(move || StreamSender::new(addr, stream, side, schema, opts).send_all(elements))
+        .expect("spawn source client thread")
 }
 
-/// One connection's lifetime: handshake, credit-paced send, Fin/FinAck.
-#[allow(clippy::too_many_arguments)]
-fn session(
-    addr: SocketAddr,
-    stream: u32,
-    side: Side,
-    schema: &Schema,
-    elements: &[Timestamped<StreamElement>],
-    opts: &ClientOptions,
-    attempt: u32,
-    cancel: &AtomicBool,
-    tracer: &mut Tracer,
-    report: &mut SendReport,
-) -> Result<(), NetError> {
-    let mut sock = TcpStream::connect(addr)?;
-    sock.set_nodelay(true)?;
-    let mut fb = FrameBuffer::new();
-    let mut conn = Conn { sock: &mut sock, fb: &mut fb };
-
-    // Handshake.
-    let mut hello_buf = Vec::with_capacity(128);
-    encode_frame_into(
-        &Frame::Hello {
-            stream,
-            side: u8::from(side == Side::Right),
-            wire_version: WIRE_VERSION,
-            schema: schema.clone(),
-        },
-        &mut hello_buf,
-    );
-    conn.sock.write_all(&hello_buf)?;
-    report.bytes_sent += hello_buf.len() as u64;
-    let (resume_from, mut credits) =
-        match conn.read_frame_deadline(opts.handshake_timeout)? {
-            Frame::HelloAck { resume_from, credits, wire_version } => {
-                if wire_version != WIRE_VERSION {
-                    return Err(NetError::Protocol {
-                        code: crate::frame::error_code::VERSION_MISMATCH,
-                        message: format!(
-                            "server speaks wire version {wire_version}, client speaks {WIRE_VERSION}"
-                        ),
-                    });
-                }
-                (resume_from, credits)
-            }
-            Frame::Error { code, message } => return Err(NetError::Protocol { code, message }),
-            other => return Err(NetError::Handshake(format!("expected HelloAck, got {other:?}"))),
-        };
-    if resume_from > elements.len() as u64 {
-        return Err(NetError::Handshake(format!(
-            "server asks to resume from {resume_from} of a {}-element stream",
-            elements.len()
-        )));
-    }
-    if attempt > 0 {
-        report.reconnects += 1;
-        tracer.instant(TraceKind::NetReconnect, 0, attempt as u64, resume_from);
-    }
-    report.acked = report.acked.max(resume_from);
-
-    // Credit-paced send loop.
-    let mut next = resume_from as usize;
-    let mut buf = Vec::with_capacity(32 * 1024);
-    let mut progress = SessionProgress::default();
-    while next < elements.len() {
-        if credits == 0 {
-            report.credit_stalls += 1;
-            let span = tracer.span_start();
-            // A stall is backpressure, not failure: wait for credit as
-            // long as the socket stays healthy (a dead peer surfaces as
-            // an error from the drain reads), bounded only by the
-            // optional credit-stall timeout — NOT the handshake timeout,
-            // which is far too short for a slow consumer.
-            let deadline = opts.credit_stall_timeout.map(|t| Instant::now() + t);
-            while credits == 0 {
-                if cancel.load(Ordering::SeqCst) {
-                    return Err(NetError::Io(std::io::Error::new(
-                        ErrorKind::Interrupted,
-                        "cancelled",
-                    )));
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(NetError::Io(std::io::Error::new(
-                        ErrorKind::TimedOut,
-                        "no credit grant within the stall timeout",
-                    )));
-                }
-                conn.drain(Some(Duration::from_millis(20)), &mut credits, &mut progress)?;
-                progress.check()?;
-            }
-            tracer.span_end(span, TraceKind::NetStall, 0, stream as u64, 0);
-        }
-        let n = (elements.len() - next).min(opts.batch).min(credits as usize);
-        buf.clear();
-        let span = tracer.span_start();
-        if opts.batch <= 1 {
-            // Per-element mode: plain `Data` frames, byte-identical to
-            // the unbatched protocol.
-            for (i, el) in elements[next..next + n].iter().enumerate() {
-                encode_frame_into(
-                    &Frame::Data { seq: (next + i) as u64, element: el.clone() },
-                    &mut buf,
-                );
-            }
-        } else {
-            // One `DataBatch` frame per `max_batch_bytes` of payload —
-            // usually exactly one — all flushed in a single write below.
-            let mut off = 0usize;
-            while off < n {
-                let taken = encode_data_batch_into(
-                    (next + off) as u64,
-                    &elements[next + off..next + n],
-                    opts.max_batch_bytes,
-                    &mut buf,
-                );
-                tracer.instant(TraceKind::NetBatch, 0, stream as u64, taken as u64);
-                off += taken;
-            }
-        }
-        tracer.span_end(span, TraceKind::NetEncode, elements[next].ts.as_micros(), buf.len() as u64, n as u64);
-        conn.sock.write_all(&buf)?;
-        report.frames_sent += n as u64;
-        report.bytes_sent += buf.len() as u64;
-        credits -= n as u32;
-        next += n;
-        // Opportunistically pick up credit and ack frames so the
-        // server's write side never backs up.
-        conn.drain(None, &mut credits, &mut progress)?;
-        progress.check()?;
-        report.acked = report.acked.max(progress.acked);
-    }
-
-    // Fin / FinAck. Sent once everything is *written*; the server's Fin
-    // handling acknowledges the tail, so waiting for full acks first
-    // would deadlock against its ack batching.
-    let mut fin_buf = Vec::with_capacity(16);
-    encode_frame_into(&Frame::Fin { count: elements.len() as u64 }, &mut fin_buf);
-    conn.sock.write_all(&fin_buf)?;
-    report.bytes_sent += fin_buf.len() as u64;
-    let deadline = Instant::now() + opts.handshake_timeout;
-    while !progress.fin_acked {
-        if Instant::now() >= deadline {
-            return Err(NetError::Io(std::io::Error::new(
-                ErrorKind::TimedOut,
-                "no FinAck within the timeout",
-            )));
-        }
-        conn.drain(Some(Duration::from_millis(20)), &mut credits, &mut progress)?;
-        progress.check()?;
-        report.acked = report.acked.max(progress.acked);
-    }
-    report.acked = report.acked.max(progress.acked);
-    Ok(())
-}
-
-/// Feedback collected from server→client frames during a session.
-#[derive(Debug, Default)]
-struct SessionProgress {
-    acked: u64,
-    fin_acked: bool,
-    error: Option<(u16, String)>,
-}
-
-impl SessionProgress {
-    /// Surfaces a server-reported error as the session's failure.
-    fn check(&mut self) -> Result<(), NetError> {
-        match self.error.take() {
-            Some((code, message)) => Err(NetError::Protocol { code, message }),
-            None => Ok(()),
-        }
-    }
-}
-
-struct Conn<'a> {
-    sock: &'a mut TcpStream,
-    fb: &'a mut FrameBuffer,
-}
-
-impl Conn<'_> {
-    /// Blocks until one frame arrives, bounded by `deadline`.
-    fn read_frame_deadline(&mut self, deadline: Duration) -> Result<Frame, NetError> {
-        let end = Instant::now() + deadline;
-        loop {
-            if let Some(f) = self.fb.next_frame()? {
-                return Ok(f);
-            }
-            let now = Instant::now();
-            if now >= end {
-                return Err(NetError::Io(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    "timed out waiting for a frame",
-                )));
-            }
-            wait_readable(&[self.sock.as_fd()], end - now)?;
-            read_available(self.sock, self.fb)?;
-        }
-    }
-
-    /// Reads whatever the server has sent and folds it into the session
-    /// state. `wait: None` only picks up what is already queued;
-    /// `Some(d)` first blocks up to `d` for the socket to become
-    /// readable.
-    fn drain(
-        &mut self,
-        wait: Option<Duration>,
-        credits: &mut u32,
-        progress: &mut SessionProgress,
-    ) -> Result<(), NetError> {
-        if let Some(d) = wait {
-            wait_readable(&[self.sock.as_fd()], d)?;
-        }
-        read_available(self.sock, self.fb)?;
-        while let Some(frame) = self.fb.next_frame()? {
-            match frame {
-                Frame::Credit { n } => *credits += n,
-                Frame::Ack { up_to } => progress.acked = progress.acked.max(up_to),
-                Frame::FinAck => progress.fin_acked = true,
-                Frame::Error { code, message } => {
-                    progress.error = Some((code, message));
-                    return Ok(()); // surfaced by the next check()
-                }
-                other => {
-                    return Err(NetError::Handshake(format!(
-                        "unexpected server frame: {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A *persistent incremental* source client: unlike [`send_stream`]
-/// (which delivers a complete, known-up-front stream), a `StreamSender`
-/// accepts elements one at a time over its whole lifetime — the shape
-/// the cluster coordinator needs to feed workers while routing decisions
-/// happen element by element.
+/// The one source client: a persistent sender that accepts elements one
+/// at a time over its whole lifetime — the shape the cluster coordinator
+/// needs to feed workers while routing decisions happen element by
+/// element, and what [`send_stream`] drives over a whole stream.
 ///
 /// Pushed tuples are **coalesced**: the sender writes when a full
 /// [`ClientOptions::batch`] is unsent, when a punctuation is pushed
@@ -438,10 +147,16 @@ impl Conn<'_> {
 /// server's acknowledged sequence. [`flush`](StreamSender::flush) blocks
 /// until everything pushed so far is *acknowledged* (not merely
 /// written), which is what makes it a real barrier: after a successful
-/// flush the receiver has forwarded every element downstream. If acks
-/// stall (e.g. a fault dropped the tail), the flush forces a reconnect —
-/// the handshake's `resume_from` reveals exactly what the server is
-/// missing and the sender retransmits it.
+/// flush the receiver has forwarded every element downstream. The
+/// blocking calls space failed attempts by the backoff schedule; its
+/// budget counts consecutive failures that acknowledged nothing new.
+///
+/// If acks stop while the sender holds credit and has nothing left to
+/// write, the tail may have been dropped in transit: after 250 ms the
+/// flush re-handshakes, the handshake's `resume_from` reveals exactly
+/// what the server is missing, and the sender retransmits it. With zero
+/// credit the server owes the next frame, so silence is backpressure
+/// and the sender keeps waiting.
 pub struct StreamSender {
     addr: SocketAddr,
     stream: u32,
@@ -449,7 +164,7 @@ pub struct StreamSender {
     schema: Schema,
     opts: ClientOptions,
     /// Unacknowledged elements; `buffer[i]` carries sequence `base + i`.
-    buffer: std::collections::VecDeque<Timestamped<StreamElement>>,
+    buffer: VecDeque<Timestamped<StreamElement>>,
     /// Sequence of `buffer[0]` == elements already acknowledged.
     base: u64,
     /// Next sequence to write on the current connection.
@@ -463,8 +178,17 @@ pub struct StreamSender {
     connected_once: bool,
     reconnects: u32,
     finished: bool,
+    /// Spaces failed attempts in `flush` / `finish`; reset whenever the
+    /// ack mark advances.
+    backoff: Backoff,
     /// Encode buffer, reused across writes.
     out: Vec<u8>,
+    frames_sent: u64,
+    bytes_sent: u64,
+    credit_stalls: u64,
+    /// The open credit stall, if the window closed with elements unsent.
+    stall: Option<SpanStart>,
+    tracer: Tracer,
 }
 
 impl StreamSender {
@@ -477,13 +201,16 @@ impl StreamSender {
         schema: Schema,
         opts: ClientOptions,
     ) -> StreamSender {
+        let backoff = Backoff::new(opts.policy.clone(), opts.seed);
+        let mut tracer = Tracer::new(opts.trace);
+        tracer.set_lane(LANE_NET_CLIENT);
         StreamSender {
             addr,
             stream,
             side,
             schema,
             opts,
-            buffer: std::collections::VecDeque::new(),
+            buffer: VecDeque::new(),
             base: 0,
             sent: 0,
             pushed: 0,
@@ -493,7 +220,13 @@ impl StreamSender {
             connected_once: false,
             reconnects: 0,
             finished: false,
+            backoff,
             out: Vec::with_capacity(4 * 1024),
+            frames_sent: 0,
+            bytes_sent: 0,
+            credit_stalls: 0,
+            stall: None,
+            tracer,
         }
     }
 
@@ -573,42 +306,21 @@ impl StreamSender {
     }
 
     /// Blocks until every element pushed so far is acknowledged by the
-    /// server. Reconnects (with the configured backoff budget) as needed;
-    /// forces a re-handshake when acks stall, so a dropped tail is
-    /// detected and retransmitted rather than waited on forever.
+    /// server, reconnecting as needed and re-handshaking when a tail
+    /// looks lost (see the type's docs).
     pub fn flush(&mut self) -> Result<(), NetError> {
-        let mut backoff = Backoff::new(self.opts.policy.clone(), self.opts.seed);
-        // How long to wait for ack progress before suspecting a dropped
-        // tail and re-syncing via the handshake. Generous against slow
-        // consumers (backpressure stalls release credits eventually and
-        // count as progress).
-        let ack_probe = Duration::from_millis(250);
         let mut last_progress = Instant::now();
         while self.base < self.pushed {
             let before = (self.base, self.sent, self.credits);
-            match self.pump(true) {
-                Ok(()) => {}
-                Err(e) if e.is_retryable() => {
-                    self.drop_conn();
-                    match backoff.next_delay() {
-                        Some(delay) => std::thread::sleep(delay),
-                        None => {
-                            return Err(NetError::RetriesExhausted {
-                                attempts: backoff.attempts(),
-                                last: e.to_string(),
-                            })
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
+            if let Err(e) = self.pump(true) {
+                self.retry_after(e)?;
             }
             if (self.base, self.sent, self.credits) != before {
                 last_progress = Instant::now();
-                backoff.reset();
-            } else if Instant::now().duration_since(last_progress) > ack_probe {
-                // No acks, no credits, nothing left to write: the tail
-                // may have been dropped in transit. Re-handshake; the
-                // server's resume_from tells us exactly where to resend.
+            } else if self.credits > 0 && last_progress.elapsed() > LOST_TAIL_PROBE {
+                // Credit in hand, nothing left to write, no acks: the
+                // tail may have been dropped in transit. Re-handshake;
+                // the server's resume_from tells us where to resend.
                 self.drop_conn();
                 last_progress = Instant::now();
             }
@@ -621,63 +333,97 @@ impl StreamSender {
     /// sender accepts no more pushes.
     pub fn finish(&mut self) -> Result<(), NetError> {
         self.flush()?;
-        let mut backoff = Backoff::new(self.opts.policy.clone(), self.opts.seed);
-        loop {
-            match self.try_finish() {
-                Ok(()) => {
-                    self.finished = true;
-                    return Ok(());
-                }
-                Err(e) if e.is_retryable() => {
-                    self.drop_conn();
-                    match backoff.next_delay() {
-                        Some(delay) => std::thread::sleep(delay),
-                        None => {
-                            return Err(NetError::RetriesExhausted {
-                                attempts: backoff.attempts(),
-                                last: e.to_string(),
-                            })
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
+        while let Err(e) = self.try_finish() {
+            self.retry_after(e)?;
+        }
+        self.finished = true;
+        Ok(())
+    }
+
+    /// Pushes every element, finishes, and reports the transfer.
+    fn send_all(
+        mut self,
+        elements: impl IntoIterator<Item = Timestamped<StreamElement>>,
+    ) -> Result<SendReport, NetError> {
+        for element in elements {
+            self.push(element)?;
+        }
+        self.finish()?;
+        Ok(SendReport {
+            acked: self.base,
+            reconnects: self.reconnects,
+            frames_sent: self.frames_sent,
+            bytes_sent: self.bytes_sent,
+            credit_stalls: self.credit_stalls,
+            trace: self.tracer.take(),
+        })
+    }
+
+    /// Absorbs a retryable failure: drops the connection and sleeps out
+    /// the next backoff delay, or gives up once the budget is spent.
+    fn retry_after(&mut self, e: NetError) -> Result<(), NetError> {
+        if !e.is_retryable() {
+            return Err(e);
+        }
+        self.drop_conn();
+        match self.backoff.next_delay() {
+            Some(delay) => {
+                std::thread::sleep(delay);
+                Ok(())
             }
+            None => Err(NetError::RetriesExhausted {
+                attempts: self.backoff.attempts(),
+                last: e.to_string(),
+            }),
         }
     }
 
     fn try_finish(&mut self) -> Result<(), NetError> {
         self.ensure_conn()?;
-        let (sock, _) = self.conn.as_mut().expect("connection just ensured");
-        let mut fin_buf = Vec::with_capacity(16);
-        encode_frame_into(&Frame::Fin { count: self.pushed }, &mut fin_buf);
-        sock.write_all(&fin_buf)?;
+        self.write(&encode_frame(&Frame::Fin { count: self.pushed }))?;
         let deadline = Instant::now() + self.opts.handshake_timeout;
         loop {
             let (sock, fb) = self.conn.as_mut().expect("live connection");
-            let mut conn = Conn { sock, fb };
-            match conn.read_frame_deadline(deadline.saturating_duration_since(Instant::now()))? {
-                Frame::FinAck => return Ok(()),
-                Frame::Ack { up_to } => self.note_acked(up_to),
-                Frame::Credit { n } => self.credits += n,
-                Frame::Error { code, message } => {
-                    return Err(NetError::Protocol { code, message })
-                }
-                other => {
-                    return Err(NetError::Handshake(format!(
-                        "expected FinAck, got {other:?}"
-                    )))
-                }
+            let frame = read_frame(sock, fb, deadline)?;
+            if self.on_frame(frame)? {
+                return Ok(());
             }
         }
     }
 
-    /// Drops the acknowledged prefix of the buffer.
+    /// Folds one server frame into the sender's state; true for `FinAck`.
+    fn on_frame(&mut self, frame: Frame) -> Result<bool, NetError> {
+        match frame {
+            Frame::Credit { n } => self.add_credits(n),
+            Frame::Ack { up_to } => self.note_acked(up_to),
+            Frame::FinAck => return Ok(true),
+            Frame::Error { code, message } => return Err(NetError::Protocol { code, message }),
+            other => {
+                return Err(NetError::Handshake(format!("unexpected server frame: {other:?}")))
+            }
+        }
+        Ok(false)
+    }
+
+    /// Drops the acknowledged prefix of the buffer; any advance renews
+    /// the retry budget.
     fn note_acked(&mut self, up_to: u64) {
         if up_to > self.base {
             let drop_count = (up_to - self.base).min(self.buffer.len() as u64) as usize;
             self.buffer.drain(..drop_count);
             self.base = up_to;
             self.sent = self.sent.max(up_to);
+            self.backoff.reset();
+        }
+    }
+
+    /// Adds granted credit, ending an open credit stall.
+    fn add_credits(&mut self, n: u32) {
+        self.credits += n;
+        if n > 0 {
+            if let Some(span) = self.stall.take() {
+                self.tracer.span_end(span, TraceKind::NetStall, 0, u64::from(self.stream), 0);
+            }
         }
     }
 
@@ -689,6 +435,14 @@ impl StreamSender {
         self.sent = self.base;
     }
 
+    /// Writes `bytes` on the live connection, counting them.
+    fn write(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+        let (sock, _) = self.conn.as_mut().expect("live connection");
+        sock.write_all(bytes)?;
+        self.bytes_sent += bytes.len() as u64;
+        Ok(())
+    }
+
     /// (Re)establishes the connection, resuming from the server's
     /// acknowledged sequence.
     fn ensure_conn(&mut self) -> Result<(), NetError> {
@@ -697,7 +451,7 @@ impl StreamSender {
         }
         let mut sock = TcpStream::connect(self.addr)?;
         sock.set_nodelay(true)?;
-        let mut hello_buf = Vec::with_capacity(128);
+        let mut hello = Vec::with_capacity(128);
         encode_frame_into(
             &Frame::Hello {
                 stream: self.stream,
@@ -705,48 +459,44 @@ impl StreamSender {
                 wire_version: WIRE_VERSION,
                 schema: self.schema.clone(),
             },
-            &mut hello_buf,
+            &mut hello,
         );
-        sock.write_all(&hello_buf)?;
+        sock.write_all(&hello)?;
+        self.bytes_sent += hello.len() as u64;
         let mut fb = FrameBuffer::new();
-        let mut conn = Conn { sock: &mut sock, fb: &mut fb };
-        let (resume_from, credits) =
-            match conn.read_frame_deadline(self.opts.handshake_timeout)? {
-                Frame::HelloAck { resume_from, credits, wire_version } => {
-                    if wire_version != WIRE_VERSION {
-                        return Err(NetError::Protocol {
-                            code: crate::frame::error_code::VERSION_MISMATCH,
-                            message: format!(
-                                "server speaks wire version {wire_version}, client speaks {WIRE_VERSION}"
-                            ),
-                        });
-                    }
-                    (resume_from, credits)
+        let deadline = Instant::now() + self.opts.handshake_timeout;
+        let (resume_from, credits) = match read_frame(&mut sock, &mut fb, deadline)? {
+            Frame::HelloAck { resume_from, credits, wire_version } => {
+                if wire_version != WIRE_VERSION {
+                    return Err(NetError::Protocol {
+                        code: crate::frame::error_code::VERSION_MISMATCH,
+                        message: format!(
+                            "server speaks wire version {wire_version}, client speaks {WIRE_VERSION}"
+                        ),
+                    });
                 }
-                Frame::Error { code, message } => {
-                    return Err(NetError::Protocol { code, message })
-                }
-                other => {
-                    return Err(NetError::Handshake(format!(
-                        "expected HelloAck, got {other:?}"
-                    )))
-                }
-            };
+                (resume_from, credits)
+            }
+            Frame::Error { code, message } => return Err(NetError::Protocol { code, message }),
+            other => return Err(NetError::Handshake(format!("expected HelloAck, got {other:?}"))),
+        };
         if resume_from < self.base || resume_from > self.pushed {
             return Err(NetError::Handshake(format!(
                 "server resume point {resume_from} outside [{}, {}]",
                 self.base, self.pushed
             )));
         }
+        if self.connected_once {
+            self.reconnects += 1;
+            let attempt = u64::from(self.backoff.attempts());
+            self.tracer.instant(TraceKind::NetReconnect, 0, attempt, resume_from);
+        }
+        self.connected_once = true;
         // Everything below resume_from is implicitly acknowledged.
         self.note_acked(resume_from);
         self.sent = resume_from;
-        self.credits = credits;
         self.window = credits;
-        if self.connected_once {
-            self.reconnects += 1;
-        }
-        self.connected_once = true;
+        self.add_credits(credits);
         self.conn = Some((sock, fb));
         Ok(())
     }
@@ -759,31 +509,41 @@ impl StreamSender {
         if n == 0 {
             return Ok(());
         }
-        self.out.clear();
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        let span = self.tracer.span_start();
         let elements = &self.buffer.make_contiguous()[unsent_start..unsent_start + n];
         if self.opts.batch <= 1 {
             for (i, el) in elements.iter().enumerate() {
-                encode_frame_into(
-                    &Frame::Data { seq: self.sent + i as u64, element: el.clone() },
-                    &mut self.out,
-                );
+                let seq = self.sent + i as u64;
+                encode_frame_into(&Frame::Data { seq, element: el.clone() }, &mut out);
             }
         } else {
             let mut off = 0usize;
             while off < n {
                 let frame_end = n.min(off + self.opts.batch);
-                off += encode_data_batch_into(
+                let taken = encode_data_batch_into(
                     self.sent + off as u64,
                     &elements[off..frame_end],
                     self.opts.max_batch_bytes,
-                    &mut self.out,
+                    &mut out,
                 );
+                self.tracer.instant(TraceKind::NetBatch, 0, u64::from(self.stream), taken as u64);
+                off += taken;
             }
         }
-        let (sock, _) = self.conn.as_mut().expect("live connection");
-        sock.write_all(&self.out)?;
+        let vt = elements[0].ts.as_micros();
+        self.tracer.span_end(span, TraceKind::NetEncode, vt, out.len() as u64, n as u64);
+        let written = self.write(&out);
+        self.out = out;
+        written?;
+        self.frames_sent += n as u64;
         self.credits -= n as u32;
         self.sent += n as u64;
+        if self.credits == 0 && self.backlog() > 0 {
+            self.credit_stalls += 1;
+            self.stall = Some(self.tracer.span_start());
+        }
         Ok(())
     }
 
@@ -794,18 +554,16 @@ impl StreamSender {
     /// already readable.
     fn pump(&mut self, wait: bool) -> Result<(), NetError> {
         self.ensure_conn()?;
-        let mut progress = SessionProgress::default();
         loop {
             self.write_allowed()?;
             let (sock, fb) = self.conn.as_mut().expect("live connection");
-            let mut conn = Conn { sock, fb };
-            conn.drain(
-                wait.then_some(Duration::from_millis(20)),
-                &mut self.credits,
-                &mut progress,
-            )?;
-            progress.check()?;
-            self.note_acked(progress.acked);
+            if wait {
+                wait_readable(&[sock.as_fd()], Duration::from_millis(20))?;
+            }
+            read_available(sock, fb)?;
+            while let Some(frame) = self.conn.as_mut().expect("live connection").1.next_frame()? {
+                self.on_frame(frame)?;
+            }
             if self.backlog() == 0 || self.credits == 0 {
                 return Ok(());
             }
@@ -813,37 +571,24 @@ impl StreamSender {
     }
 }
 
-/// Spawns a thread sending `elements` via [`send_stream`]; join the
-/// handle for the report. Used by examples and tests that drive several
-/// source clients concurrently.
-pub fn spawn_source(
-    addr: SocketAddr,
-    stream: u32,
-    side: Side,
-    schema: Schema,
-    elements: Vec<Timestamped<StreamElement>>,
-    opts: ClientOptions,
-) -> std::thread::JoinHandle<Result<SendReport, NetError>> {
-    std::thread::Builder::new()
-        .name(format!("net-source-{stream}"))
-        .spawn(move || send_stream(addr, stream, side, &schema, &elements, &opts))
-        .expect("spawn source client thread")
-}
-
-/// Like [`spawn_source`] with a shared cancellation flag.
-pub fn spawn_source_cancellable(
-    addr: SocketAddr,
-    stream: u32,
-    side: Side,
-    schema: Schema,
-    elements: Vec<Timestamped<StreamElement>>,
-    opts: ClientOptions,
-    cancel: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<Result<SendReport, NetError>> {
-    std::thread::Builder::new()
-        .name(format!("net-source-{stream}"))
-        .spawn(move || {
-            send_stream_cancellable(addr, stream, side, &schema, &elements, &opts, &cancel)
-        })
-        .expect("spawn source client thread")
+/// Blocks until one frame arrives on `sock`, or fails at `deadline`.
+fn read_frame(
+    sock: &mut TcpStream,
+    fb: &mut FrameBuffer,
+    deadline: Instant,
+) -> Result<Frame, NetError> {
+    loop {
+        if let Some(f) = fb.next_frame()? {
+            return Ok(f);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(NetError::Io(std::io::Error::new(
+                ErrorKind::TimedOut,
+                "timed out waiting for a frame",
+            )));
+        }
+        wait_readable(&[sock.as_fd()], left)?;
+        read_available(sock, fb)?;
+    }
 }

@@ -15,16 +15,20 @@
 //!                    └──────────────┘
 //! ```
 //!
-//! * [`frame`] — the wire protocol: 9 frame kinds over the wire-stable
-//!   payload encodings of `punct_types::wire`. Decoding never panics.
+//! * [`frame`] — the wire protocol: 22 frame kinds (10 data plane, 12
+//!   cluster control plane) over the wire-stable payload encodings of
+//!   `punct_types::wire`. Decoding never panics.
 //! * [`server`] — the TCP ingest server: per-stream persistent sequence
 //!   numbers (dedup + resume), credit grants tied to downstream channel
 //!   acceptance (backpressure), gap detection.
-//! * [`client`] — the source client: credit-paced sending, reconnect
-//!   with deterministic exponential backoff + seeded jitter, resume from
-//!   the server's acknowledged sequence.
+//! * [`client`] — the one source client, [`StreamSender`]: credit-paced
+//!   coalesced sending, reconnect with deterministic exponential backoff
+//!   and seeded jitter, resume from the server's acknowledged sequence.
+//!   [`send_stream`] and [`spawn_source`] are drivers that push a whole
+//!   stream through it and finish.
 //! * [`sink`] — a replayable output publisher (its history is encoded
-//!   frames) and its fault-tolerant consumer.
+//!   frames) and the one consumer, [`SinkSubscriber`];
+//!   [`collect_all`] is a driver that reads one to the end.
 //! * [`proxy`] — an in-process frame-aware fault injector (latency,
 //!   jitter, data-frame drops, forced disconnects, bandwidth caps) for
 //!   tests and benchmarks.
@@ -57,10 +61,7 @@ pub mod sink;
 pub mod wait;
 
 pub use backoff::{Backoff, BackoffPolicy};
-pub use client::{
-    send_stream, send_stream_cancellable, spawn_source, spawn_source_cancellable, ClientOptions,
-    SendReport, StreamSender,
-};
+pub use client::{send_stream, spawn_source, ClientOptions, SendReport, StreamSender};
 pub use error::NetError;
 pub use frame::{
     decode_frame, encode_data_batch_into, encode_frame, encode_frame_into, error_code, Frame,
@@ -343,6 +344,42 @@ mod tests {
         assert!(report.credit_stalls > 0, "the consumer pause must have stalled the client");
         assert_eq!(report.reconnects, 0, "a backpressure stall is not a dead connection");
         assert_eq!(got, elements);
+    }
+
+    /// The client's per-element wire path: with `batch: 1` every element
+    /// crosses as a plain `Data` frame (the server forwards each as
+    /// `IngestMsg::One`), and through drops and a forced disconnect the
+    /// channel still carries each element exactly once, in order.
+    #[test]
+    fn per_element_frames_through_faults_are_exactly_once() {
+        let elements: Vec<_> = (0..300)
+            .map(|i| if i % 25 == 24 { punct(i, i as i64) } else { tup(i, i as i64) })
+            .collect();
+        let (server, rx) =
+            IngestServer::bind(&[Side::Left], IngestOptions::default()).expect("bind");
+        let proxy =
+            FaultProxy::spawn(server.addr(), FaultConfig::lossy(40, 3, 1, 10, 13)).expect("proxy");
+        let opts = ClientOptions {
+            policy: BackoffPolicy::fast(),
+            seed: 5,
+            batch: 1,
+            ..ClientOptions::default()
+        };
+        let report = spawn_source(proxy.addr(), 0, Side::Left, schema(), elements.clone(), opts)
+            .join()
+            .expect("client thread")
+            .expect("send through faults");
+        let stats = proxy.stats();
+        assert_eq!(stats.disconnects_forced, 1);
+        assert!(stats.frames_dropped > 0, "the profile should have dropped frames: {stats:?}");
+        assert!(report.reconnects >= 1, "the forced disconnect must have been resumed");
+        assert_eq!(report.acked, elements.len() as u64);
+        let mut got = Vec::new();
+        while let Ok(msg) = rx.try_recv() {
+            assert!(matches!(msg, IngestMsg::One(..)), "batch 1 sends plain Data frames");
+            got.extend(msg_elements(msg).1);
+        }
+        assert_eq!(got, elements, "losses and reconnects must not reorder, drop or duplicate");
     }
 
     #[test]
@@ -689,5 +726,36 @@ mod tests {
         assert!(sub.finished());
         assert_eq!(got, (0..50).map(|i| tup(i, i as i64)).collect::<Vec<_>>());
         assert_eq!(sub.received(), 50);
+    }
+
+    /// A sink that accepts each connection and closes it at once is
+    /// dead: the subscriber spaces its attempts by the backoff schedule
+    /// rather than reconnecting back to back until the caller's deadline.
+    #[test]
+    fn sink_subscriber_spaces_failed_attempts() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("non-blocking");
+        let addr = listener.local_addr().expect("addr");
+        let (accepts, stop) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicBool::new(false)));
+        let dead_sink = {
+            let (accepts, stop) = (Arc::clone(&accepts), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    if let Some(sock) = wait::accept_ready(&listener).expect("accept") {
+                        accepts.fetch_add(1, Ordering::SeqCst);
+                        drop(sock);
+                    }
+                }
+            })
+        };
+        let mut sub = SinkSubscriber::new(addr);
+        let got = sub.next(Duration::from_millis(200)).expect("failures are absorbed");
+        assert!(got.is_none());
+        stop.store(true, Ordering::SeqCst);
+        dead_sink.join().expect("listener thread");
+        let attempts = accepts.load(Ordering::SeqCst);
+        assert!((1..=10).contains(&attempts), "{attempts} subscribe attempts in 200 ms");
     }
 }

@@ -1,5 +1,6 @@
 //! The sink side: a server publishing the join's output stream to TCP
-//! subscribers, and a consumer client that collects it fault-tolerantly.
+//! subscribers, and the one consumer, [`SinkSubscriber`], which reads it
+//! fault-tolerantly ([`collect_all`] reads one to the end).
 //!
 //! The sink retains published history so a subscriber that reconnects
 //! asks for `Subscribe { resume_from: <next unseen seq> }` and gets a
@@ -23,10 +24,9 @@
 //!
 //! **Replay is per frame.** A `Subscribe { resume_from }` that falls
 //! inside a retained frame is sent that whole frame, so the subscriber
-//! sees elements below `resume_from` again. Both consumers here,
-//! [`SinkSubscriber`] and [`collect_all`], number what they receive and
-//! drop anything below their next expected sequence, so the stream they
-//! deliver is still exact.
+//! sees elements below `resume_from` again. [`SinkSubscriber`] numbers
+//! what it receives and drops anything below its next expected
+//! sequence, so the stream it delivers is still exact.
 //!
 //! **Who truncates.** Without truncation the entire history is
 //! retained, which is the right trade for test harnesses and bounded
@@ -544,104 +544,54 @@ fn serve_subscriber(
 pub struct SinkReport {
     /// Successful reconnects after the initial connection.
     pub reconnects: u32,
-    /// Duplicate `Data` frames suppressed by sequence dedup.
+    /// Duplicate elements suppressed by sequence dedup.
     pub duplicates_suppressed: u64,
     /// The consumer's trace events.
     pub trace: TraceLog,
 }
 
-/// Collects the sink's entire output stream over TCP, reconnecting with
-/// `policy` (jittered by `seed`) and resuming from the next unseen
-/// sequence after any disconnect. Returns once the server's `Fin`
-/// confirms the stream is complete.
+/// Collects the sink's entire output stream over TCP: a
+/// [`SinkSubscriber`] whose failed attempts follow `policy` (jittered by
+/// `seed`) is read until the server's `Fin` confirms the stream
+/// complete. Gives up once `policy`'s budget of consecutive failures
+/// that received nothing new is spent; a quiet sink is not a failure.
 pub fn collect_all(
     addr: SocketAddr,
     policy: BackoffPolicy,
     seed: u64,
     trace: TraceSettings,
 ) -> Result<(Vec<Timestamped<StreamElement>>, SinkReport), NetError> {
-    let mut tracer = Tracer::new(trace);
-    tracer.set_lane(LANE_NET_CLIENT);
-    let mut backoff = Backoff::new(policy, seed);
-    let mut received: Vec<Timestamped<StreamElement>> = Vec::new();
-    let mut report = SinkReport { reconnects: 0, duplicates_suppressed: 0, trace: TraceLog::default() };
-    let mut attempt: u32 = 0;
-    loop {
-        // As on the ingest side, the retry budget counts consecutive
-        // non-progressing failures: a session that received anything
-        // new earns a fresh budget, so a long lossy subscription that
-        // keeps moving completes instead of exhausting its retries.
-        let received_before = received.len();
-        match consume_session(addr, &mut received, &mut report, attempt, &mut tracer) {
-            Ok(()) => {
-                report.trace = tracer.take();
-                return Ok((received, report));
-            }
-            Err(e) if e.is_retryable() => {
-                if received.len() > received_before {
-                    backoff.reset();
-                }
-                match backoff.next_delay() {
-                    Some(delay) => {
-                        attempt += 1;
-                        std::thread::sleep(delay);
-                    }
-                    None => {
-                        report.trace = tracer.take();
-                        return Err(NetError::RetriesExhausted {
-                            attempts: backoff.attempts(),
-                            last: e.to_string(),
-                        });
-                    }
-                }
-            }
-            Err(e) => {
-                report.trace = tracer.take();
-                return Err(e);
-            }
-        }
+    let mut sub = SinkSubscriber::with_policy(addr, policy, seed, trace);
+    let mut received = Vec::new();
+    while !sub.finished() {
+        // Wait for the next element, then take the rest of its burst.
+        received.extend(sub.next(Duration::from_secs(1))?);
+        sub.deliver_queued(&mut received);
     }
+    let report = SinkReport {
+        reconnects: sub.reconnects,
+        duplicates_suppressed: sub.duplicates_suppressed,
+        trace: sub.tracer.take(),
+    };
+    Ok((received, report))
 }
 
-/// Folds one received element into the collected stream with the sink's
-/// sequence discipline: below the next expected sequence is a duplicate
-/// (suppressed, counted), above it is a gap (the in-order TCP replay
-/// should make that impossible; recover by resubscribing), exactly at it
-/// is appended.
-fn accept_element(
-    seq: u64,
-    element: Timestamped<StreamElement>,
-    received: &mut Vec<Timestamped<StreamElement>>,
-    report: &mut SinkReport,
-) -> Result<(), NetError> {
-    let next = received.len() as u64;
-    if seq < next {
-        report.duplicates_suppressed += 1;
-    } else if seq > next {
-        return Err(NetError::Io(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("sink gap: got seq {seq}, expected {next}"),
-        )));
-    } else {
-        received.push(element);
-    }
-    Ok(())
-}
-
-/// A *streaming* sink consumer: unlike [`collect_all`] (which blocks
-/// until `Fin`), a `SinkSubscriber` hands elements to the caller as they
-/// arrive, so a long-lived consumer — the cluster coordinator pulling
-/// worker outputs while the workers are still joining — can interleave
-/// consumption with other work.
+/// The one sink consumer: hands elements to the caller as they arrive,
+/// so a long-lived consumer — the cluster coordinator pulling worker
+/// outputs while the workers are still joining — can interleave
+/// consumption with other work; [`collect_all`] reads one to the end.
 ///
-/// The exactly-once discipline matches `collect_all`: the subscriber
-/// resumes from its next unseen sequence after any disconnect and
-/// suppresses duplicates per element, so the delivered stream is exactly
-/// the sink's publish order with nothing lost or repeated.
+/// The subscriber resumes from its next unseen sequence after any
+/// disconnect and suppresses duplicates per element, so the delivered
+/// stream is exactly the sink's publish order with nothing lost or
+/// repeated. Failed subscribe attempts (a refused connect, a connection
+/// closed under it) are spaced by the backoff schedule: a caller's
+/// timeout bounds the wait for the next attempt, it does not spin on a
+/// dead sink.
 pub struct SinkSubscriber {
     addr: SocketAddr,
     conn: Option<(TcpStream, FrameBuffer)>,
-    pending: std::collections::VecDeque<Timestamped<StreamElement>>,
+    pending: VecDeque<Timestamped<StreamElement>>,
     /// Next unseen publish sequence == elements delivered so far.
     received: u64,
     /// Set once a `Fin` confirmed the stream complete.
@@ -649,21 +599,43 @@ pub struct SinkSubscriber {
     connected_once: bool,
     reconnects: u32,
     duplicates_suppressed: u64,
+    /// Spaces failed attempts; reset whenever a new element arrives.
+    backoff: Backoff,
+    /// When the attempt after the last failure is due.
+    retry_at: Option<Instant>,
+    tracer: Tracer,
 }
 
 impl SinkSubscriber {
-    /// A subscriber for the sink at `addr`. No I/O happens until the
-    /// first [`next`](SinkSubscriber::next) call.
+    /// A subscriber for the sink at `addr` that never gives up: failures
+    /// are absorbed at the default schedule's pace, and the owner
+    /// decides when a sink is lost. No I/O happens until the first
+    /// [`next`](SinkSubscriber::next) call.
     pub fn new(addr: SocketAddr) -> SinkSubscriber {
+        let policy = BackoffPolicy { max_attempts: u32::MAX, ..BackoffPolicy::default() };
+        SinkSubscriber::with_policy(addr, policy, 0, TraceSettings::default())
+    }
+
+    fn with_policy(
+        addr: SocketAddr,
+        policy: BackoffPolicy,
+        seed: u64,
+        trace: TraceSettings,
+    ) -> SinkSubscriber {
+        let mut tracer = Tracer::new(trace);
+        tracer.set_lane(LANE_NET_CLIENT);
         SinkSubscriber {
             addr,
             conn: None,
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
             received: 0,
             finished: false,
             connected_once: false,
             reconnects: 0,
             duplicates_suppressed: 0,
+            backoff: Backoff::new(policy, seed),
+            retry_at: None,
+            tracer,
         }
     }
 
@@ -687,7 +659,8 @@ impl SinkSubscriber {
     /// `Ok(None)` means no element within the timeout (or the stream is
     /// finished — check [`finished`](SinkSubscriber::finished)).
     /// Disconnects are absorbed by resubscribing from the next unseen
-    /// sequence; only non-retryable protocol errors surface. The clock is
+    /// sequence once the backoff delay has passed; only non-retryable
+    /// protocol errors and a spent retry budget surface. The clock is
     /// read only when nothing is queued: draining a received burst costs
     /// no time calls.
     pub fn next(
@@ -704,19 +677,31 @@ impl SinkSubscriber {
                 return Ok(None);
             }
             let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-            match self.poll(deadline) {
-                Ok(()) => {}
-                Err(e) if e.is_retryable() => {
-                    // Drop the connection; the next poll resubscribes
-                    // from the next unseen sequence.
-                    self.conn = None;
+            if let Err(e) = self.poll(deadline) {
+                if !e.is_retryable() {
+                    return Err(e);
                 }
-                Err(e) => return Err(e),
+                // Drop the connection; a later poll resubscribes from
+                // the next unseen sequence.
+                self.conn = None;
+                let Some(delay) = self.backoff.next_delay() else {
+                    return Err(NetError::RetriesExhausted {
+                        attempts: self.backoff.attempts(),
+                        last: e.to_string(),
+                    });
+                };
+                self.retry_at = Some(Instant::now() + delay);
             }
             if self.pending.is_empty() && !self.finished && Instant::now() >= deadline {
                 return Ok(None);
             }
         }
+    }
+
+    /// Delivers every element already queued into `out` in one move.
+    fn deliver_queued(&mut self, out: &mut Vec<Timestamped<StreamElement>>) {
+        self.received += self.pending.len() as u64;
+        out.extend(self.pending.drain(..));
     }
 
     /// The live subscription's socket, for an owner that waits on
@@ -726,32 +711,51 @@ impl SinkSubscriber {
         self.conn.as_ref().map(|(sock, _)| sock)
     }
 
+    /// Subscribes from past the elements already queued for the caller,
+    /// not just the delivered ones.
+    fn subscribe(&mut self) -> Result<(), NetError> {
+        let mut sock = TcpStream::connect(self.addr)?;
+        sock.set_nodelay(true)?;
+        let resume_from = self.received + self.pending.len() as u64;
+        sock.write_all(&encode_frame(&Frame::Subscribe {
+            resume_from,
+            wire_version: WIRE_VERSION,
+        }))?;
+        if self.connected_once {
+            self.reconnects += 1;
+            let attempt = u64::from(self.backoff.attempts());
+            self.tracer.instant(TraceKind::NetReconnect, 0, attempt, resume_from);
+        }
+        self.connected_once = true;
+        self.conn = Some((sock, FrameBuffer::new()));
+        Ok(())
+    }
+
     /// Ensures a live subscription and folds whatever the server sent
     /// into `pending`, blocking (woken by the socket) at most until
     /// `deadline` for the first byte. A deadline already past only picks
-    /// up what is queued.
+    /// up what is queued. After a failure, waits out the backoff delay
+    /// first, as far as `deadline` allows.
     fn poll(&mut self, deadline: Instant) -> Result<(), NetError> {
         if self.conn.is_none() {
-            let mut sock = TcpStream::connect(self.addr)?;
-            sock.set_nodelay(true)?;
-            // Resume from past the elements already queued for the
-            // caller, not just the delivered ones.
-            let resume_from = self.received + self.pending.len() as u64;
-            sock.write_all(&encode_frame(&Frame::Subscribe {
-                resume_from,
-                wire_version: WIRE_VERSION,
-            }))?;
-            if self.connected_once {
-                self.reconnects += 1;
+            if let Some(at) = self.retry_at {
+                std::thread::sleep(at.min(deadline).saturating_duration_since(Instant::now()));
+                if at > deadline {
+                    return Ok(());
+                }
             }
-            self.connected_once = true;
-            self.conn = Some((sock, FrameBuffer::new()));
+            self.subscribe()?;
         }
         let (sock, fb) = self.conn.as_mut().expect("connection just ensured");
         loop {
             let read = read_available(sock, fb)?;
-            while let Some(frame) = fb.next_frame()? {
-                let (first_seq, elements) = match frame {
+            loop {
+                let span = self.tracer.span_start();
+                let buffered = fb.buffered();
+                let Some(frame) = fb.next_frame()? else { break };
+                let consumed = (buffered - fb.buffered()) as u64;
+                self.tracer.span_end(span, TraceKind::NetDecode, 0, consumed, 1);
+                let (first_seq, mut elements) = match frame {
                     Frame::Data { seq, element } => (seq, vec![element]),
                     Frame::DataBatch { first_seq, elements } => (first_seq, elements),
                     Frame::Fin { count } => {
@@ -775,19 +779,22 @@ impl SinkSubscriber {
                         )))
                     }
                 };
-                for (i, element) in elements.into_iter().enumerate() {
-                    let seq = first_seq + i as u64;
-                    let queued = self.received + self.pending.len() as u64;
-                    if seq < queued {
-                        self.duplicates_suppressed += 1;
-                    } else if seq > queued {
-                        return Err(NetError::Io(std::io::Error::new(
-                            ErrorKind::InvalidData,
-                            format!("sink gap: got seq {seq}, expected {queued}"),
-                        )));
-                    } else {
-                        self.pending.push_back(element);
-                    }
+                // A frame's sequences are consecutive: what lies below the
+                // next unseen sequence is a duplicate prefix (a resume
+                // inside a frame), and a gap can only open at its start.
+                let queued = self.received + self.pending.len() as u64;
+                if first_seq > queued {
+                    return Err(NetError::Io(std::io::Error::new(
+                        ErrorKind::InvalidData,
+                        format!("sink gap: got seq {first_seq}, expected {queued}"),
+                    )));
+                }
+                let duplicates = (queued - first_seq).min(elements.len() as u64);
+                self.duplicates_suppressed += duplicates;
+                elements.drain(..duplicates as usize);
+                if !elements.is_empty() {
+                    self.backoff.reset();
+                    self.pending.extend(elements);
                 }
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -795,86 +802,6 @@ impl SinkSubscriber {
                 return Ok(());
             }
             wait_readable(&[sock.as_fd()], remaining)?;
-        }
-    }
-}
-
-fn consume_session(
-    addr: SocketAddr,
-    received: &mut Vec<Timestamped<StreamElement>>,
-    report: &mut SinkReport,
-    attempt: u32,
-    tracer: &mut Tracer,
-) -> Result<(), NetError> {
-    let mut sock = TcpStream::connect(addr)?;
-    sock.set_nodelay(true)?;
-    sock.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let resume_from = received.len() as u64;
-    sock.write_all(&encode_frame(&Frame::Subscribe {
-        resume_from,
-        wire_version: WIRE_VERSION,
-    }))?;
-    if attempt > 0 {
-        report.reconnects += 1;
-        tracer.instant(TraceKind::NetReconnect, 0, attempt as u64, resume_from);
-    }
-
-    let mut fb = FrameBuffer::new();
-    let mut buf = [0u8; 16 * 1024];
-    let idle_limit = Duration::from_secs(10);
-    let mut last_progress = Instant::now();
-    loop {
-        let span = tracer.span_start();
-        let buffered = fb.buffered();
-        if let Some(frame) = fb.next_frame()? {
-            let consumed = (buffered - fb.buffered()) as u64;
-            tracer.span_end(span, TraceKind::NetDecode, 0, consumed, 1);
-            last_progress = Instant::now();
-            match frame {
-                Frame::Data { seq, element } => {
-                    accept_element(seq, element, received, report)?;
-                }
-                Frame::DataBatch { first_seq, elements } => {
-                    for (i, element) in elements.into_iter().enumerate() {
-                        accept_element(first_seq + i as u64, element, received, report)?;
-                    }
-                }
-                Frame::Fin { count } => {
-                    if received.len() as u64 == count {
-                        return Ok(());
-                    }
-                    return Err(NetError::Io(std::io::Error::new(
-                        ErrorKind::InvalidData,
-                        format!("sink Fin at {count} with {} received", received.len()),
-                    )));
-                }
-                Frame::Error { code, message } => {
-                    return Err(NetError::Protocol { code, message })
-                }
-                other => {
-                    return Err(NetError::Handshake(format!(
-                        "unexpected sink frame: {other:?}"
-                    )))
-                }
-            }
-            continue;
-        }
-        if Instant::now().duration_since(last_progress) > idle_limit {
-            return Err(NetError::Io(std::io::Error::new(
-                ErrorKind::TimedOut,
-                "sink subscription idle too long",
-            )));
-        }
-        match sock.read(&mut buf) {
-            Ok(0) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "sink server closed mid-stream",
-                )))
-            }
-            Ok(n) => fb.extend(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) => return Err(NetError::Io(e)),
         }
     }
 }

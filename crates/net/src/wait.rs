@@ -91,28 +91,26 @@ pub fn accept_ready(listener: &TcpListener) -> io::Result<Option<TcpStream>> {
     }
 }
 
-/// Appends whatever is already queued on `sock` to `fb` without
-/// blocking and returns the byte count. End of stream is an
-/// [`ErrorKind::UnexpectedEof`] error — but only once everything sent
-/// before it has been handed over by an earlier call.
+/// Appends what is already queued on `sock` to `fb` — one read of at
+/// most 16 KiB, so a reader that has fallen behind decodes each chunk
+/// while it is still in cache instead of buffering everything the
+/// socket holds — without blocking, and returns the byte count (0 when
+/// nothing is queued). End of stream is an [`ErrorKind::UnexpectedEof`]
+/// error — but only once everything sent before it has been handed over
+/// by an earlier call.
 pub fn read_available(sock: &mut TcpStream, fb: &mut FrameBuffer) -> io::Result<usize> {
     let mut buf = [0u8; 16 * 1024];
-    let mut total = 0;
     while poll_readable(&mut [readable(sock.as_fd())], Duration::ZERO)? {
         match sock.read(&mut buf) {
-            Ok(0) if total > 0 => break,
             Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
             Ok(n) => {
                 fb.extend(&buf[..n]);
-                total += n;
-                if n < buf.len() {
-                    break;
-                }
+                return Ok(n);
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) => return Err(e),
         }
     }
-    Ok(total)
+    Ok(0)
 }
