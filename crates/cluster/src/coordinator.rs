@@ -707,7 +707,10 @@ impl Cluster {
             match self.poll_once() {
                 Ok(()) => {
                     self.maybe_checkpoint()?;
-                    return Ok(std::mem::take(&mut self.ready));
+                    // The next poll's buffer starts at this one's size, so
+                    // a like burst fills it without regrowing.
+                    let next = Vec::with_capacity(self.ready.len());
+                    return Ok(std::mem::replace(&mut self.ready, next));
                 }
                 Err(ClusterError::WorkerLost(w)) => self.recover(w)?,
                 Err(e) => return Err(e),
@@ -732,10 +735,10 @@ impl Cluster {
     }
 
     /// One non-blocking pass over every link: control frames folded in,
-    /// senders serviced, sinks drained, and each worker that has had
-    /// [`ACK_EVERY`] elements absorbed since its last ack acknowledged up
-    /// to what its subscriber received. Returns the sink elements
-    /// absorbed.
+    /// senders serviced, sinks drained a run at a time, and each worker
+    /// that has had [`ACK_EVERY`] elements absorbed since its last ack
+    /// acknowledged up to what its subscriber received. Returns the sink
+    /// elements absorbed.
     fn pass(&mut self) -> Result<usize, ClusterError> {
         self.drain_ctrl()?;
         let mut absorbed = 0;
@@ -745,25 +748,56 @@ impl Cluster {
                 r.map_err(|e| self.lost(w, e.into()))?;
             }
             while !self.links[w].sink_done {
-                match self.links[w].sink.next(Duration::ZERO) {
-                    Ok(Some(element)) => {
-                        self.absorb(w, element, false)?;
-                        absorbed += 1;
-                        self.note_absorbed(w)?;
+                let mut merged = std::mem::take(self.merged());
+                let run = self.absorb_run(w, &mut merged);
+                *self.merged() = merged;
+                match run? {
+                    0 => break,
+                    n => {
+                        absorbed += n;
+                        self.note_absorbed(w, n)?;
                     }
-                    Ok(None) => break,
-                    Err(e) => return Err(self.lost(w, e.into())),
                 }
             }
         }
         Ok(absorbed)
     }
 
-    /// Counts one element absorbed from `worker`'s sink, acknowledging
-    /// what its subscriber has received every [`ACK_EVERY`] elements.
-    fn note_absorbed(&mut self, worker: usize) -> Result<(), ClusterError> {
+    /// Moves every element `worker`'s subscriber has queued onto the end
+    /// of `merged` in one go and returns how many there were. Tuples stay
+    /// where they land; only punctuations go through the aligner, and one
+    /// stays only if it is the copy the aligner emits.
+    fn absorb_run(
+        &mut self,
+        worker: usize,
+        merged: &mut Vec<Timestamped<StreamElement>>,
+    ) -> Result<usize, ClusterError> {
+        let start = merged.len();
+        let got = self.links[worker].sink.next_run(Duration::ZERO, merged);
+        let n = got.map_err(|e| self.lost(worker, e.into()))?;
+        let Some(first) = merged[start..].iter().position(|e| e.item.is_punctuation()) else {
+            return Ok(n);
+        };
+        let mut kept = start + first;
+        for i in start + first..merged.len() {
+            let keep = match &merged[i].item {
+                StreamElement::Tuple(_) => true,
+                StreamElement::Punctuation(p) => self.align(worker, p)?,
+            };
+            if keep {
+                merged.swap(kept, i);
+                kept += 1;
+            }
+        }
+        merged.truncate(kept);
+        Ok(n)
+    }
+
+    /// Counts `n` elements absorbed from `worker`'s sink, acknowledging
+    /// what its subscriber has received once [`ACK_EVERY`] have piled up.
+    fn note_absorbed(&mut self, worker: usize, n: usize) -> Result<(), ClusterError> {
         let link = &mut self.links[worker];
-        link.unacked += 1;
+        link.unacked += n as u64;
         if link.unacked < ACK_EVERY {
             return Ok(());
         }
@@ -814,9 +848,15 @@ impl Cluster {
     /// is off, via the uncommitted buffer (released at the next
     /// checkpoint commit) when it is on.
     fn emit(&mut self, element: Timestamped<StreamElement>) {
+        self.merged().push(element);
+    }
+
+    /// Where merged outputs go: the caller's next poll, or the buffer
+    /// the next checkpoint commit releases.
+    fn merged(&mut self) -> &mut Vec<Timestamped<StreamElement>> {
         match &mut self.durable {
-            Some(d) => d.uncommitted.push(element),
-            None => self.ready.push(element),
+            Some(d) => &mut d.uncommitted,
+            None => &mut self.ready,
         }
     }
 
@@ -829,42 +869,46 @@ impl Cluster {
         element: Timestamped<StreamElement>,
         marker_ok: bool,
     ) -> Result<bool, ClusterError> {
-        match element.item {
-            StreamElement::Tuple(_) => {
-                self.emit(element);
-                Ok(false)
+        if let StreamElement::Punctuation(ref p) = element.item {
+            if marker_ok && is_barrier(p, self.opts.spec.join_attr_a) {
+                return Ok(true);
             }
-            StreamElement::Punctuation(ref p) => {
-                if is_barrier(p, self.opts.spec.join_attr_a) {
-                    if marker_ok {
-                        return Ok(true);
-                    }
-                    return Err(ClusterError::Protocol(format!(
-                        "worker {worker} published a sink marker outside a cut"
-                    )));
-                }
-                let (outcome, seq) = self.aligner.observe_seq(worker, p);
+            if !self.align(worker, p)? {
+                return Ok(false);
+            }
+        }
+        self.emit(element);
+        Ok(false)
+    }
+
+    /// Merges one punctuation propagated by `worker`: whether it is to be
+    /// emitted now, i.e. every worker it was routed to has propagated it
+    /// (exactly one copy is). A sink marker outside a cut is an error.
+    fn align(&mut self, worker: usize, p: &Punctuation) -> Result<bool, ClusterError> {
+        if is_barrier(p, self.opts.spec.join_attr_a) {
+            return Err(ClusterError::Protocol(format!(
+                "worker {worker} published a sink marker outside a cut"
+            )));
+        }
+        let (outcome, seq) = self.aligner.observe_seq(worker, p);
+        if self.opts.telemetry.enabled {
+            if let Some(s) = seq {
+                self.telem.note_observe(worker, s.0, wall_now_ns());
+            }
+        }
+        match outcome {
+            AlignOutcome::Emit => {
+                let s = seq.expect("emit resolves an instance").0;
+                self.pending_log.remove(&s);
                 if self.opts.telemetry.enabled {
-                    if let Some(s) = seq {
-                        self.telem.note_observe(worker, s.0, wall_now_ns());
-                    }
+                    self.telem.note_merge(s, wall_now_ns());
                 }
-                match outcome {
-                    AlignOutcome::Emit => {
-                        let s = seq.expect("emit resolves an instance").0;
-                        self.pending_log.remove(&s);
-                        if self.opts.telemetry.enabled {
-                            self.telem.note_merge(s, wall_now_ns());
-                        }
-                        self.emit(element);
-                        Ok(false)
-                    }
-                    AlignOutcome::Pending => Ok(false),
-                    AlignOutcome::Unexpected => Err(ClusterError::Protocol(format!(
-                        "worker {worker} propagated an unregistered punctuation {p}"
-                    ))),
-                }
+                Ok(true)
             }
+            AlignOutcome::Pending => Ok(false),
+            AlignOutcome::Unexpected => Err(ClusterError::Protocol(format!(
+                "worker {worker} propagated an unregistered punctuation {p}"
+            ))),
         }
     }
 

@@ -134,12 +134,14 @@ pub fn spawn_source(
 /// needs to feed workers while routing decisions happen element by
 /// element, and what [`send_stream`] drives over a whole stream.
 ///
-/// Pushed tuples are **coalesced**: the sender writes when a full
-/// [`ClientOptions::batch`] is unsent, when a punctuation is pushed
-/// (punctuations are what downstream progress waits on), and whenever
-/// the owner calls [`service`](StreamSender::service) or
-/// [`flush`](StreamSender::flush) — never per element. Nothing in
-/// `push` or `service` blocks on the peer.
+/// Pushed elements are **coalesced**: the sender writes when a full
+/// [`ClientOptions::batch`] is unsent and whenever the owner calls
+/// [`service`](StreamSender::service), [`flush`](StreamSender::flush) or
+/// [`finish`](StreamSender::finish) — never per element, and not for a
+/// punctuation either: it rides in the same `DataBatch` as the tuples
+/// around it. An owner whose downstream waits on punctuations services
+/// its senders often, as the cluster coordinator does on every pass.
+/// Nothing in `push` or `service` blocks on the peer.
 ///
 /// Delivery keeps the transport's exactly-once discipline: elements are
 /// numbered densely from 0, unacknowledged elements stay buffered, and
@@ -269,18 +271,17 @@ impl StreamSender {
         (self.base < self.pushed).then_some(sock)
     }
 
-    /// Appends one element to the stream. Tuples coalesce until a full
-    /// batch is unsent; a punctuation is written at once, with every
-    /// tuple ahead of it.
+    /// Appends one element to the stream. Tuples and punctuations alike
+    /// coalesce: the sender writes only once a full batch is unsent, and
+    /// a punctuation rides in the next batch or the next
+    /// [`service`](StreamSender::service) / [`flush`](StreamSender::flush).
     pub fn push(&mut self, element: Timestamped<StreamElement>) -> Result<(), NetError> {
         assert!(!self.finished, "push after finish");
-        let due = element.item.is_punctuation();
         self.buffer.push_back(element);
         self.pushed += 1;
         // While credits are short the backlog passes many multiples of a
         // batch; asking the socket once per batch keeps that cheap.
-        let into_batch = self.backlog() % self.opts.batch.max(1) as u64;
-        if due || into_batch == 0 {
+        if self.backlog().is_multiple_of(self.opts.batch.max(1) as u64) {
             self.service()
         } else {
             Ok(())

@@ -36,7 +36,8 @@
 //!   channel and streaming its output into a sink.
 //! * [`backoff`] — the deterministic backoff schedule.
 //! * [`wait`] — the one way the crate waits on sockets: `poll(2)`, so
-//!   every wait is woken by data and a timeout is only a deadline.
+//!   every wait is woken by data and a timeout is only a deadline; and
+//!   the one way it reads what is queued: one non-blocking `recv(2)`.
 //!
 //! # Exactly-once resume, in one paragraph
 //!
@@ -599,8 +600,8 @@ mod tests {
     }
 
     /// The persistent incremental sender: elements pushed one at a time
-    /// arrive exactly once, `flush` really waits for acknowledgement
-    /// (punctuations ack eagerly), and `finish` completes the stream.
+    /// arrive exactly once, `flush` really waits for acknowledgement, and
+    /// `finish` completes the stream.
     #[test]
     fn stream_sender_delivers_incrementally() {
         let (server, rx) =
@@ -618,8 +619,8 @@ mod tests {
             expected.push(e.clone());
             sender.push(e).expect("push");
         }
-        // A punctuation acks eagerly, so this flush converges without
-        // filling the 64-frame ack window.
+        // The server acknowledges the moment its socket runs dry, so this
+        // flush converges without filling the 64-element ack window.
         let p = punct(100, 7);
         expected.push(p.clone());
         sender.push(p).expect("push punct");
@@ -658,6 +659,34 @@ mod tests {
         while let Ok(msg) = rx.try_recv() {
             got.extend(msg_elements(msg).1);
         }
+        assert_eq!(got, expected);
+    }
+
+    /// A punctuation does not force a write of its own: it waits with the
+    /// tuples around it, and the next `service` sends all of them as one
+    /// `DataBatch`.
+    #[test]
+    fn stream_sender_coalesces_a_punctuation() {
+        let (server, rx) =
+            IngestServer::bind(&[Side::Left], IngestOptions::default()).expect("bind");
+        let mut sender =
+            StreamSender::new(server.addr(), 0, Side::Left, schema(), ClientOptions::default());
+        let mut expected: Vec<_> = (0..10).map(|i| tup(i, i as i64)).collect();
+        expected.push(punct(10, 3));
+        expected.extend((11..16).map(|i| tup(i, i as i64)));
+        for e in &expected {
+            sender.push(e.clone()).expect("push");
+        }
+        assert_eq!(sender.backlog(), 16, "nothing written before service");
+        assert_eq!(server.stats().frames_received, 0);
+        assert!(rx.try_recv().is_err(), "the server received nothing before service");
+        sender.service().expect("service");
+        sender.flush().expect("flush");
+        let stats = server.stats();
+        assert_eq!(stats.data_frames, 1, "one DataBatch carries all 16 elements");
+        assert_eq!(stats.frames_received, 16);
+        let (side, got) = msg_elements(rx.try_recv().expect("one ingest message"));
+        assert_eq!(side, Side::Left);
         assert_eq!(got, expected);
     }
 

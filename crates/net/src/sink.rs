@@ -564,9 +564,7 @@ pub fn collect_all(
     let mut sub = SinkSubscriber::with_policy(addr, policy, seed, trace);
     let mut received = Vec::new();
     while !sub.finished() {
-        // Wait for the next element, then take the rest of its burst.
-        received.extend(sub.next(Duration::from_secs(1))?);
-        sub.deliver_queued(&mut received);
+        sub.next_run(Duration::from_secs(1), &mut received)?;
     }
     let report = SinkReport {
         reconnects: sub.reconnects,
@@ -698,10 +696,27 @@ impl SinkSubscriber {
         }
     }
 
-    /// Delivers every element already queued into `out` in one move.
-    fn deliver_queued(&mut self, out: &mut Vec<Timestamped<StreamElement>>) {
-        self.received += self.pending.len() as u64;
-        out.extend(self.pending.drain(..));
+    /// The next element and every one queued behind it, appended to
+    /// `out` in one move; returns how many. Waits as
+    /// [`next`](SinkSubscriber::next) does, and only when nothing is
+    /// queued: 0 means nothing arrived within `timeout` (or the stream is
+    /// finished). A consumer that handles elements in runs pays the
+    /// subscriber once per burst, not once per element.
+    pub fn next_run(
+        &mut self,
+        timeout: Duration,
+        out: &mut Vec<Timestamped<StreamElement>>,
+    ) -> Result<usize, NetError> {
+        let Some(first) = self.next(timeout)? else { return Ok(0) };
+        out.push(first);
+        // Through a `Vec` the move is one copy, and the queue keeps its
+        // buffer for the next burst.
+        let mut queued = Vec::from(std::mem::take(&mut self.pending));
+        let n = 1 + queued.len();
+        out.append(&mut queued);
+        self.pending = queued.into();
+        self.received += n as u64 - 1;
+        Ok(n)
     }
 
     /// The live subscription's socket, for an owner that waits on

@@ -5,15 +5,19 @@
 //! 20 ms one after ~24 ms, so a loop that "polls for 1 ms" really runs
 //! at the tick rate. `poll(2)` sleeps on a high-resolution timer and
 //! returns the moment a descriptor becomes readable, so every wait here
-//! is woken by data and its timeout is only a deadline. It also answers
-//! "is anything queued right now?" with a zero timeout, which replaces
-//! flipping a socket in and out of non-blocking mode around each read.
-//! A listener turns readable when a connection is queued, so the accept
-//! loops wait here too ([`accept_ready`]) instead of sleeping between
-//! `accept` calls.
+//! is woken by data and its timeout is only a deadline. A listener
+//! turns readable when a connection is queued, so the accept loops wait
+//! here too ([`accept_ready`]) instead of sleeping between `accept`
+//! calls.
+//!
+//! Reading what is queued without waiting is one `recv(2)` with
+//! `MSG_DONTWAIT` ([`read_available`]): it returns the bytes, or says
+//! nothing is there, in one system call and without flipping the socket
+//! in and out of non-blocking mode. These two calls, `poll` and `recv`,
+//! are the crate's only foreign functions and its only `unsafe` code.
 
-use std::ffi::{c_int, c_short};
-use std::io::{self, ErrorKind, Read};
+use std::ffi::{c_int, c_short, c_void};
+use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsFd, AsRawFd, BorrowedFd};
 use std::time::Duration;
@@ -35,8 +39,15 @@ struct PollFd {
 
 const POLLIN: c_short = 0x001;
 
+/// `MSG_DONTWAIT` from `<sys/socket.h>`.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MSG_DONTWAIT: c_int = 0x40;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const MSG_DONTWAIT: c_int = 0x80;
+
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
 }
 
 /// `poll(2)` for readability over `set`; whether any entry is ready. An
@@ -91,26 +102,81 @@ pub fn accept_ready(listener: &TcpListener) -> io::Result<Option<TcpStream>> {
     }
 }
 
+/// How much one [`read_available`] call takes off a socket at most.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Appends what is already queued on `sock` to `fb` — one read of at
 /// most 16 KiB, so a reader that has fallen behind decodes each chunk
 /// while it is still in cache instead of buffering everything the
 /// socket holds — without blocking, and returns the byte count (0 when
 /// nothing is queued). End of stream is an [`ErrorKind::UnexpectedEof`]
 /// error — but only once everything sent before it has been handed over
-/// by an earlier call.
+/// by an earlier call. One `recv(2)` with `MSG_DONTWAIT` answers both
+/// "is anything queued?" and "what is it?", where a `poll(2)` and then
+/// a `read` took two system calls.
 pub fn read_available(sock: &mut TcpStream, fb: &mut FrameBuffer) -> io::Result<usize> {
-    let mut buf = [0u8; 16 * 1024];
-    while poll_readable(&mut [readable(sock.as_fd())], Duration::ZERO)? {
-        match sock.read(&mut buf) {
+    let mut buf = [0u8; READ_CHUNK];
+    loop {
+        // SAFETY: `buf` is a live, exclusively borrowed array of
+        // `buf.len()` bytes for the duration of the call, and `recv`
+        // writes at most that many into it; the descriptor is open
+        // because `sock` is borrowed across the call. `MSG_DONTWAIT`
+        // makes this one call non-blocking without touching the
+        // socket's own mode.
+        let n = unsafe { recv(sock.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), MSG_DONTWAIT) };
+        match usize::try_from(n) {
             Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
             Ok(n) => {
                 fb.extend(&buf[..n]);
                 return Ok(n);
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) => return Err(e),
+            Err(_) => match io::Error::last_os_error() {
+                e if e.kind() == ErrorKind::Interrupted => {}
+                e if e.kind() == ErrorKind::WouldBlock => return Ok(0),
+                e => return Err(e),
+            },
         }
     }
-    Ok(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::time::Instant;
+
+    /// An idle socket reads nothing at once; a peer's 40 KiB then arrive
+    /// in chunks of at most 16 KiB, and its close is reported only after
+    /// the last of them.
+    #[test]
+    fn read_available_takes_chunks_then_reports_the_close() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut sock, _) = listener.accept().expect("accept");
+        let mut fb = FrameBuffer::new();
+
+        let started = Instant::now();
+        assert_eq!(read_available(&mut sock, &mut fb).expect("idle read"), 0);
+        assert!(started.elapsed() < Duration::from_millis(100), "an idle read blocked");
+
+        let sent = 40 * 1024;
+        peer.write_all(&vec![7u8; sent]).expect("write");
+        drop(peer);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut total = 0;
+        loop {
+            assert!(Instant::now() < deadline, "no end of stream after {total} bytes");
+            wait_readable(&[sock.as_fd()], Duration::from_millis(100)).expect("wait");
+            match read_available(&mut sock, &mut fb) {
+                Ok(n) => {
+                    assert!(n <= READ_CHUNK, "one read took {n} bytes");
+                    total += n;
+                }
+                Err(e) if e.kind() == ErrorKind::UnexpectedEof => break,
+                Err(e) => panic!("read failed: {e}"),
+            }
+        }
+        assert_eq!(total, sent, "end of stream before every byte was handed over");
+        assert_eq!(fb.buffered(), sent);
+    }
 }

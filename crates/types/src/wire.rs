@@ -516,14 +516,43 @@ pub fn get_pattern(r: &mut WireReader<'_>) -> Result<Pattern, WireError> {
     }
 }
 
-/// Appends the values of one encoded [`Tuple`] to `values`.
+/// Appends the values of one encoded [`Tuple`] to `values`: the one
+/// tuple decoder behind [`get_tuple`], [`get_timestamped_run`] and
+/// [`get_records`].
+///
+/// A stretch of 9-byte `Int` / `Float` values — most tuples are nothing
+/// else — costs one bounds check: every whole 9-byte slot the bytes
+/// left can hold is checked at once, and the stretch is decoded from
+/// those slots until a tag is not `Int` or `Float`. That value, and
+/// anything past the slots, goes through [`get_value`], so malformed
+/// input fails with the same error at the same offset.
 fn get_tuple_values(r: &mut WireReader<'_>, values: &mut Vec<Value>) -> Result<(), WireError> {
     let width = r.count("tuple width", 1)?;
     values.reserve(width);
-    for _ in 0..width {
-        values.push(get_value(r)?);
+    let mut left = width;
+    while left > 0 {
+        let slots = &r.buf[r.pos..r.pos + 9 * left.min(r.remaining() / 9)];
+        let stretch = slots.chunks_exact(9).take_while(|slot| matches!(slot[0], 2 | 3)).count();
+        values.extend(slots[..9 * stretch].chunks_exact(9).map(fixed_width_value));
+        r.pos += 9 * stretch;
+        left -= stretch;
+        if left > 0 {
+            values.push(get_value(r)?);
+            left -= 1;
+        }
     }
     Ok(())
+}
+
+/// The value a 9-byte `slot` tagged `Int` (2) or `Float` (3) encodes.
+#[inline(always)]
+fn fixed_width_value(slot: &[u8]) -> Value {
+    let bits = u64::from_le_bytes(slot[1..9].try_into().expect("a 9-byte slot"));
+    if slot[0] == 2 {
+        Value::Int(bits as i64)
+    } else {
+        Value::Float(f64::from_bits(bits))
+    }
 }
 
 /// Decodes a [`Tuple`].
@@ -749,6 +778,19 @@ mod tests {
             Timestamped::new(Timestamp(2), Punctuation::close_value(2, 0, 1).into()),
             Timestamped::new(Timestamp(3), StreamElement::Tuple(Tuple::new(Vec::new()))),
             Timestamped::new(Timestamp(4), StreamElement::Tuple(Tuple::of((2i64, "b")))),
+            // A stretch of fixed-width values, then every tag in one tuple.
+            Timestamped::new(Timestamp(5), StreamElement::Tuple(Tuple::of((1i64, 2i64, 3i64, 4i64)))),
+            Timestamped::new(
+                Timestamp(6),
+                StreamElement::Tuple(Tuple::new(vec![
+                    Value::Int(-5),
+                    Value::Float(0.5),
+                    Value::Int(i64::MAX),
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::str("z"),
+                ])),
+            ),
         ];
         let mut buf = Vec::new();
         run.iter().for_each(|e| put_timestamped(&mut buf, e));
@@ -763,6 +805,17 @@ mod tests {
             let mut r = WireReader::new(&buf[..cut]);
             assert!(get_timestamped_run(&mut r, run.len()).is_err(), "prefix of {cut} bytes");
         }
+
+        // A bad tag inside a stretch of `Int`s: timestamp, element tag and
+        // width take 13 bytes, so the third value's tag is byte 31.
+        let mut buf = Vec::new();
+        put_timestamped(&mut buf, &run[4]);
+        buf[31] = 9;
+        let mut r = WireReader::new(&buf);
+        assert_eq!(
+            get_timestamped_run(&mut r, 1),
+            Err(WireError::BadTag { what: "value", tag: 9 })
+        );
     }
 
     #[test]
