@@ -496,13 +496,9 @@ impl Worker {
     }
 
     fn handle_msg(&mut self, msg: IngestMsg) -> Result<(), ClusterError> {
-        match msg {
-            IngestMsg::One(side, element) => self.handle_element(side, element)?,
-            IngestMsg::Batch(side, batch) => {
-                for element in batch {
-                    self.handle_element(side, element)?;
-                }
-            }
+        let IngestMsg::Batch(side, batch) = msg;
+        for element in batch {
+            self.handle_element(side, element)?;
         }
         self.publish_frames();
         Ok(())

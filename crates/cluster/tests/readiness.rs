@@ -176,7 +176,9 @@ fn fresh_subscription_gets_its_first_frame_at_once() {
             .collect::<Vec<_>>(),
     );
     let subscribe = Frame::Subscribe { resume_from: 0, wire_version: WIRE_VERSION };
-    let median = fresh_connection_median(sink.addr(), &subscribe, Frame::is_data);
+    let median = fresh_connection_median(sink.addr(), &subscribe, |f| {
+        matches!(f, Frame::DataBatch { .. })
+    });
     assert!(median <= FRESH_BUDGET, "median Subscribe → first frame took {median:?}");
 }
 

@@ -71,10 +71,6 @@ pub struct ExecConfig {
     /// to each shard independently, so aggregate limits scale with the
     /// shard count.
     pub join: PJoinConfig,
-    /// Merge shard outputs in timestamp order (watermark-based k-way
-    /// merge) instead of arrival order. Requires the caller to push
-    /// elements in non-decreasing timestamp order.
-    pub ordered_merge: bool,
     /// Caller → router channel capacity, in messages.
     pub input_capacity: usize,
     /// Router → shard channel capacity, in batches (per shard).
@@ -110,7 +106,6 @@ impl ExecConfig {
         Ok(ExecConfig {
             shards,
             join,
-            ordered_merge: false,
             input_capacity: DEFAULT_INPUT_CAPACITY,
             shard_capacity: DEFAULT_SHARD_CAPACITY,
             event_capacity: DEFAULT_EVENT_CAPACITY,
@@ -130,12 +125,6 @@ impl ExecConfig {
             Ok(config) => config,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Enables timestamp-ordered merging of shard outputs.
-    pub fn ordered(mut self) -> ExecConfig {
-        self.ordered_merge = true;
-        self
     }
 
     /// Overrides the router's flush threshold with `batch.max_elems`.
@@ -159,12 +148,10 @@ mod tests {
     fn defaults_are_bounded() {
         let c = ExecConfig::new(4, PJoinConfig::new(2, 2));
         assert_eq!(c.shards, 4);
-        assert!(!c.ordered_merge);
         assert!(c.input_capacity > 0);
         assert!(c.shard_capacity > 0);
         assert!(c.event_capacity > 0);
         assert!(c.output_capacity > 0);
-        assert!(c.ordered().ordered_merge);
     }
 
     #[test]

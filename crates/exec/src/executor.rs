@@ -281,7 +281,6 @@ impl ShardedPJoin {
             let counters = Arc::clone(&router_counters);
             let slot = Arc::clone(&failure);
             let batch = config.router_batch.max(1);
-            let ordered = config.ordered_merge;
             std::thread::Builder::new()
                 .name("pjoin-router".into())
                 .spawn(move || {
@@ -290,7 +289,6 @@ impl ShardedPJoin {
                             join_config,
                             shards,
                             batch,
-                            ordered,
                             input_rx,
                             shard_txs,
                             recycle_rx,
@@ -309,11 +307,10 @@ impl ShardedPJoin {
         let aligner_handle = Arc::clone(&aligner);
         let merger = {
             let aligner = Arc::clone(&aligner);
-            let ordered = config.ordered_merge;
             let trace = config.join.trace;
             std::thread::Builder::new()
                 .name("pjoin-merge".into())
-                .spawn(move || merge_loop(shards, ordered, trace, event_rx, output_tx, aligner))
+                .spawn(move || merge_loop(shards, trace, event_rx, output_tx, aligner))
                 .expect("spawn merger thread")
         };
 

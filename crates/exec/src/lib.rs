@@ -31,9 +31,10 @@
 //!   once**, and only after *every* shard it was sent to has purged and
 //!   propagated it — the sharded executor is thus indistinguishable
 //!   from a single PJoin to downstream consumers (modulo output order).
-//! * **Merge** ([`merge`]): arrival-order by default; an optional
-//!   watermark-based timestamp-ordered k-way merge behind
-//!   [`ExecConfig::ordered_merge`].
+//! * **Merge** ([`merge`]): arrival order only — each shard batch is
+//!   forwarded as it arrives. The contract downstream is the output
+//!   multiset plus each punctuation exactly once behind the tuples it
+//!   covers; the aligner, not the merge order, provides the latter.
 //! * **Bounded channels everywhere** ([`executor`]): backpressure
 //!   propagates to the caller; shutdown drains while feeding so finish
 //!   never deadlocks.

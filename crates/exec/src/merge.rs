@@ -4,23 +4,17 @@
 //! emitted exactly once — after *every* target shard has purged and
 //! propagated it.
 //!
-//! Two merge policies:
-//!
-//! * **Arrival order** (default): each shard batch is forwarded as it
-//!   arrives, as the `Vec` the shard filled — untouched when it carries
-//!   no punctuation, filtered in place otherwise. Nothing is coalesced:
-//!   one shard batch is one message to the caller, so no element is
-//!   copied between the shard's `Vec` and the caller's. Per-shard order
-//!   is preserved (each shard's events are FIFO); cross-shard
-//!   interleaving is nondeterministic, which is fine for downstream
-//!   operators that treat the stream as a multiset.
-//! * **Timestamp order** (`ordered_merge`): a watermark-based k-way
-//!   merge. Each shard reports `Progress(ts)` after every batch; the
-//!   frontier is the minimum progress over unfinished shards, and
-//!   buffered elements are released only up to the frontier (ties broken
-//!   by shard id). Requires timestamp-ordered input at the executor.
+//! The merge is in arrival order: each shard batch is forwarded as it
+//! arrives, as the `Vec` the shard filled — untouched when it carries no
+//! punctuation, filtered in place otherwise. Nothing is coalesced: one
+//! shard batch is one message to the caller, so no element is copied
+//! between the shard's `Vec` and the caller's. Per-shard order is
+//! preserved (each shard's events are FIFO); cross-shard interleaving is
+//! nondeterministic. PJoin's contract is the output multiset plus each
+//! punctuation exactly once, after every tuple it covers — and the
+//! aligner, not the merge order, is what places a punctuation behind
+//! the tuples of every shard it was sent to.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
@@ -47,10 +41,6 @@ pub struct MergeReport {
 }
 
 struct Merger {
-    ordered: bool,
-    done: Vec<bool>,
-    progress: Vec<Timestamp>,
-    queues: Vec<VecDeque<Timestamped<StreamElement>>>,
     aligner: Arc<SharedAligner>,
     out: Sender<Vec<Timestamped<StreamElement>>>,
     report: MergeReport,
@@ -108,43 +98,6 @@ impl Merger {
             self.caller_gone = true;
         }
     }
-
-    /// The merge frontier: minimum progress over unfinished shards, or
-    /// `None` when every shard is done (everything may be released).
-    fn frontier(&self) -> Option<Timestamp> {
-        self.progress
-            .iter()
-            .zip(&self.done)
-            .filter(|(_, done)| !**done)
-            .map(|(ts, _)| *ts)
-            .min()
-    }
-
-    /// Releases buffered elements up to the frontier in timestamp order,
-    /// ties broken by shard id.
-    fn release_ordered(&mut self) {
-        let frontier = self.frontier();
-        let mut batch = Vec::new();
-        loop {
-            let mut best: Option<(Timestamp, usize)> = None;
-            for (shard, q) in self.queues.iter().enumerate() {
-                if let Some(head) = q.front() {
-                    if frontier.is_none_or(|f| head.ts <= f)
-                        && best.is_none_or(|(ts, s)| (head.ts, shard) < (ts, s))
-                    {
-                        best = Some((head.ts, shard));
-                    }
-                }
-            }
-            match best {
-                Some((_, shard)) => {
-                    batch.push(self.queues[shard].pop_front().expect("non-empty head"));
-                }
-                None => break,
-            }
-        }
-        self.send(batch);
-    }
 }
 
 /// The merger thread body. Returns once every shard reported `Done` (or
@@ -152,7 +105,6 @@ impl Merger {
 /// tracing was enabled).
 pub(crate) fn merge_loop(
     shards: usize,
-    ordered: bool,
     trace: TraceSettings,
     rx: Receiver<ShardEvent>,
     out: Sender<Vec<Timestamped<StreamElement>>>,
@@ -161,10 +113,6 @@ pub(crate) fn merge_loop(
     let mut tracer = Tracer::new(trace);
     tracer.set_lane(LANE_MERGE);
     let mut m = Merger {
-        ordered,
-        done: vec![false; shards],
-        progress: vec![Timestamp::ZERO; shards],
-        queues: (0..shards).map(|_| VecDeque::new()).collect(),
         aligner,
         out,
         report: MergeReport::default(),
@@ -172,50 +120,22 @@ pub(crate) fn merge_loop(
         tracer,
     };
 
+    let mut done = vec![false; shards];
     let mut remaining = shards;
     while remaining > 0 {
-        // Block for the next event, then take what else is queued before
-        // the ordered merge looks for a new frontier (arrival order has
-        // already forwarded each batch by then).
-        let Ok(first) = rx.recv() else { break }; // all shard senders gone
-        let mut next = Some(first);
-        while let Some(event) = next.take() {
-            match event {
-                ShardEvent::Outputs { shard, mut outputs, puncts, progress } => {
-                    m.filter(shard, puncts, &mut outputs);
-                    if m.ordered {
-                        m.queues[shard].extend(outputs);
-                    } else {
-                        m.send(outputs);
-                    }
-                    if progress > m.progress[shard] {
-                        m.progress[shard] = progress;
-                    }
-                }
-                ShardEvent::Progress(shard, ts) => {
-                    if ts > m.progress[shard] {
-                        m.progress[shard] = ts;
-                    }
-                }
-                ShardEvent::Done(shard) => {
-                    if !m.done[shard] {
-                        m.done[shard] = true;
-                        remaining -= 1;
-                    }
+        let Ok(event) = rx.recv() else { break }; // all shard senders gone
+        match event {
+            ShardEvent::Outputs { shard, mut outputs, puncts } => {
+                m.filter(shard, puncts, &mut outputs);
+                m.send(outputs);
+            }
+            ShardEvent::Done(shard) => {
+                if !done[shard] {
+                    done[shard] = true;
+                    remaining -= 1;
                 }
             }
-            if remaining > 0 {
-                next = rx.try_recv().ok();
-            }
         }
-        if m.ordered {
-            m.release_ordered();
-        }
-    }
-
-    // All shards done: release everything still buffered.
-    if m.ordered {
-        m.release_ordered();
     }
     m.report.puncts_unaligned = m.aligner.lock().pending_len() as u64;
     (m.report, m.tracer.take())
@@ -239,11 +159,10 @@ mod tests {
 
     fn outputs(shard: usize, outputs: Batch) -> ShardEvent {
         let puncts = outputs.iter().filter(|e| e.item.is_punctuation()).count();
-        let progress = outputs.last().map_or(Timestamp::ZERO, |e| e.ts);
-        ShardEvent::Outputs { shard, outputs, puncts, progress }
+        ShardEvent::Outputs { shard, outputs, puncts }
     }
 
-    /// Runs an arrival-order `merge_loop` over `events` to completion and
+    /// Runs `merge_loop` over `events` to completion and
     /// returns the batches it sent, in order, with its report.
     fn merge(shards: usize, aligner: SharedAligner, events: Vec<ShardEvent>) -> (Vec<Batch>, MergeReport) {
         let (event_tx, event_rx) = bounded(events.len().max(1));
@@ -253,7 +172,7 @@ mod tests {
         }
         drop(event_tx);
         let settings = TraceSettings::default();
-        let (report, _) = merge_loop(shards, false, settings, event_rx, out_tx, Arc::new(aligner));
+        let (report, _) = merge_loop(shards, settings, event_rx, out_tx, Arc::new(aligner));
         (std::iter::from_fn(|| out_rx.try_recv().ok()).collect(), report)
     }
 
@@ -279,7 +198,6 @@ mod tests {
         let ptr = first.as_ptr();
         let events = vec![
             outputs(0, first),
-            ShardEvent::Progress(1, Timestamp(3)),
             outputs(1, vec![t(4, 4), p(4, 7), p(4, 9)]),
             outputs(0, vec![p(5, 7)]),
             ShardEvent::Done(0),
@@ -301,8 +219,7 @@ mod tests {
 
     #[test]
     fn done_with_nothing_buffered_sends_nothing() {
-        let events =
-            vec![ShardEvent::Progress(0, Timestamp(9)), ShardEvent::Done(1), ShardEvent::Done(0)];
+        let events = vec![ShardEvent::Done(1), ShardEvent::Done(0)];
         let (sent, report) = merge(2, SharedAligner::new(), events);
         assert!(sent.is_empty());
         assert_eq!((report.tuples, report.puncts), (0, 0));

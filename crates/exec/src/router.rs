@@ -224,7 +224,6 @@ struct RouterState {
     config: PJoinConfig,
     shards: usize,
     batch: usize,
-    ordered: bool,
     buffers: Vec<Vec<RoutedElement>>,
     /// Per-shard open batch span: started when the first element lands in
     /// an empty buffer, ended at flush (one `RouterBatch` span per batch).
@@ -379,18 +378,10 @@ impl RouterState {
             .send(ShardMsg::Batch { elements, watermark: self.watermark });
     }
 
-    /// Flushes every non-empty buffer. In ordered-merge mode, idle
-    /// shards also receive an empty watermark batch so their progress
-    /// frontier keeps advancing and the k-way merge never stalls on a
-    /// shard that happens to own no recent keys.
+    /// Flushes every non-empty buffer.
     fn flush_all(&mut self) {
         for shard in 0..self.shards {
-            if !self.buffers[shard].is_empty() {
-                self.flush_shard(shard);
-            } else if self.ordered && self.watermark > Timestamp::ZERO {
-                let _ = self.shard_txs[shard]
-                    .send(ShardMsg::Batch { elements: Vec::new(), watermark: self.watermark });
-            }
+            self.flush_shard(shard);
         }
     }
 }
@@ -405,7 +396,6 @@ pub(crate) fn router_loop(
     config: PJoinConfig,
     shards: usize,
     batch: usize,
-    ordered: bool,
     rx: Receiver<RouterMsg>,
     shard_txs: Vec<Sender<ShardMsg>>,
     recycle: Receiver<Vec<RoutedElement>>,
@@ -418,7 +408,6 @@ pub(crate) fn router_loop(
         config,
         shards,
         batch,
-        ordered,
         buffers: (0..shards).map(|_| Vec::new()).collect(),
         open_spans: vec![None; shards],
         watermark: Timestamp::ZERO,

@@ -37,10 +37,11 @@ pub struct RoutedElement {
 /// A message from the router to a shard.
 #[derive(Debug)]
 pub enum ShardMsg {
-    /// A batch of elements (possibly empty) plus the router's routing
+    /// A non-empty batch of elements plus the router's routing
     /// watermark — the largest ingest timestamp routed *anywhere* when
-    /// the batch was flushed. Shards fold it into their progress so the
-    /// ordered merge advances even on shards owning no recent keys.
+    /// the batch was flushed. Shards fold it into their element clock,
+    /// which idle work and the end-of-stream protocol run at and which
+    /// stamps their outputs.
     Batch {
         /// Elements for this shard, in global arrival order.
         elements: Vec<RoutedElement>,
@@ -56,14 +57,12 @@ pub enum ShardMsg {
 }
 
 /// An event from a shard to the merger. All shards share one bounded
-/// channel; within a shard, events are emitted in order, and a shard's
-/// `Outputs` timestamps never exceed the progress they carry.
+/// channel; within a shard, events are emitted in order.
 #[derive(Debug)]
 pub enum ShardEvent {
-    /// A batch of join outputs (tuples and shard-propagated
-    /// punctuations), stamped with the shard's element clock, plus the
-    /// shard's progress after the batch — carried together so each
-    /// processed batch costs the shard exactly one channel send. The
+    /// A non-empty batch of join outputs (tuples and shard-propagated
+    /// punctuations), stamped with the shard's element clock — one
+    /// channel send per processed batch that produced anything. The
     /// shard is the only writer of these handles: the merger moves or
     /// filters the `Vec` and the caller adopts it.
     Outputs {
@@ -74,12 +73,7 @@ pub enum ShardEvent {
         /// How many of `outputs` are punctuations, counted while
         /// stamping: zero lets the merger forward the batch untouched.
         puncts: usize,
-        /// The shard has processed everything up to this timestamp.
-        progress: Timestamp,
     },
-    /// The shard has processed everything up to this timestamp (used
-    /// when a batch produced no outputs).
-    Progress(usize, Timestamp),
     /// The shard finished its end-of-stream protocol and exited.
     Done(usize),
 }
@@ -172,10 +166,7 @@ pub(crate) fn shard_loop(
                 last_ts = last_ts.max(watermark);
                 emitted += outputs.len() as u64;
                 publish(&join, consumed, emitted);
-                // One send per batch: outputs and progress travel
-                // together.
-                let event = outputs_event(shard, outputs, puncts, last_ts);
-                if events.send(event).is_err() {
+                if !send_outputs(&events, shard, outputs, puncts) {
                     break; // merger gone: executor torn down
                 }
             }
@@ -188,7 +179,7 @@ pub(crate) fn shard_loop(
                 puncts += stamp_into(&mut out, last_ts, &mut outputs);
                 emitted += outputs.len() as u64;
                 publish(&join, consumed, emitted);
-                let _ = events.send(outputs_event(shard, outputs, puncts, last_ts));
+                send_outputs(&events, shard, outputs, puncts);
                 break;
             }
             Ok(ShardMsg::Die) => panic!("shard {shard} killed by test hook"),
@@ -198,11 +189,7 @@ pub(crate) fn shard_loop(
                     let puncts = stamp_into(&mut out, last_ts, &mut outputs);
                     emitted += outputs.len() as u64;
                     publish(&join, consumed, emitted);
-                    if !outputs.is_empty()
-                        && events
-                            .send(ShardEvent::Outputs { shard, outputs, puncts, progress: last_ts })
-                            .is_err()
-                    {
+                    if !send_outputs(&events, shard, outputs, puncts) {
                         break;
                     }
                 }
@@ -231,20 +218,15 @@ pub(crate) fn shard_loop(
     report
 }
 
-/// The one event a processed batch sends: its outputs with the progress,
-/// or the progress alone when it produced none (the ordered merge keeps
-/// advancing either way).
-fn outputs_event(
+/// Sends `outputs` to the merger unless there are none. False once the
+/// merger is gone.
+fn send_outputs(
+    events: &Sender<ShardEvent>,
     shard: usize,
     outputs: Vec<Timestamped<StreamElement>>,
     puncts: usize,
-    progress: Timestamp,
-) -> ShardEvent {
-    if outputs.is_empty() {
-        ShardEvent::Progress(shard, progress)
-    } else {
-        ShardEvent::Outputs { shard, outputs, puncts, progress }
-    }
+) -> bool {
+    outputs.is_empty() || events.send(ShardEvent::Outputs { shard, outputs, puncts }).is_ok()
 }
 
 /// Moves the operator's pending outputs into `outputs`, stamped with the

@@ -1,6 +1,6 @@
 //! End-to-end tests of the sharded executor: clean shutdown under tiny
-//! channel capacities, exactly-once punctuation alignment, ordered
-//! merging, and metrics aggregation.
+//! channel capacities, exactly-once punctuation alignment, output
+//! timestamps, and metrics aggregation.
 
 use pjoin::PJoinConfig;
 use punct_exec::{ExecConfig, ShardedPJoin};
@@ -99,42 +99,6 @@ fn broadcast_punctuation_emitted_exactly_once_after_all_shards() {
     assert_eq!(stats.merge.puncts_unaligned, 0);
     // The range purged the whole left state on every shard.
     assert_eq!(stats.total_stats().tuples_purged, 64);
-}
-
-#[test]
-fn ordered_merge_emits_in_timestamp_order() {
-    let mut config = ExecConfig::new(4, PJoinConfig::new(2, 2)).ordered();
-    config.router_batch = 8;
-    let exec = ShardedPJoin::spawn(config);
-    let feed = keyed_workload(300);
-    for (side, e) in feed {
-        exec.push(side, e);
-    }
-    let (outputs, stats) = exec.finish();
-    assert_eq!(outputs.iter().filter(|e| e.item.is_tuple()).count(), 300);
-    assert!(
-        outputs.windows(2).all(|w| w[0].ts <= w[1].ts),
-        "ordered merge produced out-of-order timestamps"
-    );
-    assert_eq!(stats.merge.puncts_unexpected, 0);
-}
-
-#[test]
-fn ordered_and_arrival_merge_agree_on_the_multiset() {
-    let run = |ordered: bool| {
-        let base = ExecConfig::new(4, PJoinConfig::new(2, 2));
-        let config = if ordered { base.ordered() } else { base };
-        let exec = ShardedPJoin::spawn(config);
-        for (side, e) in keyed_workload(200) {
-            exec.push(side, e);
-        }
-        let (outputs, _) = exec.finish();
-        let mut items: Vec<String> =
-            outputs.iter().map(|e| format!("{:?}", e.item)).collect();
-        items.sort();
-        items
-    };
-    assert_eq!(run(false), run(true));
 }
 
 #[test]
@@ -279,7 +243,7 @@ fn killed_shard_surfaces_promptly_and_finish_reports_it() {
 }
 
 /// An output's timestamp names the newest input that produced it: at one
-/// shard with an ordered merge, every joined tuple is stamped with the
+/// shard, every joined tuple is stamped with the
 /// later of its two inputs' timestamps — per element, not per batch,
 /// although the shard drains its collector once per batch. The workload
 /// is sized so that late elements each produce more joined tuples than
@@ -290,7 +254,7 @@ fn killed_shard_surfaces_promptly_and_finish_reports_it() {
 fn output_timestamp_is_the_later_input_timestamp() {
     use stream_sim::{BinaryStreamOp, OpOutput};
 
-    let exec = ShardedPJoin::spawn(ExecConfig::new(1, PJoinConfig::new(2, 2)).ordered());
+    let exec = ShardedPJoin::spawn(ExecConfig::new(1, PJoinConfig::new(2, 2)));
     // Same-side runs of 7 over 2 keys; each payload is the tuple's own
     // timestamp, so a result carries both input timestamps.
     let feed: Vec<_> = (1..=1_400u64)

@@ -34,10 +34,8 @@ pub struct ClientOptions {
     pub policy: BackoffPolicy,
     /// Seed for the backoff jitter (decorrelates concurrent clients).
     pub seed: u64,
-    /// Elements encoded per socket write (bounded above by available
-    /// credits). With `batch > 1` each write carries one `DataBatch`
-    /// frame; `batch == 1` sends plain `Data` frames, reproducing the
-    /// per-element wire behavior exactly.
+    /// Elements per `DataBatch` frame (bounded above by available
+    /// credits); `batch == 1` sends every element in a frame of its own.
     pub batch: usize,
     /// Payload-byte cap per `DataBatch` frame: a batch whose encoding
     /// would exceed this is split across frames (each still one write),
@@ -67,8 +65,8 @@ impl Default for ClientOptions {
 impl ClientOptions {
     /// Applies a [`punct_types::BatchConfig`] to the wire batching
     /// knobs: `max_elems` elements per write, `max_bytes` per `DataBatch`
-    /// frame. `BatchConfig::per_element()` therefore yields per-element
-    /// `Data` frames.
+    /// frame. `BatchConfig::per_element()` therefore yields one-element
+    /// `DataBatch` frames.
     pub fn with_batch(mut self, batch: punct_types::BatchConfig) -> ClientOptions {
         self.batch = batch.max_elems.max(1);
         self.max_batch_bytes = batch.max_bytes;
@@ -84,9 +82,9 @@ pub struct SendReport {
     pub acked: u64,
     /// Successful reconnects after the initial connection.
     pub reconnects: u32,
-    /// Stream elements written inside `Data`/`DataBatch` frames (repeats
-    /// after a resume count again).
-    pub frames_sent: u64,
+    /// Stream elements written inside `DataBatch` frames (repeats after
+    /// a resume count again).
+    pub elements_sent: u64,
     /// Bytes written to sockets.
     pub bytes_sent: u64,
     /// Times the credit window closed with elements still unsent.
@@ -185,7 +183,7 @@ pub struct StreamSender {
     backoff: Backoff,
     /// Encode buffer, reused across writes.
     out: Vec<u8>,
-    frames_sent: u64,
+    elements_sent: u64,
     bytes_sent: u64,
     credit_stalls: u64,
     /// The open credit stall, if the window closed with elements unsent.
@@ -224,7 +222,7 @@ impl StreamSender {
             finished: false,
             backoff,
             out: Vec::with_capacity(4 * 1024),
-            frames_sent: 0,
+            elements_sent: 0,
             bytes_sent: 0,
             credit_stalls: 0,
             stall: None,
@@ -353,7 +351,7 @@ impl StreamSender {
         Ok(SendReport {
             acked: self.base,
             reconnects: self.reconnects,
-            frames_sent: self.frames_sent,
+            elements_sent: self.elements_sent,
             bytes_sent: self.bytes_sent,
             credit_stalls: self.credit_stalls,
             trace: self.tracer.take(),
@@ -514,31 +512,24 @@ impl StreamSender {
         out.clear();
         let span = self.tracer.span_start();
         let elements = &self.buffer.make_contiguous()[unsent_start..unsent_start + n];
-        if self.opts.batch <= 1 {
-            for (i, el) in elements.iter().enumerate() {
-                let seq = self.sent + i as u64;
-                encode_frame_into(&Frame::Data { seq, element: el.clone() }, &mut out);
-            }
-        } else {
-            let mut off = 0usize;
-            while off < n {
-                let frame_end = n.min(off + self.opts.batch);
-                let taken = encode_data_batch_into(
-                    self.sent + off as u64,
-                    &elements[off..frame_end],
-                    self.opts.max_batch_bytes,
-                    &mut out,
-                );
-                self.tracer.instant(TraceKind::NetBatch, 0, u64::from(self.stream), taken as u64);
-                off += taken;
-            }
+        let mut off = 0usize;
+        while off < n {
+            let frame_end = n.min(off + self.opts.batch.max(1));
+            let taken = encode_data_batch_into(
+                self.sent + off as u64,
+                &elements[off..frame_end],
+                self.opts.max_batch_bytes,
+                &mut out,
+            );
+            self.tracer.instant(TraceKind::NetBatch, 0, u64::from(self.stream), taken as u64);
+            off += taken;
         }
         let vt = elements[0].ts.as_micros();
         self.tracer.span_end(span, TraceKind::NetEncode, vt, out.len() as u64, n as u64);
         let written = self.write(&out);
         self.out = out;
         written?;
-        self.frames_sent += n as u64;
+        self.elements_sent += n as u64;
         self.credits -= n as u32;
         self.sent += n as u64;
         if self.credits == 0 && self.backlog() > 0 {

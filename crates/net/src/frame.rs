@@ -12,9 +12,10 @@
 //! has `len == 1`. Payload contents use the wire-stable encodings of
 //! `punct_types::wire`. Decoding is fail-safe: malformed bytes produce a
 //! [`WireError`], never a panic, and announced lengths are validated
-//! before any allocation. Data elements have one decode path,
-//! `wire::get_timestamped_run` (a `Data` frame is a run of one): the
-//! tuples of one frame are views into one shared value block.
+//! before any allocation. Stream elements travel only in `DataBatch`
+//! frames (a single element is a batch of one) and have one decode path,
+//! `wire::get_timestamped_run`: the tuples of one frame are views into
+//! one shared value block.
 
 use punct_types::wire::{
     get_records, get_schema, get_timestamped_run, put_bytes, put_records, put_schema, put_str,
@@ -36,8 +37,9 @@ use punct_types::{Schema, ShardMap, StreamElement, Timestamped, Tuple};
 /// encoded by `punct-trace` and opaque at this layer); version 5 added
 /// the durability control frames (`Checkpoint`, `Heartbeat`, `Rollback`,
 /// `CheckpointDone`) for barrier-punctuation checkpointing, liveness,
-/// and crash recovery.
-pub const WIRE_VERSION: u32 = 5;
+/// and crash recovery; version 6 retired the per-element `Data` frame
+/// (tag 2, never reused): every element travels in a `DataBatch`.
+pub const WIRE_VERSION: u32 = 6;
 
 /// Hard cap on a frame's announced length (tag + payload). A corrupted
 /// length prefix can therefore never request more than this in one
@@ -71,10 +73,11 @@ pub mod error_code {
 
 /// One protocol message.
 ///
-/// Direction conventions: `Hello`/`Data`/`Fin` flow from a source client
-/// to the ingest server; `HelloAck`/`Ack`/`Credit`/`FinAck` flow back;
-/// `Subscribe` opens a sink subscription (then `Data`/`Fin` flow from
-/// the sink server to the consumer). `Error` may flow either way.
+/// Direction conventions: `Hello`/`DataBatch`/`Fin` flow from a source
+/// client to the ingest server; `HelloAck`/`Ack`/`Credit`/`FinAck` flow
+/// back; `Subscribe` opens a sink subscription (then `DataBatch`/`Fin`
+/// flow from the sink server to the consumer). `Error` may flow either
+/// way.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Opens (or re-opens) a source stream: which stream, which join
@@ -95,22 +98,12 @@ pub enum Frame {
         /// client resumes sending from exactly here; everything before
         /// it is acknowledged.
         resume_from: u64,
-        /// Initial credits: how many `Data` frames may be sent before
+        /// Initial credits: how many elements may be sent before
         /// waiting for a `Credit` grant.
         credits: u32,
         /// Protocol version of the server, so the client can also
         /// detect a mismatch (the check is symmetric).
         wire_version: u32,
-    },
-    /// One stream element. `seq` numbers elements densely from 0 per
-    /// stream (tuples and punctuations share the sequence), which is
-    /// what makes resume idempotent: the receiver discards any `seq`
-    /// below its next expected one.
-    Data {
-        /// Element sequence number.
-        seq: u64,
-        /// The element with its arrival timestamp.
-        element: Timestamped<StreamElement>,
     },
     /// Cumulative acknowledgement: every `seq < up_to` was received and
     /// handed downstream. On the cluster control link the coordinator
@@ -121,11 +114,11 @@ pub enum Frame {
         up_to: u64,
     },
     /// Backpressure credit grant: the sender may transmit `n` more
-    /// `Data` frames. The server only grants credits as it drains
+    /// elements. The server only grants credits as it drains
     /// elements into its (bounded) downstream channel, so a slow
     /// consumer stalls the sender instead of growing a queue.
     Credit {
-        /// Number of additional frames allowed.
+        /// Number of additional elements allowed.
         n: u32,
     },
     /// The sender has transmitted its whole stream: `count` elements,
@@ -153,11 +146,13 @@ pub enum Frame {
         /// with a `VERSION_MISMATCH` error.
         wire_version: u32,
     },
-    /// Many consecutive stream elements in one frame — the batched form
-    /// of `Data`, moving a whole batch per syscall. Element `i` carries
-    /// sequence `first_seq + i`; credit accounting and resume dedup stay
-    /// per-element, so a receiver treats `DataBatch` exactly as that
-    /// many `Data` frames arriving back to back.
+    /// Consecutive stream elements — the only frame that carries them;
+    /// a single element is a batch of one. Sequence numbers count
+    /// elements densely from 0 per stream (tuples and punctuations share
+    /// the sequence), and element `i` carries `first_seq + i`. Credit
+    /// accounting and resume dedup are per element: the receiver
+    /// discards any sequence below its next expected one, which is what
+    /// makes resume idempotent.
     DataBatch {
         /// Sequence number of the first element.
         first_seq: u64,
@@ -289,7 +284,8 @@ pub enum Frame {
 
 const TAG_HELLO: u8 = 0;
 const TAG_HELLO_ACK: u8 = 1;
-const TAG_DATA: u8 = 2;
+// Tag 2 was the per-element `Data` frame (wire versions 1–5); retired,
+// never reused, and decoded as `BadTag`.
 const TAG_ACK: u8 = 3;
 const TAG_CREDIT: u8 = 4;
 const TAG_FIN: u8 = 5;
@@ -311,29 +307,11 @@ const TAG_ROLLBACK: u8 = 20;
 const TAG_CHECKPOINT_DONE: u8 = 21;
 
 impl Frame {
-    /// True for `Data`/`DataBatch` frames (the only kinds subject to
-    /// credits, and the only kinds the fault proxy drops).
-    pub fn is_data(&self) -> bool {
-        matches!(self, Frame::Data { .. } | Frame::DataBatch { .. })
-    }
-
-    /// Number of stream elements the frame carries (1 for `Data`, the
-    /// batch length for `DataBatch`, 0 otherwise) — the unit of credit
-    /// accounting.
-    pub fn element_count(&self) -> usize {
-        match self {
-            Frame::Data { .. } => 1,
-            Frame::DataBatch { elements, .. } => elements.len(),
-            _ => 0,
-        }
-    }
-
     /// The frame's wire tag.
     pub fn tag(&self) -> u8 {
         match self {
             Frame::Hello { .. } => TAG_HELLO,
             Frame::HelloAck { .. } => TAG_HELLO_ACK,
-            Frame::Data { .. } => TAG_DATA,
             Frame::Ack { .. } => TAG_ACK,
             Frame::Credit { .. } => TAG_CREDIT,
             Frame::Fin { .. } => TAG_FIN,
@@ -373,10 +351,6 @@ pub fn encode_frame_into(frame: &Frame, buf: &mut Vec<u8>) {
             put_u64(buf, *resume_from);
             put_u32(buf, *credits);
             put_u32(buf, *wire_version);
-        }
-        Frame::Data { seq, element } => {
-            put_u64(buf, *seq);
-            put_timestamped(buf, element);
         }
         Frame::Ack { up_to: v }
         | Frame::Fin { count: v }
@@ -452,7 +426,7 @@ pub fn encode_data_batch_into(
     max_bytes: usize,
     buf: &mut Vec<u8>,
 ) -> usize {
-    let start = open_data_frame(buf, true, first_seq);
+    let start = open_data_frame(buf, first_seq);
     let mut taken = 0usize;
     for element in elements {
         let rollback = buf.len();
@@ -470,29 +444,24 @@ pub fn encode_data_batch_into(
     taken
 }
 
-/// Opens a data frame at the end of `buf` — a `DataBatch` when
-/// `batched`, else a `Data` frame — numbered from `seq`, and returns
-/// where it starts. The caller appends the encoded elements and then
-/// calls [`close_data_frame`], which fills in the length prefix and a
-/// batch's element count.
-pub(crate) fn open_data_frame(buf: &mut Vec<u8>, batched: bool, seq: u64) -> usize {
+/// Opens a `DataBatch` frame at the end of `buf`, numbered from `seq`,
+/// and returns where it starts. The caller appends the encoded elements
+/// and then calls [`close_data_frame`], which fills in the length prefix
+/// and the element count.
+pub(crate) fn open_data_frame(buf: &mut Vec<u8>, seq: u64) -> usize {
     let start = buf.len();
     put_u32(buf, 0); // the length, filled in on close
-    buf.push(if batched { TAG_DATA_BATCH } else { TAG_DATA });
+    buf.push(TAG_DATA_BATCH);
     put_u64(buf, seq);
-    if batched {
-        put_u32(buf, 0); // the count, filled in on close
-    }
+    put_u32(buf, 0); // the count, filled in on close
     start
 }
 
-/// Completes the data frame that is all of `frame` (opened by
+/// Completes the `DataBatch` frame that is all of `frame` (opened by
 /// [`open_data_frame`]) holding `count` elements.
 pub(crate) fn close_data_frame(frame: &mut [u8], count: u32) {
     put_u32_at(frame, 0, (frame.len() - 4) as u32);
-    if frame[4] == TAG_DATA_BATCH {
-        put_u32_at(frame, 13, count);
-    }
+    put_u32_at(frame, 13, count);
 }
 
 /// Renumbers the data frame that is all of `frame` from `seq`.
@@ -519,11 +488,6 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
             credits: r.u32("helloack credits")?,
             wire_version: r.u32("helloack version")?,
         },
-        TAG_DATA => {
-            let seq = r.u64("data seq")?;
-            let element = get_timestamped_run(&mut r, 1)?.pop().expect("a run of one element");
-            Frame::Data { seq, element }
-        }
         TAG_ACK => Frame::Ack { up_to: r.u64("ack up_to")? },
         TAG_CREDIT => Frame::Credit { n: r.u32("credit n")? },
         TAG_FIN => Frame::Fin { count: r.u64("fin count")? },
@@ -663,7 +627,7 @@ impl FrameBuffer {
     /// Pops the next complete frame as raw bytes (length prefix
     /// included), without decoding the payload — the fault proxy's view.
     /// Also returns the payload tag byte so the proxy can target only
-    /// `Data` frames.
+    /// `DataBatch` frames.
     pub fn next_raw(&mut self) -> Result<Option<(u8, Vec<u8>)>, WireError> {
         match self.next_len()? {
             None => Ok(None),
@@ -678,11 +642,10 @@ impl FrameBuffer {
 }
 
 /// True if a raw frame (as returned by [`FrameBuffer::next_raw`]) is a
-/// `Data` or `DataBatch` frame — the kinds the fault proxy drops, so
-/// batched transfers exercise loss and resume exactly like per-element
-/// ones.
+/// `DataBatch` frame — the kind the fault proxy drops, so transfers
+/// exercise loss and resume.
 pub fn raw_is_data(tag: u8) -> bool {
-    tag == TAG_DATA || tag == TAG_DATA_BATCH
+    tag == TAG_DATA_BATCH
 }
 
 #[cfg(test)]
@@ -699,12 +662,12 @@ mod tests {
                 schema: Schema::of(&[("k", ValueType::Int), ("v", ValueType::Str)]),
             },
             Frame::HelloAck { resume_from: 42, credits: 128, wire_version: WIRE_VERSION },
-            Frame::Data {
-                seq: 7,
-                element: Timestamped::new(
+            Frame::DataBatch {
+                first_seq: 7,
+                elements: vec![Timestamped::new(
                     Timestamp::from_micros(99),
                     StreamElement::Tuple(Tuple::of((1i64, "x"))),
-                ),
+                )],
             },
             Frame::Ack { up_to: 8 },
             Frame::Credit { n: 64 },
@@ -858,7 +821,8 @@ mod tests {
             rebuilt.extend_from_slice(&raw);
         }
         assert_eq!(rebuilt, wire);
-        let expected = sample_frames().iter().filter(|f| f.is_data()).count();
+        let expected =
+            sample_frames().iter().filter(|f| matches!(f, Frame::DataBatch { .. })).count();
         assert_eq!(data_frames, expected);
     }
 

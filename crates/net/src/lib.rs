@@ -15,8 +15,9 @@
 //!                    └──────────────┘
 //! ```
 //!
-//! * [`frame`] — the wire protocol: 22 frame kinds (10 data plane, 12
-//!   cluster control plane) over the wire-stable payload encodings of
+//! * [`frame`] — the wire protocol: 21 frame kinds (9 data plane, 12
+//!   cluster control plane; every stream element travels in a
+//!   `DataBatch`) over the wire-stable payload encodings of
 //!   `punct_types::wire`. Decoding never panics.
 //! * [`server`] — the TCP ingest server: per-stream persistent sequence
 //!   numbers (dedup + resume), credit grants tied to downstream channel
@@ -115,10 +116,13 @@ mod tests {
 
     /// Unwraps an ingest message into its side and elements.
     fn msg_elements(msg: IngestMsg) -> (Side, Vec<Timestamped<StreamElement>>) {
-        match msg {
-            IngestMsg::One(side, e) => (side, vec![e]),
-            IngestMsg::Batch(side, batch) => (side, batch),
-        }
+        let IngestMsg::Batch(side, batch) = msg;
+        (side, batch)
+    }
+
+    /// One element as the one-element `DataBatch` frame carrying `seq`.
+    fn one_element_frame(seq: u64, element: Timestamped<StreamElement>) -> Vec<u8> {
+        encode_frame(&Frame::DataBatch { first_seq: seq, elements: vec![element] })
     }
 
     #[test]
@@ -226,8 +230,7 @@ mod tests {
         assert!(matches!(read_one(&mut b, &mut fb_b), Frame::HelloAck { resume_from: 0, .. }));
 
         // A's in-flight element must be refused, not forwarded.
-        a.write_all(&encode_frame(&Frame::Data { seq: 0, element: tup(0, 1) }))
-            .expect("data a");
+        a.write_all(&one_element_frame(0, tup(0, 1))).expect("data a");
         match read_one(&mut a, &mut fb_a) {
             Frame::Error { code, .. } => assert_eq!(code, frame::error_code::SUPERSEDED),
             other => panic!("expected SUPERSEDED, got {other:?}"),
@@ -235,8 +238,7 @@ mod tests {
         assert_eq!(server.forwarded(), vec![0], "a superseded handler must not advance the seq");
 
         // B delivers the same element exactly once.
-        b.write_all(&encode_frame(&Frame::Data { seq: 0, element: tup(0, 1) }))
-            .expect("data b");
+        b.write_all(&one_element_frame(0, tup(0, 1))).expect("data b");
         b.write_all(&encode_frame(&Frame::Fin { count: 1 })).expect("fin b");
         // The element is acknowledged — once if it and the Fin were
         // read together, twice (with its credit) if the socket ran dry
@@ -347,12 +349,12 @@ mod tests {
         assert_eq!(got, elements);
     }
 
-    /// The client's per-element wire path: with `batch: 1` every element
-    /// crosses as a plain `Data` frame (the server forwards each as
-    /// `IngestMsg::One`), and through drops and a forced disconnect the
-    /// channel still carries each element exactly once, in order.
+    /// With `batch: 1` every element crosses as a one-element `DataBatch`
+    /// frame (the server forwards each as its own message), and through
+    /// drops and a forced disconnect the channel still carries each
+    /// element exactly once, in order.
     #[test]
-    fn per_element_frames_through_faults_are_exactly_once() {
+    fn one_element_batches_through_faults_are_exactly_once() {
         let elements: Vec<_> = (0..300)
             .map(|i| if i % 25 == 24 { punct(i, i as i64) } else { tup(i, i as i64) })
             .collect();
@@ -377,7 +379,7 @@ mod tests {
         assert_eq!(report.acked, elements.len() as u64);
         let mut got = Vec::new();
         while let Ok(msg) = rx.try_recv() {
-            assert!(matches!(msg, IngestMsg::One(..)), "batch 1 sends plain Data frames");
+            assert_eq!(msg.len(), 1, "batch 1 sends one element per message");
             got.extend(msg_elements(msg).1);
         }
         assert_eq!(got, elements, "losses and reconnects must not reorder, drop or duplicate");
@@ -408,10 +410,6 @@ mod tests {
         let mut got = Vec::new();
         loop {
             match read_one(&mut sock, &mut fb) {
-                Frame::Data { seq, element } => {
-                    assert_eq!(seq, 60 + got.len() as u64);
-                    got.push(element);
-                }
                 Frame::DataBatch { first_seq, elements } => {
                     assert_eq!(first_seq, 60 + got.len() as u64);
                     got.extend(elements);

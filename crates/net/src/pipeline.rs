@@ -6,7 +6,6 @@ use std::time::Duration;
 use crossbeam::channel::RecvTimeoutError;
 use punct_exec::{ExecConfig, ExecStats, ShardedPJoin};
 use punct_types::{StreamElement, Timestamped};
-use stream_sim::Side;
 
 use crate::server::{IngestMsg, IngestReceiver, IngestServer};
 use crate::sink::SinkServer;
@@ -50,37 +49,22 @@ pub fn run_networked_join(
         }
         outputs.extend(batch);
     };
-    // Feeds one ingest message at its wire granularity, preserving
-    // arrival order: single elements accumulate in `singles` (flushed
-    // before any batch), while a decoded `DataBatch` frame's vector is
+    // Feeds one ingest message: a decoded `DataBatch` frame's vector is
     // handed to the router whole — the elements move channel → router
     // staging with no per-element copy or re-tagging.
-    let feed =
-        |msg: IngestMsg, singles: &mut Vec<(Side, Timestamped<StreamElement>)>, fed: &mut u64| {
-            *fed += msg.len() as u64;
-            match msg {
-                IngestMsg::One(side, element) => singles.push((side, element)),
-                IngestMsg::Batch(side, batch) => {
-                    if !singles.is_empty() {
-                        exec.push_batch(std::mem::take(singles));
-                    }
-                    exec.push_side_batch(side, batch);
-                }
-            }
-        };
-    let mut singles: Vec<(Side, Timestamped<StreamElement>)> = Vec::new();
+    let feed = |IngestMsg::Batch(side, batch): IngestMsg, fed: &mut u64| {
+        *fed += batch.len() as u64;
+        exec.push_side_batch(side, batch);
+    };
     loop {
         match rx.recv_timeout(Duration::from_millis(5)) {
             Ok(msg) => {
                 // Opportunistically drain whatever else is queued so the
                 // channel frees up in bursts (one router wakeup per
                 // message burst, not per element).
-                feed(msg, &mut singles, &mut fed);
+                feed(msg, &mut fed);
                 while let Ok(next) = rx.try_recv() {
-                    feed(next, &mut singles, &mut fed);
-                }
-                if !singles.is_empty() {
-                    exec.push_batch(std::mem::take(&mut singles));
+                    feed(next, &mut fed);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -89,10 +73,7 @@ pub fn run_networked_join(
                 // final drain below empties the channel for good.
                 if server.all_finished() {
                     while let Ok(next) = rx.try_recv() {
-                        feed(next, &mut singles, &mut fed);
-                    }
-                    if !singles.is_empty() {
-                        exec.push_batch(std::mem::take(&mut singles));
+                        feed(next, &mut fed);
                     }
                     break;
                 }

@@ -2,7 +2,7 @@
 //!
 //! Sits between a client and a server, reassembling the client→server
 //! byte stream into whole frames so faults are *frame-aware*: it delays,
-//! drops, paces, or cuts connections at frame granularity. Only `Data`
+//! drops, paces, or cuts connections at frame granularity. Only `DataBatch`
 //! frames are ever dropped — control frames (handshakes, acks, credits)
 //! always pass, so a fault can delay recovery but never wedge it. The
 //! server→client direction is a transparent byte pump.
@@ -31,7 +31,7 @@ pub struct FaultConfig {
     pub latency: Duration,
     /// Extra uniform random latency in `[0, jitter)` per frame.
     pub jitter: Duration,
-    /// Drop each `Data` frame with probability `1/drop_one_in`
+    /// Drop each `DataBatch` frame with probability `1/drop_one_in`
     /// (0 disables dropping).
     pub drop_one_in: u32,
     /// Stop dropping after this many drops (keeps tests convergent).
@@ -86,7 +86,7 @@ pub struct ProxyStats {
     pub connections: u64,
     /// Frames forwarded client→server.
     pub frames_forwarded: u64,
-    /// `Data` frames deliberately dropped.
+    /// `DataBatch` frames deliberately dropped.
     pub frames_dropped: u64,
     /// Connections force-closed.
     pub disconnects_forced: u64,

@@ -7,10 +7,10 @@
 //! Each stream has one persistent `next_seq` counter that outlives
 //! connections. The handshake tells a (re)connecting client to resume
 //! from exactly there, so nothing the server already forwarded is ever
-//! forwarded again; a `Data` frame below `next_seq` is a duplicate and
-//! is suppressed (it still earns credit, so a resuming client cannot
-//! starve), and a frame above it is a gap — the server rejects the
-//! connection with a `SEQUENCE_GAP` error, forcing the client back
+//! forwarded again; an element below `next_seq` is a duplicate and is
+//! suppressed (it still earns credit, so a resuming client cannot
+//! starve), and a frame starting above it is a gap — the server rejects
+//! the connection with a `SEQUENCE_GAP` error, forcing the client back
 //! through the handshake. Tuples and punctuations share the sequence,
 //! so the exactly-once guarantee covers punctuations — which is what
 //! keeps downstream purge decisions sound.
@@ -56,7 +56,7 @@ use crate::wait::{accept_ready, wait_readable};
 #[derive(Debug, Clone, Copy)]
 pub struct IngestOptions {
     /// Credits granted in the handshake (the client's initial window,
-    /// in `Data` frames).
+    /// in elements).
     pub initial_credits: u32,
     /// The server acknowledges and re-grants credit after this many
     /// received elements — or sooner, whenever a connection's socket
@@ -86,12 +86,12 @@ pub struct IngestStats {
     pub connections: u64,
     /// Stream elements received (each `DataBatch` element counts once).
     pub frames_received: u64,
-    /// `Data` and `DataBatch` frames received: `frames_received` over
-    /// this is the mean wire batch.
+    /// `DataBatch` frames received: `frames_received` over this is the
+    /// mean wire batch.
     pub data_frames: u64,
     /// Payload bytes received off sockets.
     pub bytes_received: u64,
-    /// Duplicate `Data` frames suppressed by sequence dedup.
+    /// Duplicate elements suppressed by sequence dedup.
     pub duplicates_suppressed: u64,
     /// Times a handler blocked on the full downstream channel.
     pub stalls: u64,
@@ -142,16 +142,12 @@ struct Shared {
     trace: Mutex<TraceLog>,
 }
 
-/// One message from the ingest server to the executor pipeline,
-/// preserving the wire granularity: a `Data` frame forwards as
-/// [`One`](IngestMsg::One) (no allocation), a `DataBatch` frame forwards
-/// its whole decoded element vector as **one** [`Batch`](IngestMsg::Batch)
+/// One message from the ingest server to the executor pipeline: a
+/// `DataBatch` frame forwards its whole decoded element vector as **one**
 /// message — the elements move decode → channel → router staging without
 /// per-element channel traffic or copies.
 #[derive(Debug)]
 pub enum IngestMsg {
-    /// A single element (per-element wire path).
-    One(Side, Timestamped<StreamElement>),
     /// The fresh (non-duplicate) elements of one `DataBatch` frame, in
     /// sequence order. Never empty.
     Batch(Side, Vec<Timestamped<StreamElement>>),
@@ -160,17 +156,14 @@ pub enum IngestMsg {
 impl IngestMsg {
     /// The join side every element in this message belongs to.
     pub fn side(&self) -> Side {
-        match self {
-            IngestMsg::One(side, _) | IngestMsg::Batch(side, _) => *side,
-        }
+        let IngestMsg::Batch(side, _) = self;
+        *side
     }
 
     /// Number of elements carried.
     pub fn len(&self) -> usize {
-        match self {
-            IngestMsg::One(..) => 1,
-            IngestMsg::Batch(_, batch) => batch.len(),
-        }
+        let IngestMsg::Batch(_, batch) = self;
+        batch.len()
     }
 
     /// Always false: ingest messages carry at least one element.
@@ -505,10 +498,6 @@ fn handle_conn<T: IngestEvent>(
             }
         };
         let (outcome, n) = match frame {
-            Frame::Data { seq, element } => (
-                forward_one(slot, shared, data_tx, tracer, my_epoch, stream, side, seq, element)?,
-                1,
-            ),
             Frame::DataBatch { first_seq, elements } => {
                 let n = elements.len() as u32;
                 tracer.instant(TraceKind::NetBatch, 0, stream as u64, n as u64);
@@ -632,64 +621,18 @@ fn send_downstream<T: IngestEvent>(
     }
 }
 
-/// Forwards one element (the per-frame wire path) under the per-stream
-/// forward lock: the check→forward→advance critical section. A sequence
-/// below `next_seq` is a duplicate (suppressed, still earning credit),
-/// above it a gap. The stream counter advances only after the channel
-/// accepts the element, so a failure in between can at worst re-forward
-/// nothing, never skip.
-#[allow(clippy::too_many_arguments)]
-fn forward_one<T: IngestEvent>(
-    slot: &StreamSlot,
-    shared: &Shared,
-    data_tx: &Sender<T>,
-    tracer: &mut Tracer,
-    my_epoch: u64,
-    stream: usize,
-    side: Side,
-    seq: u64,
-    element: Timestamped<StreamElement>,
-) -> Result<ForwardOutcome, NetError> {
-    let fwd = slot.forward.lock().expect("stream forward lock");
-    let next_seq = {
-        let st = slot.state.lock().expect("stream state lock");
-        if st.epoch != my_epoch {
-            return Ok(ForwardOutcome::Superseded);
-        }
-        st.next_seq
-    };
-    shared.counters.frames_received.fetch_add(1, Ordering::Relaxed);
-    if seq < next_seq {
-        shared.counters.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
-        return Ok(ForwardOutcome::Forwarded);
-    }
-    if seq > next_seq {
-        return Ok(ForwardOutcome::Gap { got: seq, expected: next_seq });
-    }
-    let vt = element.ts.as_micros();
-    send_downstream(shared, data_tx, tracer, stream, vt, 1, IngestMsg::One(side, element))?;
-    {
-        let mut st = slot.state.lock().expect("stream state lock");
-        if st.next_seq == seq {
-            st.next_seq = seq + 1;
-        }
-    }
-    drop(fwd);
-    Ok(ForwardOutcome::Forwarded)
-}
-
 /// Forwards one decoded `DataBatch` frame (element `i` carrying
 /// `first_seq + i`) downstream under **one** acquisition of the
-/// per-stream forward lock and as **one** channel message — the batched
-/// form of the check→forward→advance critical section.
+/// per-stream forward lock and as **one** channel message: the
+/// check→forward→advance critical section.
 ///
-/// Semantics match the per-frame path element-for-element. Sequences are
-/// consecutive, so duplicates can only form a prefix (below `next_seq`,
-/// suppressed and still earning credit) and a gap can only open at the
-/// first fresh element; the fresh suffix is moved downstream as a single
-/// [`IngestMsg::Batch`] and the stream counter advances past all of it
-/// only after the channel accepts the message — the channel hand-off is
-/// all-or-nothing, so a resume never sees a half-advanced batch.
+/// Sequences are consecutive, so duplicates can only form a prefix
+/// (below `next_seq`, suppressed and still earning credit) and a gap can
+/// only open at the first fresh element; the fresh suffix is moved
+/// downstream as a single [`IngestMsg::Batch`] and the stream counter
+/// advances past all of it only after the channel accepts the message —
+/// the channel hand-off is all-or-nothing, so a resume never sees a
+/// half-advanced batch.
 /// Ownership (the connection epoch) is checked once on entry: holding
 /// the forward lock for the whole batch means no successor can
 /// interleave forwards mid-batch, so the single check preserves the

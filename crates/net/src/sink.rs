@@ -8,12 +8,12 @@
 //! ingest side, pointed the other way.
 //!
 //! **The history is encoded frames.** Every element is encoded once,
-//! when it is published, into the `DataBatch` frames (`Data` frames when
-//! [`SinkOptions::batch`] is 1) subscribers are sent: a [`SinkEncoder`]
-//! fills frames up to `batch` elements or `max_batch_bytes` of payload,
-//! and [`SinkServer::append`] numbers them — sequence numbers are
-//! assigned there, so a sink has one sequence however many encoders feed
-//! it — and keeps each as one shared byte buffer. `publish` and
+//! when it is published, into the `DataBatch` frames subscribers are
+//! sent: a [`SinkEncoder`] fills frames up to `batch` elements or
+//! `max_batch_bytes` of payload, and [`SinkServer::append`] numbers
+//! them — sequence numbers are assigned there, so a sink has one
+//! sequence however many encoders feed it — and keeps each as one
+//! shared byte buffer. `publish` and
 //! `publish_batch` go through the sink's own encoder; a producer that
 //! holds its outputs as something other than elements (the cluster
 //! worker encodes join results straight from the operator's buffer)
@@ -67,9 +67,8 @@ use crate::wait::{accept_ready, read_available, wait_readable};
 /// Sink server configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SinkOptions {
-    /// Elements per burst written to a subscriber. With `batch > 1`
-    /// each burst is sent as `DataBatch` frames; `batch == 1` sends
-    /// per-element `Data` frames (the unbatched wire behavior).
+    /// Elements per `DataBatch` frame written to a subscriber;
+    /// `batch == 1` sends every element in a frame of its own.
     pub batch: usize,
     /// Payload-byte cap per `DataBatch` frame (bursts whose encoding
     /// exceeds it are split across frames).
@@ -141,7 +140,6 @@ impl History {
 /// across appends.
 #[derive(Debug)]
 pub struct SinkEncoder {
-    batched: bool,
     batch: u32,
     max_bytes: usize,
     buf: Vec<u8>,
@@ -154,10 +152,8 @@ pub struct SinkEncoder {
 
 impl SinkEncoder {
     fn new(opts: &SinkOptions) -> SinkEncoder {
-        let batch = opts.batch.clamp(1, u32::MAX as usize) as u32;
         SinkEncoder {
-            batched: batch > 1,
-            batch,
+            batch: opts.batch.clamp(1, u32::MAX as usize) as u32,
             max_bytes: opts.max_batch_bytes,
             buf: Vec::new(),
             frames: Vec::new(),
@@ -203,7 +199,7 @@ impl SinkEncoder {
     }
 
     fn open_frame(&mut self) -> usize {
-        let start = open_data_frame(&mut self.buf, self.batched, 0);
+        let start = open_data_frame(&mut self.buf, 0);
         self.frames.push((start, 0));
         self.open = true;
         start
@@ -771,7 +767,6 @@ impl SinkSubscriber {
                 let consumed = (buffered - fb.buffered()) as u64;
                 self.tracer.span_end(span, TraceKind::NetDecode, 0, consumed, 1);
                 let (first_seq, mut elements) = match frame {
-                    Frame::Data { seq, element } => (seq, vec![element]),
                     Frame::DataBatch { first_seq, elements } => (first_seq, elements),
                     Frame::Fin { count } => {
                         let have = self.received + self.pending.len() as u64;

@@ -88,17 +88,14 @@ fn report() -> TelemetryMsg {
     }))
 }
 
-/// One frame of each of the 22 kinds, in tag order.
+/// One frame of each of the 21 kinds, in tag order (tag 2, the retired
+/// per-element `Data` frame, has none).
 fn frames() -> Vec<Frame> {
     let schema =
         Schema::of(&[("k", ValueType::Int), ("v", ValueType::Str), ("f", ValueType::Float)]);
     vec![
         Frame::Hello { stream: 3, side: 1, wire_version: WIRE_VERSION, schema },
         Frame::HelloAck { resume_from: 42, credits: 128, wire_version: WIRE_VERSION },
-        Frame::Data {
-            seq: 7,
-            element: Timestamped::new(Timestamp::from_micros(99), StreamElement::Tuple(tuple())),
-        },
         Frame::Ack { up_to: 8 },
         Frame::Credit { n: 64 },
         Frame::Fin { count: 100 },
@@ -147,25 +144,22 @@ fn frames() -> Vec<Frame> {
     ]
 }
 
-const FRAME_PINS: [&str; 22] = [
-    "200000000003000000010500000003000000010000006b02010000007604010000006603",
-    "11000000012a000000000000008000000005000000",
-    "\
-        3f0000000207000000000000006300000000000000000600000002f9ffffffffffffff0300000000\
-        0000f87f030000000000000080040600000068c3a96c6c6f010100",
+const FRAME_PINS: [&str; 21] = [
+    "200000000003000000010600000003000000010000006b02010000007604010000006603",
+    "11000000012a000000000000008000000006000000",
     "09000000030800000000000000",
     "050000000440000000",
     "09000000056400000000000000",
     "0100000006",
     "0f000000070100080000006761702061742039",
-    "0d00000008050000000000000005000000",
+    "0d00000008050000000000000006000000",
     "\
         92000000090a00000000000000030000006400000000000000000600000002f9ffffffffffffff03\
         000000000000f87f030000000000000080040600000068c3a96c6c6f010100650000000000000001\
         06000000010203000000000000000201020100000000000000020300000000000004400302000000\
         040100000061040100000062000402000066000000000000000000000000",
     "\
-        2d0000000a05000000010000000e0000003132372e302e302e313a343130300e0000003132372e30\
+        2d0000000a06000000010000000e0000003132372e302e302e313a343130300e0000003132372e30\
         2e302e313a34313031",
     "\
         2a0000000b0100000003000000000000000400000000000000010000000000000001000000050000\
@@ -199,12 +193,13 @@ const REPORT_PIN: &str = "\
 fn frames_and_telemetry_bytes_are_pinned() {
     let frames = frames();
     let tags: Vec<u8> = frames.iter().map(Frame::tag).collect();
-    assert_eq!(tags, (0..22).collect::<Vec<u8>>(), "one frame per kind, in tag order");
+    let live_tags: Vec<u8> = (0..22).filter(|&tag| tag != 2).collect();
+    assert_eq!(tags, live_tags, "one frame per kind, in tag order");
     let actual: Vec<String> = frames.iter().map(|f| hex(&encode_frame(f))).collect();
     let report = hex(&report().encode());
     let pinned = actual.iter().zip(FRAME_PINS).all(|(a, p)| a == p) && report == REPORT_PIN;
     if !pinned {
-        eprintln!("const FRAME_PINS: [&str; 22] = [");
+        eprintln!("const FRAME_PINS: [&str; 21] = [");
         for a in &actual {
             eprintln!("    \"{a}\",");
         }

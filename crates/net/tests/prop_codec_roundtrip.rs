@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use punct_net::frame::error_code;
 use punct_net::{decode_frame, encode_frame, Frame, FrameBuffer, WIRE_VERSION};
-use punct_types::wire::{get_timestamped, WireReader};
+use punct_types::wire::{get_timestamped, put_timestamped, WireError, WireReader};
 use punct_types::{
     Bound, Pattern, Punctuation, Schema, StreamElement, Timestamp, Timestamped, Tuple, Value,
     ValueType,
@@ -121,8 +121,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 wire_version,
             }
         ),
-        (any::<u64>(), arb_timestamped())
-            .prop_map(|(seq, element)| Frame::Data { seq, element }),
         any::<u64>().prop_map(|up_to| Frame::Ack { up_to }),
         any::<u32>().prop_map(|n| Frame::Credit { n }),
         any::<u64>().prop_map(|count| Frame::Fin { count }),
@@ -410,16 +408,17 @@ proptest! {
     }
 
     /// Every strict prefix of a data frame's payload is an error, and a
-    /// flipped bit is a clean decode or an error: the one-block decode
-    /// reads the bytes the element decoders read, with the same checks.
+    /// flipped bit is a clean decode or an error — for a one-element and
+    /// a many-element batch: the one-block decode reads the bytes the
+    /// element decoders read, with the same checks.
     #[test]
     fn damaged_data_frames_error_cleanly(
-        elements in proptest::collection::vec(arb_run_element(), 1..8),
+        elements in proptest::collection::vec(arb_run_element(), 2..8),
         cut in any::<u64>(),
         flip in any::<u64>(),
     ) {
-        let data = Frame::Data { seq: 3, element: elements[0].clone() };
-        for frame in [data, Frame::DataBatch { first_seq: 3, elements }] {
+        let one = Frame::DataBatch { first_seq: 3, elements: vec![elements[0].clone()] };
+        for frame in [one, Frame::DataBatch { first_seq: 3, elements }] {
             let bytes = encode_frame(&frame);
             let payload = &bytes[4..];
             let cut = (cut as usize) % payload.len();
@@ -497,12 +496,12 @@ fn malformed_corpus_errors_cleanly() {
             b
         }),
         ("data frame cut mid-element", {
-            let full = encode_frame(&Frame::Data {
-                seq: 1,
-                element: Timestamped::new(
+            let full = encode_frame(&Frame::DataBatch {
+                first_seq: 1,
+                elements: vec![Timestamped::new(
                     Timestamp(5),
                     StreamElement::Tuple(Tuple::of((1i64, "abc"))),
-                ),
+                )],
             });
             full[4..full.len() - 3].to_vec()
         }),
@@ -514,8 +513,7 @@ fn malformed_corpus_errors_cleanly() {
             b
         }),
         ("collection length over the wire cap", {
-            let mut b = vec![2u8]; // Data tag
-            b.extend_from_slice(&0u64.to_le_bytes()); // seq
+            let mut b = one_element_batch_header();
             b.extend_from_slice(&0u64.to_le_bytes()); // ts
             b.push(0); // tuple element
             b.extend_from_slice(&(u32::MAX).to_le_bytes()); // width
@@ -546,18 +544,16 @@ fn malformed_corpus_errors_cleanly() {
             b
         }),
         ("bad value tag inside a tuple", {
-            let mut b = vec![2u8]; // Data
-            b.extend_from_slice(&0u64.to_le_bytes());
-            b.extend_from_slice(&0u64.to_le_bytes());
+            let mut b = one_element_batch_header();
+            b.extend_from_slice(&0u64.to_le_bytes()); // ts
             b.push(0); // tuple
             b.extend_from_slice(&1u32.to_le_bytes()); // width 1
             b.push(99); // unknown value tag
             b
         }),
         ("bad pattern tag inside a punctuation", {
-            let mut b = vec![2u8]; // Data
-            b.extend_from_slice(&0u64.to_le_bytes());
-            b.extend_from_slice(&0u64.to_le_bytes());
+            let mut b = one_element_batch_header();
+            b.extend_from_slice(&0u64.to_le_bytes()); // ts
             b.push(1); // punctuation
             b.extend_from_slice(&1u32.to_le_bytes());
             b.push(77); // unknown pattern tag
@@ -574,6 +570,32 @@ fn malformed_corpus_errors_cleanly() {
             "malformed case {what:?} must fail to decode"
         );
     }
+}
+
+/// The payload prefix of a one-element `DataBatch`: tag, `first_seq`,
+/// count 1. The corpus cases above append one malformed element.
+fn one_element_batch_header() -> Vec<u8> {
+    let mut b = vec![9u8]; // DataBatch tag
+    b.extend_from_slice(&0u64.to_le_bytes()); // first_seq
+    b.extend_from_slice(&1u32.to_le_bytes()); // count
+    b
+}
+
+/// Tag 2 was the per-element `Data` frame up to wire version 5. It is
+/// retired and never reused: a well-formed v5 `Data` payload is an
+/// unknown frame tag now, not a frame.
+#[test]
+fn retired_data_tag_decodes_as_bad_tag() {
+    let mut v5_data = vec![2u8]; // the retired Data tag
+    v5_data.extend_from_slice(&7u64.to_le_bytes()); // seq
+    put_timestamped(
+        &mut v5_data,
+        &Timestamped::new(Timestamp(5), StreamElement::Tuple(Tuple::of((1i64, "abc")))),
+    );
+    assert!(matches!(
+        decode_frame(&v5_data),
+        Err(WireError::BadTag { what: "frame", tag: 2 })
+    ));
 }
 
 /// A `ShardMapUpdate` payload assigning `shards` shards to worker 0.

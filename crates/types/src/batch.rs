@@ -5,9 +5,12 @@
 //! reproduction inherited that granularity everywhere: one channel send,
 //! one wire frame and one syscall per tuple. Batching amortizes those
 //! transport costs — the join itself still runs element by element —
-//! without changing observable semantics: punctuations act as flush
-//! barriers, so alignment and exactly-once ordering are untouched, and a
-//! batch size of `1` reproduces per-element behavior exactly.
+//! without changing observable semantics: a punctuation stays behind the
+//! tuples it covers in every batch it rides, so alignment and
+//! exactly-once delivery are untouched. A batch size of `1` flushes
+//! every element on its own: one router → shard send and one
+//! one-element `DataBatch` frame per element (there is no separate
+//! per-element wire frame).
 //!
 //! One [`BatchConfig`] value is threaded through the sharded executor
 //! (`punct-exec`: elements staged per router → shard channel send) and
@@ -43,8 +46,8 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Per-element execution: batch size 1 everywhere — the exact
-    /// pre-batching behavior.
+    /// Per-element execution: batch size 1 everywhere — every element
+    /// flushes on its own.
     pub const fn per_element() -> BatchConfig {
         BatchConfig { max_elems: 1, max_bytes: DEFAULT_BATCH_BYTES }
     }

@@ -101,12 +101,10 @@ fn main() {
     let mut outputs: Vec<Timestamped<StreamElement>> = Vec::new();
     let mut fed = 0u64;
     let mut step = 0f64;
-    // A `DataBatch` frame's elements go to the router as one batch; a
-    // single `Data` frame's element is pushed directly.
+    // A `DataBatch` frame's elements go to the router as one batch.
     let feed = |msg: IngestMsg, fed: &mut u64| {
         *fed += msg.len() as u64;
         match msg {
-            IngestMsg::One(side, element) => exec.push(side, element),
             IngestMsg::Batch(side, batch) => exec.push_side_batch(side, batch),
         }
     };
@@ -169,13 +167,13 @@ fn main() {
     println!("results: {joined} joined tuples, {puncts} punctuations (exactly-once aligned)");
     for (name, r) in [("left", &left), ("right", &right)] {
         println!(
-            "client {name}: {} acked over {} frames / {} bytes, {} reconnects, {} credit stalls",
-            r.acked, r.frames_sent, r.bytes_sent, r.reconnects, r.credit_stalls
+            "client {name}: {} acked, {} elements sent / {} bytes, {} reconnects, {} credit stalls",
+            r.acked, r.elements_sent, r.bytes_sent, r.reconnects, r.credit_stalls
         );
     }
     let istats = server.stats();
     println!(
-        "ingest:  {} connections, {} frames, {} duplicates suppressed, {} backpressure stalls",
+        "ingest:  {} connections, {} elements, {} duplicates suppressed, {} backpressure stalls",
         istats.connections, istats.frames_received, istats.duplicates_suppressed, istats.stalls
     );
     for (i, p) in proxies.iter().enumerate() {
