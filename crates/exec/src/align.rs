@@ -4,7 +4,12 @@
 //! more shards (see [`crate::router`]). Each shard that eventually
 //! drains all matches for the punctuation propagates it on its own
 //! output — so a broadcast punctuation would surface `N` times
-//! downstream. The aligner restores the single-stream contract:
+//! downstream. The aligner restores the single-stream contract for
+//! punctuations that **fan out** to more than one shard; one sent to a
+//! single shard surfaces once anyway, so the executor never registers
+//! it here (the merger audits those by a per-shard count, see
+//! [`crate::merge`]). The cluster coordinator registers every
+//! punctuation, since its migration and rollback drain the pending set.
 //!
 //! * At ingest, the router **registers an expectation** — the
 //!   output-schema translation of the punctuation plus the set of shards
@@ -148,16 +153,17 @@ impl Aligner {
 /// [`Aligner`] plus an acquisition counter.
 ///
 /// The mutex is the **only** lock shared across router, shards and
-/// merger, and the design invariant is that it is taken at *punctuation*
-/// granularity — once by the router per ingested punctuation (to
-/// register the expectation) and once by the merger per shard
-/// propagation (to resolve it). Tuples flow router → shard → merger
-/// without ever touching it. The counter makes that auditable: the
-/// executor's shutdown path debug-asserts that the total number of
-/// acquisitions is bounded by a function of the punctuation counts
-/// alone, so a per-tuple lock can never creep in unnoticed, and the
-/// multicore bench reports acquisitions-per-element from the same
-/// counter.
+/// merger, and the design invariant is that it is taken only for
+/// punctuations that fan out to more than one shard — once by the
+/// router per such punctuation (to register the expectation) and once
+/// by the merger per shard propagation of it (to resolve it), plus once
+/// by the merger at shutdown. Tuples and single-target punctuations flow
+/// router → shard → merger without ever touching it. The counter makes
+/// that auditable: the executor's shutdown path debug-asserts that the
+/// total number of acquisitions is bounded by a function of the
+/// fanned-out punctuation count alone, so a per-tuple or per-punctuation
+/// lock can never creep in unnoticed, and the benchmark reports
+/// acquisitions per element from the same counter.
 #[derive(Debug, Default)]
 pub struct SharedAligner {
     inner: Mutex<Aligner>,

@@ -6,7 +6,8 @@
 //! ```text
 //! caller ──bounded──▶ router ──bounded×N──▶ shard₀..N₋₁ ──shared bounded──▶ merger ──bounded──▶ caller
 //!                       │                                                     ▲
-//!                       └────────── aligner (shared, mutex) ──────────────────┘
+//!                       ├── per-shard single-target counts (atomics) ─────────┤
+//!                       └── aligner (shared, mutex; fan-out > 1 only) ────────┘
 //! ```
 //!
 //! Every channel is bounded, so state cannot grow without limit inside
@@ -95,7 +96,9 @@ pub struct ExecStats {
     /// The merger thread's trace (empty unless tracing was enabled).
     pub merge_trace: TraceLog,
     /// Lifetime acquisitions of the shared aligner mutex — the only
-    /// lock on the data path, taken at punctuation granularity only.
+    /// lock on the data path, taken only for punctuations that fan out
+    /// to more than one shard (a single-target punctuation is audited by
+    /// per-shard count instead), plus once by the merger at shutdown.
     /// Benches divide this by the element count to report lock traffic.
     pub aligner_acquisitions: u64,
     /// The first lane failure, if any. When set, `shards` omits the
@@ -220,7 +223,7 @@ impl ShardedPJoin {
         punct_trace::wall_epoch();
         let shards = config.shards;
         let aligner = Arc::new(SharedAligner::new());
-        let router_counters = Arc::new(RouterCounters::default());
+        let router_counters = Arc::new(RouterCounters::new(shards));
         let failure = Arc::new(FailureSlot::default());
 
         let (input_tx, input_rx) = bounded::<RouterMsg>(config.input_capacity);
@@ -307,10 +310,13 @@ impl ShardedPJoin {
         let aligner_handle = Arc::clone(&aligner);
         let merger = {
             let aligner = Arc::clone(&aligner);
-            let trace = config.join.trace;
+            let counters = Arc::clone(&router_counters);
+            let join_config = config.join.clone();
             std::thread::Builder::new()
                 .name("pjoin-merge".into())
-                .spawn(move || merge_loop(shards, trace, event_rx, output_tx, aligner))
+                .spawn(move || {
+                    merge_loop(join_config, shards, event_rx, output_tx, aligner, counters)
+                })
                 .expect("spawn merger thread")
         };
 
@@ -472,8 +478,9 @@ impl ShardedPJoin {
 
     /// Total acquisitions of the shared aligner mutex so far — the only
     /// lock on the router → shard → merger data path, taken only for
-    /// punctuations. Exposed so benches can report lock traffic per
-    /// element (zero for tuple-only workloads).
+    /// punctuations that fan out to several shards. Exposed so benches
+    /// can report lock traffic per element (zero for tuple-only
+    /// workloads and for constant join-attribute punctuations).
     pub fn aligner_acquisitions(&self) -> u64 {
         self.aligner.acquisitions()
     }
@@ -547,6 +554,10 @@ impl ShardedPJoin {
             let (tx, _rx) = bounded(1);
             tx
         }));
+        // The fault-injection senders would hold the shard channels open
+        // if the router died before sending `Finish`; without them a
+        // shard sees its channel close and finishes anyway.
+        self.shard_txs.clear();
 
         let mut outputs = std::mem::take(&mut *self.pending.lock().expect("pending lock"));
         {
@@ -578,22 +589,23 @@ impl ShardedPJoin {
             failure: self.failure.get(),
         };
         // Audit the lock-light invariant: the aligner mutex is the only
-        // lock shared across the pipeline, and it must be acquired at
-        // punctuation granularity only — once by the router per ingested
-        // punctuation, at most `shards` times by the merger per
+        // lock shared across the pipeline, and it must be acquired only
+        // for punctuations that fan out — once by the router per such
+        // punctuation, at most `shards` times by the merger per such
         // punctuation (one observation per target shard), plus one final
-        // shutdown audit by the merger. The bound is independent of the
-        // tuple count, so any per-tuple locking regression trips it.
+        // shutdown audit by the merger. Single-target punctuations never
+        // take it. The bound is independent of the tuple count and of the
+        // single-target count, so a per-tuple or per-punctuation locking
+        // regression trips it.
         if cfg!(debug_assertions) {
-            let puncts = stats.router.puncts_targeted
-                + stats.router.puncts_multicast
-                + stats.router.puncts_broadcast;
-            let bound = puncts * (self.shards as u64 + 1) + 1;
+            let fanned_out = stats.router.puncts_multicast + stats.router.puncts_broadcast;
+            let bound = fanned_out * (self.shards as u64 + 1) + 1;
             let acquisitions = stats.aligner_acquisitions;
             debug_assert!(
                 acquisitions <= bound,
-                "aligner mutex acquired {acquisitions} times for {puncts} punctuations on \
-                 {} shards (bound {bound}): the tuple hot path must stay lock-free",
+                "aligner mutex acquired {acquisitions} times for {fanned_out} fanned-out \
+                 punctuations on {} shards (bound {bound}): the tuple path and single-target \
+                 punctuations must stay lock-free",
                 self.shards,
             );
         }

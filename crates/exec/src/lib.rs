@@ -14,7 +14,7 @@
 //!            │partition│          …             │    …    │  ├───────▶ merger ──▶ caller
 //!            └────┬────┘ ─────────────────────▶ │ shard N │──┘            ▲  (bounded)
 //!                 │                             └─────────┘               │
-//!                 └──────────── punctuation aligner (shared) ─────────────┘
+//!                 └──── punctuation aligner (shared; fan-out > 1) ────────┘
 //! ```
 //!
 //! * **Partitioning** ([`router`]): tuples are hash-partitioned by
@@ -31,6 +31,8 @@
 //!   once**, and only after *every* shard it was sent to has purged and
 //!   propagated it — the sharded executor is thus indistinguishable
 //!   from a single PJoin to downstream consumers (modulo output order).
+//!   A punctuation sent to one shard has nothing to align and skips the
+//!   aligner; a per-shard count audits it instead.
 //! * **Merge** ([`merge`]): arrival order only — each shard batch is
 //!   forwarded as it arrives. The contract downstream is the output
 //!   multiset plus each punctuation exactly once behind the tuples it

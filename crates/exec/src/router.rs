@@ -17,18 +17,28 @@
 //!
 //! # Punctuation fan-out
 //!
-//! A punctuation must reach every shard holding state it can purge:
+//! A punctuation must reach every shard holding state it can purge
+//! ([`route_pattern`], the one decision over a join-column pattern):
 //!
 //! * `Constant(v)` on the join attribute → only the shard owning `v`'s
 //!   key (fan-out 1);
 //! * `In(values)` → the set of shards owning the enumerated keys;
-//! * `Wildcard`, `Range`, `Empty`, or any malformed/missing join-attribute
-//!   pattern → **broadcast** to all shards: ranges and wildcards cover
-//!   unboundedly many keys, which hashing scatters across every shard.
+//! * `Wildcard`, `Range`, `Empty`, an empty `In`, or any
+//!   malformed/missing join-attribute pattern → **broadcast** to all
+//!   shards: ranges and wildcards cover unboundedly many keys, which
+//!   hashing scatters across every shard.
 //!
-//! Before a punctuation is placed on any shard channel the router
-//! registers an alignment expectation (see [`crate::align`]), so the
-//! merger observes propagations only for registered punctuations.
+//! The route is classified by how many shards it reaches: one is
+//! [`Route::Shard`] (so at one shard every punctuation is), all of them
+//! [`Route::Broadcast`], anything between [`Route::Shards`].
+//!
+//! A punctuation with one target shard has nothing to align: the router
+//! only counts it against that shard ([`RouterCounters::puncts_targeted`])
+//! before staging it, and the merger emits the shard's propagation
+//! as it arrives. A punctuation that fans out is registered with the
+//! aligner (see [`crate::align`]) before it is placed on any shard
+//! channel, so the merger observes propagations only for registered
+//! punctuations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,6 +136,36 @@ pub fn route_tuple(
     route_tuple_hashed(tuple, side, config, shards).0
 }
 
+/// Where a punctuation whose join-column pattern is `pattern` must go
+/// among `shards` shards — the one routing decision, made by the router
+/// on an ingested punctuation ([`route_punctuation`]) and by the merger
+/// on a shard's propagation of it ([`route_propagation`]), so the two
+/// cannot disagree.
+pub fn route_pattern(pattern: Option<&Pattern>, shards: usize) -> Route {
+    if shards == 1 {
+        return Route::Shard(0);
+    }
+    match pattern {
+        Some(Pattern::Constant(v)) => Route::Shard(shard_of(v, shards)),
+        Some(Pattern::In(values)) if !values.is_empty() => {
+            let mut set: Vec<usize> = values.iter().map(|v| shard_of(v, shards)).collect();
+            set.sort_unstable();
+            set.dedup();
+            match set.len() {
+                1 => Route::Shard(set[0]),
+                n if n == shards => Route::Broadcast,
+                _ => Route::Shards(set),
+            }
+        }
+        // Ranges and wildcards cover unboundedly many keys; hashing
+        // scatters those keys over every shard. Empty (and an empty
+        // enumeration) matches nothing, so any shard could own it, and a
+        // missing pattern means the punctuation is malformed for this
+        // schema — broadcast is the safe default for all of them.
+        _ => Route::Broadcast,
+    }
+}
+
 /// Routes a punctuation by its join-attribute pattern on `side`.
 pub fn route_punctuation(
     punct: &Punctuation,
@@ -137,33 +177,37 @@ pub fn route_punctuation(
         Side::Left => config.join_attr_a,
         Side::Right => config.join_attr_b,
     };
-    match punct.pattern(attr) {
-        Some(Pattern::Constant(v)) => Route::Shard(shard_of(v, shards)),
-        Some(Pattern::In(values)) => {
-            let mut set: Vec<usize> = values.iter().map(|v| shard_of(v, shards)).collect();
-            set.sort_unstable();
-            set.dedup();
-            Route::Shards(set)
-        }
-        // Ranges and wildcards cover unboundedly many keys; hashing
-        // scatters those keys over every shard. Empty matches nothing
-        // (any shard could own it) and a missing pattern means the
-        // punctuation is malformed for this schema — broadcast is the
-        // safe default for all three.
-        _ => Route::Broadcast,
-    }
+    route_pattern(punct.pattern(attr), shards)
+}
+
+/// Routes a shard's propagation (a punctuation in the output schema) by
+/// the join column it constrains: the left one (`join_attr_a`) unless
+/// that is a wildcard, otherwise the right one (`width_a +
+/// join_attr_b`). A propagation translates an input punctuation, whose
+/// other side's columns are all wildcards, so this equals
+/// [`route_punctuation`] on the punctuation the router ingested.
+pub fn route_propagation(punct: &Punctuation, config: &PJoinConfig, shards: usize) -> Route {
+    let pattern = match punct.pattern(config.join_attr_a) {
+        Some(Pattern::Wildcard) => punct.pattern(config.width_a + config.join_attr_b),
+        left => left,
+    };
+    route_pattern(pattern, shards)
 }
 
 /// Counters published by the router thread (read via relaxed atomics).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RouterCounters {
     /// Tuples routed.
     pub tuples: AtomicU64,
-    /// Punctuations routed to a single shard (constant patterns).
-    pub puncts_targeted: AtomicU64,
-    /// Punctuations routed to several-but-not-all shards (enumerations).
+    /// Punctuations routed to exactly one shard, per target shard. These
+    /// never reach the aligner: the merger emits a shard's single-target
+    /// propagations up to this count and flags any beyond it. The router
+    /// counts before it sends the batch carrying the punctuation, and the
+    /// channels order that before the merger's read.
+    pub puncts_targeted: Box<[AtomicU64]>,
+    /// Punctuations routed to several-but-not-all shards.
     pub puncts_multicast: AtomicU64,
-    /// Punctuations broadcast to every shard.
+    /// Punctuations routed to every shard (of two or more).
     pub puncts_broadcast: AtomicU64,
     /// Punctuations dropped because their width does not match the side
     /// schema (the single-threaded operator drops these too, counted in
@@ -178,11 +222,11 @@ pub struct RouterCounters {
 pub struct RouterReport {
     /// Tuples routed.
     pub tuples: u64,
-    /// Punctuations routed to a single shard.
+    /// Punctuations routed to exactly one shard (all shards summed).
     pub puncts_targeted: u64,
     /// Punctuations routed to several-but-not-all shards.
     pub puncts_multicast: u64,
-    /// Punctuations broadcast to every shard.
+    /// Punctuations routed to every shard (of two or more).
     pub puncts_broadcast: u64,
     /// Malformed punctuations dropped.
     pub puncts_malformed: u64,
@@ -191,11 +235,23 @@ pub struct RouterReport {
 }
 
 impl RouterCounters {
+    /// Zeroed counters for `shards` shards.
+    pub fn new(shards: usize) -> RouterCounters {
+        RouterCounters {
+            tuples: AtomicU64::new(0),
+            puncts_targeted: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            puncts_multicast: AtomicU64::new(0),
+            puncts_broadcast: AtomicU64::new(0),
+            puncts_malformed: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+        }
+    }
+
     /// Snapshots the counters.
     pub fn report(&self) -> RouterReport {
         RouterReport {
             tuples: self.tuples.load(Ordering::Relaxed),
-            puncts_targeted: self.puncts_targeted.load(Ordering::Relaxed),
+            puncts_targeted: self.puncts_targeted.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
             puncts_multicast: self.puncts_multicast.load(Ordering::Relaxed),
             puncts_broadcast: self.puncts_broadcast.load(Ordering::Relaxed),
             puncts_malformed: self.puncts_malformed.load(Ordering::Relaxed),
@@ -293,18 +349,11 @@ impl RouterState {
                 if p.width() != self.side_width(side) {
                     // The operator would count and drop it too; the
                     // router does so up front so no shard can propagate
-                    // a punctuation the aligner never registered.
+                    // a punctuation it was never routed.
                     self.counters.puncts_malformed.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
                 let route = route_punctuation(p, side, &self.config, self.shards);
-                let counter = match &route {
-                    Route::Shard(_) => &self.counters.puncts_targeted,
-                    Route::Shards(_) => &self.counters.puncts_multicast,
-                    Route::Broadcast => &self.counters.puncts_broadcast,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-
                 let seq = self.seqs[Self::side_index(side)].assign();
                 if self.tracer.enabled() {
                     let kind = match route {
@@ -318,6 +367,26 @@ impl RouterState {
                         route.mask(self.shards),
                     );
                 }
+
+                // The punctuation is staged behind the tuples it covers
+                // (per-shard FIFO) and flushes with the batch it rides
+                // in — at the batch size under load, or at the router's
+                // input-dry flush otherwise. Flushing eagerly here would
+                // fragment batches: with per-key punctuations every few
+                // tuples, an eager flush collapses the effective batch
+                // size to the punctuation interval.
+                if let Route::Shard(s) = route {
+                    // One target: nothing to align. Counting before
+                    // staging puts the count ahead of the batch send.
+                    self.counters.puncts_targeted[s].fetch_add(1, Ordering::Relaxed);
+                    self.stage(s, side, element, None);
+                    return;
+                }
+                let fanout = match route {
+                    Route::Shards(_) => &self.counters.puncts_multicast,
+                    _ => &self.counters.puncts_broadcast,
+                };
+                fanout.fetch_add(1, Ordering::Relaxed);
                 let translated = translate_punctuation(
                     p,
                     self.side_offset(side),
@@ -327,22 +396,13 @@ impl RouterState {
                 // reach any shard: the merger locks the same aligner, so
                 // it can never observe an unregistered propagation.
                 self.aligner.lock().expect(translated, seq, route.mask(self.shards));
-
-                // The punctuation is staged behind the tuples it covers
-                // (per-shard FIFO) and flushes with the batch it rides
-                // in — at the batch size under load, or at the router's
-                // input-dry flush otherwise. Flushing eagerly here would
-                // fragment batches: with per-key punctuations every few
-                // tuples, an eager flush collapses the effective batch
-                // size to the punctuation interval.
                 match route {
-                    Route::Shard(s) => self.stage(s, side, element, None),
                     Route::Shards(set) => {
-                        for &s in &set {
+                        for s in set {
                             self.stage(s, side, element.clone(), None);
                         }
                     }
-                    Route::Broadcast => {
+                    _ => {
                         for s in 0..self.shards {
                             self.stage(s, side, element.clone(), None);
                         }
@@ -570,6 +630,93 @@ mod tests {
         for &c in &counts {
             assert!(c > 500, "unbalanced shard distribution: {counts:?}");
         }
+    }
+
+    /// One join-column pattern of every kind, built around `seed`.
+    fn every_pattern_kind(seed: i64, shards: usize) -> Vec<Pattern> {
+        let owner = shard_of(&Value::from(seed), shards);
+        let one_shard: Vec<Value> =
+            (seed..).map(Value::from).filter(|v| shard_of(v, shards) == owner).take(3).collect();
+        vec![
+            Pattern::Constant(Value::from(seed)),
+            Pattern::Constant(Value::Null),
+            Pattern::Constant(Value::from(2.0f64)),
+            Pattern::Constant(Value::from(2i64)),
+            Pattern::In(one_shard),
+            Pattern::In((seed..seed + 16).map(Value::from).collect()),
+            Pattern::In(Vec::new()),
+            Pattern::int_range(seed, seed + 10),
+            Pattern::Wildcard,
+            Pattern::Empty,
+        ]
+    }
+
+    proptest::proptest! {
+        /// The router's decision on an ingested punctuation equals the
+        /// merger's on its propagation, for every pattern kind on either
+        /// side, and the route is classified by how many shards it hits.
+        #[test]
+        fn router_and_merger_agree_on_every_pattern_kind(
+            seed in -1_000i64..1_000,
+            shard_count in 0usize..9,
+            schema in 0usize..3,
+            left in proptest::bool::weighted(0.5),
+        ) {
+            let shards = [1, 2, 3, 4, 5, 6, 7, 8, 64][shard_count];
+            let (width_a, width_b, join_attr_a, join_attr_b) =
+                [(2, 2, 0, 0), (3, 4, 1, 2), (1, 3, 0, 2)][schema];
+            let mut c = PJoinConfig::new(width_a, width_b);
+            c.join_attr_a = join_attr_a;
+            c.join_attr_b = join_attr_b;
+            let (side, width, attr, offset) = if left {
+                (Side::Left, width_a, join_attr_a, 0)
+            } else {
+                (Side::Right, width_b, join_attr_b, width_a)
+            };
+            for pattern in every_pattern_kind(seed, shards) {
+                // A constant off the join column must not move the route.
+                let mut patterns = vec![Pattern::Wildcard; width];
+                if width > 1 {
+                    patterns[(attr + 1) % width] = Pattern::Constant(Value::from(seed));
+                }
+                patterns[attr] = pattern.clone();
+                let p = Punctuation::new(patterns);
+                let routed = route_punctuation(&p, side, &c, shards);
+                let propagated = translate_punctuation(&p, offset, c.output_width());
+                proptest::prop_assert_eq!(
+                    &routed,
+                    &route_propagation(&propagated, &c, shards),
+                    "pattern {:?}", pattern
+                );
+                let mask = routed.mask(shards);
+                let expected = match mask.count_ones() as usize {
+                    1 => Route::Shard(mask.trailing_zeros() as usize),
+                    n if n == shards => Route::Broadcast,
+                    _ => Route::Shards((0..shards).filter(|s| mask & (1 << s) != 0).collect()),
+                };
+                proptest::prop_assert_eq!(&routed, &expected, "pattern {:?}", pattern);
+            }
+            proptest::prop_assert_eq!(
+                route_pattern(Some(&Pattern::Constant(Value::from(2.0f64))), shards),
+                route_pattern(Some(&Pattern::Constant(Value::from(2i64))), shards)
+            );
+        }
+    }
+
+    #[test]
+    fn enumerations_are_classified_by_the_shards_they_reach() {
+        let shards = 4;
+        let owner = shard_of(&Value::from(0i64), shards);
+        let same: Vec<Value> =
+            (0i64..).map(Value::from).filter(|v| shard_of(v, shards) == owner).take(2).collect();
+        assert_eq!(route_pattern(Some(&Pattern::In(same)), shards), Route::Shard(owner));
+        let all: Vec<Value> = (0i64..64).map(Value::from).collect();
+        assert_eq!(route_pattern(Some(&Pattern::In(all)), shards), Route::Broadcast);
+        // An empty enumeration matches nothing, like `Empty`: every shard
+        // gets it, so every shard can propagate it.
+        assert_eq!(route_pattern(Some(&Pattern::In(Vec::new())), shards), Route::Broadcast);
+        assert_eq!(route_pattern(Some(&Pattern::In(Vec::new())), 1), Route::Shard(0));
+        assert_eq!(route_pattern(Some(&Pattern::Wildcard), 1), Route::Shard(0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use pjoin::PJoinConfig;
 use punct_exec::{ExecConfig, ShardedPJoin};
-use punct_types::{Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
+use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
 use stream_sim::Side;
 
 fn tup(ts: u64, key: i64, payload: i64) -> Timestamped<StreamElement> {
@@ -166,20 +166,16 @@ fn drop_without_finish_does_not_hang() {
     drop(exec); // must tear the pipeline down without joining outputs
 }
 
-#[test]
-fn single_shard_matches_direct_pjoin_exactly() {
+/// The single-threaded operator's output for `feed`, end of stream
+/// included, with the operator for its statistics.
+fn direct_pjoin(feed: &[(Side, Timestamped<StreamElement>)]) -> (Vec<StreamElement>, pjoin::PJoin) {
     use stream_sim::{BinaryStreamOp, OpOutput};
-
-    let feed = keyed_workload(150);
-    let exec = ShardedPJoin::spawn(ExecConfig::new(1, PJoinConfig::new(2, 2)));
-    exec.push_batch(feed.clone());
-    let (outputs, stats) = exec.finish();
 
     let mut reference = pjoin::PJoin::new(PJoinConfig::new(2, 2));
     let mut out = OpOutput::new();
     let mut expected = Vec::new();
     let mut last = Timestamp::ZERO;
-    for (side, e) in feed {
+    for (side, e) in feed.iter().cloned() {
         last = e.ts;
         reference.on_element(side, e.item, e.ts, &mut out);
         expected.extend(out.drain());
@@ -188,11 +184,51 @@ fn single_shard_matches_direct_pjoin_exactly() {
         expected.extend(out.drain());
     }
     expected.extend(out.drain());
+    (expected, reference)
+}
+
+#[test]
+fn single_shard_matches_direct_pjoin_exactly() {
+    let feed = keyed_workload(150);
+    let exec = ShardedPJoin::spawn(ExecConfig::new(1, PJoinConfig::new(2, 2)));
+    exec.push_batch(feed.clone());
+    let (outputs, stats) = exec.finish();
+    let (expected, reference) = direct_pjoin(&feed);
 
     // One shard, FIFO channels: even the order must match.
     let got: Vec<StreamElement> = outputs.into_iter().map(|e| e.item).collect();
     assert_eq!(got, expected);
     assert_eq!(stats.total_stats(), *reference.stats());
+}
+
+/// An enumeration with no members matches nothing, like `Empty`: the
+/// single-threaded operator propagates it at once, and so must the
+/// executor at every shard count — it goes to every shard and comes out
+/// once, where a route to no shard would lose it.
+#[test]
+fn an_empty_enumeration_propagates_as_in_the_single_threaded_operator() {
+    let empty = |ts| Timestamped::new(Timestamp(ts), Punctuation::on_attr(2, 0, Pattern::In(Vec::new())).into());
+    let mut feed = keyed_workload(40);
+    feed.insert(60, (Side::Left, empty(60)));
+    feed.push((Side::Right, empty(1_000)));
+    let sorted = |items: Vec<StreamElement>| {
+        let mut items: Vec<String> = items.iter().map(|e| format!("{e:?}")).collect();
+        items.sort();
+        items
+    };
+    let (expected, _) = direct_pjoin(&feed);
+    let expected = sorted(expected);
+    let empties = expected.iter().filter(|e| e.contains("In([])")).count();
+    assert_eq!(empties, 2, "the single-threaded operator propagates both");
+
+    for shards in [1, 2, 4] {
+        let exec = ShardedPJoin::spawn(ExecConfig::new(shards, PJoinConfig::new(2, 2)));
+        exec.push_batch(feed.clone());
+        let (outputs, stats) = exec.finish();
+        assert_eq!(stats.failure, None, "{shards} shards");
+        assert_eq!(sorted(outputs.into_iter().map(|e| e.item).collect()), expected, "{shards} shards");
+        assert_eq!((stats.merge.puncts_unexpected, stats.merge.puncts_unaligned), (0, 0));
+    }
 }
 
 /// Regression: a shard dying mid-stream must surface promptly as a

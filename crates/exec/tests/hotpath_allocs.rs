@@ -28,15 +28,21 @@
 //! tuples share blocks (`OpOutput::push_joined`) and a shard drains once
 //! per batch, so the budget is one allocation per ten *joined tuples*; a
 //! private allocation per match reads 1.0.
+//!
+//! The last two count aligner-mutex acquisitions on punctuated streams:
+//! a punctuation with a constant on the join attribute goes to one shard
+//! and has nothing to align, so a stream of them takes none, while a
+//! range reaches every shard and still takes the aligner at least once
+//! per punctuation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use pjoin::PJoinConfig;
+use pjoin::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 use punct_exec::{ExecConfig, ShardedPJoin};
-use punct_types::{BatchConfig, StreamElement, Timestamp, Timestamped, Tuple};
+use punct_types::{BatchConfig, Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
 use stream_sim::Side;
 
 struct CountingAlloc;
@@ -239,4 +245,71 @@ fn match_heavy_outputs_cost_a_block_not_a_malloc_each() {
     let (rest, stats) = exec.finish();
     assert!(rest.is_empty(), "every joined tuple was already polled");
     assert_eq!(stats.total_metrics().consumed, resident_count + warmed + elements);
+}
+
+const PUNCT_KEYS: i64 = 512;
+
+/// Per key `k`: a tuple on each side, then a punctuation on each side
+/// whose join-attribute pattern is `pattern(k)`.
+fn punctuated_stream(pattern: impl Fn(i64) -> Pattern) -> Vec<(Side, Timestamped<StreamElement>)> {
+    let mut ts = 0u64;
+    let mut at = |side, item: StreamElement| {
+        ts += 1;
+        (side, Timestamped::new(Timestamp(ts), item))
+    };
+    let mut feed = Vec::new();
+    for k in 0..PUNCT_KEYS {
+        feed.push(at(Side::Left, Tuple::of((k, k)).into()));
+        feed.push(at(Side::Right, Tuple::of((k, -k)).into()));
+        for side in [Side::Left, Side::Right] {
+            feed.push(at(side, Punctuation::on_attr(2, 0, pattern(k)).into()));
+        }
+    }
+    feed
+}
+
+/// Feeds `feed` and polls until its `puncts` punctuations have come out
+/// of the merger, then returns the aligner acquisitions so far (before
+/// `finish`, whose shutdown audit takes the lock once). Shards purge and
+/// propagate on every punctuation, so none waits for end of stream.
+fn acquisitions_for(feed: Vec<(Side, Timestamped<StreamElement>)>, puncts: usize) -> u64 {
+    let mut join = PJoinConfig::new(2, 2);
+    join.purge = PurgeStrategy::Eager;
+    join.propagation = PropagationTrigger::PushCount { count: 1 };
+    let config = ExecConfig::new(SHARDS, join).with_batch(BatchConfig::with_elems(BATCH));
+    let exec = ShardedPJoin::spawn(config);
+    exec.push_batch(feed);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut seen = 0;
+    while seen < puncts {
+        assert!(Instant::now() < deadline, "only {seen} of {puncts} punctuations came out");
+        let outputs = exec.recv_outputs(Duration::from_millis(1));
+        seen += outputs.iter().filter(|e| e.item.is_punctuation()).count();
+    }
+    let acquisitions = exec.aligner_acquisitions();
+    let (_, stats) = exec.finish();
+    assert_eq!((stats.merge.puncts_unexpected, stats.merge.puncts_unaligned), (0, 0));
+    assert_eq!(stats.merge.puncts, puncts as u64);
+    acquisitions
+}
+
+#[test]
+fn constant_join_attribute_punctuations_never_take_the_aligner() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let puncts = 2 * PUNCT_KEYS as usize;
+    let acquisitions = acquisitions_for(punctuated_stream(|k| Pattern::Constant(k.into())), puncts);
+    eprintln!("constant punctuations: {acquisitions} aligner acquisitions for {puncts}");
+    assert_eq!(acquisitions, 0, "a single-target punctuation took the aligner mutex");
+}
+
+#[test]
+fn range_punctuations_still_take_the_aligner() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let puncts = 2 * PUNCT_KEYS as usize;
+    let acquisitions = acquisitions_for(punctuated_stream(|k| Pattern::int_range(k, k + 1)), puncts);
+    eprintln!("range punctuations: {acquisitions} aligner acquisitions for {puncts}");
+    assert!(
+        acquisitions >= puncts as u64,
+        "{acquisitions} aligner acquisitions for {puncts} range punctuations"
+    );
 }
