@@ -24,10 +24,12 @@
 //!    exactly once even through a faulty link, because it is an ordinary
 //!    sequenced element.
 //! 2. **Cut** (`Cluster::cut`): each worker publishes its sink
-//!    marker, reports `BarrierReached`, and exports its state; the
-//!    coordinator consumes each sink up to the marker, so every
-//!    pre-barrier output (and propagation observation) lands before the
-//!    cut, and collects the exported records.
+//!    marker — stamped with the operation's nonce, so it names its
+//!    barrier — reports `BarrierReached`, and exports its state; the
+//!    coordinator drains each sink a run at a time up to the marker
+//!    carrying its nonce, so every pre-barrier output (and propagation
+//!    observation) lands before the cut, and collects the exported
+//!    records.
 //! 3. **Install** (`Cluster::install`): records are rehashed
 //!    under a shard count and shipped to their new owners
 //!    (`ShardMapUpdate`, `MigrateState` chunks, `MigrateStateDone`,
@@ -39,11 +41,13 @@
 //! propagated under their original sequence numbers.
 //! [`Cluster::checkpoint`] is barrier and cut, committed to disk as one
 //! epoch while the workers resume. Crash recovery is a barrier on the
-//! survivors (whose condemned state is discarded, not cut), a
-//! replacement handshake, an install of the latest epoch and a replay of
-//! the input log; [`Cluster::restore_latest`] is that install alone. Both
-//! re-inject the epoch's pending punctuations under fresh sequence
-//! numbers.
+//! survivors, whose sinks are drained to the rollback's marker the way a
+//! cut drains them — except that what precedes the marker is condemned
+//! and dropped, not absorbed — then a replacement handshake, an install
+//! of the latest epoch and a replay of the input log;
+//! [`Cluster::restore_latest`] is that install alone. Both re-inject the
+//! epoch's pending punctuations under fresh sequence numbers. No step
+//! waits for a sink to fall quiet: every barrier ends at its own marker.
 //!
 //! Every operation is synchronous, so no push can interleave with one:
 //! one operation in flight at a time is a cluster-v1 constraint,
@@ -118,6 +122,21 @@ const ROLLBACK_NONCE: u64 = 0x4C00_0000_0000_0000;
 
 /// Join records grouped by `(global shard, side index)`.
 type ShardGroups = HashMap<(u32, u8), Vec<(u64, Tuple)>>;
+
+/// What [`Cluster::absorb_run`] reads a worker's sink for.
+#[derive(Debug, Clone, Copy)]
+enum Drain {
+    /// Ordinary output: no barrier is in flight, so a sink marker is a
+    /// protocol error.
+    Output,
+    /// A cut up to the sink marker carrying this nonce: everything ahead
+    /// of it is output.
+    Cut(u64),
+    /// A rollback up to the sink marker carrying this nonce: everything
+    /// ahead of it — an aborted operation's marker included — is
+    /// condemned and dropped without being aligned.
+    Rollback(u64),
+}
 
 /// Relaunches the worker with the given index against the coordinator's
 /// control address. Crash recovery calls this to replace a dead worker;
@@ -327,7 +346,6 @@ pub struct Cluster {
     ready: Vec<Timestamped<StreamElement>>,
     clock: Timestamp,
     pushed: u64,
-    migrations: Vec<MigrationStats>,
     telem: ClusterTelemetry,
     durable: Option<DurableState>,
 }
@@ -378,7 +396,6 @@ impl Cluster {
             ready: Vec::new(),
             clock: Timestamp(0),
             pushed: 0,
-            migrations: Vec::new(),
             telem: ClusterTelemetry::new(opts.workers, opts.telemetry),
             durable,
             opts,
@@ -748,35 +765,71 @@ impl Cluster {
                 r.map_err(|e| self.lost(w, e.into()))?;
             }
             while !self.links[w].sink_done {
-                let mut merged = std::mem::take(self.merged());
-                let run = self.absorb_run(w, &mut merged);
-                *self.merged() = merged;
-                match run? {
-                    0 => break,
-                    n => {
-                        absorbed += n;
-                        self.note_absorbed(w, n)?;
-                    }
+                match self.absorb_run(w, Duration::ZERO, Drain::Output)? {
+                    (0, _) => break,
+                    (n, _) => absorbed += n,
                 }
             }
         }
         Ok(absorbed)
     }
 
-    /// Moves every element `worker`'s subscriber has queued onto the end
-    /// of `merged` in one go and returns how many there were. Tuples stay
-    /// where they land; only punctuations go through the aligner, and one
-    /// stays only if it is the copy the aligner emits.
+    /// Moves the next run `worker`'s subscriber has queued — waiting up
+    /// to `wait` for one — onto the merged output, acknowledging what the
+    /// subscriber has received once [`ACK_EVERY`] elements have piled up.
+    /// Tuples stay where they land; only punctuations go through the
+    /// aligner, and one stays only if it is the copy the aligner emits.
+    /// Returns how many elements the run held and whether it held the
+    /// marker `drain` waits for (which never reaches the output).
     fn absorb_run(
         &mut self,
         worker: usize,
+        wait: Duration,
+        drain: Drain,
+    ) -> Result<(usize, bool), ClusterError> {
+        let mut merged = std::mem::take(self.merged());
+        let run = self.fold_run(worker, wait, drain, &mut merged);
+        *self.merged() = merged;
+        let (n, reached) = run?;
+        let link = &mut self.links[worker];
+        link.unacked += n as u64;
+        if link.unacked >= ACK_EVERY {
+            link.unacked = 0;
+            let sent = link.ctrl.send(&Frame::Ack { up_to: link.sink.received() });
+            sent.map_err(|e| self.lost(worker, e))?;
+        }
+        Ok((n, reached))
+    }
+
+    /// The body of [`absorb_run`](Cluster::absorb_run), on the merged
+    /// output taken out of `self`.
+    fn fold_run(
+        &mut self,
+        worker: usize,
+        wait: Duration,
+        drain: Drain,
         merged: &mut Vec<Timestamped<StreamElement>>,
-    ) -> Result<usize, ClusterError> {
+    ) -> Result<(usize, bool), ClusterError> {
         let start = merged.len();
-        let got = self.links[worker].sink.next_run(Duration::ZERO, merged);
+        let got = self.links[worker].sink.next_run(wait, merged);
         let n = got.map_err(|e| self.lost(worker, e.into()))?;
+        let mut reached = false;
+        if let Drain::Cut(nonce) | Drain::Rollback(nonce) = drain {
+            let attr = self.opts.spec.join_attr_a;
+            let marker = merged[start..].iter().position(|e| {
+                e.ts == Timestamp(nonce)
+                    && matches!(&e.item, StreamElement::Punctuation(p) if is_barrier(p, attr))
+            });
+            reached = marker.is_some();
+            match (drain, marker) {
+                (Drain::Rollback(_), Some(i)) => drop(merged.drain(start..=start + i)),
+                (Drain::Rollback(_), None) => merged.truncate(start),
+                (_, Some(i)) => drop(merged.remove(start + i)),
+                (_, None) => {}
+            }
+        }
         let Some(first) = merged[start..].iter().position(|e| e.item.is_punctuation()) else {
-            return Ok(n);
+            return Ok((n, reached));
         };
         let mut kept = start + first;
         for i in start + first..merged.len() {
@@ -790,20 +843,34 @@ impl Cluster {
             }
         }
         merged.truncate(kept);
-        Ok(n)
+        Ok((n, reached))
     }
 
-    /// Counts `n` elements absorbed from `worker`'s sink, acknowledging
-    /// what its subscriber has received once [`ACK_EVERY`] have piled up.
-    fn note_absorbed(&mut self, worker: usize, n: usize) -> Result<(), ClusterError> {
-        let link = &mut self.links[worker];
-        link.unacked += n as u64;
-        if link.unacked < ACK_EVERY {
-            return Ok(());
+    /// Drains `worker`'s sink a run at a time until the run holding the
+    /// marker `drain` waits for, sleeping on the sink's socket in between
+    /// and failing at `deadline`. What a run holds past the marker is
+    /// ordinary output: a checkpoint's worker has resumed (though nothing
+    /// was pushed behind the barrier for it to answer), while a
+    /// migration's or rollback's worker publishes nothing until its
+    /// install commits.
+    fn drain_to_marker(
+        &mut self,
+        worker: usize,
+        drain: Drain,
+        deadline: Instant,
+    ) -> Result<(), ClusterError> {
+        loop {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match self.absorb_run(worker, wait, drain)? {
+                (_, true) => return Ok(()),
+                (0, false) if wait.is_zero() => {
+                    return Err(ClusterError::Timeout(format!(
+                        "{drain:?} sink marker from worker {worker}"
+                    )))
+                }
+                _ => {}
+            }
         }
-        link.unacked = 0;
-        let sent = link.ctrl.send(&Frame::Ack { up_to: link.sink.received() });
-        sent.map_err(|e| self.lost(worker, e))
     }
 
     /// Sleeps until any link socket — control, sink subscription, either
@@ -844,13 +911,6 @@ impl Cluster {
         }
     }
 
-    /// Hands one merged output to the caller — directly when durability
-    /// is off, via the uncommitted buffer (released at the next
-    /// checkpoint commit) when it is on.
-    fn emit(&mut self, element: Timestamped<StreamElement>) {
-        self.merged().push(element);
-    }
-
     /// Where merged outputs go: the caller's next poll, or the buffer
     /// the next checkpoint commit releases.
     fn merged(&mut self) -> &mut Vec<Timestamped<StreamElement>> {
@@ -860,34 +920,15 @@ impl Cluster {
         }
     }
 
-    /// Folds one sink element into the merged output. `marker_ok` admits
-    /// the sink marker (only the [`cut`](Cluster::cut) drain sets it).
-    /// Returns whether the element was that marker.
-    fn absorb(
-        &mut self,
-        worker: usize,
-        element: Timestamped<StreamElement>,
-        marker_ok: bool,
-    ) -> Result<bool, ClusterError> {
-        if let StreamElement::Punctuation(ref p) = element.item {
-            if marker_ok && is_barrier(p, self.opts.spec.join_attr_a) {
-                return Ok(true);
-            }
-            if !self.align(worker, p)? {
-                return Ok(false);
-            }
-        }
-        self.emit(element);
-        Ok(false)
-    }
-
     /// Merges one punctuation propagated by `worker`: whether it is to be
     /// emitted now, i.e. every worker it was routed to has propagated it
-    /// (exactly one copy is). A sink marker outside a cut is an error.
+    /// (exactly one copy is). A sink marker here is one no drain waits
+    /// for — outside a barrier, or carrying another barrier's nonce — and
+    /// an error.
     fn align(&mut self, worker: usize, p: &Punctuation) -> Result<bool, ClusterError> {
         if is_barrier(p, self.opts.spec.join_attr_a) {
             return Err(ClusterError::Protocol(format!(
-                "worker {worker} published a sink marker outside a cut"
+                "worker {worker} published a sink marker no barrier awaits"
             )));
         }
         let (outcome, seq) = self.aligner.observe_seq(worker, p);
@@ -1021,9 +1062,10 @@ impl Cluster {
     }
 
     /// The cut behind a barrier carrying `nonce`: every worker confirms
-    /// `BarrierReached`, each sink is drained to its marker (so every
-    /// pre-barrier output and propagation observation is absorbed), and
-    /// every worker's exported records are collected, grouped by the
+    /// `BarrierReached`, each sink is drained to the marker carrying
+    /// `nonce` (so every pre-barrier output and propagation observation
+    /// is absorbed; a marker carrying another nonce is a protocol error),
+    /// and every worker's exported records are collected, grouped by the
     /// global shard and side the worker reports. Returns the records and
     /// the instant the drain ended.
     fn cut(&mut self, nonce: u64) -> Result<(Vec<ShardRecords>, Instant), ClusterError> {
@@ -1039,17 +1081,7 @@ impl Cluster {
             }
         }
         for w in 0..self.links.len() {
-            let mut marker = false;
-            while !marker {
-                let next = self.links[w].sink.next(Duration::from_millis(200));
-                match next.map_err(|e| self.lost(w, e.into()))? {
-                    Some(element) => marker = self.absorb(w, element, true)?,
-                    None if Instant::now() >= deadline => {
-                        return Err(ClusterError::Timeout(format!("sink marker from worker {w}")))
-                    }
-                    None => {}
-                }
-            }
+            self.drain_to_marker(w, Drain::Cut(nonce), deadline)?;
         }
         let drained = Instant::now();
         let mut groups = ShardGroups::new();
@@ -1180,7 +1212,6 @@ impl Cluster {
             install: t_installed.duration_since(t_exported),
             reinject: t_installed.elapsed(),
         };
-        self.migrations.push(stats);
         self.telem.migrations.push(stats);
         Ok(stats)
     }
@@ -1305,9 +1336,9 @@ impl Cluster {
         // during recovery is fatal (cluster v1).
         self.barrier(survivors.iter().copied(), &Frame::Rollback { epoch, nonce }, nonce)?;
         for &w in &survivors {
-            // Tolerate frames from an aborted checkpoint (its barrier
-            // sits ahead of the rollback barrier in stream order, so its
-            // frames arrive first and are all superseded).
+            // The control link is in order, and an aborted operation's
+            // frames (its `BarrierReached`, its exported state) were sent
+            // before the rollback was armed: skip them.
             loop {
                 match self.recv_ctrl(w, deadline, "rollback BarrierReached")? {
                     Frame::BarrierReached { nonce: got } if got == nonce => break,
@@ -1321,33 +1352,9 @@ impl Cluster {
                     }
                 }
             }
-            // The worker is now blocked awaiting its install, so its
-            // sink quiesces after the rollback marker: discard until a
-            // marker has been seen and the sink has gone quiet.
-            let mut saw_marker = false;
-            let mut last_element = Instant::now();
-            loop {
-                match self.links[w].sink.next(Duration::from_millis(20))? {
-                    Some(element) => {
-                        last_element = Instant::now();
-                        if let StreamElement::Punctuation(ref p) = element.item {
-                            if is_barrier(p, self.opts.spec.join_attr_a) {
-                                saw_marker = true;
-                            }
-                        }
-                    }
-                    None => {
-                        if saw_marker && last_element.elapsed() >= Duration::from_millis(200) {
-                            break;
-                        }
-                        if Instant::now() >= deadline {
-                            return Err(ClusterError::Timeout(format!(
-                                "rollback sink marker from worker {w}"
-                            )));
-                        }
-                    }
-                }
-            }
+            // The sink likewise holds the aborted operation's marker ahead
+            // of the rollback's: drop everything up to the rollback's.
+            self.drain_to_marker(w, Drain::Rollback(nonce), deadline)?;
         }
 
         // 2. Replace the dead worker and adopt its successor.
@@ -1476,16 +1483,16 @@ impl Cluster {
         // streams end and before its sink closes; wait for the stragglers
         // so the merged telemetry covers the whole run.
         if self.opts.telemetry.enabled {
-            while let Some(&w) = self.telem.finals_pending().first() {
-                match self.links[w].ctrl.recv_deadline(deadline, "final telemetry flush")? {
-                    Frame::Telemetry { payload } => self.ingest_telemetry(w, &payload)?,
-                    Frame::Heartbeat { .. } => {}
-                    other => {
-                        return Err(ClusterError::Protocol(format!(
-                            "unexpected control frame from worker {w}: {other:?}"
-                        )))
-                    }
+            loop {
+                self.drain_ctrl()?;
+                if self.telem.finals_pending().is_empty() {
+                    break;
                 }
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    return Err(ClusterError::Timeout("final telemetry flush".into()));
+                }
+                self.wait_for_links(remaining)?;
             }
         }
         let proxy_stats = self
@@ -1502,7 +1509,7 @@ impl Cluster {
         Ok(ClusterReport {
             outputs: std::mem::take(&mut self.ready),
             pushed: self.pushed,
-            migrations: std::mem::take(&mut self.migrations),
+            migrations: telemetry.migrations.clone(),
             sender_reconnects,
             proxy_stats,
             telemetry,
@@ -1525,5 +1532,55 @@ impl Cluster {
     /// The live ASCII cluster dashboard at `width` columns.
     pub fn dashboard_text(&self, width: usize) -> String {
         self.telem.dashboard_text(width)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::sink_marker;
+    use punct_net::{SinkOptions, SinkServer};
+
+    /// A one-worker cluster whose worker is nothing but `sink`: its
+    /// control peer never answers and its senders never write. Returns
+    /// the control listener too, to keep that connection open.
+    fn cluster_over(sink: &SinkServer) -> (Cluster, TcpListener) {
+        let spec = JoinSpec::new(2, 2);
+        let mut cluster = Cluster::bind(ClusterOptions::new(spec.clone(), 1, 1)).expect("bind");
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind control peer");
+        let addr = peer.local_addr().expect("control peer address");
+        let ctrl = CtrlConn::connect(addr).expect("connect control peer");
+        let sender = |stream, side| {
+            StreamSender::new(addr, stream, side, spec.side_schema(side), ClientOptions::default())
+        };
+        let (left, right) = (sender(0, Side::Left), sender(1, Side::Right));
+        let sink = SinkSubscriber::new(sink.addr());
+        let link = WorkerLink { ctrl, proxy: None, left, right, sink, sink_done: false, unacked: 0 };
+        cluster.links.push(link);
+        (cluster, peer)
+    }
+
+    #[test]
+    fn every_drain_ends_at_the_marker_naming_its_barrier() {
+        let sink = SinkServer::bind(SinkOptions::default()).expect("bind sink");
+        let (mut cluster, _peer) = cluster_over(&sink);
+        let spec = cluster.opts.spec.clone();
+        let marker = |nonce| Timestamped::new(Timestamp(nonce), sink_marker(&spec).into());
+        let tuple = |k: i64| Timestamped::new(Timestamp(1), Tuple::of((k, 0i64, k, 1i64)).into());
+        let deadline = || Instant::now() + Duration::from_secs(10);
+        // One frame per publish, so each drain reads it as one run.
+        // A rollback drops everything ahead of its own marker, an aborted
+        // checkpoint's marker included; what follows it is output.
+        sink.publish_batch(&[tuple(1), marker(7), tuple(2), marker(8), tuple(3)]);
+        cluster.drain_to_marker(0, Drain::Rollback(8), deadline()).expect("rollback drain");
+        assert_eq!(cluster.ready, [tuple(3)]);
+        // A cut keeps what precedes its marker…
+        sink.publish_batch(&[tuple(4), marker(9)]);
+        cluster.drain_to_marker(0, Drain::Cut(9), deadline()).expect("cut drain");
+        assert_eq!(cluster.ready, [tuple(3), tuple(4)]);
+        // …and refuses a marker carrying another barrier's nonce.
+        sink.publish_batch(&[tuple(5), marker(10), marker(11)]);
+        let refused = cluster.drain_to_marker(0, Drain::Cut(11), deadline());
+        assert!(matches!(refused, Err(ClusterError::Protocol(_))), "{refused:?}");
     }
 }

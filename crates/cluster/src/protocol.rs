@@ -300,9 +300,12 @@ pub fn is_barrier(p: &Punctuation, attr: usize) -> bool {
 
 /// The sink-side barrier marker a worker publishes once both of its
 /// input streams reached the barrier: an output-schema punctuation with
-/// Empty on stream A's join attribute. Ordinary output punctuations can
-/// never collide with it — input barriers are filtered before the joins,
-/// and stream B translations fill stream A's columns with wildcards.
+/// Empty on stream A's join attribute, published at `Timestamp(nonce)`
+/// like the input barrier it answers, so it names its barrier and the
+/// coordinator's drain stops at its own marker and at no other. Ordinary
+/// output punctuations can never collide with it — input barriers are
+/// filtered before the joins, and stream B translations fill stream A's
+/// columns with wildcards.
 pub fn sink_marker(spec: &JoinSpec) -> Punctuation {
     Punctuation::on_attr(spec.output_width(), spec.join_attr_a, Pattern::Empty)
 }

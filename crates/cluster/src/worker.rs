@@ -16,7 +16,7 @@
 //!
 //! A join result is written once, by the operator into its output
 //! buffer, and encoded once, from there into the sink's frames
-//! ([`OpOutput::drain_with`] into a [`SinkEncoder`]); one ingest
+//! ([`OpOutput::drain_with`] into a [`BatchEncoder`]); one ingest
 //! message's outputs reach the sink as one append. The sink keeps those
 //! frames only until the coordinator has them: the coordinator, its only
 //! subscriber, sends [`Frame::Ack`]`{ up_to }` with its received count
@@ -36,11 +36,12 @@
 //!   an operation is armed is a protocol error.
 //! * When **both** input streams have delivered the barrier, every
 //!   pre-barrier output is already published. The worker publishes the
-//!   sink marker, sends [`Frame::BarrierReached`] and, for a migration
-//!   or checkpoint, exports the join's state as [`Frame::MigrateState`]
-//!   chunks, one section per owned global shard and side; a checkpoint
-//!   resumes at once, a migration or rollback blocks until its install
-//!   commits.
+//!   sink marker stamped with the barrier's nonce — the coordinator
+//!   drains the sink up to the marker naming the barrier it awaits —
+//!   sends [`Frame::BarrierReached`] and, for a migration or checkpoint,
+//!   exports the join's state as [`Frame::MigrateState`] chunks, one
+//!   section per owned global shard and side; a checkpoint resumes at
+//!   once, a migration or rollback blocks until its install commits.
 //! * Every install, the initial epoch's included, is
 //!   [`Frame::ShardMapUpdate`] (stage a fresh join),
 //!   [`Frame::MigrateState`] (import records without probing — their
@@ -60,7 +61,7 @@ use pjoin::components::propagation::translate_punctuation;
 use pjoin::{PJoin, PJoinConfig};
 use punct_exec::route_punctuation;
 use punct_net::{
-    Frame, IngestEvent, IngestMsg, IngestOptions, IngestServer, SinkEncoder, SinkOptions,
+    BatchEncoder, Frame, IngestEvent, IngestMsg, IngestOptions, IngestServer, SinkOptions,
     SinkServer, WIRE_VERSION,
 };
 use punct_trace::{
@@ -236,7 +237,7 @@ struct Worker {
     out: OpOutput,
     /// Outputs of the ingest message in hand, encoded, appended to the
     /// sink as one batch.
-    frames: SinkEncoder,
+    frames: BatchEncoder,
     /// Heartbeat policy from the config blob (disabled until it
     /// arrives).
     heartbeat: HeartbeatSettings,
@@ -620,8 +621,10 @@ impl Worker {
 
     /// The armed operation's barrier crossed both input streams. Every
     /// pre-barrier output is already in the sink (single-threaded,
-    /// in-order), so the marker published here cleanly separates the cut
-    /// for the coordinator's drain. A migration or checkpoint exports
+    /// in-order), so the marker published here — at `Timestamp(nonce)`,
+    /// as the barrier itself was — cleanly separates the cut for the
+    /// coordinator's drain, which stops at the marker naming its own
+    /// barrier. A migration or checkpoint exports
     /// the join's post-purge state; a checkpoint then resumes at once
     /// (the snapshot is a passive copy: the join keeps running), while a
     /// migration or rollback blocks until its install commits. A
@@ -637,7 +640,7 @@ impl Worker {
         let Some(spec) = &self.spec else {
             return Err(ClusterError::Protocol("barrier before the initial shard map".into()));
         };
-        self.sink.publish(Timestamped::new(self.clock, sink_marker(spec).into()));
+        self.sink.publish(Timestamped::new(Timestamp(nonce), sink_marker(spec).into()));
         self.note_retained();
         ctrl.send(&Frame::BarrierReached { nonce })?;
         if op != Op::Rollback {

@@ -5,7 +5,10 @@
 //! input log — and the run's joined-tuple multiset and propagated-
 //! punctuation multiset are **exactly** those of one uninterrupted
 //! single-threaded PJoin. On clean links and through seeded fault
-//! proxies on every worker's ingest path.
+//! proxies on every worker's ingest path, and with the kill landing just
+//! before a checkpoint, so the crash aborts the cut and the survivor's
+//! sink and control link hold that checkpoint's marker, `BarrierReached`
+//! and exported state ahead of the rollback's.
 //!
 //! A third test pins the inverse invariant: with durability disabled
 //! the coordinator ships zero checkpoint frames and writes nothing to
@@ -136,12 +139,21 @@ fn ckpt_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Where in the workload worker 1 is SIGKILLed, as `(numerator,
+/// denominator)` of its length.
+type KillAt = (usize, usize);
+
+/// Mid-stream, between the two checkpoints.
+const KILL_MID_STREAM: KillAt = (11, 20);
+
+/// Immediately before the second checkpoint (cut at four fifths).
+const KILL_BEFORE_SECOND_CHECKPOINT: KillAt = (4, 5);
+
 /// Drives the crash gate: a 2-worker process cluster with durability on,
-/// a checkpoint cut at one third, worker 1 SIGKILLed at ~55%, a
-/// respawned replacement recovered from disk, and a second checkpoint
-/// after recovery. Compares multisets against the uninterrupted
-/// single-threaded reference.
-fn run_crash_gate(tag: &str, fault: Option<FaultConfig>) {
+/// checkpoints cut at one third and four fifths, worker 1 SIGKILLed at
+/// `kill`, and a respawned replacement recovered from disk. Compares
+/// multisets against the uninterrupted single-threaded reference.
+fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt) {
     let work = workload(60);
     let (want_tuples, want_puncts) = reference(&work);
     let dir = ckpt_dir(tag);
@@ -166,16 +178,16 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>) {
     cluster.accept_workers().expect("assemble cluster");
 
     let checkpoint_at = [work.len() / 3, 4 * work.len() / 5];
-    let kill_at = 11 * work.len() / 20;
+    let kill_at = kill.0 * work.len() / kill.1;
     let mut outputs: Vec<Timestamped<StreamElement>> = Vec::new();
     for (i, (side, ts, el)) in work.iter().enumerate() {
-        if checkpoint_at.contains(&i) {
-            cluster.checkpoint().expect("checkpoint");
-        }
         if i == kill_at {
             let victim = &mut children[1];
             victim.kill().expect("SIGKILL worker 1");
             victim.wait().expect("reap killed worker");
+        }
+        if checkpoint_at.contains(&i) {
+            cluster.checkpoint().expect("checkpoint");
         }
         cluster
             .push(*side, Timestamped::new(Timestamp(*ts), el.clone()))
@@ -209,7 +221,7 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>) {
 
 #[test]
 fn sigkill_recovery_preserves_join_and_punctuation_multisets() {
-    run_crash_gate("clean", None);
+    run_crash_gate("clean", None, KILL_MID_STREAM);
 }
 
 #[test]
@@ -218,7 +230,16 @@ fn sigkill_recovery_preserves_multisets_through_faulty_links() {
     // (independently seeded per link) *on top of* the SIGKILL; the
     // rollback barrier, the re-installed state, and the replayed data
     // must still arrive exactly once.
-    run_crash_gate("faulty", Some(FaultConfig::lossy(7, 10, 3, 60, 0xFA11)));
+    run_crash_gate("faulty", Some(FaultConfig::lossy(7, 10, 3, 60, 0xFA11)), KILL_MID_STREAM);
+}
+
+#[test]
+fn sigkill_that_aborts_a_checkpoint_preserves_multisets() {
+    // The second checkpoint finds worker 1 dead after arming worker 0:
+    // the cut aborts, worker 0 publishes that checkpoint's marker and
+    // exports ahead of the rollback's, and the retried cut commits on the
+    // recovered cluster.
+    run_crash_gate("abort_checkpoint", None, KILL_BEFORE_SECOND_CHECKPOINT);
 }
 
 #[test]

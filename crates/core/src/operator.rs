@@ -3,7 +3,7 @@
 //! propagation components.
 
 use punct_trace::{JoinLatencies, SpanStart, TraceKind, TraceLog, Tracer};
-use punct_types::{Pattern, PunctId, StreamElement, Timestamp, Tuple};
+use punct_types::{PunctId, StreamElement, Timestamp, Tuple};
 use stream_sim::{BinaryStreamOp, OpOutput, Side, Work};
 
 use crate::components::disk_join::{resolve_bucket, ResolutionMark};
@@ -889,17 +889,6 @@ impl PJoin {
                 }
             }
         }
-    }
-
-    /// True if `pattern` occurs as a live join-attribute pattern in the
-    /// given side's punctuation set — exposed for tests of the
-    /// matched-pair trigger.
-    pub fn side_has_join_pattern(&self, side: Side, pattern: &Pattern) -> bool {
-        let state = match side {
-            Side::Left => &self.a,
-            Side::Right => &self.b,
-        };
-        state.index.contains_join_pattern(pattern)
     }
 
     /// Exports one side's stored records for cluster state migration:

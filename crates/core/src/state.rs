@@ -2,7 +2,7 @@
 //! store (memory + disk portions), the purge buffer, and the punctuation
 //! index, plus the bookkeeping that keeps them mutually consistent.
 
-use punct_types::{PunctId, Value};
+use punct_types::PunctId;
 use spillstore::{PartitionedStore, SimDisk, SpillPolicy, StoreConfig};
 use stream_sim::Work;
 
@@ -119,11 +119,6 @@ impl JoinState {
     /// Tuples held in memory (store memory portions + purge buffer).
     pub fn memory_tuples(&self) -> usize {
         self.store.memory_tuples() + self.purge_buffer_len
-    }
-
-    /// The join-key value of a tuple of this stream.
-    pub fn key_of<'t>(&self, t: &'t punct_types::Tuple) -> Option<&'t Value> {
-        t.get(self.join_attr)
     }
 
     /// Force-indexes every unindexed memory record of `bucket` against
@@ -342,7 +337,7 @@ impl JoinState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punct_types::{Pattern, Punctuation, Tuple};
+    use punct_types::{Pattern, Punctuation, Tuple, Value};
 
     fn state() -> JoinState {
         JoinState::new(2, 0, 4, 4)

@@ -391,19 +391,6 @@ impl ShardedPJoin {
         self.feed(RouterMsg::One(side, element))
     }
 
-    /// Fallible same-side batch push (see
-    /// [`push_side_batch`](ShardedPJoin::push_side_batch)).
-    pub fn try_push_side_batch(
-        &self,
-        side: Side,
-        batch: Vec<Timestamped<StreamElement>>,
-    ) -> Result<(), ExecError> {
-        if batch.is_empty() {
-            return self.failure.get().map_or(Ok(()), Err);
-        }
-        self.feed(RouterMsg::SideBatch(side, batch))
-    }
-
     fn feed_or_panic(&self, msg: RouterMsg) {
         if let Err(err) = self.feed(msg) {
             panic!("sharded executor failed: {err}");

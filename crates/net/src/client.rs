@@ -18,7 +18,7 @@ use stream_sim::Side;
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::error::NetError;
 use crate::frame::{
-    encode_data_batch_into, encode_frame, encode_frame_into, Frame, FrameBuffer, WIRE_VERSION,
+    encode_frame, encode_frame_into, BatchEncoder, Frame, FrameBuffer, WIRE_VERSION,
 };
 use crate::wait::{read_available, wait_readable};
 
@@ -36,12 +36,9 @@ pub struct ClientOptions {
     pub seed: u64,
     /// Elements per `DataBatch` frame (bounded above by available
     /// credits); `batch == 1` sends every element in a frame of its own.
+    /// A frame also closes at [`MAX_BATCH_BYTES`](crate::frame::MAX_BATCH_BYTES)
+    /// of payload.
     pub batch: usize,
-    /// Payload-byte cap per `DataBatch` frame: a batch whose encoding
-    /// would exceed this is split across frames (each still one write),
-    /// so frames stay well under [`crate::MAX_FRAME_LEN`] regardless of
-    /// tuple width.
-    pub max_batch_bytes: usize,
     /// How long to wait for `HelloAck` / `FinAck` before treating the
     /// connection as dead.
     pub handshake_timeout: Duration,
@@ -55,7 +52,6 @@ impl Default for ClientOptions {
             policy: BackoffPolicy::default(),
             seed: 0,
             batch: 64,
-            max_batch_bytes: punct_types::BatchConfig::default().max_bytes,
             handshake_timeout: Duration::from_secs(5),
             trace: TraceSettings::default(),
         }
@@ -63,13 +59,11 @@ impl Default for ClientOptions {
 }
 
 impl ClientOptions {
-    /// Applies a [`punct_types::BatchConfig`] to the wire batching
-    /// knobs: `max_elems` elements per write, `max_bytes` per `DataBatch`
-    /// frame. `BatchConfig::per_element()` therefore yields one-element
-    /// `DataBatch` frames.
+    /// Applies a [`punct_types::BatchConfig`]'s element cap per
+    /// `DataBatch` frame: `BatchConfig::per_element()` therefore yields
+    /// one-element frames.
     pub fn with_batch(mut self, batch: punct_types::BatchConfig) -> ClientOptions {
         self.batch = batch.max_elems.max(1);
-        self.max_batch_bytes = batch.max_bytes;
         self
     }
 }
@@ -181,8 +175,8 @@ pub struct StreamSender {
     /// Spaces failed attempts in `flush` / `finish`; reset whenever the
     /// ack mark advances.
     backoff: Backoff,
-    /// Encode buffer, reused across writes.
-    out: Vec<u8>,
+    /// Encodes each write's frames, keeping its buffers across writes.
+    out: BatchEncoder,
     elements_sent: u64,
     bytes_sent: u64,
     credit_stalls: u64,
@@ -202,6 +196,7 @@ impl StreamSender {
         opts: ClientOptions,
     ) -> StreamSender {
         let backoff = Backoff::new(opts.policy.clone(), opts.seed);
+        let out = BatchEncoder::new(opts.batch);
         let mut tracer = Tracer::new(opts.trace);
         tracer.set_lane(LANE_NET_CLIENT);
         StreamSender {
@@ -221,7 +216,7 @@ impl StreamSender {
             reconnects: 0,
             finished: false,
             backoff,
-            out: Vec::with_capacity(4 * 1024),
+            out,
             elements_sent: 0,
             bytes_sent: 0,
             credit_stalls: 0,
@@ -509,24 +504,18 @@ impl StreamSender {
             return Ok(());
         }
         let mut out = std::mem::take(&mut self.out);
-        out.clear();
         let span = self.tracer.span_start();
         let elements = &self.buffer.make_contiguous()[unsent_start..unsent_start + n];
-        let mut off = 0usize;
-        while off < n {
-            let frame_end = n.min(off + self.opts.batch.max(1));
-            let taken = encode_data_batch_into(
-                self.sent + off as u64,
-                &elements[off..frame_end],
-                self.opts.max_batch_bytes,
-                &mut out,
-            );
-            self.tracer.instant(TraceKind::NetBatch, 0, u64::from(self.stream), taken as u64);
-            off += taken;
+        elements.iter().for_each(|e| out.push(e));
+        out.seal(self.sent);
+        for (count, _) in out.frames() {
+            self.tracer.instant(TraceKind::NetBatch, 0, u64::from(self.stream), u64::from(count));
         }
         let vt = elements[0].ts.as_micros();
-        self.tracer.span_end(span, TraceKind::NetEncode, vt, out.len() as u64, n as u64);
-        let written = self.write(&out);
+        let bytes = out.bytes();
+        self.tracer.span_end(span, TraceKind::NetEncode, vt, bytes.len() as u64, n as u64);
+        let written = self.write(bytes);
+        out.clear();
         self.out = out;
         written?;
         self.elements_sent += n as u64;

@@ -19,9 +19,10 @@
 
 use punct_types::wire::{
     get_records, get_schema, get_timestamped_run, put_bytes, put_records, put_schema, put_str,
-    put_timestamped, put_u16, put_u32, put_u32_at, put_u64, put_u64_at, WireError, WireReader,
+    put_timestamped, put_timestamped_tuple, put_u16, put_u32, put_u32_at, put_u64, put_u64_at,
+    WireError, WireReader,
 };
-use punct_types::{Schema, ShardMap, StreamElement, Timestamped, Tuple};
+use punct_types::{Schema, ShardMap, StreamElement, Timestamp, Timestamped, Tuple, Value};
 
 /// Protocol version carried in every handshake frame (`Hello`,
 /// `HelloAck`, `Subscribe`, `JoinCluster`). Bumped on any frame or
@@ -38,8 +39,11 @@ use punct_types::{Schema, ShardMap, StreamElement, Timestamped, Tuple};
 /// the durability control frames (`Checkpoint`, `Heartbeat`, `Rollback`,
 /// `CheckpointDone`) for barrier-punctuation checkpointing, liveness,
 /// and crash recovery; version 6 retired the per-element `Data` frame
-/// (tag 2, never reused): every element travels in a `DataBatch`.
-pub const WIRE_VERSION: u32 = 6;
+/// (tag 2, never reused): every element travels in a `DataBatch`;
+/// version 7 stamps a worker's sink marker with its barrier's nonce
+/// (the frames are unchanged, their meaning is not: a version-6 worker's
+/// markers carry its clock, so no coordinator drain would find them).
+pub const WIRE_VERSION: u32 = 7;
 
 /// Hard cap on a frame's announced length (tag + payload). A corrupted
 /// length prefix can therefore never request more than this in one
@@ -414,59 +418,123 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     buf
 }
 
-/// Appends one `DataBatch` frame built from as many leading `elements`
-/// as fit within `max_bytes` of frame payload (always at least one, so
-/// a single oversized element still moves). Element `i` carries sequence
-/// `first_seq + i`. Returns how many elements were encoded; the caller
-/// re-invokes with the remainder. The encoding is byte-identical to
-/// [`encode_frame_into`] on the equivalent [`Frame::DataBatch`].
-pub fn encode_data_batch_into(
-    first_seq: u64,
-    elements: &[Timestamped<StreamElement>],
-    max_bytes: usize,
-    buf: &mut Vec<u8>,
-) -> usize {
-    let start = open_data_frame(buf, first_seq);
-    let mut taken = 0usize;
-    for element in elements {
-        let rollback = buf.len();
-        put_timestamped(buf, element);
-        if taken > 0 && buf.len() - start - 4 > max_bytes {
-            buf.truncate(rollback);
-            break;
+/// Most payload bytes in one `DataBatch` frame: an element that would
+/// take a non-empty frame past it starts the next one, so a frame never
+/// asks its peer for a large allocation and never approaches
+/// [`MAX_FRAME_LEN`], whatever the tuple width.
+pub const MAX_BATCH_BYTES: usize = 64 * 1024;
+
+/// Encodes stream elements into `DataBatch` frames, the one encoder of
+/// both data-plane directions: a [`StreamSender`](crate::StreamSender)
+/// encodes what its credit window lets it write, a sink what it
+/// publishes. A frame holds up to `batch` elements and closes once its
+/// payload reaches [`MAX_BATCH_BYTES`]. Frames are numbered when they
+/// are handed over — by the sender from its next unwritten sequence, by
+/// [`SinkServer::append`](crate::SinkServer::append) from the sink's —
+/// and the encoder keeps its buffers from one hand-over to the next.
+/// The default encoder frames every element on its own.
+#[derive(Debug, Default)]
+pub struct BatchEncoder {
+    batch: u32,
+    buf: Vec<u8>,
+    /// Frames in `buf`, each `(start, elements)`; a frame ends where the
+    /// next starts, the last at the end of `buf`.
+    frames: Vec<(usize, u32)>,
+    /// Whether the last frame still takes elements.
+    open: bool,
+}
+
+impl BatchEncoder {
+    /// An encoder closing each frame at `batch` elements (at least one).
+    pub(crate) fn new(batch: usize) -> BatchEncoder {
+        BatchEncoder { batch: batch.clamp(1, u32::MAX as usize) as u32, ..BatchEncoder::default() }
+    }
+
+    /// Encodes one element.
+    pub fn push(&mut self, element: &Timestamped<StreamElement>) {
+        self.encode(|buf| put_timestamped(buf, element));
+    }
+
+    /// Encodes the tuple of exactly `values` arriving at `ts`: the bytes
+    /// [`push`](BatchEncoder::push) writes for that tuple.
+    pub fn push_tuple(&mut self, ts: Timestamp, values: &[Value]) {
+        self.encode(|buf| put_timestamped_tuple(buf, ts, values));
+    }
+
+    /// True if nothing was encoded since the last hand-over.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    fn encode(&mut self, put: impl Fn(&mut Vec<u8>)) {
+        if !self.open {
+            self.open_frame();
         }
-        taken += 1;
-        if buf.len() - start - 4 >= max_bytes {
-            break;
+        let (mut start, count) = *self.frames.last().expect("a frame is open");
+        let at = self.buf.len();
+        put(&mut self.buf);
+        if count > 0 && self.buf.len() - start - 4 > MAX_BATCH_BYTES {
+            // Over the byte cap: the element starts the next frame.
+            self.buf.truncate(at);
+            self.close_frame();
+            start = self.open_frame();
+            put(&mut self.buf);
+        }
+        let last = self.frames.last_mut().expect("a frame is open");
+        last.1 += 1;
+        if last.1 >= self.batch || self.buf.len() - start - 4 >= MAX_BATCH_BYTES {
+            self.close_frame();
         }
     }
-    close_data_frame(&mut buf[start..], taken as u32);
-    taken
-}
 
-/// Opens a `DataBatch` frame at the end of `buf`, numbered from `seq`,
-/// and returns where it starts. The caller appends the encoded elements
-/// and then calls [`close_data_frame`], which fills in the length prefix
-/// and the element count.
-pub(crate) fn open_data_frame(buf: &mut Vec<u8>, seq: u64) -> usize {
-    let start = buf.len();
-    put_u32(buf, 0); // the length, filled in on close
-    buf.push(TAG_DATA_BATCH);
-    put_u64(buf, seq);
-    put_u32(buf, 0); // the count, filled in on close
-    start
-}
+    fn open_frame(&mut self) -> usize {
+        let start = self.buf.len();
+        put_u32(&mut self.buf, 0); // the length, filled in on close
+        self.buf.push(TAG_DATA_BATCH);
+        put_u64(&mut self.buf, 0); // the first sequence, filled in on seal
+        put_u32(&mut self.buf, 0); // the count, filled in on close
+        self.frames.push((start, 0));
+        self.open = true;
+        start
+    }
 
-/// Completes the `DataBatch` frame that is all of `frame` (opened by
-/// [`open_data_frame`]) holding `count` elements.
-pub(crate) fn close_data_frame(frame: &mut [u8], count: u32) {
-    put_u32_at(frame, 0, (frame.len() - 4) as u32);
-    put_u32_at(frame, 13, count);
-}
+    fn close_frame(&mut self) {
+        if let Some(&(start, count)) = self.frames.last().filter(|_| self.open) {
+            let len = self.buf.len() - start - 4;
+            put_u32_at(&mut self.buf, start, len as u32);
+            put_u32_at(&mut self.buf, start + 13, count);
+            self.open = false;
+        }
+    }
 
-/// Renumbers the data frame that is all of `frame` from `seq`.
-pub(crate) fn set_data_seq(frame: &mut [u8], seq: u64) {
-    put_u64_at(frame, 5, seq);
+    /// Closes the open frame and numbers the frames consecutively from
+    /// `first_seq`.
+    pub(crate) fn seal(&mut self, first_seq: u64) {
+        self.close_frame();
+        let mut seq = first_seq;
+        for &(start, count) in &self.frames {
+            put_u64_at(&mut self.buf, start + 5, seq);
+            seq += u64::from(count);
+        }
+    }
+
+    /// The sealed frames, in order, as `(elements, bytes)`.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        let ends = self.frames.iter().skip(1).map(|f| f.0).chain([self.buf.len()]);
+        self.frames.iter().zip(ends).map(|(&(start, count), end)| (count, &self.buf[start..end]))
+    }
+
+    /// Every sealed frame, back to back.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets the frames, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.frames.clear();
+        self.open = false;
+    }
 }
 
 /// Decodes one frame *payload* (tag + body, without the length prefix).
@@ -651,7 +719,7 @@ pub fn raw_is_data(tag: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punct_types::{Timestamp, Tuple, ValueType};
+    use punct_types::ValueType;
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -728,50 +796,56 @@ mod tests {
     }
 
     #[test]
-    fn data_batch_incremental_encoding_matches_whole_frame() {
-        let elements: Vec<Timestamped<StreamElement>> = (0..6)
-            .map(|i| {
-                Timestamped::new(
-                    Timestamp::from_micros(i),
-                    StreamElement::Tuple(Tuple::of((i as i64, "payload"))),
-                )
-            })
-            .collect();
-        // Unbounded: one call takes everything and matches encode_frame_into.
-        let mut buf = Vec::new();
-        let taken = encode_data_batch_into(7, &elements, usize::MAX, &mut buf);
-        assert_eq!(taken, elements.len());
+    fn batch_encoder_matches_whole_frames_and_splits_at_the_byte_cap() {
+        let tuple = |i: u64, len: usize| {
+            let payload = "x".repeat(len);
+            let t = Tuple::of((i as i64, payload.as_str()));
+            Timestamped::new(Timestamp::from_micros(i), StreamElement::Tuple(t))
+        };
+        // Under the cap: one frame, byte-identical to encode_frame_into.
+        let small: Vec<_> = (0..6).map(|i| tuple(i, 7)).collect();
+        let mut enc = BatchEncoder::new(usize::MAX);
+        small.iter().for_each(|e| enc.push(e));
+        enc.seal(7);
         let mut whole = Vec::new();
-        encode_frame_into(
-            &Frame::DataBatch { first_seq: 7, elements: elements.clone() },
-            &mut whole,
-        );
-        assert_eq!(buf, whole);
-        // Byte-capped: splits into several valid frames covering every
-        // element once, in order, with consecutive first_seqs.
+        encode_frame_into(&Frame::DataBatch { first_seq: 7, elements: small.clone() }, &mut whole);
+        assert_eq!(enc.bytes(), &whole[..]);
+        // Across the cap, with one element over it on its own: several
+        // frames, each byte-identical to encode_frame_into on its slice,
+        // covering every element once, in order, with consecutive
+        // first_seqs.
+        let sizes = [20_000, 20_000, 20_000, 20_000, MAX_BATCH_BYTES + 1, 20_000, 20_000];
+        let big: Vec<_> = sizes.iter().enumerate().map(|(i, &n)| tuple(i as u64, n)).collect();
+        let mut enc = BatchEncoder::new(usize::MAX);
+        big.iter().for_each(|e| enc.push(e));
+        enc.seal(0);
         let mut next = 0usize;
-        let mut wire = Vec::new();
-        while next < elements.len() {
-            let n = encode_data_batch_into(next as u64, &elements[next..], 40, &mut wire);
-            assert!(n >= 1, "progress even when one element exceeds the cap");
-            next += n;
+        for (count, bytes) in enc.frames() {
+            let count = count as usize;
+            assert!(count >= 1, "progress even when one element exceeds the cap");
+            let elements = big[next..next + count].to_vec();
+            assert!(count == 1 || bytes.len() - 4 <= MAX_BATCH_BYTES, "frame over the cap");
+            let mut want = Vec::new();
+            encode_frame_into(&Frame::DataBatch { first_seq: next as u64, elements }, &mut want);
+            assert_eq!(bytes, &want[..], "frame at {next}");
+            next += count;
         }
+        assert_eq!(next, big.len());
+        assert!(enc.frames().count() >= 3, "20 kB elements split at the 64 KiB cap");
+        assert!(enc.frames().any(|(n, b)| n == 1 && b.len() > MAX_BATCH_BYTES));
         let mut fb = FrameBuffer::new();
-        fb.extend(&wire);
+        fb.extend(enc.bytes());
         let mut decoded = Vec::new();
-        let mut expect_seq = 0u64;
         while let Some(f) = fb.next_frame().expect("valid frames") {
             match f {
                 Frame::DataBatch { first_seq, elements } => {
-                    assert_eq!(first_seq, expect_seq);
-                    assert!(!elements.is_empty());
-                    expect_seq += elements.len() as u64;
+                    assert_eq!(first_seq, decoded.len() as u64);
                     decoded.extend(elements);
                 }
                 other => panic!("unexpected frame {other:?}"),
             }
         }
-        assert_eq!(decoded, elements);
+        assert_eq!(decoded, big);
     }
 
     #[test]

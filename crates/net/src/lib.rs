@@ -66,8 +66,8 @@ pub use backoff::{Backoff, BackoffPolicy};
 pub use client::{send_stream, spawn_source, ClientOptions, SendReport, StreamSender};
 pub use error::NetError;
 pub use frame::{
-    decode_frame, encode_data_batch_into, encode_frame, encode_frame_into, error_code, Frame,
-    FrameBuffer, MAX_FRAME_LEN, WIRE_VERSION,
+    decode_frame, encode_frame, encode_frame_into, error_code, BatchEncoder, Frame, FrameBuffer,
+    MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use pipeline::{run_networked_join, NetJoinReport};
 pub use proxy::{FaultConfig, FaultProxy, ProxyStats};
@@ -75,7 +75,7 @@ pub use server::{
     IngestEvent, IngestMsg, IngestOptions, IngestReceiver, IngestServer, IngestStats,
 };
 pub use wait::{read_available, wait_readable};
-pub use sink::{collect_all, SinkEncoder, SinkOptions, SinkReport, SinkServer, SinkSubscriber};
+pub use sink::{collect_all, SinkOptions, SinkReport, SinkServer, SinkSubscriber};
 
 #[cfg(test)]
 mod tests {

@@ -9,11 +9,11 @@
 //!
 //! **The history is encoded frames.** Every element is encoded once,
 //! when it is published, into the `DataBatch` frames subscribers are
-//! sent: a [`SinkEncoder`] fills frames up to `batch` elements or
-//! `max_batch_bytes` of payload, and [`SinkServer::append`] numbers
-//! them — sequence numbers are assigned there, so a sink has one
-//! sequence however many encoders feed it — and keeps each as one
-//! shared byte buffer. `publish` and
+//! sent: a [`BatchEncoder`] fills frames up to `batch` elements or
+//! [`MAX_BATCH_BYTES`](crate::frame::MAX_BATCH_BYTES) of payload, and
+//! [`SinkServer::append`] numbers them — sequence numbers are assigned
+//! there, so a sink has one sequence however many encoders feed it — and
+//! keeps each as one shared byte buffer. `publish` and
 //! `publish_batch` go through the sink's own encoder; a producer that
 //! holds its outputs as something other than elements (the cluster
 //! worker encodes join results straight from the operator's buffer)
@@ -53,15 +53,11 @@ use std::time::{Duration, Instant};
 
 use punct_trace::event::TraceKind;
 use punct_trace::{TraceLog, TraceSettings, Tracer, LANE_NET_CLIENT, LANE_NET_SINK};
-use punct_types::wire::{put_timestamped, put_timestamped_tuple};
-use punct_types::{StreamElement, Timestamp, Timestamped, Value};
+use punct_types::{StreamElement, Timestamped};
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::error::NetError;
-use crate::frame::{
-    close_data_frame, encode_frame, error_code, open_data_frame, set_data_seq, Frame,
-    FrameBuffer, WIRE_VERSION,
-};
+use crate::frame::{encode_frame, error_code, BatchEncoder, Frame, FrameBuffer, WIRE_VERSION};
 use crate::wait::{accept_ready, read_available, wait_readable};
 
 /// Sink server configuration.
@@ -70,9 +66,6 @@ pub struct SinkOptions {
     /// Elements per `DataBatch` frame written to a subscriber;
     /// `batch == 1` sends every element in a frame of its own.
     pub batch: usize,
-    /// Payload-byte cap per `DataBatch` frame (bursts whose encoding
-    /// exceeds it are split across frames).
-    pub max_batch_bytes: usize,
     /// Tracing for subscriber handler threads.
     pub trace: TraceSettings,
 }
@@ -81,17 +74,15 @@ impl Default for SinkOptions {
     fn default() -> SinkOptions {
         SinkOptions {
             batch: 128,
-            max_batch_bytes: punct_types::BatchConfig::default().max_bytes,
             trace: TraceSettings::default(),
         }
     }
 }
 
 impl SinkOptions {
-    /// Applies a [`punct_types::BatchConfig`] to the wire batching knobs.
+    /// Applies a [`punct_types::BatchConfig`]'s element cap per frame.
     pub fn with_batch(mut self, batch: punct_types::BatchConfig) -> SinkOptions {
         self.batch = batch.max_elems.max(1);
-        self.max_batch_bytes = batch.max_bytes;
         self
     }
 }
@@ -130,89 +121,6 @@ impl History {
     }
 }
 
-/// Encodes output elements into sink frames, to be numbered and
-/// retained by [`SinkServer::append`]. Frames hold up to
-/// [`SinkOptions::batch`] elements and close once their payload reaches
-/// [`SinkOptions::max_batch_bytes`] (an element that would take a
-/// non-empty frame past it starts the next one) — the split
-/// [`encode_data_batch_into`](crate::frame::encode_data_batch_into)
-/// makes. Get one from [`SinkServer::encoder`]; it keeps its buffers
-/// across appends.
-#[derive(Debug)]
-pub struct SinkEncoder {
-    batch: u32,
-    max_bytes: usize,
-    buf: Vec<u8>,
-    /// Frames in `buf`, each `(start, elements)`; a frame ends where the
-    /// next starts, the last at the end of `buf`.
-    frames: Vec<(usize, u32)>,
-    /// Whether the last frame still takes elements.
-    open: bool,
-}
-
-impl SinkEncoder {
-    fn new(opts: &SinkOptions) -> SinkEncoder {
-        SinkEncoder {
-            batch: opts.batch.clamp(1, u32::MAX as usize) as u32,
-            max_bytes: opts.max_batch_bytes,
-            buf: Vec::new(),
-            frames: Vec::new(),
-            open: false,
-        }
-    }
-
-    /// Encodes one element.
-    pub fn push(&mut self, element: &Timestamped<StreamElement>) {
-        self.encode(|buf| put_timestamped(buf, element));
-    }
-
-    /// Encodes the tuple of exactly `values` arriving at `ts`: the bytes
-    /// [`push`](SinkEncoder::push) writes for that tuple.
-    pub fn push_tuple(&mut self, ts: Timestamp, values: &[Value]) {
-        self.encode(|buf| put_timestamped_tuple(buf, ts, values));
-    }
-
-    /// True if nothing was encoded since the last append.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    fn encode(&mut self, put: impl Fn(&mut Vec<u8>)) {
-        if !self.open {
-            self.open_frame();
-        }
-        let (mut start, count) = *self.frames.last().expect("a frame is open");
-        let at = self.buf.len();
-        put(&mut self.buf);
-        if count > 0 && self.buf.len() - start - 4 > self.max_bytes {
-            // Over the byte cap: the element starts the next frame.
-            self.buf.truncate(at);
-            self.close_frame();
-            start = self.open_frame();
-            put(&mut self.buf);
-        }
-        let last = self.frames.last_mut().expect("a frame is open");
-        last.1 += 1;
-        if last.1 >= self.batch || self.buf.len() - start - 4 >= self.max_bytes {
-            self.close_frame();
-        }
-    }
-
-    fn open_frame(&mut self) -> usize {
-        let start = open_data_frame(&mut self.buf, 0);
-        self.frames.push((start, 0));
-        self.open = true;
-        start
-    }
-
-    fn close_frame(&mut self) {
-        if let Some(&(start, count)) = self.frames.last().filter(|_| self.open) {
-            close_data_frame(&mut self.buf[start..], count);
-            self.open = false;
-        }
-    }
-}
-
 struct SinkShared {
     history: Mutex<History>,
     /// Signalled (with `history` held, so a subscriber between its check
@@ -233,7 +141,7 @@ pub struct SinkServer {
     addr: SocketAddr,
     shared: Arc<SinkShared>,
     /// The encoder behind `publish` and `publish_batch`.
-    encoder: Mutex<SinkEncoder>,
+    encoder: Mutex<BatchEncoder>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -258,7 +166,7 @@ impl SinkServer {
             .name("net-sink-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .expect("spawn sink accept thread");
-        let encoder = Mutex::new(SinkEncoder::new(&opts));
+        let encoder = Mutex::new(BatchEncoder::new(opts.batch));
         Ok(SinkServer { addr, shared, encoder, accept: Some(accept) })
     }
 
@@ -269,8 +177,8 @@ impl SinkServer {
 
     /// An encoder that frames elements the way this sink's options say,
     /// for [`append`](SinkServer::append).
-    pub fn encoder(&self) -> SinkEncoder {
-        SinkEncoder::new(&self.shared.opts)
+    pub fn encoder(&self) -> BatchEncoder {
+        BatchEncoder::new(self.shared.opts.batch)
     }
 
     /// Publishes one output element (sequence = publish order).
@@ -291,24 +199,20 @@ impl SinkServer {
     /// (one wake-up for all of it), and leaves the encoder empty: the
     /// frames get the next sequence numbers and are retained as they
     /// are, each in one shared buffer.
-    pub fn append(&self, encoder: &mut SinkEncoder) {
-        encoder.close_frame();
-        if encoder.frames.is_empty() {
+    pub fn append(&self, encoder: &mut BatchEncoder) {
+        if encoder.is_empty() {
             return;
         }
         let mut history = self.shared.history.lock().expect("sink history lock");
-        for (i, &(start, count)) in encoder.frames.iter().enumerate() {
-            let end = encoder.frames.get(i + 1).map_or(encoder.buf.len(), |f| f.0);
-            let frame = &mut encoder.buf[start..end];
+        encoder.seal(history.total);
+        for (count, frame) in encoder.frames() {
             let first_seq = history.total;
-            set_data_seq(frame, first_seq);
-            history.frames.push_back(EncodedFrame { first_seq, count, bytes: Arc::from(&*frame) });
+            history.frames.push_back(EncodedFrame { first_seq, count, bytes: Arc::from(frame) });
             history.total += u64::from(count);
         }
         drop(history);
         self.shared.wake.notify_all();
-        encoder.buf.clear();
-        encoder.frames.clear();
+        encoder.clear();
     }
 
     /// Elements published so far (truncation does not shrink this —

@@ -163,20 +163,6 @@ impl<R: Record> PartitionedStore<R> {
             .filter(move |r| r.tuple().get(attr).is_some_and(|v| v.join_eq(key)))
     }
 
-    /// Keyed probe of an already-located bucket: the memory-resident
-    /// records whose join key `join_eq`s `canonical` (which must be a
-    /// canonical join key, see [`Value::join_key`]).
-    pub fn probe_bucket_keyed<'a>(
-        &'a self,
-        bucket: usize,
-        canonical: &'a Value,
-    ) -> impl Iterator<Item = &'a R> + 'a {
-        let attr = self.config.join_attr;
-        self.buckets[bucket]
-            .probe_tag(tag_of_hash(canonical.join_hash()))
-            .filter(move |r| r.tuple().get(attr).is_some_and(|v| v.join_eq(canonical)))
-    }
-
     /// Hash probe of an already-located bucket: the memory-resident
     /// records whose probe tag matches the carried `hash` — the
     /// zero-allocation hot path (no canonical `Value` is constructed).
@@ -196,12 +182,6 @@ impl<R: Record> PartitionedStore<R> {
     /// yield (the candidate count the cost model charges for).
     pub fn probe_memory_keyed_len(&self, key: &Value) -> usize {
         self.probe_memory_keyed(key).count()
-    }
-
-    /// Whether the bucket a key hashes to has a disk portion (the probe
-    /// cannot be completed in memory alone).
-    pub fn key_has_disk_portion(&self, key: &Value) -> bool {
-        self.buckets[self.bucket_index(key)].has_disk_portion()
     }
 
     /// Bucket accessor.
@@ -512,22 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_bucket_keyed_matches_probe_memory_keyed() {
-        let mut s = store(8);
-        for k in 0..50 {
-            s.insert(tup(k % 10));
-        }
-        for k in 0..10i64 {
-            let key = Value::Int(k);
-            let bucket = s.bucket_of_hash(key.join_hash());
-            let via_bucket: Vec<_> = s.probe_bucket_keyed(bucket, &key).collect();
-            let via_key: Vec<_> = s.probe_memory_keyed(&key).collect();
-            assert_eq!(via_bucket.len(), 5, "key {k}");
-            assert_eq!(via_bucket, via_key, "key {k}");
-        }
-    }
-
-    #[test]
     fn spill_moves_largest_bucket() {
         let mut s = store(4);
         for k in 0..40 {
@@ -750,7 +714,7 @@ mod tests {
         let victim = s.bucket_index(&Value::Int(0));
         s.spill_bucket(victim);
         assert_eq!(s.probe_memory_keyed_len(&Value::Int(0)), 0);
-        assert!(s.key_has_disk_portion(&Value::Int(0)));
+        assert!(s.bucket(victim).has_disk_portion());
     }
 
     #[test]

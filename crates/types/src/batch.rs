@@ -22,26 +22,17 @@
 /// flush threshold, so default behavior stays familiar).
 pub const DEFAULT_BATCH_ELEMS: usize = 128;
 
-/// Default cap on encoded bytes per wire batch: one `DataBatch` frame
-/// never asks the peer for more than this in a single allocation, and a
-/// socket write stays well under typical send-buffer sizes.
-pub const DEFAULT_BATCH_BYTES: usize = 64 * 1024;
-
 /// How aggressively the data path batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum elements staged per batch (router flush threshold,
     /// elements per wire frame). Clamped to at least 1.
     pub max_elems: usize,
-    /// Maximum encoded bytes per wire batch. Only the transport layer
-    /// consults this (in-process batches move `Arc`ed tuples, not
-    /// bytes). Clamped to at least one frame.
-    pub max_bytes: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
-        BatchConfig { max_elems: DEFAULT_BATCH_ELEMS, max_bytes: DEFAULT_BATCH_BYTES }
+        BatchConfig { max_elems: DEFAULT_BATCH_ELEMS }
     }
 }
 
@@ -49,12 +40,12 @@ impl BatchConfig {
     /// Per-element execution: batch size 1 everywhere — every element
     /// flushes on its own.
     pub const fn per_element() -> BatchConfig {
-        BatchConfig { max_elems: 1, max_bytes: DEFAULT_BATCH_BYTES }
+        BatchConfig { max_elems: 1 }
     }
 
-    /// A config with the given element cap and the default byte cap.
+    /// A config with the given element cap.
     pub fn with_elems(max_elems: usize) -> BatchConfig {
-        BatchConfig { max_elems: max_elems.max(1), ..BatchConfig::default() }
+        BatchConfig { max_elems: max_elems.max(1) }
     }
 
     /// True when batching is effectively off (per-element execution).
@@ -71,7 +62,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = BatchConfig::default();
         assert_eq!(c.max_elems, DEFAULT_BATCH_ELEMS);
-        assert_eq!(c.max_bytes, DEFAULT_BATCH_BYTES);
         assert!(!c.is_per_element());
     }
 
