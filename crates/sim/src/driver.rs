@@ -35,20 +35,32 @@ impl Side {
     }
 }
 
-/// Most values one shared block of joined tuples holds (24 KiB of
+/// Most values one shared block of joined tuples holds (16 KiB of
 /// `Value`s). Throughput is flat from 256 to 16 384 on the match-heavy
 /// benchmark workload; the small end bounds what a consumer that keeps a
 /// single output alive can pin.
 const BLOCK_VALUES: usize = 1024;
 
-/// One collected output: an element, or a joined tuple whose values sit
-/// at `start..start + len` of [`OpOutput::pending`] or, once that was
-/// sealed, of the block in [`OpOutput::sealed`] that covers this slot.
+/// One collected output, one word: a joined tuple whose values sit at
+/// `start..start + len` of [`OpOutput::pending`] or, once that was
+/// sealed, of its block in [`OpOutput::sealed`] — the block a slot with
+/// `start == 0` opens — or, when `len` is [`READY`], the next element of
+/// [`OpOutput::ready`].
+///
+/// A word, not an enum of an element and a range: `push_joined` writes
+/// one slot per result, and the compiler assembles a 32-byte enum on the
+/// stack with narrow stores and copies it out with wide loads that
+/// store-to-load forwarding cannot serve.
 #[derive(Debug)]
-enum Slot {
-    Ready(StreamElement),
-    Joined { start: usize, len: usize },
+struct Slot {
+    start: u32,
+    len: u32,
 }
+
+/// The `len` of a slot that stands for the next element of
+/// [`OpOutput::ready`] (no result is this wide: a view's length fits in
+/// a `u32`, and `push_joined` refuses this one).
+const READY: u32 = u32::MAX;
 
 /// Output collector handed to operators.
 ///
@@ -65,14 +77,15 @@ enum Slot {
 /// it yields the slot.
 #[derive(Debug, Default)]
 pub struct OpOutput {
+    /// Every output in push order.
     slots: Vec<Slot>,
-    /// Values of the `Joined` slots pushed since the last seal, in push
+    /// The elements pushed whole, in push order: the [`READY`] slots.
+    ready: Vec<StreamElement>,
+    /// Values of the joined slots pushed since the last seal, in push
     /// order: the next block.
     pending: Vec<Value>,
-    /// Sealed blocks in push order, each with the slot index it ends
-    /// before: the `Joined` slots from the previous block's end up to
-    /// there index into it.
-    sealed: Vec<(usize, Arc<[Value]>)>,
+    /// Sealed blocks in push order.
+    sealed: Vec<Arc<[Value]>>,
 }
 
 impl OpOutput {
@@ -83,7 +96,8 @@ impl OpOutput {
 
     /// Emits one element.
     pub fn push(&mut self, e: impl Into<StreamElement>) {
-        self.slots.push(Slot::Ready(e.into()));
+        self.ready.push(e.into());
+        self.slots.push(Slot { start: 0, len: READY });
     }
 
     /// Emits the join result `left ⧺ right` as a view into a block of
@@ -101,22 +115,23 @@ impl OpOutput {
         let start = self.pending.len();
         self.pending.extend_from_slice(left.values());
         self.pending.extend_from_slice(right.values());
-        self.slots.push(Slot::Joined { start, len });
+        // Both halves fit in a `u32`, and `len` stays below `READY`.
+        assert!(start + len < READY as usize, "a block's values fit in a u32");
+        self.slots.push(Slot { start: start as u32, len: len as u32 });
     }
 
-    /// Freezes the pending values into one block that ends at the current
-    /// slot: `Arc::from(Vec)` is one allocation and one `memcpy` (an
-    /// iterator `collect` moves the values one by one). The conversion
-    /// frees the buffer, so `pending` gets a fresh one of the same
-    /// capacity, up to one block: a result wider than a block regrows it
-    /// once rather than sizing every later seal.
+    /// Freezes the pending values into one block, the one their first
+    /// slot (`start == 0`) opens: `Arc::from(Vec)` is one allocation and
+    /// one `memcpy` (an iterator `collect` moves the values one by one).
+    /// The conversion frees the buffer, so `pending` gets a fresh one of
+    /// the same capacity, up to one block: a result wider than a block
+    /// regrows it once rather than sizing every later seal.
     fn seal(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let next = Vec::with_capacity(self.pending.capacity().min(BLOCK_VALUES));
-        let block = Arc::from(std::mem::replace(&mut self.pending, next));
-        self.sealed.push((self.slots.len(), block));
+        self.sealed.push(Arc::from(std::mem::replace(&mut self.pending, next)));
     }
 
     /// Number of pending elements.
@@ -133,17 +148,19 @@ impl OpOutput {
     /// is dropped, however far it was advanced.
     pub fn drain(&mut self) -> impl Iterator<Item = StreamElement> + '_ {
         self.seal();
+        let mut ready = self.ready.drain(..);
         let mut blocks = self.sealed.drain(..);
-        let mut current = blocks.next();
-        self.slots.drain(..).enumerate().map(move |(i, slot)| match slot {
-            Slot::Ready(e) => e,
-            Slot::Joined { start, len } => {
-                while current.as_ref().is_some_and(|(end, _)| i >= *end) {
-                    current = blocks.next();
-                }
-                let (_, block) = current.as_ref().expect("a sealed block covers every joined slot");
-                Tuple::view(Arc::clone(block), start..start + len).into()
+        let mut block: Option<Arc<[Value]>> = None;
+        self.slots.drain(..).map(move |Slot { start, len }| {
+            if len == READY {
+                return ready.next().expect("a ready element for every ready slot");
             }
+            if start == 0 {
+                block = blocks.next();
+            }
+            let block = block.as_ref().expect("a sealed block covers every joined slot");
+            let start = start as usize;
+            Tuple::view(Arc::clone(block), start..start + len as usize).into()
         })
     }
 
@@ -158,19 +175,19 @@ impl OpOutput {
         &mut self,
         mut f: impl FnMut(Drained<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
+        let mut ready = self.ready.drain(..);
         let mut blocks = self.sealed.iter();
-        let mut current = blocks.next();
+        let mut values: &[Value] = &[];
         let mut result = Ok(());
-        for (i, slot) in self.slots.drain(..).enumerate() {
-            let item = match slot {
-                Slot::Ready(e) => Drained::Element(e),
-                Slot::Joined { start, len } => {
-                    while current.is_some_and(|(end, _)| i >= *end) {
-                        current = blocks.next();
-                    }
-                    let values = current.map_or(&self.pending[..], |(_, block)| &block[..]);
-                    Drained::Joined(&values[start..start + len])
+        for Slot { start, len } in self.slots.drain(..) {
+            let item = if len == READY {
+                Drained::Element(ready.next().expect("a ready element for every ready slot"))
+            } else {
+                if start == 0 {
+                    values = blocks.next().map_or(&self.pending[..], |block| &block[..]);
                 }
+                let start = start as usize;
+                Drained::Joined(&values[start..start + len as usize])
             };
             result = f(item);
             if result.is_err() {
@@ -837,7 +854,7 @@ mod tests {
     /// the next round is unaffected.
     #[test]
     fn a_dropped_drain_leaves_the_collector_empty() {
-        let payload: Arc<str> = Arc::from("payload");
+        let payload = Arc::new(String::from("payload"));
         let mut out = OpOutput::new();
         for k in [0, 1, 300, 699] {
             let l = Tuple::new(vec![Value::Int(0), Value::Str(Arc::clone(&payload))]);

@@ -64,6 +64,10 @@ impl Tuple {
     /// # Panics
     /// If `range` does not lie within `block`, or the block is longer
     /// than `u32::MAX` values.
+    // `#[inline]` so a caller building views in a loop writes each one
+    // straight into its destination: out of line, the view returns
+    // through a stack temporary the caller reloads with wider loads.
+    #[inline]
     pub fn view(block: Arc<[Value]>, range: Range<usize>) -> Tuple {
         assert!(
             range.start <= range.end && range.end <= block.len(),
@@ -149,13 +153,16 @@ impl Tuple {
     }
 
     /// Approximate in-memory footprint in bytes, used by spill accounting.
-    /// Counts the tuple's own values, never the rest of a shared block.
+    /// Counts the tuple's own values, never the rest of a shared block; a
+    /// string value adds its heap header (the `Arc`'s counts and the
+    /// `String`) and its bytes.
     pub fn approx_bytes(&self) -> usize {
+        const STR_HEADER: usize = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<String>();
         let mut n = std::mem::size_of::<Tuple>();
         for v in self.values() {
             n += std::mem::size_of::<Value>();
             if let Value::Str(s) = v {
-                n += s.len();
+                n += STR_HEADER + s.len();
             }
         }
         n
@@ -329,6 +336,8 @@ mod tests {
         let small = Tuple::of((1i64,));
         let big = Tuple::of(("a long string value that occupies real space",));
         assert!(big.approx_bytes() > small.approx_bytes());
+        // An empty string still counts its heap header.
+        assert!(Tuple::of(("",)).approx_bytes() > small.approx_bytes());
     }
 
     #[test]

@@ -43,8 +43,16 @@ impl fmt::Display for ValueType {
 /// A dynamically-typed attribute value.
 ///
 /// `Value` is the unit of comparison for equi-joins and pattern matching.
-/// It is cheap to clone (strings are `Arc<str>`).
+/// It is two words and cheap to clone. The tag takes a full word
+/// (`repr(u64)`), so every payload sits at offset 8 and a clone of a
+/// non-string value is two 8-byte moves (a one-byte tag puts the payload
+/// at offset 1, which the compiler copies through overlapping narrow
+/// stores that store-to-load forwarding cannot serve). Strings are
+/// `Arc<String>`, a thin pointer (`Arc<str>` is fat and would make the
+/// enum three words); building one costs two allocations, the `String`'s
+/// buffer and the `Arc`, or one when it adopts a `String` the caller holds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[repr(u64)]
 pub enum Value {
     /// Absent / unknown value. Joins never match on `Null`.
     Null,
@@ -55,7 +63,7 @@ pub enum Value {
     /// 64-bit float. Ordered with `f64::total_cmp` so `Value` is `Ord`.
     Float(f64),
     /// UTF-8 string.
-    Str(Arc<str>),
+    Str(Arc<String>),
 }
 
 impl Value {
@@ -77,7 +85,7 @@ impl Value {
 
     /// Constructs a string value.
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(s.as_ref().to_owned()))
     }
 
     /// Returns the integer payload, if this is an `Int`.
@@ -294,7 +302,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(Arc::from(s.as_str()))
+        Value::Str(Arc::new(s))
     }
 }
 
@@ -428,6 +436,37 @@ mod tests {
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from("s"), Value::str("s"));
         assert_eq!(Value::from("s".to_string()), Value::str("s"));
+        // A `String` is adopted, not copied.
+        let owned = String::from("adopted");
+        let at = owned.as_ptr();
+        assert_eq!(Value::from(owned).as_str().map(str::as_ptr), Some(at));
+    }
+
+    /// `Value` is two words and `Option<Value>` uses a spare tag, and
+    /// `join_hash` — every shard and bucket placement — does not depend on
+    /// the layout: the pins are the numbers of the one-byte-tag,
+    /// `Arc<str>` layout.
+    #[test]
+    fn layout_and_join_hash_pins() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
+        let pins = [
+            (Value::Int(7), 0x2d82_a040_feab_3b08),
+            (Value::Int(-7), 0x0c62_f89c_dd44_3ae0),
+            (Value::Int(2), 0x5ebf_8b44_23da_c078),
+            (Value::Float(2.0), 0x5ebf_8b44_23da_c078),
+            (Value::Float(-0.0), 0x9efc_058f_0609_8283),
+            (Value::Float(2.5), 0x2fcf_ff6a_91e2_596d),
+            (Value::Float(f64::NAN), 0x0151_9f2d_c006_28ed),
+            (Value::Bool(true), 0xc926_504f_a831_3a74),
+            (Value::Bool(false), 0xdc58_fdc2_e5c5_babe),
+            (Value::str("abc"), 0x7d4c_5cf1_ddd4_e93f),
+        ];
+        for (v, hash) in pins {
+            assert_eq!(v.join_hash(), Some(hash), "{v:?}");
+        }
+        assert_eq!(Value::from(String::from("abc")).join_hash(), Some(0x7d4c_5cf1_ddd4_e93f));
+        assert_eq!(Value::Null.join_hash(), None);
     }
 
     #[test]

@@ -475,7 +475,7 @@ pub fn get_value(r: &mut WireReader<'_>) -> Result<Value, WireError> {
         },
         2 => Ok(Value::Int(r.i64("int value")?)),
         3 => Ok(Value::Float(f64::from_bits(r.u64("float value")?))),
-        4 => Ok(Value::Str(Arc::from(r.str("string value")?))),
+        4 => Ok(Value::str(r.str("string value")?)),
         tag => Err(WireError::BadTag { what: "value", tag }),
     }
 }
