@@ -665,8 +665,7 @@ impl Cluster {
         let workers = self.target_workers(&route);
         debug_assert!(!workers.is_empty(), "every shard has an owner");
         if self.opts.telemetry.enabled {
-            let side_idx = side_index(side);
-            self.telem.note_route(seq, side_idx, p.content_hash(), wall_now_ns(), &workers);
+            self.telem.note_route(seq, side_index(side), wall_now_ns(), &workers);
         }
         let mask = workers.iter().fold(0u64, |m, &w| m | (1 << w));
         let translated = translate_punctuation(

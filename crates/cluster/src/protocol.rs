@@ -171,10 +171,9 @@ pub struct TelemetrySettings {
     /// Periodic report interval in milliseconds (the final flush at
     /// stream end is unconditional when enabled).
     pub interval_ms: u32,
-    /// Whether shard joins run with tracing on (latency histograms,
+    /// Whether worker joins run with tracing on (latency histograms,
     /// per-kind summaries, punctuation lifecycle records). With tracing
-    /// off — or compiled out via `PJOIN_TRACE_DISABLE=1` — reports still
-    /// flow, carrying the metrics-only payload.
+    /// off, reports still flow, carrying the metrics-only payload.
     pub trace: bool,
 }
 

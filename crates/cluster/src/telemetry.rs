@@ -17,16 +17,17 @@
 //!
 //! The coordinator names punctuations by aligner sequence; workers never
 //! see that sequence (it is not on the wire — the data plane carries the
-//! punctuation itself). Correlation uses content instead: both sides
-//! hash the punctuation's canonical wire bytes
-//! ([`Punctuation::content_hash`](punct_types::Punctuation::content_hash)),
-//! and because the transport is exactly-once and in-order per stream,
-//! the *i*-th lifecycle record a worker creates for a given `(side,
-//! key)` always describes the *i*-th copy of that punctuation the
-//! coordinator sent it ([`ClusterTelemetry::note_route`] keeps that send
-//! log). Re-injection after a repartition appends a fresh send-log entry
-//! and produces a fresh worker record, so the mapping survives
-//! migrations.
+//! punctuation itself). Correlation uses arrival order instead: each
+//! `(worker, side)` stream is exactly-once and in order, and a worker
+//! opens one lifecycle record per punctuation it receives on a side, so
+//! its *i*-th record on side *s* describes the *i*-th punctuation the
+//! coordinator sent it on *s*. [`ClusterTelemetry::note_route`] counts
+//! those sends and stores each lane as `(worker, occurrence)`; a
+//! re-route (re-injection after a repartition) replaces the lanes, so
+//! the copy a punctuation completed on is the one its span shows. A
+//! replacement worker starts its records afresh:
+//! [`ClusterTelemetry::reset_worker`] zeroes its counters and detaches
+//! the lanes routed to its predecessor.
 //!
 //! ## Clock normalization
 //!
@@ -52,8 +53,9 @@ use crate::protocol::TelemetrySettings;
 
 /// One worker's normalized lane of a punctuation span: every stamp in
 /// the **coordinator's** clock domain, monotone from `ingest_ns` through
-/// `observe_ns`. A zero stage was never recorded (tracing off, or the
-/// lane's record was cut short by a migration before the stage ran).
+/// `observe_ns`. A zero stage was never recorded (tracing off, the
+/// lane's record was cut short by a migration before the stage ran, or
+/// the worker it was routed to died).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerSpan {
     /// The worker this lane belongs to.
@@ -62,10 +64,7 @@ pub struct WorkerSpan {
     pub ingest_ns: u64,
     /// The worker's join finished applying it.
     pub purge_ns: u64,
-    /// The worker drained its join's propagation (no worker-side
-    /// alignment: the join emits each punctuation once).
-    pub align_ns: u64,
-    /// Published to the worker's sink.
+    /// The join's propagation of it went to the worker's sink.
     pub sink_ns: u64,
     /// The coordinator observed the worker's propagation (coordinator's
     /// own stamp, no translation involved).
@@ -75,16 +74,12 @@ pub struct WorkerSpan {
 impl WorkerSpan {
     /// True when every stage carries a stamp.
     pub fn complete(&self) -> bool {
-        self.ingest_ns > 0
-            && self.purge_ns > 0
-            && self.align_ns > 0
-            && self.sink_ns > 0
-            && self.observe_ns > 0
+        self.ingest_ns > 0 && self.purge_ns > 0 && self.sink_ns > 0 && self.observe_ns > 0
     }
 
     /// True when the recorded stages never go backwards.
     pub fn monotone(&self) -> bool {
-        let stages = [self.ingest_ns, self.purge_ns, self.align_ns, self.sink_ns, self.observe_ns];
+        let stages = [self.ingest_ns, self.purge_ns, self.sink_ns, self.observe_ns];
         let mut prev = 0u64;
         for s in stages.into_iter().filter(|&s| s > 0) {
             if s < prev {
@@ -105,8 +100,6 @@ pub struct PunctSpan {
     pub seq: u64,
     /// Input side: 0 = left, 1 = right.
     pub side: u8,
-    /// Content hash of the punctuation.
-    pub key: u64,
     /// The coordinator routed it to the target workers.
     pub route_ns: u64,
     /// The coordinator's aligner emitted the merged copy downstream.
@@ -127,11 +120,12 @@ impl PunctSpan {
 #[derive(Debug, Clone)]
 struct SpanBuilder {
     side: u8,
-    key: u64,
     route_ns: u64,
     merge_ns: u64,
-    /// Target workers under the most recent routing.
-    expected: Vec<u32>,
+    /// Target workers under the most recent routing, each with the
+    /// position of this punctuation among the ones the coordinator sent
+    /// it on `side` — `None` once that worker was replaced.
+    lanes: Vec<(u32, Option<usize>)>,
     /// worker → the coordinator's observation stamp of that worker's
     /// propagation.
     observed: HashMap<u32, u64>,
@@ -147,10 +141,9 @@ pub struct ClusterTelemetry {
     latest: Vec<Option<WorkerTelemetry>>,
     final_seen: Vec<bool>,
     reports: u64,
-    /// `(worker, side, key)` → coordinator sequences, in send order —
-    /// the occurrence index that correlates worker lifecycle records
-    /// back to coordinator sequences.
-    sent_log: HashMap<(u32, u8, u64), Vec<u64>>,
+    /// Punctuations sent so far per worker and side: the position the
+    /// next one takes in that worker's record list for the side.
+    sent: Vec<[usize; 2]>,
     spans: HashMap<u64, SpanBuilder>,
     /// Completed migrations with their pause breakdown.
     pub(crate) migrations: Vec<MigrationStats>,
@@ -165,7 +158,7 @@ impl ClusterTelemetry {
             latest: vec![None; workers],
             final_seen: vec![false; workers],
             reports: 0,
-            sent_log: HashMap::new(),
+            sent: vec![[0; 2]; workers],
             spans: HashMap::new(),
             migrations: Vec::new(),
         }
@@ -207,15 +200,23 @@ impl ClusterTelemetry {
     }
 
     /// Forgets everything tied to `worker`'s current incarnation: clock
-    /// sync, latest report, and final-flush marker. Called when crash
-    /// recovery adopts a replacement worker under the same index — the
+    /// sync, latest report, final-flush marker and send counters, and
+    /// the records of lanes routed to it. Called when crash recovery
+    /// adopts a replacement worker under the same index — the
     /// replacement restarts its report sequence at zero, which the
     /// stale-report guard in [`ingest_report`](Self::ingest_report)
-    /// would otherwise drop forever.
+    /// would otherwise drop forever, and its record lists start empty,
+    /// so they line up with the sends made after it joined.
     pub fn reset_worker(&mut self, worker: usize) {
         self.clocks[worker] = ClockSync::new();
         self.latest[worker] = None;
         self.final_seen[worker] = false;
+        self.sent[worker] = [0; 2];
+        for span in self.spans.values_mut() {
+            for lane in span.lanes.iter_mut().filter(|(w, _)| *w as usize == worker) {
+                lane.1 = None;
+            }
+        }
     }
 
     /// Workers whose final flush has not arrived yet.
@@ -228,30 +229,28 @@ impl ClusterTelemetry {
             .collect()
     }
 
-    /// Records a routing decision for punctuation `seq`: the first call
-    /// opens the span; a re-route (re-injection after a repartition)
-    /// replaces the expected worker set and appends to the send log, so
-    /// the final lanes reflect the topology the punctuation actually
-    /// completed under.
-    pub fn note_route(&mut self, seq: u64, side: u8, key: u64, now_ns: u64, workers: &[usize]) {
-        let expected: Vec<u32> = workers.iter().map(|&w| w as u32).collect();
-        for &w in &expected {
-            self.sent_log.entry((w, side, key)).or_default().push(seq);
-        }
-        self.spans
-            .entry(seq)
-            .and_modify(|s| {
-                s.expected = expected.clone();
-                s.observed.clear();
+    /// Records that punctuation `seq` was sent to `workers` on `side`:
+    /// the first call opens the span; a re-route (re-injection after a
+    /// repartition) replaces its lanes, so the final lanes reflect the
+    /// copies the punctuation actually completed on.
+    pub fn note_route(&mut self, seq: u64, side: u8, now_ns: u64, workers: &[usize]) {
+        let lanes = workers
+            .iter()
+            .map(|&w| {
+                let sent = &mut self.sent[w][usize::from(side)];
+                *sent += 1;
+                (w as u32, Some(*sent - 1))
             })
-            .or_insert(SpanBuilder {
-                side,
-                key,
-                route_ns: now_ns,
-                merge_ns: 0,
-                expected,
-                observed: HashMap::new(),
-            });
+            .collect();
+        let span = self.spans.entry(seq).or_insert_with(|| SpanBuilder {
+            side,
+            route_ns: now_ns,
+            merge_ns: 0,
+            lanes: Vec::new(),
+            observed: HashMap::new(),
+        });
+        span.lanes = lanes;
+        span.observed.clear();
     }
 
     /// Records that the coordinator saw `worker`'s propagation of
@@ -336,33 +335,18 @@ impl ClusterTelemetry {
         self.latest.iter().flatten().map(|r| r.ingest.stalls).sum()
     }
 
-    /// True when every latest report says trace data is present (the
-    /// lifecycle / latency sections are populated, not metrics-only).
+    /// True when workers run with tracing on, so their reports carry
+    /// latency histograms, trace summaries and lifecycle records — the
+    /// settings this coordinator shipped to every worker.
     pub fn trace_active(&self) -> bool {
-        let mut any = false;
-        for report in self.latest.iter().flatten() {
-            if !report.trace_compiled {
-                return false;
-            }
-            any = true;
-        }
-        any
+        self.settings.enabled && self.settings.trace
     }
 
-    /// The occurrence-indexed lifecycle record for (`worker`, `side`,
-    /// `key`, `seq`): the *n*-th record the worker created for that
-    /// punctuation content, where *n* is the position of the **last**
-    /// send of `seq` in the send log (re-injection completes on the
-    /// latest copy; earlier copies died with their migration epoch).
-    fn worker_record(&self, worker: u32, side: u8, key: u64, seq: u64) -> Option<&PunctRecord> {
-        let sends = self.sent_log.get(&(worker, side, key))?;
-        let occurrence = sends.iter().rposition(|&s| s == seq)?;
+    /// The lifecycle record of `worker`'s `occurrence`-th punctuation on
+    /// `side`, if its latest report carries it.
+    fn worker_record(&self, worker: u32, side: u8, occurrence: usize) -> Option<&PunctRecord> {
         let report = self.latest[worker as usize].as_ref()?;
-        report
-            .lifecycle
-            .iter()
-            .filter(|r| r.side == side && r.key == key)
-            .nth(occurrence)
+        report.lifecycle[usize::from(side)].get(occurrence)
     }
 
     /// Assembles every routed punctuation's cluster-wide span, ascending
@@ -375,8 +359,8 @@ impl ClusterTelemetry {
         seqs.into_iter()
             .map(|seq| {
                 let b = &self.spans[&seq];
-                let mut workers = Vec::with_capacity(b.expected.len());
-                for &w in &b.expected {
+                let mut workers = Vec::with_capacity(b.lanes.len());
+                for &(w, occurrence) in &b.lanes {
                     let observe_ns = b.observed.get(&w).copied().unwrap_or(0);
                     // The causal window this lane's remote stamps must
                     // fall into: the coordinator routed before the worker
@@ -389,12 +373,12 @@ impl ClusterTelemetry {
                     };
                     let mut lane = WorkerSpan { worker: w, observe_ns, ..WorkerSpan::default() };
                     let clock = &self.clocks[w as usize];
-                    if let Some(rec) = self.worker_record(w, b.side, b.key, seq) {
+                    let record = occurrence.and_then(|n| self.worker_record(w, b.side, n));
+                    if let Some(rec) = record {
                         let mut floor = b.route_ns;
                         for (slot, raw) in [
                             (&mut lane.ingest_ns, rec.ingest_ns),
                             (&mut lane.purge_ns, rec.purge_ns),
-                            (&mut lane.align_ns, rec.align_ns),
                             (&mut lane.sink_ns, rec.sink_ns),
                         ] {
                             if raw == 0 {
@@ -413,7 +397,6 @@ impl ClusterTelemetry {
                 PunctSpan {
                     seq,
                     side: b.side,
-                    key: b.key,
                     route_ns: b.route_ns,
                     merge_ns: b.merge_ns,
                     workers,
@@ -579,11 +562,10 @@ impl ClusterTelemetry {
         for span in &spans {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"punct_span\",\"seq\":{},\"side\":{},\"key\":{},\
-                 \"route_ns\":{},\"merge_ns\":{},\"workers\":{}}}",
+                "{{\"type\":\"punct_span\",\"seq\":{},\"side\":{},\"route_ns\":{},\
+                 \"merge_ns\":{},\"workers\":{}}}",
                 span.seq,
                 span.side,
-                span.key,
                 span.route_ns,
                 span.merge_ns,
                 span.workers.len(),
@@ -592,12 +574,11 @@ impl ClusterTelemetry {
                 let _ = writeln!(
                     out,
                     "{{\"type\":\"punct_stage\",\"seq\":{},\"worker\":{},\"ingest_ns\":{},\
-                     \"purge_ns\":{},\"align_ns\":{},\"sink_ns\":{},\"observe_ns\":{}}}",
+                     \"purge_ns\":{},\"sink_ns\":{},\"observe_ns\":{}}}",
                     span.seq,
                     lane.worker,
                     lane.ingest_ns,
                     lane.purge_ns,
-                    lane.align_ns,
                     lane.sink_ns,
                     lane.observe_ns,
                 );
@@ -814,21 +795,13 @@ pub fn validate_cluster_jsonl(input: &str) -> Result<JsonlSummary, String> {
                 }
             }
             "punct_span" => {
-                require(&["seq", "side", "key", "route_ns", "merge_ns", "workers"])?;
+                require(&["seq", "side", "route_ns", "merge_ns", "workers"])?;
                 summary
                     .spans
                     .push((num(&fields, "seq", line_no)?, num(&fields, "merge_ns", line_no)?));
             }
             "punct_stage" => {
-                require(&[
-                    "seq",
-                    "worker",
-                    "ingest_ns",
-                    "purge_ns",
-                    "align_ns",
-                    "sink_ns",
-                    "observe_ns",
-                ])?;
+                require(&["seq", "worker", "ingest_ns", "purge_ns", "sink_ns", "observe_ns"])?;
                 *summary.stages.entry(num(&fields, "seq", line_no)?).or_insert(0) += 1;
             }
             "migration" => {
@@ -893,14 +866,15 @@ mod tests {
     use punct_trace::{IngestCounters, ShardSnapshot};
     use std::time::Duration;
 
-    fn report(worker: u32, seq: u64, records: Vec<PunctRecord>) -> WorkerTelemetry {
+    /// A report from `worker` whose lifecycle lists are `records`
+    /// (left, right).
+    fn report(worker: u32, seq: u64, records: [Vec<PunctRecord>; 2]) -> WorkerTelemetry {
         let mut latencies = JoinLatencies::new();
         latencies.tuple_emit.record(10 + worker as u64);
         WorkerTelemetry {
             worker,
             seq,
             final_flush: false,
-            trace_compiled: true,
             elements: 100,
             outputs: 90,
             latencies,
@@ -919,11 +893,11 @@ mod tests {
     #[test]
     fn latest_report_wins_and_merges_exactly() {
         let mut t = ClusterTelemetry::new(2, TelemetrySettings::default());
-        assert!(!t.ingest_report(0, report(0, 1, Vec::new())));
-        assert!(!t.ingest_report(0, report(0, 2, Vec::new())));
+        assert!(!t.ingest_report(0, report(0, 1, Default::default())));
+        assert!(!t.ingest_report(0, report(0, 2, Default::default())));
         // A stale replay never regresses the kept snapshot.
-        assert!(!t.ingest_report(0, report(0, 1, Vec::new())));
-        assert!(!t.ingest_report(1, report(1, 1, Vec::new())));
+        assert!(!t.ingest_report(0, report(0, 1, Default::default())));
+        assert!(!t.ingest_report(1, report(1, 1, Default::default())));
         assert_eq!(t.worker(0).map(|r| r.seq), Some(2));
         let merged = t.merged_latencies();
         assert_eq!(merged.tuple_emit.count(), 2); // one per worker, not per report
@@ -941,19 +915,16 @@ mod tests {
         let mut t = ClusterTelemetry::new(2, TelemetrySettings::default());
         // Worker 1's clock is 1 ms ahead.
         t.observe_clock(1, 1_000, 1_001_500, 2_000);
-        t.note_route(0, 0, 0xABCD, 10_000, &[1]);
+        t.note_route(0, 0, 10_000, &[1]);
         t.note_observe(1, 0, 90_000);
         t.note_merge(0, 95_000);
         let rec = PunctRecord {
-            side: 0,
-            key: 0xABCD,
-            // Worker clock domain: true coordinator times 20k/30k/40k/50k.
+            // Worker clock domain: true coordinator times 20k/30k/50k.
             ingest_ns: 1_020_000,
             purge_ns: 1_030_000,
-            align_ns: 1_040_000,
             sink_ns: 1_050_000,
         };
-        t.ingest_report(1, report(1, 1, vec![rec]));
+        t.ingest_report(1, report(1, 1, [vec![rec], Vec::new()]));
         let spans = t.spans();
         assert_eq!(spans.len(), 1);
         let span = &spans[0];
@@ -973,17 +944,16 @@ mod tests {
     #[test]
     fn reinjection_uses_the_latest_occurrence() {
         let mut t = ClusterTelemetry::new(2, TelemetrySettings::default());
-        let key = 7u64;
-        t.note_route(0, 0, key, 1_000, &[0, 1]);
+        t.note_route(0, 0, 1_000, &[0, 1]);
         t.note_observe(0, 0, 2_000);
         // Migration: re-route to worker 0 only; worker 0 saw the
         // punctuation twice (two lifecycle records, the second complete).
-        t.note_route(0, 0, key, 5_000, &[0]);
+        t.note_route(0, 0, 5_000, &[0]);
         t.note_observe(0, 0, 9_000);
         t.note_merge(0, 9_500);
-        let first = PunctRecord { side: 0, key, ingest_ns: 1_100, purge_ns: 1_200, align_ns: 0, sink_ns: 0 };
-        let second = PunctRecord { side: 0, key, ingest_ns: 6_000, purge_ns: 7_000, align_ns: 7_500, sink_ns: 8_000 };
-        t.ingest_report(0, report(0, 1, vec![first, second]));
+        let first = PunctRecord { ingest_ns: 1_100, purge_ns: 1_200, sink_ns: 0 };
+        let second = PunctRecord { ingest_ns: 6_000, purge_ns: 7_000, sink_ns: 8_000 };
+        t.ingest_report(0, report(0, 1, [vec![first, second], Vec::new()]));
         let spans = t.spans();
         assert_eq!(spans[0].workers.len(), 1, "re-route replaced the lane set");
         let lane = &spans[0].workers[0];
@@ -993,14 +963,38 @@ mod tests {
     }
 
     #[test]
+    fn a_replacement_worker_stamps_only_what_it_received() {
+        let mut t = ClusterTelemetry::new(1, TelemetrySettings::default());
+        // Seq 0 reaches worker 0, which dies before reporting it.
+        t.note_route(0, 0, 1_000, &[0]);
+        t.reset_worker(0);
+        // Its replacement receives the replayed copy as seq 1 and
+        // reports one record: its first punctuation on the left side.
+        t.note_route(1, 0, 5_000, &[0]);
+        t.note_observe(0, 1, 9_000);
+        t.note_merge(1, 9_500);
+        let rec = PunctRecord { ingest_ns: 6_000, purge_ns: 7_000, sink_ns: 8_000 };
+        t.ingest_report(0, report(0, 0, [vec![rec], Vec::new()]));
+        let spans = t.spans();
+        let replay = &spans[1].workers[0];
+        assert!(replay.complete(), "the replayed copy owns the record: {replay:?}");
+        assert_eq!(replay.ingest_ns, 6_000);
+        let lost = &spans[0].workers[0];
+        assert_eq!(
+            (lost.ingest_ns, lost.purge_ns, lost.sink_ns),
+            (0, 0, 0),
+            "the dead worker's copy borrows no stamps: {lost:?}"
+        );
+    }
+
+    #[test]
     fn jsonl_round_trips_through_validator() {
         let mut t = ClusterTelemetry::new(1, TelemetrySettings::default());
-        let key = 42u64;
-        t.note_route(0, 1, key, 100, &[0]);
+        t.note_route(0, 1, 100, &[0]);
         t.note_observe(0, 0, 300);
         t.note_merge(0, 400);
-        let rec = PunctRecord { side: 1, key, ingest_ns: 150, purge_ns: 200, align_ns: 220, sink_ns: 250 };
-        let mut r = report(0, 3, vec![rec]);
+        let rec = PunctRecord { ingest_ns: 150, purge_ns: 200, sink_ns: 250 };
+        let mut r = report(0, 3, [Vec::new(), vec![rec]]);
         r.final_flush = true;
         t.ingest_report(0, r);
         t.migrations.push(MigrationStats {
@@ -1022,6 +1016,7 @@ mod tests {
         assert!(summary.trace_active);
         assert_eq!(summary.migrations, 1);
         assert_eq!(summary.stages.get(&0), Some(&1));
+        assert!(!dump.contains("\"key\""), "spans carry no content key");
         assert_eq!(summary.tuple_emit_count, 1);
         check_exactly_once(&summary, 1).expect("exactly once");
         // A dump claiming more punctuations than were pushed fails.
@@ -1035,9 +1030,9 @@ mod tests {
     #[test]
     fn metrics_text_and_dashboard_render() {
         let mut t = ClusterTelemetry::new(2, TelemetrySettings::default());
-        t.ingest_report(0, report(0, 1, Vec::new()));
-        t.ingest_report(1, report(1, 1, Vec::new()));
-        t.note_route(0, 0, 9, 100, &[0, 1]);
+        t.ingest_report(0, report(0, 1, Default::default()));
+        t.ingest_report(1, report(1, 1, Default::default()));
+        t.note_route(0, 0, 100, &[0, 1]);
         t.note_observe(0, 0, 200);
         t.note_observe(1, 0, 250);
         t.note_merge(0, 300);

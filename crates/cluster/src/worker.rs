@@ -253,13 +253,14 @@ struct Worker {
     report_seq: u64,
     /// When the last periodic report went out.
     last_report: Instant,
-    /// Per-punctuation lifecycle records, cumulative in creation order —
-    /// the coordinator correlates them back by `(side, key)` occurrence.
-    lifecycle: Vec<PunctRecord>,
-    /// Translated punctuation → indices into `lifecycle` of its copies
-    /// the active join has not propagated yet, oldest first. Filled only
-    /// while lifecycle tracking is on.
-    unpropagated: HashMap<Punctuation, VecDeque<usize>>,
+    /// Per-punctuation lifecycle records per input side, cumulative in
+    /// arrival order — the coordinator correlates the i-th record on a
+    /// side with the i-th punctuation it sent this worker there.
+    lifecycle: [Vec<PunctRecord>; 2],
+    /// Translated punctuation → `(side, index into lifecycle[side])` of
+    /// its copies the active join has not propagated yet, oldest first.
+    /// Filled only while lifecycle tracking is on.
+    unpropagated: HashMap<Punctuation, VecDeque<(usize, usize)>>,
     /// Latencies of joins retired by migrations (cumulative reports must
     /// not lose samples when the active join is replaced).
     retired: JoinLatencies,
@@ -317,7 +318,7 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         telemetry: TelemetrySettings::disabled(),
         report_seq: 0,
         last_report: Instant::now(),
-        lifecycle: Vec::new(),
+        lifecycle: Default::default(),
         unpropagated: HashMap::new(),
         retired: JoinLatencies::new(),
         kind_totals: vec![(0, 0); TraceKind::ALL.len()],
@@ -556,23 +557,18 @@ impl Worker {
                     )));
                 }
                 let record = track.then(|| {
-                    let ri = self.lifecycle.len();
+                    let s = usize::from(side_index(side));
+                    let at = (s, self.lifecycle[s].len());
+                    self.lifecycle[s]
+                        .push(PunctRecord { ingest_ns: wall_now_ns(), ..PunctRecord::default() });
                     let translated =
                         translate_punctuation(&p, spec.side_offset(side), spec.output_width());
-                    self.unpropagated.entry(translated).or_default().push_back(ri);
-                    // Hash the punctuation as routed (pre-translation) so
-                    // the key matches the coordinator's send log.
-                    self.lifecycle.push(PunctRecord {
-                        side: side_index(side),
-                        key: p.content_hash(),
-                        ingest_ns: wall_now_ns(),
-                        ..PunctRecord::default()
-                    });
-                    ri
+                    self.unpropagated.entry(translated).or_default().push_back(at);
+                    at
                 });
                 active.join.on_element(side, p.into(), ts, &mut self.out);
-                if let Some(ri) = record {
-                    self.lifecycle[ri].purge_ns = wall_now_ns();
+                if let Some((s, i)) = record {
+                    self.lifecycle[s][i].purge_ns = wall_now_ns();
                 }
             }
         }
@@ -602,21 +598,18 @@ impl Worker {
                 }
                 _ => None,
             };
-            if let Some(ri) = record {
-                lifecycle[ri].align_ns = wall_now_ns();
-            }
             frames.push(&Timestamped::new(ts, element));
-            if let Some(ri) = record {
-                lifecycle[ri].sink_ns = wall_now_ns();
+            if let Some((s, i)) = record {
+                lifecycle[s][i].sink_ns = wall_now_ns();
             }
             Ok(())
         });
     }
 
     /// Whether per-punctuation lifecycle stamps are recorded: requires
-    /// telemetry on, tracing requested, and the trace crate compiled in.
+    /// telemetry on and tracing requested.
     fn track_lifecycle(&self) -> bool {
-        punct_trace::COMPILED && self.telemetry.enabled && self.telemetry.trace
+        self.telemetry.enabled && self.telemetry.trace
     }
 
     /// The armed operation's barrier crossed both input streams. Every
@@ -707,7 +700,7 @@ impl Worker {
         }
         let seq = self.report_seq;
         self.report_seq += 1;
-        let trace_on = punct_trace::COMPILED && self.telemetry.trace;
+        let trace_on = self.telemetry.trace;
         let mut latencies = self.retired;
         let mut shards = Vec::with_capacity(1);
         if let Some(active) = &mut self.active {
@@ -734,7 +727,6 @@ impl Worker {
             worker: self.report.worker,
             seq,
             final_flush,
-            trace_compiled: trace_on,
             elements: self.report.elements,
             outputs: self.report.outputs,
             latencies,
@@ -780,7 +772,7 @@ impl Worker {
                     self.telemetry = telemetry;
                     self.heartbeat = heartbeat;
                     let mut cfg = spec.pjoin_config();
-                    if punct_trace::COMPILED && telemetry.enabled && telemetry.trace {
+                    if telemetry.enabled && telemetry.trace {
                         cfg = cfg.with_tracing();
                     }
                     self.cfg = Some(cfg);

@@ -238,11 +238,9 @@ fn a_worker_owning_several_shards_is_one_join() {
         // Round robin over three shards: worker 0 owns 0 and 2, worker 1 owns 1.
         assert_eq!(last.shards[0].shard, w, "the lowest global shard worker {w} owns");
     }
-    if punct_trace::COMPILED {
-        for span in telem.spans() {
-            for lane in &span.workers {
-                assert!(lane.complete() && lane.monotone(), "span {}: {lane:?}", span.seq);
-            }
+    for span in telem.spans() {
+        for lane in &span.workers {
+            assert!(lane.complete() && lane.monotone(), "span {}: {lane:?}", span.seq);
         }
     }
 }

@@ -190,19 +190,17 @@ fn merged_telemetry_is_exact_through_faults_and_a_resize() {
     assert!(telem.total_elements() > 0);
     assert!(telem.total_outputs() >= joined as u64);
 
-    if punct_trace::COMPILED {
-        // The acceptance bar: the merged cluster-level ingress→emit
-        // histogram counts exactly the joined tuples emitted.
-        let merged = telem.merged_latencies();
-        assert_eq!(
-            merged.tuple_emit.count(),
-            joined as u64,
-            "merged ingress→emit histogram must count every joined tuple"
-        );
-        assert!(merged.punct_purge.count() > 0);
-        assert!(merged.punct_propagate.count() > 0);
-        assert!(telem.trace_active());
-    }
+    // The acceptance bar: the merged cluster-level ingress→emit
+    // histogram counts exactly the joined tuples emitted.
+    let merged = telem.merged_latencies();
+    assert_eq!(
+        merged.tuple_emit.count(),
+        joined as u64,
+        "merged ingress→emit histogram must count every joined tuple"
+    );
+    assert!(merged.punct_purge.count() > 0);
+    assert!(merged.punct_propagate.count() > 0);
+    assert!(telem.trace_active());
 
     // Every routed punctuation has a span that completed downstream.
     let spans = telem.spans();
@@ -222,14 +220,12 @@ fn merged_telemetry_is_exact_through_faults_and_a_resize() {
                 span.seq,
                 lane.worker
             );
-            if punct_trace::COMPILED {
-                assert!(
-                    lane.complete(),
-                    "span {} lane {} is missing stages: {lane:?}",
-                    span.seq,
-                    lane.worker
-                );
-            }
+            assert!(
+                lane.complete(),
+                "span {} lane {} is missing stages: {lane:?}",
+                span.seq,
+                lane.worker
+            );
             assert!(
                 lane.monotone(),
                 "span {} lane {} goes backwards: {lane:?}",
@@ -254,9 +250,7 @@ fn merged_telemetry_is_exact_through_faults_and_a_resize() {
     check_exactly_once(&summary, puncts_pushed)
         .expect("exactly-once recomputed from the artifact alone");
     assert_eq!(summary.migrations, 1);
-    if punct_trace::COMPILED {
-        assert_eq!(summary.tuple_emit_count, joined as u64);
-    }
+    assert_eq!(summary.tuple_emit_count, joined as u64);
 
     let dash = telem.dashboard_text(100);
     assert!(dash.contains("worker 0"));

@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use pjoin::framework::FrameworkProfile;
 use pjoin::PJoinStats;
-use punct_trace::{JoinLatencies, TraceLog};
+use punct_trace::TraceLog;
 use punct_types::{StreamElement, Timestamped};
 use stream_sim::{Side, Work};
 
@@ -113,7 +113,10 @@ impl ExecStats {
         self.shards.iter().map(|s| s.stats).sum()
     }
 
-    /// Runtime metrics aggregated over all shards.
+    /// Runtime metrics aggregated over all shards. Latency histograms
+    /// merge exactly (element-wise bucket addition), so for a workload
+    /// whose keys and closing punctuations co-locate they equal the
+    /// single-threaded operator's regardless of shard count.
     pub fn total_metrics(&self) -> RuntimeMetrics {
         self.shards.iter().map(|s| s.metrics).sum()
     }
@@ -133,18 +136,6 @@ impl ExecStats {
             .map(|s| cost.nanos(&s.work))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Latency histograms merged over all shards. Merging is exact
-    /// (element-wise bucket addition), so for a workload whose keys and
-    /// closing punctuations co-locate this equals the single-threaded
-    /// operator's histograms regardless of shard count.
-    pub fn total_latencies(&self) -> JoinLatencies {
-        let mut total = JoinLatencies::new();
-        for s in &self.shards {
-            total.merge(&s.latencies);
-        }
-        total
     }
 
     /// Framework profiles merged over all shards.

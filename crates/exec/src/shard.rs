@@ -13,7 +13,7 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pjoin::framework::FrameworkProfile;
 use pjoin::{PJoin, PJoinConfig, PJoinStats};
-use punct_trace::{JoinLatencies, TraceLog};
+use punct_trace::TraceLog;
 use punct_types::{StreamElement, Timestamp, Timestamped};
 use stream_sim::{BinaryStreamOp, OpOutput, Side, Work};
 
@@ -88,11 +88,10 @@ pub struct ShardReport {
     /// Total modeled work performed by this shard's operator — the per-
     /// shard critical-path input for virtual-time scaling analysis.
     pub work: Work,
-    /// Final runtime metrics (consumed / state / emitted / latencies).
+    /// Final runtime metrics (consumed / state / emitted / latencies;
+    /// the latency histograms are empty unless tracing was enabled and
+    /// merge exactly across shards).
     pub metrics: RuntimeMetrics,
-    /// The operator's latency histograms (empty unless tracing was
-    /// enabled; mergeable exactly across shards).
-    pub latencies: JoinLatencies,
     /// The framework profile: per-component wall/virtual cost and event
     /// counts (empty unless tracing was enabled).
     pub profile: FrameworkProfile,
@@ -199,7 +198,6 @@ pub(crate) fn shard_loop(
     }
 
     let work = join.take_work();
-    let latencies = *join.latencies();
     let report = ShardReport {
         shard,
         stats: *join.stats(),
@@ -208,9 +206,8 @@ pub(crate) fn shard_loop(
             consumed,
             state_tuples: join.state_tuples(),
             emitted,
-            latencies,
+            latencies: *join.latencies(),
         },
-        latencies,
         profile: *join.profile(),
         trace: join.take_trace(),
     };

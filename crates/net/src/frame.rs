@@ -42,8 +42,12 @@ use punct_types::{Schema, ShardMap, StreamElement, Timestamp, Timestamped, Tuple
 /// (tag 2, never reused): every element travels in a `DataBatch`;
 /// version 7 stamps a worker's sink marker with its barrier's nonce
 /// (the frames are unchanged, their meaning is not: a version-6 worker's
-/// markers carry its clock, so no coordinator drain would find them).
-pub const WIRE_VERSION: u32 = 7;
+/// markers carry its clock, so no coordinator drain would find them);
+/// version 8 reshaped the `Telemetry` report: lifecycle records come in
+/// one list per input side, matched by arrival order, and carry three
+/// stamps (ingest, purge, sink) instead of a side, a content hash and
+/// four stamps.
+pub const WIRE_VERSION: u32 = 8;
 
 /// Hard cap on a frame's announced length (tag + payload). A corrupted
 /// length prefix can therefore never request more than this in one

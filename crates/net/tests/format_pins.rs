@@ -58,7 +58,6 @@ fn report() -> TelemetryMsg {
         worker: 3,
         seq: 17,
         final_flush: true,
-        trace_compiled: true,
         elements: 1000,
         outputs: 950,
         latencies,
@@ -70,14 +69,7 @@ fn report() -> TelemetryMsg {
             KindSummary { kind: 3, count: 9, total_dur_ns: 12345 },
             KindSummary { kind: 6, count: 4, total_dur_ns: 0 },
         ],
-        lifecycle: vec![PunctRecord {
-            side: 1,
-            key: 0xFEED_BEEF,
-            ingest_ns: 10,
-            purge_ns: 20,
-            align_ns: 30,
-            sink_ns: 40,
-        }],
+        lifecycle: [Vec::new(), vec![PunctRecord { ingest_ns: 10, purge_ns: 20, sink_ns: 40 }]],
         ingest: IngestCounters {
             connections: 2,
             frames_received: 1000,
@@ -145,21 +137,21 @@ fn frames() -> Vec<Frame> {
 }
 
 const FRAME_PINS: [&str; 21] = [
-    "200000000003000000010700000003000000010000006b02010000007604010000006603",
-    "11000000012a000000000000008000000007000000",
+    "200000000003000000010800000003000000010000006b02010000007604010000006603",
+    "11000000012a000000000000008000000008000000",
     "09000000030800000000000000",
     "050000000440000000",
     "09000000056400000000000000",
     "0100000006",
     "0f000000070100080000006761702061742039",
-    "0d00000008050000000000000007000000",
+    "0d00000008050000000000000008000000",
     "\
         92000000090a00000000000000030000006400000000000000000600000002f9ffffffffffffff03\
         000000000000f87f030000000000000080040600000068c3a96c6c6f010100650000000000000001\
         06000000010203000000000000000201020100000000000000020300000000000004400302000000\
         040100000061040100000062000402000066000000000000000000000000",
     "\
-        2d0000000a07000000010000000e0000003132372e302e302e313a343130300e0000003132372e30\
+        2d0000000a08000000010000000e0000003132372e302e302e313a343130300e0000003132372e30\
         2e302e313a34313031",
     "\
         2a0000000b0100000003000000000000000400000000000000010000000000000001000000050000\
@@ -180,14 +172,14 @@ const FRAME_PINS: [&str; 21] = [
 ];
 
 const REPORT_PIN: &str = "\
-    0203000000110000000000000003e803000000000000b60300000000000004000200000000000000\
+    0203000000110000000000000001e803000000000000b60300000000000004000200000000000000\
     0201000000000000000901000000000000003f0100000000000000ffffffffffffffffffffffffff\
     ffffff01050100000000000000280000000000000028000000000000000121010000000000000000\
     0000000200000000000000020000000200000000000000f4010000000000000c00000000000000e0\
     0100000000000002000000f4010000000000000000000000000000d6010000000000000203090000\
-    0000000000393000000000000006040000000000000000000000000000000100000001efbeedfe00\
-    0000000a0000000000000014000000000000001e0000000000000028000000000000000200000000\
-    000000e803000000000000000001000000000003000000000000000500000000000000";
+    00000000003930000000000000060400000000000000000000000000000000000000010000000a00\
+    000000000000140000000000000028000000000000000200000000000000e8030000000000000000\
+    01000000000003000000000000000500000000000000";
 
 #[test]
 fn frames_and_telemetry_bytes_are_pinned() {

@@ -203,9 +203,18 @@ fn arb_latencies() -> impl Strategy<Value = JoinLatencies> {
     )
 }
 
+/// One input side's lifecycle records, in arrival order.
+fn arb_lifecycle() -> impl Strategy<Value = Vec<PunctRecord>> {
+    proptest::collection::vec(
+        (any::<u64>(), any::<u64>(), any::<u64>())
+            .prop_map(|(ingest_ns, purge_ns, sink_ns)| PunctRecord { ingest_ns, purge_ns, sink_ns }),
+        0..10,
+    )
+}
+
 fn arb_worker_telemetry() -> impl Strategy<Value = WorkerTelemetry> {
     (
-        (any::<u32>(), any::<u64>(), any::<bool>(), any::<bool>()),
+        (any::<u32>(), any::<u64>(), any::<bool>()),
         (any::<u64>(), any::<u64>()),
         arb_latencies(),
         proptest::collection::vec(
@@ -224,18 +233,7 @@ fn arb_worker_telemetry() -> impl Strategy<Value = WorkerTelemetry> {
             ),
             0..6,
         ),
-        proptest::collection::vec(
-            (0u8..2, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>())
-                .prop_map(|(side, key, ingest_ns, purge_ns, align_ns, sink_ns)| PunctRecord {
-                    side,
-                    key,
-                    ingest_ns,
-                    purge_ns,
-                    align_ns,
-                    sink_ns,
-                }),
-            0..10,
-        ),
+        (arb_lifecycle(), arb_lifecycle()).prop_map(|(left, right)| [left, right]),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
             |(connections, frames_received, bytes_received, duplicates_suppressed, stalls)| {
                 IngestCounters {
@@ -249,12 +247,11 @@ fn arb_worker_telemetry() -> impl Strategy<Value = WorkerTelemetry> {
         ),
     )
         .prop_map(
-            |((worker, seq, final_flush, trace_compiled), (elements, outputs), latencies,
-              shards, summaries, lifecycle, ingest)| WorkerTelemetry {
+            |((worker, seq, final_flush), (elements, outputs), latencies, shards, summaries,
+              lifecycle, ingest)| WorkerTelemetry {
                 worker,
                 seq,
                 final_flush,
-                trace_compiled,
                 elements,
                 outputs,
                 latencies,

@@ -132,26 +132,18 @@ impl KindSummary {
 
 /// One punctuation's worker-side lifecycle stamps, in the **worker's**
 /// clock domain (ns since that process's trace epoch). A zero stage has
-/// not happened yet. Records are reported cumulatively in creation
-/// order, so the i-th record for a given `(side, key)` on a worker
-/// always describes the i-th copy of that punctuation the coordinator
-/// sent there — the coordinator resolves records to its own `PunctSeq`
-/// by that occurrence index.
+/// not happened yet. A worker keeps one record list per input side, in
+/// arrival order: each `(worker, side)` stream is exactly-once and in
+/// order, so the i-th record on side s describes the i-th punctuation
+/// the coordinator sent that worker on s — the coordinator resolves
+/// records to its own `PunctSeq` by that position.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PunctRecord {
-    /// Input side: 0 = left, 1 = right.
-    pub side: u8,
-    /// Content hash of the punctuation as it crossed the wire.
-    pub key: u64,
     /// Arrival at the worker's element handler.
     pub ingest_ns: u64,
     /// The worker's join finished applying it (purge complete).
     pub purge_ns: u64,
-    /// The worker drained the join's propagation of it. The join emits
-    /// each punctuation once, so nothing is aligned in the worker: the
-    /// stamp marks the propagation itself.
-    pub align_ns: u64,
-    /// Published to the worker's sink.
+    /// The join's propagation of it was encoded for the worker's sink.
     pub sink_ns: u64,
 }
 
@@ -182,10 +174,6 @@ pub struct WorkerTelemetry {
     pub seq: u64,
     /// True for the final flush sent at stream end.
     pub final_flush: bool,
-    /// Whether the worker was built with tracing compiled in. When
-    /// false, the latency / summary / lifecycle sections are empty and
-    /// the report is metrics-only.
-    pub trace_compiled: bool,
     /// Elements consumed from the ingest plane (worker lifetime).
     pub elements: u64,
     /// Elements published to the sink (worker lifetime).
@@ -198,8 +186,9 @@ pub struct WorkerTelemetry {
     pub shards: Vec<ShardSnapshot>,
     /// Cumulative per-kind trace totals.
     pub summaries: Vec<KindSummary>,
-    /// Cumulative punctuation lifecycle records, creation order.
-    pub lifecycle: Vec<PunctRecord>,
+    /// Cumulative punctuation lifecycle records per input side (0 =
+    /// left, 1 = right), in arrival order. Empty with tracing off.
+    pub lifecycle: [Vec<PunctRecord>; 2],
     /// Ingest transport counters.
     pub ingest: IngestCounters,
 }
@@ -256,9 +245,7 @@ impl TelemetryMsg {
                 buf.push(MSG_REPORT);
                 put_u32(&mut buf, t.worker);
                 put_u64(&mut buf, t.seq);
-                let flags =
-                    (t.final_flush as u8) | ((t.trace_compiled as u8) << 1);
-                buf.push(flags);
+                buf.push(t.final_flush as u8);
                 put_u64(&mut buf, t.elements);
                 put_u64(&mut buf, t.outputs);
                 put_latencies(&mut buf, &t.latencies);
@@ -275,11 +262,12 @@ impl TelemetryMsg {
                     put_u64(&mut buf, s.count);
                     put_u64(&mut buf, s.total_dur_ns);
                 }
-                put_u32(&mut buf, t.lifecycle.len() as u32);
-                for p in &t.lifecycle {
-                    buf.push(p.side);
-                    for v in [p.key, p.ingest_ns, p.purge_ns, p.align_ns, p.sink_ns] {
-                        put_u64(&mut buf, v);
+                for records in &t.lifecycle {
+                    put_u32(&mut buf, records.len() as u32);
+                    for p in records {
+                        for v in [p.ingest_ns, p.purge_ns, p.sink_ns] {
+                            put_u64(&mut buf, v);
+                        }
                     }
                 }
                 for v in [
@@ -312,7 +300,7 @@ impl TelemetryMsg {
             MSG_REPORT => {
                 let worker = r.u32("report worker")?;
                 let seq = r.u64("report seq")?;
-                let flags = r.u8("report flags")?;
+                let final_flush = r.u8("report final flag")? != 0;
                 let elements = r.u64("report elements")?;
                 let outputs = r.u64("report outputs")?;
                 let latencies = get_latencies(&mut r)?;
@@ -337,18 +325,18 @@ impl TelemetryMsg {
                         total_dur_ns: r.u64("summary duration")?,
                     });
                 }
-                // A lifecycle record is 41 bytes: its side and five u64s.
-                let n = r.count("lifecycle count", 41)?;
-                let mut lifecycle = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lifecycle.push(PunctRecord {
-                        side: r.u8("lifecycle side")?,
-                        key: r.u64("lifecycle key")?,
-                        ingest_ns: r.u64("lifecycle ingest")?,
-                        purge_ns: r.u64("lifecycle purge")?,
-                        align_ns: r.u64("lifecycle align")?,
-                        sink_ns: r.u64("lifecycle sink")?,
-                    });
+                let mut lifecycle: [Vec<PunctRecord>; 2] = Default::default();
+                for records in &mut lifecycle {
+                    // A lifecycle record is 24 bytes: three u64 stamps.
+                    let n = r.count("lifecycle count", 24)?;
+                    records.reserve_exact(n);
+                    for _ in 0..n {
+                        records.push(PunctRecord {
+                            ingest_ns: r.u64("lifecycle ingest")?,
+                            purge_ns: r.u64("lifecycle purge")?,
+                            sink_ns: r.u64("lifecycle sink")?,
+                        });
+                    }
                 }
                 let ingest = IngestCounters {
                     connections: r.u64("ingest connections")?,
@@ -360,8 +348,7 @@ impl TelemetryMsg {
                 TelemetryMsg::Report(Box::new(WorkerTelemetry {
                     worker,
                     seq,
-                    final_flush: flags & 1 != 0,
-                    trace_compiled: flags & 2 != 0,
+                    final_flush,
                     elements,
                     outputs,
                     latencies,
@@ -459,7 +446,6 @@ mod tests {
             worker: 3,
             seq: 17,
             final_flush: true,
-            trace_compiled: true,
             elements: 1000,
             outputs: 950,
             latencies,
@@ -471,14 +457,10 @@ mod tests {
                 KindSummary { kind: 3, count: 9, total_dur_ns: 12345 },
                 KindSummary { kind: 6, count: 4, total_dur_ns: 0 },
             ],
-            lifecycle: vec![PunctRecord {
-                side: 1,
-                key: 0xFEED_BEEF,
-                ingest_ns: 10,
-                purge_ns: 20,
-                align_ns: 30,
-                sink_ns: 40,
-            }],
+            lifecycle: [
+                Vec::new(),
+                vec![PunctRecord { ingest_ns: 10, purge_ns: 20, sink_ns: 40 }],
+            ],
             ingest: IngestCounters {
                 connections: 2,
                 frames_received: 1000,

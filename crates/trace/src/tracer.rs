@@ -4,9 +4,7 @@
 //! Each shard / router / merger / operator owns its own `Tracer`, so the
 //! hot path never touches shared state; logs are merged after the fact
 //! (see [`TraceLog`]). A disabled tracer holds no buffer and every
-//! recording method is a single-branch no-op; with the crate compiled
-//! out (see [`crate::COMPILED`]) the branch folds to a constant and the
-//! instrumentation vanishes entirely.
+//! recording method is a single-branch no-op.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -180,13 +178,9 @@ impl Tracer {
     /// buffer is allocated.
     pub fn new(settings: TraceSettings) -> Tracer {
         Tracer {
-            enabled: crate::COMPILED && settings.enabled,
+            enabled: settings.enabled,
             lane: 0,
-            ring: RingBuffer::new(if crate::COMPILED && settings.enabled {
-                settings.ring_capacity.max(1)
-            } else {
-                0
-            }),
+            ring: RingBuffer::new(if settings.enabled { settings.ring_capacity.max(1) } else { 0 }),
         }
     }
 
@@ -196,11 +190,10 @@ impl Tracer {
     }
 
     /// Whether events are being recorded. Callers gate any non-trivial
-    /// argument computation on this; with the crate compiled out it is
-    /// a constant `false` and the guarded code folds away.
+    /// argument computation on this.
     #[inline(always)]
     pub fn enabled(&self) -> bool {
-        crate::COMPILED && self.enabled
+        self.enabled
     }
 
     /// Sets the lane stamped on subsequent events.
@@ -281,9 +274,6 @@ mod tests {
 
     #[test]
     fn enabled_tracer_records_instants_and_spans() {
-        if !crate::COMPILED {
-            return; // hooks fold away under PJOIN_TRACE_DISABLE=1
-        }
         let mut t = Tracer::new(TraceSettings::with_capacity(16));
         t.set_lane(3);
         t.instant(TraceKind::PunctArrive, 100, 7, 0);
@@ -300,9 +290,6 @@ mod tests {
 
     #[test]
     fn log_merge_and_sort() {
-        if !crate::COMPILED {
-            return; // hooks fold away under PJOIN_TRACE_DISABLE=1
-        }
         let mut a = Tracer::new(TraceSettings::with_capacity(8));
         a.instant(TraceKind::Route, 1, 0, 0);
         let mut b = Tracer::new(TraceSettings::with_capacity(8));

@@ -253,26 +253,6 @@ pub fn put_punctuation(buf: &mut Vec<u8>, p: &Punctuation) {
     }
 }
 
-impl Punctuation {
-    /// FNV-1a hash of the punctuation's canonical wire encoding.
-    ///
-    /// Because the wire codec is canonical (one byte sequence per
-    /// punctuation value), equal punctuations hash equal across
-    /// processes — the telemetry plane uses this as a stable
-    /// content-derived correlation key when matching worker-side
-    /// lifecycle records back to coordinator-side routing decisions.
-    pub fn content_hash(&self) -> u64 {
-        let mut buf = Vec::with_capacity(16 + 8 * self.width());
-        put_punctuation(&mut buf, self);
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for &b in &buf {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
-}
-
 /// Appends the encoding of a [`StreamElement`].
 pub fn put_element(buf: &mut Vec<u8>, e: &StreamElement) {
     match e {
@@ -682,17 +662,6 @@ mod tests {
         let back = get_element(&mut r).expect("decode");
         r.finish().expect("fully consumed");
         assert_eq!(&back, e);
-    }
-
-    #[test]
-    fn content_hash_tracks_punctuation_value() {
-        let a = Punctuation::close_value(2, 0, 7);
-        let b = Punctuation::close_value(2, 0, 7);
-        let c = Punctuation::close_value(2, 0, 8);
-        let d = Punctuation::close_value(2, 1, 7);
-        assert_eq!(a.content_hash(), b.content_hash());
-        assert_ne!(a.content_hash(), c.content_hash());
-        assert_ne!(a.content_hash(), d.content_hash());
     }
 
     #[test]

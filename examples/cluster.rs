@@ -196,12 +196,10 @@ fn main() {
     }
     assert_eq!(summary.workers, workers as u64, "artifact must cover every worker");
     assert_eq!(summary.migrations, report.migrations.len() as u64);
-    if punctuated_streams::trace::COMPILED {
-        assert_eq!(
-            summary.tuple_emit_count, joined as u64,
-            "merged ingress→emit histogram must count every joined tuple"
-        );
-    }
+    assert_eq!(
+        summary.tuple_emit_count, joined as u64,
+        "merged ingress→emit histogram must count every joined tuple"
+    );
     println!(
         "telemetry check: OK — {path} schema-valid, all {puncts_pushed} punctuations traced \
          end-to-end and merged exactly once"

@@ -152,7 +152,7 @@ fn main() {
     sink.close();
 
     // ---- final dashboard + reports ---------------------------------------
-    dash.set_latencies(stats.total_latencies());
+    dash.set_latencies(stats.total_metrics().latencies);
     if live {
         print!("{}", Dashboard::CLEAR);
     }

@@ -100,7 +100,7 @@ fn main() {
     }
 
     // ---- final dashboard -------------------------------------------------
-    dash.set_latencies(stats.total_latencies());
+    dash.set_latencies(stats.total_metrics().latencies);
     if live {
         print!("{}", Dashboard::CLEAR);
     }
