@@ -37,17 +37,21 @@
 //!    Assembly's epoch 1 is an install of no records.
 //!
 //! [`Cluster::repartition`] is barrier, cut and install under the new
-//! shard count, then re-injects the punctuations not yet fully
-//! propagated under their original sequence numbers.
-//! [`Cluster::checkpoint`] is barrier and cut, committed to disk as one
-//! epoch while the workers resume. Crash recovery is a barrier on the
-//! survivors, whose sinks are drained to the rollback's marker the way a
-//! cut drains them — except that what precedes the marker is condemned
-//! and dropped, not absorbed — then a replacement handshake, an install
-//! of the latest epoch and a replay of the input log;
-//! [`Cluster::restore_latest`] is that install alone. Both re-inject the
-//! epoch's pending punctuations under fresh sequence numbers. No step
-//! waits for a sink to fall quiet: every barrier ends at its own marker.
+//! shard count, then a re-injection of the punctuations not yet fully
+//! propagated. [`Cluster::checkpoint`] is barrier and cut, committed to
+//! disk as one epoch while the workers resume. Crash recovery is a
+//! barrier on the survivors, whose sinks are drained to the rollback's
+//! marker the way a cut drains them — except that what precedes the
+//! marker is condemned and dropped, not absorbed — then a replacement
+//! handshake, an install of the latest epoch, a re-injection of its
+//! pending punctuations and a replay of the input log;
+//! [`Cluster::restore_latest`] is that install and re-injection alone.
+//! No step waits for a sink to fall quiet: every barrier ends at its own
+//! marker.
+//!
+//! A punctuation keeps the sequence number it was pushed under for life:
+//! re-injection routes it under that number, and a replay numbers the
+//! logged ones from the counter saved at the last commit.
 //!
 //! Every operation is synchronous, so no push can interleave with one:
 //! one operation in flight at a time is a cluster-v1 constraint,
@@ -209,6 +213,9 @@ struct DurableState {
     /// Every input pushed since the last committed cut, in push order —
     /// replayed through the routing path after a rollback.
     input_log: Vec<(Side, Timestamped<StreamElement>)>,
+    /// The coordinator's next punctuation sequence at the last commit:
+    /// a replay of `input_log` numbers its punctuations from here.
+    committed_seq: u64,
     /// Outputs absorbed since the last committed cut, withheld from the
     /// caller until a checkpoint (or finish) commits them — a crash
     /// discards them and the replay regenerates them, so the caller
@@ -295,13 +302,11 @@ pub struct ClusterReport {
     /// Elements pushed into the cluster (tuples + punctuations, not
     /// counting barriers or re-injections).
     pub pushed: u64,
-    /// Every completed migration, in order.
-    pub migrations: Vec<MigrationStats>,
     /// Data-plane reconnects summed over senders (fault recovery).
     pub sender_reconnects: u32,
     /// Per-worker fault-proxy stats, when proxies were configured.
     pub proxy_stats: Vec<ProxyStats>,
-    /// The merged cluster telemetry (final worker flushes folded in).
+    /// The merged cluster telemetry (final worker flushes and migrations in).
     pub telemetry: ClusterTelemetry,
     /// Checkpoint epochs committed during the run (0 when disabled).
     pub checkpoints: u64,
@@ -340,7 +345,8 @@ pub struct Cluster {
     aligner: Aligner,
     next_seq: u64,
     /// Input punctuations not yet emitted downstream, by aligner
-    /// sequence — the re-injection log.
+    /// sequence — the coordinator's one record of what is pending, and
+    /// what re-injection routes again.
     pending_log: HashMap<u64, (Side, Punctuation)>,
     /// Outputs drained from worker sinks, ready for the caller.
     ready: Vec<Timestamped<StreamElement>>,
@@ -375,6 +381,7 @@ impl Cluster {
                     respawn: opts.durability.respawn.clone(),
                     next_epoch,
                     input_log: Vec::new(),
+                    committed_seq: 0,
                     uncommitted: Vec::new(),
                     last_cut: Instant::now(),
                     last_heard: vec![Instant::now(); opts.workers],
@@ -615,12 +622,9 @@ impl Cluster {
                             .into(),
                     ));
                 }
-                let p = p.clone();
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.route_punct(side, &p, seq, element.ts)?;
-                self.pending_log.insert(seq, (side, p));
-                Ok(())
+                self.route_punct(side, p.clone(), seq, element.ts)
             }
         }
     }
@@ -653,15 +657,16 @@ impl Cluster {
     }
 
     /// Registers the aligner expectation for punctuation `p` (sequence
-    /// `seq`) under the active map and sends it to every target worker.
+    /// `seq`) under the active map, sends it to every target worker and
+    /// logs it as pending.
     fn route_punct(
         &mut self,
         side: Side,
-        p: &Punctuation,
+        p: Punctuation,
         seq: u64,
         ts: Timestamp,
     ) -> Result<(), ClusterError> {
-        let route = route_punctuation(p, side, &self.cfg, self.map.shards());
+        let route = route_punctuation(&p, side, &self.cfg, self.map.shards());
         let workers = self.target_workers(&route);
         debug_assert!(!workers.is_empty(), "every shard has an owner");
         if self.opts.telemetry.enabled {
@@ -669,7 +674,7 @@ impl Cluster {
         }
         let mask = workers.iter().fold(0u64, |m, &w| m | (1 << w));
         let translated = translate_punctuation(
-            p,
+            &p,
             self.opts.spec.side_offset(side),
             self.opts.spec.output_width(),
         );
@@ -678,6 +683,33 @@ impl Cluster {
             self.links[w]
                 .sender(side)
                 .push(Timestamped::new(ts, StreamElement::Punctuation(p.clone())))?;
+        }
+        self.pending_log.insert(seq, (side, p));
+        Ok(())
+    }
+
+    /// The pending log as a snapshot records it.
+    fn pending_puncts(&self) -> Vec<PendingPunct> {
+        self.pending_log
+            .iter()
+            .map(|(&seq, (s, p))| PendingPunct { seq, side: side_index(*s), punct: p.clone() })
+            .collect()
+    }
+
+    /// Re-injects `pending` punctuations into a merge state that starts
+    /// over: the aligner and the pending log are reset, and each
+    /// punctuation is routed through the active map, oldest first, under
+    /// its own sequence number and stamped with the current clock. Its
+    /// earlier partial propagations were dropped with the old
+    /// expectations — absorbed by a cut, or condemned by a rollback — so
+    /// each still emits exactly once. Repartition, crash recovery and
+    /// restore all end here.
+    fn reinject(&mut self, mut pending: Vec<PendingPunct>) -> Result<(), ClusterError> {
+        pending.sort_unstable_by_key(|p| p.seq);
+        self.aligner = Aligner::new();
+        self.pending_log.clear();
+        for p in pending {
+            self.route_punct(side_from_index(p.side)?, p.punct, p.seq, self.clock)?;
         }
         Ok(())
     }
@@ -1186,19 +1218,8 @@ impl Cluster {
         self.install(new_shards, records)?;
         let t_installed = Instant::now();
 
-        // Re-inject not-yet-emitted punctuations through the new
-        // topology, oldest first, under their original sequence numbers:
-        // telemetry correlates a punctuation by its last occurrence.
-        // Their partial pre-barrier propagation observations were dropped
-        // with the old expectations, so each still emits exactly once.
-        let pending = self.aligner.drain_pending();
-        let puncts_reinjected = pending.len() as u64;
-        for (_, seq) in pending {
-            let (side, p) = self.pending_log.get(&seq.0).cloned().ok_or_else(|| {
-                ClusterError::Protocol(format!("pending punctuation {} not in log", seq.0))
-            })?;
-            self.route_punct(side, &p, seq.0, Timestamp(epoch))?;
-        }
+        let puncts_reinjected = self.pending_log.len() as u64;
+        self.reinject(self.pending_puncts())?;
 
         let stats = MigrationStats {
             epoch,
@@ -1268,19 +1289,12 @@ impl Cluster {
             pushed: self.pushed,
         };
         let mut snap = Snapshot::of_records(epoch, meta, records);
-        snap.pending = self
-            .pending_log
-            .iter()
-            .map(|(&seq, (side, punct))| PendingPunct {
-                seq,
-                side: side_index(*side),
-                punct: punct.clone(),
-            })
-            .collect();
+        snap.pending = self.pending_puncts();
         let d = self.durable.as_mut().expect("checked on entry");
         d.store.commit(&snap)?;
         d.next_epoch = epoch + 1;
         d.input_log.clear();
+        d.committed_seq = self.next_seq;
         d.checkpoints += 1;
         d.last_cut = Instant::now();
         let released: Vec<Timestamped<StreamElement>> = d.uncommitted.drain(..).collect();
@@ -1323,6 +1337,7 @@ impl Cluster {
         };
         d.recoveries += 1;
         let nonce = ROLLBACK_NONCE | d.recoveries;
+        let crashed_seq = self.next_seq;
         d.uncommitted.clear();
         let snap = d.store.latest_complete()?;
         let deadline = Instant::now() + self.opts.ctrl_timeout;
@@ -1368,45 +1383,27 @@ impl Cluster {
         self.links[dead] = link;
 
         // 3. Install the checkpoint into every worker (fresh map epoch;
-        // survivors unblock on commit).
+        // survivors unblock on commit), then re-inject its pending ones.
         let (records, pending) = snap.map_or_else(Default::default, |s| (s.records, s.pending));
-        self.install_state(records, pending)?;
+        self.install(self.map.shards(), records)?;
+        self.reinject(pending)?;
 
-        // 4. Replay every input since the checkpoint, in push order.
-        // The log stays intact: until the next commit, a second crash
-        // must replay the same suffix again.
-        let log = std::mem::take(&mut self.durable.as_mut().expect("durable").input_log);
+        // 4. Replay every input since the checkpoint, in push order and
+        // numbered from the commit's counter, so each punctuation gets
+        // back its pre-crash sequence. The log stays intact: until the
+        // next commit, a second crash must replay the same suffix again.
+        let d = self.durable.as_mut().expect("durable");
+        let log = std::mem::take(&mut d.input_log);
+        self.next_seq = d.committed_seq;
         for (side, element) in &log {
             self.route_element(*side, element.clone())?;
         }
+        debug_assert_eq!(self.next_seq, crashed_seq, "the replay renumbers as before the crash");
         let d = self.durable.as_mut().expect("durable");
         d.input_log = log;
         let now = Instant::now();
         for heard in &mut d.last_heard {
             *heard = now;
-        }
-        Ok(())
-    }
-
-    /// Installs a checkpoint's `records` under the current shard count
-    /// into a cluster whose merge state starts over, then re-injects its
-    /// `pending` punctuations with brand-new routes and sequence numbers.
-    /// Crash recovery and [`restore_latest`](Cluster::restore_latest)
-    /// end here.
-    fn install_state(
-        &mut self,
-        records: Vec<ShardRecords>,
-        pending: Vec<PendingPunct>,
-    ) -> Result<(), ClusterError> {
-        self.aligner = Aligner::new();
-        self.pending_log.clear();
-        self.install(self.map.shards(), records)?;
-        for p in pending {
-            let side = side_from_index(p.side)?;
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.route_punct(side, &p.punct, seq, self.clock)?;
-            self.pending_log.insert(seq, (side, p.punct));
         }
         Ok(())
     }
@@ -1434,9 +1431,13 @@ impl Cluster {
             )));
         }
         d.next_epoch = snap.epoch + 1;
+        // Numbering resumes above every re-injected punctuation.
+        self.next_seq = snap.pending.iter().map(|p| p.seq + 1).max().unwrap_or(0);
+        d.committed_seq = self.next_seq;
         let cursor = snap.meta.input_cursor;
         self.pushed = snap.meta.pushed;
-        self.install_state(snap.records, snap.pending)?;
+        self.install(self.map.shards(), snap.records)?;
+        self.reinject(snap.pending)?;
         Ok(Some(cursor))
     }
 
@@ -1466,10 +1467,10 @@ impl Cluster {
             }
             self.wait_for_links(remaining)?;
         }
-        if self.aligner.pending_len() != 0 || !self.pending_log.is_empty() {
+        if !self.pending_log.is_empty() {
             return Err(ClusterError::Protocol(format!(
                 "{} punctuations never fully propagated",
-                self.aligner.pending_len().max(self.pending_log.len())
+                self.pending_log.len()
             )));
         }
         // The streams are complete: release every withheld output. A
@@ -1508,7 +1509,6 @@ impl Cluster {
         Ok(ClusterReport {
             outputs: std::mem::take(&mut self.ready),
             pushed: self.pushed,
-            migrations: telemetry.migrations.clone(),
             sender_reconnects,
             proxy_stats,
             telemetry,

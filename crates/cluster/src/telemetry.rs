@@ -22,12 +22,16 @@
 //! opens one lifecycle record per punctuation it receives on a side, so
 //! its *i*-th record on side *s* describes the *i*-th punctuation the
 //! coordinator sent it on *s*. [`ClusterTelemetry::note_route`] counts
-//! those sends and stores each lane as `(worker, occurrence)`; a
-//! re-route (re-injection after a repartition) replaces the lanes, so
-//! the copy a punctuation completed on is the one its span shows. A
+//! those sends and stores each lane as `(worker, occurrence)`. A
+//! punctuation keeps its sequence through re-injection (after a
+//! repartition, a crash or a restore), so a re-route replaces the
+//! span's lanes and clears its merge stamp: the copy a punctuation
+//! completed on is the one its span shows, and a merge whose output a
+//! crash dropped is stamped again when the replay merges it. A
 //! replacement worker starts its records afresh:
 //! [`ClusterTelemetry::reset_worker`] zeroes its counters and detaches
-//! the lanes routed to its predecessor.
+//! the lanes routed to its predecessor (a committed span keeps such a
+//! lane, without worker stamps).
 //!
 //! ## Clock normalization
 //!
@@ -230,9 +234,10 @@ impl ClusterTelemetry {
     }
 
     /// Records that punctuation `seq` was sent to `workers` on `side`:
-    /// the first call opens the span; a re-route (re-injection after a
-    /// repartition) replaces its lanes, so the final lanes reflect the
-    /// copies the punctuation actually completed on.
+    /// the first call opens the span; a re-route (re-injection or a
+    /// replay after a crash) replaces its lanes and clears its merge
+    /// stamp, so the span reflects the copies the punctuation actually
+    /// completed on, merged once.
     pub fn note_route(&mut self, seq: u64, side: u8, now_ns: u64, workers: &[usize]) {
         let lanes = workers
             .iter()
@@ -250,6 +255,7 @@ impl ClusterTelemetry {
             observed: HashMap::new(),
         });
         span.lanes = lanes;
+        span.merge_ns = 0;
         span.observed.clear();
     }
 
@@ -963,22 +969,38 @@ mod tests {
     }
 
     #[test]
+    fn a_re_route_clears_the_merge_stamp() {
+        let mut t = ClusterTelemetry::new(1, TelemetrySettings::default());
+        t.note_route(0, 0, 1_000, &[0]);
+        t.note_merge(0, 2_000);
+        // A crash dropped the merged output; the replay routes it again.
+        t.note_route(0, 0, 3_000, &[0]);
+        let spans = t.spans();
+        assert_eq!(spans.len(), 1, "one span per sequence");
+        assert_eq!(spans[0].merge_ns, 0, "the dropped merge no longer counts");
+        t.note_merge(0, 4_000);
+        assert_eq!(t.spans()[0].merge_ns, 4_000);
+    }
+
+    #[test]
     fn a_replacement_worker_stamps_only_what_it_received() {
         let mut t = ClusterTelemetry::new(1, TelemetrySettings::default());
-        // Seq 0 reaches worker 0, which dies before reporting it.
+        // Seq 0 reaches worker 0 and is committed; the worker dies
+        // before reporting it.
         t.note_route(0, 0, 1_000, &[0]);
+        t.note_merge(0, 1_500);
         t.reset_worker(0);
-        // Its replacement receives the replayed copy as seq 1 and
-        // reports one record: its first punctuation on the left side.
+        // Its replacement receives seq 1 and reports one record: its
+        // first punctuation on the left side.
         t.note_route(1, 0, 5_000, &[0]);
         t.note_observe(0, 1, 9_000);
         t.note_merge(1, 9_500);
         let rec = PunctRecord { ingest_ns: 6_000, purge_ns: 7_000, sink_ns: 8_000 };
         t.ingest_report(0, report(0, 0, [vec![rec], Vec::new()]));
         let spans = t.spans();
-        let replay = &spans[1].workers[0];
-        assert!(replay.complete(), "the replayed copy owns the record: {replay:?}");
-        assert_eq!(replay.ingest_ns, 6_000);
+        let fresh = &spans[1].workers[0];
+        assert!(fresh.complete(), "the replacement's copy owns the record: {fresh:?}");
+        assert_eq!(fresh.ingest_ns, 6_000);
         let lost = &spans[0].workers[0];
         assert_eq!(
             (lost.ingest_ns, lost.purge_ns, lost.sink_ns),

@@ -170,13 +170,13 @@ fn run_gate(fault: Option<FaultConfig>) -> Vec<MigrationStats> {
         wait_worker(child, i);
     }
 
-    assert_eq!(report.migrations.len(), 2);
-    assert_eq!(report.migrations[0].epoch, 2);
-    assert_eq!(report.migrations[1].epoch, 3);
+    let migrations = report.telemetry.migrations();
+    assert_eq!(migrations.len(), 2);
+    assert_eq!(migrations[0].epoch, 2);
+    assert_eq!(migrations[1].epoch, 3);
     assert!(
-        report.migrations.iter().any(|m| m.records_moved > 0),
-        "the resize points must move live state: {:?}",
-        report.migrations
+        migrations.iter().any(|m| m.records_moved > 0),
+        "the resize points must move live state: {migrations:?}"
     );
 
     let (got_tuples, got_puncts) = multisets(outputs.into_iter().map(|e| e.item));
@@ -187,7 +187,7 @@ fn run_gate(fault: Option<FaultConfig>) -> Vec<MigrationStats> {
     );
     assert_eq!(got_tuples, want_tuples, "joined tuple multiset diverged");
     assert_eq!(got_puncts, want_puncts, "punctuation multiset diverged");
-    report.migrations
+    migrations.to_vec()
 }
 
 #[test]

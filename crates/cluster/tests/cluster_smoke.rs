@@ -107,7 +107,7 @@ fn out_of_range_repartition_is_refused_and_the_cluster_stays_usable() {
     }
     let report = cluster.finish().expect("finish");
     assert_eq!(report.outputs.iter().filter(|e| e.item.is_tuple()).count(), 8);
-    assert!(report.migrations.is_empty(), "a refused resize arms nothing");
+    assert!(report.telemetry.migrations().is_empty(), "a refused resize arms nothing");
     for h in handles {
         let wr = h.join().expect("worker thread").expect("worker ok");
         assert_eq!(wr.final_epoch, 1);

@@ -8,7 +8,10 @@
 //! proxies on every worker's ingest path, and with the kill landing just
 //! before a checkpoint, so the crash aborts the cut and the survivor's
 //! sink and control link hold that checkpoint's marker, `BarrierReached`
-//! and exported state ahead of the rollback's.
+//! and exported state ahead of the rollback's. The run's own telemetry
+//! artifact must pass the exactly-once audit too: a punctuation keeps its
+//! sequence number through the rollback, so the replay re-routes the
+//! spans the crash left open instead of opening new ones.
 //!
 //! A third test pins the inverse invariant: with durability disabled
 //! the coordinator ships zero checkpoint frames and writes nothing to
@@ -21,7 +24,8 @@ use std::time::{Duration, Instant};
 
 use pjoin::PJoin;
 use punct_cluster::{
-    run_worker, Cluster, ClusterOptions, DurabilityOptions, JoinSpec, WorkerOptions,
+    check_exactly_once, run_worker, validate_cluster_jsonl, Cluster, ClusterOptions,
+    DurabilityOptions, JoinSpec, WorkerOptions,
 };
 use punct_net::{BackoffPolicy, ClientOptions, FaultConfig};
 use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value};
@@ -198,6 +202,10 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt) {
     }
     let report = cluster.finish().expect("finish cluster");
     outputs.extend(report.outputs);
+    let puncts_pushed =
+        work.iter().filter(|(_, _, el)| matches!(el, StreamElement::Punctuation(_))).count();
+    let summary = validate_cluster_jsonl(&report.telemetry.to_jsonl()).expect("valid telemetry");
+    check_exactly_once(&summary, puncts_pushed as u64).expect("telemetry exactly-once audit");
 
     assert_eq!(report.checkpoints, 2, "both explicit cuts must have committed");
     assert_eq!(report.recoveries, 1, "exactly one crash recovery must have run");

@@ -9,7 +9,8 @@
 //! single shard surfaces once anyway, so the executor never registers
 //! it here (the merger audits those by a per-shard count, see
 //! [`crate::merge`]). The cluster coordinator registers every
-//! punctuation, since its migration and rollback drain the pending set.
+//! punctuation, and starts a fresh aligner whenever it re-injects the
+//! ones still pending (repartition, crash recovery, restore).
 //!
 //! * At ingest, the router **registers an expectation** — the
 //!   output-schema translation of the punctuation plus the set of shards
@@ -51,7 +52,7 @@ pub enum AlignOutcome {
 
 #[derive(Debug, PartialEq, Eq)]
 struct Expectation {
-    /// Ingest sequence number, for diagnostics.
+    /// Ingest sequence number, reported by [`Aligner::observe_seq`].
     seq: PunctSeq,
     /// Bitmask of target shards still to propagate.
     waiting: u64,
@@ -121,31 +122,9 @@ impl Aligner {
         }
     }
 
-    /// Removes every incomplete expectation, returning the translated
-    /// punctuations with their ingest sequence numbers, ordered by
-    /// sequence. Cluster repartitioning drains the aligner once a
-    /// migration barrier proves all in-flight punctuations have either
-    /// fully propagated or are parked here, then re-registers the
-    /// survivors against the new shard topology.
-    pub fn drain_pending(&mut self) -> Vec<(Punctuation, PunctSeq)> {
-        let mut drained: Vec<(Punctuation, PunctSeq)> = self
-            .pending
-            .drain()
-            .flat_map(|(p, queue)| queue.into_iter().map(move |e| (p.clone(), e.seq)))
-            .collect();
-        drained.sort_by_key(|(_, seq)| seq.0);
-        drained
-    }
-
     /// Number of expectations not yet fully answered.
     pub fn pending_len(&self) -> usize {
         self.pending.values().map(VecDeque::len).sum()
-    }
-
-    /// Ingest sequence numbers of incomplete expectations (diagnostics
-    /// for shutdown reports), in no particular order.
-    pub fn pending_seqs(&self) -> Vec<PunctSeq> {
-        self.pending.values().flat_map(|q| q.iter().map(|e| e.seq)).collect()
     }
 }
 
@@ -239,7 +218,7 @@ mod tests {
         a.expect(p(7), PunctSeq(0), mask(&[1]));
         // Wrong shard for the only registered instance.
         assert_eq!(a.observe(0, &p(7)), AlignOutcome::Unexpected);
-        assert_eq!(a.pending_seqs(), vec![PunctSeq(0)]);
+        assert_eq!(a.pending_len(), 1);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Configuration of the sharded executor.
 
 use pjoin::PJoinConfig;
-use punct_types::{batch::DEFAULT_BATCH_ELEMS, BatchConfig};
 
 pub use punct_types::MAX_SHARDS;
+
+/// Default elements per router → shard batch: one channel send per
+/// this many elements amortizes the send while the join itself still
+/// runs element by element.
+pub const DEFAULT_BATCH_ELEMS: usize = 128;
 
 /// Default capacity (in messages) of the caller → router channel.
 pub const DEFAULT_INPUT_CAPACITY: usize = 1024;
@@ -127,12 +131,6 @@ impl ExecConfig {
         }
     }
 
-    /// Overrides the router's flush threshold with `batch.max_elems`.
-    pub fn with_batch(mut self, batch: BatchConfig) -> ExecConfig {
-        self.router_batch = batch.max_elems;
-        self
-    }
-
     /// Overrides the caller-side pending buffer bound (min 1 element).
     pub fn with_pending_capacity(mut self, capacity: usize) -> ExecConfig {
         self.pending_capacity = capacity.max(1);
@@ -197,15 +195,5 @@ mod tests {
         assert_eq!(c.with_pending_capacity(0).pending_capacity, 1);
         let small = ExecConfig::new(2, PJoinConfig::new(2, 2)).with_pending_capacity(64);
         assert_eq!(small.pending_capacity, 64);
-    }
-
-    #[test]
-    fn batch_config_drives_router_batch() {
-        let c = ExecConfig::new(2, PJoinConfig::new(2, 2))
-            .with_batch(punct_types::BatchConfig::with_elems(7));
-        assert_eq!(c.router_batch, 7);
-        let per_elem = ExecConfig::new(2, PJoinConfig::new(2, 2))
-            .with_batch(punct_types::BatchConfig::per_element());
-        assert_eq!(per_elem.router_batch, 1);
     }
 }

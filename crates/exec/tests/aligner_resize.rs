@@ -4,9 +4,10 @@
 //! * expectations registered against an old (smaller) shard mask
 //!   complete normally while new expectations register against a wider
 //!   mask mid-stream (late-registered shards);
-//! * the drain-and-reregister migration pattern: at a barrier, pending
-//!   expectations are drained in sequence order, re-registered against
-//!   the new topology, and still emit exactly once;
+//! * the re-injection pattern: at a barrier, a fresh aligner replaces
+//!   the old one, the caller re-registers its pending punctuations by
+//!   sequence against the new topology, and each still emits exactly
+//!   once;
 //! * `observe_seq` reports which ingest instance an observation
 //!   resolved, in FIFO order per punctuation.
 
@@ -54,43 +55,40 @@ fn old_mask_expectations_complete_while_wider_masks_register() {
 
 #[test]
 fn drain_and_reregister_emits_exactly_once() {
-    let mut a = Aligner::new();
     // Three punctuations in flight on a two-shard topology; one is
-    // half-answered, two untouched.
-    a.expect(p(1), PunctSeq(0), mask(&[0, 1]));
-    a.expect(p(2), PunctSeq(1), mask(&[0, 1]));
-    a.expect(p(1), PunctSeq(2), mask(&[0, 1]));
+    // half-answered, two untouched. The caller keeps its own record of
+    // what is pending, by ingest sequence.
+    let pending = [(0, p(1)), (1, p(2)), (2, p(1))];
+    let mut a = Aligner::new();
+    for (seq, punct) in &pending {
+        a.expect(punct.clone(), PunctSeq(*seq), mask(&[0, 1]));
+    }
     assert_eq!(a.observe(0, &p(1)), AlignOutcome::Pending);
 
-    // Migration barrier: drain everything pending, ordered by ingest
-    // sequence (partial answers are discarded — after the barrier every
-    // new shard will re-propagate from scratch).
-    let drained = a.drain_pending();
-    assert_eq!(a.pending_len(), 0);
-    let seqs: Vec<u64> = drained.iter().map(|(_, s)| s.0).collect();
-    assert_eq!(seqs, vec![0, 1, 2]);
-    assert_eq!(drained[0].0, p(1));
-    assert_eq!(drained[1].0, p(2));
-    assert_eq!(drained[2].0, p(1));
+    // Migration barrier: a fresh aligner replaces the old one, so the
+    // partial answers go with it — after the barrier every new shard
+    // re-propagates from scratch.
+    let mut a = Aligner::new();
 
     // Post-barrier observations for dropped expectations are flagged,
     // never emitted (no duplicate propagation downstream).
     assert_eq!(a.observe(1, &p(1)), AlignOutcome::Unexpected);
 
-    // Re-register the drained punctuations against the new three-shard
-    // topology and answer them: each emits exactly once.
-    for (punct, seq) in &drained {
-        a.expect(punct.clone(), *seq, mask(&[0, 1, 2]));
+    // Re-register the pending punctuations by sequence against the new
+    // three-shard topology and answer them: each emits exactly once,
+    // under its own sequence.
+    for (seq, punct) in &pending {
+        a.expect(punct.clone(), PunctSeq(*seq), mask(&[0, 1, 2]));
     }
-    let mut emits = 0;
-    for (punct, _) in &drained {
+    let mut emitted = Vec::new();
+    for (_, punct) in &pending {
         for shard in 0..3 {
-            if a.observe(shard, punct) == AlignOutcome::Emit {
-                emits += 1;
+            if let (AlignOutcome::Emit, Some(seq)) = a.observe_seq(shard, punct) {
+                emitted.push(seq.0);
             }
         }
     }
-    assert_eq!(emits, 3, "each re-registered punctuation emits exactly once");
+    assert_eq!(emitted, vec![0, 1, 2], "each re-registered punctuation emits exactly once");
     assert_eq!(a.pending_len(), 0);
 }
 

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use pjoin::PJoinConfig;
 use punct_exec::{ExecConfig, ShardedPJoin};
-use punct_types::{BatchConfig, Timestamp, Timestamped, Tuple};
+use punct_types::{Timestamp, Timestamped, Tuple};
 use stream_sim::Side;
 
 const PAIRS: i64 = 20_000;
@@ -35,9 +35,8 @@ const BATCH: usize = 16;
 
 #[test]
 fn pending_buffer_stays_bounded_under_slow_drain() {
-    let mut config = ExecConfig::new(1, PJoinConfig::new(2, 2))
-        .with_batch(BatchConfig::with_elems(BATCH))
-        .with_pending_capacity(CAP);
+    let mut config = ExecConfig::new(1, PJoinConfig::new(2, 2)).with_pending_capacity(CAP);
+    config.router_batch = BATCH;
     // Tiny channels so the input fills (and `push` starts absorbing
     // output) almost immediately.
     config.input_capacity = 2;

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use pjoin::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 use punct_exec::{ExecConfig, ShardedPJoin};
-use punct_types::{BatchConfig, Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
+use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
 use stream_sim::Side;
 
 struct CountingAlloc;
@@ -123,8 +123,8 @@ fn wait_consumed(exec: &ShardedPJoin, target: u64) {
 #[test]
 fn steady_state_hot_path_is_allocation_free_per_element() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2))
-        .with_batch(BatchConfig::with_elems(BATCH));
+    let mut config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2));
+    config.router_batch = BATCH;
     let exec = ShardedPJoin::spawn(config);
 
     // Warm up: grow channel blocks, router staging buffers, the recycle
@@ -200,8 +200,8 @@ fn drain_joined(exec: &ShardedPJoin, seen: &mut u64, target: u64) {
 #[test]
 fn match_heavy_outputs_cost_a_block_not_a_malloc_each() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2))
-        .with_batch(BatchConfig::with_elems(BATCH));
+    let mut config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2));
+    config.router_batch = BATCH;
     let exec = ShardedPJoin::spawn(config);
 
     let residents: Vec<_> = (0..MATCH_KEYS * MATCHES_PER_PROBE as i64)
@@ -276,7 +276,8 @@ fn acquisitions_for(feed: Vec<(Side, Timestamped<StreamElement>)>, puncts: usize
     let mut join = PJoinConfig::new(2, 2);
     join.purge = PurgeStrategy::Eager;
     join.propagation = PropagationTrigger::PushCount { count: 1 };
-    let config = ExecConfig::new(SHARDS, join).with_batch(BatchConfig::with_elems(BATCH));
+    let mut config = ExecConfig::new(SHARDS, join);
+    config.router_batch = BATCH;
     let exec = ShardedPJoin::spawn(config);
     exec.push_batch(feed);
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -22,9 +22,7 @@ use std::time::Duration;
 use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
 use punct_exec::{shard_of_hash, ExecConfig, ShardedPJoin};
-use punct_types::{
-    BatchConfig, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value,
-};
+use punct_types::{Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value};
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, PunctScheme, StreamConfig};
 
@@ -92,14 +90,16 @@ fn canonical(elements: &[StreamElement]) -> (Vec<String>, Vec<String>) {
     (tuples, puncts)
 }
 
-/// One full executor run at the given shard count and batch size.
+/// One full executor run at the given shard count and router batch.
 fn exec_run(
     shards: usize,
-    batch: BatchConfig,
+    batch: usize,
     join_config: &PJoinConfig,
     feed: &[(Side, Timestamped<StreamElement>)],
 ) -> (Vec<StreamElement>, punct_exec::ExecStats) {
-    let exec = ShardedPJoin::spawn(ExecConfig::new(shards, join_config.clone()).with_batch(batch));
+    let mut config = ExecConfig::new(shards, join_config.clone());
+    config.router_batch = batch;
+    let exec = ShardedPJoin::spawn(config);
     exec.push_batch(feed.to_vec());
     let (outputs, stats) = exec.finish();
     (outputs.into_iter().map(|e| e.item).collect(), stats)
@@ -182,8 +182,7 @@ proptest! {
             // The per-element run (batch size 1) is the baseline each
             // batched run must reproduce — and it must itself agree with
             // the single-threaded operator.
-            let (base_items, _) =
-                exec_run(shards, BatchConfig::per_element(), &join_config, &feed);
+            let (base_items, _) = exec_run(shards, 1, &join_config, &feed);
             let expected = canonical(&base_items);
             prop_assert_eq!(
                 &expected.0, &anchor.0,
@@ -195,8 +194,7 @@ proptest! {
                 if batch == 1 {
                     continue;
                 }
-                let (items, stats) =
-                    exec_run(shards, BatchConfig::with_elems(batch), &join_config, &feed);
+                let (items, stats) = exec_run(shards, batch, &join_config, &feed);
                 let got = canonical(&items);
                 prop_assert_eq!(
                     &got.0, &expected.0,
@@ -259,7 +257,7 @@ fn prompt_config() -> PJoinConfig {
 fn single_shard_sequence_is_identical_across_batch_sizes() {
     let feed = run_heavy_feed(150);
     let config = prompt_config();
-    let (baseline, base_stats) = exec_run(1, BatchConfig::per_element(), &config, &feed);
+    let (baseline, base_stats) = exec_run(1, 1, &config, &feed);
     assert!(baseline.iter().any(|e| e.is_tuple()) && baseline.iter().any(|e| e.is_punctuation()));
     assert_eq!(
         baseline,
@@ -267,7 +265,7 @@ fn single_shard_sequence_is_identical_across_batch_sizes() {
         "one shard at batch 1 diverged from the plain PJoin::on_element run"
     );
     for batch in [7usize, 64, 256] {
-        let (items, stats) = exec_run(1, BatchConfig::with_elems(batch), &config, &feed);
+        let (items, stats) = exec_run(1, batch, &config, &feed);
         assert_eq!(items, baseline, "output sequence diverged at one shard with batch {batch}");
         // The whole point of batching: far fewer channel sends than
         // the per-element run for the same answer.
@@ -285,9 +283,9 @@ fn single_shard_sequence_is_identical_across_batch_sizes() {
 /// tuple staged before it — must emerge promptly, with no `finish()`.
 #[test]
 fn punctuation_flushes_partial_batches_promptly() {
-    let exec = ShardedPJoin::spawn(
-        ExecConfig::new(4, prompt_config()).with_batch(BatchConfig::with_elems(1 << 20)),
-    );
+    let mut config = ExecConfig::new(4, prompt_config());
+    config.router_batch = 1 << 20;
+    let exec = ShardedPJoin::spawn(config);
     let mut feed = Vec::new();
     for k in 0..8i64 {
         feed.push((Side::Left, tup(k as u64 + 1, k, k)));

@@ -58,16 +58,6 @@ impl Default for ClientOptions {
     }
 }
 
-impl ClientOptions {
-    /// Applies a [`punct_types::BatchConfig`]'s element cap per
-    /// `DataBatch` frame: `BatchConfig::per_element()` therefore yields
-    /// one-element frames.
-    pub fn with_batch(mut self, batch: punct_types::BatchConfig) -> ClientOptions {
-        self.batch = batch.max_elems.max(1);
-        self
-    }
-}
-
 /// What a completed transfer looked like.
 #[derive(Debug)]
 pub struct SendReport {

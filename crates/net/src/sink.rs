@@ -79,14 +79,6 @@ impl Default for SinkOptions {
     }
 }
 
-impl SinkOptions {
-    /// Applies a [`punct_types::BatchConfig`]'s element cap per frame.
-    pub fn with_batch(mut self, batch: punct_types::BatchConfig) -> SinkOptions {
-        self.batch = batch.max_elems.max(1);
-        self
-    }
-}
-
 /// Most frame bytes a subscriber handler writes per wake-up (it always
 /// writes at least one frame).
 const WRITE_CAP: usize = 64 * 1024;

@@ -26,13 +26,14 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use pjoin::PJoinConfig;
+use punct_exec::config::DEFAULT_BATCH_ELEMS;
 use punct_exec::{ExecConfig, ShardedPJoin};
 use punct_net::{
     run_networked_join, spawn_source, BackoffPolicy, ClientOptions, FaultConfig, FaultProxy,
     IngestMsg, IngestOptions, IngestServer,
 };
 use punct_trace::{TraceKind, TraceSettings};
-use punct_types::{BatchConfig, StreamElement, Timestamped};
+use punct_types::{StreamElement, Timestamped};
 use stream_sim::Side;
 use streamgen::{generate_pair, interleave_sides, PunctScheme, StreamConfig};
 
@@ -100,12 +101,12 @@ fn networked_run_matches_in_process_run() {
 
     // The executor behind the sockets flushes per element, at the
     // default router batch and at full 256-element batches.
-    for batch in [BatchConfig::per_element(), BatchConfig::default(), BatchConfig::with_elems(256)] {
+    for batch in [1, DEFAULT_BATCH_ELEMS, 256] {
         // The acceptance criterion: identical joined-tuple multiset and
         // identical punctuation multiset, network or no network.
         let (net_tuples, net_puncts) = canonical(&networked_run(&left, &right, seed, batch));
-        assert_eq!(net_tuples, ref_tuples, "joined-tuple multiset diverged across the network at {batch:?}");
-        assert_eq!(net_puncts, ref_puncts, "punctuation multiset diverged across the network at {batch:?}");
+        assert_eq!(net_tuples, ref_tuples, "joined-tuple multiset diverged across the network at batch {batch}");
+        assert_eq!(net_puncts, ref_puncts, "punctuation multiset diverged across the network at batch {batch}");
     }
 }
 
@@ -115,7 +116,7 @@ fn networked_run(
     left: &[Timestamped<StreamElement>],
     right: &[Timestamped<StreamElement>],
     seed: u64,
-    batch: BatchConfig,
+    batch: usize,
 ) -> Vec<Timestamped<StreamElement>> {
     // The networked run: each client dials its own fault proxy so each
     // stream is guaranteed exactly one forced disconnect (the proxy
@@ -144,8 +145,10 @@ fn networked_run(
     let ls = spawn_source(proxy_l.addr(), 0, Side::Left, schema(seed), left.to_vec(), opts(1));
     let rs = spawn_source(proxy_r.addr(), 1, Side::Right, schema(seed), right.to_vec(), opts(2));
 
+    let mut config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2));
+    config.router_batch = batch;
     let report = run_networked_join(
-        ExecConfig::new(SHARDS, PJoinConfig::new(2, 2)).with_batch(batch),
+        config,
         &server,
         &rx,
         None,

@@ -30,7 +30,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod error;
 pub mod parse;
 pub mod pattern;
@@ -44,7 +43,6 @@ pub mod tuple;
 pub mod value;
 pub mod wire;
 
-pub use batch::BatchConfig;
 pub use error::TypeError;
 pub use pattern::{Bound, Pattern};
 pub use punct_seq::{PunctSeq, PunctSeqAssigner};

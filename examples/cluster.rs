@@ -167,7 +167,7 @@ fn main() {
     println!(
         "equivalence check: OK — output identical to the single-threaded PJoin across {} \
          repartitions",
-        report.migrations.len()
+        report.telemetry.migrations().len()
     );
 
     // ---- the telemetry gate ----------------------------------------------
@@ -195,7 +195,7 @@ fn main() {
         std::process::exit(1);
     }
     assert_eq!(summary.workers, workers as u64, "artifact must cover every worker");
-    assert_eq!(summary.migrations, report.migrations.len() as u64);
+    assert_eq!(summary.migrations, report.telemetry.migrations().len() as u64);
     assert_eq!(
         summary.tuple_emit_count, joined as u64,
         "merged ingress→emit histogram must count every joined tuple"
