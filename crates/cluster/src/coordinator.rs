@@ -57,6 +57,11 @@
 //! one operation in flight at a time is a cluster-v1 constraint,
 //! enforced by construction.
 //!
+//! A worker is lost in one way: every call on its links classifies a
+//! transport failure as `ClusterError::WorkerLost`, and one loop,
+//! `Cluster::supervised`, recovers it for `push`, `poll_outputs`,
+//! `checkpoint` and `finish` alike.
+//!
 //! ## Output acknowledgements
 //!
 //! The coordinator is the only subscriber of every worker's sink, and a
@@ -82,8 +87,8 @@ use punct_durable::{CheckpointStore, PendingPunct, ShardRecords, Snapshot, Snaps
 use punct_exec::{route_punctuation, AlignOutcome, Aligner, Route};
 use punct_trace::{wall_now_ns, TelemetryMsg};
 use punct_net::{
-    error_code, wait_readable, ClientOptions, FaultConfig, FaultProxy, Frame, ProxyStats,
-    SinkSubscriber, StreamSender, WIRE_VERSION,
+    error_code, wait_readable, ClientOptions, FaultConfig, FaultProxy, Frame, NetError,
+    ProxyStats, SinkSubscriber, StreamSender, WIRE_VERSION,
 };
 use punct_types::{
     partition, PunctSeq, Punctuation, ShardMap, StreamElement, Timestamp, Timestamped, Tuple,
@@ -91,7 +96,7 @@ use punct_types::{
 };
 use stream_sim::Side;
 
-use crate::error::ClusterError;
+use crate::error::{on_link, ClusterError};
 use crate::protocol::{
     barrier_punct, encode_config, is_barrier, side_from_index, side_index, CtrlConn,
     HeartbeatSettings, JoinSpec, TelemetrySettings, CTRL_TIMEOUT, MIGRATE_CHUNK,
@@ -119,10 +124,30 @@ const ACK_EVERY: u64 = 4096;
 /// limit.
 const BACKLOG_WINDOWS: u64 = 4;
 
+/// Complete checkpoint epochs kept on disk.
+const RETAIN_EPOCHS: usize = 2;
+
+/// The heartbeat policy a recoverable cluster ships to its workers: a
+/// beacon every 100 ms, a worker silent for a second is lost.
+const HEARTBEAT: HeartbeatSettings = HeartbeatSettings { interval_ms: 100, miss_limit: 10 };
+
 /// Nonce namespaces keep checkpoint and rollback barriers unmistakable
 /// for migration barriers in worker logs and protocol errors.
 const CHECKPOINT_NONCE: u64 = 0x4B00_0000_0000_0000;
 const ROLLBACK_NONCE: u64 = 0x4C00_0000_0000_0000;
+
+/// Refuses a layout routing cannot serve: the punctuation aligner masks
+/// at most 64 workers, every worker owns at least one shard, and shard
+/// routing masks at most [`MAX_SHARDS`] shards.
+fn check_layout(workers: usize, shards: usize) -> Result<(), ClusterError> {
+    if (1..=64).contains(&workers) && (workers..=MAX_SHARDS).contains(&shards) {
+        return Ok(());
+    }
+    Err(ClusterError::Protocol(format!(
+        "cannot spread {shards} shards over {workers} workers: a cluster needs 1 to 64 \
+         workers, at least one shard per worker and at most {MAX_SHARDS} shards"
+    )))
+}
 
 /// Join records grouped by `(global shard, side index)`.
 type ShardGroups = HashMap<(u32, u8), Vec<(u64, Tuple)>>;
@@ -155,17 +180,12 @@ pub type RespawnFn = Arc<dyn Fn(usize, SocketAddr) -> std::io::Result<()> + Send
 #[derive(Clone, Default)]
 pub struct DurabilityOptions {
     /// Checkpoint directory. `None` disables durability entirely.
+    /// Epochs are cut by [`Cluster::checkpoint`]; the latest two
+    /// complete ones are kept.
     pub dir: Option<PathBuf>,
-    /// Cut a checkpoint automatically whenever this much time has passed
-    /// since the last one (checked in [`Cluster::poll_outputs`]). `None`
-    /// means only explicit [`Cluster::checkpoint`] calls cut epochs.
-    pub interval: Option<Duration>,
-    /// Complete epochs kept on disk (minimum 1).
-    pub retain: usize,
-    /// Worker heartbeat policy, shipped to workers in the config blob.
-    pub heartbeat: HeartbeatSettings,
     /// How to relaunch a dead worker. Without it, a lost worker is a
-    /// fatal error even with checkpointing on.
+    /// fatal error even with checkpointing on; with it (and a `dir`),
+    /// workers beacon heartbeats so a hung one is caught too.
     pub respawn: Option<RespawnFn>,
 }
 
@@ -173,26 +193,15 @@ impl std::fmt::Debug for DurabilityOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurabilityOptions")
             .field("dir", &self.dir)
-            .field("interval", &self.interval)
-            .field("retain", &self.retain)
-            .field("heartbeat", &self.heartbeat)
             .field("respawn", &self.respawn.as_ref().map(|_| "<fn>"))
             .finish()
     }
 }
 
 impl DurabilityOptions {
-    /// Checkpoints to `dir` with the default interval (explicit cuts
-    /// only), retention of 2 epochs, and heartbeats every 100 ms with a
-    /// 10-interval miss limit.
+    /// Checkpoints to `dir`, with no respawn hook.
     pub fn at(dir: impl Into<PathBuf>) -> DurabilityOptions {
-        DurabilityOptions {
-            dir: Some(dir.into()),
-            interval: None,
-            retain: 2,
-            heartbeat: HeartbeatSettings { interval_ms: 100, miss_limit: 10 },
-            respawn: None,
-        }
+        DurabilityOptions { dir: Some(dir.into()), respawn: None }
     }
 
     /// Whether durability is on.
@@ -205,7 +214,7 @@ impl DurabilityOptions {
 /// [`DurabilityOptions::enabled`]).
 struct DurableState {
     store: CheckpointStore,
-    interval: Option<Duration>,
+    /// [`HEARTBEAT`] when the cluster can recover, else disabled.
     heartbeat: HeartbeatSettings,
     respawn: Option<RespawnFn>,
     /// Next checkpoint epoch to cut (strictly increasing).
@@ -221,7 +230,6 @@ struct DurableState {
     /// discards them and the replay regenerates them, so the caller
     /// never sees an output twice.
     uncommitted: Vec<Timestamped<StreamElement>>,
-    last_cut: Instant,
     /// Per-worker liveness stamps (any control frame refreshes).
     last_heard: Vec<Instant>,
     checkpoints: u64,
@@ -314,7 +322,11 @@ pub struct ClusterReport {
     pub recoveries: u64,
 }
 
+/// One worker's links. Every call on them goes through the methods
+/// below, which classify a transport failure as the loss of this worker
+/// ([`on_link`]).
 struct WorkerLink {
+    worker: usize,
     ctrl: CtrlConn,
     proxy: Option<FaultProxy>,
     left: StreamSender,
@@ -326,11 +338,37 @@ struct WorkerLink {
 }
 
 impl WorkerLink {
-    fn sender(&mut self, side: Side) -> &mut StreamSender {
-        match side {
-            Side::Left => &mut self.left,
-            Side::Right => &mut self.right,
-        }
+    fn send(&mut self, frame: &Frame) -> Result<(), ClusterError> {
+        on_link(self.worker, self.ctrl.send(frame))
+    }
+
+    fn recv(&mut self, deadline: Instant, what: &str) -> Result<Frame, ClusterError> {
+        on_link(self.worker, self.ctrl.recv_deadline(deadline, what))
+    }
+
+    fn poll_recv(&mut self) -> Result<Option<Frame>, ClusterError> {
+        on_link(self.worker, self.ctrl.poll_recv())
+    }
+
+    fn push(&mut self, side: Side, el: Timestamped<StreamElement>) -> Result<(), ClusterError> {
+        let sender = if side == Side::Left { &mut self.left } else { &mut self.right };
+        on_link(self.worker, sender.push(el))
+    }
+
+    /// Runs `op` — `service`, `flush` or `finish` — on both senders.
+    fn senders(
+        &mut self,
+        op: impl Fn(&mut StreamSender) -> Result<(), NetError>,
+    ) -> Result<(), ClusterError> {
+        on_link(self.worker, op(&mut self.left).and_then(|()| op(&mut self.right)))
+    }
+
+    fn next_run(
+        &mut self,
+        wait: Duration,
+        out: &mut Vec<Timestamped<StreamElement>>,
+    ) -> Result<usize, ClusterError> {
+        on_link(self.worker, self.sink.next_run(wait, out))
     }
 }
 
@@ -360,30 +398,27 @@ impl Cluster {
     /// Binds the control endpoint. Workers can be launched against
     /// [`ctrl_addr`](Cluster::ctrl_addr) as soon as this returns;
     /// [`accept_workers`](Cluster::accept_workers) completes the
-    /// assembly.
+    /// assembly. Refuses 0 or more than 64 workers, fewer shards than
+    /// workers, and more than [`MAX_SHARDS`] shards, binding nothing.
     pub fn bind(opts: ClusterOptions) -> Result<Cluster, ClusterError> {
-        assert!(opts.workers > 0, "a cluster needs at least one worker");
-        assert!(opts.workers <= 64, "the punctuation aligner masks at most 64 workers");
-        assert!(opts.shards >= opts.workers, "fewer shards than workers leaves workers idle");
-        assert!(opts.shards <= MAX_SHARDS, "shard routing masks at most {MAX_SHARDS} global shards");
+        check_layout(opts.workers, opts.shards)?;
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let ctrl_addr = listener.local_addr()?;
         let cfg = opts.spec.pjoin_config();
         let durable = match &opts.durability.dir {
             Some(dir) => {
-                let store = CheckpointStore::open(dir, opts.durability.retain.max(1))?;
+                let store = CheckpointStore::open(dir, RETAIN_EPOCHS)?;
                 let next_epoch = store.latest()?.map_or(1, |e| e + 1);
+                let respawn = opts.durability.respawn.clone();
                 Some(DurableState {
                     store,
-                    interval: opts.durability.interval,
-                    heartbeat: opts.durability.heartbeat,
-                    respawn: opts.durability.respawn.clone(),
+                    heartbeat: if respawn.is_some() { HEARTBEAT } else { Default::default() },
+                    respawn,
                     next_epoch,
                     input_log: Vec::new(),
                     committed_seq: 0,
                     uncommitted: Vec::new(),
-                    last_cut: Instant::now(),
                     last_heard: vec![Instant::now(); opts.workers],
                     checkpoints: 0,
                     recoveries: 0,
@@ -416,7 +451,8 @@ impl Cluster {
 
     /// The `ShardMapUpdate` config blob under the current options.
     fn config_blob(&self) -> Vec<u8> {
-        encode_config(&self.opts.spec, &self.opts.telemetry, &self.opts.durability.heartbeat)
+        let heartbeat = self.durable.as_ref().map(|d| d.heartbeat).unwrap_or_default();
+        encode_config(&self.opts.spec, &self.opts.telemetry, &heartbeat)
     }
 
     /// The active shard map.
@@ -485,8 +521,8 @@ impl Cluster {
                 "worker {worker} speaks wire v{wire_version}, expected v{WIRE_VERSION}"
             )));
         }
-        let idx = worker as usize;
-        if idx >= self.opts.workers {
+        let worker = worker as usize;
+        if worker >= self.opts.workers {
             return Err(ClusterError::Protocol(format!("unexpected worker index {worker}")));
         }
         let parse = |addr: &str| {
@@ -500,7 +536,7 @@ impl Cluster {
                 let mut cfg = *cfg;
                 cfg.seed = cfg
                     .seed
-                    .wrapping_add(0x9E37_79B9 * (idx as u64 + 1))
+                    .wrapping_add(0x9E37_79B9 * (worker as u64 + 1))
                     .wrapping_add(0xD1CE_0000 * recoveries);
                 Some(FaultProxy::spawn(ingest, cfg)?)
             }
@@ -513,7 +549,9 @@ impl Cluster {
         };
         let (left, right) = (sender(0, Side::Left), sender(1, Side::Right));
         let sink = SinkSubscriber::new(sink);
-        Ok((idx, WorkerLink { ctrl, proxy, left, right, sink, sink_done: false, unacked: 0 }))
+        let (sink_done, unacked) = (false, 0);
+        let link = WorkerLink { worker, ctrl, proxy, left, right, sink, sink_done, unacked };
+        Ok((worker, link))
     }
 
     /// Estimates each worker's clock offset with a burst of
@@ -529,17 +567,14 @@ impl Cluster {
             for probe in 0..CLOCK_PROBES {
                 let payload =
                     TelemetryMsg::ClockProbe { probe, t0_ns: wall_now_ns() }.encode();
-                self.links[w].ctrl.send(&Frame::Telemetry { payload })?;
+                self.links[w].send(&Frame::Telemetry { payload })?;
                 let want = self.telem.clock(w).samples() + 1;
                 while self.telem.clock(w).samples() < want {
-                    match self.links[w].ctrl.recv_deadline(deadline, "clock ack")? {
-                        Frame::Telemetry { payload } => self.ingest_telemetry(w, &payload)?,
-                        Frame::Heartbeat { .. } => self.note_heard(w),
-                        other => {
-                            return Err(ClusterError::Protocol(format!(
-                                "expected a clock ack from worker {w}, got {other:?}"
-                            )))
-                        }
+                    let frame = self.links[w].recv(deadline, "clock ack")?;
+                    if let Some(other) = self.fold_async(w, frame)? {
+                        return Err(ClusterError::Protocol(format!(
+                            "expected a clock ack from worker {w}, got {other:?}"
+                        )));
                     }
                 }
             }
@@ -552,23 +587,64 @@ impl Cluster {
     /// worker owning a shard they can close, with an aligner expectation
     /// so the merged output carries them exactly once.
     ///
+    /// An Empty-pattern punctuation on the join attribute is reserved for
+    /// barriers: it is refused before it is logged or routed, and still
+    /// counted in [`ClusterReport::pushed`], so a checkpoint's input
+    /// cursor stays the caller's source position.
+    ///
     /// With durability enabled, the element is appended to the input
-    /// replay log *before* routing, and a worker lost mid-route triggers
-    /// recovery in place: the rolled-back cluster replays the log —
-    /// including this element — so the push still succeeds.
+    /// replay log *before* routing, and a lost worker is recovered in
+    /// place: the rolled-back cluster replays the log — including this
+    /// element — so the push still succeeds.
     pub fn push(
         &mut self,
         side: Side,
         element: Timestamped<StreamElement>,
     ) -> Result<(), ClusterError> {
+        self.pushed += 1;
+        if let StreamElement::Punctuation(p) = &element.item {
+            let spec = &self.opts.spec;
+            if p.width() == spec.side_width(side) && is_barrier(p, spec.join_attr(side)) {
+                return Err(ClusterError::Protocol(
+                    "Empty-pattern punctuations on the join attribute are reserved \
+                     for cluster barriers"
+                        .into(),
+                ));
+            }
+        }
         if let Some(d) = &mut self.durable {
             d.input_log.push((side, element.clone()));
         }
-        self.pushed += 1;
-        match self.route_element(side, element).and_then(|()| self.relieve_backlog()) {
-            Err(ClusterError::WorkerLost(w)) => self.recover(w),
-            other => other,
+        // After a recovery the replay has routed the element: a rerun
+        // only relieves the backlog.
+        let mut element = Some(element);
+        self.supervised(|c| {
+            if let Some(element) = element.take() {
+                c.route_element(side, element)?;
+            }
+            c.relieve_backlog()
+        })
+    }
+
+    /// Runs `op`; when it reports a lost worker and the cluster can
+    /// recover (durability on, with a respawn hook), recovers in place and
+    /// runs `op` again. The one recovery loop of `push`, `poll_outputs`,
+    /// `checkpoint` and `finish`. An error inside the recovery itself — a
+    /// second loss among them — ends the call.
+    fn supervised<T>(
+        &mut self,
+        mut op: impl FnMut(&mut Cluster) -> Result<T, ClusterError>,
+    ) -> Result<T, ClusterError> {
+        // Each rerun can find at most one more dead worker; anything
+        // beyond that is a real failure.
+        let recoverable = self.durable.as_ref().is_some_and(|d| d.respawn.is_some());
+        for _ in 0..=self.opts.workers {
+            match op(self) {
+                Err(ClusterError::WorkerLost { worker: w, .. }) if recoverable => self.recover(w)?,
+                r => return r,
+            }
         }
+        Err(ClusterError::Protocol("workers kept dying faster than recovery".into()))
     }
 
     /// Backpressure for [`push`](Cluster::push): while any sender holds
@@ -580,11 +656,7 @@ impl Cluster {
         let over = |s: &StreamSender| s.backlog() > BACKLOG_WINDOWS * u64::from(s.window());
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         while self.links.iter().any(|l| over(&l.left) || over(&l.right)) {
-            let absorbed = self.pass()?;
-            self.check_liveness()?;
-            if absorbed == 0 {
-                self.wait_for_links(IDLE_WAIT)?;
-            }
+            self.tick(IDLE_WAIT)?;
             if Instant::now() >= deadline {
                 return Err(ClusterError::Timeout("sender backlog to drain".into()));
             }
@@ -604,40 +676,17 @@ impl Cluster {
             StreamElement::Tuple(ref t) => {
                 let hash = t.get(self.opts.spec.join_attr(side)).and_then(Value::join_hash);
                 let worker = self.map.worker_of(partition(hash, self.map.shards())) as usize;
-                self.links[worker]
-                    .sender(side)
-                    .push(element)
-                    .map_err(|e| self.lost(worker, e.into()))?;
-                Ok(())
+                self.links[worker].push(side, element)
             }
             StreamElement::Punctuation(ref p) => {
                 if p.width() != self.opts.spec.side_width(side) {
                     // Mirror the single-threaded operator: ignore.
                     return Ok(());
                 }
-                if is_barrier(p, self.opts.spec.join_attr(side)) {
-                    return Err(ClusterError::Protocol(
-                        "Empty-pattern punctuations on the join attribute are reserved \
-                         for cluster barriers"
-                            .into(),
-                    ));
-                }
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 self.route_punct(side, p.clone(), seq, element.ts)
             }
-        }
-    }
-
-    /// Classifies a per-worker transport error: recoverable clusters
-    /// report [`ClusterError::WorkerLost`] (the caller recovers in
-    /// place), everyone else sees the underlying error.
-    fn lost(&self, worker: usize, e: ClusterError) -> ClusterError {
-        let recoverable = self.durable.as_ref().is_some_and(|d| d.respawn.is_some());
-        if recoverable {
-            ClusterError::WorkerLost(worker)
-        } else {
-            e
         }
     }
 
@@ -680,9 +729,7 @@ impl Cluster {
         );
         self.aligner.expect(translated, PunctSeq(seq), mask);
         for w in workers {
-            self.links[w]
-                .sender(side)
-                .push(Timestamped::new(ts, StreamElement::Punctuation(p.clone())))?;
+            self.links[w].push(side, Timestamped::new(ts, StreamElement::Punctuation(p.clone())))?;
         }
         self.pending_log.insert(seq, (side, p));
         Ok(())
@@ -743,28 +790,16 @@ impl Cluster {
     /// here, and in `finish`.
     ///
     /// With durability enabled this is also the supervision tick: missed
-    /// heartbeats and dead control links trigger crash recovery here,
-    /// and an elapsed checkpoint interval cuts the next epoch. Only
+    /// heartbeats and dead links trigger crash recovery here. Only
     /// **committed** outputs are returned — outputs produced since the
     /// last cut stay withheld until the next checkpoint (or finish)
     /// commits them.
     pub fn poll_outputs(&mut self) -> Result<Vec<Timestamped<StreamElement>>, ClusterError> {
-        // A recovery can itself trip over another dead worker's link at
-        // most once per worker; anything beyond that is a real failure.
-        for _ in 0..=self.opts.workers {
-            match self.poll_once() {
-                Ok(()) => {
-                    self.maybe_checkpoint()?;
-                    // The next poll's buffer starts at this one's size, so
-                    // a like burst fills it without regrowing.
-                    let next = Vec::with_capacity(self.ready.len());
-                    return Ok(std::mem::replace(&mut self.ready, next));
-                }
-                Err(ClusterError::WorkerLost(w)) => self.recover(w)?,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(ClusterError::Protocol("workers kept dying faster than recovery".into()))
+        self.supervised(Cluster::poll_once)?;
+        // The next poll's buffer starts at this one's size, so a like
+        // burst fills it without regrowing.
+        let next = Vec::with_capacity(self.ready.len());
+        Ok(std::mem::replace(&mut self.ready, next))
     }
 
     /// Passes over the links until one absorbs output or [`IDLE_WAIT`]
@@ -772,14 +807,23 @@ impl Cluster {
     fn poll_once(&mut self) -> Result<(), ClusterError> {
         let idle_until = Instant::now() + IDLE_WAIT;
         loop {
-            let absorbed = self.pass()?;
-            self.check_liveness()?;
             let remaining = idle_until.saturating_duration_since(Instant::now());
-            if absorbed > 0 || remaining.is_zero() {
+            if self.tick(remaining)? > 0 || remaining.is_zero() {
                 return Ok(());
             }
-            self.wait_for_links(remaining)?;
         }
+    }
+
+    /// One [`pass`](Cluster::pass) and a liveness check; a pass that
+    /// absorbed nothing then sleeps on the link sockets for up to `idle`.
+    /// Returns what the pass absorbed.
+    fn tick(&mut self, idle: Duration) -> Result<usize, ClusterError> {
+        let absorbed = self.pass()?;
+        self.check_liveness()?;
+        if absorbed == 0 && !idle.is_zero() {
+            self.wait_for_links(idle)?;
+        }
+        Ok(absorbed)
     }
 
     /// One non-blocking pass over every link: control frames folded in,
@@ -791,10 +835,7 @@ impl Cluster {
         self.drain_ctrl()?;
         let mut absorbed = 0;
         for w in 0..self.links.len() {
-            for side in [Side::Left, Side::Right] {
-                let r = self.links[w].sender(side).service();
-                r.map_err(|e| self.lost(w, e.into()))?;
-            }
+            self.links[w].senders(StreamSender::service)?;
             while !self.links[w].sink_done {
                 match self.absorb_run(w, Duration::ZERO, Drain::Output)? {
                     (0, _) => break,
@@ -826,8 +867,8 @@ impl Cluster {
         link.unacked += n as u64;
         if link.unacked >= ACK_EVERY {
             link.unacked = 0;
-            let sent = link.ctrl.send(&Frame::Ack { up_to: link.sink.received() });
-            sent.map_err(|e| self.lost(worker, e))?;
+            let up_to = link.sink.received();
+            link.send(&Frame::Ack { up_to })?;
         }
         Ok((n, reached))
     }
@@ -842,8 +883,7 @@ impl Cluster {
         merged: &mut Vec<Timestamped<StreamElement>>,
     ) -> Result<(usize, bool), ClusterError> {
         let start = merged.len();
-        let got = self.links[worker].sink.next_run(wait, merged);
-        let n = got.map_err(|e| self.lost(worker, e.into()))?;
+        let n = self.links[worker].next_run(wait, merged)?;
         let mut reached = false;
         if let Drain::Cut(nonce) | Drain::Rollback(nonce) = drain {
             let attr = self.opts.spec.join_attr_a;
@@ -922,7 +962,7 @@ impl Cluster {
     /// Call right after a [`pass`](Cluster::pass): a heartbeat that sat
     /// unread while this thread was busy is not a missed one.
     fn check_liveness(&self) -> Result<(), ClusterError> {
-        let Some(d) = self.durable.as_ref().filter(|d| d.respawn.is_some()) else {
+        let Some(d) = &self.durable else {
             return Ok(());
         };
         let Some(deadline) = d.heartbeat.deadline() else {
@@ -930,7 +970,7 @@ impl Cluster {
         };
         let now = Instant::now();
         match d.last_heard.iter().position(|&heard| now.duration_since(heard) > deadline) {
-            Some(dead) => Err(ClusterError::WorkerLost(dead)),
+            Some(w) => on_link(w, Err(ClusterError::Timeout(format!("worker {w}'s heartbeat")))),
             None => Ok(()),
         }
     }
@@ -995,16 +1035,24 @@ impl Cluster {
         what: &str,
     ) -> Result<Frame, ClusterError> {
         loop {
-            let frame = self.links[worker].ctrl.recv_deadline(deadline, what)?;
-            match frame {
-                Frame::Telemetry { payload } => {
-                    self.note_heard(worker);
-                    self.ingest_telemetry(worker, &payload)?;
-                }
-                Frame::Heartbeat { .. } => self.note_heard(worker),
-                other => return Ok(other),
+            let frame = self.links[worker].recv(deadline, what)?;
+            if let Some(frame) = self.fold_async(worker, frame)? {
+                return Ok(frame);
             }
         }
+    }
+
+    /// Folds an asynchronous control frame from `worker` — a telemetry
+    /// push or a heartbeat, either of which refreshes its liveness stamp
+    /// — and hands back any other frame.
+    fn fold_async(&mut self, worker: usize, frame: Frame) -> Result<Option<Frame>, ClusterError> {
+        match frame {
+            Frame::Telemetry { payload } => self.ingest_telemetry(worker, &payload)?,
+            Frame::Heartbeat { .. } => {}
+            other => return Ok(Some(other)),
+        }
+        self.note_heard(worker);
+        Ok(None)
     }
 
     /// Non-blocking drain of pending asynchronous frames (telemetry
@@ -1015,20 +1063,11 @@ impl Cluster {
     /// end of stream reports its worker gone.
     fn drain_ctrl(&mut self) -> Result<(), ClusterError> {
         for w in 0..self.links.len() {
-            loop {
-                match self.links[w].ctrl.poll_recv() {
-                    Ok(Some(Frame::Telemetry { payload })) => {
-                        self.note_heard(w);
-                        self.ingest_telemetry(w, &payload)?;
-                    }
-                    Ok(Some(Frame::Heartbeat { .. })) => self.note_heard(w),
-                    Ok(Some(other)) => {
-                        return Err(ClusterError::Protocol(format!(
-                            "unexpected control frame from worker {w}: {other:?}"
-                        )))
-                    }
-                    Ok(None) => break,
-                    Err(e) => return Err(self.lost(w, e)),
+            while let Some(frame) = self.links[w].poll_recv()? {
+                if let Some(other) = self.fold_async(w, frame)? {
+                    return Err(ClusterError::Protocol(format!(
+                        "unexpected control frame from worker {w}: {other:?}"
+                    )));
                 }
             }
         }
@@ -1077,17 +1116,13 @@ impl Cluster {
         nonce: u64,
     ) -> Result<(), ClusterError> {
         for w in workers {
-            let spec = &self.opts.spec;
             let link = &mut self.links[w];
-            let sent = link.ctrl.send(arm).and_then(|()| {
-                for side in [Side::Left, Side::Right] {
-                    let b = StreamElement::Punctuation(barrier_punct(spec, side));
-                    link.sender(side).push(Timestamped::new(Timestamp(nonce), b))?;
-                }
-                link.left.flush()?;
-                Ok(link.right.flush()?)
-            });
-            sent.map_err(|e| self.lost(w, e))?;
+            link.send(arm)?;
+            for side in [Side::Left, Side::Right] {
+                let b = StreamElement::Punctuation(barrier_punct(&self.opts.spec, side));
+                link.push(side, Timestamped::new(Timestamp(nonce), b))?;
+            }
+            link.senders(StreamSender::flush)?;
         }
         Ok(())
     }
@@ -1102,7 +1137,7 @@ impl Cluster {
     fn cut(&mut self, nonce: u64) -> Result<(Vec<ShardRecords>, Instant), ClusterError> {
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         for w in 0..self.links.len() {
-            match self.recv_ctrl(w, deadline, "BarrierReached").map_err(|e| self.lost(w, e))? {
+            match self.recv_ctrl(w, deadline, "BarrierReached")? {
                 Frame::BarrierReached { nonce: got } if got == nonce => {}
                 other => {
                     return Err(ClusterError::Protocol(format!(
@@ -1119,7 +1154,7 @@ impl Cluster {
         for w in 0..self.links.len() {
             let mut got: u64 = 0;
             loop {
-                match self.recv_ctrl(w, deadline, "exported state").map_err(|e| self.lost(w, e))? {
+                match self.recv_ctrl(w, deadline, "exported state")? {
                     Frame::MigrateState { shard, side, records } => {
                         got += records.len() as u64;
                         groups.entry((shard, side)).or_default().extend(records);
@@ -1163,8 +1198,8 @@ impl Cluster {
         }
         let config = self.config_blob();
         for (w, groups) in per_worker.into_iter().enumerate() {
-            let ctrl = &mut self.links[w].ctrl;
-            ctrl.send(&Frame::ShardMapUpdate {
+            let link = &mut self.links[w];
+            link.send(&Frame::ShardMapUpdate {
                 worker: w as u32,
                 map: map.clone(),
                 config: config.clone(),
@@ -1173,11 +1208,11 @@ impl Cluster {
             for ((shard, side), records) in groups {
                 installed += records.len() as u64;
                 for chunk in records.chunks(MIGRATE_CHUNK) {
-                    ctrl.send(&Frame::MigrateState { shard, side, records: chunk.to_vec() })?;
+                    link.send(&Frame::MigrateState { shard, side, records: chunk.to_vec() })?;
                 }
             }
-            ctrl.send(&Frame::MigrateStateDone { records: installed })?;
-            ctrl.send(&Frame::MigrateCommit { epoch })?;
+            link.send(&Frame::MigrateStateDone { records: installed })?;
+            link.send(&Frame::MigrateCommit { epoch })?;
         }
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         for w in 0..self.links.len() {
@@ -1200,14 +1235,10 @@ impl Cluster {
     /// No join output is lost or duplicated across the resize, and no
     /// punctuation is propagated twice. A shard count below the worker
     /// count or above [`MAX_SHARDS`] is refused before anything is armed.
+    /// A worker lost mid-migration is fatal ([`ClusterError::WorkerLost`]):
+    /// a survivor blocked in an install cannot take a rollback.
     pub fn repartition(&mut self, new_shards: usize) -> Result<MigrationStats, ClusterError> {
-        if !(self.opts.workers..=MAX_SHARDS).contains(&new_shards) {
-            return Err(ClusterError::Protocol(format!(
-                "cannot spread {new_shards} shards over {} workers: shard routing needs at \
-                 least one shard per worker and at most {MAX_SHARDS}",
-                self.opts.workers
-            )));
-        }
+        check_layout(self.opts.workers, new_shards)?;
         let t0 = Instant::now();
         // A migration's nonce is its epoch.
         let epoch = self.map.epoch + 1;
@@ -1261,64 +1292,37 @@ impl Cluster {
     /// (with a respawn hook configured), and the cut is retried against
     /// the recovered cluster.
     pub fn checkpoint(&mut self) -> Result<u64, ClusterError> {
-        for _ in 0..=self.opts.workers {
-            match self.try_checkpoint() {
-                Err(ClusterError::WorkerLost(w)) => self.recover(w)?,
-                r => return r,
+        if self.durable.is_none() {
+            return Err(ClusterError::Protocol("checkpoint() requires durability".into()));
+        }
+        self.supervised(|c| {
+            let epoch = c.durable.as_ref().expect("checked on entry").next_epoch;
+            let nonce = CHECKPOINT_NONCE | epoch;
+            c.barrier(0..c.links.len(), &Frame::Checkpoint { epoch, nonce }, nonce)?;
+            let (records, _) = c.cut(nonce)?;
+            // Write the epoch, then commit its side effects.
+            let meta = SnapshotMeta {
+                config_blob: c.config_blob(),
+                workers: c.opts.workers as u32,
+                shards: c.map.shards() as u32,
+                input_cursor: c.pushed,
+                pushed: c.pushed,
+            };
+            let mut snap = Snapshot::of_records(epoch, meta, records);
+            snap.pending = c.pending_puncts();
+            let d = c.durable.as_mut().expect("checked on entry");
+            d.store.commit(&snap)?;
+            d.next_epoch = epoch + 1;
+            d.input_log.clear();
+            d.committed_seq = c.next_seq;
+            d.checkpoints += 1;
+            c.ready.append(&mut d.uncommitted);
+            for link in &mut c.links {
+                let sink_watermark = link.sink.received();
+                link.send(&Frame::CheckpointDone { epoch, sink_watermark })?;
             }
-        }
-        Err(ClusterError::Protocol("workers kept dying faster than recovery".into()))
-    }
-
-    fn try_checkpoint(&mut self) -> Result<u64, ClusterError> {
-        let Some(d) = self.durable.as_ref() else {
-            return Err(ClusterError::Protocol(
-                "checkpoint() requires durability to be enabled".into(),
-            ));
-        };
-        let epoch = d.next_epoch;
-        let nonce = CHECKPOINT_NONCE | epoch;
-        self.barrier(0..self.links.len(), &Frame::Checkpoint { epoch, nonce }, nonce)?;
-        let (records, _) = self.cut(nonce)?;
-        // Write the epoch, then commit its side effects.
-        let meta = SnapshotMeta {
-            config_blob: self.config_blob(),
-            workers: self.opts.workers as u32,
-            shards: self.map.shards() as u32,
-            input_cursor: self.pushed,
-            pushed: self.pushed,
-        };
-        let mut snap = Snapshot::of_records(epoch, meta, records);
-        snap.pending = self.pending_puncts();
-        let d = self.durable.as_mut().expect("checked on entry");
-        d.store.commit(&snap)?;
-        d.next_epoch = epoch + 1;
-        d.input_log.clear();
-        d.committed_seq = self.next_seq;
-        d.checkpoints += 1;
-        d.last_cut = Instant::now();
-        let released: Vec<Timestamped<StreamElement>> = d.uncommitted.drain(..).collect();
-        self.ready.extend(released);
-        for w in 0..self.links.len() {
-            let sink_watermark = self.links[w].sink.received();
-            let r = self.links[w].ctrl.send(&Frame::CheckpointDone { epoch, sink_watermark });
-            r.map_err(|e| self.lost(w, e))?;
-        }
-        Ok(epoch)
-    }
-
-    /// Cuts a checkpoint if the configured interval has elapsed. A
-    /// worker lost mid-cut is recovered and the cut retried inside
-    /// [`checkpoint`](Cluster::checkpoint).
-    fn maybe_checkpoint(&mut self) -> Result<(), ClusterError> {
-        let due = self
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.interval.is_some_and(|iv| d.last_cut.elapsed() >= iv));
-        if due {
-            self.checkpoint()?;
-        }
-        Ok(())
+            Ok(epoch)
+        })
     }
 
     /// Recovers the cluster after losing `dead`: every surviving worker
@@ -1329,12 +1333,8 @@ impl Cluster {
     /// (uncommitted) outputs are discarded first, so the replay cannot
     /// duplicate anything the caller saw.
     fn recover(&mut self, dead: usize) -> Result<(), ClusterError> {
-        let Some(d) = self.durable.as_mut() else {
-            return Err(ClusterError::WorkerLost(dead));
-        };
-        let Some(respawn) = d.respawn.clone() else {
-            return Err(ClusterError::WorkerLost(dead));
-        };
+        let d = self.durable.as_mut().expect("only a durable cluster recovers");
+        let respawn = d.respawn.clone().expect("only a cluster with a respawn hook recovers");
         d.recoveries += 1;
         let nonce = ROLLBACK_NONCE | d.recoveries;
         let crashed_seq = self.next_seq;
@@ -1401,10 +1401,7 @@ impl Cluster {
         debug_assert_eq!(self.next_seq, crashed_seq, "the replay renumbers as before the crash");
         let d = self.durable.as_mut().expect("durable");
         d.input_log = log;
-        let now = Instant::now();
-        for heard in &mut d.last_heard {
-            *heard = now;
-        }
+        d.last_heard.fill(Instant::now());
         Ok(())
     }
 
@@ -1445,33 +1442,48 @@ impl Cluster {
     /// completion, and returns the merged output with full accounting.
     /// Every ingested punctuation has been emitted exactly once when
     /// this returns.
+    ///
+    /// Until the first `Fin` goes out, a lost worker is recovered as in
+    /// [`push`](Cluster::push) while every sender is flushed and every
+    /// link passed over and checked for liveness. Once a `Fin` is sent the
+    /// survivors end their streams and can take no rollback, so a loss
+    /// after that is fatal ([`ClusterError::WorkerLost`]; a cluster-v1
+    /// limit).
     pub fn finish(mut self) -> Result<ClusterReport, ClusterError> {
+        self.supervised(|c| {
+            for link in &mut c.links {
+                link.senders(StreamSender::flush)?;
+            }
+            c.pass()?;
+            c.check_liveness()
+        })?;
         let deadline = Instant::now() + self.opts.ctrl_timeout;
         let mut sender_reconnects = 0;
         for link in &mut self.links {
-            link.left.finish()?;
-            link.right.finish()?;
+            link.senders(StreamSender::finish)?;
             sender_reconnects += link.left.reconnects() + link.right.reconnects();
         }
+        // Every worker flushes a final cumulative report after its
+        // streams end and before its sink closes; wait for the stragglers
+        // too, so the merged telemetry covers the whole run.
         loop {
             self.pass()?;
             for link in &mut self.links {
                 link.sink_done = link.sink.finished();
             }
-            if self.links.iter().all(|l| l.sink_done) {
+            let finals = self.opts.telemetry.enabled && !self.telem.finals_pending().is_empty();
+            if self.links.iter().all(|l| l.sink_done) && !finals {
                 break;
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return Err(ClusterError::Timeout("worker sinks to finish".into()));
+                return Err(ClusterError::Timeout("worker sinks and final reports".into()));
             }
             self.wait_for_links(remaining)?;
         }
         if !self.pending_log.is_empty() {
-            return Err(ClusterError::Protocol(format!(
-                "{} punctuations never fully propagated",
-                self.pending_log.len()
-            )));
+            let n = self.pending_log.len();
+            return Err(ClusterError::Protocol(format!("{n} punctuations never fully propagated")));
         }
         // The streams are complete: release every withheld output. A
         // crash can no longer undo them.
@@ -1479,39 +1491,19 @@ impl Cluster {
             self.ready.append(&mut d.uncommitted);
             d.input_log.clear();
         }
-        // Every worker flushes a final cumulative report after its
-        // streams end and before its sink closes; wait for the stragglers
-        // so the merged telemetry covers the whole run.
-        if self.opts.telemetry.enabled {
-            loop {
-                self.drain_ctrl()?;
-                if self.telem.finals_pending().is_empty() {
-                    break;
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(ClusterError::Timeout("final telemetry flush".into()));
-                }
-                self.wait_for_links(remaining)?;
-            }
-        }
         let proxy_stats = self
             .links
             .iter()
             .filter_map(|l| l.proxy.as_ref().map(FaultProxy::stats))
             .collect();
-        let telemetry = std::mem::replace(
-            &mut self.telem,
-            ClusterTelemetry::new(0, TelemetrySettings::disabled()),
-        );
         let (checkpoints, recoveries) =
             self.durable.as_ref().map_or((0, 0), |d| (d.checkpoints, d.recoveries));
         Ok(ClusterReport {
-            outputs: std::mem::take(&mut self.ready),
+            outputs: self.ready,
             pushed: self.pushed,
             sender_reconnects,
             proxy_stats,
-            telemetry,
+            telemetry: self.telem,
             checkpoints,
             recoveries,
         })
@@ -1554,7 +1546,8 @@ mod tests {
         };
         let (left, right) = (sender(0, Side::Left), sender(1, Side::Right));
         let sink = SinkSubscriber::new(sink.addr());
-        let link = WorkerLink { ctrl, proxy: None, left, right, sink, sink_done: false, unacked: 0 };
+        let (worker, proxy, sink_done, unacked) = (0, None, false, 0);
+        let link = WorkerLink { worker, ctrl, proxy, left, right, sink, sink_done, unacked };
         cluster.links.push(link);
         (cluster, peer)
     }

@@ -33,11 +33,32 @@ pub enum ClusterError {
     /// A durable checkpoint could not be written or read back (I/O,
     /// corruption, or no complete epoch to recover from).
     Snapshot(SnapshotError),
-    /// A worker's control or data link failed while durability (with a
-    /// respawn hook) is enabled. Internal to the recovery machinery —
-    /// the coordinator catches it and recovers in place; callers only
-    /// see it if recovery itself was impossible mid-operation.
-    WorkerLost(usize),
+    /// A transport failure on a worker's link, or a missed heartbeat.
+    /// With a respawn hook the coordinator recovers in place; callers see
+    /// it without one, or from where no rollback reaches: after `finish`
+    /// sent a `Fin`, mid-migration, mid-assembly or mid-recovery.
+    WorkerLost {
+        /// The lost worker's index.
+        worker: usize,
+        /// The transport error that revealed the loss.
+        cause: Box<ClusterError>,
+    },
+}
+
+/// Classifies the result of a call on worker `worker`'s link: a transport
+/// failure (`Io`, `Net`, `Disconnected`, `Timeout`) means the worker is
+/// lost; a bad frame or a protocol violation is a bug, and passes through.
+pub(crate) fn on_link<T>(
+    worker: usize,
+    r: Result<T, impl Into<ClusterError>>,
+) -> Result<T, ClusterError> {
+    r.map_err(|e| match e.into() {
+        e @ (ClusterError::Io(_)
+        | ClusterError::Net(_)
+        | ClusterError::Disconnected(_)
+        | ClusterError::Timeout(_)) => ClusterError::WorkerLost { worker, cause: Box::new(e) },
+        other => other,
+    })
 }
 
 impl fmt::Display for ClusterError {
@@ -51,39 +72,23 @@ impl fmt::Display for ClusterError {
             ClusterError::Disconnected(who) => write!(f, "{who} disconnected mid-protocol"),
             ClusterError::Timeout(what) => write!(f, "timed out waiting for {what}"),
             ClusterError::Snapshot(e) => write!(f, "durable checkpoint error: {e}"),
-            ClusterError::WorkerLost(w) => write!(f, "worker {w} lost mid-run"),
+            ClusterError::WorkerLost { worker: w, cause } => write!(f, "worker {w} lost: {cause}"),
         }
     }
 }
 
 impl std::error::Error for ClusterError {}
 
-impl From<std::io::Error> for ClusterError {
-    fn from(e: std::io::Error) -> ClusterError {
-        ClusterError::Io(e)
-    }
+/// `?` lifts each underlying error into its variant.
+macro_rules! impl_from {
+    ($($variant:ident($source:ty)),*) => {$(
+        impl From<$source> for ClusterError {
+            fn from(e: $source) -> ClusterError {
+                ClusterError::$variant(e)
+            }
+        }
+    )*};
 }
 
-impl From<NetError> for ClusterError {
-    fn from(e: NetError) -> ClusterError {
-        ClusterError::Net(e)
-    }
-}
-
-impl From<WireError> for ClusterError {
-    fn from(e: WireError) -> ClusterError {
-        ClusterError::Wire(e)
-    }
-}
-
-impl From<StateExportError> for ClusterError {
-    fn from(e: StateExportError) -> ClusterError {
-        ClusterError::Export(e)
-    }
-}
-
-impl From<SnapshotError> for ClusterError {
-    fn from(e: SnapshotError) -> ClusterError {
-        ClusterError::Snapshot(e)
-    }
-}
+impl_from!(Io(std::io::Error), Net(NetError), Wire(WireError));
+impl_from!(Export(StateExportError), Snapshot(SnapshotError));

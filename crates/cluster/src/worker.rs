@@ -21,7 +21,8 @@
 //! frames only until the coordinator has them: the coordinator, its only
 //! subscriber, sends [`Frame::Ack`]`{ up_to }` with its received count
 //! every few thousand elements, and the control reader answers at once
-//! with [`SinkServer::truncate_below`]. A subscriber only resumes from
+//! with [`SinkServer::truncate_below`], as it answers a `CheckpointDone`
+//! watermark (the same received count). A subscriber only resumes from
 //! what it has received and a replacement worker starts with a fresh
 //! sink, so a worker's sink holds what is in flight, with or without
 //! durability ([`WorkerReport::sink_peak_retained`] records the peak).
@@ -169,9 +170,11 @@ impl IngestEvent for Event {
 fn read_ctrl(mut link: CtrlConn, events: Sender<Event>, sink: Arc<SinkServer>) {
     loop {
         let event = match link.recv() {
-            Ok(Frame::Ack { up_to }) => {
+            Ok(Frame::Ack { up_to } | Frame::CheckpointDone { sink_watermark: up_to, .. }) => {
                 // The coordinator has received everything below `up_to`
-                // and never resumes below what it has received.
+                // and never resumes below what it has received. Handled
+                // here, a `CheckpointDone` cannot queue behind the
+                // stream ends and reach the worker after its close.
                 sink.truncate_below(up_to);
                 continue;
             }
@@ -858,12 +861,6 @@ impl Worker {
             Frame::MigrateBegin { nonce, .. } => self.arm(Op::Migrate, nonce),
             Frame::Checkpoint { nonce, .. } => self.arm(Op::Checkpoint, nonce),
             Frame::Rollback { nonce, .. } => self.arm(Op::Rollback, nonce),
-            Frame::CheckpointDone { epoch: _, sink_watermark } => {
-                // The epoch is durable: outputs below the coordinator's
-                // acknowledged watermark can never be re-requested.
-                self.sink.truncate_below(sink_watermark);
-                Ok(())
-            }
             Frame::Telemetry { payload } => {
                 let msg = TelemetryMsg::decode(&payload).map_err(|e| {
                     ClusterError::Protocol(format!(

@@ -13,6 +13,7 @@ use punct_cluster::{
 use punct_durable::CheckpointStore;
 use punct_types::{
     partition, Bound, Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value,
+    MAX_SHARDS,
 };
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, interleave_sides, PunctScheme, StreamConfig};
@@ -111,6 +112,20 @@ fn out_of_range_repartition_is_refused_and_the_cluster_stays_usable() {
     for h in handles {
         let wr = h.join().expect("worker thread").expect("worker ok");
         assert_eq!(wr.final_epoch, 1);
+    }
+}
+
+#[test]
+fn bind_refuses_a_layout_routing_cannot_serve() {
+    let spec = JoinSpec::new(2, 2);
+    for (workers, shards, why) in [
+        (0, 1, "no workers"),
+        (65, 65, "more workers than the aligner masks"),
+        (4, 3, "fewer shards than workers"),
+        (2, MAX_SHARDS + 1, "more shards than routing masks"),
+    ] {
+        let bound = Cluster::bind(ClusterOptions::new(spec.clone(), workers, shards));
+        assert!(bound.is_err(), "{why}");
     }
 }
 

@@ -8,12 +8,15 @@
 //! proxies on every worker's ingest path, and with the kill landing just
 //! before a checkpoint, so the crash aborts the cut and the survivor's
 //! sink and control link hold that checkpoint's marker, `BarrierReached`
-//! and exported state ahead of the rollback's. The run's own telemetry
+//! and exported state ahead of the rollback's. Two more schedules: the
+//! kill lands after the last push and poll, so only `finish` can notice
+//! it; and a reserved punctuation is refused mid-stream before the kill,
+//! so the replay must not meet it again. The run's own telemetry
 //! artifact must pass the exactly-once audit too: a punctuation keeps its
 //! sequence number through the rollback, so the replay re-routes the
 //! spans the crash left open instead of opening new ones.
 //!
-//! A third test pins the inverse invariant: with durability disabled
+//! A last test pins the inverse invariant: with durability disabled
 //! the coordinator ships zero checkpoint frames and writes nothing to
 //! disk — the cluster behaves byte-for-byte like it did before the
 //! durability plane existed.
@@ -24,8 +27,8 @@ use std::time::{Duration, Instant};
 
 use pjoin::PJoin;
 use punct_cluster::{
-    check_exactly_once, run_worker, validate_cluster_jsonl, Cluster, ClusterOptions,
-    DurabilityOptions, JoinSpec, WorkerOptions,
+    barrier_punct, check_exactly_once, run_worker, validate_cluster_jsonl, Cluster, ClusterError,
+    ClusterOptions, DurabilityOptions, JoinSpec, WorkerOptions,
 };
 use punct_net::{BackoffPolicy, ClientOptions, FaultConfig};
 use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value};
@@ -153,11 +156,16 @@ const KILL_MID_STREAM: KillAt = (11, 20);
 /// Immediately before the second checkpoint (cut at four fifths).
 const KILL_BEFORE_SECOND_CHECKPOINT: KillAt = (4, 5);
 
+/// After the last push and the last poll: only `finish` can notice.
+const KILL_AFTER_LAST_POLL: KillAt = (1, 1);
+
 /// Drives the crash gate: a 2-worker process cluster with durability on,
 /// checkpoints cut at one third and four fifths, worker 1 SIGKILLed at
-/// `kill`, and a respawned replacement recovered from disk. Compares
-/// multisets against the uninterrupted single-threaded reference.
-fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt) {
+/// `kill`, and a respawned replacement recovered from disk. With
+/// `refuse_at_half`, a reserved barrier punctuation is pushed at half the
+/// stream and must be refused. Compares multisets against the
+/// uninterrupted single-threaded reference.
+fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt, refuse_at_half: bool) {
     let work = workload(60);
     let (want_tuples, want_puncts) = reference(&work);
     let dir = ckpt_dir(tag);
@@ -183,15 +191,23 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt) {
 
     let checkpoint_at = [work.len() / 3, 4 * work.len() / 5];
     let kill_at = kill.0 * work.len() / kill.1;
+    let kill_worker_1 = |children: &mut Vec<Child>| {
+        let victim = &mut children[1];
+        victim.kill().expect("SIGKILL worker 1");
+        victim.wait().expect("reap killed worker");
+    };
     let mut outputs: Vec<Timestamped<StreamElement>> = Vec::new();
     for (i, (side, ts, el)) in work.iter().enumerate() {
         if i == kill_at {
-            let victim = &mut children[1];
-            victim.kill().expect("SIGKILL worker 1");
-            victim.wait().expect("reap killed worker");
+            kill_worker_1(&mut children);
         }
         if checkpoint_at.contains(&i) {
             cluster.checkpoint().expect("checkpoint");
+        }
+        if refuse_at_half && i == work.len() / 2 {
+            let reserved = barrier_punct(&spec(), Side::Left).into();
+            let refused = cluster.push(Side::Left, Timestamped::new(Timestamp(*ts), reserved));
+            assert!(matches!(refused, Err(ClusterError::Protocol(_))), "{refused:?}");
         }
         cluster
             .push(*side, Timestamped::new(Timestamp(*ts), el.clone()))
@@ -199,6 +215,10 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt) {
         if i % 32 == 0 {
             outputs.extend(cluster.poll_outputs().expect("poll"));
         }
+    }
+    outputs.extend(cluster.poll_outputs().expect("poll"));
+    if kill_at == work.len() {
+        kill_worker_1(&mut children);
     }
     let report = cluster.finish().expect("finish cluster");
     outputs.extend(report.outputs);
@@ -229,7 +249,7 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt) {
 
 #[test]
 fn sigkill_recovery_preserves_join_and_punctuation_multisets() {
-    run_crash_gate("clean", None, KILL_MID_STREAM);
+    run_crash_gate("clean", None, KILL_MID_STREAM, false);
 }
 
 #[test]
@@ -238,7 +258,8 @@ fn sigkill_recovery_preserves_multisets_through_faulty_links() {
     // (independently seeded per link) *on top of* the SIGKILL; the
     // rollback barrier, the re-installed state, and the replayed data
     // must still arrive exactly once.
-    run_crash_gate("faulty", Some(FaultConfig::lossy(7, 10, 3, 60, 0xFA11)), KILL_MID_STREAM);
+    let fault = Some(FaultConfig::lossy(7, 10, 3, 60, 0xFA11));
+    run_crash_gate("faulty", fault, KILL_MID_STREAM, false);
 }
 
 #[test]
@@ -247,7 +268,21 @@ fn sigkill_that_aborts_a_checkpoint_preserves_multisets() {
     // the cut aborts, worker 0 publishes that checkpoint's marker and
     // exports ahead of the rollback's, and the retried cut commits on the
     // recovered cluster.
-    run_crash_gate("abort_checkpoint", None, KILL_BEFORE_SECOND_CHECKPOINT);
+    run_crash_gate("abort_checkpoint", None, KILL_BEFORE_SECOND_CHECKPOINT, false);
+}
+
+#[test]
+fn sigkill_after_the_last_poll_is_recovered_by_finish() {
+    // Every push and poll has returned before worker 1 dies: `finish`
+    // must notice the loss before its first `Fin`, roll back and replay.
+    run_crash_gate("after_last_poll", None, KILL_AFTER_LAST_POLL, false);
+}
+
+#[test]
+fn a_refused_reserved_punctuation_is_not_replayed_by_recovery() {
+    // The refusal happens before the input log sees the punctuation, so
+    // the replay after the kill routes only what was accepted.
+    run_crash_gate("refused_reserved", None, KILL_MID_STREAM, true);
 }
 
 #[test]
