@@ -16,13 +16,12 @@
 //! Migration, checkpoint and rollback are built from three protocol
 //! steps, each implemented once:
 //!
-//! 1. **Barrier** (`Cluster::barrier`): an arm frame
-//!    (`MigrateBegin`, `Checkpoint` or `Rollback`, carrying the
-//!    operation's nonce) on a worker's control plane, then an
-//!    Empty-pattern punctuation down *both* of its data streams, flushed
-//!    — the barrier is ordered behind all earlier elements and delivered
-//!    exactly once even through a faulty link, because it is an ordinary
-//!    sequenced element.
+//! 1. **Barrier** (`Cluster::barrier`): an Empty-pattern punctuation
+//!    down *both* of a worker's data streams, flushed, stamped with a
+//!    nonce whose namespace names the operation — the barrier is ordered
+//!    behind all earlier elements and delivered exactly once even through
+//!    a faulty link, because it is an ordinary sequenced element, and it
+//!    is the whole instruction: no control frame arms it.
 //! 2. **Cut** (`Cluster::cut`): each worker publishes its sink
 //!    marker — stamped with the operation's nonce, so it names its
 //!    barrier — reports `BarrierReached`, and exports its state; the
@@ -71,8 +70,8 @@
 //! [`Frame::Ack`]`{ up_to }` on its control link with the subscriber's
 //! received count, and the worker frees its sink frames below it. A
 //! worker's sink therefore holds what is in flight, not the whole run,
-//! with durability off as well as on. `CheckpointDone`'s watermark is
-//! the same received count, taken at a cut, and truncates the same way.
+//! with durability off as well as on. A checkpoint commit sends every
+//! worker the same `Ack`, so what the cut absorbed is freed at once.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -98,8 +97,9 @@ use stream_sim::Side;
 
 use crate::error::{on_link, ClusterError};
 use crate::protocol::{
-    barrier_punct, encode_config, is_barrier, side_from_index, side_index, CtrlConn,
-    HeartbeatSettings, JoinSpec, TelemetrySettings, CTRL_TIMEOUT, MIGRATE_CHUNK,
+    barrier_nonce, barrier_punct, decode_config, encode_config, is_barrier, side_from_index,
+    side_index, CtrlConn, HeartbeatSettings, JoinSpec, Op, TelemetrySettings, CTRL_TIMEOUT,
+    MIGRATE_CHUNK,
 };
 use crate::telemetry::ClusterTelemetry;
 
@@ -130,11 +130,6 @@ const RETAIN_EPOCHS: usize = 2;
 /// The heartbeat policy a recoverable cluster ships to its workers: a
 /// beacon every 100 ms, a worker silent for a second is lost.
 const HEARTBEAT: HeartbeatSettings = HeartbeatSettings { interval_ms: 100, miss_limit: 10 };
-
-/// Nonce namespaces keep checkpoint and rollback barriers unmistakable
-/// for migration barriers in worker logs and protocol errors.
-const CHECKPOINT_NONCE: u64 = 0x4B00_0000_0000_0000;
-const ROLLBACK_NONCE: u64 = 0x4C00_0000_0000_0000;
 
 /// Refuses a layout routing cannot serve: the punctuation aligner masks
 /// at most 64 workers, every worker owns at least one shard, and shard
@@ -251,8 +246,6 @@ pub struct ClusterOptions {
     /// front of **each worker's ingest server**, so every data-plane
     /// link misbehaves independently.
     pub fault: Option<FaultConfig>,
-    /// Deadline for any single control-plane exchange.
-    pub ctrl_timeout: Duration,
     /// How the telemetry plane runs (shipped to workers in the config
     /// blob). Default: enabled, 1 s report interval, tracing on.
     pub telemetry: TelemetrySettings,
@@ -270,7 +263,6 @@ impl ClusterOptions {
             shards,
             client: ClientOptions::default(),
             fault: None,
-            ctrl_timeout: CTRL_TIMEOUT,
             telemetry: TelemetrySettings::default(),
             durability: DurabilityOptions::default(),
         }
@@ -465,7 +457,7 @@ impl Cluster {
     /// configured), and activates the initial shard-map epoch on every
     /// worker. Returns once all workers acknowledged the epoch.
     pub fn accept_workers(&mut self) -> Result<(), ClusterError> {
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        let deadline = Instant::now() + CTRL_TIMEOUT;
         let mut joined: Vec<Option<WorkerLink>> = Vec::new();
         joined.resize_with(self.opts.workers, || None);
         while joined.iter().any(Option::is_none) {
@@ -476,7 +468,7 @@ impl Cluster {
         }
         self.links = joined.into_iter().map(|l| l.expect("all slots filled")).collect();
         self.install(self.opts.shards, Vec::new())?;
-        self.sync_clocks()
+        self.sync_clocks(0..self.links.len())
     }
 
     /// Accepts one worker's control connection before `deadline`, checks
@@ -554,16 +546,20 @@ impl Cluster {
         Ok((worker, link))
     }
 
-    /// Estimates each worker's clock offset with a burst of
+    /// Estimates the clock offset of each of `workers` with a burst of
     /// request-response probes over the control plane (min-RTT sample
     /// wins). Runs after the workers enter their serve loops, where a
-    /// control frame wakes the worker at once.
-    fn sync_clocks(&mut self) -> Result<(), ClusterError> {
+    /// control frame wakes the worker at once: for every worker at
+    /// assembly, and for a replacement once its recovery installed it.
+    fn sync_clocks(
+        &mut self,
+        workers: impl IntoIterator<Item = usize>,
+    ) -> Result<(), ClusterError> {
         if !self.opts.telemetry.enabled {
             return Ok(());
         }
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
-        for w in 0..self.links.len() {
+        let deadline = Instant::now() + CTRL_TIMEOUT;
+        for w in workers {
             for probe in 0..CLOCK_PROBES {
                 let payload =
                     TelemetryMsg::ClockProbe { probe, t0_ns: wall_now_ns() }.encode();
@@ -654,7 +650,7 @@ impl Cluster {
     /// meanwhile wait in `ready` for the caller's next poll.
     fn relieve_backlog(&mut self) -> Result<(), ClusterError> {
         let over = |s: &StreamSender| s.backlog() > BACKLOG_WINDOWS * u64::from(s.window());
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        let deadline = Instant::now() + CTRL_TIMEOUT;
         while self.links.iter().any(|l| over(&l.left) || over(&l.right)) {
             self.tick(IDLE_WAIT)?;
             if Instant::now() >= deadline {
@@ -1102,22 +1098,18 @@ impl Cluster {
         Ok(())
     }
 
-    /// Arms each of `workers` with `arm` and sends the barrier down both
-    /// of its data streams, flushed: once flushed, the barrier (and
+    /// Sends each of `workers` the barrier carrying `nonce` down both of
+    /// its data streams, flushed: once flushed, the barrier (and
     /// everything before it) is in the worker's ingest channel exactly
-    /// once. The barrier's timestamp carries `nonce`: the arm frame
-    /// (control plane) and the barrier (data plane) race on separate
-    /// connections, and the tag lets the worker pair each crossing with
-    /// the right protocol step no matter the arrival order.
+    /// once. The nonce, the barrier's timestamp, names the operation the
+    /// worker runs when the barrier has crossed both streams.
     fn barrier(
         &mut self,
         workers: impl IntoIterator<Item = usize>,
-        arm: &Frame,
         nonce: u64,
     ) -> Result<(), ClusterError> {
         for w in workers {
             let link = &mut self.links[w];
-            link.send(arm)?;
             for side in [Side::Left, Side::Right] {
                 let b = StreamElement::Punctuation(barrier_punct(&self.opts.spec, side));
                 link.push(side, Timestamped::new(Timestamp(nonce), b))?;
@@ -1135,7 +1127,7 @@ impl Cluster {
     /// global shard and side the worker reports. Returns the records and
     /// the instant the drain ended.
     fn cut(&mut self, nonce: u64) -> Result<(Vec<ShardRecords>, Instant), ClusterError> {
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        let deadline = Instant::now() + CTRL_TIMEOUT;
         for w in 0..self.links.len() {
             match self.recv_ctrl(w, deadline, "BarrierReached")? {
                 Frame::BarrierReached { nonce: got } if got == nonce => {}
@@ -1214,7 +1206,7 @@ impl Cluster {
             link.send(&Frame::MigrateStateDone { records: installed })?;
             link.send(&Frame::MigrateCommit { epoch })?;
         }
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        let deadline = Instant::now() + CTRL_TIMEOUT;
         for w in 0..self.links.len() {
             match self.recv_ctrl(w, deadline, "MigrateCommit echo")? {
                 Frame::MigrateCommit { epoch: got } if got == epoch => {}
@@ -1234,16 +1226,16 @@ impl Cluster {
     /// returns the new epoch is active everywhere and pushes may resume.
     /// No join output is lost or duplicated across the resize, and no
     /// punctuation is propagated twice. A shard count below the worker
-    /// count or above [`MAX_SHARDS`] is refused before anything is armed.
+    /// count or above [`MAX_SHARDS`] is refused before any barrier is sent.
     /// A worker lost mid-migration is fatal ([`ClusterError::WorkerLost`]):
     /// a survivor blocked in an install cannot take a rollback.
     pub fn repartition(&mut self, new_shards: usize) -> Result<MigrationStats, ClusterError> {
         check_layout(self.opts.workers, new_shards)?;
         let t0 = Instant::now();
-        // A migration's nonce is its epoch.
         let epoch = self.map.epoch + 1;
-        self.barrier(0..self.links.len(), &Frame::MigrateBegin { epoch, nonce: epoch }, epoch)?;
-        let (records, t_drained) = self.cut(epoch)?;
+        let nonce = barrier_nonce(Op::Migrate, epoch);
+        self.barrier(0..self.links.len(), nonce)?;
+        let (records, t_drained) = self.cut(nonce)?;
         let records_moved = records.iter().map(|r| r.records.len() as u64).sum();
         let t_exported = Instant::now();
         self.install(new_shards, records)?;
@@ -1272,8 +1264,8 @@ impl Cluster {
     /// exactly-once mechanism migration uses — so the snapshot is a
     /// consistent prefix of the run:
     ///
-    /// 1. **Barrier**: `Checkpoint { epoch, nonce }` arms every worker,
-    ///    and the barrier follows down both streams.
+    /// 1. **Barrier**: a barrier whose nonce names this checkpoint epoch
+    ///    goes down both streams of every worker.
     /// 2. **Cut**: the coordinator confirms `BarrierReached` and drains
     ///    each sink to its marker, so every pre-cut output is absorbed
     ///    (into the uncommitted buffer); workers export their post-purge
@@ -1283,8 +1275,8 @@ impl Cluster {
     /// 3. **Commit**: records + pending punctuations + input cursor are
     ///    written as one epoch (delta-encoded, CRC-guarded, atomically
     ///    published). Only then are withheld outputs released, the input
-    ///    replay log truncated, and `CheckpointDone` (with each worker's
-    ///    sink watermark, for history truncation) sent.
+    ///    replay log truncated, and each worker sent an `Ack` of what its
+    ///    sink delivered, so it frees that history.
     ///
     /// Returns the committed epoch.
     ///
@@ -1297,8 +1289,8 @@ impl Cluster {
         }
         self.supervised(|c| {
             let epoch = c.durable.as_ref().expect("checked on entry").next_epoch;
-            let nonce = CHECKPOINT_NONCE | epoch;
-            c.barrier(0..c.links.len(), &Frame::Checkpoint { epoch, nonce }, nonce)?;
+            let nonce = barrier_nonce(Op::Checkpoint, epoch);
+            c.barrier(0..c.links.len(), nonce)?;
             let (records, _) = c.cut(nonce)?;
             // Write the epoch, then commit its side effects.
             let meta = SnapshotMeta {
@@ -1318,8 +1310,9 @@ impl Cluster {
             d.checkpoints += 1;
             c.ready.append(&mut d.uncommitted);
             for link in &mut c.links {
-                let sink_watermark = link.sink.received();
-                link.send(&Frame::CheckpointDone { epoch, sink_watermark })?;
+                link.unacked = 0;
+                let up_to = link.sink.received();
+                link.send(&Frame::Ack { up_to })?;
             }
             Ok(epoch)
         })
@@ -1336,23 +1329,22 @@ impl Cluster {
         let d = self.durable.as_mut().expect("only a durable cluster recovers");
         let respawn = d.respawn.clone().expect("only a cluster with a respawn hook recovers");
         d.recoveries += 1;
-        let nonce = ROLLBACK_NONCE | d.recoveries;
+        let nonce = barrier_nonce(Op::Rollback, d.recoveries);
         let crashed_seq = self.next_seq;
         d.uncommitted.clear();
         let snap = d.store.latest_complete()?;
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
-        let epoch = self.map.epoch + 1;
+        let deadline = Instant::now() + CTRL_TIMEOUT;
         let survivors: Vec<usize> = (0..self.links.len()).filter(|&w| w != dead).collect();
 
         // 1. Roll back the survivors: barrier, then discard everything
         // still in flight — outputs, propagations, and any stale traffic
         // from a checkpoint the crash aborted. A second worker dying
         // during recovery is fatal (cluster v1).
-        self.barrier(survivors.iter().copied(), &Frame::Rollback { epoch, nonce }, nonce)?;
+        self.barrier(survivors.iter().copied(), nonce)?;
         for &w in &survivors {
-            // The control link is in order, and an aborted operation's
+            // The control link is in order, and an aborted checkpoint's
             // frames (its `BarrierReached`, its exported state) were sent
-            // before the rollback was armed: skip them.
+            // when its barrier crossed, before the rollback's: skip them.
             loop {
                 match self.recv_ctrl(w, deadline, "rollback BarrierReached")? {
                     Frame::BarrierReached { nonce: got } if got == nonce => break,
@@ -1383,9 +1375,11 @@ impl Cluster {
         self.links[dead] = link;
 
         // 3. Install the checkpoint into every worker (fresh map epoch;
-        // survivors unblock on commit), then re-inject its pending ones.
+        // survivors unblock on commit), probe the replacement's clock,
+        // then re-inject the checkpoint's pending punctuations.
         let (records, pending) = snap.map_or_else(Default::default, |s| (s.records, s.pending));
         self.install(self.map.shards(), records)?;
+        self.sync_clocks([dead])?;
         self.reinject(pending)?;
 
         // 4. Replay every input since the checkpoint, in push order and
@@ -1411,7 +1405,11 @@ impl Cluster {
     /// the input cursor the driver must re-feed its sources from.
     /// `Ok(None)` if the directory holds no complete epoch (nothing to
     /// restore — start from the beginning). Call after
-    /// [`accept_workers`](Cluster::accept_workers).
+    /// [`accept_workers`](Cluster::accept_workers). An epoch cut with
+    /// another worker count or under another join — other widths or join
+    /// attributes, or a config blob that does not decode — is refused
+    /// before anything is installed; the bucket count may differ, since
+    /// records are re-imported under any.
     pub fn restore_latest(&mut self) -> Result<Option<u64>, ClusterError> {
         let Some(d) = self.durable.as_mut() else {
             return Err(ClusterError::Protocol(
@@ -1425,6 +1423,18 @@ impl Cluster {
             return Err(ClusterError::Protocol(format!(
                 "checkpoint epoch {} was cut with {} workers, cluster has {}",
                 snap.epoch, snap.meta.workers, self.opts.workers
+            )));
+        }
+        let join = |s: &JoinSpec| (s.width_a, s.width_b, s.join_attr_a, s.join_attr_b);
+        let refused = match decode_config(&snap.meta.config_blob) {
+            Ok((cut, ..)) if join(&cut) == join(&self.opts.spec) => None,
+            Ok((cut, ..)) => Some(format!("under {cut:?}")),
+            Err(e) => Some(format!("under a config that does not decode ({e})")),
+        };
+        if let Some(cut) = refused {
+            return Err(ClusterError::Protocol(format!(
+                "checkpoint epoch {} was cut {cut}, cluster runs {:?}",
+                snap.epoch, self.opts.spec
             )));
         }
         d.next_epoch = snap.epoch + 1;
@@ -1457,7 +1467,7 @@ impl Cluster {
             c.pass()?;
             c.check_liveness()
         })?;
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        let deadline = Instant::now() + CTRL_TIMEOUT;
         let mut sender_reconnects = 0;
         for link in &mut self.links {
             link.senders(StreamSender::finish)?;

@@ -1,11 +1,11 @@
 //! The cluster-layer protocol: the join specification blob carried in
 //! `ShardMapUpdate`, the in-band barrier punctuations that coordinate
-//! repartitioning, and a small blocking control-plane connection over
-//! the shared [`Frame`] codec.
+//! repartitions, checkpoints and rollbacks, and a small blocking
+//! control-plane connection over the shared [`Frame`] codec.
 //!
 //! ## Barriers are punctuations
 //!
-//! A repartition barrier is an ordinary punctuation with
+//! A barrier is an ordinary punctuation with
 //! [`Pattern::Empty`] on the **join attribute** — a pattern that matches
 //! no value, so it closes nothing and would be inert through PJoin. It
 //! rides the data streams like any element: it is ordered behind every
@@ -14,6 +14,11 @@
 //! through a faulty link. Workers recognise it by shape and never feed
 //! it to their joins; the cluster layer reserves Empty-at-join-attr
 //! punctuations for itself.
+//!
+//! A barrier is the whole instruction: its timestamp carries a nonce
+//! whose top byte names the operation (`barrier_nonce` builds one,
+//! `barrier_op` reads it), so no control frame arms it and nothing
+//! races it on another connection.
 
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -31,7 +36,7 @@ use crate::error::ClusterError;
 /// Records per `MigrateState` frame on the wire.
 pub const MIGRATE_CHUNK: usize = 4096;
 
-/// Default deadline for any single control-plane exchange.
+/// Deadline for any single control-plane exchange, on either side.
 pub const CTRL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The cluster-wide join specification: everything a worker needs to
@@ -292,6 +297,47 @@ pub fn barrier_punct(spec: &JoinSpec, side: Side) -> Punctuation {
     Punctuation::on_attr(spec.side_width(side), spec.join_attr(side), Pattern::Empty)
 }
 
+/// The protocol step a barrier asks of each worker it crosses, named by
+/// the top byte of the barrier's nonce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    /// Export state, then wait for the install of the next epoch.
+    Migrate,
+    /// Export state and resume at once.
+    Checkpoint,
+    /// Export nothing; wait for the install of the restored epoch.
+    Rollback,
+}
+
+/// The nonce namespaces: the top byte names the operation, the low seven
+/// bytes count within it (a migration's epoch, a checkpoint's epoch, a
+/// recovery's ordinal).
+const MIGRATE_NONCE: u64 = 0;
+const CHECKPOINT_NONCE: u64 = 0x4B00_0000_0000_0000;
+const ROLLBACK_NONCE: u64 = 0x4C00_0000_0000_0000;
+const NAMESPACE: u64 = 0xFF00_0000_0000_0000;
+
+/// The nonce of the `n`-th barrier of `op`: its timestamp on the data
+/// streams, its sink marker's and its `BarrierReached`'s.
+pub(crate) fn barrier_nonce(op: Op, n: u64) -> u64 {
+    debug_assert_eq!(n & NAMESPACE, 0, "barrier counter {n} overflows its namespace");
+    n | match op {
+        Op::Migrate => MIGRATE_NONCE,
+        Op::Checkpoint => CHECKPOINT_NONCE,
+        Op::Rollback => ROLLBACK_NONCE,
+    }
+}
+
+/// The operation a barrier's nonce names.
+pub(crate) fn barrier_op(nonce: u64) -> Result<Op, ClusterError> {
+    match nonce & NAMESPACE {
+        MIGRATE_NONCE => Ok(Op::Migrate),
+        CHECKPOINT_NONCE => Ok(Op::Checkpoint),
+        ROLLBACK_NONCE => Ok(Op::Rollback),
+        _ => Err(ClusterError::Protocol(format!("barrier nonce {nonce:#x} names no operation"))),
+    }
+}
+
 /// Whether `p` is a cluster barrier (or sink marker): Empty on `attr`.
 pub fn is_barrier(p: &Punctuation, attr: usize) -> bool {
     matches!(p.pattern(attr), Some(Pattern::Empty))
@@ -474,5 +520,15 @@ mod tests {
         assert!(is_barrier(&marker, 0));
         // An ordinary closing punctuation is not a barrier.
         assert!(!is_barrier(&Punctuation::close_value(2, 0, 7i64), 0));
+    }
+
+    #[test]
+    fn a_barrier_nonce_names_its_operation() {
+        for op in [Op::Migrate, Op::Checkpoint, Op::Rollback] {
+            for n in [0, 1, 7, (1 << 56) - 1] {
+                assert_eq!(barrier_op(barrier_nonce(op, n)).expect("a named operation"), op);
+            }
+        }
+        assert!(matches!(barrier_op(0x4D00_0000_0000_0001), Err(ClusterError::Protocol(_))));
     }
 }

@@ -20,29 +20,30 @@
 //! message's outputs reach the sink as one append. The sink keeps those
 //! frames only until the coordinator has them: the coordinator, its only
 //! subscriber, sends [`Frame::Ack`]`{ up_to }` with its received count
-//! every few thousand elements, and the control reader answers at once
-//! with [`SinkServer::truncate_below`], as it answers a `CheckpointDone`
-//! watermark (the same received count). A subscriber only resumes from
-//! what it has received and a replacement worker starts with a fresh
-//! sink, so a worker's sink holds what is in flight, with or without
-//! durability ([`WorkerReport::sink_peak_retained`] records the peak).
+//! every few thousand elements and at every checkpoint commit, and the
+//! control reader answers at once with [`SinkServer::truncate_below`]. A
+//! subscriber only resumes from what it has received and a replacement
+//! worker starts with a fresh sink, so a worker's sink holds what is in
+//! flight, with or without durability
+//! ([`WorkerReport::sink_peak_retained`] records the peak).
 //!
 //! ## Barriers, from the worker's side
 //!
-//! * [`Frame::MigrateBegin`], [`Frame::Checkpoint`] and
-//!   [`Frame::Rollback`] arm one operation; its barrier rides the data
-//!   streams as an Empty-pattern punctuation (exactly-once, ordered
-//!   behind all earlier elements, even through a faulty link). A
-//!   rollback supersedes whatever is armed; arming anything else while
-//!   an operation is armed is a protocol error.
-//! * When **both** input streams have delivered the barrier, every
-//!   pre-barrier output is already published. The worker publishes the
-//!   sink marker stamped with the barrier's nonce — the coordinator
-//!   drains the sink up to the marker naming the barrier it awaits —
-//!   sends [`Frame::BarrierReached`] and, for a migration or checkpoint,
-//!   exports the join's state as [`Frame::MigrateState`] chunks, one
-//!   section per owned global shard and side; a checkpoint resumes at
-//!   once, a migration or rollback blocks until its install commits.
+//! * A barrier rides the data streams as an Empty-pattern punctuation
+//!   (exactly-once, ordered behind all earlier elements, even through a
+//!   faulty link), and its timestamp is a nonce whose namespace names
+//!   the operation: a migration, a checkpoint or a rollback. No control
+//!   frame announces it.
+//! * The worker acts on a barrier when its second side arrives, right
+//!   after the message that carried it, and on several in the order they
+//!   crossed. Every pre-barrier output is already published by then. The
+//!   worker publishes the sink marker stamped with the barrier's nonce —
+//!   the coordinator drains the sink up to the marker naming the barrier
+//!   it awaits — sends [`Frame::BarrierReached`] and, for a migration or
+//!   checkpoint, exports the join's state as [`Frame::MigrateState`]
+//!   chunks, one section per owned global shard and side. A checkpoint
+//!   resumes at once; a migration or rollback blocks until the
+//!   [`Frame::MigrateCommit`] that activates its install.
 //! * Every install, the initial epoch's included, is
 //!   [`Frame::ShardMapUpdate`] (stage a fresh join),
 //!   [`Frame::MigrateState`] (import records without probing — their
@@ -76,8 +77,8 @@ use stream_sim::{BinaryStreamOp, Drained, OpOutput, Side};
 
 use crate::error::ClusterError;
 use crate::protocol::{
-    decode_config, is_barrier, side_from_index, side_index, sink_marker, CtrlConn,
-    HeartbeatSettings, JoinSpec, TelemetrySettings, MIGRATE_CHUNK,
+    barrier_op, decode_config, is_barrier, side_from_index, side_index, sink_marker, CtrlConn,
+    HeartbeatSettings, JoinSpec, Op, TelemetrySettings, CTRL_TIMEOUT, MIGRATE_CHUNK,
 };
 
 /// How a worker process is wired into the cluster.
@@ -87,24 +88,12 @@ pub struct WorkerOptions {
     pub worker: u32,
     /// The coordinator's control-plane address.
     pub coordinator: SocketAddr,
-    /// Ingest (data-plane in) server options.
-    pub ingest: IngestOptions,
-    /// Sink (data-plane out) server options.
-    pub sink: SinkOptions,
-    /// Deadline for any single control-plane exchange.
-    pub ctrl_timeout: Duration,
 }
 
 impl WorkerOptions {
-    /// Default wiring for worker `worker` joining `coordinator`.
+    /// Worker `worker` joining `coordinator`.
     pub fn new(worker: u32, coordinator: SocketAddr) -> WorkerOptions {
-        WorkerOptions {
-            worker,
-            coordinator,
-            ingest: IngestOptions::default(),
-            sink: SinkOptions::default(),
-            ctrl_timeout: crate::protocol::CTRL_TIMEOUT,
-        }
+        WorkerOptions { worker, coordinator }
     }
 }
 
@@ -170,11 +159,11 @@ impl IngestEvent for Event {
 fn read_ctrl(mut link: CtrlConn, events: Sender<Event>, sink: Arc<SinkServer>) {
     loop {
         let event = match link.recv() {
-            Ok(Frame::Ack { up_to } | Frame::CheckpointDone { sink_watermark: up_to, .. }) => {
+            Ok(Frame::Ack { up_to }) => {
                 // The coordinator has received everything below `up_to`
                 // and never resumes below what it has received. Handled
-                // here, a `CheckpointDone` cannot queue behind the
-                // stream ends and reach the worker after its close.
+                // here, a commit's ack cannot queue behind the stream
+                // ends and reach the worker after its close.
                 sink.truncate_below(up_to);
                 continue;
             }
@@ -186,15 +175,6 @@ fn read_ctrl(mut link: CtrlConn, events: Sender<Event>, sink: Arc<SinkServer>) {
             return;
         }
     }
-}
-
-/// The protocol step an arm frame announces, fired when its barrier has
-/// crossed both input streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Migrate,
-    Checkpoint,
-    Rollback,
 }
 
 /// A shard-map epoch as this worker hosts it: the map and one join over
@@ -211,7 +191,6 @@ struct Epoch {
 }
 
 struct Worker {
-    opts: WorkerOptions,
     /// Shared with the control reader, which applies acks to it.
     sink: Arc<SinkServer>,
     spec: Option<JoinSpec>,
@@ -222,16 +201,12 @@ struct Worker {
     epoch_start: (u64, u64),
     clock: Timestamp,
     staged: Option<Epoch>,
-    /// The armed operation and the nonce its barrier carries.
-    armed: Option<(Op, u64)>,
-    /// Barrier crossings seen on [left, right], keyed by the nonce the
-    /// barrier's timestamp carries. The arm frame (ctrl plane) and the
-    /// barrier (data plane) travel on separate connections, so either
-    /// may arrive first; keying by nonce pairs each crossing with the
-    /// right protocol step, and leaves a crossing whose operation was
-    /// aborted (checkpoint superseded by a rollback) inert until the
-    /// next commit clears it.
+    /// Barriers seen on one input stream only, by nonce: which of [left,
+    /// right] delivered them.
     barriers: HashMap<u64, [bool; 2]>,
+    /// Nonces of the barriers that crossed both input streams and await
+    /// their step, in the order they crossed.
+    crossed: VecDeque<u64>,
     /// Which of [left, right] input streams have ended.
     ended: [bool; 2],
     /// The join's output collector: one for the worker's lifetime, so
@@ -278,10 +253,10 @@ struct Worker {
 /// remaining output (including end-of-stream punctuation flushes) is
 /// published to the sink.
 pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
-    let (events_tx, events) = bounded(opts.ingest.channel_capacity.max(1));
-    let server =
-        IngestServer::bind_into(&[Side::Left, Side::Right], opts.ingest, events_tx.clone())?;
-    let sink = Arc::new(SinkServer::bind(opts.sink)?);
+    let ingest = IngestOptions::default();
+    let (events_tx, events) = bounded(ingest.channel_capacity);
+    let server = IngestServer::bind_into(&[Side::Left, Side::Right], ingest, events_tx.clone())?;
+    let sink = Arc::new(SinkServer::bind(SinkOptions::default())?);
     let mut ctrl = CtrlConn::connect(opts.coordinator)?;
     ctrl.send(&Frame::JoinCluster {
         wire_version: WIRE_VERSION,
@@ -299,9 +274,7 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
             .spawn(move || read_ctrl(link, events_tx, sink))?
     };
 
-    let worker_idx = opts.worker;
     let mut w = Worker {
-        opts,
         frames: sink.encoder(),
         sink,
         spec: None,
@@ -310,14 +283,14 @@ pub fn run_worker(opts: WorkerOptions) -> Result<WorkerReport, ClusterError> {
         epoch_start: (0, 0),
         clock: Timestamp(0),
         staged: None,
-        armed: None,
         barriers: HashMap::new(),
+        crossed: VecDeque::new(),
         ended: [false, false],
         out: OpOutput::new(),
         heartbeat: HeartbeatSettings::disabled(),
         beat_seq: 0,
         last_beat: Instant::now(),
-        report: WorkerReport { worker: worker_idx, ..WorkerReport::default() },
+        report: WorkerReport { worker: opts.worker, ..WorkerReport::default() },
         telemetry: TelemetrySettings::disabled(),
         report_seq: 0,
         last_report: Instant::now(),
@@ -343,8 +316,9 @@ impl Worker {
         events: &Receiver<Event>,
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
-        // Until both streams ended with no protocol step in flight.
-        while !(self.ended == [true, true] && self.armed.is_none()) {
+        // Until both streams ended; a barrier's step runs within the turn
+        // its crossing completes, so none is left queued when they have.
+        while self.ended != [true, true] {
             // The one wait: woken by an element, a control frame or a
             // stream end; the timeout is the next beacon falling due.
             let event = match self.next_beacon() {
@@ -360,21 +334,16 @@ impl Worker {
                 }
             };
             if let Some(event) = event {
-                self.handle_event(event, ctrl)?;
+                self.handle_event(event, events, ctrl)?;
                 // Take what else is queued without going back to sleep —
                 // but only so much, so that a stream that never lets up
                 // cannot keep the beacons below from going out.
                 for _ in 0..BURST {
                     match events.try_recv() {
-                        Ok(next) => self.handle_event(next, ctrl)?,
+                        Ok(next) => self.handle_event(next, events, ctrl)?,
                         Err(_) => break,
                     }
                 }
-            }
-            let crossed = self.armed.filter(|(_, n)| self.barriers.get(n) == Some(&[true, true]));
-            if let Some((op, nonce)) = crossed {
-                self.barriers.remove(&nonce);
-                self.on_barrier(op, nonce, events, ctrl)?;
             }
             if self.heartbeat_due().is_some_and(|due| Instant::now() >= due) {
                 ctrl.send(&Frame::Heartbeat { seq: self.beat_seq })?;
@@ -411,9 +380,22 @@ impl Worker {
         }
     }
 
-    fn handle_event(&mut self, event: Event, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
+    /// Handles one event; a data message that completes barrier
+    /// crossings is followed by their steps, in crossing order.
+    fn handle_event(
+        &mut self,
+        event: Event,
+        events: &Receiver<Event>,
+        ctrl: &mut CtrlConn,
+    ) -> Result<(), ClusterError> {
         match event {
-            Event::Data(msg) => self.handle_msg(msg),
+            Event::Data(msg) => {
+                self.handle_msg(msg)?;
+                while let Some(nonce) = self.crossed.pop_front() {
+                    self.on_barrier(nonce, events, ctrl)?;
+                }
+                Ok(())
+            }
             Event::End(side) => {
                 self.ended[usize::from(side_index(side))] = true;
                 Ok(())
@@ -473,7 +455,7 @@ impl Worker {
         // hang-up would drop the `SinkServer` (stopping its accept loop)
         // under a subscriber that is still draining — or has yet to
         // connect at all.
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
+        let deadline = Instant::now() + CTRL_TIMEOUT;
         match self.next_ctrl(events, deadline, "coordinator hang-up after stream end") {
             Ok(frame) => Err(ClusterError::Protocol(format!(
                 "worker {}: unexpected control frame after close: {frame:?}",
@@ -519,8 +501,13 @@ impl Worker {
         // a stream time, so they must not advance the worker clock.
         if let (StreamElement::Punctuation(p), Some(spec)) = (&element.item, &self.spec) {
             if p.width() == spec.side_width(side) && is_barrier(p, spec.join_attr(side)) {
-                let crossed = self.barriers.entry(element.ts.0).or_insert([false, false]);
-                crossed[usize::from(side_index(side))] = true;
+                let nonce = element.ts.0;
+                let seen = self.barriers.entry(nonce).or_insert([false, false]);
+                seen[usize::from(side_index(side))] = true;
+                if *seen == [true, true] {
+                    self.barriers.remove(&nonce);
+                    self.crossed.push_back(nonce);
+                }
                 return Ok(());
             }
         }
@@ -615,27 +602,28 @@ impl Worker {
         self.telemetry.enabled && self.telemetry.trace
     }
 
-    /// The armed operation's barrier crossed both input streams. Every
-    /// pre-barrier output is already in the sink (single-threaded,
-    /// in-order), so the marker published here — at `Timestamp(nonce)`,
-    /// as the barrier itself was — cleanly separates the cut for the
-    /// coordinator's drain, which stops at the marker naming its own
-    /// barrier. A migration or checkpoint exports
+    /// The barrier carrying `nonce` crossed both input streams: the step
+    /// its nonce names runs. Every pre-barrier output is already in the
+    /// sink (single-threaded, in-order), so the marker published here —
+    /// at `Timestamp(nonce)`, as the barrier itself was — cleanly
+    /// separates the cut for the coordinator's drain, which stops at the
+    /// marker naming its own barrier. A migration or checkpoint exports
     /// the join's post-purge state; a checkpoint then resumes at once
     /// (the snapshot is a passive copy: the join keeps running), while a
-    /// migration or rollback blocks until its install commits. A
-    /// rollback exports nothing: its live state is condemned, and the
-    /// coordinator restores every worker from the durable store.
+    /// migration or rollback blocks until the commit that activates its
+    /// install. A rollback exports nothing: its live state is condemned,
+    /// and the coordinator restores every worker from the durable store.
+    /// A checkpoint whose cut a crash aborted still exports; the
+    /// coordinator skips that export on its way to the rollback's
+    /// `BarrierReached`.
     fn on_barrier(
         &mut self,
-        op: Op,
         nonce: u64,
         events: &Receiver<Event>,
         ctrl: &mut CtrlConn,
     ) -> Result<(), ClusterError> {
-        let Some(spec) = &self.spec else {
-            return Err(ClusterError::Protocol("barrier before the initial shard map".into()));
-        };
+        let op = barrier_op(nonce)?;
+        let spec = self.spec.as_ref().expect("barriers are recognised under a spec only");
         self.sink.publish(Timestamped::new(Timestamp(nonce), sink_marker(spec).into()));
         self.note_retained();
         ctrl.send(&Frame::BarrierReached { nonce })?;
@@ -643,13 +631,16 @@ impl Worker {
             self.export_state(ctrl)?;
         }
         if op == Op::Checkpoint {
-            self.armed = None;
             return Ok(());
         }
-        let deadline = Instant::now() + self.opts.ctrl_timeout;
-        while self.armed.is_some() {
+        let deadline = Instant::now() + CTRL_TIMEOUT;
+        loop {
             let frame = self.next_ctrl(events, deadline, "install")?;
+            let commit = matches!(frame, Frame::MigrateCommit { .. });
             self.handle_ctrl(frame, ctrl)?;
+            if commit {
+                break;
+            }
         }
         if op == Op::Migrate {
             self.report.migrations += 1;
@@ -747,20 +738,6 @@ impl Worker {
         ctrl.send(&Frame::Telemetry { payload: TelemetryMsg::Report(Box::new(report)).encode() })
     }
 
-    /// Arms `op`. A rollback condemns the live state, so it supersedes
-    /// whatever is armed (an aborted checkpoint's barrier, if already in
-    /// flight, stays inert in `barriers` until the commit clears it);
-    /// anything else armed over a pending operation is a protocol error.
-    fn arm(&mut self, op: Op, nonce: u64) -> Result<(), ClusterError> {
-        if let Some((pending, _)) = self.armed.filter(|_| op != Op::Rollback) {
-            return Err(ClusterError::Protocol(format!(
-                "{op:?} armed while a {pending:?} is in flight"
-            )));
-        }
-        self.armed = Some((op, nonce));
-        Ok(())
-    }
-
     fn handle_ctrl(&mut self, frame: Frame, ctrl: &mut CtrlConn) -> Result<(), ClusterError> {
         match frame {
             Frame::ShardMapUpdate { worker, map, config } => {
@@ -850,17 +827,9 @@ impl Worker {
                 // with it; the coordinator re-injects them, and their new
                 // copies open new lifecycle records.
                 self.unpropagated.clear();
-                // Crossings recorded for superseded operations (e.g. a
-                // checkpoint aborted by the rollback this commit
-                // completes) are pre-commit history: clear them.
-                self.barriers.clear();
-                self.armed = None;
                 ctrl.send(&Frame::MigrateCommit { epoch })?;
                 Ok(())
             }
-            Frame::MigrateBegin { nonce, .. } => self.arm(Op::Migrate, nonce),
-            Frame::Checkpoint { nonce, .. } => self.arm(Op::Checkpoint, nonce),
-            Frame::Rollback { nonce, .. } => self.arm(Op::Rollback, nonce),
             Frame::Telemetry { payload } => {
                 let msg = TelemetryMsg::decode(&payload).map_err(|e| {
                     ClusterError::Protocol(format!(

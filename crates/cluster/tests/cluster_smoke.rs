@@ -3,12 +3,11 @@
 //! errors. The full multi-process gate lives in `cluster_equivalence`.
 
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use pjoin::PJoin;
 use punct_cluster::{
-    run_worker, Cluster, ClusterOptions, DurabilityOptions, JoinSpec, TelemetrySettings,
-    WorkerOptions, WorkerReport,
+    run_worker, Cluster, ClusterError, ClusterOptions, DurabilityOptions, JoinSpec,
+    TelemetrySettings, WorkerOptions, WorkerReport,
 };
 use punct_durable::CheckpointStore;
 use punct_types::{
@@ -18,20 +17,14 @@ use punct_types::{
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, interleave_sides, PunctScheme, StreamConfig};
 
-fn start(
-    opts: ClusterOptions,
-) -> (Cluster, Vec<JoinHandle<Result<WorkerReport, punct_cluster::ClusterError>>>) {
+type Workers = Vec<JoinHandle<Result<WorkerReport, ClusterError>>>;
+
+fn start(opts: ClusterOptions) -> (Cluster, Workers) {
     let workers = opts.workers as u32;
     let mut cluster = Cluster::bind(opts).expect("bind");
     let ctrl = cluster.ctrl_addr();
     let handles: Vec<_> = (0..workers)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let mut w = WorkerOptions::new(i, ctrl);
-                w.ctrl_timeout = Duration::from_secs(20);
-                run_worker(w)
-            })
-        })
+        .map(|i| std::thread::spawn(move || run_worker(WorkerOptions::new(i, ctrl))))
         .collect();
     cluster.accept_workers().expect("assemble");
     (cluster, handles)
@@ -420,4 +413,47 @@ fn a_cut_after_a_resize_restores_into_the_original_shard_count() {
         multiset(reference),
         "committed phase-1 outputs plus phase-2 outputs must equal one uninterrupted PJoin"
     );
+}
+
+fn join_all(workers: Workers) {
+    for w in workers {
+        w.join().expect("worker thread").expect("worker ok");
+    }
+}
+
+/// A checkpoint restores only into the join it was cut under: the same
+/// widths and join attributes with another bucket count restore, while
+/// another width is refused before anything is installed, and the
+/// refused cluster still runs to its end.
+#[test]
+fn restore_refuses_a_checkpoint_cut_under_another_join() {
+    let dir = std::env::temp_dir().join(format!("pjoin_smoke_refuse_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = |spec: JoinSpec| {
+        let mut opts = ClusterOptions::new(spec, 2, 2);
+        opts.durability = DurabilityOptions::at(&dir);
+        opts
+    };
+    let (mut cluster, handles) = start(durable(JoinSpec::new(2, 2)));
+    for k in 0..8i64 {
+        cluster.push_tuple(Side::Left, k as u64, Tuple::of((k, 10 * k))).expect("push");
+    }
+    cluster.checkpoint().expect("checkpoint");
+    cluster.finish().expect("finish");
+    join_all(handles);
+
+    let mut rebucketed = JoinSpec::new(2, 2);
+    rebucketed.buckets = 16;
+    let (mut cluster, handles) = start(durable(rebucketed));
+    assert_eq!(cluster.restore_latest().expect("restore under another bucket count"), Some(8));
+    cluster.finish().expect("finish");
+    join_all(handles);
+
+    let (mut cluster, handles) = start(durable(JoinSpec::new(3, 2)));
+    let refused = cluster.restore_latest();
+    assert!(matches!(refused, Err(ClusterError::Protocol(_))), "{refused:?}");
+    let report = cluster.finish().expect("the refused cluster finishes");
+    assert!(report.outputs.is_empty(), "nothing was restored");
+    join_all(handles);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,9 @@
 //!
 //! Workers run as threads (the worker loop is self-contained); the
 //! control-latency gate plays the coordinator's side of the control
-//! protocol by hand so it can time single frames.
+//! protocol by hand so it can time single frames, and so does the gate
+//! that a barrier alone, with no control frame, sets a worker's step
+//! going.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -15,8 +17,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use punct_cluster::{
-    encode_config, run_worker, Cluster, ClusterError, ClusterOptions, CtrlConn,
-    HeartbeatSettings, JoinSpec, TelemetrySettings, WorkerOptions, WorkerReport,
+    barrier_punct, encode_config, is_barrier, run_worker, Cluster, ClusterError, ClusterOptions,
+    CtrlConn, HeartbeatSettings, JoinSpec, TelemetrySettings, WorkerOptions, WorkerReport,
 };
 use punct_net::{
     encode_frame, ClientOptions, Frame, FrameBuffer, IngestOptions, IngestServer, SinkOptions,
@@ -26,7 +28,8 @@ use punct_trace::{wall_now_ns, TelemetryMsg};
 use punct_types::{ShardMap, StreamElement, Timestamp, Timestamped, Tuple};
 use stream_sim::Side;
 
-type Workers = Vec<JoinHandle<Result<WorkerReport, ClusterError>>>;
+type Worker = JoinHandle<Result<WorkerReport, ClusterError>>;
+type Workers = Vec<Worker>;
 
 fn start(workers: usize) -> (Cluster, Workers) {
     let mut cluster =
@@ -198,12 +201,12 @@ fn probe(ctrl: &mut CtrlConn, n: u32) -> Duration {
     sent.elapsed()
 }
 
-/// A worker answers a control frame at once, whether it is idle or in
-/// the middle of a data stream: control frames and elements wake the
-/// same wait, so neither queues behind the other's timer.
-#[test]
-fn worker_answers_control_frames_promptly() {
-    let spec = JoinSpec::new(2, 2);
+/// A worker thread with the coordinator's side played by hand: the
+/// handshake, then the initial map (epoch 1, one shard) installed and
+/// committed with telemetry and heartbeats off, so the control link
+/// carries only what the caller sends and what answers it. Returns the
+/// worker, its control link and its ingest and sink addresses.
+fn hand_played_worker(spec: &JoinSpec) -> (Worker, CtrlConn, SocketAddr, SocketAddr) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind control endpoint");
     let addr = listener.local_addr().expect("control addr");
     let worker = std::thread::spawn(move || run_worker(WorkerOptions::new(0, addr)));
@@ -217,10 +220,8 @@ fn worker_answers_control_frames_promptly() {
         ),
         other => panic!("expected JoinCluster, got {other:?}"),
     };
-    // Telemetry and heartbeats off: the only frames on the link are the
-    // probes and their acks.
     let config =
-        encode_config(&spec, &TelemetrySettings::disabled(), &HeartbeatSettings::disabled());
+        encode_config(spec, &TelemetrySettings::disabled(), &HeartbeatSettings::disabled());
     ctrl.send(&Frame::ShardMapUpdate { worker: 0, map: ShardMap::round_robin(1, 1, 1), config })
         .expect("shard map");
     ctrl.send(&Frame::MigrateCommit { epoch: 1 }).expect("commit");
@@ -228,7 +229,16 @@ fn worker_answers_control_frames_promptly() {
         Frame::MigrateCommit { epoch: 1 } => {}
         other => panic!("expected the commit echo, got {other:?}"),
     }
+    (worker, ctrl, ingest, sink)
+}
 
+/// A worker answers a control frame at once, whether it is idle or in
+/// the middle of a data stream: control frames and elements wake the
+/// same wait, so neither queues behind the other's timer.
+#[test]
+fn worker_answers_control_frames_promptly() {
+    let spec = JoinSpec::new(2, 2);
+    let (worker, mut ctrl, ingest, sink) = hand_played_worker(&spec);
     let idle = median((0..40).map(|n| probe(&mut ctrl, n)).collect());
     assert!(idle <= Duration::from_millis(2), "idle control round trip took {idle:?}");
 
@@ -274,4 +284,65 @@ fn worker_answers_control_frames_promptly() {
     drop(ctrl);
     let report = worker.join().expect("worker thread").expect("worker ok");
     assert_eq!(report.elements, 6_400);
+}
+
+/// A checkpoint barrier's nonce: namespace `0x4B` in the top byte (the
+/// layout `protocol.rs` owns), epoch 1 below it.
+const CHECKPOINT_NONCE: u64 = 0x4B00_0000_0000_0001;
+
+/// A barrier is the whole instruction: one whose nonce names a
+/// checkpoint, pushed down both streams with no control frame, makes the
+/// worker publish its sink marker, send `BarrierReached` and export its
+/// state, then resume.
+#[test]
+fn a_checkpoint_barrier_needs_no_control_frame() {
+    let spec = JoinSpec::new(2, 2);
+    let (worker, mut ctrl, ingest, sink) = hand_played_worker(&spec);
+    let sender = |stream, side| {
+        StreamSender::new(ingest, stream, side, spec.side_schema(side), ClientOptions::default())
+    };
+    let (mut left, mut right) = (sender(0, Side::Left), sender(1, Side::Right));
+    let tuple = StreamElement::Tuple(Tuple::of((1i64, 10i64)));
+    left.push(Timestamped::new(Timestamp(1), tuple)).expect("push");
+    for (stream, side) in [(&mut left, Side::Left), (&mut right, Side::Right)] {
+        let barrier = StreamElement::Punctuation(barrier_punct(&spec, side));
+        stream.push(Timestamped::new(Timestamp(CHECKPOINT_NONCE), barrier)).expect("barrier");
+        stream.flush().expect("flush");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    match ctrl.recv_deadline(deadline, "BarrierReached").expect("the crossing is acted on") {
+        Frame::BarrierReached { nonce } => assert_eq!(nonce, CHECKPOINT_NONCE),
+        other => panic!("expected BarrierReached, got {other:?}"),
+    }
+    let mut exported = 0;
+    loop {
+        match ctrl.recv_deadline(deadline, "exported state").expect("the export") {
+            Frame::MigrateState { records, .. } => exported += records.len() as u64,
+            Frame::MigrateStateDone { records } => {
+                assert_eq!(records, exported, "the checksum counts the chunks");
+                break;
+            }
+            other => panic!("expected exported state, got {other:?}"),
+        }
+    }
+    assert_eq!(exported, 1, "the one stored tuple is exported");
+
+    // A checkpoint resumes at once: the streams end, and the sink holds
+    // the marker stamped with the barrier's nonce and nothing else.
+    left.finish().expect("finish left");
+    right.finish().expect("finish right");
+    let mut outputs = SinkSubscriber::new(sink);
+    let mut published = Vec::new();
+    while !outputs.finished() {
+        published.extend(outputs.next(Duration::from_secs(5)).expect("sink"));
+    }
+    assert_eq!(published.len(), 1, "{published:?}");
+    assert_eq!(published[0].ts, Timestamp(CHECKPOINT_NONCE));
+    assert!(
+        matches!(&published[0].item, StreamElement::Punctuation(p) if is_barrier(p, 0)),
+        "{published:?}"
+    );
+    drop(ctrl);
+    let report = worker.join().expect("worker thread").expect("worker ok");
+    assert_eq!(report.records_exported, 1);
 }

@@ -8,13 +8,16 @@
 //! proxies on every worker's ingest path, and with the kill landing just
 //! before a checkpoint, so the crash aborts the cut and the survivor's
 //! sink and control link hold that checkpoint's marker, `BarrierReached`
-//! and exported state ahead of the rollback's. Two more schedules: the
+//! and exported state ahead of the rollback's. Three more schedules: the
 //! kill lands after the last push and poll, so only `finish` can notice
-//! it; and a reserved punctuation is refused mid-stream before the kill,
-//! so the replay must not meet it again. The run's own telemetry
-//! artifact must pass the exactly-once audit too: a punctuation keeps its
-//! sequence number through the rollback, so the replay re-routes the
-//! spans the crash left open instead of opening new ones.
+//! it; a reserved punctuation is refused mid-stream before the kill, so
+//! the replay must not meet it again; and worker 1 is SIGSTOPped instead,
+//! its sockets left open, so only a missed heartbeat can show it is
+//! gone. The replacement's clock is probed, as at assembly. The run's
+//! own telemetry artifact must pass the exactly-once audit too: a
+//! punctuation keeps its sequence number through the rollback, so the
+//! replay re-routes the spans the crash left open instead of opening new
+//! ones.
 //!
 //! A last test pins the inverse invariant: with durability disabled
 //! the coordinator ships zero checkpoint frames and writes nothing to
@@ -121,6 +124,19 @@ fn spawn_worker(ctrl: std::net::SocketAddr, idx: u32) -> Child {
         .expect("spawn punct-worker")
 }
 
+/// Worker processes, killed and reaped on drop, so a gate that fails
+/// leaves no stopped worker behind.
+struct Children(Vec<Child>);
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 fn wait_worker(mut child: Child, who: &str) {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -146,26 +162,66 @@ fn ckpt_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Where in the workload worker 1 is SIGKILLed, as `(numerator,
+/// How worker 1 is lost, and where in the workload, as `(numerator,
 /// denominator)` of its length.
-type KillAt = (usize, usize);
+#[derive(Debug, Clone, Copy)]
+enum Loss {
+    /// SIGKILL: its sockets close, so the next call on its links fails.
+    Kill(usize, usize),
+    /// SIGSTOP: its sockets stay open and it falls silent. The gate then
+    /// polls, pushing nothing, for twice the heartbeat deadline, so only
+    /// a missed heartbeat can detect the hang.
+    Hang(usize, usize),
+}
 
 /// Mid-stream, between the two checkpoints.
-const KILL_MID_STREAM: KillAt = (11, 20);
+const KILL_MID_STREAM: Loss = Loss::Kill(11, 20);
 
 /// Immediately before the second checkpoint (cut at four fifths).
-const KILL_BEFORE_SECOND_CHECKPOINT: KillAt = (4, 5);
+const KILL_BEFORE_SECOND_CHECKPOINT: Loss = Loss::Kill(4, 5);
 
 /// After the last push and the last poll: only `finish` can notice.
-const KILL_AFTER_LAST_POLL: KillAt = (1, 1);
+const KILL_AFTER_LAST_POLL: Loss = Loss::Kill(1, 1);
+
+/// Mid-stream, between the two checkpoints, hung instead of killed.
+const HANG_MID_STREAM: Loss = Loss::Hang(11, 20);
+
+/// The heartbeat deadline of a recoverable cluster: a beacon every
+/// 100 ms, ten missed (`HEARTBEAT` in `coordinator.rs`).
+const HEARTBEAT_DEADLINE: Duration = Duration::from_secs(1);
+
+/// Loses worker 1 (`victim`) as `loss` says, polling `cluster` into
+/// `outputs` through a hang.
+fn lose_worker_1(
+    loss: Loss,
+    victim: &mut Child,
+    cluster: &mut Cluster,
+    outputs: &mut Vec<Timestamped<StreamElement>>,
+) {
+    match loss {
+        Loss::Kill(..) => {
+            victim.kill().expect("SIGKILL worker 1");
+            victim.wait().expect("reap killed worker");
+        }
+        Loss::Hang(..) => {
+            let pid = victim.id().to_string();
+            let stopped = Command::new("kill").args(["-STOP", &pid]).status().expect("run kill");
+            assert!(stopped.success(), "SIGSTOP worker 1: {stopped}");
+            let until = Instant::now() + 2 * HEARTBEAT_DEADLINE;
+            while Instant::now() < until {
+                outputs.extend(cluster.poll_outputs().expect("poll through the hang"));
+            }
+        }
+    }
+}
 
 /// Drives the crash gate: a 2-worker process cluster with durability on,
-/// checkpoints cut at one third and four fifths, worker 1 SIGKILLed at
-/// `kill`, and a respawned replacement recovered from disk. With
+/// checkpoints cut at one third and four fifths, worker 1 lost as `loss`
+/// says, and a respawned replacement recovered from disk. With
 /// `refuse_at_half`, a reserved barrier punctuation is pushed at half the
 /// stream and must be refused. Compares multisets against the
 /// uninterrupted single-threaded reference.
-fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt, refuse_at_half: bool) {
+fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, loss: Loss, refuse_at_half: bool) {
     let work = workload(60);
     let (want_tuples, want_puncts) = reference(&work);
     let dir = ckpt_dir(tag);
@@ -178,28 +234,24 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt, refuse_at
     };
     opts.fault = fault;
     opts.durability = DurabilityOptions::at(&dir);
-    let respawned: Arc<Mutex<Vec<Child>>> = Arc::new(Mutex::new(Vec::new()));
+    let respawned = Arc::new(Mutex::new(Children(Vec::new())));
     let stash = Arc::clone(&respawned);
     opts.durability.respawn = Some(Arc::new(move |idx, ctrl| {
-        stash.lock().unwrap().push(spawn_worker(ctrl, idx as u32));
+        stash.lock().unwrap().0.push(spawn_worker(ctrl, idx as u32));
         Ok(())
     }));
     let mut cluster = Cluster::bind(opts).expect("bind coordinator");
     let ctrl = cluster.ctrl_addr();
-    let mut children: Vec<Child> = (0..2).map(|i| spawn_worker(ctrl, i)).collect();
+    let mut children = Children((0..2).map(|i| spawn_worker(ctrl, i)).collect());
     cluster.accept_workers().expect("assemble cluster");
 
     let checkpoint_at = [work.len() / 3, 4 * work.len() / 5];
-    let kill_at = kill.0 * work.len() / kill.1;
-    let kill_worker_1 = |children: &mut Vec<Child>| {
-        let victim = &mut children[1];
-        victim.kill().expect("SIGKILL worker 1");
-        victim.wait().expect("reap killed worker");
-    };
+    let (Loss::Kill(n, d) | Loss::Hang(n, d)) = loss;
+    let lose_at = n * work.len() / d;
     let mut outputs: Vec<Timestamped<StreamElement>> = Vec::new();
     for (i, (side, ts, el)) in work.iter().enumerate() {
-        if i == kill_at {
-            kill_worker_1(&mut children);
+        if i == lose_at {
+            lose_worker_1(loss, &mut children.0[1], &mut cluster, &mut outputs);
         }
         if checkpoint_at.contains(&i) {
             cluster.checkpoint().expect("checkpoint");
@@ -217,10 +269,14 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt, refuse_at
         }
     }
     outputs.extend(cluster.poll_outputs().expect("poll"));
-    if kill_at == work.len() {
-        kill_worker_1(&mut children);
+    if lose_at == work.len() {
+        lose_worker_1(loss, &mut children.0[1], &mut cluster, &mut outputs);
     }
     let report = cluster.finish().expect("finish cluster");
+    if let Loss::Hang(..) = loss {
+        children.0[1].kill().expect("SIGKILL the stopped worker 1");
+        children.0[1].wait().expect("reap the stopped worker 1");
+    }
     outputs.extend(report.outputs);
     let puncts_pushed =
         work.iter().filter(|(_, _, el)| matches!(el, StreamElement::Punctuation(_))).count();
@@ -229,9 +285,10 @@ fn run_crash_gate(tag: &str, fault: Option<FaultConfig>, kill: KillAt, refuse_at
 
     assert_eq!(report.checkpoints, 2, "both explicit cuts must have committed");
     assert_eq!(report.recoveries, 1, "exactly one crash recovery must have run");
-    let replacements = std::mem::take(&mut *respawned.lock().unwrap());
+    assert!(report.telemetry.clock(1).samples() > 0, "the replacement's clock was probed");
+    let replacements = std::mem::take(&mut respawned.lock().unwrap().0);
     assert_eq!(replacements.len(), 1, "the respawn hook must have run once");
-    wait_worker(children.remove(0), "surviving worker 0");
+    wait_worker(children.0.remove(0), "surviving worker 0");
     for (i, child) in replacements.into_iter().enumerate() {
         wait_worker(child, &format!("replacement worker {i}"));
     }
@@ -283,6 +340,13 @@ fn a_refused_reserved_punctuation_is_not_replayed_by_recovery() {
     // The refusal happens before the input log sees the punctuation, so
     // the replay after the kill routes only what was accepted.
     run_crash_gate("refused_reserved", None, KILL_MID_STREAM, true);
+}
+
+#[test]
+fn a_hung_worker_is_recovered_by_its_missed_heartbeat() {
+    // SIGSTOP leaves worker 1's sockets open: no link call fails, so only
+    // the heartbeat deadline can declare it lost.
+    run_crash_gate("hung", None, HANG_MID_STREAM, false);
 }
 
 #[test]

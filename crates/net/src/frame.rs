@@ -29,15 +29,15 @@ use punct_types::{Schema, ShardMap, StreamElement, Timestamp, Timestamped, Tuple
 /// payload encoding change. Version 2 added the `DataBatch` frame (many
 /// elements with consecutive sequence numbers in one frame/syscall);
 /// version 3 added the cluster control frames (`JoinCluster`,
-/// `ShardMapUpdate`, `MigrateBegin`/`State`/`StateDone`/`Commit`,
-/// `BarrierReached`) and made the version check symmetric: both
+/// `ShardMapUpdate`, a migration's begin, state, state-done and commit
+/// frames, `BarrierReached`) and made the version check symmetric: both
 /// directions of every handshake carry the speaker's version, and a
 /// mismatch is answered with a clean `VERSION_MISMATCH` error instead
 /// of a decode failure; version 4 added the `Telemetry` control frame
 /// (clock probes/acks and cumulative worker telemetry reports, payload
 /// encoded by `punct-trace` and opaque at this layer); version 5 added
-/// the durability control frames (`Checkpoint`, `Heartbeat`, `Rollback`,
-/// `CheckpointDone`) for barrier-punctuation checkpointing, liveness,
+/// the durability control frames (checkpoint, `Heartbeat`, rollback,
+/// checkpoint-done) for barrier-punctuation checkpointing, liveness,
 /// and crash recovery; version 6 retired the per-element `Data` frame
 /// (tag 2, never reused): every element travels in a `DataBatch`;
 /// version 7 stamps a worker's sink marker with its barrier's nonce
@@ -46,8 +46,11 @@ use punct_types::{Schema, ShardMap, StreamElement, Timestamp, Timestamped, Tuple
 /// version 8 reshaped the `Telemetry` report: lifecycle records come in
 /// one list per input side, matched by arrival order, and carry three
 /// stamps (ingest, purge, sink) instead of a side, a content hash and
-/// four stamps.
-pub const WIRE_VERSION: u32 = 8;
+/// four stamps; version 9 retired the frames that armed a migration, a
+/// checkpoint and a rollback (tags 12, 18, 20: a barrier's nonce names
+/// its operation) and the checkpoint-done frame (tag 21: a commit sends
+/// `Ack`).
+pub const WIRE_VERSION: u32 = 9;
 
 /// Hard cap on a frame's announced length (tag + payload). A corrupted
 /// length prefix can therefore never request more than this in one
@@ -115,8 +118,9 @@ pub enum Frame {
     },
     /// Cumulative acknowledgement: every `seq < up_to` was received and
     /// handed downstream. On the cluster control link the coordinator
-    /// sends it to a worker about that worker's sink, which may then
-    /// free its history below `up_to`.
+    /// sends it to a worker about that worker's sink — every few thousand
+    /// elements and at every checkpoint commit — and the worker frees its
+    /// sink history below `up_to`.
     Ack {
         /// One past the highest contiguously received sequence.
         up_to: u64,
@@ -194,15 +198,6 @@ pub enum Frame {
         /// `punct-cluster` (opaque at this layer).
         config: Vec<u8>,
     },
-    /// Coordinator → worker: a repartition toward `epoch` begins. The
-    /// worker drains to the barrier punctuation (identified by `nonce`)
-    /// on both of its input streams, then exports its join state.
-    MigrateBegin {
-        /// The epoch the migration leads to.
-        epoch: u64,
-        /// Identifies the barrier punctuation on the data streams.
-        nonce: u64,
-    },
     /// One chunk of migrating join state: records of one side of one
     /// global shard, each with the arrival clock that orders purge
     /// decisions. Flows worker → coordinator (export) and coordinator →
@@ -233,7 +228,7 @@ pub enum Frame {
     /// punctuation identified by `nonce`, and every pre-barrier output
     /// is published to the worker's sink.
     BarrierReached {
-        /// The barrier's identifying nonce (from `MigrateBegin`).
+        /// The barrier's nonce (its timestamp on the data streams).
         nonce: u64,
     },
     /// Bidirectional telemetry-plane message on the control connection:
@@ -246,17 +241,6 @@ pub enum Frame {
         /// Encoded `TelemetryMsg`.
         payload: Vec<u8>,
     },
-    /// Coordinator → worker: arm a checkpoint toward `epoch`. The worker
-    /// drains to the barrier punctuation identified by `nonce` on both
-    /// input streams, publishes its sink marker, exports its state
-    /// (`MigrateState` chunks + `MigrateStateDone`), and **resumes
-    /// immediately** — unlike a migration, no install follows.
-    Checkpoint {
-        /// The checkpoint epoch being cut.
-        epoch: u64,
-        /// Identifies the barrier punctuation on the data streams.
-        nonce: u64,
-    },
     /// Worker → coordinator liveness beacon, sent on the control
     /// connection at the configured interval. A coordinator that misses
     /// `miss_limit` consecutive intervals declares the worker dead and
@@ -265,35 +249,13 @@ pub enum Frame {
         /// Monotone per-worker beacon counter.
         seq: u64,
     },
-    /// Coordinator → worker: discard current state and await a staged
-    /// re-install from checkpoint `epoch`. Like `MigrateBegin`, the
-    /// worker drains to the barrier `nonce` and publishes its sink
-    /// marker — but exports nothing; it waits for `ShardMapUpdate` /
-    /// `MigrateState` / `MigrateCommit` to rebuild it. Sent to the
-    /// surviving workers during crash recovery (global rollback).
-    Rollback {
-        /// The checkpoint epoch being rolled back to.
-        epoch: u64,
-        /// Identifies the barrier punctuation on the data streams.
-        nonce: u64,
-    },
-    /// Coordinator → worker: checkpoint `epoch` is durable on disk. The
-    /// worker may truncate its sink replay history below
-    /// `sink_watermark` — pre-checkpoint outputs can never be replayed,
-    /// so the durable watermark bounds sink memory automatically.
-    CheckpointDone {
-        /// The epoch now durable.
-        epoch: u64,
-        /// The worker's sink sequence the coordinator had fully absorbed
-        /// at the barrier cut.
-        sink_watermark: u64,
-    },
 }
 
 const TAG_HELLO: u8 = 0;
 const TAG_HELLO_ACK: u8 = 1;
-// Tag 2 was the per-element `Data` frame (wire versions 1–5); retired,
-// never reused, and decoded as `BadTag`.
+// Retired tags, never reused and decoded as `BadTag`: 2, the per-element
+// `Data` frame (wire versions 1–5); 12, 18 and 20, the migration,
+// checkpoint and rollback arms, and 21, checkpoint-done (versions 3–8).
 const TAG_ACK: u8 = 3;
 const TAG_CREDIT: u8 = 4;
 const TAG_FIN: u8 = 5;
@@ -303,16 +265,12 @@ const TAG_SUBSCRIBE: u8 = 8;
 const TAG_DATA_BATCH: u8 = 9;
 const TAG_JOIN_CLUSTER: u8 = 10;
 const TAG_SHARD_MAP_UPDATE: u8 = 11;
-const TAG_MIGRATE_BEGIN: u8 = 12;
 const TAG_MIGRATE_STATE: u8 = 13;
 const TAG_MIGRATE_STATE_DONE: u8 = 14;
 const TAG_MIGRATE_COMMIT: u8 = 15;
 const TAG_BARRIER_REACHED: u8 = 16;
 const TAG_TELEMETRY: u8 = 17;
-const TAG_CHECKPOINT: u8 = 18;
 const TAG_HEARTBEAT: u8 = 19;
-const TAG_ROLLBACK: u8 = 20;
-const TAG_CHECKPOINT_DONE: u8 = 21;
 
 impl Frame {
     /// The frame's wire tag.
@@ -329,16 +287,12 @@ impl Frame {
             Frame::DataBatch { .. } => TAG_DATA_BATCH,
             Frame::JoinCluster { .. } => TAG_JOIN_CLUSTER,
             Frame::ShardMapUpdate { .. } => TAG_SHARD_MAP_UPDATE,
-            Frame::MigrateBegin { .. } => TAG_MIGRATE_BEGIN,
             Frame::MigrateState { .. } => TAG_MIGRATE_STATE,
             Frame::MigrateStateDone { .. } => TAG_MIGRATE_STATE_DONE,
             Frame::MigrateCommit { .. } => TAG_MIGRATE_COMMIT,
             Frame::BarrierReached { .. } => TAG_BARRIER_REACHED,
             Frame::Telemetry { .. } => TAG_TELEMETRY,
-            Frame::Checkpoint { .. } => TAG_CHECKPOINT,
             Frame::Heartbeat { .. } => TAG_HEARTBEAT,
-            Frame::Rollback { .. } => TAG_ROLLBACK,
-            Frame::CheckpointDone { .. } => TAG_CHECKPOINT_DONE,
         }
     }
 }
@@ -400,16 +354,6 @@ pub fn encode_frame_into(frame: &Frame, buf: &mut Vec<u8>) {
             put_records(buf, records);
         }
         Frame::Telemetry { payload } => put_bytes(buf, payload),
-        Frame::MigrateBegin { epoch, nonce }
-        | Frame::Checkpoint { epoch, nonce }
-        | Frame::Rollback { epoch, nonce } => {
-            put_u64(buf, *epoch);
-            put_u64(buf, *nonce);
-        }
-        Frame::CheckpointDone { epoch, sink_watermark } => {
-            put_u64(buf, *epoch);
-            put_u64(buf, *sink_watermark);
-        }
     }
     let frame_len = (buf.len() - len_pos - 4) as u32;
     put_u32_at(buf, len_pos, frame_len);
@@ -594,10 +538,6 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
             let config = r.blob("map config")?.to_vec();
             Frame::ShardMapUpdate { worker, map, config }
         }
-        TAG_MIGRATE_BEGIN => Frame::MigrateBegin {
-            epoch: r.u64("migrate epoch")?,
-            nonce: r.u64("migrate nonce")?,
-        },
         TAG_MIGRATE_STATE => {
             let shard = r.u32("state shard")?;
             let side = r.u8("state side")?;
@@ -612,19 +552,7 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
         TAG_MIGRATE_COMMIT => Frame::MigrateCommit { epoch: r.u64("commit epoch")? },
         TAG_BARRIER_REACHED => Frame::BarrierReached { nonce: r.u64("barrier nonce")? },
         TAG_TELEMETRY => Frame::Telemetry { payload: r.blob("telemetry payload")?.to_vec() },
-        TAG_CHECKPOINT => Frame::Checkpoint {
-            epoch: r.u64("checkpoint epoch")?,
-            nonce: r.u64("checkpoint nonce")?,
-        },
         TAG_HEARTBEAT => Frame::Heartbeat { seq: r.u64("heartbeat seq")? },
-        TAG_ROLLBACK => Frame::Rollback {
-            epoch: r.u64("rollback epoch")?,
-            nonce: r.u64("rollback nonce")?,
-        },
-        TAG_CHECKPOINT_DONE => Frame::CheckpointDone {
-            epoch: r.u64("checkpoint done epoch")?,
-            sink_watermark: r.u64("checkpoint done watermark")?,
-        },
         tag => return Err(WireError::BadTag { what: "frame", tag }),
     };
     r.finish()?;
@@ -777,7 +705,6 @@ mod tests {
                 map: ShardMap { epoch: 0, assignment: vec![0] },
                 config: Vec::new(),
             },
-            Frame::MigrateBegin { epoch: 4, nonce: 0xDEAD_BEEF },
             Frame::MigrateState {
                 shard: 2,
                 side: 1,
@@ -792,10 +719,7 @@ mod tests {
             Frame::BarrierReached { nonce: 0xDEAD_BEEF },
             Frame::Telemetry { payload: vec![2, 0, 0, 0, 7, 7, 7] },
             Frame::Telemetry { payload: Vec::new() },
-            Frame::Checkpoint { epoch: 9, nonce: 0xC0FF_EE00 },
             Frame::Heartbeat { seq: 12 },
-            Frame::Rollback { epoch: 9, nonce: 0xC0FF_EE01 },
-            Frame::CheckpointDone { epoch: 9, sink_watermark: 777 },
         ]
     }
 

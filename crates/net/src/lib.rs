@@ -30,9 +30,8 @@
 //! * [`sink`] — a replayable output publisher (its history is encoded
 //!   frames) and the one consumer, [`SinkSubscriber`];
 //!   [`collect_all`] is a driver that reads one to the end.
-//! * [`proxy`] — an in-process frame-aware fault injector (latency,
-//!   jitter, data-frame drops, forced disconnects, bandwidth caps) for
-//!   tests and benchmarks.
+//! * [`proxy`] — an in-process frame-aware fault injector (data-frame
+//!   drops, forced disconnects) for tests and examples.
 //! * [`pipeline`] — glue feeding the sharded executor from an ingest
 //!   channel and streaming its output into a sink.
 //! * [`backoff`] — the deterministic backoff schedule.

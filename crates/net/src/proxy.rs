@@ -1,8 +1,8 @@
 //! An in-process fault-injection TCP proxy.
 //!
 //! Sits between a client and a server, reassembling the client→server
-//! byte stream into whole frames so faults are *frame-aware*: it delays,
-//! drops, paces, or cuts connections at frame granularity. Only `DataBatch`
+//! byte stream into whole frames so faults are *frame-aware*: it drops
+//! frames or cuts connections at frame granularity. Only `DataBatch`
 //! frames are ever dropped — control frames (handshakes, acks, credits)
 //! always pass, so a fault can delay recovery but never wedge it. The
 //! server→client direction is a transparent byte pump.
@@ -16,7 +16,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,10 +27,6 @@ use crate::wait::accept_ready;
 /// What the proxy does to traffic.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultConfig {
-    /// Base added latency per client→server frame.
-    pub latency: Duration,
-    /// Extra uniform random latency in `[0, jitter)` per frame.
-    pub jitter: Duration,
     /// Drop each `DataBatch` frame with probability `1/drop_one_in`
     /// (0 disables dropping).
     pub drop_one_in: u32,
@@ -42,8 +38,6 @@ pub struct FaultConfig {
     /// Only the first this-many connections get force-closed, so
     /// reconnects eventually succeed.
     pub max_disconnects: u32,
-    /// Client→server bandwidth cap in bytes/second (0 = unlimited).
-    pub bandwidth_bytes_per_sec: u64,
     /// Seed for all fault randomness.
     pub seed: u64,
 }
@@ -51,13 +45,10 @@ pub struct FaultConfig {
 impl Default for FaultConfig {
     fn default() -> FaultConfig {
         FaultConfig {
-            latency: Duration::ZERO,
-            jitter: Duration::ZERO,
             drop_one_in: 0,
             max_drops: u64::MAX,
             disconnect_after_frames: 0,
             max_disconnects: 0,
-            bandwidth_bytes_per_sec: 0,
             seed: 0,
         }
     }
@@ -74,7 +65,6 @@ impl FaultConfig {
             disconnect_after_frames: after,
             max_disconnects: disconnects,
             seed,
-            ..FaultConfig::default()
         }
     }
 }
@@ -231,9 +221,6 @@ fn pump_faulted(
     let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
     let eligible_for_disconnect = cfg.disconnect_after_frames > 0
         && conn_index < u64::from(cfg.max_disconnects);
-    // Token-bucket pacing state for the bandwidth cap.
-    let mut bucket_started = Instant::now();
-    let mut bucket_bytes: u64 = 0;
     loop {
         // Forward every complete frame, applying faults.
         loop {
@@ -249,15 +236,6 @@ fn pump_faulted(
                 }
             };
             let (tag, bytes) = raw;
-            if cfg.latency > Duration::ZERO || cfg.jitter > Duration::ZERO {
-                let mut delay = cfg.latency;
-                if cfg.jitter > Duration::ZERO {
-                    delay += Duration::from_nanos(
-                        rng.gen_range(0..cfg.jitter.as_nanos().max(1) as u64),
-                    );
-                }
-                std::thread::sleep(delay);
-            }
             if raw_is_data(tag)
                 && cfg.drop_one_in > 0
                 && shared.counters.frames_dropped.load(Ordering::Relaxed) < cfg.max_drops
@@ -265,22 +243,6 @@ fn pump_faulted(
             {
                 shared.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
-            }
-            if cfg.bandwidth_bytes_per_sec > 0 {
-                bucket_bytes += bytes.len() as u64;
-                let due = Duration::from_secs_f64(
-                    bucket_bytes as f64 / cfg.bandwidth_bytes_per_sec as f64,
-                );
-                let elapsed = bucket_started.elapsed();
-                if due > elapsed {
-                    std::thread::sleep(due - elapsed);
-                }
-                // Periodically restart the bucket so a long quiet spell
-                // does not bank unlimited burst.
-                if bucket_started.elapsed() > Duration::from_secs(1) {
-                    bucket_started = Instant::now();
-                    bucket_bytes = 0;
-                }
             }
             if to.write_all(&bytes).is_err() {
                 let _ = from.shutdown(Shutdown::Both);

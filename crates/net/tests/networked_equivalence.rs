@@ -127,14 +127,7 @@ fn networked_run(
     // Fault thresholds are in *frames*, and with the default wire
     // batching a stream is only a few dozen `DataBatch` frames — so a
     // drop loses a whole batch and the kill lands a few batches in.
-    let faults = |i: u64| FaultConfig {
-        drop_one_in: 8,
-        max_drops: 2,
-        disconnect_after_frames: 6,
-        max_disconnects: 1,
-        seed: 90 + i,
-        ..FaultConfig::default()
-    };
+    let faults = |i: u64| FaultConfig::lossy(8, 2, 1, 6, 90 + i);
     let proxy_l = FaultProxy::spawn(server.addr(), faults(0)).expect("left proxy");
     let proxy_r = FaultProxy::spawn(server.addr(), faults(1)).expect("right proxy");
     let opts = |seed: u64| ClientOptions {

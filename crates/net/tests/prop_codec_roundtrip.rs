@@ -152,8 +152,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 map: punct_types::ShardMap { epoch, assignment },
                 config,
             }),
-        (any::<u64>(), any::<u64>())
-            .prop_map(|(epoch, nonce)| Frame::MigrateBegin { epoch, nonce }),
         (
             any::<u32>(),
             0u8..2,
@@ -593,6 +591,24 @@ fn retired_data_tag_decodes_as_bad_tag() {
         decode_frame(&v5_data),
         Err(WireError::BadTag { what: "frame", tag: 2 })
     ));
+}
+
+/// Tags 12, 18 and 20 were the frames that armed a migration, a
+/// checkpoint and a rollback, and tag 21 checkpoint-done, up to wire
+/// version 8: two `u64`s each. They are retired and never reused, so a
+/// well-formed v8 payload of any of them is an unknown frame tag now.
+#[test]
+fn retired_control_tags_decode_as_bad_tag() {
+    for tag in [12u8, 18, 20, 21] {
+        let mut v8_frame = vec![tag];
+        v8_frame.extend_from_slice(&9u64.to_le_bytes()); // epoch
+        v8_frame.extend_from_slice(&0x4B00_0000_0000_0009u64.to_le_bytes()); // nonce
+        let decoded = decode_frame(&v8_frame);
+        assert!(
+            matches!(decoded, Err(WireError::BadTag { what: "frame", tag: t }) if t == tag),
+            "tag {tag}: {decoded:?}"
+        );
+    }
 }
 
 /// A `ShardMapUpdate` payload assigning `shards` shards to worker 0.
