@@ -9,9 +9,7 @@
 //! disk portions of the bucket), one [`DiskDiskMark`] per bucket suffices
 //! for the disk×disk combinations.
 
-use std::collections::HashMap;
-
-use punct_types::Value;
+use punct_types::{Value, ValueMap};
 use stream_sim::{OpOutput, Work};
 
 use crate::dedup::DiskDiskMark;
@@ -25,8 +23,8 @@ fn keyed_map<'r>(
     attr: usize,
     records: impl Iterator<Item = &'r PRecord>,
     work: &mut Work,
-) -> HashMap<Value, Vec<&'r PRecord>> {
-    let mut map: HashMap<Value, Vec<&'r PRecord>> = HashMap::new();
+) -> ValueMap<Vec<&'r PRecord>> {
+    let mut map: ValueMap<Vec<&'r PRecord>> = ValueMap::default();
     for r in records {
         if let Some(k) = r.tuple.get(attr).and_then(Value::join_key) {
             work.hashes += 1;

@@ -21,11 +21,14 @@ use crate::state::JoinState;
 /// punctuation iff its input-side part matched the original.
 pub fn translate_punctuation(p: &Punctuation, offset: usize, out_width: usize) -> Punctuation {
     debug_assert!(offset + p.width() <= out_width, "offset/width mismatch");
-    let mut patterns = vec![Pattern::Wildcard; out_width];
-    for (i, pat) in p.patterns().iter().enumerate() {
-        patterns[offset + i] = pat.clone();
-    }
-    Punctuation::new(patterns)
+    let own = offset..offset + p.width();
+    Punctuation::from_patterns((0..out_width).map(|i| {
+        if own.contains(&i) {
+            p.patterns()[i - offset].clone()
+        } else {
+            Pattern::Wildcard
+        }
+    }))
 }
 
 /// Propagates every currently-propagable punctuation of `state` (count
@@ -39,12 +42,14 @@ pub fn propagate_side(
     work: &mut Work,
 ) -> Vec<PunctId> {
     // Candidates ascend by id and the disk guard blocks every id from a
-    // watermark up, so the propagable ones are a prefix.
+    // watermark up, so the propagable ones are a prefix of them, less
+    // those whose matching tuples an earlier punctuation still counts.
     let blocked_from = state.disk_blocks_from();
     let propagated: Vec<PunctId> = state
         .index
         .zero_count_ids()
         .take_while(|id| id.0 < blocked_from)
+        .filter(|&id| !state.index.behind_earlier_count(id))
         .collect();
     for &id in &propagated {
         let p = state.index.get(id).expect("zero-count ids are live");
@@ -121,6 +126,29 @@ mod tests {
         s.index.decrement(id);
         let ids = propagate_side(&mut s, 0, 4, &mut out, &mut w);
         assert_eq!(ids, vec![id]);
+    }
+
+    #[test]
+    fn a_punctuation_behind_an_earlier_one_on_its_value_waits() {
+        // The tuple carries the first punctuation's pid, so the later one
+        // on the same value counts zero while a matching tuple is left.
+        let earlier = [
+            Punctuation::close_value(2, 0, 5i64),
+            Punctuation::on_attr(2, 0, Pattern::enumeration(vec![Value::Int(5), Value::Int(6)])),
+        ];
+        for first in earlier {
+            let mut s = JoinState::new(2, 0, 4, 4);
+            s.store.insert(PRecord::arriving(Tuple::of((5i64, 0i64)), 0));
+            let first = s.index.insert(first);
+            let later = s.index.insert(Punctuation::close_value(2, 0, 5i64));
+            let mut w = Work::ZERO;
+            s.index_build(&mut w);
+            assert_eq!((s.index.count(first), s.index.count(later)), (1, 0));
+            let mut out = OpOutput::new();
+            assert!(propagate_side(&mut s, 0, 4, &mut out, &mut w).is_empty());
+            s.index.decrement(first);
+            assert_eq!(propagate_side(&mut s, 0, 4, &mut out, &mut w), vec![first, later]);
+        }
     }
 
     #[test]

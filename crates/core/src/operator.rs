@@ -37,6 +37,9 @@ pub struct PJoinStats {
     pub propagation_runs: u64,
     /// Punctuations released to the output.
     pub puncts_propagated: u64,
+    /// Propagated constants forgotten because both inputs closed the
+    /// value (two per closed pair; see `PunctuationIndex::closed_pair`).
+    pub puncts_forgotten: u64,
     /// Disk-join bucket resolutions.
     pub disk_join_runs: u64,
     /// State relocations (bucket spills).
@@ -58,6 +61,7 @@ impl std::ops::Add for PJoinStats {
             index_builds: self.index_builds + rhs.index_builds,
             propagation_runs: self.propagation_runs + rhs.propagation_runs,
             puncts_propagated: self.puncts_propagated + rhs.puncts_propagated,
+            puncts_forgotten: self.puncts_forgotten + rhs.puncts_forgotten,
             disk_join_runs: self.disk_join_runs + rhs.disk_join_runs,
             relocations: self.relocations + rhs.relocations,
             malformed_dropped: self.malformed_dropped + rhs.malformed_dropped,
@@ -281,6 +285,12 @@ impl PJoin {
     /// Side B's state (tests, metrics).
     pub fn state_b(&self) -> &JoinState {
         &self.b
+    }
+
+    /// Punctuations both sides' indexes hold: the values still open
+    /// plus whatever an unforgotten punctuation pins behind it.
+    pub fn punctuations_held(&self) -> usize {
+        self.a.index.held() + self.b.index.held()
     }
 
     /// The event-listener registry (runtime-tunable).
@@ -671,6 +681,7 @@ impl PJoin {
         );
         let n = (ids_a.len() + ids_b.len()) as u64;
         self.stats.puncts_propagated += n;
+        self.forget_closed_pairs(&ids_a, &ids_b);
         if self.obs.tracer.enabled() {
             let now_us = self.now.as_micros();
             for id in ids_a {
@@ -685,6 +696,29 @@ impl PJoin {
                 Some((TraceKind::Propagation, n, 0)),
             );
         }
+    }
+
+    /// Forgets every just-propagated constant whose value the other side
+    /// has closed and propagated too, on both sides, then pops what the
+    /// windows can release. Either punctuation of a pair may be the one
+    /// propagated last, so both sides' ids are checked.
+    fn forget_closed_pairs(&mut self, ids_a: &[PunctId], ids_b: &[PunctId]) {
+        for (ids, a_first) in [(ids_a, true), (ids_b, false)] {
+            let (own, opp) = if a_first {
+                (&mut self.a.index, &mut self.b.index)
+            } else {
+                (&mut self.b.index, &mut self.a.index)
+            };
+            for &id in ids {
+                if let Some(other) = own.closed_pair(id, opp) {
+                    own.forget(id);
+                    opp.forget(other);
+                    self.stats.puncts_forgotten += 2;
+                }
+            }
+        }
+        self.a.index.trim(self.a.applied_up_to);
+        self.b.index.trim(self.b.applied_up_to);
     }
 
     /// Picks the next bucket worth resolving. With `force`, activation
@@ -873,10 +907,7 @@ impl PJoin {
             (&mut self.a, 0usize, 0usize),
             (&mut self.b, self.config.width_a, 1usize),
         ] {
-            for id in (0..state.index.next_id()).map(PunctId) {
-                if state.index.is_retired(id) {
-                    continue;
-                }
+            for id in state.index.live_ids() {
                 let p = state.index.get(id).expect("unretired ids resolve");
                 out.push(crate::components::propagation::translate_punctuation(
                     p, offset, out_width,
@@ -980,3 +1011,82 @@ impl std::fmt::Display for StateExportError {
 }
 
 impl std::error::Error for StateExportError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PurgeStrategy;
+    use punct_types::Punctuation;
+
+    fn joined(out: &mut OpOutput) -> usize {
+        out.drain().filter(|e| !e.is_punctuation()).count()
+    }
+
+    /// A tuple sent after its own input closed its value breaks the
+    /// punctuation contract. Once the other input closed the value too
+    /// and both punctuations were propagated, the pair is forgotten: the
+    /// late tuple is no longer dropped on the fly but stored, joins
+    /// nothing (the other input closed the value) and, with no
+    /// punctuation left to purge it, stays until the end of the stream.
+    #[test]
+    fn a_late_tuple_after_both_inputs_closed_its_value_is_stored_and_kept() {
+        let mut op = PJoin::new(PJoinConfig {
+            purge: PurgeStrategy::Eager,
+            propagation: PropagationTrigger::PushCount { count: 1 },
+            ..PJoinConfig::new(2, 2)
+        });
+        let mut out = OpOutput::new();
+        let push = |op: &mut PJoin, side, e: StreamElement, out: &mut OpOutput| {
+            op.on_element(side, e, Timestamp(0), out);
+        };
+        push(
+            &mut op,
+            Side::Left,
+            StreamElement::Tuple(Tuple::of((5i64, 0i64))),
+            &mut out,
+        );
+        push(
+            &mut op,
+            Side::Right,
+            StreamElement::Tuple(Tuple::of((5i64, 1i64))),
+            &mut out,
+        );
+        assert_eq!(joined(&mut out), 1);
+        for side in [Side::Left, Side::Right] {
+            let close = Punctuation::close_value(2, 0, 5i64);
+            push(&mut op, side, StreamElement::Punctuation(close), &mut out);
+        }
+        // A later value keeps the operator moving so both windows trim.
+        for side in [Side::Left, Side::Right] {
+            let close = Punctuation::close_value(2, 0, 6i64);
+            push(&mut op, side, StreamElement::Punctuation(close), &mut out);
+        }
+        assert_eq!(op.stats().puncts_propagated, 4);
+        assert_eq!(op.stats().puncts_forgotten, 4);
+        assert_eq!(op.punctuations_held(), 0);
+        assert_eq!(op.state_tuples(), 0);
+        out.drain().for_each(drop);
+
+        let dropped = op.stats().dropped_on_fly;
+        push(
+            &mut op,
+            Side::Left,
+            StreamElement::Tuple(Tuple::of((5i64, 9i64))),
+            &mut out,
+        );
+        assert_eq!(
+            op.stats().dropped_on_fly,
+            dropped,
+            "no longer dropped on the fly"
+        );
+        assert_eq!(op.state_tuples_per_side(), (1, 0), "stored");
+        assert_eq!(joined(&mut out), 0);
+        while op.on_end(Timestamp(1), &mut out) {}
+        assert_eq!(joined(&mut out), 0);
+        assert_eq!(
+            op.state_tuples_per_side(),
+            (1, 0),
+            "kept until the end of the stream"
+        );
+    }
+}

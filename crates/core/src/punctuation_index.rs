@@ -5,27 +5,47 @@
 //! When a punctuation's count reaches zero, no tuple matching it remains
 //! in the state, so by Theorem 1 it can be propagated.
 //!
-//! Deviation from the paper, documented in DESIGN.md: the paper removes
-//! propagated punctuations from the punctuation set; we *retire* them
-//! instead (excluded from indexing and propagation, still consulted by
-//! the opposite side's on-the-fly drop and purge), so late opposite-side
-//! tuples covered by an already-propagated punctuation can still be
-//! dropped rather than lingering unpurgeably.
+//! Deviation from the paper, documented in DESIGN.md §7: the paper
+//! removes propagated punctuations from the punctuation set; we *retire*
+//! them instead (excluded from indexing and propagation, still consulted
+//! by the opposite side's on-the-fly drop and purge), so late
+//! opposite-side tuples covered by an already-propagated punctuation can
+//! still be dropped rather than lingering unpurgeably. That reason ends
+//! once the opposite side has closed the same value too: a constant
+//! both sides closed is then *forgotten* on both sides
+//! ([`closed_pair`](PunctuationIndex::closed_pair),
+//! [`forget`](PunctuationIndex::forget)), so the index holds the values
+//! still open rather than every punctuation ever received.
+//!
+//! Ids stay dense and stable, but the per-id count and retired flag live
+//! in a window in step with the set's entries: `slots[i]` belongs to id
+//! `base + i`, and a forgotten id leaves the front once both watermarks
+//! of its side (purge and index build) have passed it
+//! ([`trim`](PunctuationIndex::trim)). An id below `base` reads as
+//! retired with count zero.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use punct_types::{Pattern, PunctId, Punctuation, PunctuationSet, Tuple, Value};
+
+/// The count and retired flag of one stored punctuation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Matching tuples in this stream's state carrying the pid.
+    count: u64,
+    /// Already propagated.
+    retired: bool,
+}
 
 /// The punctuation index of one input stream.
 #[derive(Debug, Clone)]
 pub struct PunctuationIndex {
     set: PunctuationSet,
-    /// Matching-tuple count per pid (dense by id).
-    counts: Vec<u64>,
-    /// Retired (already propagated) flags per pid.
-    retired: Vec<bool>,
+    /// Count and retired flag per stored pid: `slots[i]` is id
+    /// `set.base() + i`, popped in step with the set's entries.
+    slots: VecDeque<Slot>,
     /// Number of unretired punctuations, maintained incrementally so
-    /// [`live`](Self::live) is O(1) rather than a scan of `retired`.
+    /// [`live`](Self::live) is O(1) rather than a scan of the slots.
     live: usize,
     /// The unretired punctuations whose count is zero — the propagable
     /// candidates — ordered by id, i.e. by arrival. Kept in step by
@@ -42,20 +62,28 @@ impl PunctuationIndex {
     pub fn new(join_attr: usize) -> PunctuationIndex {
         PunctuationIndex {
             set: PunctuationSet::new(join_attr),
-            counts: Vec::new(),
-            retired: Vec::new(),
+            slots: VecDeque::new(),
             live: 0,
             zero_count: BTreeSet::new(),
             indexed_next: 0,
         }
     }
 
+    fn slot(&self, id: PunctId) -> Option<&Slot> {
+        self.slots.get(usize::try_from(id.0.checked_sub(self.set.base())?).ok()?)
+    }
+
+    fn slot_mut(&mut self, id: PunctId) -> &mut Slot {
+        debug_assert!(self.set.get(id).is_some(), "a record carries forgotten {id}");
+        let base = self.set.base();
+        &mut self.slots[(id.0 - base) as usize]
+    }
+
     /// Inserts a newly-arrived punctuation, assigning its pid.
     pub fn insert(&mut self, p: Punctuation) -> PunctId {
         let id = self.set.insert(p);
-        debug_assert_eq!(id.0 as usize, self.counts.len(), "dense pid assignment");
-        self.counts.push(0);
-        self.retired.push(false);
+        self.slots.push_back(Slot::default());
+        debug_assert_eq!(self.slots.len(), self.set.held(), "slots in step with entries");
         self.live += 1;
         self.zero_count.insert(id);
         id
@@ -63,18 +91,24 @@ impl PunctuationIndex {
 
     /// The id the *next* inserted punctuation will get.
     pub fn next_id(&self) -> u64 {
-        self.counts.len() as u64
+        self.set.next_id()
     }
 
     /// Number of punctuations not yet retired.
     pub fn live(&self) -> usize {
-        debug_assert_eq!(self.live, self.retired.iter().filter(|r| !**r).count());
+        debug_assert_eq!(self.live, self.slots.iter().filter(|s| !s.retired).count());
         self.live
     }
 
     /// Number of punctuations received in total.
     pub fn total(&self) -> usize {
-        self.counts.len()
+        self.next_id() as usize
+    }
+
+    /// Number of punctuations stored: the window from the oldest one not
+    /// yet forgotten and popped up to the newest.
+    pub fn held(&self) -> usize {
+        self.set.held()
     }
 
     /// The underlying punctuation set (includes retired punctuations —
@@ -83,27 +117,27 @@ impl PunctuationIndex {
         &self.set
     }
 
-    /// Match count of a punctuation.
+    /// Match count of a punctuation (zero once it is popped).
     pub fn count(&self, id: PunctId) -> u64 {
-        self.counts[id.0 as usize]
+        self.slot(id).map_or(0, |s| s.count)
     }
 
     /// Records that a tuple carrying `pid` entered the state.
     pub fn increment(&mut self, id: PunctId) {
-        let c = &mut self.counts[id.0 as usize];
-        if *c == 0 {
+        let slot = self.slot_mut(id);
+        slot.count += 1;
+        if slot.count == 1 {
             self.zero_count.remove(&id);
         }
-        *c += 1;
     }
 
     /// Records that a tuple carrying `pid` left the state (purged,
     /// dropped from the purge buffer, …).
     pub fn decrement(&mut self, id: PunctId) {
-        let c = &mut self.counts[id.0 as usize];
-        debug_assert!(*c > 0, "count underflow for {id}");
-        *c = c.saturating_sub(1);
-        if *c == 0 && !self.retired[id.0 as usize] {
+        let slot = self.slot_mut(id);
+        debug_assert!(slot.count > 0, "count underflow for {id}");
+        slot.count = slot.count.saturating_sub(1);
+        if slot.count == 0 && !slot.retired {
             self.zero_count.insert(id);
         }
     }
@@ -144,45 +178,129 @@ impl PunctuationIndex {
     /// — the propagable candidates of the Propagate algorithm (Fig. 3).
     pub fn zero_count_ids(&self) -> impl Iterator<Item = PunctId> + '_ {
         debug_assert!(
-            self.zero_count.iter().copied().eq((0..self.next_id())
+            self.zero_count.iter().copied().eq((self.set.base()..self.next_id())
                 .map(PunctId)
-                .filter(|id| !self.retired[id.0 as usize] && self.counts[id.0 as usize] == 0)),
+                .filter(|&id| self.slot(id).is_some_and(|s| !s.retired && s.count == 0))),
             "zero-count set out of step with counts / retired"
         );
         self.zero_count.iter().copied()
+    }
+
+    /// True while tuples matching point punctuation `id` (a constant or
+    /// an enumeration list) may carry an earlier punctuation's pid and so
+    /// escape its count: a tuple gets the first-arrived punctuation it
+    /// matches, so behind an earlier punctuation on the same value (a
+    /// duplicate constant, a list, a range) a zero count does not mean
+    /// no matching tuple is left. Such a punctuation waits until every
+    /// earlier one the indexes offer for its values counts nothing.
+    /// Ranges and wildcards are not checked (see DESIGN.md §7).
+    pub fn behind_earlier_count(&self, id: PunctId) -> bool {
+        let values = match self.set.get(id).and_then(|p| p.pattern(self.set.join_attr())) {
+            Some(Pattern::Constant(v)) => std::slice::from_ref(v),
+            Some(Pattern::In(vs)) => vs.as_slice(),
+            _ => return false,
+        };
+        values.iter().any(|v| {
+            let mut behind = false;
+            self.set.for_each_cover(v, |q| behind |= q < id && self.count(q) > 0);
+            behind
+        })
     }
 
     /// Live (unretired) punctuations in arrival order.
     pub fn live_ids(&self) -> Vec<PunctId> {
         self.set
             .iter()
-            .filter(|(id, _)| !self.retired[id.0 as usize])
+            .filter(|&(id, _)| !self.is_retired(id))
             .map(|(id, _)| id)
             .collect()
     }
 
-    /// Looks up a punctuation by id.
+    /// Looks up a punctuation by id (`None` once it is forgotten).
     pub fn get(&self, id: PunctId) -> Option<&Punctuation> {
         self.set.get(id)
     }
 
     /// Retires a punctuation after propagation. Idempotent.
     pub fn retire(&mut self, id: PunctId) {
-        if !self.retired[id.0 as usize] {
-            self.retired[id.0 as usize] = true;
+        let base = self.set.base();
+        let Some(slot) = id.0.checked_sub(base).and_then(|i| self.slots.get_mut(i as usize)) else {
+            return;
+        };
+        if !slot.retired {
+            slot.retired = true;
             self.live -= 1;
             self.zero_count.remove(&id);
         }
     }
 
-    /// True if `id` has been retired.
+    /// True if `id` has been retired (every id below the window has).
     pub fn is_retired(&self, id: PunctId) -> bool {
-        self.retired[id.0 as usize]
+        self.slot(id).is_none_or(|s| s.retired)
+    }
+
+    /// The punctuation of this side that closes join value `v` for good,
+    /// if it may be forgotten once the other side's closer of `v` is too:
+    /// the owner of `v`'s constant slot, constraining nothing but the
+    /// join attribute, index-built, retired with a count of zero, and not
+    /// [behind an earlier count](Self::behind_earlier_count). Then no
+    /// tuple with join value `v` remains in this side's state — an
+    /// indexed one would carry this pid or a counted earlier one, and
+    /// none is unindexed past the build — and a well-formed input sends
+    /// no further one.
+    fn closer_of(&self, v: &Value) -> Option<PunctId> {
+        let id = self.set.constant_id(v)?;
+        let slot = self.slot(id)?;
+        let attr = self.set.join_attr();
+        let only_join_attr = self.set.get(id)?.patterns().iter().enumerate().all(|(i, p)| {
+            i == attr || *p == Pattern::Wildcard
+        });
+        (slot.retired
+            && slot.count == 0
+            && id.0 < self.indexed_next
+            && only_join_attr
+            && !self.behind_earlier_count(id))
+        .then_some(id)
+    }
+
+    /// If the just-propagated `id` closes a constant join value that the
+    /// `other` side has closed and propagated too, the other side's
+    /// punctuation for it: neither is needed any longer — each side's
+    /// state holds no tuple with the value and neither input sends one
+    /// again, so no drop, purge or propagation can consult them. Both
+    /// may then be [`forget`](Self::forget)ten.
+    pub fn closed_pair(&self, id: PunctId, other: &PunctuationIndex) -> Option<PunctId> {
+        let Some(Pattern::Constant(v)) = self.get(id)?.pattern(self.set.join_attr()) else {
+            return None;
+        };
+        if self.closer_of(v) != Some(id) {
+            return None;
+        }
+        other.closer_of(v)
+    }
+
+    /// Forgets a retired punctuation: it leaves every index of the set
+    /// at once and the window at the next [`trim`](Self::trim) that
+    /// finds it at the front. Returns true if it was stored and not yet
+    /// forgotten.
+    pub fn forget(&mut self, id: PunctId) -> bool {
+        debug_assert!(self.is_retired(id) && self.count(id) == 0, "forgetting a live {id}");
+        self.set.remove(id)
+    }
+
+    /// Pops forgotten punctuations off the front of the window while
+    /// both watermarks of this side have passed them: `applied_up_to`,
+    /// the ids already applied to purge the opposite state, and the
+    /// index-build watermark. A punctuation not forgotten stops it.
+    pub fn trim(&mut self, applied_up_to: u64) {
+        let popped = self.set.pop_removed_below(applied_up_to.min(self.indexed_next));
+        self.slots.drain(..popped);
     }
 
     /// Cross-stream cover check (the paper's `setMatch(t_B, PS_A)` for
     /// join-attribute punctuations): does any punctuation's join-attribute
-    /// pattern match `join_value`? Retired punctuations participate.
+    /// pattern match `join_value`? Retired punctuations participate;
+    /// forgotten ones do not.
     pub fn covers_join_value(&self, join_value: &Value) -> bool {
         self.set.covers_value(join_value)
     }
@@ -198,7 +316,7 @@ impl PunctuationIndex {
         let since = match pattern {
             Pattern::Constant(v) => match self.set.constant_id(v) {
                 None => return false,
-                Some(first) if !self.retired[first.0 as usize] => return true,
+                Some(first) if !self.is_retired(first) => return true,
                 Some(first) => first.0 + 1,
             },
             _ => 0,
@@ -206,14 +324,16 @@ impl PunctuationIndex {
         let attr = self.set.join_attr();
         self.set
             .iter_from(since)
-            .any(|(id, p)| !self.retired[id.0 as usize] && p.pattern(attr) == Some(pattern))
+            .any(|(id, p)| !self.is_retired(id) && p.pattern(attr) == Some(pattern))
     }
 
     /// Join-attribute patterns of punctuations with `id >= since`, in
     /// arrival order — the "new punctuations" a lazy purge applies.
+    /// Forgotten ones are included: the window keeps them until the
+    /// purge watermark passes them.
     pub fn join_patterns_since(&self, since: u64) -> impl Iterator<Item = &Pattern> + '_ {
         let attr = self.set.join_attr();
-        self.set.iter_from(since).filter_map(move |(_, p)| p.pattern(attr))
+        self.set.stored_punctuations_from(since).filter_map(move |p| p.pattern(attr))
     }
 }
 
@@ -335,6 +455,131 @@ mod tests {
         ix.increment(id);
         ix.decrement(id);
         assert_eq!(ix.zero_count_ids().count(), 0);
+    }
+
+    /// Index-builds, retires and propagates-in-effect every punctuation
+    /// of `ix` with count zero.
+    fn build_and_retire_all(ix: &mut PunctuationIndex) {
+        ix.mark_indexed();
+        for id in ix.zero_count_ids().collect::<Vec<_>>() {
+            ix.retire(id);
+        }
+    }
+
+    #[test]
+    fn a_pair_is_forgotten_only_once_both_are_retired() {
+        let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
+        let pa = a.insert(close(5));
+        assert_eq!(a.closed_pair(pa, &b), None, "the other side has not closed 5");
+        let pb = b.insert(close(5));
+        a.mark_indexed();
+        b.mark_indexed();
+        a.retire(pa);
+        assert_eq!(a.closed_pair(pa, &b), None, "the other side's is not retired");
+        // A count above zero (a tuple the own input sent after closing
+        // the value) keeps it too.
+        b.retire(pb);
+        b.increment(pb);
+        assert_eq!(a.closed_pair(pa, &b), None);
+        b.decrement(pb);
+        assert_eq!(a.closed_pair(pa, &b), Some(pb));
+        assert_eq!(b.closed_pair(pb, &a), Some(pa), "symmetric");
+        assert!(a.forget(pa) && b.forget(pb));
+        assert!(!a.forget(pa), "once");
+        assert!(!a.covers_join_value(&Value::Int(5)));
+        assert_eq!(a.get(pa), None);
+        assert!(a.is_retired(pa));
+        assert_eq!(a.held(), 1, "stored until trimmed");
+        a.trim(u64::MAX);
+        assert_eq!((a.held(), a.total(), a.live()), (0, 1, 0));
+    }
+
+    #[test]
+    fn a_pair_is_kept_while_an_earlier_punctuation_counts_the_value() {
+        let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
+        // Side A closed 5 first inside a range, so A tuples with key 5
+        // carry the range's pid, not the constant's.
+        let range = a.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
+        let pa = a.insert(close(5));
+        let pb = b.insert(close(5));
+        a.mark_indexed();
+        b.mark_indexed();
+        a.increment(range);
+        a.retire(pa);
+        b.retire(pb);
+        assert_eq!(a.closed_pair(pa, &b), None);
+        assert_eq!(b.closed_pair(pb, &a), None);
+        // Once the range counts nothing, no A tuple with key 5 is left.
+        a.decrement(range);
+        assert_eq!(a.closed_pair(pa, &b), Some(pb));
+        // Nor is a punctuation forgotten before it is index-built, or
+        // one constraining more than the join attribute.
+        let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
+        let pa = a.insert(close(6));
+        let pb = b.insert(close(6));
+        a.retire(pa);
+        b.retire(pb);
+        assert_eq!(a.closed_pair(pa, &b), None, "not index-built");
+        let narrow = Punctuation::new(vec![
+            Pattern::Constant(Value::Int(7)),
+            Pattern::Constant(Value::Int(1)),
+        ]);
+        let pa = a.insert(narrow);
+        let pb = b.insert(close(7));
+        build_and_retire_all(&mut a);
+        build_and_retire_all(&mut b);
+        assert_eq!(a.closed_pair(pa, &b), None, "closes (7, 1) only");
+        assert_eq!(b.closed_pair(pb, &a), None);
+    }
+
+    #[test]
+    fn an_id_below_base_reads_as_retired() {
+        let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
+        let pa = a.insert(close(1));
+        let pb = b.insert(close(1));
+        build_and_retire_all(&mut a);
+        build_and_retire_all(&mut b);
+        a.forget(pa);
+        b.forget(pb);
+        // The purge watermark holds it until the purge has applied it.
+        a.trim(0);
+        assert!(a.join_patterns_since(0).eq([&Pattern::Constant(Value::Int(1))]));
+        a.trim(1);
+        assert_eq!(a.set().base(), 1);
+        assert!(a.is_retired(pa));
+        assert_eq!(a.count(pa), 0);
+        assert_eq!(a.get(pa), None);
+        assert!(a.live_ids().is_empty());
+        assert!(!a.contains_join_pattern(&Pattern::Constant(Value::Int(1))));
+        let next = a.insert(close(2));
+        assert_eq!(next, PunctId(1));
+        assert!(a.join_patterns_since(0).eq([&Pattern::Constant(Value::Int(2))]));
+        assert!(a.zero_count_ids().eq([next]));
+    }
+
+    #[test]
+    fn an_unforgotten_front_pins_the_window_but_later_pairs_leave_the_maps() {
+        let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
+        // Only side A ever closes 100: that punctuation stays retired.
+        let pinned = a.insert(close(100));
+        let pairs: Vec<(PunctId, PunctId)> =
+            (0..3).map(|k| (a.insert(close(k)), b.insert(close(k)))).collect();
+        build_and_retire_all(&mut a);
+        build_and_retire_all(&mut b);
+        assert_eq!(a.closed_pair(pinned, &b), None);
+        for &(pa, pb) in &pairs {
+            assert_eq!(a.closed_pair(pa, &b), Some(pb));
+            a.forget(pa);
+            b.forget(pb);
+        }
+        a.trim(u64::MAX);
+        b.trim(u64::MAX);
+        assert_eq!(a.held(), 4, "the retired front pins A's window");
+        assert_eq!(b.held(), 0);
+        assert!((0..3).all(|k| !a.covers_join_value(&Value::Int(k))));
+        assert!(a.covers_join_value(&Value::Int(100)));
+        // Ids stay dense behind the pinned front.
+        assert_eq!(a.insert(close(9)), PunctId(4));
     }
 
     #[test]

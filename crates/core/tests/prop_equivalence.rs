@@ -2,46 +2,87 @@
 //! stream pairs and randomized PJoin configurations, the operator's
 //! output must equal the reference nested-loop join, the output stream
 //! must honour its own punctuations, and the operator must never
-//! under-count its state.
+//! under-count its state. Besides plain closes, the scripts send
+//! duplicate constants, enumeration lists and closes of values only one
+//! side ever closes, so forgotten pairs meet shadowed duplicates and
+//! punctuations that pin the front of the index window.
 
 use proptest::prelude::*;
 
 use pjoin::{IndexBuildStrategy, PJoin, PJoinConfig, PropagationTrigger, PurgeStrategy};
-use punct_types::{Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
+use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value};
 use stream_sim::{CostModel, Driver, DriverConfig};
 use streamgen::validate_stream;
 
-/// One generated stream: a script of (gap, key-draw, punctuate?) steps,
+/// What a script step sends after its tuple.
+#[derive(Debug, Clone, Copy)]
+enum Close {
+    /// Nothing.
+    None,
+    /// Closes the lowest open key.
+    Low,
+    /// Closes the last closed key again (a redundant duplicate).
+    Again,
+    /// Closes the two lowest open keys with one enumeration list.
+    Pair,
+    /// Closes a key no tuple has and the other side never closes.
+    OneSided,
+}
+
+/// One generated stream: a script of (gap, key-draw, close) steps,
 /// interpreted over a sliding key window so the stream is well-formed by
 /// construction.
 #[derive(Debug, Clone)]
 struct Script {
-    steps: Vec<(u8, u8, bool)>,
+    steps: Vec<(u8, u8, Close)>,
 }
 
 fn arb_script(max_len: usize) -> impl Strategy<Value = Script> {
-    proptest::collection::vec((0u8..5, any::<u8>(), proptest::bool::weighted(0.2)), 1..max_len)
+    let close = (0u8..21).prop_map(|k| match k {
+        0..=14 => Close::None,
+        15..=17 => Close::Low,
+        18 => Close::Again,
+        19 => Close::Pair,
+        _ => Close::OneSided,
+    });
+    proptest::collection::vec((0u8..5, any::<u8>(), close), 1..max_len)
         .prop_map(|steps| Script { steps })
 }
 
-fn render(script: &Script, window: u64) -> Vec<Timestamped<StreamElement>> {
+/// Renders a script; `side` keeps the two sides' one-sided keys apart.
+fn render(script: &Script, window: u64, side: i64) -> Vec<Timestamped<StreamElement>> {
     let mut out = Vec::new();
     let mut low = 0u64;
+    let mut one_sided = 10_000 * (side + 1);
     let mut ts = 0u64;
-    for &(gap, draw, punct) in &script.steps {
+    for &(gap, draw, close) in &script.steps {
         ts += 1 + gap as u64;
         let key = low + (draw as u64) % window;
         out.push(Timestamped::new(
             Timestamp(ts),
             StreamElement::Tuple(Tuple::of((key as i64, ts as i64))),
         ));
-        if punct {
-            out.push(Timestamped::new(
-                Timestamp(ts),
-                StreamElement::Punctuation(Punctuation::close_value(2, 0, low as i64)),
-            ));
-            low += 1;
-        }
+        let pattern = match close {
+            Close::None => continue,
+            Close::Low => {
+                low += 1;
+                Pattern::Constant(Value::Int(low as i64 - 1))
+            }
+            Close::Again if low > 0 => Pattern::Constant(Value::Int(low as i64 - 1)),
+            Close::Again => continue,
+            Close::Pair => {
+                low += 2;
+                Pattern::enumeration(vec![Value::Int(low as i64 - 2), Value::Int(low as i64 - 1)])
+            }
+            Close::OneSided => {
+                one_sided += 1;
+                Pattern::Constant(Value::Int(one_sided))
+            }
+        };
+        out.push(Timestamped::new(
+            Timestamp(ts),
+            StreamElement::Punctuation(Punctuation::on_attr(2, 0, pattern)),
+        ));
     }
     out
 }
@@ -102,8 +143,8 @@ proptest! {
         config in arb_config(),
         window in 1u64..6,
     ) {
-        let left = render(&sa, window);
-        let right = render(&sb, window);
+        let left = render(&sa, window, 0);
+        let right = render(&sb, window, 1);
         prop_assume!(validate_stream(&left, 0).is_well_formed());
         prop_assume!(validate_stream(&right, 0).is_well_formed());
 
@@ -135,8 +176,8 @@ proptest! {
         // Running with a cost model (which creates idle slots and thus
         // disk-join scheduling differences) must not change the result
         // multiset.
-        let left = render(&sa, 4);
-        let right = render(&sb, 4);
+        let left = render(&sa, 4, 0);
+        let right = render(&sb, 4, 1);
         prop_assume!(validate_stream(&left, 0).is_well_formed());
         prop_assume!(validate_stream(&right, 0).is_well_formed());
 

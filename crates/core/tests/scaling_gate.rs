@@ -4,7 +4,9 @@
 //! punctuation-heavy stream (two tuples per punctuation and side, keys
 //! from a sliding window of 64 — the benchmark's `punct_heavy` shape)
 //! of 4 k and of 64 k punctuations; the key window, and so the resident
-//! state, is the same for both, so the work per element has to be too.
+//! state, is the same for both, so the work per element has to be too,
+//! and so does the memory: the punctuation indexes hold the values still
+//! open, not every punctuation received.
 
 use pjoin::{PJoin, PJoinConfig};
 use punct_types::{Punctuation, StreamElement, Timestamp, Tuple};
@@ -36,9 +38,10 @@ fn stream(punctuations: u64) -> Vec<(Side, StreamElement)> {
     out
 }
 
-/// Runs the stream to its end; returns the work done and the wall time
-/// of each quarter of the elements.
-fn run(input: &[(Side, StreamElement)]) -> (Work, [f64; 4]) {
+/// Runs the stream up to its end; returns the work done, the wall time
+/// of each quarter of the elements and the punctuations each side's
+/// index holds after the last element (before the end-of-stream flush).
+fn run(input: &[(Side, StreamElement)]) -> (Work, [f64; 4], [usize; 2]) {
     let mut op = PJoin::new(PJoinConfig::new(2, 2));
     let mut out = OpOutput::new();
     let mut quarters = [0.0; 4];
@@ -50,15 +53,16 @@ fn run(input: &[(Side, StreamElement)]) -> (Work, [f64; 4]) {
         }
         quarters[q] = start.elapsed().as_secs_f64();
     }
+    let held = [op.state_a().index.held(), op.state_b().index.held()];
     while op.on_end(Timestamp(input.len() as u64), &mut out) {}
-    (op.take_work(), quarters)
+    (op.take_work(), quarters, held)
 }
 
 #[test]
 fn work_per_element_does_not_grow_with_stream_length() {
     let (short, long) = (stream(4_000), stream(64_000));
-    let (work_short, _) = run(&short);
-    let (work_long, _) = run(&long);
+    let (work_short, _, _) = run(&short);
+    let (work_long, _, _) = run(&long);
     for (name, short_count, long_count) in [
         ("index_evals", work_short.index_evals, work_long.index_evals),
         ("key_lookups", work_short.key_lookups, work_long.key_lookups),
@@ -88,7 +92,7 @@ fn last_quarter_runs_as_fast_as_the_first() {
     let input = stream(64_000);
     let best = (0..3)
         .map(|_| {
-            let (_, quarters) = run(&input);
+            let (_, quarters, _) = run(&input);
             quarters[0] / quarters[3]
         })
         .fold(0.0, f64::max);
@@ -96,4 +100,18 @@ fn last_quarter_runs_as_fast_as_the_first() {
         best >= 0.6,
         "rate over the last quarter of the stream is {best:.2} of the rate over the first"
     );
+}
+
+/// A value both inputs closed leaves both punctuation sets, so what the
+/// indexes hold follows the open key window, not the 32 k punctuations
+/// each side sent.
+#[test]
+fn punctuations_held_follow_the_open_key_window() {
+    let (_, _, held) = run(&stream(64_000));
+    for (side, held) in ["left", "right"].into_iter().zip(held) {
+        assert!(
+            held as u64 <= 4 * KEY_WINDOW,
+            "{side} index holds {held} punctuations after 32 000 closed values"
+        );
+    }
 }

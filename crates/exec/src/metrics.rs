@@ -29,6 +29,9 @@ pub struct RuntimeMetrics {
     pub consumed: u64,
     /// Tuples currently in the join state.
     pub state_tuples: usize,
+    /// Punctuations currently held by the operator's punctuation indexes
+    /// ([`PJoin::punctuations_held`](pjoin::PJoin::punctuations_held)).
+    pub puncts_held: usize,
     /// Results emitted so far.
     pub emitted: u64,
     /// End-to-end latency histograms (empty unless the operator was
@@ -42,6 +45,7 @@ impl std::ops::Add for RuntimeMetrics {
         RuntimeMetrics {
             consumed: self.consumed + rhs.consumed,
             state_tuples: self.state_tuples + rhs.state_tuples,
+            puncts_held: self.puncts_held + rhs.puncts_held,
             emitted: self.emitted + rhs.emitted,
             latencies: self.latencies + rhs.latencies,
         }
@@ -60,6 +64,7 @@ impl std::iter::Sum for RuntimeMetrics {
 pub struct ShardMetrics {
     consumed: AtomicU64,
     state_tuples: AtomicU64,
+    puncts_held: AtomicU64,
     emitted: AtomicU64,
     /// Latency histograms are hundreds of buckets wide — published under
     /// a mutex, but **only when tracing is enabled** (the histograms are
@@ -75,9 +80,10 @@ impl ShardMetrics {
 
     /// Publishes the shard's counters (relaxed stores; the values are
     /// monotone tallies, not synchronization).
-    pub fn publish(&self, consumed: u64, state_tuples: usize, emitted: u64) {
+    pub fn publish(&self, consumed: u64, state_tuples: usize, puncts_held: usize, emitted: u64) {
         self.consumed.store(consumed, Ordering::Relaxed);
         self.state_tuples.store(state_tuples as u64, Ordering::Relaxed);
+        self.puncts_held.store(puncts_held as u64, Ordering::Relaxed);
         self.emitted.store(emitted, Ordering::Relaxed);
     }
 
@@ -93,6 +99,7 @@ impl ShardMetrics {
         RuntimeMetrics {
             consumed: self.consumed.load(Ordering::Relaxed),
             state_tuples: self.state_tuples.load(Ordering::Relaxed) as usize,
+            puncts_held: self.puncts_held.load(Ordering::Relaxed) as usize,
             emitted: self.emitted.load(Ordering::Relaxed),
             latencies: *self.latencies.lock().expect("latencies lock"),
         }
@@ -119,10 +126,11 @@ mod tests {
     fn publish_then_snapshot_round_trips() {
         let m = ShardMetrics::new();
         assert_eq!(m.snapshot().consumed, 0);
-        m.publish(10, 7, 3);
+        m.publish(10, 7, 4, 3);
         let snap = m.snapshot();
         assert_eq!(snap.consumed, 10);
         assert_eq!(snap.state_tuples, 7);
+        assert_eq!(snap.puncts_held, 4);
         assert_eq!(snap.emitted, 3);
     }
 

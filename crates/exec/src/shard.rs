@@ -122,7 +122,7 @@ pub(crate) fn shard_loop(
     let mut emitted = 0u64;
 
     let publish = |join: &PJoin, consumed: u64, emitted: u64| {
-        metrics.publish(consumed, join.state_tuples(), emitted);
+        metrics.publish(consumed, join.state_tuples(), join.punctuations_held(), emitted);
         if join.tracing_enabled() {
             metrics.publish_latencies(join.latencies());
         }
@@ -205,6 +205,7 @@ pub(crate) fn shard_loop(
         metrics: RuntimeMetrics {
             consumed,
             state_tuples: join.state_tuples(),
+            puncts_held: join.punctuations_held(),
             emitted,
             latencies: *join.latencies(),
         },

@@ -52,5 +52,5 @@ pub use schema::{Field, Schema};
 pub use shard_map::{partition, ShardMap, MAX_SHARDS};
 pub use stream::{StreamElement, Timestamp, Timestamped};
 pub use tuple::Tuple;
-pub use value::{Value, ValueType};
+pub use value::{Value, ValueHasher, ValueMap, ValueType};
 pub use wire::{WireError, WireReader};

@@ -8,15 +8,22 @@
 //! from member value to punctuation ids, and range patterns in a sorted
 //! interval list answering stabbing queries by binary search. Only
 //! wildcard (and schema-less) punctuations fall back to a linear scan.
+//! The value maps hash with [`ValueHasher`](crate::ValueHasher), not
+//! SipHash.
+//!
+//! Ids are dense and never reused, but storage is a window: a removed
+//! punctuation leaves the indexes at once and its entry is popped once it
+//! reaches the front (`entries[i].id == base + i`). An id below `base`
+//! reads as removed.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::pattern::{Bound, Pattern};
 use crate::punctuation::Punctuation;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{Value, ValueMap};
 
 /// Stable identifier of a punctuation within a [`PunctuationSet`].
 ///
@@ -156,16 +163,19 @@ impl RangeIndex {
 pub struct PunctuationSet {
     /// Index of the join attribute within the stream schema.
     attr: usize,
-    /// All punctuations in arrival order (tombstoned on removal).
-    entries: Vec<Entry>,
-    /// Arrival position by id (dense: id.0 == index into `entries`).
+    /// The stored punctuations in arrival order, `entries[i].id == base +
+    /// i`; removed ones stay as tombstones until they reach the front.
+    entries: VecDeque<Entry>,
+    /// Id of `entries[0]`: every id below it was removed and popped.
+    base: u64,
+    /// The id the next inserted punctuation gets.
     next_id: u64,
     /// Constant-pattern fast path: join value -> id of the first
     /// punctuation closing it.
-    constants: HashMap<Value, PunctId>,
+    constants: ValueMap<PunctId>,
     /// Enumeration-list fast path: member value -> ascending ids of the
     /// `In` punctuations listing it.
-    members: HashMap<Value, Vec<PunctId>>,
+    members: ValueMap<Vec<PunctId>>,
     /// Range patterns, binary-searchable by stabbing value.
     ranges: RangeIndex,
     /// Ids of punctuations the value indexes cannot answer (wildcard on
@@ -181,10 +191,11 @@ impl PunctuationSet {
     pub fn new(attr: usize) -> PunctuationSet {
         PunctuationSet {
             attr,
-            entries: Vec::new(),
+            entries: VecDeque::new(),
+            base: 0,
             next_id: 0,
-            constants: HashMap::new(),
-            members: HashMap::new(),
+            constants: ValueMap::default(),
+            members: ValueMap::default(),
             ranges: RangeIndex::default(),
             unindexed: Vec::new(),
             live: 0,
@@ -204,6 +215,27 @@ impl PunctuationSet {
     /// True if no live punctuations remain.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// The id the next inserted punctuation will get.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// The lowest stored id: every id below it was removed and popped.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Number of stored entries — live ones and removed ones not yet
+    /// popped: `next_id() - base()`.
+    pub fn held(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn entry(&self, id: PunctId) -> Option<&Entry> {
+        let i = id.0.checked_sub(self.base)?;
+        self.entries.get(usize::try_from(i).ok()?)
     }
 
     /// Inserts a punctuation, returning its id.
@@ -230,23 +262,24 @@ impl PunctuationSet {
             Some(Pattern::Empty) => {}
             _ => self.unindexed.push(id),
         }
-        self.entries.push(Entry { id, punctuation, removed: false });
+        self.entries.push_back(Entry { id, punctuation, removed: false });
         self.live += 1;
         id
     }
 
     /// Looks up a punctuation by id (live entries only).
     pub fn get(&self, id: PunctId) -> Option<&Punctuation> {
-        self.entries
-            .get(id.0 as usize)
-            .filter(|e| !e.removed)
-            .map(|e| &e.punctuation)
+        self.entry(id).filter(|e| !e.removed).map(|e| &e.punctuation)
     }
 
-    /// Logically removes a punctuation (after it has been propagated).
+    /// Removes a punctuation from every index. Its entry stays stored
+    /// until [`pop_removed_below`](Self::pop_removed_below) pops it.
     /// Returns true if it was live.
     pub fn remove(&mut self, id: PunctId) -> bool {
-        let Some(entry) = self.entries.get_mut(id.0 as usize) else {
+        let Some(i) = id.0.checked_sub(self.base) else {
+            return false;
+        };
+        let Some(entry) = self.entries.get_mut(i as usize) else {
             return false;
         };
         if entry.removed {
@@ -277,6 +310,19 @@ impl PunctuationSet {
             _ => self.unindexed.retain(|x| *x != id),
         }
         true
+    }
+
+    /// Pops removed entries off the front of the window while their id is
+    /// below `below`; a live entry at the front stops it. Returns how
+    /// many were popped (the base advanced by as much).
+    pub fn pop_removed_below(&mut self, below: u64) -> usize {
+        let mut popped = 0;
+        while self.entries.front().is_some_and(|e| e.removed && e.id.0 < below) {
+            self.entries.pop_front();
+            popped += 1;
+        }
+        self.base += popped as u64;
+        popped
     }
 
     /// The paper's `setMatch(t, PS)`: returns the id of the **first
@@ -345,12 +391,27 @@ impl PunctuationSet {
                 return true;
             }
         }
-        self.unindexed.iter().any(|id| {
-            self.entries[id.0 as usize]
-                .punctuation
-                .pattern(self.attr)
+        self.unindexed.iter().any(|&id| {
+            self.entry(id)
+                .and_then(|e| e.punctuation.pattern(self.attr))
                 .is_some_and(|p| p.matches(v))
         })
+    }
+
+    /// Calls `f` with every live punctuation the indexes could offer as a
+    /// `set_match` candidate for a tuple with join value `v`: the owner
+    /// of `v`'s constant slot, the `In` lists naming `v`, the ranges
+    /// admitting it, and the unindexed punctuations (which may match any
+    /// value). A tuple's pid is always one of these.
+    pub fn for_each_cover(&self, v: &Value, mut f: impl FnMut(PunctId)) {
+        if let Some(&id) = self.constants.get(v) {
+            f(id);
+        }
+        for &id in self.members.get(v).map_or(&[][..], Vec::as_slice) {
+            f(id);
+        }
+        self.ranges.stab(v, &mut f);
+        self.unindexed.iter().copied().for_each(f);
     }
 
     /// Iterates over live punctuations in arrival order.
@@ -361,20 +422,33 @@ impl PunctuationSet {
             .map(|e| (e.id, &e.punctuation))
     }
 
-    /// Iterates over live punctuations with `id >= since`, in arrival
-    /// order, touching only those entries: ids are dense, so `since` is
-    /// the slice offset.
-    pub fn iter_from(&self, since: u64) -> impl Iterator<Item = (PunctId, &Punctuation)> {
+    /// The stored entries with `id >= since`, removed ones included, in
+    /// arrival order, touching only those entries: ids are dense, so
+    /// `since - base` is the offset into the window.
+    fn stored_from(&self, since: u64) -> impl Iterator<Item = &Entry> {
         let len = self.entries.len();
-        let start = usize::try_from(since).map_or(len, |s| s.min(len));
+        let start = usize::try_from(since.saturating_sub(self.base)).map_or(len, |s| s.min(len));
         debug_assert!(
-            start == len || self.entries[start].id.0 as usize == start,
-            "ids are dense: entries[i].id == i"
+            start == len || self.entries[start].id.0 == self.base + start as u64,
+            "ids are dense: entries[i].id == base + i"
         );
-        self.entries[start..]
-            .iter()
+        self.entries.range(start..)
+    }
+
+    /// Iterates over live punctuations with `id >= since`, in arrival
+    /// order (see [`stored_from`](Self::stored_from)).
+    pub fn iter_from(&self, since: u64) -> impl Iterator<Item = (PunctId, &Punctuation)> {
+        self.stored_from(since)
             .filter(|e| !e.removed)
             .map(|e| (e.id, &e.punctuation))
+    }
+
+    /// Every stored punctuation with `id >= since`, removed ones
+    /// included, in arrival order: a removed punctuation may still owe a
+    /// purge of the opposite state, so it is stored until its owner pops
+    /// it past the purge watermark.
+    pub fn stored_punctuations_from(&self, since: u64) -> impl Iterator<Item = &Punctuation> {
+        self.stored_from(since).map(|e| &e.punctuation)
     }
 
     /// The id the constant index holds for join value `v`: the first
@@ -395,7 +469,7 @@ impl PunctuationSet {
     /// value *equals* one of these, which lets an index build visit the
     /// tuples stored under each value instead of every tuple.
     pub fn point_values(&self, id: PunctId) -> Option<&[Value]> {
-        let entry = self.entries.get(id.0 as usize).filter(|e| !e.removed)?;
+        let entry = self.entry(id).filter(|e| !e.removed)?;
         match entry.punctuation.pattern(self.attr)? {
             Pattern::Constant(v) if self.constants.get(v) == Some(&id) => {
                 Some(std::slice::from_ref(v))
@@ -407,8 +481,7 @@ impl PunctuationSet {
     }
 
     fn entry_matches(&self, id: PunctId, t: &Tuple) -> bool {
-        let entry = &self.entries[id.0 as usize];
-        !entry.removed && entry.punctuation.matches(t)
+        self.entry(id).is_some_and(|e| !e.removed && e.punctuation.matches(t))
     }
 }
 
@@ -509,6 +582,89 @@ mod tests {
         // documented trade-off: duplicate constant punctuations are
         // redundant by the paper's stream well-formedness assumption.
         assert_eq!(ps.len(), 1);
+    }
+
+    #[test]
+    fn removed_entries_leave_the_window_from_the_front_only() {
+        let mut ps = PunctuationSet::new(0);
+        let a = ps.insert(close(1));
+        let b = ps.insert(close(2));
+        let c = ps.insert(close(3));
+        assert!(ps.remove(b));
+        // `b` left the indexes at once but `a`, live, pins the window.
+        assert!(!ps.covers_value(&Value::Int(2)));
+        assert_eq!(ps.pop_removed_below(u64::MAX), 0);
+        assert_eq!((ps.base(), ps.held()), (0, 3));
+        assert!(ps.remove(a));
+        // The watermark bounds the pop: only ids below it leave.
+        assert_eq!(ps.pop_removed_below(1), 1);
+        assert_eq!(ps.pop_removed_below(u64::MAX), 1);
+        assert_eq!((ps.base(), ps.held(), ps.next_id()), (2, 1, 3));
+        assert_eq!(ps.set_match(&tup(3, 0)), Some(c));
+        assert!(ps.iter().map(|(id, _)| id).eq([c]));
+    }
+
+    #[test]
+    fn an_id_below_base_reads_as_removed() {
+        let mut ps = PunctuationSet::new(0);
+        let a = ps.insert(close(1));
+        ps.insert(close(2));
+        ps.remove(a);
+        ps.pop_removed_below(u64::MAX);
+        assert_eq!(ps.base(), 1);
+        assert!(ps.get(a).is_none());
+        assert!(!ps.remove(a));
+        assert_eq!(ps.point_values(a), None);
+        assert_eq!(ps.set_match(&tup(1, 0)), None);
+        // A new punctuation on the value gets a fresh id and the slot.
+        let again = ps.insert(close(1));
+        assert_eq!(again, PunctId(2));
+        assert_eq!(ps.constant_id(&Value::Int(1)), Some(again));
+    }
+
+    #[test]
+    fn iter_from_below_base_starts_at_the_window() {
+        let mut ps = PunctuationSet::new(0);
+        let ids: Vec<PunctId> = (0..4).map(|k| ps.insert(close(k))).collect();
+        ps.remove(ids[0]);
+        ps.remove(ids[1]);
+        ps.remove(ids[2]);
+        // Removed but below no watermark yet: still stored, not live.
+        assert!(ps.iter_from(0).map(|(id, _)| id).eq([ids[3]]));
+        assert_eq!(ps.stored_punctuations_from(1).count(), 3);
+        assert_eq!(ps.pop_removed_below(2), 2);
+        assert!(ps.iter_from(0).map(|(id, _)| id).eq([ids[3]]));
+        assert!(ps.iter_from(1).map(|(id, _)| id).eq([ids[3]]));
+        assert!(ps.stored_punctuations_from(0).eq([&close(2), &close(3)]));
+        assert_eq!(ps.iter_from(4).count(), 0);
+        assert_eq!(ps.iter_from(u64::MAX).count(), 0);
+    }
+
+    #[test]
+    fn for_each_cover_offers_every_index() {
+        let covers = |ps: &PunctuationSet, v: i64| {
+            let mut ids = Vec::new();
+            ps.for_each_cover(&Value::Int(v), |id| ids.push(id));
+            ids.sort();
+            ids
+        };
+        let mut ps = PunctuationSet::new(0);
+        assert!(covers(&ps, 5).is_empty());
+        let list = ps.insert(Punctuation::on_attr(
+            2,
+            0,
+            Pattern::enumeration(vec![Value::Int(5), Value::Int(6)]),
+        ));
+        let five = ps.insert(close(5));
+        let _shadowed = ps.insert(close(5));
+        let range = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
+        assert_eq!(covers(&ps, 5), vec![list, five, range], "not the shadowed duplicate");
+        assert_eq!(covers(&ps, 8), vec![range]);
+        ps.remove(list);
+        assert_eq!(covers(&ps, 6), vec![range]);
+        // An unindexed punctuation may match any value.
+        let other_attr = ps.insert(Punctuation::close_value(2, 1, 0i64));
+        assert_eq!(covers(&ps, 42), vec![other_attr]);
     }
 
     #[test]

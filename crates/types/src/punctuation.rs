@@ -29,6 +29,13 @@ impl Punctuation {
         Punctuation { patterns: patterns.into() }
     }
 
+    /// Creates a punctuation from per-attribute patterns collected
+    /// straight into its shared slice: one allocation when the iterator's
+    /// length is known exactly (a mapped range, a slice iterator).
+    pub fn from_patterns(patterns: impl IntoIterator<Item = Pattern>) -> Punctuation {
+        Punctuation { patterns: patterns.into_iter().collect() }
+    }
+
     /// A punctuation of width `width` that constrains only attribute
     /// `attr` with `pattern`; all other attributes are wildcards.
     ///

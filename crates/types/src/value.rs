@@ -7,7 +7,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -191,7 +191,7 @@ impl Value {
     /// every existing shard and bucket assignment is preserved.
     pub fn join_hash(&self) -> Option<u64> {
         use std::collections::hash_map::DefaultHasher;
-        use std::hash::{BuildHasher, BuildHasherDefault};
+        use std::hash::BuildHasher;
         let canonical = self.join_key()?;
         Some(BuildHasherDefault::<DefaultHasher>::default().hash_one(&canonical))
     }
@@ -306,6 +306,69 @@ impl From<String> for Value {
     }
 }
 
+/// A small deterministic hasher for maps keyed by [`Value`]: each word
+/// that [`Value`]'s `Hash` writes (type tag, then payload) is folded in
+/// with a rotate, xor and multiply, and `finish` rotates the well-mixed
+/// high bits down to where the table takes its bucket index. SipHash
+/// with random keys costs several times as much per key; these maps hold
+/// operator-internal join values, and the store's bucket hash
+/// ([`Value::join_hash`]) is deterministic already.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ValueHasher {
+    hash: u64,
+}
+
+impl ValueHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for ValueHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            self.add(tail.iter().fold(0u64, |acc, &b| (acc << 8) | u64::from(b)));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// A hash map keyed by [`Value`] under [`ValueHasher`].
+pub type ValueMap<V> = std::collections::HashMap<Value, V, BuildHasherDefault<ValueHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,6 +378,22 @@ mod tests {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()
+    }
+
+    #[test]
+    fn value_hasher_is_deterministic_and_keeps_types_apart() {
+        let hash = |v: &Value| {
+            let mut h = ValueHasher::default();
+            v.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&Value::Int(7)), hash(&Value::Int(7)));
+        assert_ne!(hash(&Value::Int(7)), hash(&Value::Int(8)));
+        assert_ne!(hash(&Value::Int(1)), hash(&Value::Float(f64::from_bits(1))));
+        assert_ne!(hash(&Value::str("abcdefghi")), hash(&Value::str("abcdefghj")));
+        let map: ValueMap<i64> = (0..1000).map(|i| (Value::Int(i), i)).collect();
+        assert!((0..1000).all(|i| map.get(&Value::Int(i)) == Some(&i)));
+        assert_eq!(map.get(&Value::Float(1.0)), None);
     }
 
     #[test]
