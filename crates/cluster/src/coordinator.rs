@@ -1273,7 +1273,7 @@ impl Cluster {
     ///    no install wait, so the pause is export-bound, not
     ///    round-trip-bound.
     /// 3. **Commit**: records + pending punctuations + input cursor are
-    ///    written as one epoch (delta-encoded, CRC-guarded, atomically
+    ///    written as one self-contained epoch (CRC-guarded, atomically
     ///    published). Only then are withheld outputs released, the input
     ///    replay log truncated, and each worker sent an `Ack` of what its
     ///    sink delivered, so it frees that history.

@@ -2,6 +2,8 @@
 //! framework, and the purge / relocation / disk-join / index-build /
 //! propagation components.
 
+use std::collections::VecDeque;
+
 use punct_trace::{JoinLatencies, SpanStart, TraceKind, TraceLog, Tracer};
 use punct_types::{PunctId, StreamElement, Timestamp, Tuple};
 use stream_sim::{BinaryStreamOp, OpOutput, Side, Work};
@@ -101,9 +103,9 @@ struct OpTrace {
     tracer: Tracer,
     latencies: JoinLatencies,
     profile: FrameworkProfile,
-    /// Virtual arrival time (µs) of each punctuation, dense by
-    /// [`PunctId`], one ledger per side.
-    punct_arrivals: [Vec<u64>; 2],
+    /// Virtual arrival time (µs) of each stored punctuation, one ledger
+    /// per side.
+    punct_arrivals: [ArrivalLedger; 2],
     /// Arrival times of punctuations no purge run has applied yet.
     pending_purge: Vec<u64>,
     /// The open memory-join burst, if any: arriving tuples accumulate
@@ -111,6 +113,44 @@ struct OpTrace {
     /// punctuation, component run, or trace drain). One wall-clock read
     /// pair per burst keeps the per-tuple cost at counter increments.
     mj_burst: Option<MjBurst>,
+}
+
+/// Arrival times of one side's punctuations, dense by [`PunctId`] over
+/// a window in step with the punctuation index: `times[i]` is id
+/// `base + i`. An id below the index's base was forgotten, so it was
+/// propagated already and its arrival time is no longer needed.
+#[derive(Debug, Default)]
+struct ArrivalLedger {
+    base: u64,
+    times: VecDeque<u64>,
+}
+
+impl ArrivalLedger {
+    fn note(&mut self, id: PunctId, now_us: u64) {
+        let Some(slot) = id.0.checked_sub(self.base) else {
+            return;
+        };
+        let slot = slot as usize;
+        if self.times.len() <= slot {
+            self.times.resize(slot + 1, now_us);
+        }
+        self.times[slot] = now_us;
+    }
+
+    fn get(&self, id: PunctId) -> Option<u64> {
+        self.times
+            .get(usize::try_from(id.0.checked_sub(self.base)?).ok()?)
+            .copied()
+    }
+
+    /// Drops the ids below `base`.
+    fn trim(&mut self, base: u64) {
+        if base > self.base {
+            let n = usize::try_from(base - self.base).unwrap_or(usize::MAX);
+            self.times.drain(..n.min(self.times.len()));
+            self.base = base;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +166,7 @@ impl OpTrace {
             tracer: Tracer::new(config.trace),
             latencies: JoinLatencies::new(),
             profile: FrameworkProfile::new(),
-            punct_arrivals: [Vec::new(), Vec::new()],
+            punct_arrivals: Default::default(),
             pending_purge: Vec::new(),
             mj_burst: None,
         }
@@ -158,22 +198,14 @@ impl OpTrace {
 
     /// Records a punctuation arrival in both latency ledgers.
     fn note_punct_arrival(&mut self, side_idx: usize, id: PunctId, now_us: u64) {
-        let ledger = &mut self.punct_arrivals[side_idx];
-        let slot = id.0 as usize;
-        if ledger.len() <= slot {
-            ledger.resize(slot + 1, now_us);
-        }
-        ledger[slot] = now_us;
+        self.punct_arrivals[side_idx].note(id, now_us);
         self.pending_purge.push(now_us);
     }
 
     /// Records one punctuation's downstream release: its
     /// arrival→propagation latency and a `PunctEmit` instant.
     fn note_punct_emitted(&mut self, side_idx: usize, id: PunctId, now_us: u64) {
-        let arrival = self.punct_arrivals[side_idx]
-            .get(id.0 as usize)
-            .copied()
-            .unwrap_or(now_us);
+        let arrival = self.punct_arrivals[side_idx].get(id).unwrap_or(now_us);
         let lat = now_us.saturating_sub(arrival);
         self.latencies.punct_propagate.record(lat);
         self.tracer.instant(TraceKind::PunctEmit, now_us, id.0, lat);
@@ -690,6 +722,8 @@ impl PJoin {
             for id in ids_b {
                 self.obs.note_punct_emitted(1, id, now_us);
             }
+            self.obs.punct_arrivals[0].trim(self.a.index.set().base());
+            self.obs.punct_arrivals[1].trim(self.b.index.set().base());
             self.prof_end(
                 Component::Propagation,
                 prof,
@@ -1016,7 +1050,16 @@ impl std::error::Error for StateExportError {}
 mod tests {
     use super::*;
     use crate::config::PurgeStrategy;
-    use punct_types::Punctuation;
+    use punct_types::{Pattern, Punctuation};
+
+    /// Eager purge, propagation on every punctuation.
+    fn eager(config: PJoinConfig) -> PJoin {
+        PJoin::new(PJoinConfig {
+            purge: PurgeStrategy::Eager,
+            propagation: PropagationTrigger::PushCount { count: 1 },
+            ..config
+        })
+    }
 
     fn joined(out: &mut OpOutput) -> usize {
         out.drain().filter(|e| !e.is_punctuation()).count()
@@ -1030,11 +1073,7 @@ mod tests {
     /// punctuation left to purge it, stays until the end of the stream.
     #[test]
     fn a_late_tuple_after_both_inputs_closed_its_value_is_stored_and_kept() {
-        let mut op = PJoin::new(PJoinConfig {
-            purge: PurgeStrategy::Eager,
-            propagation: PropagationTrigger::PushCount { count: 1 },
-            ..PJoinConfig::new(2, 2)
-        });
+        let mut op = eager(PJoinConfig::new(2, 2));
         let mut out = OpOutput::new();
         let push = |op: &mut PJoin, side, e: StreamElement, out: &mut OpOutput| {
             op.on_element(side, e, Timestamp(0), out);
@@ -1088,5 +1127,77 @@ mod tests {
             (1, 0),
             "kept until the end of the stream"
         );
+    }
+
+    /// A range punctuation whose values an earlier punctuation still
+    /// counts waits for it: the stored `(5, 0)` carries the pid of the
+    /// left close of 5, so the later left range `[0, 9]` counts nothing
+    /// while that tuple can still join. Released at once, the range would
+    /// precede the result `(5, 0, 5, 1)` it covers.
+    #[test]
+    fn a_range_behind_an_earlier_count_waits_for_it() {
+        let mut op = eager(PJoinConfig::new(2, 2));
+        let mut out = OpOutput::new();
+        let input = [
+            (Side::Left, StreamElement::Tuple(Tuple::of((5i64, 0i64)))),
+            (
+                Side::Left,
+                StreamElement::Punctuation(Punctuation::close_value(2, 0, 5i64)),
+            ),
+            (
+                Side::Left,
+                StreamElement::Punctuation(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9))),
+            ),
+            (Side::Right, StreamElement::Tuple(Tuple::of((5i64, 1i64)))),
+        ];
+        for (side, e) in input {
+            op.on_element(side, e, Timestamp(0), &mut out);
+        }
+        while op.on_end(Timestamp(1), &mut out) {}
+        let mut emitted: Vec<Punctuation> = Vec::new();
+        let mut results = 0;
+        for e in out.drain() {
+            match e {
+                StreamElement::Punctuation(p) => emitted.push(p),
+                StreamElement::Tuple(t) => {
+                    results += 1;
+                    let covering = emitted.iter().find(|p| p.matches(&t));
+                    assert!(covering.is_none(), "{t:?} after {covering:?}");
+                }
+            }
+        }
+        assert_eq!((results, emitted.len()), (1, 2));
+    }
+
+    /// The traced operator's arrival ledgers follow the punctuation
+    /// windows: on a long constant-per-key stream each side's ledger
+    /// holds no more than the punctuations that side still stores, not
+    /// one entry per punctuation received.
+    #[test]
+    fn arrival_ledgers_stay_within_the_punctuation_windows() {
+        let mut op = eager(PJoinConfig::new(2, 2).with_tracing());
+        let mut out = OpOutput::new();
+        let keys = 2_000i64;
+        for k in 0..keys {
+            for (side, tag) in [(Side::Left, 0i64), (Side::Right, 1)] {
+                let t = StreamElement::Tuple(Tuple::of((k, tag)));
+                op.on_element(side, t, Timestamp(k as u64), &mut out);
+            }
+            for side in [Side::Left, Side::Right] {
+                let close = StreamElement::Punctuation(Punctuation::close_value(2, 0, k));
+                op.on_element(side, close, Timestamp(k as u64), &mut out);
+            }
+            out.drain().for_each(drop);
+        }
+        assert_eq!(op.stats().puncts_propagated, 2 * keys as u64);
+        for (ledger, index) in op.obs.punct_arrivals.iter().zip([&op.a.index, &op.b.index]) {
+            assert!(index.held() < 8, "the windows trim: {} held", index.held());
+            assert!(
+                ledger.times.len() <= index.held(),
+                "ledger of {} for {} held",
+                ledger.times.len(),
+                index.held()
+            );
+        }
     }
 }

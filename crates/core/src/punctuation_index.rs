@@ -28,6 +28,12 @@ use std::collections::{BTreeSet, VecDeque};
 
 use punct_types::{Pattern, PunctId, Punctuation, PunctuationSet, Tuple, Value};
 
+/// `p`'s pattern on join attribute `attr`; a punctuation without one
+/// constrains nothing there.
+fn join_pattern(p: &Punctuation, attr: usize) -> &Pattern {
+    p.pattern(attr).unwrap_or(&Pattern::Wildcard)
+}
+
 /// The count and retired flag of one stored punctuation.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
@@ -186,19 +192,30 @@ impl PunctuationIndex {
         self.zero_count.iter().copied()
     }
 
-    /// True while tuples matching point punctuation `id` (a constant or
-    /// an enumeration list) may carry an earlier punctuation's pid and so
-    /// escape its count: a tuple gets the first-arrived punctuation it
-    /// matches, so behind an earlier punctuation on the same value (a
-    /// duplicate constant, a list, a range) a zero count does not mean
-    /// no matching tuple is left. Such a punctuation waits until every
-    /// earlier one the indexes offer for its values counts nothing.
-    /// Ranges and wildcards are not checked (see DESIGN.md §7).
+    /// True while tuples matching punctuation `id` may carry an earlier
+    /// punctuation's pid and so escape its count: a tuple gets the
+    /// first-arrived punctuation it matches, so behind an earlier one that
+    /// overlaps it (a duplicate constant, a constant inside an earlier
+    /// list or range, a range over an earlier constant) a zero count does
+    /// not mean no matching tuple is left. Such a punctuation waits until
+    /// every earlier one overlapping it counts nothing. For a point
+    /// punctuation (a constant or an enumeration list) those are the ones
+    /// the indexes offer for its values; for a range or wildcard, every
+    /// earlier stored punctuation whose join-attribute pattern is not
+    /// disjoint with its own (see DESIGN.md §7).
     pub fn behind_earlier_count(&self, id: PunctId) -> bool {
-        let values = match self.set.get(id).and_then(|p| p.pattern(self.set.join_attr())) {
-            Some(Pattern::Constant(v)) => std::slice::from_ref(v),
-            Some(Pattern::In(vs)) => vs.as_slice(),
-            _ => return false,
+        let attr = self.set.join_attr();
+        let Some(own) = self.set.get(id).map(|p| join_pattern(p, attr)) else {
+            return false;
+        };
+        let values = match own {
+            Pattern::Constant(v) => std::slice::from_ref(v),
+            Pattern::In(vs) => vs.as_slice(),
+            _ => {
+                return self.set.iter().take_while(|&(q, _)| q < id).any(|(q, p)| {
+                    self.count(q) > 0 && !join_pattern(p, attr).disjoint_with(own)
+                })
+            }
         };
         values.iter().any(|v| {
             let mut behind = false;

@@ -9,16 +9,14 @@
 //!             | section*
 //!             | END (kind 0xFF) | section_count u32le
 //!
-//! section    := kind u8 | key u64le | flag u8
-//!             | flag 0 (inline): len u32le | crc32 u32le | bytes[len]
-//!             | flag 1 (ref):    home_epoch u64le | crc32 u32le
+//! section    := kind u8 | key u64le | flag u8 (always 0)
+//!             | len u32le | crc32 u32le | bytes[len]
 //! ```
 //!
-//! A **ref** section says "this (kind, key) payload is byte-identical to
-//! the inline copy in `home_epoch`'s file" — the delta encoding that
-//! keeps steady-state checkpoints from rewriting unchanged shards. The
-//! recorded CRC must still match the resolved payload, so a ref can
-//! never silently pick up wrong bytes.
+//! Every section holds its payload inline, so an epoch file is
+//! self-contained: it loads without any other file of the store. The
+//! flag byte is kept so files stay byte-identical to format version 1;
+//! a reader rejects any value but 0 as corrupt.
 //!
 //! Every validation failure is a [`SnapshotError`]; no reader path
 //! panics on untrusted bytes, and no partially-validated section is ever
@@ -41,7 +39,6 @@ pub const FORMAT_VERSION: u32 = 1;
 pub const KIND_END: u8 = 0xFF;
 
 const FLAG_INLINE: u8 = 0;
-const FLAG_REF: u8 = 1;
 
 /// Largest accepted section payload (matches the net layer's frame cap).
 pub const MAX_SECTION_LEN: usize = 1 << 24;
@@ -61,9 +58,6 @@ pub enum SnapshotError {
     Crc { kind: u8, key: u64 },
     /// An unknown section kind was encountered.
     BadSection(u8),
-    /// A ref section names an epoch file that is missing or lacks the
-    /// referenced section.
-    MissingBase { epoch: u64, kind: u8, key: u64 },
     /// A section payload failed wire-level decoding.
     Wire(WireError),
     /// The decoded structure violates a snapshot invariant.
@@ -83,10 +77,6 @@ impl fmt::Display for SnapshotError {
                 write!(f, "snapshot section crc mismatch (kind {kind:#x}, key {key:#x})")
             }
             SnapshotError::BadSection(kind) => write!(f, "unknown snapshot section kind {kind:#x}"),
-            SnapshotError::MissingBase { epoch, kind, key } => write!(
-                f,
-                "snapshot ref to epoch {epoch} (kind {kind:#x}, key {key:#x}) cannot be resolved"
-            ),
             SnapshotError::Wire(e) => write!(f, "snapshot payload: {e}"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
@@ -137,18 +127,8 @@ pub struct RawSection {
     pub kind: u8,
     /// Section key — kind-specific (e.g. packed `(shard, side)`).
     pub key: u64,
-    /// Where the payload bytes are.
-    pub payload: SectionPayload,
-}
-
-/// Inline bytes or a delta reference to an earlier epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SectionPayload {
-    /// Payload stored in this file (CRC already verified on read).
-    Inline(Vec<u8>),
-    /// Payload identical to `home_epoch`'s inline copy of the same
-    /// (kind, key); `crc` is the expected payload CRC32.
-    Ref { home_epoch: u64, crc: u32 },
+    /// The payload (CRC already verified on read).
+    pub bytes: Vec<u8>,
 }
 
 /// Serializes an epoch file from framed sections.
@@ -160,19 +140,10 @@ pub fn write_epoch_file(epoch: u64, sections: &[RawSection]) -> Vec<u8> {
     for s in sections {
         out.push(s.kind);
         put_u64(&mut out, s.key);
-        match &s.payload {
-            SectionPayload::Inline(bytes) => {
-                out.push(FLAG_INLINE);
-                put_u32(&mut out, bytes.len() as u32);
-                put_u32(&mut out, crc32(bytes));
-                out.extend_from_slice(bytes);
-            }
-            SectionPayload::Ref { home_epoch, crc } => {
-                out.push(FLAG_REF);
-                put_u64(&mut out, *home_epoch);
-                put_u32(&mut out, *crc);
-            }
-        }
+        out.push(FLAG_INLINE);
+        put_u32(&mut out, s.bytes.len() as u32);
+        put_u32(&mut out, crc32(&s.bytes));
+        out.extend_from_slice(&s.bytes);
     }
     out.push(KIND_END);
     put_u32(&mut out, sections.len() as u32);
@@ -205,27 +176,19 @@ pub fn read_epoch_file(bytes: &[u8]) -> Result<(u64, Vec<RawSection>), SnapshotE
             return Ok((epoch, sections));
         }
         let key = r.u64("section key")?;
-        let payload = match r.u8("section flag")? {
-            FLAG_INLINE => {
-                let len = r.u32("section length")? as usize;
-                if len > MAX_SECTION_LEN {
-                    return Err(SnapshotError::Corrupt("section length exceeds cap"));
-                }
-                let crc = r.u32("section crc")?;
-                let body = r.bytes("section payload", len)?;
-                if crc32(body) != crc {
-                    return Err(SnapshotError::Crc { kind, key });
-                }
-                SectionPayload::Inline(body.to_vec())
-            }
-            FLAG_REF => {
-                let home_epoch = r.u64("ref epoch")?;
-                let crc = r.u32("ref crc")?;
-                SectionPayload::Ref { home_epoch, crc }
-            }
-            _ => return Err(SnapshotError::Corrupt("unknown section flag")),
-        };
-        sections.push(RawSection { kind, key, payload });
+        if r.u8("section flag")? != FLAG_INLINE {
+            return Err(SnapshotError::Corrupt("unknown section flag"));
+        }
+        let len = r.u32("section length")? as usize;
+        if len > MAX_SECTION_LEN {
+            return Err(SnapshotError::Corrupt("section length exceeds cap"));
+        }
+        let crc = r.u32("section crc")?;
+        let body = r.bytes("section payload", len)?;
+        if crc32(body) != crc {
+            return Err(SnapshotError::Crc { kind, key });
+        }
+        sections.push(RawSection { kind, key, bytes: body.to_vec() });
     }
 }
 
@@ -236,9 +199,9 @@ mod tests {
 
     fn sections() -> Vec<RawSection> {
         vec![
-            RawSection { kind: 1, key: 0, payload: SectionPayload::Inline(vec![1, 2, 3]) },
-            RawSection { kind: 2, key: 0x0102, payload: SectionPayload::Inline(vec![]) },
-            RawSection { kind: 2, key: 0x0203, payload: SectionPayload::Ref { home_epoch: 4, crc: 9 } },
+            RawSection { kind: 1, key: 0, bytes: vec![1, 2, 3] },
+            RawSection { kind: 2, key: 0x0102, bytes: vec![] },
+            RawSection { kind: 2, key: 0x0203, bytes: vec![4] },
         ]
     }
 

@@ -7,7 +7,8 @@
 //! is cut at an Empty-pattern barrier punctuation (the same sequenced
 //! mechanism PR 7's migration uses, so it is exactly-once through
 //! faults), and the post-purge state at the cut is written to disk in a
-//! versioned, CRC-guarded, delta-encoded snapshot format.
+//! versioned, CRC-guarded snapshot format, one self-contained file per
+//! epoch.
 //!
 //! The crate is deliberately mechanism-only. It knows how to
 //!
@@ -20,9 +21,9 @@
 //!   truncation with a typed [`SnapshotError`] instead of a panic or a
 //!   silent partial restore;
 //! * manage a directory of epochs with atomic publication (tmp+rename +
-//!   manifest), delta encoding against earlier epochs (unchanged
-//!   sections become references, so steady-state checkpoints write only
-//!   changed shards), and bounded retention via [`CheckpointStore`].
+//!   manifest) and bounded retention via [`CheckpointStore`]. Every
+//!   epoch file holds all of its sections, so any retained epoch loads
+//!   on its own.
 //!
 //! *Policy* — when to cut a barrier, who replays which inputs — lives
 //! with the caller: `punct-cluster` wires this store into its coordinator

@@ -12,16 +12,16 @@
 //! `punct_types::wire` primitives, so values, tuples, and punctuations
 //! are bit-exact through a round trip — NaN payloads included.
 //!
-//! Section payload determinism matters: the store's delta encoding
-//! compares payload bytes across epochs, so every encoder here iterates
-//! in a canonical order (key order, sequence order).
+//! Every encoder here iterates in a canonical order (key order, sequence
+//! order), so one snapshot always encodes to the same bytes: the format
+//! pins and the round-trip tests compare files byte for byte.
 
 use punct_types::wire::{
     get_punctuation, get_records, put_bytes, put_punctuation, put_records, put_u32, put_u64,
 };
 use punct_types::{Punctuation, Tuple, WireReader};
 
-use crate::format::{RawSection, SectionPayload, SnapshotError};
+use crate::format::{RawSection, SnapshotError};
 
 /// Section kinds used by [`Snapshot`]. Kinds 3 and 4 (serialized
 /// punctuation sets and aligners) are retired: a reader rejects them.
@@ -182,44 +182,41 @@ impl Snapshot {
         Snapshot { epoch, meta, records, pending: Vec::new() }
     }
 
-    /// Flattens into framed sections (inline payloads, canonical order:
-    /// META, RECORDS by key, PENDING).
+    /// Flattens into framed sections (canonical order: META, RECORDS by
+    /// key, PENDING).
     pub fn to_sections(&self) -> Vec<RawSection> {
         let mut sections = Vec::with_capacity(2 + self.records.len());
         sections.push(RawSection {
             kind: kind::META,
             key: 0,
-            payload: SectionPayload::Inline(self.meta.encode()),
+            bytes: self.meta.encode(),
         });
         for r in &self.records {
             sections.push(RawSection {
                 kind: kind::RECORDS,
                 key: records_key(r.shard, r.side),
-                payload: SectionPayload::Inline(encode_records(&r.records)),
+                bytes: encode_records(&r.records),
             });
         }
         if !self.pending.is_empty() {
             sections.push(RawSection {
                 kind: kind::PENDING,
                 key: 0,
-                payload: SectionPayload::Inline(encode_pending(&self.pending)),
+                bytes: encode_pending(&self.pending),
             });
         }
         sections
     }
 
-    /// Rebuilds a snapshot from fully-resolved (inline-only) sections.
+    /// Rebuilds a snapshot from its sections.
     pub fn from_sections(epoch: u64, sections: &[RawSection]) -> Result<Snapshot, SnapshotError> {
         let mut meta = None;
         let mut records = Vec::new();
         let mut pending: Option<Vec<PendingPunct>> = None;
         for s in sections {
-            let SectionPayload::Inline(bytes) = &s.payload else {
-                return Err(SnapshotError::Corrupt("unresolved ref section"));
-            };
             match s.kind {
                 kind::META => {
-                    if meta.replace(SnapshotMeta::decode(bytes)?).is_some() {
+                    if meta.replace(SnapshotMeta::decode(&s.bytes)?).is_some() {
                         return Err(SnapshotError::Corrupt("duplicate META section"));
                     }
                 }
@@ -230,10 +227,10 @@ impl Snapshot {
                     }
                     let shard = u32::try_from(s.key >> 8)
                         .map_err(|_| SnapshotError::Corrupt("records key shard out of range"))?;
-                    records.push(ShardRecords { shard, side, records: decode_records(bytes)? });
+                    records.push(ShardRecords { shard, side, records: decode_records(&s.bytes)? });
                 }
                 kind::PENDING => {
-                    if pending.replace(decode_pending(bytes)?).is_some() {
+                    if pending.replace(decode_pending(&s.bytes)?).is_some() {
                         return Err(SnapshotError::Corrupt("duplicate PENDING section"));
                     }
                 }
@@ -292,7 +289,7 @@ mod tests {
             sections.push(RawSection {
                 kind: kind::RECORDS,
                 key,
-                payload: SectionPayload::Inline(encode_records(&[])),
+                bytes: encode_records(&[]),
             });
             assert!(
                 matches!(Snapshot::from_sections(1, &sections), Err(SnapshotError::Corrupt(_))),

@@ -1,5 +1,5 @@
-//! The on-disk checkpoint directory: epoch files, delta encoding,
-//! atomic publication, and bounded retention.
+//! The on-disk checkpoint directory: epoch files, atomic publication,
+//! and bounded retention.
 //!
 //! Layout of a store directory:
 //!
@@ -15,18 +15,15 @@
 //! MANIFEST still naming the previous complete epoch — never a manifest
 //! naming a partial file.
 //!
-//! **Delta encoding**: when a section's payload bytes are identical to
-//! the previous epoch's, the new file stores a *ref* to the epoch that
-//! holds the inline copy (single-hop: refs always name the home epoch,
-//! not a chain), so steady-state checkpoints write only changed shards.
-//! A ref is re-inlined once its home epoch falls out of the retention
-//! window, which keeps every retained epoch loadable after GC.
+//! **Self-contained epochs**: every epoch file holds every section of
+//! its snapshot inline, so it loads on its own, whatever else is lost.
+//! PJoin purges its state as punctuations arrive, so a shard's records
+//! are almost never byte-identical at two cuts, and sharing unchanged
+//! sections across epochs would save next to nothing.
 //!
 //! **Retention**: after each commit, epoch files older than the
-//! retention window are deleted — except files still serving as ref
-//! homes for a retained epoch.
+//! retention window are deleted.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -34,10 +31,7 @@ use std::path::{Path, PathBuf};
 use punct_types::wire::{put_u32, put_u64};
 use punct_types::WireReader;
 
-use crate::format::{
-    crc32, read_epoch_file, write_epoch_file, RawSection, SectionPayload, SnapshotError,
-    FORMAT_VERSION, MAGIC,
-};
+use crate::format::{crc32, read_epoch_file, write_epoch_file, SnapshotError, FORMAT_VERSION, MAGIC};
 use crate::snapshot::Snapshot;
 
 const MANIFEST: &str = "MANIFEST";
@@ -50,18 +44,6 @@ pub struct StoreStats {
     pub epochs: u64,
     /// Bytes written to epoch files (tmp writes included once).
     pub bytes_written: u64,
-    /// Sections written inline.
-    pub sections_inline: u64,
-    /// Sections written as refs to an earlier epoch.
-    pub sections_ref: u64,
-}
-
-/// Where each (kind, key) payload of the last committed epoch lives.
-#[derive(Debug, Clone)]
-struct HomeEntry {
-    crc: u32,
-    len: u32,
-    home_epoch: u64,
 }
 
 /// A directory of checkpoint epochs.
@@ -70,35 +52,19 @@ pub struct CheckpointStore {
     dir: PathBuf,
     /// Complete epochs to keep on disk (≥ 1).
     retain: usize,
-    /// Section homes of the last committed epoch (delta-encoding state;
-    /// rebuilt lazily from disk when the store is reopened).
-    homes: HashMap<(u8, u64), HomeEntry>,
+    /// The epoch the manifest names: commits must go past it.
     last_epoch: Option<u64>,
     stats: StoreStats,
 }
 
 impl CheckpointStore {
-    /// Opens (creating if needed) a store directory.
+    /// Opens (creating if needed) a store directory. Reads only the
+    /// MANIFEST: epoch files are read when they are loaded.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> Result<CheckpointStore, SnapshotError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut store = CheckpointStore {
-            dir,
-            retain: retain.max(1),
-            homes: HashMap::new(),
-            last_epoch: None,
-            stats: StoreStats::default(),
-        };
-        // Rebuild delta state from the manifest epoch, if one exists and
-        // is loadable; otherwise start deltas from scratch (correct,
-        // just less sharing for the first write).
-        if let Some(epoch) = store.manifest_epoch()? {
-            if let Ok(sections) = store.read_epoch(epoch) {
-                store.index_homes(epoch, &sections);
-                store.last_epoch = Some(epoch);
-            }
-        }
-        Ok(store)
+        let last_epoch = manifest_epoch(&dir)?;
+        Ok(CheckpointStore { dir, retain: retain.max(1), last_epoch, stats: StoreStats::default() })
     }
 
     /// The store directory.
@@ -122,171 +88,48 @@ impl CheckpointStore {
         if self.last_epoch.is_some_and(|last| snapshot.epoch <= last) {
             return Err(SnapshotError::Corrupt("epochs must be committed in increasing order"));
         }
-        let oldest_retained =
-            snapshot.epoch.saturating_sub(self.retain as u64 - 1);
-        let mut sections = Vec::new();
-        let mut homes = HashMap::new();
-        let mut inline = 0u64;
-        let mut refs = 0u64;
-        for section in snapshot.to_sections() {
-            let SectionPayload::Inline(bytes) = &section.payload else {
-                return Err(SnapshotError::Corrupt("snapshot produced a ref section"));
-            };
-            let crc = crc32(bytes);
-            let len = bytes.len() as u32;
-            let id = (section.kind, section.key);
-            // Reuse the previous epoch's copy only when the bytes are
-            // identical *and* its home file will survive retention.
-            let home = self.homes.get(&id).filter(|h| {
-                h.crc == crc && h.len == len && h.home_epoch >= oldest_retained
-            });
-            match home {
-                Some(h) => {
-                    let home_epoch = h.home_epoch;
-                    refs += 1;
-                    homes.insert(id, HomeEntry { crc, len, home_epoch });
-                    sections.push(RawSection {
-                        kind: section.kind,
-                        key: section.key,
-                        payload: SectionPayload::Ref { home_epoch, crc },
-                    });
-                }
-                None => {
-                    inline += 1;
-                    homes.insert(id, HomeEntry { crc, len, home_epoch: snapshot.epoch });
-                    sections.push(section);
-                }
-            }
-        }
-        let bytes = write_epoch_file(snapshot.epoch, &sections);
-        let path = self.epoch_path(snapshot.epoch);
-        write_atomic(&path, &bytes)?;
+        let bytes = write_epoch_file(snapshot.epoch, &snapshot.to_sections());
+        write_atomic(&self.epoch_path(snapshot.epoch), &bytes)?;
         write_atomic(&self.dir.join(MANIFEST), &manifest_bytes(snapshot.epoch))?;
         self.stats.epochs += 1;
         self.stats.bytes_written += bytes.len() as u64;
-        self.stats.sections_inline += inline;
-        self.stats.sections_ref += refs;
-        self.homes = homes;
         self.last_epoch = Some(snapshot.epoch);
-        self.gc(snapshot.epoch, oldest_retained)?;
-        Ok(())
+        self.gc(snapshot.epoch.saturating_sub(self.retain as u64 - 1))
     }
 
-    /// Deletes epoch files below the retention window, keeping any file
-    /// still serving as a ref home for the latest epoch.
-    fn gc(&self, latest: u64, oldest_retained: u64) -> Result<(), SnapshotError> {
-        let needed: Vec<u64> = self.homes.values().map(|h| h.home_epoch).collect();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(epoch) = parse_epoch_name(&name.to_string_lossy()) else { continue };
-            if epoch < oldest_retained && epoch != latest && !needed.contains(&epoch) {
+    /// Deletes the epoch files below `oldest_retained`.
+    fn gc(&self, oldest_retained: u64) -> Result<(), SnapshotError> {
+        for epoch in self.epochs_on_disk()? {
+            if epoch < oldest_retained {
                 // Best-effort: a GC failure must never fail a commit.
-                let _ = fs::remove_file(entry.path());
+                let _ = fs::remove_file(self.epoch_path(epoch));
             }
         }
         Ok(())
     }
 
-    fn index_homes(&mut self, epoch: u64, sections: &[RawSection]) {
-        self.homes.clear();
-        for s in sections {
-            let entry = match &s.payload {
-                SectionPayload::Inline(bytes) => HomeEntry {
-                    crc: crc32(bytes),
-                    len: bytes.len() as u32,
-                    home_epoch: epoch,
-                },
-                SectionPayload::Ref { home_epoch, crc } => {
-                    HomeEntry { crc: *crc, len: u32::MAX, home_epoch: *home_epoch }
-                }
-            };
-            self.homes.insert((s.kind, s.key), entry);
-        }
-    }
-
-    fn manifest_epoch(&self) -> Result<Option<u64>, SnapshotError> {
-        let bytes = match fs::read(self.dir.join(MANIFEST)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        parse_manifest(&bytes).map(Some)
-    }
-
-    /// Raw sections of one epoch file (refs unresolved).
-    fn read_epoch(&self, epoch: u64) -> Result<Vec<RawSection>, SnapshotError> {
+    /// Loads one epoch from its own file.
+    pub fn load(&self, epoch: u64) -> Result<Snapshot, SnapshotError> {
         let bytes = fs::read(self.epoch_path(epoch))?;
         let (declared, sections) = read_epoch_file(&bytes)?;
         if declared != epoch {
             return Err(SnapshotError::Corrupt("epoch file declares a different epoch"));
         }
-        Ok(sections)
-    }
-
-    /// Loads one epoch, resolving delta refs against their home files
-    /// (and re-verifying each resolved payload's CRC).
-    pub fn load(&self, epoch: u64) -> Result<Snapshot, SnapshotError> {
-        let sections = self.read_epoch(epoch)?;
-        let mut resolved = Vec::with_capacity(sections.len());
-        for s in sections {
-            match s.payload {
-                SectionPayload::Inline(_) => resolved.push(s),
-                SectionPayload::Ref { home_epoch, crc } => {
-                    let missing = SnapshotError::MissingBase {
-                        epoch: home_epoch,
-                        kind: s.kind,
-                        key: s.key,
-                    };
-                    if home_epoch >= epoch {
-                        return Err(SnapshotError::Corrupt("ref to a non-earlier epoch"));
-                    }
-                    let base = self.read_epoch(home_epoch).map_err(|e| match e {
-                        SnapshotError::Io(_) => missing,
-                        other => other,
-                    })?;
-                    let Some(found) = base.iter().find(|b| {
-                        b.kind == s.kind
-                            && b.key == s.key
-                            && matches!(&b.payload, SectionPayload::Inline(bytes) if crc32(bytes) == crc)
-                    }) else {
-                        return Err(SnapshotError::MissingBase {
-                            epoch: home_epoch,
-                            kind: s.kind,
-                            key: s.key,
-                        });
-                    };
-                    resolved.push(RawSection {
-                        kind: s.kind,
-                        key: s.key,
-                        payload: found.payload.clone(),
-                    });
-                }
-            }
-        }
-        Snapshot::from_sections(epoch, &resolved)
+        Snapshot::from_sections(epoch, &sections)
     }
 
     /// The latest epoch the manifest names, if any.
     pub fn latest(&self) -> Result<Option<u64>, SnapshotError> {
-        self.manifest_epoch()
+        manifest_epoch(&self.dir)
     }
 
     /// Loads the latest *loadable* complete epoch: the manifest's epoch,
     /// falling back to older on-disk epochs if the newest fails
-    /// validation (e.g. a ref whose home was lost). Returns `None` for
+    /// validation (e.g. a corrupt or missing file). Returns `None` for
     /// an empty store.
     pub fn latest_complete(&self) -> Result<Option<Snapshot>, SnapshotError> {
-        let mut epochs: Vec<u64> = Vec::new();
-        if let Some(e) = self.manifest_epoch()? {
-            epochs.push(e);
-        }
-        let mut on_disk: Vec<u64> = fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| parse_epoch_name(&e.file_name().to_string_lossy()))
-            .collect();
-        on_disk.sort_unstable_by(|a, b| b.cmp(a));
-        for e in on_disk {
+        let mut epochs: Vec<u64> = self.latest()?.into_iter().collect();
+        for e in self.epochs_on_disk()?.into_iter().rev() {
             if !epochs.contains(&e) {
                 epochs.push(e);
             }
@@ -313,6 +156,15 @@ impl CheckpointStore {
         out.sort_unstable();
         Ok(out)
     }
+}
+
+fn manifest_epoch(dir: &Path) -> Result<Option<u64>, SnapshotError> {
+    let bytes = match fs::read(dir.join(MANIFEST)) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    parse_manifest(&bytes).map(Some)
 }
 
 fn parse_epoch_name(name: &str) -> Option<u64> {
@@ -407,31 +259,27 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_sections_become_refs_and_still_load() {
-        let dir = tempdir("delta");
+    fn an_epoch_loads_without_its_predecessor() {
+        let dir = tempdir("standalone");
         let mut store = CheckpointStore::open(&dir, 3).unwrap();
         store.commit(&snap(1, 10, vec![(7, Tuple::of((1i64, 1i64)))])).unwrap();
-        // Same records, different cursor: the two record sections must be
-        // refs, only META is re-written inline.
+        // Same records, different cursor: epoch 2 still holds them itself.
         store.commit(&snap(2, 20, vec![(7, Tuple::of((1i64, 1i64)))])).unwrap();
-        assert_eq!(store.stats().sections_ref, 2);
-        let got = store.load(2).unwrap();
-        assert_eq!(got.meta.input_cursor, 20);
+        fs::remove_file(dir.join("epoch-000000000001.ckpt")).unwrap();
+        let got = store.latest_complete().unwrap().unwrap();
+        assert_eq!(got, snap(2, 20, vec![(7, Tuple::of((1i64, 1i64)))]));
         assert_eq!(got.record_count(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn retention_gc_keeps_ref_homes_loadable() {
+    fn retention_gc_keeps_the_window() {
         let dir = tempdir("gc");
         let mut store = CheckpointStore::open(&dir, 2).unwrap();
         for epoch in 1..=6 {
             store.commit(&snap(epoch, epoch * 10, vec![(7, Tuple::of((1i64, 1i64)))])).unwrap();
         }
-        // Retention keeps the last 2 epochs plus any ref homes they need.
-        let on_disk = store.epochs_on_disk().unwrap();
-        assert!(on_disk.contains(&6));
-        assert!(on_disk.len() <= 4, "gc left {on_disk:?}");
+        assert_eq!(store.epochs_on_disk().unwrap(), vec![5, 6]);
         let got = store.latest_complete().unwrap().unwrap();
         assert_eq!(got.epoch, 6);
         assert_eq!(got.record_count(), 2);
@@ -439,14 +287,37 @@ mod tests {
     }
 
     #[test]
-    fn reopened_store_continues_deltas() {
+    fn a_nonzero_section_flag_is_a_typed_error() {
+        let dir = tempdir("flag");
+        let mut store = CheckpointStore::open(&dir, 2).unwrap();
+        store.commit(&snap(1, 10, vec![])).unwrap();
+        // The META section's flag byte, after the 20-byte header and the
+        // section's kind and key. 1 marked a ref in earlier builds.
+        let path = dir.join("epoch-000000000001.ckpt");
+        let clean = fs::read(&path).unwrap();
+        for flag in [1, 2, 0xFF] {
+            let mut bytes = clean.clone();
+            bytes[8 + 4 + 8 + 1 + 8] = flag;
+            fs::write(&path, &bytes).unwrap();
+            assert!(matches!(store.load(1), Err(SnapshotError::Corrupt(_))));
+            assert!(matches!(store.latest_complete(), Err(SnapshotError::Corrupt(_))));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopened_store_continues_after_the_manifest_epoch() {
         let dir = tempdir("reopen");
         let mut store = CheckpointStore::open(&dir, 3).unwrap();
         store.commit(&snap(1, 10, vec![])).unwrap();
         drop(store);
+        // Opening reads the MANIFEST only: a damaged epoch file does not
+        // stop it, and the next commit must still go past epoch 1.
+        fs::write(dir.join("epoch-000000000001.ckpt"), b"damaged").unwrap();
         let mut store = CheckpointStore::open(&dir, 3).unwrap();
+        assert_eq!(store.latest().unwrap(), Some(1));
+        assert!(store.commit(&snap(1, 11, vec![])).is_err());
         store.commit(&snap(2, 20, vec![])).unwrap();
-        assert!(store.stats().sections_ref >= 1, "reopen must rebuild delta state");
         assert_eq!(store.latest_complete().unwrap().unwrap().epoch, 2);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use punct_durable::format::{RawSection, SectionPayload};
+use punct_durable::format::RawSection;
 use punct_durable::snapshot::kind;
 use punct_durable::Snapshot;
 
@@ -51,8 +51,7 @@ fn a_corrupt_record_count_is_rejected_before_allocating() {
     // A RECORDS payload whose count equals its own length.
     let mut payload = vec![0u8; PAYLOAD];
     payload[..4].copy_from_slice(&(PAYLOAD as u32).to_le_bytes());
-    let sections =
-        [RawSection { kind: kind::RECORDS, key: 0, payload: SectionPayload::Inline(payload) }];
+    let sections = [RawSection { kind: kind::RECORDS, key: 0, bytes: payload }];
 
     BYTES.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);

@@ -11,7 +11,7 @@
 //!   bytes provably intact) — and never, under any input, panic.
 
 use proptest::prelude::*;
-use punct_durable::format::{read_epoch_file, write_epoch_file, RawSection, SectionPayload};
+use punct_durable::format::{read_epoch_file, write_epoch_file, RawSection};
 use punct_durable::snapshot::kind;
 use punct_durable::{decode_pending, encode_pending, PendingPunct, Snapshot};
 use punct_types::{Bound, Pattern, Punctuation, Value};
@@ -118,11 +118,7 @@ proptest! {
     ) {
         let raw: Vec<RawSection> = sections
             .iter()
-            .map(|(kind, key, payload)| RawSection {
-                kind: *kind,
-                key: *key,
-                payload: SectionPayload::Inline(payload.clone()),
-            })
+            .map(|(kind, key, bytes)| RawSection { kind: *kind, key: *key, bytes: bytes.clone() })
             .collect();
         let file = write_epoch_file(epoch, &raw);
 
@@ -146,13 +142,7 @@ proptest! {
         flipped[pos] ^= mask;
         if let Ok((_, sections)) = read_epoch_file(&flipped) {
             let payload_bytes = |ss: &[RawSection]| -> Vec<Vec<u8>> {
-                let mut out: Vec<Vec<u8>> = ss
-                    .iter()
-                    .map(|s| match &s.payload {
-                        SectionPayload::Inline(b) => b.clone(),
-                        SectionPayload::Ref { .. } => unreachable!("inline sections only"),
-                    })
-                    .collect();
+                let mut out: Vec<Vec<u8>> = ss.iter().map(|s| s.bytes.clone()).collect();
                 out.sort();
                 out
             };
@@ -173,11 +163,7 @@ fn corruption_errors_are_typed() {
     use punct_durable::SnapshotError;
 
     let pending = [PendingPunct { seq: 4, side: 1, punct: Punctuation::close_value(2, 0, 1i64) }];
-    let raw = vec![RawSection {
-        kind: kind::PENDING,
-        key: 0,
-        payload: SectionPayload::Inline(encode_pending(&pending)),
-    }];
+    let raw = vec![RawSection { kind: kind::PENDING, key: 0, bytes: encode_pending(&pending) }];
     let file = write_epoch_file(3, &raw);
 
     // Damaged magic.
@@ -208,8 +194,7 @@ fn corruption_errors_are_typed() {
     // The retired section kinds (serialized punctuation sets and
     // aligners) no longer read back.
     for retired in [3, 4] {
-        let sections =
-            [RawSection { kind: retired, key: 0, payload: SectionPayload::Inline(Vec::new()) }];
+        let sections = [RawSection { kind: retired, key: 0, bytes: Vec::new() }];
         assert!(matches!(
             Snapshot::from_sections(3, &sections),
             Err(SnapshotError::BadSection(k)) if k == retired

@@ -15,7 +15,7 @@
 //!                    └──────────────┘
 //! ```
 //!
-//! * [`frame`] — the wire protocol: 21 frame kinds (9 data plane, 12
+//! * [`frame`] — the wire protocol: 17 frame kinds (9 data plane, 8
 //!   cluster control plane; every stream element travels in a
 //!   `DataBatch`) over the wire-stable payload encodings of
 //!   `punct_types::wire`. Decoding never panics.
