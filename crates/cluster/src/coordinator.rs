@@ -1437,7 +1437,10 @@ impl Cluster {
                 snap.epoch, self.opts.spec
             )));
         }
-        d.next_epoch = snap.epoch + 1;
+        // Never below the MANIFEST's epoch: when the newest epoch file is
+        // lost, the fallback epoch is older than the epoch the store
+        // must commit past.
+        d.next_epoch = d.next_epoch.max(snap.epoch + 1);
         // Numbering resumes above every re-injected punctuation.
         self.next_seq = snap.pending.iter().map(|p| p.seq + 1).max().unwrap_or(0);
         d.committed_seq = self.next_seq;

@@ -457,3 +457,40 @@ fn restore_refuses_a_checkpoint_cut_under_another_join() {
     join_all(handles);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A restore that falls back past a damaged newest epoch keeps
+/// checkpointing: the MANIFEST still names the damaged epoch, so the next
+/// cut must be numbered above it, not above the epoch restored.
+#[test]
+fn checkpoints_resume_after_restoring_past_a_damaged_newest_epoch() {
+    let dir = std::env::temp_dir().join(format!("pjoin_smoke_damaged_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || {
+        let mut opts = ClusterOptions::new(JoinSpec::new(2, 2), 2, 2);
+        opts.durability = DurabilityOptions::at(&dir);
+        opts
+    };
+    let (mut cluster, handles) = start(durable());
+    for k in 0..8i64 {
+        if k == 4 {
+            assert_eq!(cluster.checkpoint().expect("first checkpoint"), 1);
+        }
+        cluster.push_tuple(Side::Left, k as u64, Tuple::of((k, 10 * k))).expect("push");
+    }
+    assert_eq!(cluster.checkpoint().expect("second checkpoint"), 2);
+    cluster.finish().expect("finish");
+    join_all(handles);
+    std::fs::write(dir.join("epoch-000000000002.ckpt"), b"not an epoch").expect("damage epoch 2");
+
+    let (mut cluster, handles) = start(durable());
+    assert_eq!(cluster.restore_latest().expect("restore"), Some(4), "epoch 1 is the fallback");
+    assert_eq!(cluster.checkpoint().expect("checkpoint after the fallback"), 3);
+    cluster.finish().expect("finish");
+    join_all(handles);
+    let latest = CheckpointStore::open(&dir, 2)
+        .and_then(|store| store.latest_complete())
+        .expect("read the store")
+        .expect("a complete epoch");
+    assert_eq!((latest.epoch, latest.meta.input_cursor), (3, 4));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -599,6 +599,26 @@ mod tests {
         assert_eq!(a.insert(close(9)), PunctId(4));
     }
 
+    /// The hold on a range is conservative: an earlier punctuation whose
+    /// join pattern is a wildcard (it constrains another attribute)
+    /// holds the range while it counts any tuple, even one whose join
+    /// value lies outside the range. A tighter check would have to look
+    /// at the stored tuples.
+    #[test]
+    fn a_range_waits_for_any_earlier_wildcard_join_pattern_that_counts() {
+        let mut ix = PunctuationIndex::new(0);
+        let other_attr = ix.insert(Punctuation::on_attr(2, 1, Pattern::Constant(Value::Int(7))));
+        // Counts a stored tuple such as `(50, 7)`: outside the range.
+        ix.increment(other_attr);
+        let disjoint = ix.insert(close(20));
+        ix.increment(disjoint);
+        let range = ix.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
+        assert_eq!(ix.count(range), 0);
+        assert!(ix.behind_earlier_count(range), "held by the wildcard join pattern");
+        ix.decrement(other_attr);
+        assert!(!ix.behind_earlier_count(range), "a disjoint constant does not hold it");
+    }
+
     #[test]
     fn contains_join_pattern_sees_a_live_duplicate_behind_a_retired_one() {
         let mut ix = PunctuationIndex::new(0);
