@@ -45,7 +45,6 @@ fn bench_operators(c: &mut Criterion) {
             let mut op = PJoinBuilder::new(2, 2)
                 .buckets(64)
                 .eager_purge()
-                .eager_index_build()
                 .propagate_every(10)
                 .build();
             black_box(run(&mut op, &w.left, &w.right))

@@ -1,8 +1,10 @@
 //! Microbenchmarks of the punctuation pattern machinery: per-tuple
-//! pattern evaluation is the inner loop of purge scans and index builds.
+//! pattern evaluation is the inner loop of purge scans, and the set's
+//! value indexes answer the on-the-fly drop and the propagation
+//! re-checks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use punct_types::{Pattern, PunctId, Punctuation, PunctuationSet, Tuple, Value};
+use punct_types::{Pattern, Punctuation, PunctuationSet, Tuple, Value};
 
 fn bench_pattern_matches(c: &mut Criterion) {
     let mut g = c.benchmark_group("pattern_matches");
@@ -43,12 +45,12 @@ fn bench_set_match(c: &mut Criterion) {
         for k in 0..size {
             constants.insert(Punctuation::close_value(2, 0, k as i64));
         }
-        let t = Tuple::of(((size / 2) as i64, 0i64));
+        let v = Value::Int((size / 2) as i64);
         g.bench_with_input(BenchmarkId::new("constants", size), &size, |b, _| {
-            b.iter(|| black_box(constants.set_match(black_box(&t))))
+            b.iter(|| black_box(constants.covers_value(black_box(&v))))
         });
 
-        // Range punctuations: the linear path.
+        // Range punctuations: the interval index's stabbing query.
         let mut ranges = PunctuationSet::new(0);
         for k in 0..size {
             ranges.insert(Punctuation::on_attr(
@@ -57,22 +59,27 @@ fn bench_set_match(c: &mut Criterion) {
                 Pattern::int_range(k as i64 * 10, k as i64 * 10 + 9),
             ));
         }
-        let t = Tuple::of(((size as i64 / 2) * 10, 0i64));
+        let v = Value::Int((size as i64 / 2) * 10);
         g.bench_with_input(BenchmarkId::new("ranges", size), &size, |b, _| {
-            b.iter(|| black_box(ranges.set_match(black_box(&t))))
+            b.iter(|| black_box(ranges.covers_value(black_box(&v))))
         });
     }
     g.finish();
 }
 
-fn bench_set_match_after(c: &mut Criterion) {
+/// The candidates a value's count transition re-checks.
+fn bench_for_each_cover(c: &mut Criterion) {
     let mut set = PunctuationSet::new(0);
     for k in 0..1024i64 {
         set.insert(Punctuation::close_value(2, 0, k));
     }
-    let t = Tuple::of((1000i64, 0i64));
-    c.bench_function("set_match_after_incremental", |b| {
-        b.iter(|| black_box(set.set_match_after(black_box(&t), PunctId(512))))
+    let v = Value::Int(1000);
+    c.bench_function("for_each_cover_constants", |b| {
+        b.iter(|| {
+            let mut n = 0usize;
+            set.for_each_cover(black_box(&v), |_| n += 1);
+            black_box(n)
+        })
     });
 }
 
@@ -81,6 +88,6 @@ criterion_group!(
     bench_pattern_matches,
     bench_punctuation_matches,
     bench_set_match,
-    bench_set_match_after
+    bench_for_each_cover
 );
 criterion_main!(benches);

@@ -1,86 +1,90 @@
-//! Ablation of punctuation-index building (DESIGN.md §7): eager
-//! (per-punctuation) vs lazy (batched) builds over the same load. The
-//! load is constant punctuations, which a build answers from the tuples
-//! stored under each closed value: the two cadences visit the same
-//! candidates, and the scan the lazy build used to share is gone.
+//! The punctuation index's bookkeeping (DESIGN.md §7): stored tuples
+//! counted in and out by join value, punctuations held by those counts
+//! and released when the last matching tuple leaves. There is no index
+//! build to time; what a punctuation costs is its check on arrival and
+//! the re-checks its value's 1 → 0 transitions trigger.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use pjoin::components::{propagate_side, purge_state};
 use pjoin::record::PRecord;
-use pjoin::JoinState;
-use punct_types::{Punctuation, Tuple};
-use stream_sim::Work;
+use pjoin::{JoinState, PunctuationIndex};
+use punct_types::{Pattern, Punctuation, Tuple};
+use stream_sim::{OpOutput, Work};
 
-fn state_with(tuples: usize) -> JoinState {
-    let mut s = JoinState::new(2, 0, 8, 64);
-    for k in 0..tuples {
-        s.store.insert(PRecord::arriving(Tuple::of(((k % 100) as i64, k as i64)), k as u64));
-    }
-    s
+/// 5 000 tuples over 100 join values.
+fn tuples() -> Vec<Tuple> {
+    (0..5_000)
+        .map(|k| Tuple::of(((k % 100) as i64, k as i64)))
+        .collect()
 }
 
-/// Eager: one build per punctuation (N builds, 1 new punctuation each).
-fn bench_eager_builds(c: &mut Criterion) {
-    c.bench_function("index_build_eager_16_puncts", |b| {
-        b.iter_batched(
-            || state_with(5_000),
-            |mut s| {
-                let mut w = Work::ZERO;
-                for k in 0..16i64 {
-                    s.index.insert(Punctuation::close_value(2, 0, k));
-                    s.index_build(&mut w);
-                }
-                black_box(w.index_evals)
-            },
-            criterion::BatchSize::SmallInput,
-        )
+/// Every tuple counted in, then out: two map updates per tuple, one
+/// value transition per distinct value each way.
+fn bench_count_in_out(c: &mut Criterion) {
+    let tuples = tuples();
+    c.bench_function("punctuation_index_count_5000_in_and_out", |b| {
+        b.iter(|| {
+            let mut ix = PunctuationIndex::new(0);
+            ix.insert(Punctuation::close_value(2, 0, 7i64));
+            tuples.iter().for_each(|t| ix.enter(t));
+            tuples.iter().for_each(|t| ix.leave(t));
+            black_box(ix.propagable().count())
+        })
     });
 }
 
-/// Lazy: one build covering all punctuations (1 build, N new).
-fn bench_lazy_build(c: &mut Criterion) {
-    c.bench_function("index_build_lazy_16_puncts", |b| {
-        b.iter_batched(
-            || state_with(5_000),
-            |mut s| {
-                let mut w = Work::ZERO;
-                for k in 0..16i64 {
-                    s.index.insert(Punctuation::close_value(2, 0, k));
-                }
-                s.index_build(&mut w);
-                black_box(w.index_evals)
-            },
-            criterion::BatchSize::SmallInput,
-        )
-    });
-}
-
-/// Incremental rebuild on an already-indexed state: the paper's "avoid
-/// duplicate expression evaluations" claim — only pid-null tuples are
-/// evaluated.
-fn bench_incremental_rebuild(c: &mut Criterion) {
-    c.bench_function("index_build_incremental_rebuild", |b| {
+/// Sixteen values closed on both sides: each own-side close is held by
+/// the stored tuples, the opposite closes purge them, and one
+/// propagation run releases all sixteen.
+fn bench_close_purge_propagate(c: &mut Criterion) {
+    let tuples = tuples();
+    c.bench_function("punctuation_index_close_purge_propagate_16", |b| {
         b.iter_batched(
             || {
-                let mut s = state_with(5_000);
-                let mut w = Work::ZERO;
-                for k in 0..50i64 {
-                    s.index.insert(Punctuation::close_value(2, 0, k));
+                let mut s = JoinState::new(2, 0, 8, 64);
+                for (i, t) in tuples.iter().enumerate() {
+                    s.insert(PRecord::arriving(t.clone(), i as u64));
                 }
-                s.index_build(&mut w);
                 s
             },
             |mut s| {
-                // One more punctuation: the rebuild visits the tuples under
-                // its value and evaluates only the still-unindexed ones.
                 let mut w = Work::ZERO;
-                s.index.insert(Punctuation::close_value(2, 0, 50));
-                s.index_build(&mut w);
-                black_box(w.index_evals)
+                let closes: Vec<Pattern> = (0..16i64)
+                    .map(|k| {
+                        s.index.insert(Punctuation::close_value(2, 0, k));
+                        Pattern::Constant(k.into())
+                    })
+                    .collect();
+                purge_state(&mut s, &closes, |_| false, 10_000, &mut w);
+                let mut out = OpOutput::new();
+                black_box(propagate_side(&mut s, 0, 4, &mut out, &mut w).len())
             },
             criterion::BatchSize::SmallInput,
         )
     });
 }
 
-criterion_group!(benches, bench_eager_builds, bench_lazy_build, bench_incremental_rebuild);
+/// A range punctuation arriving over 100 counted values walks the
+/// counts once.
+fn bench_range_check(c: &mut Criterion) {
+    let mut ix = PunctuationIndex::new(0);
+    tuples().iter().for_each(|t| ix.enter(t));
+    c.bench_function("punctuation_index_range_over_100_values", |b| {
+        b.iter_batched(
+            || ix.clone(),
+            |mut ix| {
+                ix.insert(Punctuation::on_attr(2, 0, Pattern::int_range(200, 299)));
+                black_box(ix.propagable().count())
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_count_in_out,
+    bench_close_purge_propagate,
+    bench_range_check
+);
 criterion_main!(benches);

@@ -17,7 +17,6 @@ fn main() {
     let mut op = PJoinBuilder::new(2, 2)
         .buckets(BUCKETS)
         .eager_purge()
-        .eager_index_build()
         .propagate_on_matched_pair()
         .build();
     let stats = run_operator(&mut op, &workload);

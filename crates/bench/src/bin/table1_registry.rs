@@ -1,22 +1,23 @@
-//! Table 1: the example event-listener registry — lazy purge, lazy index
-//! building, push-mode (count) propagation — printed from the live
-//! framework configuration, then exercised on a short run to show each
-//! listed component actually firing.
+//! Table 1: the example event-listener registry — lazy purge and
+//! push-mode (count) propagation — printed from the live framework
+//! configuration, then exercised on a short run to show each listed
+//! component actually firing. The paper's lazy index build, coupled in
+//! front of propagation, has no row: the punctuation index counts stored
+//! tuples by join value as they come and go (DESIGN.md §7).
 
 use pjoin::framework::Registry;
-use pjoin::{IndexBuildStrategy, PJoin, PJoinConfig, PropagationTrigger, PurgeStrategy};
+use pjoin::{PJoin, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use pjoin_bench::{paper_workload, run_operator};
 
 fn main() {
     let registry = Registry::table1(10, 10);
-    println!("== Table 1: event-listener registry (lazy purge / lazy index / push-count) ==\n");
+    println!("== Table 1: event-listener registry (lazy purge / push-count) ==\n");
     print!("{registry}");
 
     // Exercise the configuration.
     let config = PJoinConfig {
         buckets: pjoin_bench::BUCKETS,
         purge: PurgeStrategy::Lazy { threshold: 10 },
-        index_build: IndexBuildStrategy::Lazy,
         propagation: PropagationTrigger::PushCount { count: 10 },
         ..PJoinConfig::new(2, 2)
     };
@@ -27,7 +28,6 @@ fn main() {
     println!("\n== registry exercised on 10k tuples/stream, punctuation inter-arrival 10 ==");
     let s = op.stats();
     println!("purge runs (PurgeThresholdReachEvent):        {}", s.purge_runs);
-    println!("index builds (coupled with propagation):      {}", s.index_builds);
     println!("propagation runs (PropagateCountReachEvent):  {}", s.propagation_runs);
     println!("punctuations propagated:                      {}", s.puncts_propagated);
     println!("tuples purged:                                {}", s.tuples_purged);

@@ -102,7 +102,6 @@ pub fn experiment_cost_model() -> CostModel {
 pub fn pjoin_n(purge_threshold: u64) -> PJoin {
     let mut b = PJoinBuilder::new(2, 2)
         .buckets(BUCKETS)
-        .lazy_index_build()
         .no_propagation();
     b = if purge_threshold <= 1 { b.eager_purge() } else { b.lazy_purge(purge_threshold) };
     b.build()

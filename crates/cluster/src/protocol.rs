@@ -25,7 +25,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsFd;
 use std::time::{Duration, Instant};
 
-use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
+use pjoin::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 use punct_net::{encode_frame, read_available, wait_readable, Frame, FrameBuffer};
 use punct_types::wire::{put_u32, WireReader};
 use punct_types::{Pattern, Punctuation, Schema, ValueType};
@@ -100,15 +100,14 @@ impl JoinSpec {
     }
 
     /// The PJoin configuration every shard runs: the spec's schema knobs
-    /// with the cluster-v1 strategy pins (eager purge, eager index,
-    /// propagate on every punctuation, no spilling, no window).
+    /// with the cluster-v1 strategy pins (eager purge, propagate on every
+    /// punctuation, no spilling, no window).
     pub fn pjoin_config(&self) -> PJoinConfig {
         let mut cfg = PJoinConfig::new(self.width_a, self.width_b);
         cfg.join_attr_a = self.join_attr_a;
         cfg.join_attr_b = self.join_attr_b;
         cfg.buckets = self.buckets.max(1);
         cfg.purge = PurgeStrategy::Eager;
-        cfg.index_build = IndexBuildStrategy::Eager;
         cfg.propagation = PropagationTrigger::PushCount { count: 1 };
         cfg.memory_max_tuples = 0;
         cfg.window_us = None;
@@ -498,7 +497,6 @@ mod tests {
     fn spec_pins_cluster_strategies() {
         let cfg = JoinSpec::new(2, 4).pjoin_config();
         assert_eq!(cfg.purge, PurgeStrategy::Eager);
-        assert_eq!(cfg.index_build, IndexBuildStrategy::Eager);
         assert_eq!(cfg.propagation, PropagationTrigger::PushCount { count: 1 });
         assert_eq!(cfg.memory_max_tuples, 0);
         assert_eq!(cfg.output_width(), 6);

@@ -1,6 +1,6 @@
 //! Fluent construction of [`PJoin`] operators.
 
-use crate::config::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
+use crate::config::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 use crate::operator::PJoin;
 
 /// Builder for [`PJoin`]; see [`PJoinConfig`] for the semantics of each
@@ -11,7 +11,6 @@ use crate::operator::PJoin;
 /// let join = PJoinBuilder::new(3, 3)
 ///     .join_on(0, 0)
 ///     .lazy_purge(100)
-///     .eager_index_build()
 ///     .propagate_every(10)
 ///     .build();
 /// assert_eq!(join.config().output_width(), 6);
@@ -74,18 +73,6 @@ impl PJoinBuilder {
     /// Disable purging entirely (ablation only).
     pub fn never_purge(mut self) -> Self {
         self.config.purge = PurgeStrategy::Never;
-        self
-    }
-
-    /// Eager punctuation-index building (per punctuation arrival).
-    pub fn eager_index_build(mut self) -> Self {
-        self.config.index_build = IndexBuildStrategy::Eager;
-        self
-    }
-
-    /// Lazy punctuation-index building (coupled with propagation).
-    pub fn lazy_index_build(mut self) -> Self {
-        self.config.index_build = IndexBuildStrategy::Lazy;
         self
     }
 
@@ -165,7 +152,6 @@ mod tests {
             .memory_max(1000)
             .activation_pages(3)
             .lazy_purge(50)
-            .eager_index_build()
             .propagate_every_micros(5_000)
             .on_the_fly_drop(false);
         let c = b.config();
@@ -176,7 +162,6 @@ mod tests {
         assert_eq!(c.memory_max_tuples, 1000);
         assert_eq!(c.activation_pages, 3);
         assert_eq!(c.purge, PurgeStrategy::Lazy { threshold: 50 });
-        assert_eq!(c.index_build, IndexBuildStrategy::Eager);
         assert_eq!(c.propagation, PropagationTrigger::PushTime { micros: 5_000 });
         assert!(!c.on_the_fly_drop);
     }

@@ -179,8 +179,8 @@ pub fn resolve_bucket(
     a.drop_purge_buffer(bucket);
     b.drop_purge_buffer(bucket);
 
-    // Purge covered disk tuples; re-index and write back the survivors
-    // (once per side, with the roles swapped).
+    // Purge covered disk tuples and write back the survivors (once per
+    // side, with the roles swapped).
     rewrite_survivors(bucket, a, b, a_disk, work);
     rewrite_survivors(bucket, b, a, b_disk, work);
 
@@ -193,7 +193,8 @@ pub fn resolve_bucket(
 }
 
 /// Applies the opposite (`other`) punctuation set to `own`'s just-read
-/// disk records and rewrites the survivors.
+/// disk records, counting the covered ones out of `own`'s index, and
+/// rewrites the survivors, which stay counted.
 fn rewrite_survivors(
     bucket: usize,
     own: &mut JoinState,
@@ -214,30 +215,12 @@ fn rewrite_survivors(
             .is_some_and(|v| other.index.covers_join_value(v));
         if covered {
             work.purged += 1;
-            if let Some(pid) = rec.pid {
-                own.index.decrement(pid);
-            }
+            own.index.leave(&rec.tuple);
         } else {
             survivors.push(rec);
         }
     }
-    // Index survivors against punctuations that arrived since their spill.
-    let mut to_increment = Vec::new();
-    for rec in &mut survivors {
-        if rec.pid.is_none() {
-            work.index_evals += 1;
-            if let Some(pid) = own.index.assign_pid(&rec.tuple) {
-                rec.pid = Some(pid);
-                to_increment.push(pid);
-            }
-        }
-    }
-    for pid in to_increment {
-        own.index.increment(pid);
-    }
-    let empty = survivors.is_empty();
     work.pages_written += own.store.rewrite_disk(bucket, survivors);
-    own.disk_watermark[bucket] = if empty { u64::MAX } else { own.index.next_id() };
 }
 
 
@@ -270,10 +253,10 @@ mod tests {
         let (mut a, mut b) = states();
         let mut w = Work::ZERO;
         // a-tuple arrives at 0, spilled at instant 1 (dts=2).
-        a.store.insert(rec(7, 0));
+        a.insert(rec(7, 0));
         a.spill_bucket(0, 1, &mut w);
         // b-tuple arrives at 5 — after the spill, so stage 1 missed it.
-        b.store.insert(rec(7, 5));
+        b.insert(rec(7, 5));
         b.newest_ats = 5;
         let mut out = OpOutput::new();
         let mut mark = None;
@@ -289,8 +272,8 @@ mod tests {
         let (mut a, mut b) = states();
         let mut w = Work::ZERO;
         // Both in memory together (intervals overlap), then a spills.
-        a.store.insert(rec(7, 0));
-        b.store.insert(rec(7, 1));
+        a.insert(rec(7, 0));
+        b.insert(rec(7, 1));
         a.spill_bucket(0, 2, &mut w);
         let mut out = OpOutput::new();
         let mut mark = None;
@@ -302,9 +285,9 @@ mod tests {
     fn repeated_resolution_is_idempotent() {
         let (mut a, mut b) = states();
         let mut w = Work::ZERO;
-        a.store.insert(rec(7, 0));
+        a.insert(rec(7, 0));
         a.spill_bucket(0, 1, &mut w);
-        b.store.insert(rec(7, 5));
+        b.insert(rec(7, 5));
         b.newest_ats = 5;
         let mut out = OpOutput::new();
         let mut mark = None;
@@ -320,9 +303,9 @@ mod tests {
         let mut w = Work::ZERO;
         // a spills at instant 1; b arrives later and spills at 5: the
         // pair never met in memory.
-        a.store.insert(rec(7, 0));
+        a.insert(rec(7, 0));
         a.spill_bucket(0, 1, &mut w);
-        b.store.insert(rec(7, 3));
+        b.insert(rec(7, 3));
         b.spill_bucket(0, 5, &mut w);
         let mut out = OpOutput::new();
         let mut mark = None;
@@ -337,13 +320,13 @@ mod tests {
         let (mut a, mut b) = states();
         let mut w = Work::ZERO;
         // a(7) spilled before b arrives.
-        a.store.insert(rec(7, 0));
+        a.insert(rec(7, 0));
         a.spill_bucket(0, 1, &mut w);
         // b(7) arrives covered by an A punctuation -> goes straight to
         // the purge buffer (on-the-fly drop path, disk portion present).
         let mut buffered = rec(7, 5);
         buffered.dts = 6;
-        b.buffer_record(0, buffered, &mut w);
+        b.park_record(0, buffered);
         assert_eq!(b.purge_buffer_len, 1);
         let mut out = OpOutput::new();
         let mut mark = None;
@@ -357,8 +340,8 @@ mod tests {
     fn covered_disk_tuples_are_purged_on_rewrite() {
         let (mut a, mut b) = states();
         let mut w = Work::ZERO;
-        a.store.insert(rec(7, 0));
-        a.store.insert(rec(8, 1));
+        a.insert(rec(7, 0));
+        a.insert(rec(8, 1));
         a.spill_bucket(0, 2, &mut w);
         assert_eq!(a.store.disk_tuples(), 2);
         // B punctuation closes key 7: the disk-resident a(7) dies at
@@ -374,36 +357,36 @@ mod tests {
     }
 
     #[test]
-    fn all_disk_purged_clears_watermark() {
+    fn all_disk_purged_clears_the_counts() {
         let (mut a, mut b) = states();
         let mut w = Work::ZERO;
-        a.store.insert(rec(7, 0));
+        a.insert(rec(7, 0));
         a.spill_bucket(0, 1, &mut w);
-        assert_ne!(a.disk_watermark[0], u64::MAX);
+        let own = a.index.insert(Punctuation::close_value(2, 0, 7i64));
+        assert_eq!(a.index.count(&Value::Int(7)), 1, "a disk tuple is counted");
         b.index.insert(Punctuation::close_value(2, 0, 7i64));
         let mut out = OpOutput::new();
         let mut mark = None;
         resolve_bucket(0, &mut a, &mut b, &mut mark, 10, &mut out, &mut w);
         assert_eq!(a.store.disk_tuples(), 0);
-        assert_eq!(a.disk_watermark[0], u64::MAX);
+        assert_eq!(a.index.count(&Value::Int(7)), 0);
+        assert!(a.index.propagable().eq([own]));
     }
 
     #[test]
-    fn survivor_reindexed_against_younger_punctuation() {
+    fn a_disk_survivor_holds_a_younger_punctuation() {
         let (mut a, mut b) = states();
         let mut w = Work::ZERO;
-        a.store.insert(rec(9, 0));
+        a.insert(rec(9, 0));
         a.spill_bucket(0, 1, &mut w);
-        // An A punctuation arrives *after* the spill; the disk tuple was
-        // not indexed against it.
-        let id = a.index.insert(Punctuation::close_value(2, 0, 9i64));
-        assert_eq!(a.index.count(id), 0);
+        // An A punctuation arrives *after* the spill: the disk tuple
+        // still holds it, before and after the resolution.
+        a.index.insert(Punctuation::close_value(2, 0, 9i64));
+        assert_eq!(a.index.propagable().count(), 0);
         let mut out = OpOutput::new();
         let mut mark = None;
         resolve_bucket(0, &mut a, &mut b, &mut mark, 10, &mut out, &mut w);
-        // The survivor is re-indexed: the count now reflects it, and the
-        // watermark advances past the punctuation.
-        assert_eq!(a.index.count(id), 1);
-        assert!(id.0 < a.disk_blocks_from());
+        assert_eq!(a.store.disk_tuples(), 1);
+        assert_eq!(a.index.propagable().count(), 0);
     }
 }

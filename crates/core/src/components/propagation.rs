@@ -1,12 +1,12 @@
 //! The punctuation propagation component (paper §3.5, Fig. 3's
 //! Propagate algorithm).
 //!
-//! A punctuation whose index count is zero has no matching tuple left in
-//! its stream's state; by Theorem 1 no future join result can match it,
-//! so it is translated to the output schema and released. Propagated
-//! punctuations are *retired* (see
-//! [`PunctuationIndex`](crate::PunctuationIndex) for the deviation from
-//! the paper's removal).
+//! A punctuation whose join-attribute pattern no stored tuple's join
+//! value satisfies has no matching tuple left in its stream's state; by
+//! Theorem 1 no future join result can match it, so it is translated to
+//! the output schema and released. Propagated punctuations are *retired*
+//! (see [`PunctuationIndex`](crate::PunctuationIndex) for both deviations
+//! from the paper).
 
 use punct_types::{Pattern, PunctId, Punctuation};
 use stream_sim::{OpOutput, Work};
@@ -31,9 +31,10 @@ pub fn translate_punctuation(p: &Punctuation, offset: usize, out_width: usize) -
     }))
 }
 
-/// Propagates every currently-propagable punctuation of `state` (count
-/// zero and not blocked by an unresolved disk portion), in arrival order.
-/// Returns the propagated ids.
+/// Propagates every currently-propagable punctuation of `state` — no
+/// tuple in memory, on disk or in the purge buffer has a join value its
+/// join-attribute pattern matches — in arrival order. Returns the
+/// propagated ids.
 pub fn propagate_side(
     state: &mut JoinState,
     offset: usize,
@@ -41,20 +42,10 @@ pub fn propagate_side(
     out: &mut OpOutput,
     work: &mut Work,
 ) -> Vec<PunctId> {
-    // Candidates ascend by id and the disk guard blocks every id from a
-    // watermark up, so the propagable ones are a prefix of them, less
-    // those whose matching tuples an earlier punctuation still counts.
-    let blocked_from = state.disk_blocks_from();
-    let propagated: Vec<PunctId> = state
-        .index
-        .zero_count_ids()
-        .take_while(|id| id.0 < blocked_from)
-        .filter(|&id| !state.index.behind_earlier_count(id))
-        .collect();
+    let propagated = state.index.retire_propagable();
     for &id in &propagated {
-        let p = state.index.get(id).expect("zero-count ids are live");
+        let p = state.index.get(id).expect("retired punctuations stay stored");
         out.push(translate_punctuation(p, offset, out_width));
-        state.index.retire(id);
     }
     work.puncts_propagated += propagated.len() as u64;
     propagated
@@ -63,6 +54,8 @@ pub fn propagate_side(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::components::disk_join::resolve_bucket;
+    use crate::components::purge::purge_state;
     use crate::record::PRecord;
     use punct_types::{StreamElement, Tuple, Value};
 
@@ -116,55 +109,58 @@ mod tests {
     #[test]
     fn nonzero_count_blocks_propagation() {
         let mut s = JoinState::new(2, 0, 4, 4);
-        s.store.insert(PRecord::arriving(Tuple::of((5i64, 0i64)), 0));
+        s.insert(PRecord::arriving(Tuple::of((5i64, 0i64)), 0));
         let id = s.index.insert(Punctuation::close_value(2, 0, 5i64));
         let mut w = Work::ZERO;
-        s.index_build(&mut w);
         let mut out = OpOutput::new();
         assert!(propagate_side(&mut s, 0, 4, &mut out, &mut w).is_empty());
         // Once the tuple is purged (count 0), it propagates.
-        s.index.decrement(id);
+        purge_state(&mut s, &[Pattern::Constant(Value::Int(5))], |_| false, 1, &mut w);
         let ids = propagate_side(&mut s, 0, 4, &mut out, &mut w);
         assert_eq!(ids, vec![id]);
     }
 
     #[test]
     fn a_punctuation_behind_an_earlier_one_on_its_value_waits() {
-        // The tuple carries the first punctuation's pid, so the later one
-        // on the same value counts zero while a matching tuple is left.
+        // Both punctuations match the stored tuple's value, so a later
+        // one waits as long as the earlier one does.
         let earlier = [
             Punctuation::close_value(2, 0, 5i64),
             Punctuation::on_attr(2, 0, Pattern::enumeration(vec![Value::Int(5), Value::Int(6)])),
         ];
         for first in earlier {
             let mut s = JoinState::new(2, 0, 4, 4);
-            s.store.insert(PRecord::arriving(Tuple::of((5i64, 0i64)), 0));
+            s.insert(PRecord::arriving(Tuple::of((5i64, 0i64)), 0));
             let first = s.index.insert(first);
             let later = s.index.insert(Punctuation::close_value(2, 0, 5i64));
+            assert_eq!(s.index.count(&Value::Int(5)), 1);
             let mut w = Work::ZERO;
-            s.index_build(&mut w);
-            assert_eq!((s.index.count(first), s.index.count(later)), (1, 0));
             let mut out = OpOutput::new();
             assert!(propagate_side(&mut s, 0, 4, &mut out, &mut w).is_empty());
-            s.index.decrement(first);
+            purge_state(&mut s, &[Pattern::Constant(Value::Int(5))], |_| false, 1, &mut w);
             assert_eq!(propagate_side(&mut s, 0, 4, &mut out, &mut w), vec![first, later]);
         }
     }
 
     #[test]
     fn unresolved_disk_blocks_propagation() {
-        let mut s = JoinState::new(2, 0, 1, 4);
-        s.store.insert(PRecord::arriving(Tuple::of((1i64, 0i64)), 0));
+        let mut a = JoinState::new(2, 0, 1, 4);
+        let mut b = JoinState::new(2, 0, 1, 4);
+        a.insert(PRecord::arriving(Tuple::of((1i64, 0i64)), 0));
         let mut w = Work::ZERO;
-        s.spill_bucket(0, 1, &mut w);
-        // Punctuation arrives after the spill: the disk may hold
-        // unindexed matches, so it must wait.
-        let id = s.index.insert(Punctuation::close_value(2, 0, 99i64));
+        a.spill_bucket(0, 1, &mut w);
+        // A punctuation on the disk-resident tuple's value waits for it;
+        // one on another value does not.
+        let held = a.index.insert(Punctuation::close_value(2, 0, 1i64));
+        let free = a.index.insert(Punctuation::close_value(2, 0, 99i64));
         let mut out = OpOutput::new();
-        assert!(propagate_side(&mut s, 0, 4, &mut out, &mut w).is_empty());
-        // Resolving the disk unblocks it.
-        s.store.clear_disk(0);
-        s.disk_watermark[0] = u64::MAX;
-        assert_eq!(propagate_side(&mut s, 0, 4, &mut out, &mut w), vec![id]);
+        assert_eq!(propagate_side(&mut a, 0, 4, &mut out, &mut w), vec![free]);
+        assert!(propagate_side(&mut a, 0, 4, &mut out, &mut w).is_empty());
+        // The disk join drops the tuple once the other side closes 1.
+        b.index.insert(Punctuation::close_value(2, 0, 1i64));
+        let mut mark = None;
+        resolve_bucket(0, &mut a, &mut b, &mut mark, 2, &mut out, &mut w);
+        assert_eq!(a.store.disk_tuples(), 0);
+        assert_eq!(propagate_side(&mut a, 0, 4, &mut out, &mut w), vec![held]);
     }
 }

@@ -87,12 +87,10 @@ pub fn purge_state<'p>(
         for mut rec in extracted {
             rec.dts = departure;
             if opposite_disk(bucket) {
-                target.buffer_record(bucket, rec, work);
+                target.buffer_record(bucket, rec);
                 report.buffered += 1;
             } else {
-                if let Some(pid) = rec.pid {
-                    target.index.decrement(pid);
-                }
+                target.index.leave(&rec.tuple);
                 report.removed += 1;
             }
         }
@@ -114,12 +112,10 @@ pub fn purge_state<'p>(
             for mut rec in extracted {
                 rec.dts = departure;
                 if opposite_disk(bucket) {
-                    target.buffer_record(bucket, rec, work);
+                    target.buffer_record(bucket, rec);
                     report.buffered += 1;
                 } else {
-                    if let Some(pid) = rec.pid {
-                        target.index.decrement(pid);
-                    }
+                    target.index.leave(&rec.tuple);
                     report.removed += 1;
                 }
             }
@@ -142,7 +138,7 @@ mod tests {
     fn state_with_keys(keys: &[i64]) -> JoinState {
         let mut s = JoinState::new(2, 0, 4, 4);
         for (i, &k) in keys.iter().enumerate() {
-            s.store.insert(PRecord::arriving(Tuple::of((k, 0i64)), i as u64));
+            s.insert(PRecord::arriving(Tuple::of((k, 0i64)), i as u64));
         }
         s
     }
@@ -204,9 +200,8 @@ mod tests {
         // Int(2) says nothing about future Float(2.0) arrivals, so the
         // float-keyed tuple must survive.
         let mut s = JoinState::new(2, 0, 4, 4);
-        s.store.insert(PRecord::arriving(Tuple::of((Value::Int(2), Value::Int(0))), 0));
-        s.store
-            .insert(PRecord::arriving(Tuple::of((Value::Float(2.0), Value::Int(1))), 1));
+        s.insert(PRecord::arriving(Tuple::of((Value::Int(2), Value::Int(0))), 0));
+        s.insert(PRecord::arriving(Tuple::of((Value::Float(2.0), Value::Int(1))), 1));
         let mut w = Work::ZERO;
         let report = purge_state(&mut s, &[constant(2)], |_| false, 100, &mut w);
         assert_eq!(report.removed, 1);
@@ -264,15 +259,15 @@ mod tests {
 
     #[test]
     fn purge_decrements_index_counts() {
-        let mut s = state_with_keys(&[3]);
+        let mut s = state_with_keys(&[3, 3]);
         let id = s.index.insert(Punctuation::close_value(2, 0, 3i64));
-        let mut w = Work::ZERO;
-        s.index_build(&mut w);
-        assert_eq!(s.index.count(id), 1);
-        // Opposite punctuation closes key 3: the tuple is purged and the
+        assert_eq!(s.index.count(&Value::Int(3)), 2);
+        // Opposite punctuation closes key 3: the tuples are purged and the
         // own-side count drops to zero (propagable).
+        let mut w = Work::ZERO;
         purge_state(&mut s, &[constant(3)], |_| false, 100, &mut w);
-        assert_eq!(s.index.count(id), 0);
+        assert_eq!(s.index.count(&Value::Int(3)), 0);
+        assert!(s.index.propagable().eq([id]));
     }
 
     #[test]

@@ -33,18 +33,6 @@ impl PurgeStrategy {
     }
 }
 
-/// When the punctuation index is (re)built (paper §3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IndexBuildStrategy {
-    /// Build incrementally on every punctuation arrival: punctuations
-    /// become detectably propagable as early as possible (steady
-    /// punctuation output).
-    Eager,
-    /// Build only when propagation is invoked: batches the state scan
-    /// across many punctuations.
-    Lazy,
-}
-
 /// When punctuation propagation is invoked (paper §3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PropagationTrigger {
@@ -95,8 +83,6 @@ pub struct PJoinConfig {
     pub activation_pages: u64,
     /// State purge strategy.
     pub purge: PurgeStrategy,
-    /// Punctuation index build strategy.
-    pub index_build: IndexBuildStrategy,
     /// Propagation trigger.
     pub propagation: PropagationTrigger,
     /// Whether arriving tuples already covered by the opposite
@@ -117,8 +103,8 @@ pub struct PJoinConfig {
 impl PJoinConfig {
     /// A configuration for symmetric `(key, payload…)` streams of the
     /// given widths, joining on attribute 0, with the paper's Table 1
-    /// style defaults: lazy purge (threshold 10), lazy index building,
-    /// push-mode propagation every 10 punctuations.
+    /// style defaults: lazy purge (threshold 10), push-mode propagation
+    /// every 10 punctuations.
     pub fn new(width_a: usize, width_b: usize) -> PJoinConfig {
         PJoinConfig {
             width_a,
@@ -130,7 +116,6 @@ impl PJoinConfig {
             memory_max_tuples: 0,
             activation_pages: 1,
             purge: PurgeStrategy::Lazy { threshold: 10 },
-            index_build: IndexBuildStrategy::Lazy,
             propagation: PropagationTrigger::PushCount { count: 10 },
             on_the_fly_drop: true,
             window_us: None,

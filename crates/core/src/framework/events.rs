@@ -22,8 +22,7 @@ pub enum EventKind {
     PropagateTimeExpire,
     /// The count propagation threshold was reached.
     PropagateCountReach,
-    /// A punctuation arrived (drives eager index building and the
-    /// matched-pair trigger).
+    /// A punctuation arrived (feeds the matched-pair trigger).
     PunctuationArrive,
 }
 
@@ -95,7 +94,9 @@ pub enum Component {
     StateRelocation,
     /// Retrieve disk-resident state and finish left-over joins.
     DiskJoin,
-    /// Build the punctuation index incrementally.
+    /// The paper's punctuation-index build. Never scheduled: the index
+    /// counts stored tuples by join value as they enter and leave the
+    /// state. Kept so the profile keeps its row.
     IndexBuild,
     /// Release propagable punctuations to the output stream.
     Propagation,

@@ -157,15 +157,10 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{IndexBuildStrategy, PurgeStrategy};
+    use crate::config::PurgeStrategy;
 
     fn config(purge: PurgeStrategy, propagation: PropagationTrigger) -> PJoinConfig {
-        PJoinConfig {
-            purge,
-            propagation,
-            index_build: IndexBuildStrategy::Lazy,
-            ..PJoinConfig::new(2, 2)
-        }
+        PJoinConfig { purge, propagation, ..PJoinConfig::new(2, 2) }
     }
 
     fn snap(now: u64) -> MonitorSnapshot {

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::config::{IndexBuildStrategy, PJoinConfig, PropagationTrigger};
+use crate::config::{PJoinConfig, PropagationTrigger};
 use crate::framework::events::{Component, EventKind};
 
 /// One registry entry: an event and its ordered listeners.
@@ -37,10 +37,12 @@ impl Registry {
 
     /// Builds the registry dictated by an operator configuration.
     ///
-    /// With *lazy* index building, [`Component::IndexBuild`] is coupled in
-    /// front of every propagation listener; with *eager* building it is
-    /// bound to [`EventKind::PunctuationArrive`] instead — exactly the
-    /// coupling alternatives of §3.6.
+    /// The paper's §3.6 couples an index build either in front of every
+    /// propagation listener (lazy) or to [`EventKind::PunctuationArrive`]
+    /// (eager). Here the punctuation index counts stored tuples as they
+    /// enter and leave the state, so there is nothing to build and
+    /// propagation runs alone; [`Component::IndexBuild`] is never
+    /// registered.
     pub fn from_config(config: &PJoinConfig) -> Registry {
         let mut r = Registry::new();
 
@@ -60,33 +62,22 @@ impl Registry {
             vec![Component::DiskJoin],
         );
 
-        let propagation_listeners = match config.index_build {
-            IndexBuildStrategy::Lazy => vec![Component::IndexBuild, Component::Propagation],
-            IndexBuildStrategy::Eager => vec![Component::Propagation],
-        };
-        if config.index_build == IndexBuildStrategy::Eager {
-            r.register(
-                EventKind::PunctuationArrive,
-                "always (eager index building)",
-                vec![Component::IndexBuild],
-            );
-        }
         match config.propagation {
             PropagationTrigger::Disabled => {}
             PropagationTrigger::PushCount { count } => r.register(
                 EventKind::PropagateCountReach,
                 format!("punctuations since last propagation >= {count}"),
-                propagation_listeners.clone(),
+                vec![Component::Propagation],
             ),
             PropagationTrigger::PushTime { micros } => r.register(
                 EventKind::PropagateTimeExpire,
                 format!("time since last propagation >= {micros}us"),
-                propagation_listeners.clone(),
+                vec![Component::Propagation],
             ),
             PropagationTrigger::MatchedPair | PropagationTrigger::Pull => r.register(
                 EventKind::PropagateRequest,
                 "matched punctuation pair received or downstream request",
-                propagation_listeners.clone(),
+                vec![Component::Propagation],
             ),
         }
 
@@ -97,19 +88,19 @@ impl Registry {
             end.push(Component::StatePurge);
         }
         if config.propagation != PropagationTrigger::Disabled {
-            end.extend([Component::IndexBuild, Component::Propagation]);
+            end.push(Component::Propagation);
         }
         r.register(EventKind::StreamEmpty, "both inputs exhausted", end);
 
         r
     }
 
-    /// The registry of the paper's **Table 1**: lazy purge, lazy index
-    /// building, push-mode count propagation.
+    /// The registry of the paper's **Table 1**: lazy purge and push-mode
+    /// count propagation (without the paper's coupled lazy index build;
+    /// see [`from_config`](Self::from_config)).
     pub fn table1(purge_threshold: u64, count_threshold: u64) -> Registry {
         let config = PJoinConfig {
             purge: crate::config::PurgeStrategy::Lazy { threshold: purge_threshold },
-            index_build: IndexBuildStrategy::Lazy,
             propagation: PropagationTrigger::PushCount { count: count_threshold },
             ..PJoinConfig::new(2, 2)
         };
@@ -167,26 +158,12 @@ mod tests {
         let r = Registry::table1(10, 5);
         // Lazy purge on threshold.
         assert_eq!(r.listeners(EventKind::PurgeThresholdReach), vec![Component::StatePurge]);
-        // Lazy index building coupled before propagation on the count event.
-        assert_eq!(
-            r.listeners(EventKind::PropagateCountReach),
-            vec![Component::IndexBuild, Component::Propagation]
-        );
-        // No eager index building on punctuation arrival.
-        assert!(r.listeners(EventKind::PunctuationArrive).is_empty());
-    }
-
-    #[test]
-    fn eager_index_binds_to_punctuation_arrival() {
-        let config = PJoinConfig {
-            index_build: IndexBuildStrategy::Eager,
-            propagation: PropagationTrigger::PushCount { count: 5 },
-            ..PJoinConfig::new(2, 2)
-        };
-        let r = Registry::from_config(&config);
-        assert_eq!(r.listeners(EventKind::PunctuationArrive), vec![Component::IndexBuild]);
-        // Propagation no longer needs the coupled build.
+        // Propagation on the count event, with no index build coupled in
+        // front of it: the index counts stored tuples as they come and go.
         assert_eq!(r.listeners(EventKind::PropagateCountReach), vec![Component::Propagation]);
+        // Nothing runs on punctuation arrival, and nothing ever builds.
+        assert!(r.listeners(EventKind::PunctuationArrive).is_empty());
+        assert!(r.entries().iter().all(|e| !e.listeners.contains(&Component::IndexBuild)));
     }
 
     #[test]
@@ -243,6 +220,6 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("PurgeThresholdReachEvent"));
         assert!(s.contains("state-purge"));
-        assert!(s.contains("index-build, propagation"));
+        assert!(s.contains("disk-join, state-purge, propagation"));
     }
 }

@@ -16,10 +16,10 @@
 //!    opposite punctuation set is joined against the state but never
 //!    stored;
 //! 3. **propagate** punctuations downstream: an incrementally-maintained
-//!    *punctuation index* (pid + per-punctuation match count) detects
-//!    when all results matching a punctuation have been emitted, at which
-//!    point the punctuation is released to the output stream for the
-//!    benefit of downstream operators such as group-by.
+//!    *punctuation index* (a count of stored tuples per join value)
+//!    detects when all results matching a punctuation have been emitted,
+//!    at which point the punctuation is released to the output stream
+//!    for the benefit of downstream operators such as group-by.
 //!
 //! All components are scheduled by an **event-driven framework**
 //! ([`framework`]): a [`Monitor`](framework::Monitor) watches runtime
@@ -69,7 +69,7 @@ pub mod record;
 pub mod state;
 
 pub use builder::PJoinBuilder;
-pub use config::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
+pub use config::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 pub use nary::{run_nary, NaryConfig, NaryPJoin};
 pub use operator::{PJoin, PJoinStats, StateExportError};
 pub use punctuation_index::PunctuationIndex;

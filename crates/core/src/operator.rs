@@ -1,6 +1,6 @@
 //! The PJoin operator: wiring of the memory join, the event-driven
-//! framework, and the purge / relocation / disk-join / index-build /
-//! propagation components.
+//! framework, and the purge / relocation / disk-join / propagation
+//! components.
 
 use std::collections::VecDeque;
 
@@ -33,8 +33,6 @@ pub struct PJoinStats {
     pub dropped_on_fly: u64,
     /// Tuples invalidated by the sliding window (§6 extension).
     pub tuples_expired: u64,
-    /// Punctuation index build invocations.
-    pub index_builds: u64,
     /// Propagation invocations.
     pub propagation_runs: u64,
     /// Punctuations released to the output.
@@ -60,7 +58,6 @@ impl std::ops::Add for PJoinStats {
             tuples_buffered: self.tuples_buffered + rhs.tuples_buffered,
             dropped_on_fly: self.dropped_on_fly + rhs.dropped_on_fly,
             tuples_expired: self.tuples_expired + rhs.tuples_expired,
-            index_builds: self.index_builds + rhs.index_builds,
             propagation_runs: self.propagation_runs + rhs.propagation_runs,
             puncts_propagated: self.puncts_propagated + rhs.puncts_propagated,
             puncts_forgotten: self.puncts_forgotten + rhs.puncts_forgotten,
@@ -498,10 +495,9 @@ impl PJoin {
                         tuple,
                         ats: t,
                         dts: t + 1,
-                        pid: None,
                         arrival_us: now_us,
                     };
-                    own.buffer_record(bucket, rec, work);
+                    own.park_record(bucket, rec);
                     stats.tuples_buffered += 1;
                 } else {
                     stats.dropped_on_fly += 1;
@@ -519,8 +515,8 @@ impl PJoin {
         }
     }
 
-    /// Punctuation ingest: register in the owning side's index, run the
-    /// eager index build if so registered, and update the monitor.
+    /// Punctuation ingest: register in the owning side's index, update
+    /// the monitor and run the components registered for the arrival.
     fn handle_punctuation(&mut self, side: Side, p: punct_types::Punctuation, out: &mut OpOutput) {
         let _ = self.next_instant();
         self.work.puncts_processed += 1;
@@ -591,7 +587,9 @@ impl PJoin {
                     self.resolve(bucket, out);
                 }
             }
-            Component::IndexBuild => self.component_index_build(),
+            // Nothing left to build: the index counts stored tuples as
+            // they enter and leave. Kept as a variant for its profile row.
+            Component::IndexBuild => {}
             Component::Propagation => self.component_propagate(out),
         }
     }
@@ -680,21 +678,6 @@ impl PJoin {
         // The per-spill spans carry the detail; the profile row carries
         // the aggregate attribution.
         self.prof_end(Component::StateRelocation, prof, None);
-    }
-
-    /// Index build (§3.5): incremental build on both sides.
-    fn component_index_build(&mut self) {
-        let prof = self.prof_begin();
-        let evals0 = self.work.index_evals;
-        self.stats.index_builds += 1;
-        self.a.index_build(&mut self.work);
-        self.b.index_build(&mut self.work);
-        let evals = self.work.index_evals - evals0;
-        self.prof_end(
-            Component::IndexBuild,
-            prof,
-            Some((TraceKind::IndexBuild, evals, 0)),
-        );
     }
 
     /// Propagation (§3.5): release propagable punctuations of both sides
@@ -894,9 +877,6 @@ impl BinaryStreamOp for PJoin {
                     let listeners = self.registry.listeners(EventKind::StreamEmpty);
                     if listeners.contains(&Component::StatePurge) {
                         self.component_purge();
-                    }
-                    if listeners.contains(&Component::IndexBuild) {
-                        self.component_index_build();
                     }
                     if listeners.contains(&Component::Propagation) {
                         self.component_propagate(out);
@@ -1129,11 +1109,11 @@ mod tests {
         );
     }
 
-    /// A range punctuation whose values an earlier punctuation still
-    /// counts waits for it: the stored `(5, 0)` carries the pid of the
-    /// left close of 5, so the later left range `[0, 9]` counts nothing
-    /// while that tuple can still join. Released at once, the range would
-    /// precede the result `(5, 0, 5, 1)` it covers.
+    /// A range punctuation over a value an earlier punctuation closed
+    /// waits like it: the stored `(5, 0)` holds both the left close of 5
+    /// and the later left range `[0, 9]` while it can still join.
+    /// Released at once, the range would precede the result
+    /// `(5, 0, 5, 1)` it covers.
     #[test]
     fn a_range_behind_an_earlier_count_waits_for_it() {
         let mut op = eager(PJoinConfig::new(2, 2));
@@ -1167,6 +1147,35 @@ mod tests {
             }
         }
         assert_eq!((results, emitted.len()), (1, 2));
+    }
+
+    /// A range is held only by stored tuples inside it: an earlier left
+    /// punctuation that constrains the payload alone waits for the
+    /// stored `(50, 7)`, but the later left range `[0, 9]` propagates
+    /// at once.
+    #[test]
+    fn a_range_is_not_held_by_an_earlier_wildcard_join_punctuation() {
+        let mut op = eager(PJoinConfig::new(2, 2));
+        let mut out = OpOutput::new();
+        let payload_seven = Punctuation::on_attr(2, 1, Pattern::Constant(7i64.into()));
+        let range = Punctuation::on_attr(2, 0, Pattern::int_range(0, 9));
+        let input = [
+            StreamElement::Tuple(Tuple::of((50i64, 7i64))),
+            StreamElement::Punctuation(payload_seven),
+            StreamElement::Punctuation(range.clone()),
+        ];
+        for e in input {
+            op.on_element(Side::Left, e, Timestamp(0), &mut out);
+        }
+        let emitted: Vec<Punctuation> = out
+            .drain()
+            .filter_map(|e| match e {
+                StreamElement::Punctuation(p) => Some(p),
+                StreamElement::Tuple(_) => None,
+            })
+            .collect();
+        let translate = crate::components::propagation::translate_punctuation;
+        assert_eq!(emitted, vec![translate(&range, 0, 4)]);
     }
 
     /// The traced operator's arrival ledgers follow the punctuation

@@ -1,32 +1,42 @@
-//! The incrementally-maintained punctuation index of the paper's §3.5
-//! (Fig. 2): each punctuation carries a unique `pid` and a **count** of
-//! matching tuples residing in the *same* stream's state; each stored
-//! tuple carries the `pid` of the first-arrived punctuation it matches.
-//! When a punctuation's count reaches zero, no tuple matching it remains
-//! in the state, so by Theorem 1 it can be propagated.
+//! The punctuation index of the paper's §3.5: which punctuations of one
+//! input stream may propagate. By Theorem 1 a punctuation may propagate
+//! once no tuple matching it remains in its own stream's state.
 //!
-//! Deviation from the paper, documented in DESIGN.md §7: the paper
-//! removes propagated punctuations from the punctuation set; we *retire*
-//! them instead (excluded from indexing and propagation, still consulted
-//! by the opposite side's on-the-fly drop and purge), so late
-//! opposite-side tuples covered by an already-propagated punctuation can
-//! still be dropped rather than lingering unpurgeably. That reason ends
-//! once the opposite side has closed the same value too: a constant
-//! both sides closed is then *forgotten* on both sides
-//! ([`closed_pair`](PunctuationIndex::closed_pair),
+//! Deviation from the paper, documented in DESIGN.md §7: the paper's
+//! index (Fig. 2) gives each stored tuple the pid of the *first-arrived*
+//! punctuation it matches and counts tuples per pid. A tuple counted
+//! under an earlier punctuation escapes every later one it matches, so a
+//! zero count there does not mean that no matching tuple is left. This
+//! index counts the stored tuples **by join value** instead (memory,
+//! disk and purge buffer alike), and a live punctuation is propagable
+//! once no counted value satisfies its join-attribute pattern. Only two
+//! events change that: a punctuation arriving (checked once) and a
+//! value's count moving between 0 and 1 (the punctuations the set offers
+//! for the value are checked again). A propagation run never scans the
+//! live punctuations. A punctuation that also constrains a non-join
+//! attribute gets the same join-value test, which is sufficient but not
+//! exact: it may wait for tuples it does not match.
+//!
+//! A second deviation: the paper removes propagated punctuations from
+//! the punctuation set; we *retire* them instead (excluded from
+//! propagation, still consulted by the opposite side's on-the-fly drop
+//! and purge), so late opposite-side tuples covered by an
+//! already-propagated punctuation can still be dropped rather than
+//! lingering unpurgeably. That reason ends once the opposite side has
+//! closed the same value too: a constant both sides closed is then
+//! *forgotten* on both sides ([`closed_pair`](PunctuationIndex::closed_pair),
 //! [`forget`](PunctuationIndex::forget)), so the index holds the values
 //! still open rather than every punctuation ever received.
 //!
-//! Ids stay dense and stable, but the per-id count and retired flag live
-//! in a window in step with the set's entries: `slots[i]` belongs to id
-//! `base + i`, and a forgotten id leaves the front once both watermarks
-//! of its side (purge and index build) have passed it
-//! ([`trim`](PunctuationIndex::trim)). An id below `base` reads as
-//! retired with count zero.
+//! Ids stay dense and stable, but the retired flags live in a window in
+//! step with the set's entries: `retired[i]` belongs to id `base + i`,
+//! and a forgotten id leaves the front once the purge watermark of its
+//! side has passed it ([`trim`](PunctuationIndex::trim)). An id below
+//! `base` reads as retired.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use punct_types::{Pattern, PunctId, Punctuation, PunctuationSet, Tuple, Value};
+use punct_types::{Pattern, PunctId, Punctuation, PunctuationSet, Tuple, Value, ValueMap};
 
 /// `p`'s pattern on join attribute `attr`; a punctuation without one
 /// constrains nothing there.
@@ -34,64 +44,66 @@ fn join_pattern(p: &Punctuation, attr: usize) -> &Pattern {
     p.pattern(attr).unwrap_or(&Pattern::Wildcard)
 }
 
-/// The count and retired flag of one stored punctuation.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// Matching tuples in this stream's state carrying the pid.
-    count: u64,
-    /// Already propagated.
-    retired: bool,
+/// True if some value counted in `counts` satisfies `pattern`: one
+/// lookup per value of a constant or an enumeration, a walk of the
+/// counts for a range.
+fn holds(counts: &ValueMap<u32>, pattern: &Pattern) -> bool {
+    let counted = |v: &Value| !v.is_null() && counts.contains_key(v);
+    match pattern {
+        Pattern::Wildcard => !counts.is_empty(),
+        Pattern::Empty => false,
+        Pattern::Constant(v) => counted(v),
+        Pattern::In(vs) => vs.iter().any(counted),
+        Pattern::Range { .. } => counts.keys().any(|v| pattern.matches(v)),
+    }
 }
 
 /// The punctuation index of one input stream.
 #[derive(Debug, Clone)]
 pub struct PunctuationIndex {
     set: PunctuationSet,
-    /// Count and retired flag per stored pid: `slots[i]` is id
-    /// `set.base() + i`, popped in step with the set's entries.
-    slots: VecDeque<Slot>,
+    /// Retired flag per stored id: `retired[i]` is id `set.base() + i`,
+    /// popped in step with the set's entries.
+    retired: VecDeque<bool>,
     /// Number of unretired punctuations, maintained incrementally so
-    /// [`live`](Self::live) is O(1) rather than a scan of the slots.
+    /// [`live`](Self::live) is O(1) rather than a scan of the flags.
     live: usize,
-    /// The unretired punctuations whose count is zero — the propagable
-    /// candidates — ordered by id, i.e. by arrival. Kept in step by
-    /// `insert`, the 0→1 and 1→0 count transitions and `retire`, so a
-    /// propagation run never looks at a punctuation it cannot release.
-    zero_count: BTreeSet<PunctId>,
-    /// Ids `< indexed_next` have been index-built against the state.
-    indexed_next: u64,
+    /// Stored tuples of this stream per join value: memory, disk and
+    /// purge buffer. A value with no stored tuple has no entry.
+    counts: ValueMap<u32>,
+    /// The live punctuations that no counted value satisfies — the
+    /// propagable ones — ordered by id, i.e. by arrival.
+    propagable: BTreeSet<PunctId>,
 }
 
 impl PunctuationIndex {
     /// Creates an empty index; `join_attr` is this stream's join
-    /// attribute (used for the fast cross-stream cover check).
+    /// attribute.
     pub fn new(join_attr: usize) -> PunctuationIndex {
         PunctuationIndex {
             set: PunctuationSet::new(join_attr),
-            slots: VecDeque::new(),
+            retired: VecDeque::new(),
             live: 0,
-            zero_count: BTreeSet::new(),
-            indexed_next: 0,
+            counts: ValueMap::default(),
+            propagable: BTreeSet::new(),
         }
     }
 
-    fn slot(&self, id: PunctId) -> Option<&Slot> {
-        self.slots.get(usize::try_from(id.0.checked_sub(self.set.base())?).ok()?)
-    }
-
-    fn slot_mut(&mut self, id: PunctId) -> &mut Slot {
-        debug_assert!(self.set.get(id).is_some(), "a record carries forgotten {id}");
-        let base = self.set.base();
-        &mut self.slots[(id.0 - base) as usize]
-    }
-
-    /// Inserts a newly-arrived punctuation, assigning its pid.
+    /// Inserts a newly-arrived punctuation, assigning its id. It is
+    /// propagable at once if no stored tuple's join value satisfies it.
     pub fn insert(&mut self, p: Punctuation) -> PunctId {
+        let held = holds(&self.counts, join_pattern(&p, self.set.join_attr()));
         let id = self.set.insert(p);
-        self.slots.push_back(Slot::default());
-        debug_assert_eq!(self.slots.len(), self.set.held(), "slots in step with entries");
+        self.retired.push_back(false);
+        debug_assert_eq!(
+            self.retired.len(),
+            self.set.held(),
+            "flags in step with entries"
+        );
         self.live += 1;
-        self.zero_count.insert(id);
+        if !held {
+            self.propagable.insert(id);
+        }
         id
     }
 
@@ -102,7 +114,7 @@ impl PunctuationIndex {
 
     /// Number of punctuations not yet retired.
     pub fn live(&self) -> usize {
-        debug_assert_eq!(self.live, self.slots.iter().filter(|s| !s.retired).count());
+        debug_assert_eq!(self.live, self.retired.iter().filter(|&&r| !r).count());
         self.live
     }
 
@@ -123,105 +135,97 @@ impl PunctuationIndex {
         &self.set
     }
 
-    /// Match count of a punctuation (zero once it is popped).
-    pub fn count(&self, id: PunctId) -> u64 {
-        self.slot(id).map_or(0, |s| s.count)
+    /// Stored tuples of this stream with join value `v`.
+    pub fn count(&self, v: &Value) -> u32 {
+        self.counts.get(v).copied().unwrap_or(0)
     }
 
-    /// Records that a tuple carrying `pid` entered the state.
-    pub fn increment(&mut self, id: PunctId) {
-        let slot = self.slot_mut(id);
-        slot.count += 1;
-        if slot.count == 1 {
-            self.zero_count.remove(&id);
-        }
+    /// Every join value with stored tuples, with its count, in no
+    /// particular order.
+    pub fn counts(&self) -> impl Iterator<Item = (&Value, u32)> + '_ {
+        self.counts.iter().map(|(v, &n)| (v, n))
     }
 
-    /// Records that a tuple carrying `pid` left the state (purged,
-    /// dropped from the purge buffer, …).
-    pub fn decrement(&mut self, id: PunctId) {
-        let slot = self.slot_mut(id);
-        debug_assert!(slot.count > 0, "count underflow for {id}");
-        slot.count = slot.count.saturating_sub(1);
-        if slot.count == 0 && !slot.retired {
-            self.zero_count.insert(id);
-        }
-    }
-
-    /// pid assignment against the **full** set: the first-arrived
-    /// punctuation matching `t`, if any. Used when a tuple must be
-    /// force-indexed (spill, purge-buffer move).
-    pub fn assign_pid(&self, t: &Tuple) -> Option<PunctId> {
-        self.set.set_match(t)
-    }
-
-    /// pid assignment against punctuations **not yet index-built** —
-    /// the incremental step of the paper's Index-Build algorithm.
-    pub fn assign_pid_new(&self, t: &Tuple) -> Option<PunctId> {
-        if self.indexed_next == 0 {
-            self.set.set_match(t)
-        } else {
-            self.set.set_match_after(t, PunctId(self.indexed_next - 1))
-        }
-    }
-
-    /// Number of punctuations that arrived since the last index build.
-    pub fn unindexed_punctuations(&self) -> u64 {
-        self.next_id() - self.indexed_next
-    }
-
-    /// Marks every current punctuation as index-built.
-    pub fn mark_indexed(&mut self) {
-        self.indexed_next = self.next_id();
-    }
-
-    /// Ids `< watermark` have been index-built.
-    pub fn indexed_next(&self) -> u64 {
-        self.indexed_next
-    }
-
-    /// Live (unretired) punctuations with `count == 0`, in arrival order
-    /// — the propagable candidates of the Propagate algorithm (Fig. 3).
-    pub fn zero_count_ids(&self) -> impl Iterator<Item = PunctId> + '_ {
-        debug_assert!(
-            self.zero_count.iter().copied().eq((self.set.base()..self.next_id())
-                .map(PunctId)
-                .filter(|&id| self.slot(id).is_some_and(|s| !s.retired && s.count == 0))),
-            "zero-count set out of step with counts / retired"
-        );
-        self.zero_count.iter().copied()
-    }
-
-    /// True while tuples matching punctuation `id` may carry an earlier
-    /// punctuation's pid and so escape its count: a tuple gets the
-    /// first-arrived punctuation it matches, so behind an earlier one that
-    /// overlaps it (a duplicate constant, a constant inside an earlier
-    /// list or range, a range over an earlier constant) a zero count does
-    /// not mean no matching tuple is left. Such a punctuation waits until
-    /// every earlier one overlapping it counts nothing. For a point
-    /// punctuation (a constant or an enumeration list) those are the ones
-    /// the indexes offer for its values; for a range or wildcard, every
-    /// earlier stored punctuation whose join-attribute pattern is not
-    /// disjoint with its own (see DESIGN.md §7).
-    pub fn behind_earlier_count(&self, id: PunctId) -> bool {
-        let attr = self.set.join_attr();
-        let Some(own) = self.set.get(id).map(|p| join_pattern(p, attr)) else {
-            return false;
+    /// Records that tuple `t` of this stream entered the state. When its
+    /// join value was not stored before, the punctuations matching the
+    /// value stop being propagable.
+    pub fn enter(&mut self, t: &Tuple) {
+        let Some(v) = t.get(self.set.join_attr()) else {
+            return;
         };
-        let values = match own {
-            Pattern::Constant(v) => std::slice::from_ref(v),
-            Pattern::In(vs) => vs.as_slice(),
-            _ => {
-                return self.set.iter().take_while(|&(q, _)| q < id).any(|(q, p)| {
-                    self.count(q) > 0 && !join_pattern(p, attr).disjoint_with(own)
-                })
+        if let Some(n) = self.counts.get_mut(v) {
+            *n += 1;
+            return;
+        }
+        self.counts.insert(v.clone(), 1);
+        if self.propagable.is_empty() {
+            return;
+        }
+        let (set, propagable) = (&self.set, &mut self.propagable);
+        let attr = set.join_attr();
+        set.for_each_cover(v, |q| {
+            if set.get(q).is_some_and(|p| join_pattern(p, attr).matches(v)) {
+                propagable.remove(&q);
             }
+        });
+    }
+
+    /// Records that tuple `t` of this stream left the state (purged,
+    /// dropped from the purge buffer or the disk, expired). When it was
+    /// the last one with its join value, the live punctuations matching
+    /// the value are checked again.
+    pub fn leave(&mut self, t: &Tuple) {
+        let Some(v) = t.get(self.set.join_attr()) else {
+            return;
         };
-        values.iter().any(|v| {
-            let mut behind = false;
-            self.set.for_each_cover(v, |q| behind |= q < id && self.count(q) > 0);
-            behind
-        })
+        let Some(n) = self.counts.get_mut(v) else {
+            debug_assert!(false, "{v} left the state uncounted");
+            return;
+        };
+        *n -= 1;
+        if *n > 0 {
+            return;
+        }
+        self.counts.remove(v);
+        if self.propagable.len() == self.live {
+            return;
+        }
+        let (set, counts, propagable) = (&self.set, &self.counts, &mut self.propagable);
+        let (attr, base, retired) = (set.join_attr(), set.base(), &self.retired);
+        set.for_each_cover(v, |q| {
+            // Offered ids are stored, so at or above the base.
+            let live = retired.get((q.0 - base) as usize) == Some(&false);
+            if live
+                && set
+                    .get(q)
+                    .is_some_and(|p| !holds(counts, join_pattern(p, attr)))
+            {
+                propagable.insert(q);
+            }
+        });
+    }
+
+    /// Live (unretired) punctuations that no stored tuple's join value
+    /// satisfies, in arrival order — the propagable punctuations of the
+    /// Propagate algorithm (Fig. 3).
+    pub fn propagable(&self) -> impl Iterator<Item = PunctId> + '_ {
+        self.propagable.iter().copied()
+    }
+
+    /// Retires every [propagable](Self::propagable) punctuation and
+    /// returns them in arrival order.
+    pub fn retire_propagable(&mut self) -> Vec<PunctId> {
+        let ids: Vec<PunctId> = std::mem::take(&mut self.propagable).into_iter().collect();
+        let attr = self.set.join_attr();
+        for &id in &ids {
+            debug_assert!(
+                self.get(id)
+                    .is_some_and(|p| !holds(&self.counts, join_pattern(p, attr))),
+                "{id} is held by a stored tuple"
+            );
+            self.retire(id);
+        }
+        ids
     }
 
     /// Live (unretired) punctuations in arrival order.
@@ -241,43 +245,42 @@ impl PunctuationIndex {
     /// Retires a punctuation after propagation. Idempotent.
     pub fn retire(&mut self, id: PunctId) {
         let base = self.set.base();
-        let Some(slot) = id.0.checked_sub(base).and_then(|i| self.slots.get_mut(i as usize)) else {
+        let Some(flag) =
+            id.0.checked_sub(base)
+                .and_then(|i| self.retired.get_mut(i as usize))
+        else {
             return;
         };
-        if !slot.retired {
-            slot.retired = true;
+        if !*flag {
+            *flag = true;
             self.live -= 1;
-            self.zero_count.remove(&id);
+            self.propagable.remove(&id);
         }
     }
 
     /// True if `id` has been retired (every id below the window has).
     pub fn is_retired(&self, id: PunctId) -> bool {
-        self.slot(id).is_none_or(|s| s.retired)
+        id.0.checked_sub(self.set.base())
+            .and_then(|i| self.retired.get(usize::try_from(i).ok()?))
+            .is_none_or(|&r| r)
     }
 
     /// The punctuation of this side that closes join value `v` for good,
     /// if it may be forgotten once the other side's closer of `v` is too:
     /// the owner of `v`'s constant slot, constraining nothing but the
-    /// join attribute, index-built, retired with a count of zero, and not
-    /// [behind an earlier count](Self::behind_earlier_count). Then no
-    /// tuple with join value `v` remains in this side's state — an
-    /// indexed one would carry this pid or a counted earlier one, and
-    /// none is unindexed past the build — and a well-formed input sends
-    /// no further one.
+    /// join attribute, retired, with no stored tuple of value `v` left.
+    /// A well-formed input sends no further one.
     fn closer_of(&self, v: &Value) -> Option<PunctId> {
         let id = self.set.constant_id(v)?;
-        let slot = self.slot(id)?;
         let attr = self.set.join_attr();
-        let only_join_attr = self.set.get(id)?.patterns().iter().enumerate().all(|(i, p)| {
-            i == attr || *p == Pattern::Wildcard
-        });
-        (slot.retired
-            && slot.count == 0
-            && id.0 < self.indexed_next
-            && only_join_attr
-            && !self.behind_earlier_count(id))
-        .then_some(id)
+        let only_join_attr = self
+            .set
+            .get(id)?
+            .patterns()
+            .iter()
+            .enumerate()
+            .all(|(i, p)| i == attr || *p == Pattern::Wildcard);
+        (self.is_retired(id) && only_join_attr && self.count(v) == 0).then_some(id)
     }
 
     /// If the just-propagated `id` closes a constant join value that the
@@ -301,17 +304,17 @@ impl PunctuationIndex {
     /// finds it at the front. Returns true if it was stored and not yet
     /// forgotten.
     pub fn forget(&mut self, id: PunctId) -> bool {
-        debug_assert!(self.is_retired(id) && self.count(id) == 0, "forgetting a live {id}");
+        debug_assert!(self.is_retired(id), "forgetting a live {id}");
         self.set.remove(id)
     }
 
     /// Pops forgotten punctuations off the front of the window while
-    /// both watermarks of this side have passed them: `applied_up_to`,
-    /// the ids already applied to purge the opposite state, and the
-    /// index-build watermark. A punctuation not forgotten stops it.
+    /// `applied_up_to`, the ids of this side already applied to purge
+    /// the opposite state, has passed them. A punctuation not forgotten
+    /// stops it.
     pub fn trim(&mut self, applied_up_to: u64) {
-        let popped = self.set.pop_removed_below(applied_up_to.min(self.indexed_next));
-        self.slots.drain(..popped);
+        let popped = self.set.pop_removed_below(applied_up_to);
+        self.retired.drain(..popped);
     }
 
     /// Cross-stream cover check (the paper's `setMatch(t_B, PS_A)` for
@@ -350,7 +353,9 @@ impl PunctuationIndex {
     /// purge watermark passes them.
     pub fn join_patterns_since(&self, since: u64) -> impl Iterator<Item = &Pattern> + '_ {
         let attr = self.set.join_attr();
-        self.set.stored_punctuations_from(since).filter_map(move |p| p.pattern(attr))
+        self.set
+            .stored_punctuations_from(since)
+            .filter_map(move |p| p.pattern(attr))
     }
 }
 
@@ -360,6 +365,10 @@ mod tests {
 
     fn close(v: i64) -> Punctuation {
         Punctuation::close_value(2, 0, v)
+    }
+
+    fn tup(k: i64, x: i64) -> Tuple {
+        Tuple::of((k, x))
     }
 
     #[test]
@@ -377,43 +386,30 @@ mod tests {
     #[test]
     fn counts_track_state_membership() {
         let mut ix = PunctuationIndex::new(0);
+        ix.enter(&tup(5, 0));
+        ix.enter(&tup(5, 1));
         let id = ix.insert(close(5));
-        assert_eq!(ix.count(id), 0);
-        ix.increment(id);
-        ix.increment(id);
-        assert_eq!(ix.count(id), 2);
-        ix.decrement(id);
-        assert_eq!(ix.count(id), 1);
-        assert_eq!(ix.zero_count_ids().count(), 0);
-        ix.decrement(id);
-        assert!(ix.zero_count_ids().eq([id]));
-    }
-
-    #[test]
-    fn incremental_assignment_skips_indexed() {
-        let mut ix = PunctuationIndex::new(0);
-        let a = ix.insert(close(5));
-        assert_eq!(ix.unindexed_punctuations(), 1);
-        ix.mark_indexed();
-        assert_eq!(ix.unindexed_punctuations(), 0);
-        // A tuple matching only the already-indexed punctuation is not
-        // re-assigned.
-        assert_eq!(ix.assign_pid_new(&Tuple::of((5i64, 0i64))), None);
-        // Full assignment still sees it (force-indexing paths).
-        assert_eq!(ix.assign_pid(&Tuple::of((5i64, 0i64))), Some(a));
-        // A new punctuation is seen by the incremental path.
-        let b = ix.insert(close(7));
-        assert_eq!(ix.assign_pid_new(&Tuple::of((7i64, 0i64))), Some(b));
+        assert_eq!(ix.count(&Value::Int(5)), 2);
+        assert_eq!(ix.propagable().count(), 0, "held by the stored tuples");
+        ix.leave(&tup(5, 0));
+        assert_eq!(ix.count(&Value::Int(5)), 1);
+        assert_eq!(ix.propagable().count(), 0);
+        ix.leave(&tup(5, 1));
+        assert!(ix.propagable().eq([id]));
+        assert_eq!(ix.counts().count(), 0, "a value with no tuple has no entry");
+        // A tuple entering again (a contract violation) holds it again.
+        ix.enter(&tup(5, 2));
+        assert_eq!(ix.propagable().count(), 0);
     }
 
     #[test]
     fn retirement_hides_from_propagation_not_from_cover() {
         let mut ix = PunctuationIndex::new(0);
         let id = ix.insert(close(9));
-        assert!(ix.zero_count_ids().eq([id]));
+        assert!(ix.propagable().eq([id]));
         ix.retire(id);
         assert!(ix.is_retired(id));
-        assert_eq!(ix.zero_count_ids().count(), 0);
+        assert_eq!(ix.propagable().count(), 0);
         assert!(ix.live_ids().is_empty());
         assert_eq!(ix.live(), 0);
         // Retired punctuations still cover arriving opposite tuples.
@@ -445,60 +441,95 @@ mod tests {
         ix.insert(close(2));
         ix.insert(close(3));
         assert_eq!(ix.join_patterns_since(0).count(), 3);
-        assert!(ix.join_patterns_since(2).eq([&Pattern::Constant(Value::Int(3))]));
+        assert!(ix
+            .join_patterns_since(2)
+            .eq([&Pattern::Constant(Value::Int(3))]));
         assert_eq!(ix.join_patterns_since(3).count(), 0);
     }
 
     #[test]
     fn zero_count_preserves_arrival_order() {
         let mut ix = PunctuationIndex::new(0);
+        ix.enter(&tup(2, 0));
         let a = ix.insert(close(1));
         let b = ix.insert(close(2));
         let c = ix.insert(close(3));
-        ix.increment(b);
-        assert!(ix.zero_count_ids().eq([a, c]));
+        assert!(ix.propagable().eq([a, c]));
         // Back to zero: `b` re-enters between its neighbours, not at the end.
-        ix.decrement(b);
-        assert!(ix.zero_count_ids().eq([a, b, c]));
+        ix.leave(&tup(2, 0));
+        assert!(ix.propagable().eq([a, b, c]));
+        assert_eq!(ix.retire_propagable(), vec![a, b, c]);
+        assert_eq!((ix.live(), ix.propagable().count()), (0, 0));
     }
 
     #[test]
     fn retired_punctuation_never_becomes_a_candidate_again() {
-        // The index build assigns pids of retired punctuations too (they
-        // stay in the set); their counts moving must not resurrect them.
+        // Retired punctuations stay in the set; their value's count
+        // moving must not resurrect them.
         let mut ix = PunctuationIndex::new(0);
         let id = ix.insert(close(4));
         ix.retire(id);
-        ix.increment(id);
-        ix.decrement(id);
-        assert_eq!(ix.zero_count_ids().count(), 0);
+        ix.enter(&tup(4, 0));
+        ix.leave(&tup(4, 0));
+        assert_eq!(ix.propagable().count(), 0);
     }
 
-    /// Index-builds, retires and propagates-in-effect every punctuation
-    /// of `ix` with count zero.
-    fn build_and_retire_all(ix: &mut PunctuationIndex) {
-        ix.mark_indexed();
-        for id in ix.zero_count_ids().collect::<Vec<_>>() {
-            ix.retire(id);
-        }
+    /// Every shape of join-attribute pattern is held exactly by the
+    /// stored values it matches: an enumeration by any member, a range
+    /// by a value inside it, a wildcard by any value, `Empty` by none.
+    #[test]
+    fn each_pattern_shape_is_held_by_the_values_it_matches() {
+        let mut ix = PunctuationIndex::new(0);
+        ix.enter(&tup(6, 0));
+        ix.enter(&tup(20, 0));
+        let list = ix.insert(Punctuation::on_attr(
+            2,
+            0,
+            Pattern::enumeration(vec![Value::Int(5), Value::Int(6)]),
+        ));
+        let range = ix.insert(Punctuation::on_attr(2, 0, Pattern::int_range(10, 29)));
+        let wildcard = ix.insert(Punctuation::on_attr(2, 1, Pattern::Constant(Value::Int(7))));
+        let empty = ix.insert(Punctuation::on_attr(2, 0, Pattern::Empty));
+        let float = ix.insert(Punctuation::on_attr(
+            2,
+            0,
+            Pattern::Constant(Value::Float(6.0)),
+        ));
+        assert!(ix.propagable().eq([empty, float]), "exact, not join_eq");
+        ix.leave(&tup(6, 0));
+        assert!(ix.propagable().eq([list, empty, float]));
+        ix.enter(&tup(25, 1));
+        ix.leave(&tup(20, 0));
+        assert!(
+            ix.propagable().eq([list, empty, float]),
+            "25 is in the range too"
+        );
+        ix.leave(&tup(25, 1));
+        assert!(ix.propagable().eq([list, range, wildcard, empty, float]));
     }
 
     #[test]
     fn a_pair_is_forgotten_only_once_both_are_retired() {
         let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
         let pa = a.insert(close(5));
-        assert_eq!(a.closed_pair(pa, &b), None, "the other side has not closed 5");
+        assert_eq!(
+            a.closed_pair(pa, &b),
+            None,
+            "the other side has not closed 5"
+        );
         let pb = b.insert(close(5));
-        a.mark_indexed();
-        b.mark_indexed();
         a.retire(pa);
-        assert_eq!(a.closed_pair(pa, &b), None, "the other side's is not retired");
-        // A count above zero (a tuple the own input sent after closing
-        // the value) keeps it too.
+        assert_eq!(
+            a.closed_pair(pa, &b),
+            None,
+            "the other side's is not retired"
+        );
+        // A stored tuple with the value (one the own input sent after
+        // closing it) keeps it too.
         b.retire(pb);
-        b.increment(pb);
+        b.enter(&tup(5, 1));
         assert_eq!(a.closed_pair(pa, &b), None);
-        b.decrement(pb);
+        b.leave(&tup(5, 1));
         assert_eq!(a.closed_pair(pa, &b), Some(pb));
         assert_eq!(b.closed_pair(pb, &a), Some(pa), "symmetric");
         assert!(a.forget(pa) && b.forget(pb));
@@ -514,37 +545,31 @@ mod tests {
     #[test]
     fn a_pair_is_kept_while_an_earlier_punctuation_counts_the_value() {
         let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
-        // Side A closed 5 first inside a range, so A tuples with key 5
-        // carry the range's pid, not the constant's.
+        // Side A closed 5 first inside a range and still stores a tuple
+        // with key 5: the count by value holds its later constant.
+        a.enter(&tup(5, 0));
         let range = a.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
         let pa = a.insert(close(5));
         let pb = b.insert(close(5));
-        a.mark_indexed();
-        b.mark_indexed();
-        a.increment(range);
         a.retire(pa);
         b.retire(pb);
         assert_eq!(a.closed_pair(pa, &b), None);
         assert_eq!(b.closed_pair(pb, &a), None);
-        // Once the range counts nothing, no A tuple with key 5 is left.
-        a.decrement(range);
+        // Once no A tuple with key 5 is left, both may go.
+        a.leave(&tup(5, 0));
+        assert!(a.propagable().eq([range]));
         assert_eq!(a.closed_pair(pa, &b), Some(pb));
-        // Nor is a punctuation forgotten before it is index-built, or
-        // one constraining more than the join attribute.
+        // Nor is a punctuation constraining more than the join attribute
+        // forgotten.
         let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
-        let pa = a.insert(close(6));
-        let pb = b.insert(close(6));
-        a.retire(pa);
-        b.retire(pb);
-        assert_eq!(a.closed_pair(pa, &b), None, "not index-built");
         let narrow = Punctuation::new(vec![
             Pattern::Constant(Value::Int(7)),
             Pattern::Constant(Value::Int(1)),
         ]);
         let pa = a.insert(narrow);
         let pb = b.insert(close(7));
-        build_and_retire_all(&mut a);
-        build_and_retire_all(&mut b);
+        a.retire_propagable();
+        b.retire_propagable();
         assert_eq!(a.closed_pair(pa, &b), None, "closes (7, 1) only");
         assert_eq!(b.closed_pair(pb, &a), None);
     }
@@ -554,24 +579,27 @@ mod tests {
         let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
         let pa = a.insert(close(1));
         let pb = b.insert(close(1));
-        build_and_retire_all(&mut a);
-        build_and_retire_all(&mut b);
+        a.retire_propagable();
+        b.retire_propagable();
         a.forget(pa);
         b.forget(pb);
         // The purge watermark holds it until the purge has applied it.
         a.trim(0);
-        assert!(a.join_patterns_since(0).eq([&Pattern::Constant(Value::Int(1))]));
+        assert!(a
+            .join_patterns_since(0)
+            .eq([&Pattern::Constant(Value::Int(1))]));
         a.trim(1);
         assert_eq!(a.set().base(), 1);
         assert!(a.is_retired(pa));
-        assert_eq!(a.count(pa), 0);
         assert_eq!(a.get(pa), None);
         assert!(a.live_ids().is_empty());
         assert!(!a.contains_join_pattern(&Pattern::Constant(Value::Int(1))));
         let next = a.insert(close(2));
         assert_eq!(next, PunctId(1));
-        assert!(a.join_patterns_since(0).eq([&Pattern::Constant(Value::Int(2))]));
-        assert!(a.zero_count_ids().eq([next]));
+        assert!(a
+            .join_patterns_since(0)
+            .eq([&Pattern::Constant(Value::Int(2))]));
+        assert!(a.propagable().eq([next]));
     }
 
     #[test]
@@ -579,10 +607,11 @@ mod tests {
         let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
         // Only side A ever closes 100: that punctuation stays retired.
         let pinned = a.insert(close(100));
-        let pairs: Vec<(PunctId, PunctId)> =
-            (0..3).map(|k| (a.insert(close(k)), b.insert(close(k)))).collect();
-        build_and_retire_all(&mut a);
-        build_and_retire_all(&mut b);
+        let pairs: Vec<(PunctId, PunctId)> = (0..3)
+            .map(|k| (a.insert(close(k)), b.insert(close(k))))
+            .collect();
+        a.retire_propagable();
+        b.retire_propagable();
         assert_eq!(a.closed_pair(pinned, &b), None);
         for &(pa, pb) in &pairs {
             assert_eq!(a.closed_pair(pa, &b), Some(pb));
@@ -599,24 +628,26 @@ mod tests {
         assert_eq!(a.insert(close(9)), PunctId(4));
     }
 
-    /// The hold on a range is conservative: an earlier punctuation whose
-    /// join pattern is a wildcard (it constrains another attribute)
-    /// holds the range while it counts any tuple, even one whose join
-    /// value lies outside the range. A tighter check would have to look
-    /// at the stored tuples.
+    /// A range is held only by stored tuples inside it. An earlier
+    /// punctuation whose join pattern is a wildcard (it constrains
+    /// another attribute) waits while the side stores any tuple, here
+    /// `(50, 7)`, but does not hold the range back.
     #[test]
-    fn a_range_waits_for_any_earlier_wildcard_join_pattern_that_counts() {
+    fn a_range_propagates_past_a_held_wildcard_join_pattern() {
         let mut ix = PunctuationIndex::new(0);
+        ix.enter(&tup(50, 7));
         let other_attr = ix.insert(Punctuation::on_attr(2, 1, Pattern::Constant(Value::Int(7))));
-        // Counts a stored tuple such as `(50, 7)`: outside the range.
-        ix.increment(other_attr);
-        let disjoint = ix.insert(close(20));
-        ix.increment(disjoint);
         let range = ix.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
-        assert_eq!(ix.count(range), 0);
-        assert!(ix.behind_earlier_count(range), "held by the wildcard join pattern");
-        ix.decrement(other_attr);
-        assert!(!ix.behind_earlier_count(range), "a disjoint constant does not hold it");
+        assert!(
+            ix.propagable().eq([range]),
+            "only the wildcard join pattern is held"
+        );
+        assert_eq!(ix.retire_propagable(), vec![range]);
+        ix.leave(&tup(50, 7));
+        assert!(
+            ix.propagable().eq([other_attr]),
+            "free once the side stores nothing"
+        );
     }
 
     #[test]
@@ -626,7 +657,10 @@ mod tests {
         assert!(!ix.contains_join_pattern(&nine));
         let first = ix.insert(close(9));
         assert!(ix.contains_join_pattern(&nine));
-        assert!(!ix.contains_join_pattern(&Pattern::Constant(Value::Float(9.0))), "exact, not join_eq");
+        assert!(
+            !ix.contains_join_pattern(&Pattern::Constant(Value::Float(9.0))),
+            "exact, not join_eq"
+        );
         ix.retire(first);
         assert!(!ix.contains_join_pattern(&nine), "only a retired one left");
         let second = ix.insert(close(9));

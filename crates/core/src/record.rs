@@ -1,9 +1,10 @@
-//! PJoin's stored-tuple record (paper Fig. 2(b)): the tuple, its
-//! memory-residency interval for disk-join duplicate prevention, and the
-//! `pid` linking it to the punctuation index.
+//! PJoin's stored-tuple record (paper Fig. 2(b), less the `pid`: the
+//! punctuation index counts stored tuples by join value instead): the
+//! tuple and its memory-residency interval for disk-join duplicate
+//! prevention.
 
 use punct_types::wire::{get_tuple, put_tuple, put_u64, WireError, WireReader};
-use punct_types::{PunctId, Tuple};
+use punct_types::Tuple;
 use spillstore::Record;
 
 /// A logical instant of the operator's event clock (see `crate::dedup`).
@@ -11,9 +12,6 @@ pub type Instant = u64;
 
 /// Departure instant meaning "still probe-able in memory".
 pub const DTS_RESIDENT: Instant = Instant::MAX;
-
-/// Encoded `pid` meaning "not indexed yet".
-const PID_NULL: u64 = u64::MAX;
 
 /// A stored tuple with PJoin metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,25 +23,21 @@ pub struct PRecord {
     /// Instant the tuple stopped being probe-able (relocated to disk or
     /// moved to the purge buffer); [`DTS_RESIDENT`] while probe-able.
     pub dts: Instant,
-    /// The punctuation (from the tuple's *own* stream) this tuple is
-    /// indexed under, or `None` while unindexed (paper: "the pid of this
-    /// tuple is null").
-    pub pid: Option<PunctId>,
     /// Arrival *virtual time* in microseconds — used by the sliding-window
     /// extension (§6) to expire tuples; unrelated to the logical `ats`.
     pub arrival_us: u64,
 }
 
 impl PRecord {
-    /// A freshly-arrived, unindexed, memory-resident record.
+    /// A freshly-arrived, memory-resident record.
     pub fn arriving(tuple: Tuple, ats: Instant) -> PRecord {
-        PRecord { tuple, ats, dts: DTS_RESIDENT, pid: None, arrival_us: 0 }
+        PRecord { tuple, ats, dts: DTS_RESIDENT, arrival_us: 0 }
     }
 
     /// Like [`arriving`](Self::arriving) with the arrival virtual time
     /// recorded (sliding-window configurations).
     pub fn arriving_at(tuple: Tuple, ats: Instant, arrival_us: u64) -> PRecord {
-        PRecord { tuple, ats, dts: DTS_RESIDENT, pid: None, arrival_us }
+        PRecord { tuple, ats, dts: DTS_RESIDENT, arrival_us }
     }
 
     /// True while the record is probe-able in memory.
@@ -66,7 +60,6 @@ impl Record for PRecord {
     fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, self.ats);
         put_u64(buf, self.dts);
-        put_u64(buf, self.pid.map_or(PID_NULL, |p| p.0));
         put_u64(buf, self.arrival_us);
         put_tuple(buf, &self.tuple);
     }
@@ -74,13 +67,9 @@ impl Record for PRecord {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let ats = r.u64("record ats")?;
         let dts = r.u64("record dts")?;
-        let pid = match r.u64("record pid")? {
-            PID_NULL => None,
-            id => Some(PunctId(id)),
-        };
         let arrival_us = r.u64("record arrival")?;
         let tuple = get_tuple(r)?;
-        Ok(PRecord { tuple, ats, dts, pid, arrival_us })
+        Ok(PRecord { tuple, ats, dts, arrival_us })
     }
 }
 
@@ -92,7 +81,6 @@ mod tests {
     fn arriving_defaults() {
         let r = PRecord::arriving(Tuple::of((1i64,)), 5);
         assert!(r.is_resident());
-        assert_eq!(r.pid, None);
         assert_eq!(r.ats, 5);
     }
 
@@ -107,19 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn codec_round_trips_pid_states() {
-        for pid in [None, Some(PunctId(0)), Some(PunctId(12345))] {
-            let r = PRecord {
-                tuple: Tuple::of((7i64, "x")),
-                ats: 1,
-                dts: 2,
-                pid,
-                arrival_us: 777,
-            };
-            let mut buf = Vec::new();
-            r.encode(&mut buf);
-            assert_eq!(PRecord::decode(&mut WireReader::new(&buf)).unwrap(), r);
-        }
+    fn codec_round_trips() {
+        let r = PRecord { tuple: Tuple::of((7i64, "x")), ats: 1, dts: 2, arrival_us: 777 };
+        let mut buf = Vec::new();
+        r.encode(&mut buf);
+        assert_eq!(PRecord::decode(&mut WireReader::new(&buf)).unwrap(), r);
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn workload(tuples: usize, punct_every: f64, seed: u64) -> (
 #[test]
 fn matches_reference_eager_purge() {
     let (left, right) = workload(1_000, 10.0, 1);
-    let mut op = PJoinBuilder::new(2, 2).eager_purge().eager_index_build().propagate_every(5).build();
+    let mut op = PJoinBuilder::new(2, 2).eager_purge().propagate_every(5).build();
     let stats = run(&mut op, &left, &right);
     assert_eq!(output_tuples(&stats), reference_join(&left, &right));
     assert!(op.stats().purge_runs > 0, "eager purge must have run");
@@ -136,7 +136,6 @@ fn matches_reference_with_spilling_and_lazy_everything() {
     let (left, right) = workload(600, 15.0, 6);
     let mut op = PJoinBuilder::new(2, 2)
         .lazy_purge(40)
-        .lazy_index_build()
         .buckets(2)
         .page_tuples(8)
         .memory_max(32)
@@ -180,7 +179,6 @@ fn emitted_punctuations_are_never_violated() {
     let (left, right) = workload(1_200, 8.0, 9);
     let mut op = PJoinBuilder::new(2, 2)
         .eager_purge()
-        .eager_index_build()
         .propagate_every(1)
         .build();
     let stats = run(&mut op, &left, &right);
@@ -203,7 +201,7 @@ fn all_punctuations_eventually_propagate() {
         .chain(right.iter())
         .filter(|e| e.item.is_punctuation())
         .count() as u64;
-    let mut op = PJoinBuilder::new(2, 2).eager_purge().eager_index_build().propagate_every(1).build();
+    let mut op = PJoinBuilder::new(2, 2).eager_purge().propagate_every(1).build();
     let stats = run(&mut op, &left, &right);
     // The end-of-stream flush releases everything that was still pending.
     assert_eq!(stats.total_out_puncts, inserted);
@@ -249,7 +247,6 @@ fn asymmetric_b_state_is_tiny_via_on_the_fly_drops() {
 fn pull_mode_propagates_on_request() {
     let mut op = PJoinBuilder::new(2, 2)
         .eager_purge()
-        .eager_index_build()
         .propagate_on_request()
         .build();
     let mut out = stream_sim::OpOutput::new();
@@ -281,7 +278,6 @@ fn pull_mode_propagates_on_request() {
 fn matched_pair_mode_propagates_on_pairs() {
     let mut op = PJoinBuilder::new(2, 2)
         .eager_purge()
-        .eager_index_build()
         .propagate_on_matched_pair()
         .build();
     let mut out = stream_sim::OpOutput::new();

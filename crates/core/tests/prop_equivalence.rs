@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use pjoin::{IndexBuildStrategy, PJoin, PJoinConfig, PropagationTrigger, PurgeStrategy};
+use pjoin::{PJoin, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use punct_types::{Pattern, Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value};
 use stream_sim::{CostModel, Driver, DriverConfig};
 use streamgen::validate_stream;
@@ -94,7 +94,6 @@ fn arb_config() -> impl Strategy<Value = PJoinConfig> {
             (1u64..20).prop_map(|threshold| PurgeStrategy::Lazy { threshold }),
             Just(PurgeStrategy::Never),
         ],
-        prop_oneof![Just(IndexBuildStrategy::Eager), Just(IndexBuildStrategy::Lazy)],
         prop_oneof![
             Just(PropagationTrigger::Disabled),
             (1u64..10).prop_map(|count| PropagationTrigger::PushCount { count }),
@@ -105,9 +104,8 @@ fn arb_config() -> impl Strategy<Value = PJoinConfig> {
         prop_oneof![Just(0usize), 4usize..32],
         1usize..8, // buckets
     )
-        .prop_map(|(purge, index_build, propagation, otf, memory, buckets)| PJoinConfig {
+        .prop_map(|(purge, propagation, otf, memory, buckets)| PJoinConfig {
             purge,
-            index_build,
             propagation,
             on_the_fly_drop: otf,
             memory_max_tuples: memory,

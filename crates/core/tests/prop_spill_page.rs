@@ -4,8 +4,8 @@
 //!
 //! * `Page<PRecord>` and `Page<XRecord>` round-trip arbitrary records
 //!   bit-exactly — NaN payload bits, `-0.0`, empty and multibyte
-//!   strings, `Null`, `Bool`, zero-width tuples, every `pid` state and
-//!   the `DTS_RESIDENT` sentinel — and re-encode to the same bytes.
+//!   strings, `Null`, `Bool`, zero-width tuples and the `DTS_RESIDENT`
+//!   sentinel — and re-encode to the same bytes.
 //! * Every strict prefix of a page decodes to a typed error.
 //! * A `u32::MAX` record count is rejected by the count rule before
 //!   anything is sized from it.
@@ -15,7 +15,7 @@ use pjoin::PRecord;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use punct_types::wire::{put_u32_at, WireError};
-use punct_types::{PunctId, Tuple, Value};
+use punct_types::{Tuple, Value};
 use spillstore::{Page, Record};
 use xjoin::XRecord;
 
@@ -45,26 +45,14 @@ fn arb_instant() -> impl Strategy<Value = u64> {
 }
 
 fn arb_precord() -> impl Strategy<Value = PRecord> {
-    (
-        arb_tuple(),
-        arb_instant(),
-        arb_instant(),
-        // Every pid state; `u64::MAX` itself is the encoding of `None`.
-        prop_oneof![
-            Just(None),
-            Just(Some(PunctId(0))),
-            Just(Some(PunctId(u64::MAX - 1))),
-            any::<u64>().prop_map(|id| Some(PunctId(id % (u64::MAX - 1)))),
-        ],
-        any::<u64>(),
-    )
-        .prop_map(|(tuple, ats, dts, pid, arrival_us)| PRecord {
+    (arb_tuple(), arb_instant(), arb_instant(), any::<u64>()).prop_map(
+        |(tuple, ats, dts, arrival_us)| PRecord {
             tuple,
             ats,
             dts,
-            pid,
             arrival_us,
-        })
+        },
+    )
 }
 
 fn arb_xrecord() -> impl Strategy<Value = XRecord> {
@@ -126,9 +114,9 @@ fn edge_records_round_trip() {
         Value::Null,
         Value::Bool(false),
     ]);
-    let records: Vec<PRecord> = [None, Some(PunctId(0)), Some(PunctId(u64::MAX - 1))]
+    let records: Vec<PRecord> = [0, 7, u64::MAX]
         .into_iter()
-        .map(|pid| PRecord { tuple: tuple.clone(), ats: 1, dts: DTS_RESIDENT, pid, arrival_us: 7 })
+        .map(|arrival_us| PRecord { tuple: tuple.clone(), ats: 1, dts: DTS_RESIDENT, arrival_us })
         .chain([PRecord::arriving(Tuple::new(Vec::new()), u64::MAX - 1)])
         .collect();
     let back = Page::<PRecord>::decode(&Page::new(records.clone()).encode()).expect("decode");

@@ -157,7 +157,6 @@ fn window_expiry_enables_early_propagation() {
     let mut op = PJoinBuilder::new(2, 2)
         .window_micros(1_000)
         .eager_purge()
-        .eager_index_build()
         .propagate_every(1)
         .build();
     let mut out = OpOutput::new();

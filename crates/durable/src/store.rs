@@ -9,11 +9,12 @@
 //!                                 swapped in after the epoch file lands
 //! ```
 //!
-//! **Atomicity**: an epoch file is written to a `.tmp` sibling and
-//! renamed into place; only then is the MANIFEST (same tmp+rename dance)
-//! pointed at it. A crash mid-write leaves at worst a stray `.tmp` and a
-//! MANIFEST still naming the previous complete epoch — never a manifest
-//! naming a partial file.
+//! **Atomicity**: an epoch file is written to a `.tmp` sibling, synced,
+//! renamed into place and the directory synced; only then is the
+//! MANIFEST (same dance) pointed at it. A crash mid-write leaves at worst
+//! a stray `.tmp`, which the next [`CheckpointStore::open`] deletes, and
+//! a MANIFEST still naming the previous complete epoch — never a
+//! manifest naming a partial file.
 //!
 //! **Self-contained epochs**: every epoch file holds every section of
 //! its snapshot inline, so it loads on its own, whatever else is lost.
@@ -59,10 +60,18 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// Opens (creating if needed) a store directory. Reads only the
-    /// MANIFEST: epoch files are read when they are loaded.
+    /// MANIFEST: epoch files are read when they are loaded. Deletes the
+    /// `.tmp` files a crash between create and rename left behind.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> Result<CheckpointStore, SnapshotError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        for entry in fs::read_dir(&dir)? {
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if name == "MANIFEST.tmp" || (name.starts_with("epoch-") && name.ends_with(".tmp")) {
+                fs::remove_file(dir.join(&*name))?;
+            }
+        }
         let last_epoch = manifest_epoch(&dir)?;
         Ok(CheckpointStore { dir, retain: retain.max(1), last_epoch, stats: StoreStats::default() })
     }
@@ -208,6 +217,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
+    // The rename is durable only once the directory entry is.
+    if let Some(dir) = path.parent() {
+        fs::File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -319,6 +332,25 @@ mod tests {
         assert!(store.commit(&snap(1, 11, vec![])).is_err());
         store.commit(&snap(2, 20, vec![])).unwrap();
         assert_eq!(store.latest_complete().unwrap().unwrap().epoch, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_deletes_stray_tmp_files() {
+        let dir = tempdir("stray");
+        let mut store = CheckpointStore::open(&dir, 3).unwrap();
+        store.commit(&snap(1, 10, vec![])).unwrap();
+        store.commit(&snap(2, 20, vec![(8, Tuple::of((2i64, 2i64)))])).unwrap();
+        drop(store);
+        // A crash between create and rename: a partial epoch 3 and a
+        // partial MANIFEST naming it.
+        let strays = [dir.join("epoch-000000000003.tmp"), dir.join("MANIFEST.tmp")];
+        fs::write(&strays[0], b"partial epoch").unwrap();
+        fs::write(&strays[1], manifest_bytes(3)).unwrap();
+        let store = CheckpointStore::open(&dir, 3).unwrap();
+        assert!(strays.iter().all(|p| !p.exists()), "stray .tmp files are deleted");
+        assert_eq!(store.latest_complete().unwrap().unwrap().epoch, 2);
+        assert_eq!(store.epochs_on_disk().unwrap(), vec![1, 2]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,7 @@
 //!    1/2/4/8 shards equal the single-threaded operator's totals, on a
 //!    workload whose keys and closing punctuations co-locate.
 
-use pjoin::{IndexBuildStrategy, PJoin, PJoinConfig, PropagationTrigger, PurgeStrategy};
+use pjoin::{PJoin, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use punct_exec::{ExecConfig, ShardedPJoin};
 use punct_trace::{JoinLatencies, LatencyHistogram};
 use punct_types::{Punctuation, StreamElement, Timestamp, Timestamped, Tuple};
@@ -25,7 +25,6 @@ fn punct(ts: u64, key: i64) -> Timestamped<StreamElement> {
 fn traced_config(purge: PurgeStrategy) -> PJoinConfig {
     PJoinConfig {
         purge,
-        index_build: IndexBuildStrategy::Eager,
         propagation: PropagationTrigger::PushCount { count: 1 },
         ..PJoinConfig::new(2, 2)
     }
@@ -163,7 +162,6 @@ fn tracing_disabled_records_no_latencies() {
     let feed = keyed_feed(8);
     let config = PJoinConfig {
         purge: PurgeStrategy::Eager,
-        index_build: IndexBuildStrategy::Eager,
         propagation: PropagationTrigger::PushCount { count: 1 },
         ..PJoinConfig::new(2, 2)
     };

@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
+use pjoin::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
 use punct_exec::{shard_of_hash, ExecConfig, ShardedPJoin};
 use punct_types::{Punctuation, StreamElement, Timestamp, Timestamped, Tuple, Value};
@@ -120,10 +120,6 @@ fn join_config_strategy() -> impl Strategy<Value = PJoinConfig> {
             (1u64..20).prop_map(|t| PurgeStrategy::Lazy { threshold: t }),
         ],
         prop_oneof![
-            Just(IndexBuildStrategy::Lazy),
-            Just(IndexBuildStrategy::Eager),
-        ],
-        prop_oneof![
             (1u64..15).prop_map(|c| PropagationTrigger::PushCount { count: c }),
             Just(PropagationTrigger::MatchedPair),
         ],
@@ -131,9 +127,8 @@ fn join_config_strategy() -> impl Strategy<Value = PJoinConfig> {
         1usize..6,
     )
         .prop_map(
-            |(purge, index_build, propagation, on_the_fly_drop, buckets)| PJoinConfig {
+            |(purge, propagation, on_the_fly_drop, buckets)| PJoinConfig {
                 purge,
-                index_build,
                 propagation,
                 on_the_fly_drop,
                 buckets: buckets * 4,

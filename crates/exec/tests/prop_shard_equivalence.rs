@@ -10,7 +10,7 @@
 //! own side already closed) — the precondition under which purge timing
 //! cannot change the result multiset.
 
-use pjoin::{IndexBuildStrategy, PJoinConfig, PropagationTrigger, PurgeStrategy};
+use pjoin::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
 use punct_exec::{ExecConfig, ShardedPJoin};
 use punct_types::{StreamElement, Timestamp, Timestamped};
@@ -91,10 +91,6 @@ fn join_config_strategy() -> impl Strategy<Value = PJoinConfig> {
             Just(PurgeStrategy::Never),
         ],
         prop_oneof![
-            Just(IndexBuildStrategy::Lazy),
-            Just(IndexBuildStrategy::Eager),
-        ],
-        prop_oneof![
             Just(PropagationTrigger::Disabled),
             (1u64..15).prop_map(|c| PropagationTrigger::PushCount { count: c }),
             Just(PropagationTrigger::MatchedPair),
@@ -103,9 +99,8 @@ fn join_config_strategy() -> impl Strategy<Value = PJoinConfig> {
         1usize..6,
     )
         .prop_map(
-            |(purge, index_build, propagation, on_the_fly_drop, buckets)| PJoinConfig {
+            |(purge, propagation, on_the_fly_drop, buckets)| PJoinConfig {
                 purge,
-                index_build,
                 propagation,
                 on_the_fly_drop,
                 buckets: buckets * 4,

@@ -181,7 +181,6 @@ mod tests {
     fn join() -> PJoin {
         PJoinBuilder::new(2, 2)
             .eager_purge()
-            .eager_index_build()
             .propagate_every(1)
             .build()
     }

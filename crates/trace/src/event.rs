@@ -57,7 +57,9 @@ pub enum TraceKind {
     /// State purge run (`a` = tuples removed, `b` = punctuations
     /// applied).
     Purge,
-    /// Punctuation-index build run (`a` = tuples scanned, `b` = 0).
+    /// Punctuation-index build run (`a` = tuples scanned, `b` = 0). PJoin
+    /// no longer emits it: its index has nothing to build. The kind
+    /// keeps its place in the encoding.
     IndexBuild,
     /// Propagation run (`a` = punctuations released, `b` = 0).
     Propagation,

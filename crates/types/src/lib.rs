@@ -20,7 +20,7 @@
 //!   range, enumeration list, empty) with `match` and `and` semantics.
 //! * [`Punctuation`] — an ordered set of patterns over a schema.
 //! * [`PunctuationSet`] — an indexed collection of punctuations with a
-//!   fast `set_match` on a designated (join) attribute.
+//!   fast `setMatch` on a designated (join) attribute.
 //! * [`StreamElement`] / [`Timestamped`] — the element model of a
 //!   punctuated stream.
 //! * a textual grammar ([`parse`]) for writing punctuations in tests,

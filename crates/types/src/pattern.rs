@@ -159,7 +159,12 @@ impl Pattern {
             _ if v.is_null() => false,
             Pattern::Constant(c) => c == v,
             Pattern::Range { lo, hi } => lo.admits_from_below(v) && hi.admits_from_above(v),
-            Pattern::In(vs) => vs.binary_search(v).is_ok(),
+            // Exact membership, as for a constant: `Ord` ties an `Int`
+            // with the numerically equal `Float`, so a tie is not enough.
+            Pattern::In(vs) => {
+                let from = vs.partition_point(|x| x < v);
+                vs[from..].iter().take_while(|&x| x <= v).any(|x| x == v)
+            }
         }
     }
 
@@ -209,25 +214,8 @@ impl Pattern {
                     Empty
                 }
             }
-            (In(xs), In(ys)) => {
-                // Both sorted: linear merge intersection.
-                let mut out = Vec::new();
-                let (mut i, mut j) = (0, 0);
-                while i < xs.len() && j < ys.len() {
-                    match xs[i].cmp(&ys[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            out.push(xs[i].clone());
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                Pattern::enumeration(out)
-            }
-            (In(vs), r @ Range { .. }) | (r @ Range { .. }, In(vs)) => {
-                Pattern::enumeration(vs.iter().filter(|v| r.matches(v)).cloned().collect())
+            (In(vs), p @ (In(_) | Range { .. })) | (p @ Range { .. }, In(vs)) => {
+                Pattern::enumeration(vs.iter().filter(|v| p.matches(v)).cloned().collect())
             }
             (Range { lo: l1, hi: h1 }, Range { lo: l2, hi: h2 }) => {
                 let lo = Bound::tighter_lower(l1, l2);
@@ -355,6 +343,19 @@ mod tests {
             Pattern::range(Bound::Inclusive(int(3)), Bound::Exclusive(int(3))).unwrap(),
             Pattern::Empty
         );
+    }
+
+    /// A list matches its values exactly, as a constant does: `Int(3)`
+    /// is not `Float(3.0)`, though `Ord` ties them.
+    #[test]
+    fn enumeration_matches_exact_values() {
+        let list = Pattern::enumeration(vec![int(1), Value::Float(3.0), int(4)]);
+        assert!(list.matches(&Value::Float(3.0)));
+        assert!(!list.matches(&int(3)));
+        assert!(list.matches(&int(4)) && !list.matches(&Value::Float(4.0)));
+        let other = Pattern::enumeration(vec![int(3), int(4)]);
+        assert_eq!(list.and(&other), Pattern::Constant(int(4)));
+        assert_eq!(Pattern::Constant(int(3)).and(&list), Pattern::Empty);
     }
 
     #[test]

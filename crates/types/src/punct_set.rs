@@ -22,14 +22,14 @@ use std::fmt;
 
 use crate::pattern::{Bound, Pattern};
 use crate::punctuation::Punctuation;
-use crate::tuple::Tuple;
 use crate::value::{Value, ValueMap};
 
 /// Stable identifier of a punctuation within a [`PunctuationSet`].
 ///
-/// Ids are assigned in arrival order and never reused, which the paper's
-/// punctuation index relies on ("the pid of the tuple is always set as the
-/// pid of the *first arrived* punctuation found to be matched").
+/// Ids are assigned in arrival order and never reused, so they order
+/// propagation and name a punctuation in traces. Stored tuples do not
+/// carry one: a join counts its stored tuples by join value instead of
+/// the paper's per-tuple pid (Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PunctId(pub u64);
 
@@ -149,15 +149,18 @@ impl RangeIndex {
     }
 }
 
-/// A collection of punctuations over one stream, indexed for fast
-/// `set_match` on the stream's join attribute.
+/// A collection of punctuations over one stream, indexed for a fast
+/// `setMatch` on the stream's join attribute.
 ///
 /// ```
-/// use punct_types::{Punctuation, PunctuationSet, Tuple};
+/// use punct_types::{Punctuation, PunctuationSet, Value};
 /// let mut ps = PunctuationSet::new(0);
 /// let id = ps.insert(Punctuation::close_value(2, 0, 7i64));
-/// assert_eq!(ps.set_match(&Tuple::of((7i64, 0i64))), Some(id));
-/// assert_eq!(ps.set_match(&Tuple::of((8i64, 0i64))), None);
+/// assert!(ps.covers_value(&Value::Int(7)));
+/// assert!(!ps.covers_value(&Value::Int(8)));
+/// let mut offered = Vec::new();
+/// ps.for_each_cover(&Value::Int(7), |q| offered.push(q));
+/// assert_eq!(offered, vec![id]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PunctuationSet {
@@ -174,7 +177,8 @@ pub struct PunctuationSet {
     /// punctuation closing it.
     constants: ValueMap<PunctId>,
     /// Enumeration-list fast path: member value -> ascending ids of the
-    /// `In` punctuations listing it.
+    /// `In` punctuations listing it, and of the constants closing it
+    /// after the one that owns its `constants` slot.
     members: ValueMap<Vec<PunctId>>,
     /// Range patterns, binary-searchable by stabbing value.
     ranges: RangeIndex,
@@ -244,9 +248,13 @@ impl PunctuationSet {
         self.next_id += 1;
         match punctuation.pattern(self.attr) {
             Some(Pattern::Constant(v)) => {
-                // Keep the first-arrived id for a value, matching pid
-                // assignment semantics.
-                self.constants.entry(v.clone()).or_insert(id);
+                // The first-arrived id keeps the slot; a later duplicate
+                // is listed like a one-member enumeration.
+                if self.constants.contains_key(v) {
+                    self.members.entry(v.clone()).or_default().push(id);
+                } else {
+                    self.constants.insert(v.clone(), id);
+                }
             }
             Some(Pattern::In(vs)) => {
                 for v in vs {
@@ -287,20 +295,25 @@ impl PunctuationSet {
         }
         entry.removed = true;
         self.live -= 1;
+        let remove_member = |members: &mut ValueMap<Vec<PunctId>>, v: &Value| {
+            if let Some(ids) = members.get_mut(v) {
+                ids.retain(|x| *x != id);
+                if ids.is_empty() {
+                    members.remove(v);
+                }
+            }
+        };
         match entry.punctuation.pattern(self.attr) {
             Some(Pattern::Constant(v)) => {
                 if self.constants.get(v) == Some(&id) {
                     self.constants.remove(v);
+                } else {
+                    remove_member(&mut self.members, v);
                 }
             }
             Some(Pattern::In(vs)) => {
                 for v in vs {
-                    if let Some(ids) = self.members.get_mut(v) {
-                        ids.retain(|x| *x != id);
-                        if ids.is_empty() {
-                            self.members.remove(v);
-                        }
-                    }
+                    remove_member(&mut self.members, v);
                 }
             }
             Some(Pattern::Range { .. }) => {
@@ -323,54 +336,6 @@ impl PunctuationSet {
         }
         self.base += popped as u64;
         popped
-    }
-
-    /// The paper's `setMatch(t, PS)`: returns the id of the **first
-    /// arrived** live punctuation matching tuple `t`, if any.
-    pub fn set_match(&self, t: &Tuple) -> Option<PunctId> {
-        self.match_above(t, None)
-    }
-
-    /// Like [`set_match`](Self::set_match) but only consults punctuations
-    /// with `id > after`, for incremental index building.
-    pub fn set_match_after(&self, t: &Tuple, after: PunctId) -> Option<PunctId> {
-        self.match_above(t, Some(after))
-    }
-
-    /// Minimum matching id above the optional floor. Every index yields
-    /// *candidates* on the join attribute alone; each is verified against
-    /// the full punctuation before it can win.
-    fn match_above(&self, t: &Tuple, after: Option<PunctId>) -> Option<PunctId> {
-        let mut best: Option<PunctId> = None;
-        let consider = |id: PunctId, best: &mut Option<PunctId>| {
-            if after.is_some_and(|a| id <= a) {
-                return;
-            }
-            if best.is_some_and(|b| b <= id) {
-                return;
-            }
-            if self.entry_matches(id, t) {
-                *best = Some(id);
-            }
-        };
-        if let Some(v) = t.get(self.attr).filter(|v| !v.is_null()) {
-            if let Some(&id) = self.constants.get(v) {
-                consider(id, &mut best);
-            }
-            if let Some(ids) = self.members.get(v) {
-                for &id in ids {
-                    consider(id, &mut best);
-                }
-            }
-            self.ranges.stab(v, |id| consider(id, &mut best));
-        }
-        for &id in &self.unindexed {
-            if best.is_some_and(|b| b <= id) {
-                break;
-            }
-            consider(id, &mut best);
-        }
-        best
     }
 
     /// Quick check: does any live punctuation match a tuple whose join
@@ -398,11 +363,11 @@ impl PunctuationSet {
         })
     }
 
-    /// Calls `f` with every live punctuation the indexes could offer as a
-    /// `set_match` candidate for a tuple with join value `v`: the owner
-    /// of `v`'s constant slot, the `In` lists naming `v`, the ranges
-    /// admitting it, and the unindexed punctuations (which may match any
-    /// value). A tuple's pid is always one of these.
+    /// Calls `f` with every live punctuation whose join-attribute pattern
+    /// may match join value `v`: the constants closing `v`, the `In`
+    /// lists naming it, the ranges admitting it, and the unindexed
+    /// punctuations (which may match any value). Every punctuation that
+    /// matches `v` is offered; the caller checks the pattern to be exact.
     pub fn for_each_cover(&self, v: &Value, mut f: impl FnMut(PunctId)) {
         if let Some(&id) = self.constants.get(v) {
             f(id);
@@ -452,36 +417,11 @@ impl PunctuationSet {
     }
 
     /// The id the constant index holds for join value `v`: the first
-    /// punctuation closing exactly `v`, unless a removal interleaved
-    /// with duplicates dropped it (see `duplicate_constants_keep_first_id`).
+    /// punctuation closing exactly `v`. Once that one is removed the slot
+    /// stays empty; later duplicates are found as members (see
+    /// `duplicate_constants_keep_first_id`).
     pub fn constant_id(&self, v: &Value) -> Option<PunctId> {
         self.constants.get(v).copied()
-    }
-
-    /// The join values under which [`set_match`](Self::set_match)'s point
-    /// indexes find punctuation `id`: the closed value of a constant that
-    /// owns its slot in the constant index, the members of an
-    /// enumeration, nothing for `Empty` or a constant shadowed by an
-    /// earlier duplicate. `None` when the punctuation is found by a range
-    /// stab or the linear scan instead (or `id` is unknown or removed).
-    ///
-    /// A tuple can have `id` as a `set_match` candidate only if its join
-    /// value *equals* one of these, which lets an index build visit the
-    /// tuples stored under each value instead of every tuple.
-    pub fn point_values(&self, id: PunctId) -> Option<&[Value]> {
-        let entry = self.entry(id).filter(|e| !e.removed)?;
-        match entry.punctuation.pattern(self.attr)? {
-            Pattern::Constant(v) if self.constants.get(v) == Some(&id) => {
-                Some(std::slice::from_ref(v))
-            }
-            Pattern::Constant(_) | Pattern::Empty => Some(&[]),
-            Pattern::In(vs) => Some(vs),
-            Pattern::Range { .. } | Pattern::Wildcard => None,
-        }
-    }
-
-    fn entry_matches(&self, id: PunctId, t: &Tuple) -> bool {
-        self.entry(id).is_some_and(|e| !e.removed && e.punctuation.matches(t))
     }
 }
 
@@ -493,8 +433,16 @@ mod tests {
         Punctuation::close_value(2, 0, v)
     }
 
-    fn tup(k: i64, x: i64) -> Tuple {
-        Tuple::of((k, x))
+    fn int(v: i64) -> Value {
+        Value::Int(v)
+    }
+
+    /// The ids [`PunctuationSet::for_each_cover`] offers for `v`, sorted.
+    fn covers(ps: &PunctuationSet, v: i64) -> Vec<PunctId> {
+        let mut ids = Vec::new();
+        ps.for_each_cover(&int(v), |id| ids.push(id));
+        ids.sort();
+        ids
     }
 
     #[test]
@@ -511,42 +459,20 @@ mod tests {
     fn set_match_constant_fast_path() {
         let mut ps = PunctuationSet::new(0);
         let id = ps.insert(close(7));
-        assert_eq!(ps.set_match(&tup(7, 0)), Some(id));
-        assert_eq!(ps.set_match(&tup(8, 0)), None);
+        assert!(ps.covers_value(&int(7)));
+        assert!(!ps.covers_value(&int(8)));
+        assert_eq!(covers(&ps, 7), vec![id]);
+        assert!(covers(&ps, 8).is_empty());
     }
 
     #[test]
     fn set_match_range_pattern() {
         let mut ps = PunctuationSet::new(0);
         let id = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(10, 19)));
-        assert_eq!(ps.set_match(&tup(15, 0)), Some(id));
-        assert_eq!(ps.set_match(&tup(20, 0)), None);
-    }
-
-    #[test]
-    fn set_match_returns_first_arrived() {
-        let mut ps = PunctuationSet::new(0);
-        let range = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 100)));
-        let _constant = ps.insert(close(5));
-        // Both match key 5; the range arrived first.
-        assert_eq!(ps.set_match(&tup(5, 0)), Some(range));
-    }
-
-    #[test]
-    fn set_match_prefers_earlier_constant_over_later_range() {
-        let mut ps = PunctuationSet::new(0);
-        let constant = ps.insert(close(5));
-        let _range = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 100)));
-        assert_eq!(ps.set_match(&tup(5, 0)), Some(constant));
-    }
-
-    #[test]
-    fn set_match_after_skips_early_ids() {
-        let mut ps = PunctuationSet::new(0);
-        let a = ps.insert(close(5));
-        let b = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 100)));
-        assert_eq!(ps.set_match_after(&tup(5, 0), a), Some(b));
-        assert_eq!(ps.set_match_after(&tup(5, 0), b), None);
+        assert!(ps.covers_value(&int(15)));
+        assert!(!ps.covers_value(&int(20)));
+        assert_eq!(covers(&ps, 15), vec![id]);
+        assert!(covers(&ps, 20).is_empty());
     }
 
     #[test]
@@ -555,7 +481,8 @@ mod tests {
         let id = ps.insert(close(3));
         assert!(ps.remove(id));
         assert!(!ps.remove(id));
-        assert_eq!(ps.set_match(&tup(3, 0)), None);
+        assert!(!ps.covers_value(&int(3)));
+        assert!(covers(&ps, 3).is_empty());
         assert_eq!(ps.len(), 0);
         assert!(ps.get(id).is_none());
     }
@@ -565,23 +492,26 @@ mod tests {
         let mut ps = PunctuationSet::new(0);
         let id = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
         assert!(ps.remove(id));
-        assert_eq!(ps.set_match(&tup(5, 0)), None);
+        assert!(!ps.covers_value(&int(5)));
+        assert!(covers(&ps, 5).is_empty());
     }
 
     #[test]
     fn duplicate_constants_keep_first_id() {
         let mut ps = PunctuationSet::new(0);
         let first = ps.insert(close(9));
-        let _second = ps.insert(close(9));
-        assert_eq!(ps.set_match(&tup(9, 0)), Some(first));
-        // Removing the first makes the map drop the value; second is only
-        // reachable by linear means — covers_value reflects the map.
+        let second = ps.insert(close(9));
+        assert_eq!(ps.constant_id(&int(9)), Some(first));
+        assert_eq!(covers(&ps, 9), vec![first, second], "the duplicate is offered too");
+        // Removing the first empties the constant slot; the duplicate
+        // still covers the value, listed beside the enumerations.
         ps.remove(first);
-        // The second constant punctuation still exists but the constant
-        // index pointed at the first; set_match now misses it. This is the
-        // documented trade-off: duplicate constant punctuations are
-        // redundant by the paper's stream well-formedness assumption.
-        assert_eq!(ps.len(), 1);
+        assert_eq!(ps.constant_id(&int(9)), None);
+        assert_eq!(covers(&ps, 9), vec![second]);
+        assert!(ps.covers_value(&int(9)));
+        ps.remove(second);
+        assert!(!ps.covers_value(&int(9)));
+        assert_eq!(ps.len(), 0);
     }
 
     #[test]
@@ -600,7 +530,7 @@ mod tests {
         assert_eq!(ps.pop_removed_below(1), 1);
         assert_eq!(ps.pop_removed_below(u64::MAX), 1);
         assert_eq!((ps.base(), ps.held(), ps.next_id()), (2, 1, 3));
-        assert_eq!(ps.set_match(&tup(3, 0)), Some(c));
+        assert_eq!(covers(&ps, 3), vec![c]);
         assert!(ps.iter().map(|(id, _)| id).eq([c]));
     }
 
@@ -614,8 +544,7 @@ mod tests {
         assert_eq!(ps.base(), 1);
         assert!(ps.get(a).is_none());
         assert!(!ps.remove(a));
-        assert_eq!(ps.point_values(a), None);
-        assert_eq!(ps.set_match(&tup(1, 0)), None);
+        assert!(covers(&ps, 1).is_empty());
         // A new punctuation on the value gets a fresh id and the slot.
         let again = ps.insert(close(1));
         assert_eq!(again, PunctId(2));
@@ -642,12 +571,6 @@ mod tests {
 
     #[test]
     fn for_each_cover_offers_every_index() {
-        let covers = |ps: &PunctuationSet, v: i64| {
-            let mut ids = Vec::new();
-            ps.for_each_cover(&Value::Int(v), |id| ids.push(id));
-            ids.sort();
-            ids
-        };
         let mut ps = PunctuationSet::new(0);
         assert!(covers(&ps, 5).is_empty());
         let list = ps.insert(Punctuation::on_attr(
@@ -656,9 +579,9 @@ mod tests {
             Pattern::enumeration(vec![Value::Int(5), Value::Int(6)]),
         ));
         let five = ps.insert(close(5));
-        let _shadowed = ps.insert(close(5));
+        let duplicate = ps.insert(close(5));
         let range = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
-        assert_eq!(covers(&ps, 5), vec![list, five, range], "not the shadowed duplicate");
+        assert_eq!(covers(&ps, 5), vec![list, five, duplicate, range]);
         assert_eq!(covers(&ps, 8), vec![range]);
         ps.remove(list);
         assert_eq!(covers(&ps, 6), vec![range]);
@@ -694,31 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn point_values_mirror_the_point_indexes() {
-        let mut ps = PunctuationSet::new(0);
-        let first = ps.insert(close(9));
-        let dup = ps.insert(close(9));
-        let list = ps.insert(Punctuation::on_attr(
-            2,
-            0,
-            Pattern::enumeration(vec![Value::Int(1), Value::Int(3)]),
-        ));
-        let empty = ps.insert(Punctuation::on_attr(2, 0, Pattern::Empty));
-        let range = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
-        let other_attr = ps.insert(Punctuation::close_value(2, 1, 5i64));
-        assert_eq!(ps.constant_id(&Value::Int(9)), Some(first));
-        assert_eq!(ps.point_values(first), Some(&[Value::Int(9)][..]));
-        // The duplicate is not reachable through the constant index.
-        assert_eq!(ps.point_values(dup), Some(&[][..]));
-        assert_eq!(ps.point_values(list), Some(&[Value::Int(1), Value::Int(3)][..]));
-        assert_eq!(ps.point_values(empty), Some(&[][..]));
-        assert_eq!(ps.point_values(range), None);
-        assert_eq!(ps.point_values(other_attr), None, "wildcard on the join attribute");
-        assert_eq!(ps.point_values(PunctId(99)), None);
-        assert_eq!(ps.constant_id(&Value::Int(8)), None);
-    }
-
-    #[test]
     fn many_disjoint_ranges_stab_correctly() {
         // 100 disjoint ranges [10k, 10k+9]; every value must find exactly
         // its own range through the interval index.
@@ -727,25 +625,10 @@ mod tests {
             .map(|k| ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(10 * k, 10 * k + 9))))
             .collect();
         for k in 0..100 {
-            assert_eq!(ps.set_match(&tup(10 * k + 5, 0)), Some(ids[k as usize]));
+            assert_eq!(covers(&ps, 10 * k + 5), vec![ids[k as usize]]);
         }
-        assert_eq!(ps.set_match(&tup(1000, 0)), None);
-        assert_eq!(ps.set_match(&tup(-1, 0)), None);
-    }
-
-    #[test]
-    fn overlapping_ranges_return_first_arrived() {
-        let mut ps = PunctuationSet::new(0);
-        let wide = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 100)));
-        let narrow = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(40, 60)));
-        assert_eq!(ps.set_match(&tup(50, 0)), Some(wide));
-        assert_eq!(ps.set_match_after(&tup(50, 0), wide), Some(narrow));
-        assert_eq!(ps.set_match(&tup(30, 0)), Some(wide));
-        // Nested the other way round: narrow arrives first.
-        let mut ps = PunctuationSet::new(0);
-        let narrow = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(40, 60)));
-        let _wide = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 100)));
-        assert_eq!(ps.set_match(&tup(50, 0)), Some(narrow));
+        assert!(covers(&ps, 1000).is_empty());
+        assert!(covers(&ps, -1).is_empty());
     }
 
     #[test]
@@ -761,10 +644,10 @@ mod tests {
             0,
             Pattern::Range { lo: Bound::Exclusive(Value::Int(10)), hi: Bound::Unbounded },
         ));
-        assert_eq!(ps.set_match(&tup(-5, 0)), Some(below));
-        assert_eq!(ps.set_match(&tup(0, 0)), None);
-        assert_eq!(ps.set_match(&tup(10, 0)), None);
-        assert_eq!(ps.set_match(&tup(11, 0)), Some(above));
+        assert_eq!(covers(&ps, -5), vec![below]);
+        assert!(covers(&ps, 0).is_empty());
+        assert!(covers(&ps, 10).is_empty());
+        assert_eq!(covers(&ps, 11), vec![above]);
         assert!(ps.covers_value(&Value::Int(-100)));
         assert!(ps.covers_value(&Value::Int(100)));
         assert!(!ps.covers_value(&Value::Int(5)));
@@ -776,8 +659,8 @@ mod tests {
         let a = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(0, 9)));
         let b = ps.insert(Punctuation::on_attr(2, 0, Pattern::int_range(5, 14)));
         assert!(ps.remove(a));
-        assert_eq!(ps.set_match(&tup(3, 0)), None);
-        assert_eq!(ps.set_match(&tup(7, 0)), Some(b));
+        assert!(covers(&ps, 3).is_empty());
+        assert_eq!(covers(&ps, 7), vec![b]);
         assert!(!ps.covers_value(&Value::Int(3)));
         assert!(ps.covers_value(&Value::Int(12)));
     }
@@ -795,53 +678,14 @@ mod tests {
             0,
             Pattern::enumeration(vec![Value::Int(3), Value::Int(5)]),
         ));
-        assert_eq!(ps.set_match(&tup(1, 0)), Some(e1));
-        assert_eq!(ps.set_match(&tup(3, 0)), Some(e1), "first arrived wins on shared member");
-        assert_eq!(ps.set_match(&tup(5, 0)), Some(e2));
-        assert_eq!(ps.set_match(&tup(2, 0)), None);
-        assert_eq!(ps.set_match_after(&tup(3, 0), e1), Some(e2));
+        assert_eq!(covers(&ps, 1), vec![e1]);
+        assert_eq!(covers(&ps, 3), vec![e1, e2], "a shared member offers both");
+        assert_eq!(covers(&ps, 5), vec![e2]);
+        assert!(covers(&ps, 2).is_empty());
         assert!(ps.covers_value(&Value::Int(5)));
         ps.remove(e2);
-        assert_eq!(ps.set_match(&tup(5, 0)), None);
+        assert_eq!(covers(&ps, 3), vec![e1]);
         assert!(!ps.covers_value(&Value::Int(5)));
         assert!(ps.covers_value(&Value::Int(3)));
-    }
-
-    #[test]
-    fn mixed_shapes_first_arrived_across_indexes() {
-        // Constant, enumeration, and range all covering key 5, inserted in
-        // every arrival order: set_match must always return the earliest.
-        let shapes: [fn() -> Pattern; 3] = [
-            || Pattern::Constant(Value::Int(5)),
-            || Pattern::enumeration(vec![Value::Int(5), Value::Int(6)]),
-            || Pattern::int_range(0, 9),
-        ];
-        let orders =
-            [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        for order in orders {
-            let mut ps = PunctuationSet::new(0);
-            let mut first = None;
-            for (i, &s) in order.iter().enumerate() {
-                let id = ps.insert(Punctuation::on_attr(2, 0, shapes[s]()));
-                if i == 0 {
-                    first = Some(id);
-                }
-            }
-            assert_eq!(ps.set_match(&tup(5, 0)), first, "order {order:?}");
-        }
-    }
-
-    #[test]
-    fn punctuation_with_extra_attrs_still_checked_fully() {
-        // A punctuation constraining both attributes: the fast path must
-        // still verify the full punctuation.
-        let mut ps = PunctuationSet::new(0);
-        let p = Punctuation::new(vec![
-            Pattern::Constant(Value::Int(4)),
-            Pattern::Constant(Value::Int(99)),
-        ]);
-        let id = ps.insert(p);
-        assert_eq!(ps.set_match(&tup(4, 99)), Some(id));
-        assert_eq!(ps.set_match(&tup(4, 98)), None);
     }
 }

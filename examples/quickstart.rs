@@ -12,7 +12,6 @@ fn main() {
     // PJoinBuilder::new takes the tuple widths of each input.
     let mut join = PJoinBuilder::new(2, 2)
         .eager_purge() // purge state on every punctuation
-        .eager_index_build() // index punctuations as they arrive
         .propagate_every(1) // propagate eagerly too
         .build();
 

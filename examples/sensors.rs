@@ -27,7 +27,6 @@ fn main() {
     let mut join = PJoinBuilder::new(3, 3)
         .join_on(0, 0)
         .eager_purge()
-        .eager_index_build()
         .propagate_every(1)
         .build();
 

@@ -165,8 +165,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
 
     let mut builder = PJoinBuilder::new(wa, wb)
         .buckets(f.parse_or("--buckets", 64)?)
-        .memory_max(f.parse_or("--memory-max", 0)?)
-        .eager_index_build();
+        .memory_max(f.parse_or("--memory-max", 0)?);
     builder = match f.get("--purge")? {
         None | Some("eager") => builder.eager_purge(),
         Some("never") => builder.never_purge(),

@@ -41,7 +41,7 @@ fn run_join(
     left: &[Timestamped<StreamElement>],
     right: &[Timestamped<StreamElement>],
 ) -> (stream_sim::RunStats, PJoin) {
-    let mut op = PJoinBuilder::new(2, 2).eager_purge().propagate_every(1).eager_index_build().build();
+    let mut op = PJoinBuilder::new(2, 2).eager_purge().propagate_every(1).build();
     let driver = Driver::new(DriverConfig {
         cost: CostModel::free(),
         sample_every_micros: 1_000_000,

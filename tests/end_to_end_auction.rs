@@ -29,7 +29,6 @@ fn auction_query_matches_brute_force() {
 
     let join = PJoinBuilder::new(3, 3)
         .eager_purge()
-        .eager_index_build()
         .propagate_every(1)
         .build();
     let pipeline = Pipeline::new(join).then(GroupBy::new(0, 5, Aggregate::Sum));
@@ -55,7 +54,6 @@ fn propagation_unblocks_groups_before_stream_end() {
 
     let join = PJoinBuilder::new(3, 3)
         .eager_purge()
-        .eager_index_build()
         .propagate_every(1)
         .build();
     let report = Pipeline::new(join)
@@ -72,7 +70,7 @@ fn count_aggregate_counts_bids() {
     let config = AuctionConfig { items: 50, seed: 9, ..AuctionConfig::default() };
     let workload = generate_auction(&config);
 
-    let join = PJoinBuilder::new(3, 3).eager_purge().propagate_every(1).eager_index_build().build();
+    let join = PJoinBuilder::new(3, 3).eager_purge().propagate_every(1).build();
     let report = Pipeline::new(join)
         .then(GroupBy::new(0, 5, Aggregate::Count))
         .execute(&workload.open, &workload.bid);

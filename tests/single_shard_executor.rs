@@ -3,7 +3,7 @@
 //! (router, one shard worker and merger behind channels) must produce
 //! the same result multiset as the single-threaded driver.
 
-use punctuated_streams::core::{PJoinBuilder, PJoinConfig, PropagationTrigger, PurgeStrategy, IndexBuildStrategy};
+use punctuated_streams::core::{PJoinBuilder, PJoinConfig, PropagationTrigger, PurgeStrategy};
 use punctuated_streams::gen::{generate_pair, interleave_sides, StreamConfig};
 use punctuated_streams::prelude::*;
 
@@ -12,7 +12,6 @@ fn spawn() -> ShardedPJoin {
         1,
         PJoinConfig {
             purge: PurgeStrategy::Eager,
-            index_build: IndexBuildStrategy::Eager,
             propagation: PropagationTrigger::PushCount { count: 5 },
             ..PJoinConfig::new(2, 2)
         },
@@ -27,7 +26,6 @@ fn threaded_matches_single_threaded() {
     // Single-threaded reference.
     let mut reference_op = PJoinBuilder::new(2, 2)
         .eager_purge()
-        .eager_index_build()
         .propagate_every(5)
         .build();
     let driver = Driver::new(DriverConfig {
