@@ -35,7 +35,7 @@
 
 use std::collections::HashMap;
 
-use punct_types::{Pattern, Punctuation, StreamElement, Tuple, Value};
+use punct_types::{Punctuation, StreamElement, Tuple, Value};
 use stream_sim::{OpOutput, Work};
 
 use crate::config::PurgeStrategy;
@@ -115,33 +115,21 @@ impl NaryState {
         self.groups.get(key).map_or(&[], Vec::as_slice)
     }
 
-    /// Removes every group whose key satisfies `pred`; returns tuples
-    /// removed and keys scanned.
-    fn purge_keys(&mut self, mut pred: impl FnMut(&Value) -> bool) -> (usize, usize) {
+    /// Removes every group whose key satisfies `pred`; returns the
+    /// tuples removed and the number of keys scanned.
+    fn purge_keys(&mut self, mut pred: impl FnMut(&Value) -> bool) -> (Vec<Tuple>, usize) {
         let scanned = self.groups.len();
-        let mut removed = 0;
+        let mut removed = Vec::new();
         self.groups.retain(|k, v| {
             if pred(k) {
-                removed += v.len();
+                removed.append(v);
                 false
             } else {
                 true
             }
         });
-        self.tuples -= removed;
+        self.tuples -= removed.len();
         (removed, scanned)
-    }
-
-    /// True if any stored tuple matches `pattern` on the join attribute.
-    fn any_key_matches(&self, pattern: &Pattern, work: &mut Work) -> bool {
-        if let Pattern::Constant(v) = pattern {
-            work.index_evals += 1;
-            return self.groups.contains_key(v);
-        }
-        self.groups.keys().any(|k| {
-            work.index_evals += 1;
-            pattern.matches(k)
-        })
     }
 }
 
@@ -214,11 +202,6 @@ impl NaryPJoin {
         self.states.iter().map(|s| s.tuples).sum()
     }
 
-    /// Tuples per stream state.
-    pub fn state_tuples_per_stream(&self) -> Vec<usize> {
-        self.states.iter().map(|s| s.tuples).collect()
-    }
-
     /// Processes one element from input `stream`.
     pub fn on_element(&mut self, stream: usize, element: StreamElement, out: &mut OpOutput) {
         assert!(stream < self.config.arity(), "stream index out of range");
@@ -265,6 +248,7 @@ impl NaryPJoin {
                 return;
             }
         }
+        self.indexes[stream].enter(&tuple);
         self.states[stream].insert(key, tuple);
         self.work.inserts += 1;
     }
@@ -358,29 +342,24 @@ impl NaryPJoin {
                     }
                 })
             });
+            for t in &removed {
+                self.indexes[j].leave(t);
+            }
             self.work.purge_scanned += scanned as u64;
-            self.work.purged += removed as u64;
-            self.stats.tuples_purged += removed as u64;
+            self.work.purged += removed.len() as u64;
+            self.stats.tuples_purged += removed.len() as u64;
         }
     }
 
     /// Propagation: a stream-`i` punctuation with no matching stream-`i`
-    /// tuple left can never match a future result (Theorem 1).
+    /// tuple left can never match a future result (Theorem 1). The
+    /// index counts stored tuples by join value, so it already knows
+    /// which punctuations no stored tuple holds back.
     fn propagate(&mut self, out: &mut OpOutput) {
         for i in 0..self.config.arity() {
-            let attr = self.config.join_attrs[i];
-            for id in self.indexes[i].live_ids() {
-                let p = self.indexes[i].get(id).expect("live ids resolve").clone();
-                let blocked = p
-                    .pattern(attr)
-                    .is_some_and(|pat| {
-                        let work = &mut self.work;
-                        self.states[i].any_key_matches(pat, work)
-                    });
-                if !blocked {
-                    self.emit_punctuation(i, &p, out);
-                    self.indexes[i].retire(id);
-                }
+            for id in self.indexes[i].retire_propagable() {
+                let p = self.indexes[i].get(id).expect("retired punctuations stay stored").clone();
+                self.emit_punctuation(i, &p, out);
             }
         }
     }

@@ -7,22 +7,22 @@
 //! downstream. The aligner restores the single-stream contract for
 //! punctuations that **fan out** to more than one shard; one sent to a
 //! single shard surfaces once anyway, so the executor never registers
-//! it here (the merger audits those by a per-shard count, see
-//! [`crate::merge`]). The cluster coordinator registers every
-//! punctuation, and starts a fresh aligner whenever it re-injects the
-//! ones still pending (repartition, crash recovery, restore).
+//! it here (its shard audits it by count, see [`crate::shard`]). The
+//! cluster coordinator registers every punctuation, and starts a fresh
+//! aligner whenever it re-injects the ones still pending (repartition,
+//! crash recovery, restore).
 //!
 //! * At ingest, the router **registers an expectation** — the
 //!   output-schema translation of the punctuation plus the set of shards
 //!   it was sent to — *before* the punctuation enters any shard channel.
-//! * The merger **observes** each shard-propagated punctuation and
-//!   resolves it against the oldest matching expectation. Only when
-//!   every target shard has propagated the punctuation is it emitted
-//!   downstream — exactly once, and only once all shards have purged
-//!   state behind it.
+//! * Each target shard **observes** its own propagation of the
+//!   punctuation, resolving it against the oldest matching expectation.
+//!   Only the shard that completes the expectation emits the
+//!   punctuation downstream — exactly once, and only once all shards
+//!   have purged state behind it.
 //!
 //! Registration happens-before observation because both run under the
-//! same mutex and the router registers before sending, so the merger can
+//! same mutex and the router registers before sending, so a shard can
 //! never see a propagation for an unregistered punctuation (such an
 //! observation reports [`AlignOutcome::Unexpected`] — an invariant
 //! violation).
@@ -59,7 +59,7 @@ struct Expectation {
 }
 
 /// Tracks in-flight punctuation expectations (one aligner per executor,
-/// shared by the router and the merger).
+/// shared by the router and the shards).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Aligner {
     pending: HashMap<Punctuation, VecDeque<Expectation>>,
@@ -131,13 +131,13 @@ impl Aligner {
 /// The aligner as the executor threads share it: a mutex-wrapped
 /// [`Aligner`] plus an acquisition counter.
 ///
-/// The mutex is the **only** lock shared across router, shards and
-/// merger, and the design invariant is that it is taken only for
-/// punctuations that fan out to more than one shard — once by the
-/// router per such punctuation (to register the expectation) and once
-/// by the merger per shard propagation of it (to resolve it), plus once
-/// by the merger at shutdown. Tuples and single-target punctuations flow
-/// router → shard → merger without ever touching it. The counter makes
+/// The mutex is the **only** lock shared across router and shards, and
+/// the design invariant is that it is taken only for punctuations that
+/// fan out to more than one shard — once by the router per such
+/// punctuation (to register the expectation) and at most once per
+/// target shard's propagation of it (to resolve it), plus once by
+/// `finish` at shutdown. Tuples and single-target punctuations flow
+/// router → shard → caller without ever touching it. The counter makes
 /// that auditable: the executor's shutdown path debug-asserts that the
 /// total number of acquisitions is bounded by a function of the
 /// fanned-out punctuation count alone, so a per-tuple or per-punctuation
@@ -166,6 +166,57 @@ impl SharedAligner {
     /// threads have been joined).
     pub fn acquisitions(&self) -> u64 {
         self.acquisitions.load(Ordering::Relaxed)
+    }
+}
+
+/// Alignment tallies: one per shard (its [`ShardReport`]), summed over
+/// the shards into [`ExecStats::align`].
+///
+/// [`ShardReport`]: crate::ShardReport
+/// [`ExecStats::align`]: crate::ExecStats::align
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AlignReport {
+    /// Result tuples sent downstream.
+    pub tuples: u64,
+    /// Punctuations emitted downstream (exactly-once, post-alignment).
+    pub puncts: u64,
+    /// Propagations suppressed because a sibling shard still had to
+    /// propagate the same punctuation.
+    pub puncts_held: u64,
+    /// Propagations dropped as an invariant breach: a fanned-out one
+    /// with no registered expectation, or a single-target one beyond
+    /// the count the router sent that shard (or routed to another shard).
+    pub puncts_unexpected: u64,
+    /// Punctuations routed but never fully propagated by shutdown (e.g.
+    /// propagation disabled on the shard configuration): per shard, the
+    /// single-target punctuations routed to it beyond those it
+    /// propagated; in the executor's sum, also the aligner's incomplete
+    /// expectations.
+    pub puncts_unaligned: u64,
+}
+
+impl AlignReport {
+    /// Counts one observation's outcome.
+    pub(crate) fn record(&mut self, outcome: AlignOutcome) {
+        match outcome {
+            AlignOutcome::Emit => self.puncts += 1,
+            AlignOutcome::Pending => self.puncts_held += 1,
+            AlignOutcome::Unexpected => self.puncts_unexpected += 1,
+        }
+    }
+}
+
+impl std::ops::Add for AlignReport {
+    type Output = AlignReport;
+
+    fn add(self, o: AlignReport) -> AlignReport {
+        AlignReport {
+            tuples: self.tuples + o.tuples,
+            puncts: self.puncts + o.puncts,
+            puncts_held: self.puncts_held + o.puncts_held,
+            puncts_unexpected: self.puncts_unexpected + o.puncts_unexpected,
+            puncts_unaligned: self.puncts_unaligned + o.puncts_unaligned,
+        }
     }
 }
 

@@ -15,14 +15,11 @@ pub const DEFAULT_INPUT_CAPACITY: usize = 1024;
 /// Default capacity (in batches) of each router → shard channel.
 pub const DEFAULT_SHARD_CAPACITY: usize = 256;
 
-/// Default capacity (in events) of the shared shard → merger channel.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
-
-/// Default capacity (in batches) of the merger → caller channel.
+/// Default capacity (in batches) of the shared shards → caller channel.
 pub const DEFAULT_OUTPUT_CAPACITY: usize = 4096;
 
 /// Default bound (in elements) on the caller-side pending buffer that
-/// [`push`](crate::ShardedPJoin::push) drains merged outputs into while
+/// [`push`](crate::ShardedPJoin::push) drains outputs into while
 /// the input channel is full. Generous — a single-threaded caller that
 /// pushes a whole stream before polling still fits typical test/bench
 /// workloads — but finite, so a caller that never polls cannot grow the
@@ -79,9 +76,7 @@ pub struct ExecConfig {
     pub input_capacity: usize,
     /// Router → shard channel capacity, in batches (per shard).
     pub shard_capacity: usize,
-    /// Shards → merger channel capacity, in events.
-    pub event_capacity: usize,
-    /// Merger → caller channel capacity, in output batches.
+    /// Shards → caller channel capacity, in output batches.
     pub output_capacity: usize,
     /// Elements accumulated per shard before the router flushes a batch
     /// (batches also flush whenever the router input runs dry, so idle
@@ -112,7 +107,6 @@ impl ExecConfig {
             join,
             input_capacity: DEFAULT_INPUT_CAPACITY,
             shard_capacity: DEFAULT_SHARD_CAPACITY,
-            event_capacity: DEFAULT_EVENT_CAPACITY,
             output_capacity: DEFAULT_OUTPUT_CAPACITY,
             router_batch: DEFAULT_BATCH_ELEMS,
             pending_capacity: DEFAULT_PENDING_CAPACITY,
@@ -148,7 +142,6 @@ mod tests {
         assert_eq!(c.shards, 4);
         assert!(c.input_capacity > 0);
         assert!(c.shard_capacity > 0);
-        assert!(c.event_capacity > 0);
         assert!(c.output_capacity > 0);
     }
 

@@ -1,19 +1,19 @@
-//! The sharded executor: public handle over the router, shard workers
-//! and merger threads.
+//! The sharded executor: public handle over the router and shard worker
+//! threads.
 //!
 //! # Topology
 //!
 //! ```text
-//! caller ──bounded──▶ router ──bounded×N──▶ shard₀..N₋₁ ──shared bounded──▶ merger ──bounded──▶ caller
-//!                       │                                                     ▲
-//!                       ├── per-shard single-target counts (atomics) ─────────┤
-//!                       └── aligner (shared, mutex; fan-out > 1 only) ────────┘
+//! caller ──bounded──▶ router ──bounded×N──▶ shard₀..N₋₁ ──shared bounded──▶ caller
+//!                       │                        ▲
+//!                       ├── single-target counts ┤ per shard, atomics
+//!                       └── aligner (mutex) ─────┘ shared; fan-out > 1 only
 //! ```
 //!
 //! Every channel is bounded, so state cannot grow without limit inside
 //! the pipeline — backpressure propagates from the caller's consumption
 //! rate all the way to [`ShardedPJoin::push`]. The *one* unbounded
-//! buffer is the caller-side `pending` vector that `push` drains merged
+//! buffer is the caller-side `pending` vector that `push` drains
 //! outputs into when the input channel is full: a single-threaded caller
 //! that pushes an entire stream before polling must park results
 //! somewhere, and parking them caller-side (where the caller can drain
@@ -33,13 +33,12 @@ use punct_trace::TraceLog;
 use punct_types::{StreamElement, Timestamped};
 use stream_sim::{Side, Work};
 
-use crate::align::SharedAligner;
+use crate::align::{AlignReport, SharedAligner};
 use crate::config::ExecConfig;
 use crate::error::ExecError;
-use crate::merge::{merge_loop, MergeReport};
 use crate::metrics::{RuntimeMetrics, ShardMetrics};
 use crate::router::{router_loop, RouterCounters, RouterMsg, RouterReport};
-use crate::shard::{shard_loop, RoutedElement, ShardEvent, ShardMsg, ShardReport};
+use crate::shard::{shard_loop, Batch, Outlet, RoutedElement, ShardMsg, ShardReport};
 
 /// The first lane failure, shared by the lane threads (writers) and the
 /// executor handle (reader). The flag makes the no-failure fast path a
@@ -89,16 +88,15 @@ pub struct ExecStats {
     pub shards: Vec<ShardReport>,
     /// Router counters.
     pub router: RouterReport,
-    /// Merger counters (including alignment diagnostics).
-    pub merge: MergeReport,
+    /// The shards' alignment tallies summed, with the aligner's
+    /// incomplete expectations added to `puncts_unaligned`.
+    pub align: AlignReport,
     /// The router thread's trace (empty unless tracing was enabled).
     pub router_trace: TraceLog,
-    /// The merger thread's trace (empty unless tracing was enabled).
-    pub merge_trace: TraceLog,
     /// Lifetime acquisitions of the shared aligner mutex — the only
     /// lock on the data path, taken only for punctuations that fan out
     /// to more than one shard (a single-target punctuation is audited by
-    /// per-shard count instead), plus once by the merger at shutdown.
+    /// per-shard count instead), plus once by `finish`.
     /// Benches divide this by the element count to report lock traffic.
     pub aligner_acquisitions: u64,
     /// The first lane failure, if any. When set, `shards` omits the
@@ -147,15 +145,14 @@ impl ExecStats {
         total
     }
 
-    /// Every lane's trace events (shards, router, merger) merged into
-    /// one log and sorted by wall time.
+    /// Every lane's trace events (shards, router) merged into one log
+    /// and sorted by wall time.
     pub fn all_trace_events(&self) -> TraceLog {
         let mut log = TraceLog::default();
         for s in &self.shards {
             log.merge(s.trace.clone());
         }
         log.merge(self.router_trace.clone());
-        log.merge(self.merge_trace.clone());
         log.sort_by_wall();
         log
     }
@@ -166,8 +163,8 @@ impl ExecStats {
     }
 
     /// The run's merged trace in Chrome `trace_event` form — load it in
-    /// `chrome://tracing` or Perfetto; each shard / router / merger is
-    /// its own named thread row.
+    /// `chrome://tracing` or Perfetto; each shard and the router is its
+    /// own named thread row.
     pub fn chrome_trace(&self) -> String {
         punct_trace::chrome_trace(&self.all_trace_events().events)
     }
@@ -178,16 +175,17 @@ impl ExecStats {
 /// Tuples are hash-partitioned by join key onto `N` independent
 /// [`PJoin`](pjoin::PJoin) instances, each on its own thread;
 /// punctuations fan out to the shards they affect and are re-aligned on
-/// the way out so the merged stream carries each exactly once. See the
+/// the way out so the output stream carries each exactly once. See the
 /// crate docs for the full architecture.
 pub struct ShardedPJoin {
     input: Sender<RouterMsg>,
-    /// The merged output stream. Guarded by a mutex so the handle is
-    /// `Sync` — the backpressure story requires a consumer thread to
-    /// drain outputs concurrently with a producer thread pushing (see
-    /// [`ExecConfig::pending_capacity`]). The lock is per merged
-    /// *batch*, never per element, so it stays off the tuple hot path.
-    output: Mutex<Receiver<Vec<Timestamped<StreamElement>>>>,
+    /// The output stream every shard sends into. Guarded by a mutex so
+    /// the handle is `Sync` — the backpressure story requires a consumer
+    /// thread to drain outputs concurrently with a producer thread
+    /// pushing (see [`ExecConfig::pending_capacity`]). The lock is per
+    /// shard *batch*, never per element, so it stays off the tuple hot
+    /// path.
+    output: Mutex<Receiver<Batch>>,
     /// Outputs drained by `push` while the input channel was full,
     /// bounded at `pending_capacity` elements (see [`ExecConfig`]).
     pending: Mutex<Vec<Timestamped<StreamElement>>>,
@@ -201,12 +199,11 @@ pub struct ShardedPJoin {
     shard_txs: Vec<Sender<ShardMsg>>,
     router: Option<JoinHandle<TraceLog>>,
     workers: Vec<JoinHandle<Option<ShardReport>>>,
-    merger: Option<JoinHandle<(MergeReport, TraceLog)>>,
     shards: usize,
 }
 
 impl ShardedPJoin {
-    /// Spawns the router, `config.shards` shard workers and the merger.
+    /// Spawns the router and `config.shards` shard workers.
     pub fn spawn(config: ExecConfig) -> ShardedPJoin {
         // Pin the wall-clock trace epoch before any lane thread starts,
         // so every lane stamps against a base that predates its first
@@ -218,7 +215,6 @@ impl ShardedPJoin {
         let failure = Arc::new(FailureSlot::default());
 
         let (input_tx, input_rx) = bounded::<RouterMsg>(config.input_capacity);
-        let (event_tx, event_rx) = bounded(config.event_capacity);
         let (output_tx, output_rx) = bounded(config.output_capacity);
         // Drained batch buffers flow back from shards to the router here,
         // so the steady-state data path cycles a fixed pool of
@@ -235,37 +231,39 @@ impl ShardedPJoin {
             let metrics = Arc::new(ShardMetrics::new());
             shard_metrics.push(Arc::clone(&metrics));
             let join_config = config.join.clone();
-            let events = event_tx.clone();
+            let outlet = Outlet::new(
+                shard,
+                shards,
+                config.join.clone(),
+                output_tx.clone(),
+                Arc::clone(&aligner),
+                Arc::clone(&router_counters),
+            );
             let recycle = recycle_tx.clone();
             let slot = Arc::clone(&failure);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pjoin-shard-{shard}"))
                     .spawn(move || {
-                        let done_events = events.clone();
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            shard_loop(shard, join_config, rx, events, recycle, metrics)
+                            shard_loop(shard, join_config, rx, outlet, recycle, metrics)
                         }));
-                        match result {
-                            Ok(report) => Some(report),
-                            Err(payload) => {
-                                // Publish the failure promptly, then let
-                                // the merger finish its accounting — a
-                                // dead shard still reports Done so
-                                // `finish` cannot hang waiting on it.
+                        // A dead shard's output sender dropped while it
+                        // unwound, so `finish` cannot hang waiting on it;
+                        // publish the failure promptly.
+                        result
+                            .map_err(|payload| {
                                 slot.record(ExecError::ShardPanicked {
                                     shard,
                                     message: panic_message(payload.as_ref()),
-                                });
-                                let _ = done_events.send(ShardEvent::Done(shard));
-                                None
-                            }
-                        }
+                                })
+                            })
+                            .ok()
                     })
                     .expect("spawn shard thread"),
             );
         }
-        drop(event_tx); // merger exits when router + shards are gone
+        drop(output_tx); // the output channel closes when the last shard exits
         drop(recycle_tx); // router's recycle pool drains once shards exit
 
         let kill_txs = shard_txs.clone();
@@ -298,32 +296,18 @@ impl ShardedPJoin {
                 .expect("spawn router thread")
         };
 
-        let aligner_handle = Arc::clone(&aligner);
-        let merger = {
-            let aligner = Arc::clone(&aligner);
-            let counters = Arc::clone(&router_counters);
-            let join_config = config.join.clone();
-            std::thread::Builder::new()
-                .name("pjoin-merge".into())
-                .spawn(move || {
-                    merge_loop(join_config, shards, event_rx, output_tx, aligner, counters)
-                })
-                .expect("spawn merger thread")
-        };
-
         ShardedPJoin {
             input: input_tx,
             output: Mutex::new(output_rx),
             pending: Mutex::new(Vec::new()),
             pending_capacity: config.pending_capacity.max(1),
             shard_metrics,
-            aligner: aligner_handle,
+            aligner,
             router_counters,
             failure,
             shard_txs: kill_txs,
             router: Some(router),
             workers,
-            merger: Some(merger),
             shards,
         }
     }
@@ -350,7 +334,7 @@ impl ShardedPJoin {
     }
 
     /// Feeds one element. Never deadlocks: if the input channel is full,
-    /// merged outputs are drained into the pending buffer (see crate
+    /// outputs are drained into the pending buffer (see crate
     /// docs) until space frees up.
     ///
     /// # Panics
@@ -403,7 +387,7 @@ impl ShardedPJoin {
                     let output = if room { self.try_output() } else { None };
                     match output {
                         // Make room by consuming pipeline output: block
-                        // briefly for one merged batch.
+                        // briefly for one shard batch.
                         Some(output) => {
                             if let Ok(batch) =
                                 output.recv_timeout(std::time::Duration::from_millis(1))
@@ -426,11 +410,11 @@ impl ShardedPJoin {
         Ok(())
     }
 
-    /// The merged output stream, unless another thread holds it: that
-    /// thread is a consumer inside `recv_outputs` (or a producer taking
-    /// one batch in `feed`), so the queue is being drained either way and
-    /// a non-blocking caller has nothing to wait for.
-    fn try_output(&self) -> Option<MutexGuard<'_, Receiver<Vec<Timestamped<StreamElement>>>>> {
+    /// The output stream, unless another thread holds it: that thread is
+    /// a consumer inside `recv_outputs` (or a producer taking one batch in
+    /// `feed`), so the queue is being drained either way and a
+    /// non-blocking caller has nothing to wait for.
+    fn try_output(&self) -> Option<MutexGuard<'_, Receiver<Batch>>> {
         match self.output.try_lock() {
             Ok(output) => Some(output),
             Err(TryLockError::WouldBlock) => None,
@@ -455,7 +439,7 @@ impl ShardedPJoin {
     }
 
     /// Total acquisitions of the shared aligner mutex so far — the only
-    /// lock on the router → shard → merger data path, taken only for
+    /// lock on the router → shard → caller data path, taken only for
     /// punctuations that fan out to several shards. Exposed so benches
     /// can report lock traffic per element (zero for tuple-only
     /// workloads and for constant join-attribute punctuations).
@@ -463,9 +447,9 @@ impl ShardedPJoin {
         self.aligner.acquisitions()
     }
 
-    /// Drains everything the executor has produced so far, in merge
-    /// order (non-blocking): the pending buffer, then whatever the merger
-    /// has queued — unless another thread is inside
+    /// Drains everything the executor has produced so far, in arrival
+    /// order (non-blocking): the pending buffer, then whatever the shards
+    /// have queued — unless another thread is inside
     /// [`recv_outputs`](ShardedPJoin::recv_outputs), which then is the
     /// one draining the queue. The first batch becomes the returned
     /// `Vec`; later ones are appended to it.
@@ -519,14 +503,14 @@ impl ShardedPJoin {
     /// Returns the remaining outputs (after those already polled) and
     /// the final accounting. Deadlock-free: the finish signal is fed
     /// with the same drain-while-feeding loop as `push`, and the output
-    /// channel is drained until the merger hangs up.
+    /// channel is drained until the last shard hangs up.
     pub fn finish(mut self) -> (Vec<Timestamped<StreamElement>>, ExecStats) {
         // Failure here is fine: dropping the input sender below makes
         // the router flush and finish the shards anyway.
         let _ = self.feed(RouterMsg::Finish);
         // Dropping the sender lets the router exit even if the finish
         // message were lost; it is also what terminates `recv` below
-        // once the merger finishes and drops its output sender.
+        // once every shard finishes and drops its output sender.
         drop(std::mem::replace(&mut self.input, {
             // Replace with a dummy closed sender so Drop stays trivial.
             let (tx, _rx) = bounded(1);
@@ -554,24 +538,29 @@ impl ShardedPJoin {
             .filter_map(|w| w.join().expect("shard wrapper panicked"))
             .collect();
         shard_reports.sort_by_key(|r| r.shard);
-        let merger = self.merger.take().expect("merger handle");
-        let (merge, merge_trace) = merger.join().expect("merger thread panicked");
+        // Every shard is joined, so the aligner's open expectations are
+        // final: each is a fanned-out punctuation some target shard never
+        // propagated.
+        let open = AlignReport {
+            puncts_unaligned: self.aligner.lock().pending_len() as u64,
+            ..AlignReport::default()
+        };
+        let align = shard_reports.iter().fold(open, |sum, r| sum + r.align);
 
         let stats = ExecStats {
             shards: shard_reports,
             router: self.router_counters.report(),
-            merge,
+            align,
             router_trace,
-            merge_trace,
             aligner_acquisitions: self.aligner.acquisitions(),
             failure: self.failure.get(),
         };
         // Audit the lock-light invariant: the aligner mutex is the only
         // lock shared across the pipeline, and it must be acquired only
         // for punctuations that fan out — once by the router per such
-        // punctuation, at most `shards` times by the merger per such
-        // punctuation (one observation per target shard), plus one final
-        // shutdown audit by the merger. Single-target punctuations never
+        // punctuation, at most `shards` times by the shards per such
+        // punctuation (one observation per target shard), plus the one
+        // final audit above. Single-target punctuations never
         // take it. The bound is independent of the tuple count and of the
         // single-target count, so a per-tuple or per-punctuation locking
         // regression trips it.
@@ -593,7 +582,7 @@ impl ShardedPJoin {
 
 /// Appends `batch` to `buffer` — by taking the allocation over when the
 /// buffer holds nothing, so a batch that is drained alone is never copied.
-fn adopt(buffer: &mut Vec<Timestamped<StreamElement>>, batch: Vec<Timestamped<StreamElement>>) {
+fn adopt(buffer: &mut Batch, batch: Batch) {
     if buffer.is_empty() {
         *buffer = batch;
     } else {
@@ -614,16 +603,12 @@ impl Drop for ShardedPJoin {
     fn drop(&mut self) {
         // Finish was not called (or panicked): unblock the pipeline so
         // the threads can exit, then detach them. Closing the input side
-        // cascades: router exits → shard channels close → shards exit →
-        // event channel closes → merger exits.
+        // cascades: router exits → shard channels close → shards exit.
+        // The output receiver drops with the handle, so a shard blocked
+        // on a full output channel wakes to a closed one and exits too.
         if self.router.is_some() {
             let (closed_tx, _rx) = bounded(1);
             let _ = std::mem::replace(&mut self.input, closed_tx);
-            // Drain any outputs so the merger is never wedged on a full
-            // output channel while we detach.
-            if let Ok(output) = self.output.lock() {
-                while let Ok(_batch) = output.try_recv() {}
-            }
         }
     }
 }

@@ -11,10 +11,11 @@
 //!            ┌─────────┐   per-shard bounded    ┌─────────┐
 //! caller ──▶ │ router  │ ─────────────────────▶ │ shard 0 │──┐
 //!  (bounded) │  hash-  │ ─────────────────────▶ │ shard 1 │──┤ shared bounded
-//!            │partition│          …             │    …    │  ├───────▶ merger ──▶ caller
-//!            └────┬────┘ ─────────────────────▶ │ shard N │──┘            ▲  (bounded)
-//!                 │                             └─────────┘               │
-//!                 └──── punctuation aligner (shared; fan-out > 1) ────────┘
+//!            │partition│          …             │    …    │  ├───────▶ caller
+//!            └────┬────┘ ─────────────────────▶ │ shard N │──┘
+//!                 │                             └────┬────┘
+//!                 └───── punctuation aligner ────────┘
+//!                        (shared; fan-out > 1)
 //! ```
 //!
 //! * **Partitioning** ([`router`]): tuples are hash-partitioned by
@@ -26,17 +27,19 @@
 //!   set for enumerations, all shards for ranges and wildcards. Each
 //!   shard purges its own state and propagates independently, exactly as
 //!   the paper's single-threaded operator does.
-//! * **Alignment** ([`align`]): shard propagations are merged so the
-//!   downstream stream carries each ingested punctuation **exactly
-//!   once**, and only after *every* shard it was sent to has purged and
-//!   propagated it — the sharded executor is thus indistinguishable
-//!   from a single PJoin to downstream consumers (modulo output order).
-//!   A punctuation sent to one shard has nothing to align and skips the
-//!   aligner; a per-shard count audits it instead.
-//! * **Merge** ([`merge`]): arrival order only — each shard batch is
-//!   forwarded as it arrives. The contract downstream is the output
-//!   multiset plus each punctuation exactly once behind the tuples it
-//!   covers; the aligner, not the merge order, provides the latter.
+//! * **Alignment** ([`align`], [`shard`]): each shard audits its own
+//!   propagations so the downstream stream carries each ingested
+//!   punctuation **exactly once**, and only after *every* shard it was
+//!   sent to has purged and propagated it — the sharded executor is thus
+//!   indistinguishable from a single PJoin to downstream consumers
+//!   (modulo output order). A punctuation sent to one shard has nothing
+//!   to align and skips the aligner; a per-shard count audits it instead.
+//! * **Hand-off** ([`shard`]): each shard sends its batches straight into
+//!   the caller's output channel, in arrival order. The contract
+//!   downstream is the output multiset plus each punctuation exactly
+//!   once behind the tuples it covers; a shard sends its covered tuples
+//!   before it observes a fanned-out propagation, which is what places
+//!   the one emission behind every target shard's tuples.
 //! * **Bounded channels everywhere** ([`executor`]): backpressure
 //!   propagates to the caller; shutdown drains while feeding so finish
 //!   never deadlocks.
@@ -68,16 +71,14 @@ pub mod align;
 pub mod config;
 pub mod error;
 pub mod executor;
-pub mod merge;
 pub mod metrics;
 pub mod router;
 pub mod shard;
 
-pub use align::{AlignOutcome, Aligner, SharedAligner};
+pub use align::{AlignOutcome, AlignReport, Aligner, SharedAligner};
 pub use config::{ExecConfig, ExecConfigError, MAX_SHARDS};
 pub use error::ExecError;
 pub use executor::{ExecStats, ShardedPJoin};
-pub use merge::MergeReport;
 pub use metrics::{RuntimeMetrics, ShardMetrics};
 pub use router::{
     route_punctuation, route_tuple, route_tuple_hashed, shard_of, shard_of_hash, Route,

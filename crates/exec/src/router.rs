@@ -34,11 +34,10 @@
 //!
 //! A punctuation with one target shard has nothing to align: the router
 //! only counts it against that shard ([`RouterCounters::puncts_targeted`])
-//! before staging it, and the merger emits the shard's propagation
-//! as it arrives. A punctuation that fans out is registered with the
-//! aligner (see [`crate::align`]) before it is placed on any shard
-//! channel, so the merger observes propagations only for registered
-//! punctuations.
+//! before staging it, and the shard emits its propagation where it
+//! stands. A punctuation that fans out is registered with the aligner
+//! (see [`crate::align`]) before it is placed on any shard channel, so a
+//! shard observes propagations only for registered punctuations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -138,9 +137,9 @@ pub fn route_tuple(
 
 /// Where a punctuation whose join-column pattern is `pattern` must go
 /// among `shards` shards — the one routing decision, made by the router
-/// on an ingested punctuation ([`route_punctuation`]) and by the merger
-/// on a shard's propagation of it ([`route_propagation`]), so the two
-/// cannot disagree.
+/// on an ingested punctuation ([`route_punctuation`]) and by a shard on
+/// its propagation of it ([`route_propagation`]), so the two cannot
+/// disagree.
 pub fn route_pattern(pattern: Option<&Pattern>, shards: usize) -> Route {
     if shards == 1 {
         return Route::Shard(0);
@@ -200,10 +199,10 @@ pub struct RouterCounters {
     /// Tuples routed.
     pub tuples: AtomicU64,
     /// Punctuations routed to exactly one shard, per target shard. These
-    /// never reach the aligner: the merger emits a shard's single-target
+    /// never reach the aligner: a shard emits its single-target
     /// propagations up to this count and flags any beyond it. The router
     /// counts before it sends the batch carrying the punctuation, and the
-    /// channels order that before the merger's read.
+    /// channel orders that before the shard's read.
     pub puncts_targeted: Box<[AtomicU64]>,
     /// Punctuations routed to several-but-not-all shards.
     pub puncts_multicast: AtomicU64,
@@ -393,8 +392,8 @@ impl RouterState {
                     self.config.output_width(),
                 );
                 // Register the expectation BEFORE the punctuation can
-                // reach any shard: the merger locks the same aligner, so
-                // it can never observe an unregistered propagation.
+                // reach any shard: the shards lock the same aligner, so
+                // none can observe an unregistered propagation.
                 self.aligner.lock().expect(translated, seq, route.mask(self.shards));
                 match route {
                     Route::Shards(set) => {
@@ -653,8 +652,9 @@ mod tests {
 
     proptest::proptest! {
         /// The router's decision on an ingested punctuation equals the
-        /// merger's on its propagation, for every pattern kind on either
-        /// side, and the route is classified by how many shards it hits.
+        /// one a shard's audit makes on its propagation, for every pattern
+        /// kind on either side, and the route is classified by how many
+        /// shards it hits.
         #[test]
         fn router_and_merger_agree_on_every_pattern_kind(
             seed in -1_000i64..1_000,

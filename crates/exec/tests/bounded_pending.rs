@@ -1,6 +1,6 @@
 //! Regression test for the caller-side pending bound.
 //!
-//! `push` drains merged outputs into the caller-side `pending` buffer
+//! `push` drains outputs into the caller-side `pending` buffer
 //! while the input channel is full — historically without limit, so a
 //! caller that pushed faster than it polled could grow `pending` to the
 //! size of the whole output stream. The bound
@@ -13,7 +13,7 @@
 //! slow concurrent drainer polls, and asserts that (a) the run
 //! completes with every output delivered — backpressure, not deadlock —
 //! and (b) the pending buffer never grows past the configured bound
-//! plus one merged batch, even though the drainer lags far behind the
+//! plus one shard batch, even though the drainer lags far behind the
 //! pipeline's output rate.
 //!
 //! The second test is the other half of "one thread pushes while another
@@ -41,7 +41,6 @@ fn pending_buffer_stays_bounded_under_slow_drain() {
     // output) almost immediately.
     config.input_capacity = 2;
     config.output_capacity = 2;
-    config.event_capacity = 2;
     config.shard_capacity = 2;
 
     let exec = ShardedPJoin::spawn(config);
@@ -74,10 +73,10 @@ fn pending_buffer_stays_bounded_under_slow_drain() {
     });
 
     // (b) The bound held: `pending` can overshoot the capacity by at
-    // most the one merged batch a single absorb step appends.
+    // most the one shard batch a single absorb step appends.
     assert!(
         max_pending <= CAP + 4 * BATCH,
-        "pending grew to {max_pending} elements (bound {CAP} + one merged batch)"
+        "pending grew to {max_pending} elements (bound {CAP} + one shard batch)"
     );
 
     // (a) Backpressure, not loss or deadlock: every joined pair comes

@@ -43,7 +43,6 @@ fn tiny_channels_finish_without_deadlock() {
         let mut config = ExecConfig::new(shards, PJoinConfig::new(2, 2));
         config.input_capacity = 2;
         config.shard_capacity = 1;
-        config.event_capacity = 2;
         config.output_capacity = 1;
         config.router_batch = 4;
 
@@ -59,8 +58,8 @@ fn tiny_channels_finish_without_deadlock() {
         assert_eq!(tuples as i64, keys);
         // Every ingested punctuation aligned and emitted exactly once.
         assert_eq!(puncts as i64, 2 * keys);
-        assert_eq!(stats.merge.puncts_unexpected, 0);
-        assert_eq!(stats.merge.puncts_unaligned, 0);
+        assert_eq!(stats.align.puncts_unexpected, 0);
+        assert_eq!(stats.align.puncts_unaligned, 0);
         // Constant-key punctuations are targeted, never broadcast.
         assert_eq!(stats.router.puncts_targeted, 2 * keys as u64);
         assert_eq!(stats.router.puncts_broadcast, 0);
@@ -95,8 +94,8 @@ fn broadcast_punctuation_emitted_exactly_once_after_all_shards() {
     let puncts: Vec<_> = outputs.iter().filter(|e| e.item.is_punctuation()).collect();
     // All `shards` copies propagated, merged into exactly one emission.
     assert_eq!(puncts.len(), 1);
-    assert_eq!(stats.merge.puncts_held, shards as u64 - 1);
-    assert_eq!(stats.merge.puncts_unaligned, 0);
+    assert_eq!(stats.align.puncts_held, shards as u64 - 1);
+    assert_eq!(stats.align.puncts_unaligned, 0);
     // The range purged the whole left state on every shard.
     assert_eq!(stats.total_stats().tuples_purged, 64);
 }
@@ -227,7 +226,7 @@ fn an_empty_enumeration_propagates_as_in_the_single_threaded_operator() {
         let (outputs, stats) = exec.finish();
         assert_eq!(stats.failure, None, "{shards} shards");
         assert_eq!(sorted(outputs.into_iter().map(|e| e.item).collect()), expected, "{shards} shards");
-        assert_eq!((stats.merge.puncts_unexpected, stats.merge.puncts_unaligned), (0, 0));
+        assert_eq!((stats.align.puncts_unexpected, stats.align.puncts_unaligned), (0, 0));
     }
 }
 

@@ -269,7 +269,7 @@ fn punctuated_stream(pattern: impl Fn(i64) -> Pattern) -> Vec<(Side, Timestamped
 }
 
 /// Feeds `feed` and polls until its `puncts` punctuations have come out
-/// of the merger, then returns the aligner acquisitions so far (before
+/// of the executor, then returns the aligner acquisitions so far (before
 /// `finish`, whose shutdown audit takes the lock once). Shards purge and
 /// propagate on every punctuation, so none waits for end of stream.
 fn acquisitions_for(feed: Vec<(Side, Timestamped<StreamElement>)>, puncts: usize) -> u64 {
@@ -289,8 +289,8 @@ fn acquisitions_for(feed: Vec<(Side, Timestamped<StreamElement>)>, puncts: usize
     }
     let acquisitions = exec.aligner_acquisitions();
     let (_, stats) = exec.finish();
-    assert_eq!((stats.merge.puncts_unexpected, stats.merge.puncts_unaligned), (0, 0));
-    assert_eq!(stats.merge.puncts, puncts as u64);
+    assert_eq!((stats.align.puncts_unexpected, stats.align.puncts_unaligned), (0, 0));
+    assert_eq!(stats.align.puncts, puncts as u64);
     acquisitions
 }
 

@@ -7,6 +7,8 @@
 //! Beyond the property test this file pins down the deterministic
 //! corners of the batched data path:
 //!
+//! * at every shard count no joined tuple comes after an emitted
+//!   punctuation it satisfies, whatever the batch size;
 //! * at one shard the *sequence* (not just the multiset) must be
 //!   identical across batch sizes, and identical to the plain operator's
 //!   — single shard, FIFO channels, elements applied in arrival order;
@@ -105,6 +107,25 @@ fn exec_run(
     (outputs.into_iter().map(|e| e.item).collect(), stats)
 }
 
+/// The first joined tuple that comes after an emitted punctuation it
+/// satisfies, as `(punctuation position, tuple position)` — `None` when
+/// every punctuation follows all the results it covers (paper §3.5,
+/// Theorem 1), the order a downstream operator relies on.
+fn tuple_after_its_punctuation(items: &[StreamElement]) -> Option<(usize, usize)> {
+    let mut emitted: Vec<(usize, &Punctuation)> = Vec::new();
+    for (i, e) in items.iter().enumerate() {
+        match e {
+            StreamElement::Punctuation(p) => emitted.push((i, p)),
+            StreamElement::Tuple(t) => {
+                if let Some(&(at, _)) = emitted.iter().find(|(_, p)| p.matches(t)) {
+                    return Some((at, i));
+                }
+            }
+        }
+    }
+    None
+}
+
 /// The batch sizes under test.
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, 256];
 
@@ -184,6 +205,7 @@ proptest! {
                 "per-element run diverged from the single-threaded operator at {} shards", shards
             );
             prop_assert_eq!(&expected.1, &anchor.1);
+            prop_assert_eq!(tuple_after_its_punctuation(&base_items), None, "at {} shards", shards);
 
             for batch in BATCH_SIZES {
                 if batch == 1 {
@@ -199,10 +221,46 @@ proptest! {
                     &got.1, &expected.1,
                     "punctuation multiset diverged at {} shards, batch {}", shards, batch
                 );
-                prop_assert_eq!(stats.merge.puncts_unexpected, 0);
+                prop_assert_eq!(stats.align.puncts_unexpected, 0);
+                prop_assert_eq!(
+                    tuple_after_its_punctuation(&items), None,
+                    "at {} shards, batch {}", shards, batch
+                );
             }
         }
     }
+
+    /// Range punctuations reach every shard, so each emission goes
+    /// through the aligner; the order must hold at every batch size.
+    #[test]
+    fn punctuations_follow_every_tuple_they_cover(
+        workload in range_workload_strategy(),
+        count in 1u64..4,
+    ) {
+        let (left, right) = generate_pair(&workload, workload.punct_mean_tuples, workload.punct_mean_tuples);
+        let feed = interleave(&left.elements, &right.elements);
+        let join_config = PJoinConfig {
+            propagation: PropagationTrigger::PushCount { count },
+            ..prompt_config()
+        };
+        for shards in [2, 4, 8] {
+            for batch in [1, 7, 64] {
+                let (items, _) = exec_run(shards, batch, &join_config, &feed);
+                prop_assert_eq!(
+                    tuple_after_its_punctuation(&items), None,
+                    "at {} shards, batch {}", shards, batch
+                );
+            }
+        }
+    }
+}
+
+/// [`workload_strategy`] restricted to range punctuations.
+fn range_workload_strategy() -> impl Strategy<Value = StreamConfig> {
+    (workload_strategy(), 1u64..6).prop_map(|(workload, batch)| StreamConfig {
+        punct_scheme: PunctScheme::RangeBatch { batch },
+        ..workload
+    })
 }
 
 fn tup(ts: u64, key: i64, payload: i64) -> Timestamped<StreamElement> {
@@ -314,7 +372,7 @@ fn punctuation_flushes_partial_batches_promptly() {
     let (rest, stats) = exec.finish();
     let all: Vec<_> = got.into_iter().chain(rest).collect();
     assert_eq!(all.iter().filter(|e| e.item.is_tuple()).count(), 8);
-    assert_eq!(stats.merge.puncts_unexpected, 0);
+    assert_eq!(stats.align.puncts_unexpected, 0);
 }
 
 /// The single carried hash serves two decisions that must stay

@@ -3,7 +3,8 @@
 //! permutation of the single-threaded PJoin's output — the same
 //! multiset of joined tuples AND the same multiset of propagated
 //! punctuations (each ingested punctuation exactly once, post-
-//! alignment).
+//! alignment) — and, in the executor's output *sequence*, no joined
+//! tuple comes after an emitted punctuation it satisfies.
 //!
 //! Workloads come from the streamgen sliding-key-window generator, which
 //! guarantees punctuation semantics (no tuple ever arrives on a key its
@@ -13,7 +14,7 @@
 use pjoin::{PJoinConfig, PropagationTrigger, PurgeStrategy};
 use proptest::prelude::*;
 use punct_exec::{ExecConfig, ShardedPJoin};
-use punct_types::{StreamElement, Timestamp, Timestamped};
+use punct_types::{Punctuation, StreamElement, Timestamp, Timestamped};
 use stream_sim::{BinaryStreamOp, OpOutput, Side};
 use streamgen::{generate_pair, PunctScheme, StreamConfig};
 
@@ -78,6 +79,25 @@ fn canonical(elements: &[StreamElement]) -> (Vec<String>, Vec<String>) {
     tuples.sort();
     puncts.sort();
     (tuples, puncts)
+}
+
+/// The first joined tuple that comes after an emitted punctuation it
+/// satisfies, as `(punctuation position, tuple position)` — `None` when
+/// every punctuation follows all the results it covers (paper §3.5,
+/// Theorem 1), the order a downstream operator relies on.
+fn tuple_after_its_punctuation(items: &[StreamElement]) -> Option<(usize, usize)> {
+    let mut emitted: Vec<(usize, &Punctuation)> = Vec::new();
+    for (i, e) in items.iter().enumerate() {
+        match e {
+            StreamElement::Punctuation(p) => emitted.push((i, p)),
+            StreamElement::Tuple(t) => {
+                if let Some(&(at, _)) = emitted.iter().find(|(_, p)| p.matches(t)) {
+                    return Some((at, i));
+                }
+            }
+        }
+    }
+    None
 }
 
 /// The shard counts under test.
@@ -161,18 +181,61 @@ proptest! {
                 &got.1, &expected.1,
                 "punctuation multiset diverged at {} shards", shards
             );
-            prop_assert_eq!(stats.merge.puncts_unexpected, 0);
+            prop_assert_eq!(stats.align.puncts_unexpected, 0);
+            prop_assert_eq!(tuple_after_its_punctuation(&items), None, "at {} shards", shards);
             // Every registered expectation either completed or (with
             // propagation disabled) none did.
             let (registered, emitted, _) = (
                 stats.router.puncts_targeted
                     + stats.router.puncts_multicast
                     + stats.router.puncts_broadcast,
-                stats.merge.puncts,
+                stats.align.puncts,
                 (),
             );
             prop_assert!(emitted <= registered);
             prop_assert!(registered as usize <= ingested_puncts);
+        }
+    }
+}
+
+/// Range punctuations reach every shard, so each emission goes through
+/// the aligner: propagate promptly and check the order at several shard
+/// counts.
+fn range_workload_strategy() -> impl Strategy<Value = StreamConfig> {
+    (any::<u64>(), 100usize..400, 1u64..12, 1u64..6, 4f64..40.0).prop_map(
+        |(seed, tuples, key_window, batch, punct_mean)| StreamConfig {
+            seed,
+            tuples,
+            key_window,
+            punct_scheme: PunctScheme::RangeBatch { batch },
+            punct_mean_tuples: punct_mean,
+            payload_attrs: 1,
+            ..StreamConfig::default()
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    #[test]
+    fn punctuations_follow_every_tuple_they_cover(
+        workload in range_workload_strategy(),
+        count in 1u64..4,
+    ) {
+        let (left, right) = generate_pair(&workload, workload.punct_mean_tuples, workload.punct_mean_tuples);
+        let feed = interleave(&left.elements, &right.elements);
+        let join_config = PJoinConfig {
+            purge: PurgeStrategy::Eager,
+            propagation: PropagationTrigger::PushCount { count },
+            ..PJoinConfig::new(2, 2)
+        };
+        for shards in [2, 4, 8] {
+            let exec = ShardedPJoin::spawn(ExecConfig::new(shards, join_config.clone()));
+            exec.push_batch(feed.clone());
+            let (outputs, _) = exec.finish();
+            let items: Vec<StreamElement> = outputs.into_iter().map(|e| e.item).collect();
+            prop_assert_eq!(tuple_after_its_punctuation(&items), None, "at {} shards", shards);
         }
     }
 }

@@ -378,17 +378,6 @@ impl<R: Record> PartitionedStore<R> {
         }
     }
 
-    /// Mutably visits every memory-resident record (index building).
-    /// Mutations must not change a record's join key — the slab's probe
-    /// tags would go stale.
-    pub fn for_each_memory_mut(&mut self, mut f: impl FnMut(&mut R)) {
-        for b in &mut self.buckets {
-            for r in b.iter_mut() {
-                f(r);
-            }
-        }
-    }
-
     /// Mutably visits one bucket's memory-resident records — used e.g. to
     /// stamp departure timestamps immediately before relocating the bucket.
     pub fn for_each_memory_bucket_mut(&mut self, idx: usize, mut f: impl FnMut(&mut R)) {

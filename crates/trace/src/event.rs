@@ -8,14 +8,12 @@
 //! so a ring-buffer sink can hold them without any per-event allocation.
 
 /// A trace lane: the logical "thread" an event belongs to. Shard workers
-/// use their shard index; the router, merger and driver use reserved
-/// high values.
+/// use their shard index; the router, driver and network threads use
+/// reserved high values.
 pub type Lane = u32;
 
 /// Lane of the sharded executor's router thread.
 pub const LANE_ROUTER: Lane = u32::MAX - 1;
-/// Lane of the sharded executor's merger thread.
-pub const LANE_MERGE: Lane = u32::MAX;
 /// Lane of the simulation driver (ingress stamps).
 pub const LANE_DRIVER: Lane = u32::MAX - 2;
 /// Lane of the networked transport's ingest server threads.
@@ -29,7 +27,6 @@ pub const LANE_NET_CLIENT: Lane = u32::MAX - 5;
 pub fn lane_name(lane: Lane) -> String {
     match lane {
         LANE_ROUTER => "router".into(),
-        LANE_MERGE => "merge".into(),
         LANE_DRIVER => "driver".into(),
         LANE_NET_INGEST => "net-ingest".into(),
         LANE_NET_SINK => "net-sink".into(),
@@ -75,11 +72,11 @@ pub enum TraceKind {
     /// The router broadcast a punctuation to every shard (`a` = router
     /// sequence number, `b` = target shard bitmask).
     Broadcast,
-    /// The merger observed a shard propagation against the aligner
-    /// (`a` = outcome: 0 emit, 1 pending, 2 unexpected; `b` = shard).
+    /// A shard audited one of its propagations, by count or against the
+    /// aligner (`a` = outcome: 0 emit, 1 pending, 2 unexpected; `b` =
+    /// shard).
     Align,
-    /// The merger forwarded a batch downstream (`a` = batch length,
-    /// `b` = 0).
+    /// A shard sent a batch downstream (`a` = batch length, `b` = 0).
     Merge,
     /// An element entered the system (`a` = side index, `b` = 1 if it
     /// was a punctuation).
@@ -283,7 +280,6 @@ mod tests {
         assert_eq!(lane_name(0), "shard-0");
         assert_eq!(lane_name(7), "shard-7");
         assert_eq!(lane_name(LANE_ROUTER), "router");
-        assert_eq!(lane_name(LANE_MERGE), "merge");
         assert_eq!(lane_name(LANE_DRIVER), "driver");
         assert_eq!(lane_name(LANE_NET_INGEST), "net-ingest");
         assert_eq!(lane_name(LANE_NET_SINK), "net-sink");

@@ -270,7 +270,7 @@ mod tests {
                 a: 5,
                 b: 2,
             },
-            TraceEvent::instant(TraceKind::Align, crate::LANE_MERGE, 300, 120, 0, 1),
+            TraceEvent::instant(TraceKind::Route, crate::LANE_ROUTER, 300, 120, 0, 1),
         ]
     }
 
@@ -312,7 +312,7 @@ mod tests {
         assert!(out.contains("\"thread_name\""));
         assert!(out.contains("\"shard-0\""));
         assert!(out.contains("\"shard-1\""));
-        assert!(out.contains("\"merge\""));
+        assert!(out.contains("\"router\""));
         // The purge span is a complete event; the instants are "i".
         assert!(out.contains("\"ph\":\"X\""));
         assert!(out.contains("\"ph\":\"i\""));

@@ -27,7 +27,7 @@ pub mod tracer;
 
 pub use dashboard::{histogram_chart, latency_report, meter, Dashboard};
 pub use event::{
-    lane_name, Lane, TraceEvent, TraceKind, LANE_DRIVER, LANE_MERGE, LANE_NET_CLIENT,
+    lane_name, Lane, TraceEvent, TraceKind, LANE_DRIVER, LANE_NET_CLIENT,
     LANE_NET_INGEST, LANE_NET_SINK, LANE_ROUTER,
 };
 pub use export::{

@@ -1,7 +1,7 @@
 //! The per-component tracer: an owned, lock-free handle that records
 //! typed events into a [`RingBuffer`].
 //!
-//! Each shard / router / merger / operator owns its own `Tracer`, so the
+//! Each shard / router / operator owns its own `Tracer`, so the
 //! hot path never touches shared state; logs are merged after the fact
 //! (see [`TraceLog`]). A disabled tracer holds no buffer and every
 //! recording method is a single-branch no-op.

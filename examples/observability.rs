@@ -118,7 +118,7 @@ fn main() {
     println!(
         "trace: {} events across {} lanes ({} dropped by ring buffers)",
         log.events.len(),
-        stats.shards.len() + 2,
+        stats.shards.len() + 1,
         log.dropped
     );
     let jsonl = stats.trace_jsonl();
@@ -152,7 +152,7 @@ fn main() {
 /// propagated exactly once:
 ///
 /// * router level: every routed punctuation (`route` / `broadcast`
-///   event) aligns to exactly one merger emission (`align` with outcome
+///   event) aligns to exactly one shard emission (`align` with outcome
 ///   0), and nothing was unexpected or left unaligned;
 /// * shard level: each shard's punctuation arrivals match its
 ///   propagate events one-to-one (same id multiset per lane).
@@ -169,13 +169,13 @@ fn check_exactly_once(log: &TraceLog, stats: &punctuated_streams::exec::ExecStat
         eprintln!("FAIL: {routed} punctuations routed but {aligned_emits} aligned emissions");
         std::process::exit(1);
     }
-    if stats.merge.puncts as usize != aligned_emits
-        || stats.merge.puncts_unexpected != 0
-        || stats.merge.puncts_unaligned != 0
+    if stats.align.puncts as usize != aligned_emits
+        || stats.align.puncts_unexpected != 0
+        || stats.align.puncts_unaligned != 0
     {
         eprintln!(
-            "FAIL: merge report disagrees with trace: {:?} vs {aligned_emits} emits",
-            stats.merge
+            "FAIL: align report disagrees with trace: {:?} vs {aligned_emits} emits",
+            stats.align
         );
         std::process::exit(1);
     }

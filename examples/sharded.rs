@@ -119,7 +119,7 @@ fn main() {
     );
     println!(
         "align:   {} held for siblings, {} unexpected, {} unaligned at shutdown",
-        stats.merge.puncts_held, stats.merge.puncts_unexpected, stats.merge.puncts_unaligned
+        stats.align.puncts_held, stats.align.puncts_unexpected, stats.align.puncts_unaligned
     );
     println!(
         "virtual time: critical path {:.1} ms vs {:.1} ms single-threaded ({:.2}x speedup on {} shards)",

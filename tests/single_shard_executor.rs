@@ -1,6 +1,6 @@
 //! Cross-crate integration of the threaded executor at its smallest
 //! size: feeding a generated workload through a 1-shard `ShardedPJoin`
-//! (router, one shard worker and merger behind channels) must produce
+//! (router and one shard worker behind channels) must produce
 //! the same result multiset as the single-threaded driver.
 
 use punctuated_streams::core::{PJoinBuilder, PJoinConfig, PropagationTrigger, PurgeStrategy};
