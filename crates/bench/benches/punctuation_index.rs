@@ -57,7 +57,9 @@ fn bench_close_purge_propagate(c: &mut Criterion) {
                     .collect();
                 purge_state(&mut s, &closes, |_| false, 10_000, &mut w);
                 let mut out = OpOutput::new();
-                black_box(propagate_side(&mut s, 0, 4, &mut out, &mut w).len())
+                let mut ids = Vec::new();
+                propagate_side(&mut s, 0, 4, &mut out, &mut w, &mut ids);
+                black_box(ids.len())
             },
             criterion::BatchSize::SmallInput,
         )

@@ -33,22 +33,23 @@ pub fn translate_punctuation(p: &Punctuation, offset: usize, out_width: usize) -
 
 /// Propagates every currently-propagable punctuation of `state` — no
 /// tuple in memory, on disk or in the purge buffer has a join value its
-/// join-attribute pattern matches — in arrival order. Returns the
-/// propagated ids.
+/// join-attribute pattern matches — in arrival order, appending the
+/// propagated ids to `propagated` (a buffer the caller reuses).
 pub fn propagate_side(
     state: &mut JoinState,
     offset: usize,
     out_width: usize,
     out: &mut OpOutput,
     work: &mut Work,
-) -> Vec<PunctId> {
-    let propagated = state.index.retire_propagable();
-    for &id in &propagated {
+    propagated: &mut Vec<PunctId>,
+) {
+    let from = propagated.len();
+    state.index.retire_propagable(propagated);
+    for &id in &propagated[from..] {
         let p = state.index.get(id).expect("retired punctuations stay stored");
         out.push(translate_punctuation(p, offset, out_width));
     }
-    work.puncts_propagated += propagated.len() as u64;
-    propagated
+    work.puncts_propagated += (propagated.len() - from) as u64;
 }
 
 #[cfg(test)]
@@ -58,6 +59,12 @@ mod tests {
     use crate::components::purge::purge_state;
     use crate::record::PRecord;
     use punct_types::{StreamElement, Tuple, Value};
+
+    fn propagate(s: &mut JoinState, out: &mut OpOutput, w: &mut Work) -> Vec<PunctId> {
+        let mut ids = Vec::new();
+        propagate_side(s, 0, 4, out, w, &mut ids);
+        ids
+    }
 
     fn drain_puncts(out: &mut OpOutput) -> Vec<Punctuation> {
         out.drain()
@@ -96,14 +103,14 @@ mod tests {
         let b = s.index.insert(Punctuation::close_value(2, 0, 2i64));
         let mut out = OpOutput::new();
         let mut w = Work::ZERO;
-        let ids = propagate_side(&mut s, 0, 4, &mut out, &mut w);
+        let ids = propagate(&mut s, &mut out, &mut w);
         assert_eq!(ids, vec![a, b]);
         let puncts = drain_puncts(&mut out);
         assert_eq!(puncts.len(), 2);
         assert_eq!(puncts[0].pattern(0), Some(&Pattern::Constant(Value::Int(1))));
         assert_eq!(w.puncts_propagated, 2);
         // Retired: a second call propagates nothing.
-        assert!(propagate_side(&mut s, 0, 4, &mut out, &mut w).is_empty());
+        assert!(propagate(&mut s, &mut out, &mut w).is_empty());
     }
 
     #[test]
@@ -113,10 +120,10 @@ mod tests {
         let id = s.index.insert(Punctuation::close_value(2, 0, 5i64));
         let mut w = Work::ZERO;
         let mut out = OpOutput::new();
-        assert!(propagate_side(&mut s, 0, 4, &mut out, &mut w).is_empty());
+        assert!(propagate(&mut s, &mut out, &mut w).is_empty());
         // Once the tuple is purged (count 0), it propagates.
         purge_state(&mut s, &[Pattern::Constant(Value::Int(5))], |_| false, 1, &mut w);
-        let ids = propagate_side(&mut s, 0, 4, &mut out, &mut w);
+        let ids = propagate(&mut s, &mut out, &mut w);
         assert_eq!(ids, vec![id]);
     }
 
@@ -136,9 +143,9 @@ mod tests {
             assert_eq!(s.index.count(&Value::Int(5)), 1);
             let mut w = Work::ZERO;
             let mut out = OpOutput::new();
-            assert!(propagate_side(&mut s, 0, 4, &mut out, &mut w).is_empty());
+            assert!(propagate(&mut s, &mut out, &mut w).is_empty());
             purge_state(&mut s, &[Pattern::Constant(Value::Int(5))], |_| false, 1, &mut w);
-            assert_eq!(propagate_side(&mut s, 0, 4, &mut out, &mut w), vec![first, later]);
+            assert_eq!(propagate(&mut s, &mut out, &mut w), vec![first, later]);
         }
     }
 
@@ -154,13 +161,13 @@ mod tests {
         let held = a.index.insert(Punctuation::close_value(2, 0, 1i64));
         let free = a.index.insert(Punctuation::close_value(2, 0, 99i64));
         let mut out = OpOutput::new();
-        assert_eq!(propagate_side(&mut a, 0, 4, &mut out, &mut w), vec![free]);
-        assert!(propagate_side(&mut a, 0, 4, &mut out, &mut w).is_empty());
+        assert_eq!(propagate(&mut a, &mut out, &mut w), vec![free]);
+        assert!(propagate(&mut a, &mut out, &mut w).is_empty());
         // The disk join drops the tuple once the other side closes 1.
         b.index.insert(Punctuation::close_value(2, 0, 1i64));
         let mut mark = None;
         resolve_bucket(0, &mut a, &mut b, &mut mark, 2, &mut out, &mut w);
         assert_eq!(a.store.disk_tuples(), 0);
-        assert_eq!(propagate_side(&mut a, 0, 4, &mut out, &mut w), vec![held]);
+        assert_eq!(propagate(&mut a, &mut out, &mut w), vec![held]);
     }
 }

@@ -24,8 +24,8 @@
 use punct_types::Pattern;
 use stream_sim::Work;
 
-use crate::record::Instant;
-use crate::state::JoinState;
+use crate::record::{Instant, PRecord};
+use crate::state::{buffer_into, JoinState};
 
 /// Outcome of one purge pass over one state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,55 +52,63 @@ pub fn purge_state<'p>(
     departure: Instant,
     work: &mut Work,
 ) -> PurgeReport {
-    let mut report = PurgeReport::default();
-    let join_attr = target.join_attr;
-    let buckets = target.store.bucket_count();
+    let JoinState { store, index, purge_buffer, purge_buffer_len, join_attr, .. } = target;
+    let join_attr = *join_attr;
+    let (mut removed, mut buffered, mut candidates, mut scanned) = (0, 0, 0, 0);
     let mut evals = 0u64;
     let mut key_lookups = 0u64;
+    // A record taken out of `bucket`'s memory portion, handled where the
+    // store hands it over: stamped, then parked in the purge buffer while
+    // the opposite disk portion may still join it, else counted out.
+    let mut depart = |bucket: usize, mut rec: PRecord| {
+        rec.dts = departure;
+        if opposite_disk(bucket) {
+            buffer_into(&mut purge_buffer[bucket], purge_buffer_len, rec);
+            buffered += 1;
+        } else {
+            index.leave(&rec.tuple);
+            removed += 1;
+        }
+    };
 
-    // Split the new patterns by how they can be matched against the
-    // state: closed point values go through the key index, anything
-    // shaped like a span needs the full scan.
-    let mut closed_values: Vec<&punct_types::Value> = Vec::new();
+    // Closed point values go through the key index as they come, each
+    // hashed once; patterns shaped like a span wait for the full scan.
     let mut scan_patterns: Vec<&Pattern> = Vec::new();
     for p in new_patterns {
-        match p {
-            Pattern::Constant(v) => closed_values.push(v),
-            Pattern::In(vs) => closed_values.extend(vs.iter()),
-            Pattern::Empty => {}
-            other => scan_patterns.push(other),
-        }
-    }
-
-    for value in closed_values {
-        key_lookups += 1;
-        let bucket = target.store.bucket_index(value);
-        // The key index is join_eq-coarse (Int/Float coercion); pattern
-        // matching is exact, so re-check each indexed candidate.
-        let mut candidates = 0usize;
-        let extracted = target.store.extract_memory_keyed(value, |r| {
-            candidates += 1;
-            r.tuple.get(join_attr) == Some(value)
-        });
-        report.scanned += candidates;
-        evals += candidates as u64;
-        for mut rec in extracted {
-            rec.dts = departure;
-            if opposite_disk(bucket) {
-                target.buffer_record(bucket, rec);
-                report.buffered += 1;
-            } else {
-                target.index.leave(&rec.tuple);
-                report.removed += 1;
+        let closed = match p {
+            Pattern::Constant(v) => std::slice::from_ref(v),
+            Pattern::In(vs) => vs.as_slice(),
+            Pattern::Empty => &[],
+            other => {
+                scan_patterns.push(other);
+                &[]
             }
+        };
+        for value in closed {
+            key_lookups += 1;
+            let Some(hash) = value.join_hash() else {
+                continue;
+            };
+            let bucket = store.bucket_of_hash(Some(hash));
+            // The key index is join_eq-coarse (Int/Float coercion);
+            // pattern matching is exact, so re-check each candidate.
+            store.extract_memory_hashed(
+                hash,
+                value,
+                |r| {
+                    candidates += 1;
+                    r.tuple.get(join_attr) == Some(value)
+                },
+                |rec| depart(bucket, rec),
+            );
         }
     }
+    evals += candidates as u64;
 
     if !scan_patterns.is_empty() {
-        #[allow(clippy::needless_range_loop)]
-        for bucket in 0..buckets {
-            report.scanned += target.store.bucket(bucket).memory_len();
-            let extracted = target.store.extract_memory_bucket(bucket, |r| {
+        for bucket in 0..store.bucket_count() {
+            scanned += store.bucket(bucket).memory_len();
+            let extracted = store.extract_memory_bucket(bucket, |r| {
                 match r.tuple.get(join_attr) {
                     Some(v) => scan_patterns.iter().any(|p| {
                         evals += 1;
@@ -109,19 +117,13 @@ pub fn purge_state<'p>(
                     None => false,
                 }
             });
-            for mut rec in extracted {
-                rec.dts = departure;
-                if opposite_disk(bucket) {
-                    target.buffer_record(bucket, rec);
-                    report.buffered += 1;
-                } else {
-                    target.index.leave(&rec.tuple);
-                    report.removed += 1;
-                }
+            for rec in extracted {
+                depart(bucket, rec);
             }
         }
     }
 
+    let report = PurgeReport { scanned: candidates + scanned, removed, buffered };
     work.purge_scanned += report.scanned as u64;
     work.key_lookups += key_lookups;
     work.index_evals += evals;
@@ -133,7 +135,6 @@ pub fn purge_state<'p>(
 mod tests {
     use super::*;
     use punct_types::{Punctuation, Tuple, Value};
-    use crate::record::PRecord;
 
     fn state_with_keys(keys: &[i64]) -> JoinState {
         let mut s = JoinState::new(2, 0, 4, 4);

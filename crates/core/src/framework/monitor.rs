@@ -105,42 +105,48 @@ impl Monitor {
     }
 
     /// Evaluates the thresholds against `snapshot`, returning the raised
-    /// events (in a deterministic order) and resetting edge-triggered
-    /// counters.
-    pub fn poll(&mut self, snapshot: &MonitorSnapshot, matched_pair_mode: bool) -> Vec<Event> {
-        let mut events = Vec::new();
+    /// events and resetting edge-triggered counters. Each of the four
+    /// checks (purge, memory, disk join, propagation) has its slot, in
+    /// that order, `None` where it raised nothing: a poll does not
+    /// allocate.
+    pub fn poll(
+        &mut self,
+        snapshot: &MonitorSnapshot,
+        matched_pair_mode: bool,
+    ) -> [Option<Event>; 4] {
+        let mut events = [None; 4];
 
         if let Some(threshold) = self.purge_threshold {
             if self.puncts_since_purge >= threshold {
-                events.push(Event::new(EventKind::PurgeThresholdReach));
+                events[0] = Some(Event::new(EventKind::PurgeThresholdReach));
                 self.puncts_since_purge = 0;
             }
         }
 
         if self.memory_threshold > 0 && snapshot.memory_tuples > self.memory_threshold {
-            events.push(Event::new(EventKind::StateFull));
+            events[1] = Some(Event::new(EventKind::StateFull));
         }
 
         if snapshot.disk_join_ready {
-            events.push(Event::new(EventKind::DiskJoinActivate));
+            events[2] = Some(Event::new(EventKind::DiskJoinActivate));
         }
 
         if self.propagation_requested {
             self.propagation_requested = false;
-            events.push(Event::new(EventKind::PropagateRequest));
+            events[3] = Some(Event::new(EventKind::PropagateRequest));
             self.note_propagated(snapshot.now);
         } else if matched_pair_mode && self.matched_pair_seen {
             self.matched_pair_seen = false;
-            events.push(Event::new(EventKind::PropagateRequest));
+            events[3] = Some(Event::new(EventKind::PropagateRequest));
             self.note_propagated(snapshot.now);
         } else if let Some(count) = self.propagate_count {
             if self.puncts_since_propagation >= count {
-                events.push(Event::new(EventKind::PropagateCountReach));
+                events[3] = Some(Event::new(EventKind::PropagateCountReach));
                 self.note_propagated(snapshot.now);
             }
         } else if let Some(us) = self.propagate_time_us {
             if snapshot.now.micros_since(self.last_propagation) >= us {
-                events.push(Event::new(EventKind::PropagateTimeExpire));
+                events[3] = Some(Event::new(EventKind::PropagateTimeExpire));
                 self.note_propagated(snapshot.now);
             }
         }
@@ -163,6 +169,10 @@ mod tests {
         PJoinConfig { purge, propagation, ..PJoinConfig::new(2, 2) }
     }
 
+    fn fired(m: &mut Monitor, snapshot: &MonitorSnapshot, matched_pair_mode: bool) -> Vec<Event> {
+        m.poll(snapshot, matched_pair_mode).into_iter().flatten().collect()
+    }
+
     fn snap(now: u64) -> MonitorSnapshot {
         MonitorSnapshot { memory_tuples: 0, disk_join_ready: false, now: Timestamp(now) }
     }
@@ -175,12 +185,12 @@ mod tests {
         ));
         m.punctuation_arrived(false);
         m.punctuation_arrived(false);
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
         m.punctuation_arrived(false);
-        let events = m.poll(&snap(0), false);
+        let events = fired(&mut m, &snap(0), false);
         assert_eq!(events, vec![Event::new(EventKind::PurgeThresholdReach)]);
         // Counter reset.
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
     }
 
     #[test]
@@ -191,7 +201,7 @@ mod tests {
         ));
         for _ in 0..3 {
             m.punctuation_arrived(false);
-            let events = m.poll(&snap(0), false);
+            let events = fired(&mut m, &snap(0), false);
             assert!(events.contains(&Event::new(EventKind::PurgeThresholdReach)));
         }
     }
@@ -205,7 +215,7 @@ mod tests {
         for _ in 0..100 {
             m.punctuation_arrived(false);
         }
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
     }
 
     #[test]
@@ -216,9 +226,9 @@ mod tests {
         ));
         m.memory_threshold = 10;
         let s = MonitorSnapshot { memory_tuples: 11, ..snap(0) };
-        assert_eq!(m.poll(&s, false), vec![Event::new(EventKind::StateFull)]);
+        assert_eq!(fired(&mut m, &s, false), vec![Event::new(EventKind::StateFull)]);
         let s = MonitorSnapshot { memory_tuples: 10, ..snap(0) };
-        assert!(m.poll(&s, false).is_empty());
+        assert!(fired(&mut m, &s, false).is_empty());
     }
 
     #[test]
@@ -228,13 +238,13 @@ mod tests {
             PropagationTrigger::PushCount { count: 2 },
         ));
         m.punctuation_arrived(false);
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
         m.punctuation_arrived(false);
         assert_eq!(
-            m.poll(&snap(0), false),
+            fired(&mut m, &snap(0), false),
             vec![Event::new(EventKind::PropagateCountReach)]
         );
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
     }
 
     #[test]
@@ -243,14 +253,14 @@ mod tests {
             PurgeStrategy::Never,
             PropagationTrigger::PushTime { micros: 100 },
         ));
-        assert!(m.poll(&snap(50), false).is_empty());
+        assert!(fired(&mut m, &snap(50), false).is_empty());
         assert_eq!(
-            m.poll(&snap(100), false),
+            fired(&mut m, &snap(100), false),
             vec![Event::new(EventKind::PropagateTimeExpire)]
         );
         // Clock resets to the firing time.
-        assert!(m.poll(&snap(150), false).is_empty());
-        assert!(!m.poll(&snap(200), false).is_empty());
+        assert!(fired(&mut m, &snap(150), false).is_empty());
+        assert!(!fired(&mut m, &snap(200), false).is_empty());
     }
 
     #[test]
@@ -259,10 +269,10 @@ mod tests {
             PurgeStrategy::Never,
             PropagationTrigger::Pull,
         ));
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
         m.request_propagation();
-        assert_eq!(m.poll(&snap(0), false), vec![Event::new(EventKind::PropagateRequest)]);
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert_eq!(fired(&mut m, &snap(0), false), vec![Event::new(EventKind::PropagateRequest)]);
+        assert!(fired(&mut m, &snap(0), false).is_empty());
     }
 
     #[test]
@@ -272,10 +282,10 @@ mod tests {
             PropagationTrigger::MatchedPair,
         ));
         m.punctuation_arrived(false);
-        assert!(m.poll(&snap(0), true).is_empty());
+        assert!(fired(&mut m, &snap(0), true).is_empty());
         m.punctuation_arrived(true);
-        assert_eq!(m.poll(&snap(0), true), vec![Event::new(EventKind::PropagateRequest)]);
-        assert!(m.poll(&snap(0), true).is_empty());
+        assert_eq!(fired(&mut m, &snap(0), true), vec![Event::new(EventKind::PropagateRequest)]);
+        assert!(fired(&mut m, &snap(0), true).is_empty());
     }
 
     #[test]
@@ -292,17 +302,17 @@ mod tests {
         assert_eq!(m.puncts_since_purge(), 2);
         assert_eq!(m.puncts_since_propagation(), 2);
         // Purge fires (2 >= 2); propagation does not (2 < 3).
-        let events = m.poll(&snap(0), false);
+        let events = fired(&mut m, &snap(0), false);
         assert_eq!(events, vec![Event::new(EventKind::PurgeThresholdReach)]);
         assert_eq!(m.puncts_since_purge(), 0, "fired counter resets");
         assert_eq!(m.puncts_since_propagation(), 2, "unfired counter keeps counting");
         // A quiet poll must not reset anything again.
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
         assert_eq!(m.puncts_since_propagation(), 2);
         // One more punctuation: propagation fires (3 >= 3), purge does
         // not (1 < 2) — both reset exactly once each across the run.
         m.punctuation_arrived(false);
-        let events = m.poll(&snap(0), false);
+        let events = fired(&mut m, &snap(0), false);
         assert_eq!(events, vec![Event::new(EventKind::PropagateCountReach)]);
         assert_eq!(m.puncts_since_purge(), 1);
         assert_eq!(m.puncts_since_propagation(), 0);
@@ -316,7 +326,7 @@ mod tests {
         ));
         m.punctuation_arrived(false);
         m.punctuation_arrived(false);
-        let events = m.poll(&snap(0), false);
+        let events = fired(&mut m, &snap(0), false);
         assert_eq!(
             events,
             vec![
@@ -327,7 +337,7 @@ mod tests {
         assert_eq!(m.puncts_since_purge(), 0);
         assert_eq!(m.puncts_since_propagation(), 0);
         // Neither re-fires without new punctuations.
-        assert!(m.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut m, &snap(0), false).is_empty());
     }
 
     #[test]
@@ -337,16 +347,16 @@ mod tests {
             PropagationTrigger::MatchedPair,
         ));
         m.punctuation_arrived(true);
-        assert_eq!(m.poll(&snap(0), true), vec![Event::new(EventKind::PropagateRequest)]);
+        assert_eq!(fired(&mut m, &snap(0), true), vec![Event::new(EventKind::PropagateRequest)]);
         // Unmatched punctuations after the fire must not re-trigger.
         m.punctuation_arrived(false);
         m.punctuation_arrived(false);
-        assert!(m.poll(&snap(0), true).is_empty());
-        assert!(m.poll(&snap(0), true).is_empty());
+        assert!(fired(&mut m, &snap(0), true).is_empty());
+        assert!(fired(&mut m, &snap(0), true).is_empty());
         // A new matched pair fires again — exactly once.
         m.punctuation_arrived(true);
-        assert_eq!(m.poll(&snap(0), true), vec![Event::new(EventKind::PropagateRequest)]);
-        assert!(m.poll(&snap(0), true).is_empty());
+        assert_eq!(fired(&mut m, &snap(0), true), vec![Event::new(EventKind::PropagateRequest)]);
+        assert!(fired(&mut m, &snap(0), true).is_empty());
     }
 
     #[test]
@@ -360,7 +370,7 @@ mod tests {
         m.punctuation_arrived(false);
         m.punctuation_arrived(true);
         assert_eq!(m.puncts_since_propagation(), 2);
-        assert_eq!(m.poll(&snap(0), true).len(), 1);
+        assert_eq!(fired(&mut m, &snap(0), true).len(), 1);
         assert_eq!(m.puncts_since_propagation(), 0);
     }
 
@@ -378,13 +388,13 @@ mod tests {
 
         shard0.purge_threshold = Some(1);
         shard0.punctuation_arrived(false);
-        assert!(!shard0.poll(&snap(0), false).is_empty());
+        assert!(!fired(&mut shard0, &snap(0), false).is_empty());
 
         // shard1 and the template saw nothing.
         assert_eq!(shard1.puncts_since_purge(), 0);
-        assert!(shard1.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut shard1, &snap(0), false).is_empty());
         assert_eq!(template.puncts_since_purge(), 0);
-        assert!(template.poll(&snap(0), false).is_empty());
+        assert!(fired(&mut template, &snap(0), false).is_empty());
         assert_eq!(template.purge_threshold, Some(3));
     }
 
@@ -413,6 +423,6 @@ mod tests {
             PropagationTrigger::Disabled,
         ));
         let s = MonitorSnapshot { disk_join_ready: true, ..snap(0) };
-        assert_eq!(m.poll(&s, false), vec![Event::new(EventKind::DiskJoinActivate)]);
+        assert_eq!(fired(&mut m, &s, false), vec![Event::new(EventKind::DiskJoinActivate)]);
     }
 }

@@ -123,12 +123,11 @@ impl Registry {
     }
 
     /// The ordered listeners for an event (concatenated across entries).
-    pub fn listeners(&self, event: EventKind) -> Vec<Component> {
+    pub fn listeners(&self, event: EventKind) -> impl Iterator<Item = Component> + '_ {
         self.entries
             .iter()
-            .filter(|e| e.event == event)
+            .filter(move |e| e.event == event)
             .flat_map(|e| e.listeners.iter().copied())
-            .collect()
     }
 
     /// All entries, in registration order.
@@ -153,16 +152,20 @@ mod tests {
     use super::*;
     use crate::config::PurgeStrategy;
 
+    fn listeners(r: &Registry, event: EventKind) -> Vec<Component> {
+        r.listeners(event).collect()
+    }
+
     #[test]
     fn table1_wires_lazy_couplings() {
         let r = Registry::table1(10, 5);
         // Lazy purge on threshold.
-        assert_eq!(r.listeners(EventKind::PurgeThresholdReach), vec![Component::StatePurge]);
+        assert_eq!(listeners(&r, EventKind::PurgeThresholdReach), vec![Component::StatePurge]);
         // Propagation on the count event, with no index build coupled in
         // front of it: the index counts stored tuples as they come and go.
-        assert_eq!(r.listeners(EventKind::PropagateCountReach), vec![Component::Propagation]);
+        assert_eq!(listeners(&r, EventKind::PropagateCountReach), vec![Component::Propagation]);
         // Nothing runs on punctuation arrival, and nothing ever builds.
-        assert!(r.listeners(EventKind::PunctuationArrive).is_empty());
+        assert!(listeners(&r, EventKind::PunctuationArrive).is_empty());
         assert!(r.entries().iter().all(|e| !e.listeners.contains(&Component::IndexBuild)));
     }
 
@@ -173,29 +176,29 @@ mod tests {
             ..PJoinConfig::new(2, 2)
         };
         let r = Registry::from_config(&config);
-        assert!(r.listeners(EventKind::PropagateCountReach).is_empty());
-        assert!(r.listeners(EventKind::PropagateRequest).is_empty());
+        assert!(listeners(&r, EventKind::PropagateCountReach).is_empty());
+        assert!(listeners(&r, EventKind::PropagateRequest).is_empty());
         // Stream-empty cleanup skips propagation too.
-        assert!(!r.listeners(EventKind::StreamEmpty).contains(&Component::Propagation));
+        assert!(!listeners(&r, EventKind::StreamEmpty).contains(&Component::Propagation));
     }
 
     #[test]
     fn runtime_reconfiguration() {
         let mut r = Registry::table1(10, 5);
         r.unregister(EventKind::PurgeThresholdReach);
-        assert!(r.listeners(EventKind::PurgeThresholdReach).is_empty());
+        assert!(listeners(&r, EventKind::PurgeThresholdReach).is_empty());
         r.register(EventKind::PurgeThresholdReach, "custom", vec![Component::StatePurge]);
-        assert_eq!(r.listeners(EventKind::PurgeThresholdReach).len(), 1);
+        assert_eq!(listeners(&r, EventKind::PurgeThresholdReach).len(), 1);
     }
 
     #[test]
     fn never_purge_excludes_stream_empty_purge() {
         let config = PJoinConfig { purge: PurgeStrategy::Never, ..PJoinConfig::new(2, 2) };
         let r = Registry::from_config(&config);
-        assert!(!r.listeners(EventKind::StreamEmpty).contains(&Component::StatePurge));
+        assert!(!listeners(&r, EventKind::StreamEmpty).contains(&Component::StatePurge));
         // Ordinary configurations keep the final purge.
         let r = Registry::table1(10, 5);
-        assert!(r.listeners(EventKind::StreamEmpty).contains(&Component::StatePurge));
+        assert!(listeners(&r, EventKind::StreamEmpty).contains(&Component::StatePurge));
     }
 
     #[test]
@@ -206,12 +209,12 @@ mod tests {
         let mut shard0 = template.clone();
         shard0.unregister(EventKind::PurgeThresholdReach);
         shard0.register(EventKind::StateFull, "shard-local", vec![Component::StatePurge]);
-        assert!(shard0.listeners(EventKind::PurgeThresholdReach).is_empty());
+        assert!(listeners(&shard0, EventKind::PurgeThresholdReach).is_empty());
         assert_eq!(
-            template.listeners(EventKind::PurgeThresholdReach),
+            listeners(&template, EventKind::PurgeThresholdReach),
             vec![Component::StatePurge]
         );
-        assert_eq!(template.listeners(EventKind::StateFull), vec![Component::StateRelocation]);
+        assert_eq!(listeners(&template, EventKind::StateFull), vec![Component::StateRelocation]);
     }
 
     #[test]

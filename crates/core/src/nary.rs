@@ -356,8 +356,11 @@ impl NaryPJoin {
     /// index counts stored tuples by join value, so it already knows
     /// which punctuations no stored tuple holds back.
     fn propagate(&mut self, out: &mut OpOutput) {
+        let mut ids = Vec::new();
         for i in 0..self.config.arity() {
-            for id in self.indexes[i].retire_propagable() {
+            ids.clear();
+            self.indexes[i].retire_propagable(&mut ids);
+            for &id in &ids {
                 let p = self.indexes[i].get(id).expect("retired punctuations stay stored").clone();
                 self.emit_punctuation(i, &p, out);
             }

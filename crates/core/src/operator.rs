@@ -230,6 +230,9 @@ pub struct PJoin {
     end_phase: EndPhase,
     /// Tracing, latency histograms and framework profiling.
     obs: OpTrace,
+    /// The ids one propagation run released, left side first: a buffer
+    /// kept across runs.
+    propagated: Vec<PunctId>,
 }
 
 impl PJoin {
@@ -292,6 +295,7 @@ impl PJoin {
             now: Timestamp::ZERO,
             end_phase: EndPhase::NotStarted,
             obs: OpTrace::new(&config),
+            propagated: Vec::new(),
             config,
         }
     }
@@ -544,9 +548,7 @@ impl PJoin {
         if self.obs.tracer.enabled() {
             self.obs.profile.note_event(EventKind::PunctuationArrive);
         }
-        for comp in self.registry.listeners(EventKind::PunctuationArrive) {
-            self.run_component(comp, out);
-        }
+        self.run_listeners(EventKind::PunctuationArrive, out);
     }
 
     fn snapshot(&self, disk_join_ready: bool) -> MonitorSnapshot {
@@ -566,16 +568,32 @@ impl PJoin {
             self.obs.profile.note_poll();
         }
         let mut ran = false;
-        for event in events {
+        for event in events.into_iter().flatten() {
             if profiling {
                 self.obs.profile.note_event(event.kind);
             }
-            for comp in self.registry.listeners(event.kind) {
-                self.run_component(comp, out);
-                ran = true;
-            }
+            ran |= self.run_listeners(event.kind, out);
         }
         ran
+    }
+
+    /// Runs the components registered for `event`, in order; true if
+    /// any ran. The registry is lent out for the walk (no component
+    /// touches it), so the listeners are not copied.
+    fn run_listeners(&mut self, event: EventKind, out: &mut OpOutput) -> bool {
+        let registry = std::mem::take(&mut self.registry);
+        let mut ran = false;
+        for comp in registry.listeners(event) {
+            self.run_component(comp, out);
+            ran = true;
+        }
+        self.registry = registry;
+        ran
+    }
+
+    /// True if `comp` is registered for the end of both inputs.
+    fn listens_at_end(&self, comp: Component) -> bool {
+        self.registry.listeners(EventKind::StreamEmpty).any(|c| c == comp)
     }
 
     fn run_component(&mut self, comp: Component, out: &mut OpOutput) {
@@ -686,23 +704,22 @@ impl PJoin {
         let prof = self.prof_begin();
         self.stats.propagation_runs += 1;
         let out_width = self.config.output_width();
-        let ids_a = propagate_side(&mut self.a, 0, out_width, out, &mut self.work);
-        let ids_b = propagate_side(
-            &mut self.b,
-            self.config.width_a,
-            out_width,
-            out,
-            &mut self.work,
-        );
-        let n = (ids_a.len() + ids_b.len()) as u64;
+        let mut ids = std::mem::take(&mut self.propagated);
+        ids.clear();
+        propagate_side(&mut self.a, 0, out_width, out, &mut self.work, &mut ids);
+        let split = ids.len();
+        let offset_b = self.config.width_a;
+        propagate_side(&mut self.b, offset_b, out_width, out, &mut self.work, &mut ids);
+        let n = ids.len() as u64;
         self.stats.puncts_propagated += n;
-        self.forget_closed_pairs(&ids_a, &ids_b);
+        let (ids_a, ids_b) = ids.split_at(split);
+        self.forget_closed_pairs(ids_a, ids_b);
         if self.obs.tracer.enabled() {
             let now_us = self.now.as_micros();
-            for id in ids_a {
+            for &id in ids_a {
                 self.obs.note_punct_emitted(0, id, now_us);
             }
-            for id in ids_b {
+            for &id in ids_b {
                 self.obs.note_punct_emitted(1, id, now_us);
             }
             self.obs.punct_arrivals[0].trim(self.a.index.set().base());
@@ -713,6 +730,7 @@ impl PJoin {
                 Some((TraceKind::Propagation, n, 0)),
             );
         }
+        self.propagated = ids;
     }
 
     /// Forgets every just-propagated constant whose value the other side
@@ -864,8 +882,7 @@ impl BinaryStreamOp for PJoin {
                 EndPhase::DiskJoins => {
                     // The StreamEmpty handling honours the registry: skip
                     // phases whose component is not registered.
-                    let listeners = self.registry.listeners(EventKind::StreamEmpty);
-                    if listeners.contains(&Component::DiskJoin) {
+                    if self.listens_at_end(Component::DiskJoin) {
                         if let Some(bucket) = self.disk_join_candidate(true) {
                             self.resolve(bucket, out);
                             return true;
@@ -874,11 +891,10 @@ impl BinaryStreamOp for PJoin {
                     self.end_phase = EndPhase::Final;
                 }
                 EndPhase::Final => {
-                    let listeners = self.registry.listeners(EventKind::StreamEmpty);
-                    if listeners.contains(&Component::StatePurge) {
+                    if self.listens_at_end(Component::StatePurge) {
                         self.component_purge();
                     }
-                    if listeners.contains(&Component::Propagation) {
+                    if self.listens_at_end(Component::Propagation) {
                         self.component_propagate(out);
                         // Final flush: the streams ended, so no further
                         // result can match *any* punctuation — release

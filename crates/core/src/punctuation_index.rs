@@ -34,7 +34,7 @@
 //! side has passed it ([`trim`](PunctuationIndex::trim)). An id below
 //! `base` reads as retired.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use punct_types::{Pattern, PunctId, Punctuation, PunctuationSet, Tuple, Value, ValueMap};
 
@@ -58,6 +58,20 @@ fn holds(counts: &ValueMap<u32>, pattern: &Pattern) -> bool {
     }
 }
 
+/// Adds `id` to the sorted id set `ids`.
+fn mark(ids: &mut Vec<PunctId>, id: PunctId) {
+    if let Err(at) = ids.binary_search(&id) {
+        ids.insert(at, id);
+    }
+}
+
+/// Takes `id` out of the sorted id set `ids`.
+fn unmark(ids: &mut Vec<PunctId>, id: PunctId) {
+    if let Ok(at) = ids.binary_search(&id) {
+        ids.remove(at);
+    }
+}
+
 /// The punctuation index of one input stream.
 #[derive(Debug, Clone)]
 pub struct PunctuationIndex {
@@ -72,8 +86,10 @@ pub struct PunctuationIndex {
     /// purge buffer. A value with no stored tuple has no entry.
     counts: ValueMap<u32>,
     /// The live punctuations that no counted value satisfies — the
-    /// propagable ones — ordered by id, i.e. by arrival.
-    propagable: BTreeSet<PunctId>,
+    /// propagable ones — sorted by id, i.e. by arrival. A sorted `Vec`:
+    /// ids arrive in order, so an insert is mostly a push, and a
+    /// propagation drains it and keeps its capacity for the next one.
+    propagable: Vec<PunctId>,
 }
 
 impl PunctuationIndex {
@@ -85,7 +101,7 @@ impl PunctuationIndex {
             retired: VecDeque::new(),
             live: 0,
             counts: ValueMap::default(),
-            propagable: BTreeSet::new(),
+            propagable: Vec::new(),
         }
     }
 
@@ -102,7 +118,8 @@ impl PunctuationIndex {
         );
         self.live += 1;
         if !held {
-            self.propagable.insert(id);
+            debug_assert!(self.propagable.last() < Some(&id), "ids arrive in order");
+            self.propagable.push(id);
         }
         id
     }
@@ -165,7 +182,7 @@ impl PunctuationIndex {
         let attr = set.join_attr();
         set.for_each_cover(v, |q| {
             if set.get(q).is_some_and(|p| join_pattern(p, attr).matches(v)) {
-                propagable.remove(&q);
+                unmark(propagable, q);
             }
         });
     }
@@ -200,7 +217,7 @@ impl PunctuationIndex {
                     .get(q)
                     .is_some_and(|p| !holds(counts, join_pattern(p, attr)))
             {
-                propagable.insert(q);
+                mark(propagable, q);
             }
         });
     }
@@ -213,11 +230,12 @@ impl PunctuationIndex {
     }
 
     /// Retires every [propagable](Self::propagable) punctuation and
-    /// returns them in arrival order.
-    pub fn retire_propagable(&mut self) -> Vec<PunctId> {
-        let ids: Vec<PunctId> = std::mem::take(&mut self.propagable).into_iter().collect();
+    /// appends them to `out` in arrival order.
+    pub fn retire_propagable(&mut self, out: &mut Vec<PunctId>) {
+        let from = out.len();
+        out.append(&mut self.propagable);
         let attr = self.set.join_attr();
-        for &id in &ids {
+        for &id in &out[from..] {
             debug_assert!(
                 self.get(id)
                     .is_some_and(|p| !holds(&self.counts, join_pattern(p, attr))),
@@ -225,7 +243,6 @@ impl PunctuationIndex {
             );
             self.retire(id);
         }
-        ids
     }
 
     /// Live (unretired) punctuations in arrival order.
@@ -254,7 +271,7 @@ impl PunctuationIndex {
         if !*flag {
             *flag = true;
             self.live -= 1;
-            self.propagable.remove(&id);
+            unmark(&mut self.propagable, id);
         }
     }
 
@@ -458,7 +475,9 @@ mod tests {
         // Back to zero: `b` re-enters between its neighbours, not at the end.
         ix.leave(&tup(2, 0));
         assert!(ix.propagable().eq([a, b, c]));
-        assert_eq!(ix.retire_propagable(), vec![a, b, c]);
+        let mut retired = Vec::new();
+        ix.retire_propagable(&mut retired);
+        assert_eq!(retired, vec![a, b, c]);
         assert_eq!((ix.live(), ix.propagable().count()), (0, 0));
     }
 
@@ -568,8 +587,8 @@ mod tests {
         ]);
         let pa = a.insert(narrow);
         let pb = b.insert(close(7));
-        a.retire_propagable();
-        b.retire_propagable();
+        a.retire_propagable(&mut Vec::new());
+        b.retire_propagable(&mut Vec::new());
         assert_eq!(a.closed_pair(pa, &b), None, "closes (7, 1) only");
         assert_eq!(b.closed_pair(pb, &a), None);
     }
@@ -579,8 +598,8 @@ mod tests {
         let (mut a, mut b) = (PunctuationIndex::new(0), PunctuationIndex::new(0));
         let pa = a.insert(close(1));
         let pb = b.insert(close(1));
-        a.retire_propagable();
-        b.retire_propagable();
+        a.retire_propagable(&mut Vec::new());
+        b.retire_propagable(&mut Vec::new());
         a.forget(pa);
         b.forget(pb);
         // The purge watermark holds it until the purge has applied it.
@@ -610,8 +629,8 @@ mod tests {
         let pairs: Vec<(PunctId, PunctId)> = (0..3)
             .map(|k| (a.insert(close(k)), b.insert(close(k))))
             .collect();
-        a.retire_propagable();
-        b.retire_propagable();
+        a.retire_propagable(&mut Vec::new());
+        b.retire_propagable(&mut Vec::new());
         assert_eq!(a.closed_pair(pinned, &b), None);
         for &(pa, pb) in &pairs {
             assert_eq!(a.closed_pair(pa, &b), Some(pb));
@@ -642,7 +661,9 @@ mod tests {
             ix.propagable().eq([range]),
             "only the wildcard join pattern is held"
         );
-        assert_eq!(ix.retire_propagable(), vec![range]);
+        let mut retired = Vec::new();
+        ix.retire_propagable(&mut retired);
+        assert_eq!(retired, vec![range]);
         ix.leave(&tup(50, 7));
         assert!(
             ix.propagable().eq([other_attr]),

@@ -139,11 +139,8 @@ impl JoinState {
     /// purge buffer of `bucket`; it stays counted. The record must
     /// already have its departure instant set. Like
     /// [`insert_hashed`](Self::insert_hashed), stores the tuple detached.
-    pub fn buffer_record(&mut self, bucket: usize, mut rec: PRecord) {
-        debug_assert!(rec.dts != crate::record::DTS_RESIDENT, "buffered records have departed");
-        rec.tuple = rec.tuple.detached();
-        self.purge_buffer[bucket].push(rec);
-        self.purge_buffer_len += 1;
+    pub fn buffer_record(&mut self, bucket: usize, rec: PRecord) {
+        buffer_into(&mut self.purge_buffer[bucket], &mut self.purge_buffer_len, rec);
     }
 
     /// Parks an arriving tuple in the purge buffer of `bucket` (the
@@ -196,6 +193,15 @@ impl JoinState {
         }
         expired.len()
     }
+}
+
+/// [`JoinState::buffer_record`] on the two fields it touches, for a purge
+/// that hands records over while the store is borrowed.
+pub(crate) fn buffer_into(buffer: &mut Vec<PRecord>, len: &mut usize, mut rec: PRecord) {
+    debug_assert!(rec.dts != crate::record::DTS_RESIDENT, "buffered records have departed");
+    rec.tuple = rec.tuple.detached();
+    buffer.push(rec);
+    *len += 1;
 }
 
 #[cfg(test)]

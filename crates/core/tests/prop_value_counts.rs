@@ -171,7 +171,8 @@ proptest! {
                 }
                 _ => {
                     let mut out = OpOutput::new();
-                    let ids = propagate_side(own, 0, 4, &mut out, &mut work);
+                    let mut ids = Vec::new();
+                    propagate_side(own, 0, 4, &mut out, &mut work, &mut ids);
                     for id in ids {
                         if let Some(pair) = own.index.closed_pair(id, &other.index) {
                             own.index.forget(id);

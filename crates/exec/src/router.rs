@@ -417,8 +417,12 @@ impl RouterState {
         }
         // Swap in a recycled buffer (already drained by a shard, capacity
         // intact) so sustained routing reuses a fixed pool of allocations;
-        // only a cold start or an empty recycle pool allocates.
-        let mut fresh = self.recycle.try_recv().unwrap_or_default();
+        // only a cold start or an empty recycle pool allocates, and then
+        // a whole batch at once rather than by doubling.
+        let mut fresh = self
+            .recycle
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(self.batch));
         fresh.clear();
         let elements = std::mem::replace(&mut self.buffers[shard], fresh);
         self.counters.batches.fetch_add(1, Ordering::Relaxed);

@@ -29,6 +29,14 @@
 //! per batch, so the budget is one allocation per ten *joined tuples*; a
 //! private allocation per match reads 1.0.
 //!
+//! The third puts a price on punctuations: both inputs close their join
+//! value every two tuples under the default configuration (lazy purge
+//! every ten punctuations, propagation every ten), and after warm-up a
+//! punctuation may cost at most 1.5 allocations through push → route →
+//! shard → caller, one of which is its propagation's translation into
+//! the output schema. Purging, dispatching events and propagating
+//! allocate nothing per punctuation.
+//!
 //! The last two count aligner-mutex acquisitions on punctuated streams:
 //! a punctuation with a constant on the join attribute goes to one shard
 //! and has nothing to align, so a stream of them takes none, while a
@@ -245,6 +253,88 @@ fn match_heavy_outputs_cost_a_block_not_a_malloc_each() {
     let (rest, stats) = exec.finish();
     assert!(rest.is_empty(), "every joined tuple was already polled");
     assert_eq!(stats.total_metrics().consumed, resident_count + warmed + elements);
+}
+
+/// One batch pushed into the executor.
+type Batch = Vec<(Side, Timestamped<StreamElement>)>;
+
+/// `batches` batches of `BATCH` elements from key `first_key` on: per
+/// key, two tuples on each side and then a constant close of the key on
+/// each side. Returns the batches and the punctuations in them.
+fn closing_batches(batches: usize, first_key: i64) -> (Vec<Batch>, u64) {
+    let mut feed = Vec::new();
+    let mut key = first_key;
+    let mut ts = first_key as u64 * 6;
+    let mut at = |side, item: StreamElement| {
+        ts += 1;
+        (side, Timestamped::new(Timestamp(ts), item))
+    };
+    while feed.len() < batches * BATCH {
+        for side in [Side::Left, Side::Right] {
+            for j in 0..2 {
+                feed.push(at(side, Tuple::of((key, j)).into()));
+            }
+        }
+        for side in [Side::Left, Side::Right] {
+            feed.push(at(side, Punctuation::close_value(2, 0, key).into()));
+        }
+        key += 1;
+    }
+    feed.truncate(batches * BATCH);
+    let puncts = feed.iter().filter(|(_, e)| e.item.is_punctuation()).count() as u64;
+    let mut feed = feed.into_iter();
+    let batches = (0..batches).map(|_| feed.by_ref().take(BATCH).collect()).collect();
+    (batches, puncts)
+}
+
+/// Polls and drops outputs until `target` punctuations have come out.
+fn drain_puncts(exec: &ShardedPJoin, seen: &mut u64, target: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while *seen < target {
+        assert!(Instant::now() < deadline, "only {seen} of {target} punctuations came out");
+        let outputs = exec.recv_outputs(Duration::from_millis(1));
+        *seen += outputs.iter().filter(|e| e.item.is_punctuation()).count() as u64;
+    }
+}
+
+#[test]
+fn constant_punctuations_cost_their_propagation_and_little_else() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut config = ExecConfig::new(SHARDS, PJoinConfig::new(2, 2));
+    config.router_batch = BATCH;
+    let exec = ShardedPJoin::spawn(config);
+
+    let (warmup, warm_puncts) = closing_batches(WARMUP_BATCHES, 0);
+    let keys_warmed = warm_puncts as i64 / 2 + 1;
+    for batch in warmup {
+        exec.push_batch(batch);
+    }
+    // Propagation runs every tenth punctuation per shard, so the last
+    // few wait: warm-up ends at the state the measured region starts in.
+    let mut seen = 0u64;
+    drain_puncts(&exec, &mut seen, warm_puncts - 20 * SHARDS as u64);
+
+    let (measured, puncts) = closing_batches(MEASURED_BATCHES, keys_warmed);
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    for batch in measured {
+        exec.push_batch(batch);
+    }
+    drain_puncts(&exec, &mut seen, warm_puncts + puncts - 20 * SHARDS as u64);
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+
+    let per_punct = allocs as f64 / puncts as f64;
+    eprintln!("constant closes: {allocs} allocs / {puncts} punctuations = {per_punct:.3} each");
+    assert!(
+        allocs * 2 <= puncts * 3,
+        "{allocs} allocations for {puncts} punctuations ({per_punct:.3} each; budget is 1.5)"
+    );
+
+    let (rest, stats) = exec.finish();
+    seen += rest.iter().filter(|e| e.item.is_punctuation()).count() as u64;
+    assert_eq!(seen, warm_puncts + puncts, "every punctuation propagates by the end");
+    assert_eq!((stats.align.puncts_unexpected, stats.align.puncts_unaligned), (0, 0));
 }
 
 const PUNCT_KEYS: i64 = 512;

@@ -49,8 +49,11 @@ use punct_types::{Schema, ShardMap, StreamElement, Timestamp, Timestamped, Tuple
 /// four stamps; version 9 retired the frames that armed a migration, a
 /// checkpoint and a rollback (tags 12, 18, 20: a barrier's nonce names
 /// its operation) and the checkpoint-done frame (tag 21: a commit sends
-/// `Ack`).
-pub const WIRE_VERSION: u32 = 9;
+/// `Ack`); version 10 changed `Value::join_hash` from SipHash to a fixed
+/// mixer (the frames are unchanged, their meaning is not: shard maps and
+/// migrated state place keys by that hash, so a version-9 worker would
+/// own other keys than its coordinator routes to it).
+pub const WIRE_VERSION: u32 = 10;
 
 /// Hard cap on a frame's announced length (tag + payload). A corrupted
 /// length prefix can therefore never request more than this in one

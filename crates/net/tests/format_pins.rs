@@ -134,21 +134,21 @@ fn frames() -> Vec<Frame> {
 }
 
 const FRAME_PINS: [&str; 17] = [
-    "200000000003000000010900000003000000010000006b02010000007604010000006603",
-    "11000000012a000000000000008000000009000000",
+    "200000000003000000010a00000003000000010000006b02010000007604010000006603",
+    "11000000012a00000000000000800000000a000000",
     "09000000030800000000000000",
     "050000000440000000",
     "09000000056400000000000000",
     "0100000006",
     "0f000000070100080000006761702061742039",
-    "0d00000008050000000000000009000000",
+    "0d0000000805000000000000000a000000",
     "\
         92000000090a00000000000000030000006400000000000000000600000002f9ffffffffffffff03\
         000000000000f87f030000000000000080040600000068c3a96c6c6f010100650000000000000001\
         06000000010203000000000000000201020100000000000000020300000000000004400302000000\
         040100000061040100000062000402000066000000000000000000000000",
     "\
-        2d0000000a09000000010000000e0000003132372e302e302e313a343130300e0000003132372e30\
+        2d0000000a0a000000010000000e0000003132372e302e302e313a343130300e0000003132372e30\
         2e302e313a34313031",
     "\
         2a0000000b0100000003000000000000000400000000000000010000000000000001000000050000\

@@ -158,38 +158,41 @@ impl<R> Bucket<R> {
         }
     }
 
-    /// Removes and returns the records matching `tag` that also satisfy
-    /// `pred`, freeing their slots. Only tag-matching slots have their
-    /// record examined; the hit indices come from the kernel's
-    /// [`scan_tags`](ProbeKernel::scan_tags) primitive, in ascending
-    /// slot order like the pre-kernel loop.
-    pub fn extract_tag(&mut self, tag: u64, mut pred: impl FnMut(&R) -> bool) -> Vec<R> {
-        let mut hits = Vec::new();
-        ProbeKernel::selected().scan_tags(&self.tags, tag, &mut hits);
-        let mut extracted = Vec::new();
-        for i in hits {
-            let i = i as usize;
-            let rec = self.slots[i].as_ref().expect("tagged slot holds a record");
-            if pred(rec) {
-                extracted.push(self.slots[i].take().expect("checked occupied"));
-                self.free_slot(i);
+    /// Removes the records matching `tag` that also satisfy `pred`,
+    /// freeing their slots, and hands each to `sink` as it leaves;
+    /// returns how many left. The kernel's match mask is walked one
+    /// 64-tag window at a time, in ascending slot order, so only
+    /// tag-matching slots have their record examined and nothing is
+    /// buffered. Sentinel tags ([`TAG_FREE`], [`TAG_UNKEYED`]) match
+    /// nothing.
+    pub fn extract_tag(
+        &mut self,
+        tag: u64,
+        mut pred: impl FnMut(&R) -> bool,
+        mut sink: impl FnMut(R),
+    ) -> usize {
+        if tag >= TAG_UNKEYED {
+            return 0;
+        }
+        let kernel = ProbeKernel::selected();
+        let mut removed = 0;
+        let mut base = 0;
+        while base < self.tags.len() {
+            let end = (base + WINDOW).min(self.tags.len());
+            let mut m = kernel.match_mask(&self.tags[base..end], tag);
+            while m != 0 {
+                let i = base + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let rec = self.slots[i].as_ref().expect("tagged slot holds a record");
+                if pred(rec) {
+                    sink(self.slots[i].take().expect("checked occupied"));
+                    self.free_slot(i);
+                    removed += 1;
+                }
             }
+            base = end;
         }
-        extracted
-    }
-
-    /// Mutably visits the records matching `tag` — the in-place
-    /// counterpart of [`extract_tag`](Bucket::extract_tag): the same
-    /// [`scan_tags`](ProbeKernel::scan_tags) hits in ascending slot
-    /// order, record data touched only on a tag hit. Sentinel tags match
-    /// nothing. Mutations must not change a record's join key (see
-    /// [`iter_mut`](Bucket::iter_mut)).
-    pub fn for_each_tag_mut(&mut self, tag: u64, mut f: impl FnMut(&mut R)) {
-        let mut hits = Vec::new();
-        ProbeKernel::selected().scan_tags(&self.tags, tag, &mut hits);
-        for i in hits {
-            f(self.slots[i as usize].as_mut().expect("tagged slot holds a record"));
-        }
+        removed
     }
 
     /// Removes and returns every record satisfying `pred`, freeing
@@ -415,7 +418,8 @@ mod tests {
         for v in 0..8u32 {
             b.push_tagged(v, tag((v % 2) as i64));
         }
-        let evens = b.extract_tag(tag(0), |_| true);
+        let mut evens = Vec::new();
+        assert_eq!(b.extract_tag(tag(0), |_| true, |v| evens.push(v)), 4);
         assert_eq!(evens, vec![0, 2, 4, 6]);
         assert_eq!(b.memory_len(), 4);
         let arena = b.slots.len();
@@ -448,41 +452,29 @@ mod tests {
     #[test]
     fn extract_tag_only_examines_matching_records() {
         let mut b = Bucket::new();
-        b.push_tagged(1u32, tag(1));
-        b.push_tagged(2, tag(2));
-        b.push_tagged(3, tag(1));
-        let mut examined = 0;
-        let got = b.extract_tag(tag(1), |_| {
-            examined += 1;
-            true
-        });
-        assert_eq!(got, vec![1, 3]);
-        assert_eq!(examined, 2, "non-matching tags must not be examined");
-        assert_eq!(b.memory_len(), 1);
-    }
-
-    #[test]
-    fn for_each_tag_mut_visits_only_matching_records() {
-        let mut b = Bucket::new();
         // More than one scan window, with a hole in the first.
         for v in 0..150u32 {
             b.push_tagged(v, tag((v % 3) as i64));
         }
-        b.extract_tag(tag(1), |v| *v == 4);
-        let mut visited = Vec::new();
-        b.for_each_tag_mut(tag(1), |v| {
-            visited.push(*v);
-            *v += 1000;
-        });
-        let expected: Vec<u32> = (0..150).filter(|v| v % 3 == 1 && *v != 4).collect();
-        assert_eq!(visited, expected);
-        assert_eq!(b.probe_tag(tag(1)).filter(|v| **v >= 1000).count(), expected.len());
-        assert!(b.probe_tag(tag(0)).all(|v| *v < 1000));
-        let mut sentinel_hits = 0;
+        assert_eq!(b.extract_tag(tag(1), |v| *v == 4, drop), 1);
+        let mut examined = 0;
+        let mut got = Vec::new();
+        let removed = b.extract_tag(
+            tag(1),
+            |v| {
+                examined += 1;
+                v % 2 == 1
+            },
+            |v| got.push(v),
+        );
+        let candidates: Vec<u32> = (0..150).filter(|v| v % 3 == 1 && *v != 4).collect();
+        assert_eq!(examined, candidates.len(), "non-matching tags must not be examined");
+        let odd: Vec<u32> = candidates.iter().copied().filter(|v| v % 2 == 1).collect();
+        assert_eq!((removed, got), (odd.len(), odd));
+        assert_eq!(b.memory_len(), 150 - 1 - removed);
         b.push(7); // unkeyed
-        b.for_each_tag_mut(TAG_UNKEYED, |_| sentinel_hits += 1);
-        b.for_each_tag_mut(TAG_FREE, |_| sentinel_hits += 1);
-        assert_eq!(sentinel_hits, 0);
+        assert_eq!(b.extract_tag(TAG_UNKEYED, |_| true, drop), 0);
+        assert_eq!(b.extract_tag(TAG_FREE, |_| true, drop), 0);
     }
 
     #[test]
@@ -490,7 +482,7 @@ mod tests {
         let mut b = Bucket::new();
         b.push_tagged(1u32, tag(1));
         b.push_tagged(2, tag(2));
-        b.extract_tag(tag(1), |_| true); // leave a hole
+        b.extract_tag(tag(1), |_| true, drop); // leave a hole
         let taken = b.take_memory();
         assert_eq!(taken, vec![2]);
         assert_eq!(b.memory_len(), 0);

@@ -304,45 +304,42 @@ impl<R: Record> PartitionedStore<R> {
         extracted
     }
 
-    /// Removes and returns the memory-resident records whose join key
-    /// `join_eq`s `key` *and* that satisfy `pred`, located without
-    /// scanning unrelated records: buckets not holding the key's hash
-    /// are untouched, and records are examined only on a tag hit —
-    /// `pred` runs only on the true `join_eq` candidates.
-    pub fn extract_memory_keyed(
+    /// Removes the memory-resident records whose join key `join_eq`s
+    /// `key` *and* that satisfy `pred`, handing each to `sink` as it
+    /// leaves; returns how many left. `hash` is `key`'s
+    /// [`Value::join_hash`], computed once by the caller. Located without
+    /// scanning unrelated records: buckets not holding the hash are
+    /// untouched, and records are examined only on a tag hit — `pred`
+    /// runs only on the true `join_eq` candidates.
+    pub fn extract_memory_hashed(
         &mut self,
+        hash: u64,
         key: &Value,
         mut pred: impl FnMut(&R) -> bool,
-    ) -> Vec<R> {
-        let Some(hash) = key.join_hash() else {
-            return Vec::new();
-        };
+        sink: impl FnMut(R),
+    ) -> usize {
+        debug_assert_eq!(key.join_hash(), Some(hash), "hash of another key");
         let idx = self.bucket_of_hash(Some(hash));
         let attr = self.config.join_attr;
-        let extracted = self.buckets[idx].extract_tag(tag_of_hash(Some(hash)), |r| {
-            r.tuple().get(attr).is_some_and(|v| v.join_eq(key)) && pred(r)
-        });
-        self.memory_tuples -= extracted.len();
-        extracted
+        let removed = self.buckets[idx].extract_tag(
+            tag_of_hash(Some(hash)),
+            |r| r.tuple().get(attr).is_some_and(|v| v.join_eq(key)) && pred(r),
+            sink,
+        );
+        self.memory_tuples -= removed;
+        removed
     }
 
-    /// Mutably visits the memory-resident records whose join key
-    /// `join_eq`s `key`, located like
-    /// [`extract_memory_keyed`](Self::extract_memory_keyed): one bucket,
-    /// record data examined only on a tag hit, `f` called only for the
-    /// true `join_eq` candidates. Mutations must not change a record's
-    /// join key.
-    pub fn for_each_memory_keyed_mut(&mut self, key: &Value, mut f: impl FnMut(&mut R)) {
-        let Some(hash) = key.join_hash() else {
-            return;
-        };
-        let idx = self.bucket_of_hash(Some(hash));
-        let attr = self.config.join_attr;
-        self.buckets[idx].for_each_tag_mut(tag_of_hash(Some(hash)), |r| {
-            if r.tuple().get(attr).is_some_and(|v| v.join_eq(key)) {
-                f(r);
-            }
-        });
+    /// [`extract_memory_hashed`](Self::extract_memory_hashed) collected
+    /// into a `Vec`, hashing `key` here: for callers off the purge path
+    /// (the benchmark's storage lane times it). Unjoinable keys take
+    /// nothing.
+    pub fn extract_memory_keyed(&mut self, key: &Value, pred: impl FnMut(&R) -> bool) -> Vec<R> {
+        let mut taken = Vec::new();
+        if let Some(hash) = key.join_hash() {
+            self.extract_memory_hashed(hash, key, pred, |r| taken.push(r));
+        }
+        taken
     }
 
     /// Purge scan over one bucket's memory portion: keeps records
@@ -729,28 +726,14 @@ mod tests {
         // intact.
         assert!(s.extract_memory_keyed(&Value::Int(3), |_| false).is_empty());
         assert_eq!(s.probe_memory_keyed_len(&Value::Int(3)), 5);
-    }
-
-    #[test]
-    fn for_each_memory_keyed_mut_visits_the_join_eq_class() {
-        let mut s: PartitionedStore<Tuple> = store(4);
-        for k in 0..30i64 {
-            s.insert(Tuple::of((k % 6, 0i64)));
-        }
-        s.insert(Tuple::of((Value::Float(2.0), Value::Int(0))));
-        let mut seen = 0;
-        s.for_each_memory_keyed_mut(&Value::Int(2), |r| {
-            seen += 1;
-            // Payload mutation only: the join key must stay put.
-            *r = Tuple::of((r.get(0).unwrap().clone(), Value::Int(1)));
-        });
-        assert_eq!(seen, 6, "five Int(2) and the join-equal Float(2.0)");
-        let mut marked = 0;
-        s.for_each_memory(|r| marked += usize::from(r.get(1) == Some(&Value::Int(1))));
-        assert_eq!(marked, 6);
-        assert_eq!(s.memory_tuples(), 31);
-        s.for_each_memory_keyed_mut(&Value::Int(77), |_| panic!("absent key"));
-        s.for_each_memory_keyed_mut(&Value::Null, |_| panic!("null never joins"));
+        // The hashed form takes the join_eq class, each record handed
+        // over as it leaves.
+        s.insert(Tuple::of((Value::Float(4.0), Value::Int(0))));
+        let four = Value::Int(4);
+        let mut taken = Vec::new();
+        let n = s.extract_memory_hashed(four.join_hash().unwrap(), &four, |_| true, |r| taken.push(r));
+        assert_eq!((n, taken.len()), (6, 6), "five Int(4) and the join-equal Float(4.0)");
+        assert_eq!(s.memory_tuples(), 20);
     }
 
     #[test]

@@ -165,11 +165,7 @@ impl Value {
     pub fn join_key(&self) -> Option<Value> {
         match self {
             Value::Null => None,
-            Value::Float(f)
-                if f.trunc() == *f && *f >= i64::MIN as f64 && *f < i64::MAX as f64 =>
-            {
-                Some(Value::Int(*f as i64))
-            }
+            Value::Float(f) => Some(integral(*f).map_or(Value::Float(*f), Value::Int)),
             other => Some(other.clone()),
         }
     }
@@ -184,17 +180,59 @@ impl Value {
     /// `None` mirrors [`join_key`](Value::join_key): the value can never
     /// satisfy `join_eq`, and callers park it on shard/bucket 0.
     ///
-    /// Hashing goes through one shared (zero-sized) `BuildHasher` whose
-    /// `DefaultHasher` keys are fixed, so the result is bit-identical to
-    /// the historical `DefaultHasher::new()` + `Hash` + `finish()`
-    /// sequence the router and store each used to run independently —
-    /// every existing shard and bucket assignment is preserved.
+    /// The hash is murmur3's 64-bit finalizer (`fmix64`) over one word
+    /// of the canonical key — the integer (a float holding an exact
+    /// `i64` hashes as that integer, without building the key), the
+    /// float's bits, the bool, or a string's little-endian 8-byte words
+    /// folded by multiply and rotate — xored with a multiple of the
+    /// key's type tag. It is fixed, so every process of a cluster places
+    /// a key alike and a restore places it where the checkpoint did.
+    /// SipHash-1-3 with its keys pinned, as before, bought no HashDoS
+    /// resistance and cost a compression round per word.
     pub fn join_hash(&self) -> Option<u64> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::BuildHasher;
-        let canonical = self.join_key()?;
-        Some(BuildHasherDefault::<DefaultHasher>::default().hash_one(&canonical))
+        let (ty, word) = match self {
+            Value::Null => return None,
+            Value::Bool(b) => (ValueType::Bool, u64::from(*b)),
+            Value::Int(i) => (ValueType::Int, *i as u64),
+            Value::Float(f) => match integral(*f) {
+                Some(i) => (ValueType::Int, i as u64),
+                None => (ValueType::Float, f.to_bits()),
+            },
+            Value::Str(s) => (ValueType::Str, fold_words(s.as_bytes())),
+        };
+        Some(fmix64(word ^ (ty as u64).wrapping_mul(GOLDEN)))
     }
+}
+
+/// The `i64` a float join-equals exactly (`-0.0` is `0`), if any: the
+/// one rule [`Value::join_key`] and [`Value::join_hash`] canonicalize by.
+#[inline]
+fn integral(f: f64) -> Option<i64> {
+    (f.trunc() == f && f >= i64::MIN as f64 && f < i64::MAX as f64).then_some(f as i64)
+}
+
+/// 2^64 / φ, odd: the multiplier of [`fold_words`] and of the type tag.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// murmur3's 64-bit finalizer: a bijection on `u64` in which every input
+/// bit flips every output bit with probability close to one half.
+#[inline]
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// A string's bytes folded into one word: its length, then each
+/// little-endian 8-byte word (the tail zero-padded) xored in, multiplied
+/// and rotated. Little-endian words make the hash the same on any host.
+#[inline]
+fn fold_words(bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(bytes.len() as u64, |h, word| {
+        (h ^ crate::wire::le_word(word)).wrapping_mul(GOLDEN).rotate_left(29)
+    })
 }
 
 impl PartialEq for Value {
@@ -522,30 +560,95 @@ mod tests {
     }
 
     /// `Value` is two words and `Option<Value>` uses a spare tag, and
-    /// `join_hash` — every shard and bucket placement — does not depend on
-    /// the layout: the pins are the numbers of the one-byte-tag,
-    /// `Arc<str>` layout.
+    /// `join_hash` — every shard and bucket placement — is pinned: a
+    /// change here moves keys between shards and buckets, so the
+    /// coordinator and its workers must bump the wire version with it.
     #[test]
     fn layout_and_join_hash_pins() {
         assert_eq!(std::mem::size_of::<Value>(), 16);
         assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
         let pins = [
-            (Value::Int(7), 0x2d82_a040_feab_3b08),
-            (Value::Int(-7), 0x0c62_f89c_dd44_3ae0),
-            (Value::Int(2), 0x5ebf_8b44_23da_c078),
-            (Value::Float(2.0), 0x5ebf_8b44_23da_c078),
-            (Value::Float(-0.0), 0x9efc_058f_0609_8283),
-            (Value::Float(2.5), 0x2fcf_ff6a_91e2_596d),
-            (Value::Float(f64::NAN), 0x0151_9f2d_c006_28ed),
-            (Value::Bool(true), 0xc926_504f_a831_3a74),
-            (Value::Bool(false), 0xdc58_fdc2_e5c5_babe),
-            (Value::str("abc"), 0x7d4c_5cf1_ddd4_e93f),
+            (Value::Int(7), 0xa59c_30e5_a24e_d8dd),
+            (Value::Int(-7), 0x27b3_b082_b5d6_8cf9),
+            (Value::Int(2), 0x0d90_97e6_65ee_a7a3),
+            (Value::Float(2.0), 0x0d90_97e6_65ee_a7a3),
+            (Value::Float(-0.0), 0xd30b_0542_6513_3dd7),
+            (Value::Float(2.5), 0x7f3e_80fc_3a6d_c40a),
+            (Value::Float(f64::NAN), 0x0a77_5ef8_2646_4c02),
+            (Value::Bool(true), 0x25b7_75fa_eca8_f520),
+            (Value::Bool(false), 0x9ca0_66f1_a4ab_2eea),
+            (Value::str("abc"), 0xc834_87ae_3dfd_3c62),
         ];
         for (v, hash) in pins {
             assert_eq!(v.join_hash(), Some(hash), "{v:?}");
         }
-        assert_eq!(Value::from(String::from("abc")).join_hash(), Some(0x7d4c_5cf1_ddd4_e93f));
+        assert_eq!(Value::from(String::from("abc")).join_hash(), Value::str("abc").join_hash());
         assert_eq!(Value::Null.join_hash(), None);
+    }
+
+    #[test]
+    fn an_int_and_the_float_holding_it_hash_alike() {
+        let edges = [0, 1, -1, 7, 1 << 53, -(1 << 53), (1 << 53) + 2, i64::MIN, i64::MAX >> 11];
+        for k in edges {
+            assert_eq!(Value::Int(k).join_hash(), Value::Float(k as f64).join_hash(), "{k}");
+        }
+        assert_eq!(Value::Float(-0.0).join_hash(), Value::Int(0).join_hash());
+        // A float with no exact integer keys as its own bits.
+        assert_ne!(Value::Float(2.5).join_hash(), Value::Int(2).join_hash());
+        assert_ne!(Value::Float(-0.5).join_hash(), Value::Int(0).join_hash());
+    }
+
+    /// The string fold reads little-endian words, written out here with
+    /// shifts so the expectation does not depend on the host's byte order.
+    #[test]
+    fn a_string_hashes_from_little_endian_words() {
+        let le = |bytes: &[u8]| bytes.iter().rev().fold(0u64, |w, &b| (w << 8) | u64::from(b));
+        let fold = |s: &str| {
+            s.as_bytes().chunks(8).fold(s.len() as u64, |h, word| {
+                (h ^ le(word)).wrapping_mul(GOLDEN).rotate_left(29)
+            })
+        };
+        let str_tag = (ValueType::Str as u64).wrapping_mul(GOLDEN);
+        for s in ["", "a", "abcdefgh", "abcdefghi", "key-12345", "héllo wörld, longer than two words"] {
+            assert_eq!(Value::str(s).join_hash(), Some(fmix64(str_tag ^ fold(s))), "{s:?}");
+        }
+        assert_eq!(le(b"ab"), 0x6261);
+        // A zero-padded tail does not alias a string with trailing NULs.
+        assert_ne!(Value::str("a").join_hash(), Value::str("a\0").join_hash());
+    }
+
+    /// Sequential keys — the common case — spread evenly over 2, 4 and 8
+    /// shards (high 32 bits) and over 64 buckets (low bits): every slot
+    /// within 5 % of its even share, or within four standard deviations
+    /// of the binomial noise a uniformly random hash shows where that is
+    /// wider. At 1 562 keys per bucket one deviation is 2.5 %, so an
+    /// ideal hash misses 5 % on some of 64 buckets in most draws; 4σ
+    /// (10 %) it misses on any of them with probability below 0.2 %.
+    #[test]
+    fn join_hash_spreads_sequential_keys_evenly() {
+        const N: i64 = 100_000;
+        let ints = (0..N).map(Value::Int);
+        let strs = (0..N).map(|i| Value::from(format!("key-{i}")));
+        for (name, hashes) in [
+            ("ints", ints.map(|v| v.join_hash().unwrap()).collect::<Vec<_>>()),
+            ("strings", strs.map(|v| v.join_hash().unwrap()).collect()),
+        ] {
+            let spread = |slots: u64, slot: &dyn Fn(u64) -> u64| {
+                let mut counts = vec![0u64; slots as usize];
+                for &h in &hashes {
+                    counts[slot(h) as usize] += 1;
+                }
+                let even = N as f64 / slots as f64;
+                let noise = (even * (1.0 - 1.0 / slots as f64)).sqrt() / even;
+                let bound = (4.0 * noise).max(0.05);
+                let worst = counts.iter().map(|&c| (c as f64 - even).abs() / even).fold(0.0, f64::max);
+                assert!(worst <= bound, "{name} over {slots}: {counts:?} ({worst:.3} off even)");
+            };
+            for shards in [2, 4, 8] {
+                spread(shards, &|h| (h >> 32) % shards);
+            }
+            spread(64, &|h| h % 64);
+        }
     }
 
     #[test]

@@ -313,6 +313,16 @@ pub fn put_schema(buf: &mut Vec<u8>, s: &Schema) {
 // Reader side
 // ---------------------------------------------------------------------
 
+/// Up to 8 bytes read as one little-endian word, zero-padded at the top:
+/// the words [`Value::join_hash`](crate::Value::join_hash) folds a
+/// string from, so a string hashes alike on any host.
+#[inline]
+pub fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
 /// A bounds-checked cursor over an encoded byte slice.
 #[derive(Debug, Clone)]
 pub struct WireReader<'a> {
