@@ -1,10 +1,11 @@
 //! Microbenchmarks of the punctuation pattern machinery: per-tuple
-//! pattern evaluation is the inner loop of purge scans, and the set's
-//! value indexes answer the on-the-fly drop and the propagation
-//! re-checks.
+//! pattern evaluation is the inner loop of purge scans, and the
+//! punctuation index's value maps answer the on-the-fly drop and the
+//! propagation re-checks.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use punct_types::{Pattern, Punctuation, PunctuationSet, Tuple, Value};
+use pjoin::PunctuationIndex;
+use punct_types::{Pattern, Punctuation, Tuple, Value};
 
 fn bench_pattern_matches(c: &mut Criterion) {
     let mut g = c.benchmark_group("pattern_matches");
@@ -38,12 +39,12 @@ fn bench_punctuation_matches(c: &mut Criterion) {
 }
 
 fn bench_set_match(c: &mut Criterion) {
-    let mut g = c.benchmark_group("punct_set_match");
+    let mut g = c.benchmark_group("covers_value");
     for size in [16usize, 256, 4096] {
         // Constant punctuations: the hash fast path.
-        let mut constants = PunctuationSet::new(0);
+        let mut constants = PunctuationIndex::new(0);
         for k in 0..size {
-            constants.insert(Punctuation::close_value(2, 0, k as i64));
+            constants.insert(Punctuation::close_value(2, 0, k as i64), 0);
         }
         let v = Value::Int((size / 2) as i64);
         g.bench_with_input(BenchmarkId::new("constants", size), &size, |b, _| {
@@ -51,13 +52,12 @@ fn bench_set_match(c: &mut Criterion) {
         });
 
         // Range punctuations: the interval index's stabbing query.
-        let mut ranges = PunctuationSet::new(0);
+        let mut ranges = PunctuationIndex::new(0);
         for k in 0..size {
-            ranges.insert(Punctuation::on_attr(
-                2,
+            ranges.insert(
+                Punctuation::on_attr(2, 0, Pattern::int_range(k as i64 * 10, k as i64 * 10 + 9)),
                 0,
-                Pattern::int_range(k as i64 * 10, k as i64 * 10 + 9),
-            ));
+            );
         }
         let v = Value::Int((size as i64 / 2) * 10);
         g.bench_with_input(BenchmarkId::new("ranges", size), &size, |b, _| {
@@ -69,9 +69,9 @@ fn bench_set_match(c: &mut Criterion) {
 
 /// The candidates a value's count transition re-checks.
 fn bench_for_each_cover(c: &mut Criterion) {
-    let mut set = PunctuationSet::new(0);
+    let mut set = PunctuationIndex::new(0);
     for k in 0..1024i64 {
-        set.insert(Punctuation::close_value(2, 0, k));
+        set.insert(Punctuation::close_value(2, 0, k), 0);
     }
     let v = Value::Int(1000);
     c.bench_function("for_each_cover_constants", |b| {

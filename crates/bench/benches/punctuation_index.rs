@@ -25,7 +25,7 @@ fn bench_count_in_out(c: &mut Criterion) {
     c.bench_function("punctuation_index_count_5000_in_and_out", |b| {
         b.iter(|| {
             let mut ix = PunctuationIndex::new(0);
-            ix.insert(Punctuation::close_value(2, 0, 7i64));
+            ix.insert(Punctuation::close_value(2, 0, 7i64), 0);
             tuples.iter().for_each(|t| ix.enter(t));
             tuples.iter().for_each(|t| ix.leave(t));
             black_box(ix.propagable().count())
@@ -51,7 +51,7 @@ fn bench_close_purge_propagate(c: &mut Criterion) {
                 let mut w = Work::ZERO;
                 let closes: Vec<Pattern> = (0..16i64)
                     .map(|k| {
-                        s.index.insert(Punctuation::close_value(2, 0, k));
+                        s.index.insert(Punctuation::close_value(2, 0, k), 0);
                         Pattern::Constant(k.into())
                     })
                     .collect();
@@ -75,7 +75,7 @@ fn bench_range_check(c: &mut Criterion) {
         b.iter_batched(
             || ix.clone(),
             |mut ix| {
-                ix.insert(Punctuation::on_attr(2, 0, Pattern::int_range(200, 299)));
+                ix.insert(Punctuation::on_attr(2, 0, Pattern::int_range(200, 299)), 0);
                 black_box(ix.propagable().count())
             },
             criterion::BatchSize::SmallInput,

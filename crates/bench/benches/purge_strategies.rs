@@ -82,19 +82,19 @@ fn bench_eager_vs_batched_total(c: &mut Criterion) {
     g.finish();
 }
 
-/// The per-arrival on-the-fly drop check (`covers_join_value`).
+/// The per-arrival on-the-fly drop check (`covers_value`).
 fn bench_on_the_fly_check(c: &mut Criterion) {
     let mut s = JoinState::new(2, 0, BUCKETS, 64);
     for k in 0..1_000i64 {
-        s.index.insert(punct_types::Punctuation::close_value(2, 0, k));
+        s.index.insert(punct_types::Punctuation::close_value(2, 0, k), 0);
     }
     let hit = Value::Int(500);
     let miss = Value::Int(5_000);
     c.bench_function("on_the_fly_covers_hit", |b| {
-        b.iter(|| black_box(s.index.covers_join_value(black_box(&hit))))
+        b.iter(|| black_box(s.index.covers_value(black_box(&hit))))
     });
     c.bench_function("on_the_fly_covers_miss", |b| {
-        b.iter(|| black_box(s.index.covers_join_value(black_box(&miss))))
+        b.iter(|| black_box(s.index.covers_value(black_box(&miss))))
     });
 }
 

@@ -212,7 +212,7 @@ fn rewrite_survivors(
         let covered = rec
             .tuple
             .get(join_attr)
-            .is_some_and(|v| other.index.covers_join_value(v));
+            .is_some_and(|v| other.index.covers_value(v));
         if covered {
             work.purged += 1;
             own.index.leave(&rec.tuple);
@@ -346,7 +346,7 @@ mod tests {
         assert_eq!(a.store.disk_tuples(), 2);
         // B punctuation closes key 7: the disk-resident a(7) dies at
         // resolution; a(8) survives.
-        b.index.insert(Punctuation::close_value(2, 0, 7i64));
+        b.index.insert(Punctuation::close_value(2, 0, 7i64), 0);
         let mut out = OpOutput::new();
         let mut mark = None;
         resolve_bucket(0, &mut a, &mut b, &mut mark, 10, &mut out, &mut w);
@@ -362,9 +362,9 @@ mod tests {
         let mut w = Work::ZERO;
         a.insert(rec(7, 0));
         a.spill_bucket(0, 1, &mut w);
-        let own = a.index.insert(Punctuation::close_value(2, 0, 7i64));
+        let own = a.index.insert(Punctuation::close_value(2, 0, 7i64), 0);
         assert_eq!(a.index.count(&Value::Int(7)), 1, "a disk tuple is counted");
-        b.index.insert(Punctuation::close_value(2, 0, 7i64));
+        b.index.insert(Punctuation::close_value(2, 0, 7i64), 0);
         let mut out = OpOutput::new();
         let mut mark = None;
         resolve_bucket(0, &mut a, &mut b, &mut mark, 10, &mut out, &mut w);
@@ -381,7 +381,7 @@ mod tests {
         a.spill_bucket(0, 1, &mut w);
         // An A punctuation arrives *after* the spill: the disk tuple
         // still holds it, before and after the resolution.
-        a.index.insert(Punctuation::close_value(2, 0, 9i64));
+        a.index.insert(Punctuation::close_value(2, 0, 9i64), 0);
         assert_eq!(a.index.propagable().count(), 0);
         let mut out = OpOutput::new();
         let mut mark = None;

@@ -99,8 +99,8 @@ mod tests {
     #[test]
     fn propagates_zero_count_in_arrival_order() {
         let mut s = JoinState::new(2, 0, 4, 4);
-        let a = s.index.insert(Punctuation::close_value(2, 0, 1i64));
-        let b = s.index.insert(Punctuation::close_value(2, 0, 2i64));
+        let a = s.index.insert(Punctuation::close_value(2, 0, 1i64), 0);
+        let b = s.index.insert(Punctuation::close_value(2, 0, 2i64), 0);
         let mut out = OpOutput::new();
         let mut w = Work::ZERO;
         let ids = propagate(&mut s, &mut out, &mut w);
@@ -117,7 +117,7 @@ mod tests {
     fn nonzero_count_blocks_propagation() {
         let mut s = JoinState::new(2, 0, 4, 4);
         s.insert(PRecord::arriving(Tuple::of((5i64, 0i64)), 0));
-        let id = s.index.insert(Punctuation::close_value(2, 0, 5i64));
+        let id = s.index.insert(Punctuation::close_value(2, 0, 5i64), 0);
         let mut w = Work::ZERO;
         let mut out = OpOutput::new();
         assert!(propagate(&mut s, &mut out, &mut w).is_empty());
@@ -138,8 +138,8 @@ mod tests {
         for first in earlier {
             let mut s = JoinState::new(2, 0, 4, 4);
             s.insert(PRecord::arriving(Tuple::of((5i64, 0i64)), 0));
-            let first = s.index.insert(first);
-            let later = s.index.insert(Punctuation::close_value(2, 0, 5i64));
+            let first = s.index.insert(first, 0);
+            let later = s.index.insert(Punctuation::close_value(2, 0, 5i64), 0);
             assert_eq!(s.index.count(&Value::Int(5)), 1);
             let mut w = Work::ZERO;
             let mut out = OpOutput::new();
@@ -158,13 +158,13 @@ mod tests {
         a.spill_bucket(0, 1, &mut w);
         // A punctuation on the disk-resident tuple's value waits for it;
         // one on another value does not.
-        let held = a.index.insert(Punctuation::close_value(2, 0, 1i64));
-        let free = a.index.insert(Punctuation::close_value(2, 0, 99i64));
+        let held = a.index.insert(Punctuation::close_value(2, 0, 1i64), 0);
+        let free = a.index.insert(Punctuation::close_value(2, 0, 99i64), 0);
         let mut out = OpOutput::new();
         assert_eq!(propagate(&mut a, &mut out, &mut w), vec![free]);
         assert!(propagate(&mut a, &mut out, &mut w).is_empty());
         // The disk join drops the tuple once the other side closes 1.
-        b.index.insert(Punctuation::close_value(2, 0, 1i64));
+        b.index.insert(Punctuation::close_value(2, 0, 1i64), 0);
         let mut mark = None;
         resolve_bucket(0, &mut a, &mut b, &mut mark, 2, &mut out, &mut w);
         assert_eq!(a.store.disk_tuples(), 0);

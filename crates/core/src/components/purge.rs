@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn purge_decrements_index_counts() {
         let mut s = state_with_keys(&[3, 3]);
-        let id = s.index.insert(Punctuation::close_value(2, 0, 3i64));
+        let id = s.index.insert(Punctuation::close_value(2, 0, 3i64), 0);
         assert_eq!(s.index.count(&Value::Int(3)), 2);
         // Opposite punctuation closes key 3: the tuples are purged and the
         // own-side count drops to zero (propagable).

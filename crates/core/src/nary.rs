@@ -26,6 +26,10 @@
 //!   stream-*i* tuple matching it remains in state *i* (Theorem 1,
 //!   verbatim — "the punctuation index building and propagation
 //!   algorithms for each input stream could remain the same").
+//! * **Forgetting.** The binary rule over n inputs: once every input's
+//!   constant closer of a value is propagated and no state stores the
+//!   value, all n are forgotten, so each index holds the values still
+//!   open rather than every punctuation received.
 //!
 //! The state is keyed directly by join value (the join is on one shared
 //! attribute), so probes and constant-pattern checks are O(1). Spilling
@@ -35,7 +39,7 @@
 
 use std::collections::HashMap;
 
-use punct_types::{Punctuation, StreamElement, Tuple, Value};
+use punct_types::{PunctId, Punctuation, StreamElement, Tuple, Value};
 use stream_sim::{OpOutput, Work};
 
 use crate::config::PurgeStrategy;
@@ -202,6 +206,11 @@ impl NaryPJoin {
         self.states.iter().map(|s| s.tuples).sum()
     }
 
+    /// Punctuations all inputs' indexes hold.
+    pub fn punctuations_held(&self) -> usize {
+        self.indexes.iter().map(PunctuationIndex::held).sum()
+    }
+
     /// Processes one element from input `stream`.
     pub fn on_element(&mut self, stream: usize, element: StreamElement, out: &mut OpOutput) {
         assert!(stream < self.config.arity(), "stream index out of range");
@@ -240,7 +249,7 @@ impl NaryPJoin {
             let covered = (0..self.config.arity()).all(|k| {
                 k == stream || {
                     self.work.index_evals += 1;
-                    self.indexes[k].covers_join_value(&key)
+                    self.indexes[k].covers_value(&key)
                 }
             });
             if covered {
@@ -309,7 +318,7 @@ impl NaryPJoin {
             self.stats.malformed_dropped += 1;
             return;
         }
-        self.indexes[stream].insert(p);
+        self.indexes[stream].insert(p, 0);
         self.puncts_since_purge += 1;
         self.puncts_since_propagation += 1;
 
@@ -338,7 +347,7 @@ impl NaryPJoin {
                 (0..n).all(|k| {
                     k == j || {
                         work.index_evals += 1;
-                        indexes[k].covers_join_value(key)
+                        indexes[k].covers_value(key)
                     }
                 })
             });
@@ -364,6 +373,25 @@ impl NaryPJoin {
                 let p = self.indexes[i].get(id).expect("retired punctuations stay stored").clone();
                 self.emit_punctuation(i, &p, out);
             }
+            for &id in &ids {
+                self.forget_if_closed_everywhere(i, id);
+            }
+        }
+    }
+
+    /// Forgets the just-propagated `id` of input `i` and every other
+    /// input's punctuation for the same value, if each input's closer of
+    /// it is retired and no state stores it. The purge consults only
+    /// the value maps, not a watermark, so the windows trim at once.
+    fn forget_if_closed_everywhere(&mut self, i: usize, id: PunctId) {
+        let Some(v) = self.indexes[i].closes(id) else {
+            return;
+        };
+        let closers: Option<Vec<PunctId>> =
+            self.indexes.iter().map(|ix| ix.closer_of(v)).collect();
+        for (index, closer) in self.indexes.iter_mut().zip(closers.into_iter().flatten()) {
+            index.forget(closer);
+            index.trim(u64::MAX);
         }
     }
 
@@ -634,6 +662,31 @@ mod tests {
     #[should_panic(expected = "at least two inputs")]
     fn rejects_unary() {
         let _ = NaryPJoin::new(NaryConfig::symmetric(1, 2));
+    }
+
+    /// On a constant-per-key stream every closed value is forgotten on
+    /// all inputs, so the indexes hold as many punctuations after 20 000
+    /// keys as after 2 000.
+    #[test]
+    fn held_punctuations_stay_flat_as_keys_close() {
+        let held_after = |keys: i64| {
+            let mut op = NaryPJoin::new(NaryConfig::symmetric(3, 2));
+            let mut out = OpOutput::new();
+            for k in 0..keys {
+                for stream in 0..3 {
+                    op.on_element(stream, Tuple::of((k, stream as i64)).into(), &mut out);
+                }
+                for stream in 0..3 {
+                    op.on_element(stream, Punctuation::close_value(2, 0, k).into(), &mut out);
+                }
+                out.drain().for_each(drop);
+            }
+            assert_eq!(op.stats().puncts_propagated, 3 * keys as u64);
+            op.punctuations_held()
+        };
+        let held = held_after(2_000);
+        assert_eq!(held_after(20_000), held);
+        assert!(held < 6, "{held} held");
     }
 
     #[test]

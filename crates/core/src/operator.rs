@@ -2,8 +2,6 @@
 //! framework, and the purge / relocation / disk-join / propagation
 //! components.
 
-use std::collections::VecDeque;
-
 use punct_trace::{JoinLatencies, SpanStart, TraceKind, TraceLog, Tracer};
 use punct_types::{PunctId, StreamElement, Timestamp, Tuple};
 use stream_sim::{BinaryStreamOp, OpOutput, Side, Work};
@@ -16,6 +14,7 @@ use crate::dedup::DiskDiskMark;
 use crate::framework::{
     Component, EventKind, FrameworkProfile, Monitor, MonitorSnapshot, Registry,
 };
+use crate::punctuation_index::PunctuationIndex;
 use crate::record::{Instant, PRecord};
 use crate::state::JoinState;
 
@@ -38,7 +37,7 @@ pub struct PJoinStats {
     /// Punctuations released to the output.
     pub puncts_propagated: u64,
     /// Propagated constants forgotten because both inputs closed the
-    /// value (two per closed pair; see `PunctuationIndex::closed_pair`).
+    /// value (two per closed pair; see `PunctuationIndex::closer_of`).
     pub puncts_forgotten: u64,
     /// Disk-join bucket resolutions.
     pub disk_join_runs: u64,
@@ -90,64 +89,21 @@ enum EndPhase {
 }
 
 /// The operator's observability state: the trace sink, the three
-/// end-to-end latency histograms, the framework profile, and the
-/// bookkeeping ledgers that turn punctuation ids into latencies. All
-/// recording is gated on the tracer, so a non-traced operator pays one
-/// predictable branch per hook and allocates none of this beyond the
-/// struct itself.
+/// end-to-end latency histograms and the framework profile. A
+/// punctuation's latencies start from the arrival time its index entry
+/// carries. All recording is gated on the tracer, so a non-traced
+/// operator pays one predictable branch per hook and allocates none of
+/// this beyond the struct itself.
 #[derive(Debug)]
 struct OpTrace {
     tracer: Tracer,
     latencies: JoinLatencies,
     profile: FrameworkProfile,
-    /// Virtual arrival time (µs) of each stored punctuation, one ledger
-    /// per side.
-    punct_arrivals: [ArrivalLedger; 2],
-    /// Arrival times of punctuations no purge run has applied yet.
-    pending_purge: Vec<u64>,
     /// The open memory-join burst, if any: arriving tuples accumulate
     /// here and one span is emitted when the burst closes (next
     /// punctuation, component run, or trace drain). One wall-clock read
     /// pair per burst keeps the per-tuple cost at counter increments.
     mj_burst: Option<MjBurst>,
-}
-
-/// Arrival times of one side's punctuations, dense by [`PunctId`] over
-/// a window in step with the punctuation index: `times[i]` is id
-/// `base + i`. An id below the index's base was forgotten, so it was
-/// propagated already and its arrival time is no longer needed.
-#[derive(Debug, Default)]
-struct ArrivalLedger {
-    base: u64,
-    times: VecDeque<u64>,
-}
-
-impl ArrivalLedger {
-    fn note(&mut self, id: PunctId, now_us: u64) {
-        let Some(slot) = id.0.checked_sub(self.base) else {
-            return;
-        };
-        let slot = slot as usize;
-        if self.times.len() <= slot {
-            self.times.resize(slot + 1, now_us);
-        }
-        self.times[slot] = now_us;
-    }
-
-    fn get(&self, id: PunctId) -> Option<u64> {
-        self.times
-            .get(usize::try_from(id.0.checked_sub(self.base)?).ok()?)
-            .copied()
-    }
-
-    /// Drops the ids below `base`.
-    fn trim(&mut self, base: u64) {
-        if base > self.base {
-            let n = usize::try_from(base - self.base).unwrap_or(usize::MAX);
-            self.times.drain(..n.min(self.times.len()));
-            self.base = base;
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -163,8 +119,6 @@ impl OpTrace {
             tracer: Tracer::new(config.trace),
             latencies: JoinLatencies::new(),
             profile: FrameworkProfile::new(),
-            punct_arrivals: Default::default(),
-            pending_purge: Vec::new(),
             mj_burst: None,
         }
     }
@@ -193,16 +147,10 @@ impl OpTrace {
         }
     }
 
-    /// Records a punctuation arrival in both latency ledgers.
-    fn note_punct_arrival(&mut self, side_idx: usize, id: PunctId, now_us: u64) {
-        self.punct_arrivals[side_idx].note(id, now_us);
-        self.pending_purge.push(now_us);
-    }
-
-    /// Records one punctuation's downstream release: its
-    /// arrival→propagation latency and a `PunctEmit` instant.
-    fn note_punct_emitted(&mut self, side_idx: usize, id: PunctId, now_us: u64) {
-        let arrival = self.punct_arrivals[side_idx].get(id).unwrap_or(now_us);
+    /// Records the downstream release of punctuation `id` of `index`:
+    /// its arrival→propagation latency and a `PunctEmit` instant.
+    fn note_punct_emitted(&mut self, index: &PunctuationIndex, id: PunctId, now_us: u64) {
+        let arrival = index.arrival_us(id).unwrap_or(now_us);
         let lat = now_us.saturating_sub(arrival);
         self.latencies.punct_propagate.record(lat);
         self.tracer.instant(TraceKind::PunctEmit, now_us, id.0, lat);
@@ -492,7 +440,7 @@ impl PJoin {
         // Store, unless covered by the opposite punctuation set.
         if on_the_fly {
             work.index_evals += 1;
-            if opp.index.covers_join_value(key) {
+            if opp.index.covers_value(key) {
                 if opp.store.bucket(bucket).has_disk_portion() {
                     // May still join the opposite disk portion: park it.
                     let rec = PRecord {
@@ -525,6 +473,7 @@ impl PJoin {
         let _ = self.next_instant();
         self.work.puncts_processed += 1;
         let matched_pair_mode = self.config.propagation == PropagationTrigger::MatchedPair;
+        let now_us = self.now.as_micros();
         let (own, opp) = self.split(side);
         if p.width() != own.width {
             self.stats.malformed_dropped += 1;
@@ -533,12 +482,10 @@ impl PJoin {
         let matched = matched_pair_mode
             && p.pattern(own.join_attr)
                 .is_some_and(|pat| opp.index.contains_join_pattern(pat));
-        let pid = own.index.insert(p);
+        let pid = own.index.insert(p, now_us);
         if self.obs.tracer.enabled() {
             let side_idx = usize::from(side == Side::Right);
-            let now_us = self.now.as_micros();
             self.obs.flush_memory_join(now_us);
-            self.obs.note_punct_arrival(side_idx, pid, now_us);
             self.obs
                 .tracer
                 .instant(TraceKind::PunctArrive, now_us, pid.0, side_idx as u64);
@@ -619,6 +566,18 @@ impl PJoin {
         let mut removed = 0u64;
         self.stats.purge_runs += 1;
         let departure = self.instant;
+        // Every punctuation that arrived since the last purge run is
+        // applied by this one: settle its arrival→purge-complete latency.
+        if self.obs.tracer.enabled() {
+            let now_us = self.now.as_micros();
+            for side in [&self.a, &self.b] {
+                for arrival in side.index.arrivals_since(side.applied_up_to) {
+                    self.obs.latencies.punct_purge.record(now_us.saturating_sub(arrival));
+                }
+            }
+        }
+        let applied = (self.a.index.next_id() - self.a.applied_up_to)
+            + (self.b.index.next_id() - self.b.applied_up_to);
 
         // A's new punctuations purge B.
         let report = purge_state(
@@ -645,24 +604,11 @@ impl PJoin {
         self.stats.tuples_purged += report.removed as u64;
         self.stats.tuples_buffered += report.buffered as u64;
         removed += report.removed as u64;
-
-        // Every punctuation that arrived since the last purge run is now
-        // applied: settle its arrival→purge-complete latency.
-        if self.obs.tracer.enabled() {
-            let now_us = self.now.as_micros();
-            let applied = self.obs.pending_purge.len() as u64;
-            for vt in std::mem::take(&mut self.obs.pending_purge) {
-                self.obs
-                    .latencies
-                    .punct_purge
-                    .record(now_us.saturating_sub(vt));
-            }
-            self.prof_end(
-                Component::StatePurge,
-                prof,
-                Some((TraceKind::Purge, removed, applied)),
-            );
-        }
+        self.prof_end(
+            Component::StatePurge,
+            prof,
+            Some((TraceKind::Purge, removed, applied)),
+        );
     }
 
     /// State relocation (§3.3): spill the largest bucket of the larger
@@ -713,23 +659,22 @@ impl PJoin {
         let n = ids.len() as u64;
         self.stats.puncts_propagated += n;
         let (ids_a, ids_b) = ids.split_at(split);
-        self.forget_closed_pairs(ids_a, ids_b);
+        // Before the pairs are forgotten: a trim takes the arrival times.
         if self.obs.tracer.enabled() {
             let now_us = self.now.as_micros();
             for &id in ids_a {
-                self.obs.note_punct_emitted(0, id, now_us);
+                self.obs.note_punct_emitted(&self.a.index, id, now_us);
             }
             for &id in ids_b {
-                self.obs.note_punct_emitted(1, id, now_us);
+                self.obs.note_punct_emitted(&self.b.index, id, now_us);
             }
-            self.obs.punct_arrivals[0].trim(self.a.index.set().base());
-            self.obs.punct_arrivals[1].trim(self.b.index.set().base());
-            self.prof_end(
-                Component::Propagation,
-                prof,
-                Some((TraceKind::Propagation, n, 0)),
-            );
         }
+        self.forget_closed_pairs(ids_a, ids_b);
+        self.prof_end(
+            Component::Propagation,
+            prof,
+            Some((TraceKind::Propagation, n, 0)),
+        );
         self.propagated = ids;
     }
 
@@ -745,7 +690,7 @@ impl PJoin {
                 (&mut self.b.index, &mut self.a.index)
             };
             for &id in ids {
-                if let Some(other) = own.closed_pair(id, opp) {
+                if let Some(other) = own.closes(id).and_then(|v| opp.closer_of(v)) {
                     own.forget(id);
                     opp.forget(other);
                     self.stats.puncts_forgotten += 2;
@@ -933,10 +878,7 @@ impl PJoin {
         let out_width = self.config.output_width();
         let now_us = self.now.as_micros();
         let trace_on = self.obs.tracer.enabled();
-        for (state, offset, side_idx) in [
-            (&mut self.a, 0usize, 0usize),
-            (&mut self.b, self.config.width_a, 1usize),
-        ] {
+        for (state, offset) in [(&mut self.a, 0usize), (&mut self.b, self.config.width_a)] {
             for id in state.index.live_ids() {
                 let p = state.index.get(id).expect("unretired ids resolve");
                 out.push(crate::components::propagation::translate_punctuation(
@@ -946,7 +888,7 @@ impl PJoin {
                 self.work.puncts_propagated += 1;
                 self.stats.puncts_propagated += 1;
                 if trace_on {
-                    self.obs.note_punct_emitted(side_idx, id, now_us);
+                    self.obs.note_punct_emitted(&state.index, id, now_us);
                 }
             }
         }
@@ -1194,10 +1136,10 @@ mod tests {
         assert_eq!(emitted, vec![translate(&range, 0, 4)]);
     }
 
-    /// The traced operator's arrival ledgers follow the punctuation
-    /// windows: on a long constant-per-key stream each side's ledger
-    /// holds no more than the punctuations that side still stores, not
-    /// one entry per punctuation received.
+    /// The traced operator's arrival stamps follow the punctuation
+    /// windows: on a long constant-per-key stream each side stores a few
+    /// punctuations, not one per punctuation received, and every
+    /// propagation found the arrival time of what it released.
     #[test]
     fn arrival_ledgers_stay_within_the_punctuation_windows() {
         let mut op = eager(PJoinConfig::new(2, 2).with_tracing());
@@ -1215,14 +1157,80 @@ mod tests {
             out.drain().for_each(drop);
         }
         assert_eq!(op.stats().puncts_propagated, 2 * keys as u64);
-        for (ledger, index) in op.obs.punct_arrivals.iter().zip([&op.a.index, &op.b.index]) {
+        for index in [&op.a.index, &op.b.index] {
             assert!(index.held() < 8, "the windows trim: {} held", index.held());
-            assert!(
-                ledger.times.len() <= index.held(),
-                "ledger of {} for {} held",
-                ledger.times.len(),
-                index.held()
-            );
+        }
+        let latencies = op.latencies();
+        assert_eq!(latencies.punct_propagate.count(), 2 * keys as u64);
+        assert_eq!(latencies.punct_purge.count(), 2 * keys as u64);
+    }
+
+    /// Runs `input` through a `PJoinConfig::new(2, 2)` join with `purge`
+    /// to the end of the stream. Returns the joined tuples, having
+    /// checked that none follows a propagated punctuation it matches.
+    fn run_to_end(purge: PurgeStrategy, input: &[(Side, StreamElement)]) -> Vec<Tuple> {
+        let mut op = PJoin::new(PJoinConfig { purge, ..PJoinConfig::new(2, 2) });
+        let mut out = OpOutput::new();
+        for (side, e) in input {
+            op.on_element(*side, e.clone(), Timestamp(0), &mut out);
+        }
+        while op.on_end(Timestamp(1), &mut out) {}
+        let (mut emitted, mut results) = (Vec::<Punctuation>::new(), Vec::new());
+        for e in out.drain() {
+            match e {
+                StreamElement::Punctuation(p) => emitted.push(p),
+                StreamElement::Tuple(t) => {
+                    let covering = emitted.iter().find(|p| p.matches(&t));
+                    assert!(covering.is_none(), "{t:?} after {covering:?}");
+                    results.push(t);
+                }
+            }
+        }
+        results
+    }
+
+    /// Eager, and the default `PJoinConfig::new` lazy threshold.
+    const PURGES: [PurgeStrategy; 2] =
+        [PurgeStrategy::Eager, PurgeStrategy::Lazy { threshold: 10 }];
+
+    fn tuple(k: i64, x: i64) -> StreamElement {
+        StreamElement::Tuple(Tuple::of((k, x)))
+    }
+
+    /// `<*, 7>` from the left says only that no left tuple with payload
+    /// 7 follows: it closes no join value. The right `(6, 2)` is neither
+    /// dropped on arrival nor purged, and both later left tuples join.
+    #[test]
+    fn a_wildcard_join_punctuation_on_another_attribute_neither_drops_nor_purges() {
+        let payload_seven = Punctuation::on_attr(2, 1, Pattern::Constant(7i64.into()));
+        let input = [
+            (Side::Right, tuple(5, 1)),
+            (Side::Left, StreamElement::Punctuation(payload_seven)),
+            (Side::Right, tuple(6, 2)),
+            (Side::Left, tuple(5, 0)),
+            (Side::Left, tuple(6, 0)),
+        ];
+        for purge in PURGES {
+            assert_eq!(run_to_end(purge, &input).len(), 2, "{purge:?}");
+        }
+    }
+
+    /// `<5, 7>` closes the pair `(5, 7)`, not join value 5: the left
+    /// `(5, 8)` may still arrive and joins both stored right tuples.
+    #[test]
+    fn a_punctuation_narrower_than_its_join_value_neither_drops_nor_purges() {
+        let five_seven = Punctuation::new(vec![
+            Pattern::Constant(5i64.into()),
+            Pattern::Constant(7i64.into()),
+        ]);
+        let input = [
+            (Side::Right, tuple(5, 1)),
+            (Side::Left, StreamElement::Punctuation(five_seven)),
+            (Side::Right, tuple(5, 2)),
+            (Side::Left, tuple(5, 8)),
+        ];
+        for purge in PURGES {
+            assert_eq!(run_to_end(purge, &input).len(), 2, "{purge:?}");
         }
     }
 }

@@ -247,8 +247,8 @@ mod tests {
         let mut w = Work::ZERO;
         assert!(s.spill_bucket(bucket, 5, &mut w) >= 1);
         assert_eq!((s.store.disk_tuples(), s.index.count(&Value::Int(7))), (1, 1));
-        let seven = s.index.insert(Punctuation::close_value(2, 0, 7i64));
-        let eight = s.index.insert(Punctuation::close_value(2, 0, 8i64));
+        let seven = s.index.insert(Punctuation::close_value(2, 0, 7i64), 0);
+        let eight = s.index.insert(Punctuation::close_value(2, 0, 8i64), 0);
         assert!(s.index.propagable().eq([eight]));
         let (disk, _) = s.store.read_disk(bucket);
         s.store.clear_disk(bucket);
@@ -261,7 +261,7 @@ mod tests {
     fn buffered_records_stay_counted() {
         let mut s = state();
         s.insert(rec(9, 0));
-        let id = s.index.insert(Punctuation::close_value(2, 0, 9i64));
+        let id = s.index.insert(Punctuation::close_value(2, 0, 9i64), 0);
         let bucket = s.store.bucket_index(&Value::Int(9));
         let mut w = Work::ZERO;
         let closed = Pattern::Constant(Value::Int(9));

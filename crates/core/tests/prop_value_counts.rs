@@ -144,7 +144,7 @@ proptest! {
                     own.park_record(bucket, rec);
                 }
                 6..=8 => {
-                    own.index.insert(punctuation(a, b, c / 2));
+                    own.index.insert(punctuation(a, b, c / 2), 0);
                 }
                 9 | 10 => {
                     // A purge by the other stream's pattern: keyed for a
@@ -174,7 +174,7 @@ proptest! {
                     let mut ids = Vec::new();
                     propagate_side(own, 0, 4, &mut out, &mut work, &mut ids);
                     for id in ids {
-                        if let Some(pair) = own.index.closed_pair(id, &other.index) {
+                        if let Some(pair) = own.index.closes(id).and_then(|v| other.index.closer_of(v)) {
                             own.index.forget(id);
                             other.index.forget(pair);
                         }

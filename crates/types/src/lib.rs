@@ -19,8 +19,8 @@
 //! * [`Pattern`] — the five pattern kinds of the paper (wildcard, constant,
 //!   range, enumeration list, empty) with `match` and `and` semantics.
 //! * [`Punctuation`] — an ordered set of patterns over a schema.
-//! * [`PunctuationSet`] — an indexed collection of punctuations with a
-//!   fast `setMatch` on a designated (join) attribute.
+//! * [`PunctId`] / [`PunctSeq`] — a punctuation's id within one
+//!   operator's store and its sequence number on its input stream.
 //! * [`StreamElement`] / [`Timestamped`] — the element model of a
 //!   punctuated stream.
 //! * a textual grammar ([`parse`]) for writing punctuations in tests,
@@ -34,7 +34,6 @@ pub mod error;
 pub mod parse;
 pub mod pattern;
 pub mod punct_seq;
-pub mod punct_set;
 pub mod punctuation;
 pub mod schema;
 pub mod shard_map;
@@ -45,8 +44,7 @@ pub mod wire;
 
 pub use error::TypeError;
 pub use pattern::{Bound, Pattern};
-pub use punct_seq::{PunctSeq, PunctSeqAssigner};
-pub use punct_set::{PunctId, PunctuationSet};
+pub use punct_seq::{PunctId, PunctSeq, PunctSeqAssigner};
 pub use punctuation::Punctuation;
 pub use schema::{Field, Schema};
 pub use shard_map::{partition, ShardMap, MAX_SHARDS};

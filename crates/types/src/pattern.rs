@@ -26,7 +26,7 @@ pub enum Bound {
 
 impl Bound {
     /// True if `v` satisfies this bound interpreted as a *lower* bound.
-    pub(crate) fn admits_from_below(&self, v: &Value) -> bool {
+    pub fn admits_from_below(&self, v: &Value) -> bool {
         match self {
             Bound::Unbounded => true,
             Bound::Inclusive(b) => v >= b,
@@ -35,7 +35,7 @@ impl Bound {
     }
 
     /// True if `v` satisfies this bound interpreted as an *upper* bound.
-    pub(crate) fn admits_from_above(&self, v: &Value) -> bool {
+    pub fn admits_from_above(&self, v: &Value) -> bool {
         match self {
             Bound::Unbounded => true,
             Bound::Inclusive(b) => v <= b,

@@ -1,13 +1,13 @@
-//! Stream-level punctuation sequence ids.
+//! Punctuation ids: within one operator, and on one stream.
 //!
-//! A [`PunctId`](crate::PunctId) identifies a punctuation *within one
-//! operator's* [`PunctuationSet`](crate::PunctuationSet); once an
-//! executor replicates an operator (e.g. a sharded join where every
-//! shard keeps its own set), per-set ids of the same stream punctuation
-//! diverge across replicas. A [`PunctSeq`] is assigned once at ingest,
-//! *before* fan-out, so all replicas — and the alignment layer that
-//! merges their propagations — agree on which punctuation instance they
-//! are talking about.
+//! A [`PunctId`] identifies a punctuation *within one operator's*
+//! punctuation store (the join's `PunctuationIndex`, one per input);
+//! once an executor replicates an operator (e.g. a sharded join where
+//! every shard keeps its own store), per-store ids of the same stream
+//! punctuation diverge across replicas. A [`PunctSeq`] is assigned once
+//! at ingest, *before* fan-out, so all replicas — and the alignment
+//! layer that merges their propagations — agree on which punctuation
+//! instance they are talking about.
 //!
 //! Sequence ids are per input side: side A's and side B's punctuations
 //! are numbered independently, mirroring the paper's treatment of the
@@ -16,6 +16,21 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+/// Stable identifier of a punctuation within one operator's store.
+///
+/// Ids are assigned in arrival order and never reused, so they order
+/// propagation and name a punctuation in traces. Stored tuples do not
+/// carry one: a join counts its stored tuples by join value instead of
+/// the paper's per-tuple pid (Fig. 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PunctId(pub u64);
+
+impl fmt::Display for PunctId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "p{}", self.0)
+    }
+}
 
 /// Ingest-order sequence number of a punctuation on one input stream.
 ///
