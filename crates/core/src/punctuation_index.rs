@@ -700,6 +700,16 @@ mod tests {
     }
 
     #[test]
+    fn insert_and_len() {
+        let mut ix = PunctuationIndex::new(0);
+        assert_eq!(ix.total(), 0);
+        let a = ix.insert(close(1), 0);
+        let b = ix.insert(close(2), 0);
+        assert_eq!(ix.total(), 2);
+        assert!(a < b);
+    }
+
+    #[test]
     fn set_match_constant_fast_path() {
         let mut ix = PunctuationIndex::new(0);
         let id = ix.insert(close(7), 0);
